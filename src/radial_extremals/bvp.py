@@ -1,8 +1,9 @@
 """Two-point boundary-value solving: pick the constant n through two points.
 
-The swept angle between two radii on an extremal depends only on n, so a
-bracketing bisection on the angular span recovers the constant; the pose
-phi0 then follows from the endpoint angles.
+The swept angle between two radii on an extremal depends only on n, so the
+shared bracketed root finder (roots.find_root) applied to the angular-span
+residual recovers the constant; the pose phi0 then follows from the
+endpoint angles.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from .errors import ForbiddenRegion, NoBracket, QuadratureFailure
 from .extremal_core import PolarPoint
 from .reduced_ode import ExtremalSpec, integrate_phi
+from .roots import find_root
 from .weights import RadialWeight
 
 __all__ = ["BvpProblem", "BvpSolution", "angular_span", "solve_n"]
@@ -63,43 +65,32 @@ def angular_span(n: float, prob: BvpProblem, tol: float = 1e-12) -> float:
 
 def solve_n(prob: BvpProblem, target_span: float, n_bracket,
             tol: float) -> BvpSolution:
-    """Bisect on n until the angular span matches target_span within tol.
+    """Find n whose angular span matches target_span within tol.
 
     The bracket must produce spans straddling the target; no monotonicity
-    beyond that sign change is assumed.  Returns the constant and the pose
-    phi0 implied by the endpoint angles.
+    beyond that sign change is assumed.  A bracket end that puts the turning
+    radius outside an endpoint radius raises NoBracket naming that end's n;
+    a bracket that collapses to a few ulps with the residual still above tol
+    raises QuadratureFailure.  Returns the constant and the pose phi0
+    implied by the endpoint angles.
     """
     n_lo, n_hi = float(n_bracket[0]), float(n_bracket[1])
     if not 0.0 < n_lo < n_hi:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")
     qtol = min(1e-13, max(tol / 10.0, 1e-14))
-    f_lo = angular_span(n_lo, prob, qtol) - target_span
-    f_hi = angular_span(n_hi, prob, qtol) - target_span
-    if f_lo == 0.0:
-        n_star, f_star = n_lo, f_lo
-    elif f_hi == 0.0:
-        n_star, f_star = n_hi, f_hi
-    elif f_lo * f_hi > 0.0:
-        raise NoBracket(
-            f"angular span does not straddle {target_span} on "
-            f"[{n_lo}, {n_hi}] (residuals {f_lo:.3e}, {f_hi:.3e})")
-    else:
-        n_star, f_star = (n_lo, f_lo) if abs(f_lo) < abs(f_hi) else (n_hi, f_hi)
-        for _ in range(200):
-            if abs(f_star) <= tol:
-                break
-            if n_hi - n_lo <= 1e-15 * n_hi:
-                raise QuadratureFailure(
-                    f"bracket collapsed with span residual {f_star:.3e} "
-                    f"still above tol {tol:.3e}")
-            mid = 0.5 * (n_lo + n_hi)
-            f_mid = angular_span(mid, prob, qtol) - target_span
-            if abs(f_mid) < abs(f_star):
-                n_star, f_star = mid, f_mid
-            if f_lo * f_mid <= 0.0:
-                n_hi, f_hi = mid, f_mid
-            else:
-                n_lo, f_lo = mid, f_mid
+
+    def residual(n):
+        return angular_span(n, prob, qtol) - target_span
+
+    try:
+        f_lo, f_hi = residual(n_lo), residual(n_hi)
+    except ForbiddenRegion as exc:
+        raise NoBracket(f"invalid bracket end: {exc}") from exc
+    n_star, f_star = find_root(residual, n_lo, n_hi, f_lo, f_hi, tol)
+    if abs(f_star) > tol:
+        raise QuadratureFailure(
+            f"bracket collapsed with span residual {f_star:.3e} "
+            f"still above tol {tol:.3e}")
 
     spec, da, db = _branch_angles(prob, n_star, qtol)
     phi_a, phi_b = prob.a.phi, prob.b.phi

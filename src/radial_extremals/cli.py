@@ -50,27 +50,24 @@ def _rational_arg(text: str) -> Fraction:
             f"not a rational number: {text!r}") from exc
 
 
-def _floats_arg(count: int):
+def _float_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _floats_arg(count: int, sep: str = ","):
     def convert(text: str):
-        parts = text.split(",")
+        parts = text.split(sep)
         if len(parts) != count:
             raise argparse.ArgumentTypeError(
-                f"expected {count} comma-separated numbers, got {text!r}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
+                f"expected {count} {sep!r}-separated numbers, got {text!r}")
+        return tuple(_float_arg(p) for p in parts)
     return convert
-
-
-def _range_arg(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_weight_options(sub):
@@ -101,16 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
     trace = subs.add_parser("trace", help="sample one extremal",
                             epilog=_ANGLE_NOTE)
     _add_weight_options(trace)
-    trace.add_argument("--n", type=float, required=True,
+    trace.add_argument("--n", type=_float_arg, required=True,
                        help="first-integral constant (positive)")
     span = trace.add_mutually_exclusive_group(required=True)
-    span.add_argument("--zmax", type=float,
+    span.add_argument("--zmax", type=_float_arg,
                       help="trace both branches out to this radius")
-    span.add_argument("--psi-range", type=_range_arg, metavar="A:B",
+    span.add_argument("--psi-range", type=_floats_arg(2, ":"), metavar="A:B",
                       help="closed-form sampling over psi (power law only)")
     trace.add_argument("--samples", type=int, default=200,
                        help="samples per branch (default 200)")
-    trace.add_argument("--tol", type=float, default=1e-12,
+    trace.add_argument("--tol", type=_float_arg, default=1e-12,
                        help="quadrature tolerance (default 1e-12)")
     trace.add_argument("--grid", choices=("cosine", "uniform-phi"),
                        default="cosine",
@@ -121,10 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser("check",
                             help="run invariant checks on one extremal")
     _add_weight_options(check)
-    check.add_argument("--n", type=float, required=True)
-    check.add_argument("--zmax", type=float, required=True)
+    check.add_argument("--n", type=_float_arg, required=True)
+    check.add_argument("--zmax", type=_float_arg, required=True)
     check.add_argument("--samples", type=int, default=200)
-    check.add_argument("--tol", type=float, default=1e-12)
+    check.add_argument("--tol", type=_float_arg, default=1e-12)
     check.set_defaults(handler=_cmd_check)
 
     oracle = subs.add_parser(
@@ -135,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fixed Cartesian endpoints")
     oracle.add_argument("--segments", type=int, default=64)
     oracle.add_argument("--iters", type=int, default=20000)
-    oracle.add_argument("--grad-tol", type=float, default=1e-8)
+    oracle.add_argument("--grad-tol", type=_float_arg, default=1e-8)
     _add_output_options(oracle)
     oracle.set_defaults(handler=_cmd_oracle)
 
@@ -145,11 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bvp.add_argument("--endpoints", type=_floats_arg(4), required=True,
                      metavar="PHI1,Z1,PHI2,Z2",
                      help="polar endpoints in the phi convention")
-    bvp.add_argument("--n-bracket", type=_range_arg, required=True,
+    bvp.add_argument("--n-bracket", type=_floats_arg(2, ":"), required=True,
                      metavar="LO:HI")
     bvp.add_argument("--same-branch", action="store_true",
                      help="endpoints on one monotone-radius branch")
-    bvp.add_argument("--tol", type=float, default=1e-10,
+    bvp.add_argument("--tol", type=_float_arg, default=1e-10,
                      help="tolerance on the angular span (default 1e-10)")
     _add_output_options(bvp)
     bvp.set_defaults(handler=_cmd_bvp)
@@ -276,11 +273,8 @@ def _cmd_trace(args) -> int:
         doc = {
             "spec": {"weight": weight.text(), "n": n,
                      "phi0": 0.0, "orientation": 1},
-            "samples": [
-                {"phi": pt.phi, "z": pt.z,
-                 "x": pt.z * math.sin(pt.phi), "y": pt.z * math.cos(pt.phi),
-                 "clairaut_dev": dev}
-                for pt, dev in zip(points, deviations)],
+            "samples": [dict(zip(("phi", "z", "x", "y", "clairaut_dev"), row))
+                        for row in _trace_rows(points, deviations)],
             "diagnostics": {
                 "z_turn": z_turn,
                 "max_clairaut_dev": max(deviations),

@@ -25,7 +25,7 @@ _MAX_BACKTRACKS = 50
 class Polyline:
     """Ordered vertices with fixed endpoints; the oracle's decision variable."""
 
-    def __init__(self, vertices, endpoints_fixed: bool = True):
+    def __init__(self, vertices):
         pts = np.asarray([(p.x, p.y) if hasattr(p, "x") else tuple(p)
                           for p in vertices], dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -33,10 +33,6 @@ class Polyline:
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise DomainError("consecutive vertices must be distinct")
         self.vertices = pts
-        self.endpoints_fixed = endpoints_fixed
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 def _segment_data(verts: np.ndarray):
@@ -83,8 +79,6 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     weight's domain raises DomainViolation rather than being clamped; 50
     consecutive failed backtracks raise StalledDescent.
     """
-    if not pl.endpoints_fixed:
-        raise DomainError("minimize requires fixed endpoints")
     verts = pl.vertices.copy()
     value = _checked(_functional, verts, w, "initial polyline")
     step = 1.0
@@ -110,7 +104,7 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                 raise StalledDescent(
                     f"no decrease after {backtracks} backtracks "
                     f"(value {value}, max gradient {np.abs(grad).max():.3e})")
-    return Polyline(verts, endpoints_fixed=True)
+    return Polyline(verts)
 
 
 def _checked(fn, verts, w, where):

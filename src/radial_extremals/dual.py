@@ -112,11 +112,3 @@ FUNCTIONS = {
     "cos": dual_cos,
 }
 
-
-def derivative(f, x0):
-    """Derivative of a Dual-aware unary callable at x0."""
-    out = f(Dual(x0, np.ones_like(np.asarray(x0, dtype=float))
-                 if np.ndim(x0) else 1.0))
-    if isinstance(out, Dual):
-        return out.der
-    return np.zeros_like(np.asarray(x0, dtype=float)) if np.ndim(x0) else 0.0

@@ -31,6 +31,7 @@ from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
                      TangentialTurningPoint)
 from .extremal_core import PolarPoint, clairaut_constant
+from .roots import find_root
 from .weights import PowerLaw, RadialWeight, eval_q, eval_v
 
 __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
@@ -38,6 +39,7 @@ __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
 
 _G_HANDOFF = 0.5          # g value at which integration switches to z-space
 _TABLE_SIZE = 64          # samples in the cached w -> z inversion table
+_TURN_GTOL = 4.0 * np.finfo(float).eps   # |g| at z*: rounding level
 
 
 def _profile(w: RadialWeight, n: float, z):
@@ -53,49 +55,15 @@ def _profile_slope(w: RadialWeight, n: float, z):
 def turning_radius(w: RadialWeight, n: float, bracket) -> float:
     """Root z* of n*v(z)*z = 1 inside a sign-changing bracket.
 
-    Bisection with safeguarded secant steps, driven to |n*v*z - 1| <= 1e-13.
-    The crossing must be transversal and increasing: |g'(z*)| < 1e-8 raises
-    TangentialTurningPoint, and a decreasing crossing (g' < 0) is rejected
-    because z < z* would then be the allowed side.
+    roots.find_root drives |n*v*z - 1| to 4 eps (well inside 1e-13) or the
+    bracket to a few ulps.  The crossing must be transversal and increasing:
+    |g'(z*)| < 1e-8 raises TangentialTurningPoint, and a decreasing crossing
+    (g' < 0) is rejected because z < z* would then be the allowed side.
     """
     z_lo, z_hi = float(bracket[0]), float(bracket[1])
-    if not z_lo < z_hi:
-        raise NoBracket(f"empty bracket [{z_lo}, {z_hi}]")
-    g_lo = _profile(w, n, z_lo)
-    g_hi = _profile(w, n, z_hi)
-    if g_lo == 0.0:
-        best, g_best = z_lo, g_lo
-    elif g_hi == 0.0:
-        best, g_best = z_hi, g_hi
-    elif g_lo * g_hi > 0.0:
-        raise NoBracket(
-            f"n*v(z)*z - 1 does not change sign on [{z_lo}, {z_hi}]")
-    else:
-        best, g_best = (z_lo, g_lo) if abs(g_lo) < abs(g_hi) else (z_hi, g_hi)
-        prev, g_prev = z_lo, g_lo
-        cur, g_cur = z_hi, g_hi
-        for _ in range(200):
-            if abs(g_best) <= 1e-13:
-                break
-            denom = g_cur - g_prev
-            mid = 0.5 * (z_lo + z_hi)
-            cand = cur - g_cur * (cur - prev) / denom if denom != 0.0 else mid
-            if not (z_lo < cand < z_hi):
-                cand = mid
-            if z_hi - z_lo < 4.0 * np.finfo(float).eps * max(abs(z_lo),
-                                                             abs(z_hi)):
-                break
-            g_cand = _profile(w, n, cand)
-            if abs(g_cand) < abs(g_best):
-                best, g_best = cand, g_cand
-            if g_cand == 0.0:
-                break
-            if g_lo * g_cand < 0.0:
-                z_hi, g_hi = cand, g_cand
-            else:
-                z_lo, g_lo = cand, g_cand
-            prev, g_prev = cur, g_cur
-            cur, g_cur = cand, g_cand
+    best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
+                        _profile(w, n, z_lo), _profile(w, n, z_hi),
+                        _TURN_GTOL)
     slope = _profile_slope(w, n, best)
     if abs(slope) < 1e-8:
         raise TangentialTurningPoint(
@@ -108,19 +76,23 @@ def turning_radius(w: RadialWeight, n: float, bracket) -> float:
 
 
 def _auto_bracket(w: RadialWeight, n: float):
-    lo = max(w.domain_min, 0.0)
-    grid = np.geomspace(max(lo * (1.0 + 1e-9), 1e-8), 1e8, 321)
-    prev = None
-    for z in grid:
-        try:
-            g = _profile(w, n, float(z))
-        except Exception:
-            prev = None
-            continue
-        if prev is not None and prev[1] * g <= 0.0:
-            return prev[0], float(z)
-        prev = (float(z), g)
-    raise NoBracket("no sign change of n*v(z)*z - 1 found on the scan grid")
+    """First sign change of n*v(z)*z - 1 on a geometric grid, as a bracket.
+
+    Grid points where v is not finite or positive, or z is outside the
+    weight's domain, cannot end a bracket.
+    """
+    z = np.geomspace(max(max(w.domain_min, 0.0) * (1.0 + 1e-9), 1e-8),
+                     1e8, 321)
+    with np.errstate(all="ignore"):
+        v = w._raw_v(z)
+        g = n * v * z - 1.0
+        valid = np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
+        change = valid[:-1] & valid[1:] & (g[:-1] * g[1:] <= 0.0)
+    if not change.any():
+        raise NoBracket(
+            "no sign change of n*v(z)*z - 1 found on the scan grid")
+    i = int(np.argmax(change))
+    return float(z[i]), float(z[i + 1])
 
 
 @dataclass
@@ -142,6 +114,9 @@ class ExtremalSpec:
 
     def __post_init__(self):
         self.n = float(self.n)
+        if not math.isfinite(self.n):
+            raise DomainError(
+                f"the first-integral constant n must be finite, got {self.n}")
         if self.n == 0.0:
             raise DomainError("the first-integral constant n must be nonzero")
         if self.n < 0.0:
@@ -169,7 +144,6 @@ class ExtremalSpec:
             raise TangentialTurningPoint(
                 f"n*v(z)*z has near-zero slope {slope:.3e} at the turning "
                 "radius")
-        self._turn_slope = slope
         self._near = None    # lazy (z_split, w_split, w_table, z_table)
 
     # -- near-region machinery (w = sqrt(g) as integration variable) -----
@@ -379,6 +353,8 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
     the ray phi = phi0.  grid "cosine" clusters radii near z*; grid
     "uniform-phi" spaces samples equally in swept angle.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if num_samples < 3:
         raise DomainError("need at least 3 samples per branch")
     if not z_max > spec.z_turn:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radial_extremals import bvp
 from radial_extremals import (BvpProblem, ExtremalSpec, ForbiddenRegion,
                               NoBracket, PolarPoint, PowerLaw, PowerLawCurve,
                               Polyline, angular_span, functional_value,
@@ -74,6 +75,33 @@ class TestSolveN:
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
         with pytest.raises(NoBracket):
             solve_n(prob, 2.0 * math.pi / 3, (2.5, 3.5), 1e-12)
+
+    def test_bracket_end_outside_endpoint_radius(self):
+        # z*(0.5) = 0.5^(-1/2.3) = 1.35 lies outside both endpoint radii
+        prob = BvpProblem(PolarPoint(-0.5, 1.3), PolarPoint(0.5, 1.3),
+                          PowerLaw(1.3))
+        with pytest.raises(NoBracket, match="invalid bracket end.* n = 0.5$"):
+            solve_n(prob, 1.0, (0.5, 3.0), 1e-12)
+
+    def test_span_evaluations_per_solve(self, monkeypatch):
+        # first draw of the acceptance round trip (criterion 07)
+        rng = np.random.default_rng(23)
+        lam = float(rng.uniform(0.0, 3.0))
+        n_true = float(rng.uniform(0.7, 2.2))
+        phi0 = float(rng.uniform(-0.5, 0.5))
+        psi_a = -float(rng.uniform(0.6, 1.3))
+        psi_b = float(rng.uniform(0.6, 1.3))
+        a, b = endpoints_from_curve(lam, n_true, psi_a, psi_b, phi0)
+        calls = []
+
+        def counted(n, prob, tol=1e-12):
+            calls.append(n)
+            return angular_span(n, prob, tol)
+        monkeypatch.setattr(bvp, "angular_span", counted)
+        sol = solve_n(BvpProblem(a, b, PowerLaw(lam)), abs(b.phi - a.phi),
+                      (0.85 * n_true, 1.6 * n_true), 1e-12)
+        assert sol.n == pytest.approx(n_true, rel=1e-7)
+        assert len(calls) <= 12
 
     def test_recovered_curve_passes_endpoints(self):
         rng = np.random.default_rng(97)

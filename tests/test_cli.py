@@ -184,7 +184,37 @@ class TestOracle:
         assert len(doc["vertices"]) == 25
 
 
+_FLOAT_OPTION_CASES = {   # option: (value template, rest of the command)
+    "--n": ("{}", ["trace", "--lambda", "1", "--zmax", "3"]),
+    "--zmax": ("{}", ["trace", "--lambda", "1", "--n", "1"]),
+    "--tol": ("{}", ["trace", "--lambda", "1", "--n", "1", "--zmax", "3"]),
+    "--grad-tol": ("{}", ["oracle", "--lambda", "1",
+                          "--endpoints=-0.5,1,0.5,1"]),
+    "--n-bracket": ("0.9:{}", ["bvp", "--lambda", "1",
+                               "--endpoints=-0.5,1.3,0.5,1.3"]),
+    "--endpoints": ("-0.5,{},0.5,1.3", ["bvp", "--lambda", "1",
+                                         "--n-bracket", "0.9:2.2"]),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", sorted(_FLOAT_OPTION_CASES))
+def test_non_finite_float_option_exits_2(capsys, option, value):
+    template, rest = _FLOAT_OPTION_CASES[option]
+    code, _, err = run(capsys, *rest, f"{option}={template.format(value)}")
+    assert code == 2
+    assert f"argument {option}: not a finite number" in err
+
+
 class TestBvp:
+    def test_bracket_end_outside_endpoint_radius(self, capsys):
+        code, _, err = run(capsys, "bvp", "--lambda", "13/10",
+                           "--endpoints=-0.5,1.3,0.5,1.3",
+                           "--n-bracket", "0.5:3")
+        assert code == 1
+        assert err.startswith("NoBracket: invalid bracket end")
+        assert "at n = 0.5" in err
+
     def test_line_problem_json(self, capsys):
         code, out, _ = run(capsys, "bvp", "--lambda", "0",
                            "--endpoints=-1.0471975511965976,1,"

@@ -148,11 +148,6 @@ class TestMinimize:
         with pytest.raises(StalledDescent):
             minimize(out, w, 100000, 0.0)
 
-    def test_free_endpoints_rejected(self):
-        pl = Polyline([(0.0, 1.0), (1.0, 1.0)], endpoints_fixed=False)
-        with pytest.raises(DomainError):
-            minimize(pl, PowerLaw(0.0), 10, 1e-6)
-
     def test_discrete_conservation_along_minimizer(self):
         # v*z*sin(alpha) at segment midpoints stays constant to 5/N^2
         w = PowerLaw(1.0)

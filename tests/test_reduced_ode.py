@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from radial_extremals import (DomainError, ExtremalSpec, ForbiddenRegion,
-                              NoBracket, PowerLaw, PowerLawCurve,
-                              TangentialTurningPoint, dphi_dz, eval_v,
-                              first_integral_deviation, integrate_phi,
+from radial_extremals import (DomainError, ExtremalError, ExtremalSpec,
+                              ForbiddenRegion, NoBracket, PowerLaw,
+                              PowerLawCurve, TangentialTurningPoint, dphi_dz,
+                              eval_v, first_integral_deviation, integrate_phi,
                               parse_weight, psi_from_z, trace_extremal,
                               turning_radius)
+from radial_extremals import reduced_ode
 
 # independent 30-digit quadrature of dz/(z sqrt(n^2 z^{2l+2} - 1)) for
 # lambda = 1/2, n = 1.3, from the turning radius to z = 2
@@ -68,6 +69,44 @@ class TestExtremalSpec:
         w = parse_weight("1/(1+z^2)")
         spec = ExtremalSpec(w, 3.0)
         assert abs(3.0 * eval_v(w, spec.z_turn) * spec.z_turn - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_non_finite_n_rejected(self, n):
+        with pytest.raises(DomainError, match="finite"):
+            ExtremalSpec(parse_weight("1+z"), n)
+
+
+def _scalar_scan(w, n):
+    """Point-by-point form of the automatic bracket scan, for reference."""
+    lo = max(w.domain_min, 0.0)
+    prev = None
+    for z in np.geomspace(max(lo * (1.0 + 1e-9), 1e-8), 1e8, 321):
+        try:
+            g = n * eval_v(w, float(z)) * float(z) - 1.0
+        except ExtremalError:
+            prev = None
+            continue
+        if prev is not None and prev[1] * g <= 0.0:
+            return prev[0], float(z)
+        prev = (float(z), g)
+    return None
+
+
+class TestAutoBracket:
+    @pytest.mark.parametrize("text,n", [
+        ("1/(1+z^2)", 3.0), ("log(z)", 1.0), ("z-1", 1.0),
+        ("sqrt(z-1)", 0.5), ("2+sin(z)", 1.0), ("exp(z)", 1.0),
+        ("1+z", 0.7), ("sqrt(1+z^3)", 1.2), ("z^2+1", 2.0)])
+    def test_matches_scalar_scan(self, text, n):
+        w = parse_weight(text)
+        assert reduced_ode._auto_bracket(w, n) == _scalar_scan(w, n)
+
+    @pytest.mark.parametrize("text", ["1/(z-2)", "exp(-z)"])
+    def test_no_sign_change(self, text):
+        w = parse_weight(text)
+        assert _scalar_scan(w, 1.0) is None
+        with pytest.raises(NoBracket):
+            reduced_ode._auto_bracket(w, 1.0)
 
 
 class TestDphiDz:
@@ -217,6 +256,16 @@ class TestTrace:
             trace_extremal(spec, 0.9, 50)
         with pytest.raises(DomainError):
             trace_extremal(spec, 2.0, 2)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_tolerance_validated_before_quadrature(self, tol, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+        monkeypatch.setattr(reduced_ode.quadrature, "integrate",
+                            no_quadrature)
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        with pytest.raises(DomainError, match="tol"):
+            trace_extremal(spec, 3.0, 50, tol=tol)
 
     def test_deviation_helper_at_turning_radius(self):
         spec = ExtremalSpec(PowerLaw(1.0), 2.0)
