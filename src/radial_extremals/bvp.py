@@ -9,7 +9,7 @@ endpoint angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ForbiddenRegion, NoBracket, QuadratureFailure
 from .extremal_core import PolarPoint
@@ -39,6 +39,14 @@ class BvpProblem:
 
 
 @dataclass
+class _RecordingProblem(BvpProblem):
+    """A BvpProblem that keeps (spec, da, db) for every n it is evaluated at,
+    so solve_n reuses the pieces of its root instead of recomputing them."""
+
+    pieces: dict = field(default_factory=dict)
+
+
+@dataclass
 class BvpSolution:
     n: float
     phi0: float
@@ -54,6 +62,8 @@ def _branch_angles(prob: BvpProblem, n: float, tol: float):
             f"turning radius {zt} exceeds an endpoint radius at n = {n}")
     da = integrate_phi(spec, zt, prob.a.z, tol)
     db = integrate_phi(spec, zt, prob.b.z, tol)
+    if isinstance(prob, _RecordingProblem):
+        prob.pieces[n] = (spec, da, db)
     return spec, da, db
 
 
@@ -78,9 +88,11 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
     if not 0.0 < n_lo < n_hi:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")
     qtol = min(1e-13, max(tol / 10.0, 1e-14))
+    recorded = _RecordingProblem(prob.a, prob.b, prob.weight,
+                                 prob.same_branch)
 
     def residual(n):
-        return angular_span(n, prob, qtol) - target_span
+        return angular_span(n, recorded, qtol) - target_span
 
     try:
         f_lo, f_hi = residual(n_lo), residual(n_hi)
@@ -92,7 +104,7 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
             f"bracket collapsed with span residual {f_star:.3e} "
             f"still above tol {tol:.3e}")
 
-    spec, da, db = _branch_angles(prob, n_star, qtol)
+    spec, da, db = recorded.pieces[n_star]
     phi_a, phi_b = prob.a.phi, prob.b.phi
     if prob.same_branch:
         sgn = math.copysign(1.0, (phi_b - phi_a) * (prob.b.z - prob.a.z)) \

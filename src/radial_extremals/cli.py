@@ -387,7 +387,8 @@ def _cmd_oracle(args) -> int:
             "segments": args.segments,
             "vertices": [[float(a), float(b)] for a, b in final.vertices],
             "diagnostics": {"initial_functional": f0, "functional": f1,
-                            "max_grad_component": gmax},
+                            "max_grad_component": gmax,
+                            "converged": gmax <= args.grad_tol},
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:

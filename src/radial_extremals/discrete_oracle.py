@@ -5,9 +5,17 @@ its segments (midpoint rule: second-order accurate and with a short exact
 gradient).  Minimizing it over the interior vertices with fixed endpoints
 gives an independent check that the analytically traced curves really are
 extremals.
+
+The functional is ill-conditioned (roughly like N^2 in the segment count),
+so minimize takes damped Newton (Levenberg-Marquardt) steps on the exact
+Hessian rather than gradient steps.  Each segment couples only its two end
+vertices, so the Hessian is block-tridiagonal with 2x2 blocks; at the sizes
+used here (a few hundred vertices) a dense Cholesky solve is fast enough.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,9 +25,9 @@ from .weights import RadialWeight, eval_q, eval_v
 
 __all__ = ["Polyline", "functional_value", "gradient", "minimize"]
 
-_ARMIJO = 1e-4
-_GROWTH = 1.25
-_MAX_BACKTRACKS = 50
+_MU_START = 1.0        # initial damping, in units of tr(H)/dim
+_MU_MIN = 1e-12
+_MAX_REJECTIONS = 50
 
 
 class Polyline:
@@ -50,7 +58,7 @@ def functional_value(pl: Polyline, w: RadialWeight) -> float:
 
 def _functional(verts: np.ndarray, w: RadialWeight) -> float:
     _, length, _, z_mid = _segment_data(verts)
-    return float(np.dot(eval_v(w, z_mid), length))
+    return math.fsum(eval_v(w, z_mid) * length)
 
 
 def gradient(pl: Polyline, w: RadialWeight) -> np.ndarray:
@@ -69,41 +77,101 @@ def _gradient(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
     return (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
 
 
+def _hessian(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
+    """Exact Hessian over the interior vertices, a dense (2(k-2))^2 matrix.
+
+    Segment j depends on m = (a+b)/2 and e = b-a only, with
+    d2/dm2 = v''*L*mm' + q*L*(I - mm')/z, d2/dm de = q*m e' and
+    d2/de2 = v*(I - ee')/L (m, e unit vectors), so the matrix is
+    block-tridiagonal in the vertices.  v'' is a central difference of the
+    exact q in z.
+    """
+    delta, length, mid, z_mid = _segment_data(verts)
+    h = 1e-5 * (z_mid - w.domain_min)
+    v = eval_v(w, z_mid)
+    q, q_up, q_down = eval_q(w, np.concatenate(
+        [z_mid, z_mid + h, z_mid - h])).reshape(3, -1)
+    v2 = (q_up - q_down) / (2.0 * h)
+    m_hat = mid / z_mid[:, None]
+    e_hat = delta / length[:, None]
+    eye = np.eye(2)
+    mm = m_hat[:, :, None] * m_hat[:, None, :]
+    h_mm = (v2 * length)[:, None, None] * mm \
+        + (q * length / z_mid)[:, None, None] * (eye - mm)
+    h_me = q[:, None, None] * m_hat[:, :, None] * e_hat[:, None, :]
+    h_ee = (v / length)[:, None, None] \
+        * (eye - e_hat[:, :, None] * e_hat[:, None, :])
+    # chain rule through m = (a+b)/2, e = b-a
+    sym = 0.5 * (h_me + h_me.transpose(0, 2, 1))
+    h_aa = 0.25 * h_mm - sym + h_ee
+    h_bb = 0.25 * h_mm + sym + h_ee
+    h_ab = 0.25 * h_mm + 0.5 * (h_me - h_me.transpose(0, 2, 1)) - h_ee
+    k = len(verts)
+    full = np.zeros((k, 2, k, 2))
+    j = np.arange(k - 1)
+    full[j, :, j, :] += h_aa
+    full[j + 1, :, j + 1, :] += h_bb
+    full[j, :, j + 1, :] += h_ab
+    full[j + 1, :, j, :] += h_ab.transpose(0, 2, 1)
+    return full.reshape(2 * k, 2 * k)[2:-2, 2:-2]
+
+
 def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
              grad_tol: float) -> Polyline:
-    """Gradient descent with Armijo backtracking on the interior vertices.
+    """Levenberg-Marquardt Newton iteration on the interior vertices.
 
-    Stops when every gradient component is <= grad_tol in magnitude or after
-    max_iters steps, whichever comes first; the returned functional value
-    never exceeds the initial one.  A trial step whose midpoints leave the
-    weight's domain raises DomainViolation rather than being clamped; 50
-    consecutive failed backtracks raise StalledDescent.
+    Each iteration solves (H + mu*(tr H/dim)*I) p = -g by Cholesky, with g
+    and H the exact gradient and Hessian.  A trial is accepted if it
+    strictly lowers the functional, or ties it with a strictly smaller
+    largest gradient component, and then mu shrinks tenfold; a rejected
+    trial or a failed factorization grows mu tenfold.  The value is summed
+    with math.fsum, so at the rounding floor trials tie rather than scatter
+    by an ulp, and the gradient can still see progress there.  Stops when
+    every gradient component is <= grad_tol in magnitude or after max_iters
+    iterations, whichever comes first; the returned functional value never
+    exceeds the initial one.  A trial whose midpoints leave the weight's
+    domain raises DomainViolation rather than being clamped; 50 consecutive
+    rejected trials raise StalledDescent.
     """
     verts = pl.vertices.copy()
     value = _checked(_functional, verts, w, "initial polyline")
-    step = 1.0
+    grad = _checked(_gradient, verts, w, "initial polyline")
+    gmax = np.abs(grad).max()
+    mu = _MU_START
     for _ in range(max_iters):
-        grad = _checked(_gradient, verts, w, "current polyline")
-        if np.abs(grad).max() <= grad_tol:
+        if gmax <= grad_tol:
             break
-        gsq = float(np.sum(grad * grad))
-        backtracks = 0
+        hess = _checked(_hessian, verts, w, "current polyline")
+        # damping in units of tr(H)/dim keeps the step rotation invariant
+        damping = (np.trace(hess) / len(hess)) * np.eye(len(hess))
+        rejections = 0
         while True:
-            trial = verts.copy()
-            trial[1:-1] -= step * grad
-            trial_value = _checked(_functional, trial, w, "trial step")
-            # strict decrease: a trial that only ties the current value is
-            # no progress, so the stall counter can see a true plateau
-            if trial_value < value - _ARMIJO * step * gsq:
-                verts, value = trial, trial_value
-                step *= _GROWTH
-                break
-            step *= 0.5
-            backtracks += 1
-            if backtracks >= _MAX_BACKTRACKS:
+            try:
+                chol = np.linalg.cholesky(hess + mu * damping)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                step = np.linalg.solve(
+                    chol.T, np.linalg.solve(chol, -grad.ravel()))
+                trial = verts.copy()
+                trial[1:-1] += step.reshape(-1, 2)
+                t_value = _checked(_functional, trial, w, "trial step")
+                if t_value <= value:
+                    t_grad = _checked(_gradient, trial, w, "trial step")
+                    t_gmax = np.abs(t_grad).max()
+                    # at the floor of both value and gradient every trial
+                    # fails, so the stall counter sees the plateau
+                    if (t_value, t_gmax) < (value, gmax):
+                        verts, value = trial, t_value
+                        grad, gmax = t_grad, t_gmax
+                        mu = max(mu / 10.0, _MU_MIN)
+                        break
+            mu *= 10.0
+            rejections += 1
+            if rejections >= _MAX_REJECTIONS:
                 raise StalledDescent(
-                    f"no decrease after {backtracks} backtracks "
-                    f"(value {value}, max gradient {np.abs(grad).max():.3e})")
+                    f"no decrease after {rejections} rejected steps "
+                    f"(value {value}, max gradient {gmax:.3e})")
     return Polyline(verts)
 
 

@@ -56,8 +56,8 @@ class QuadratureFailure(ExtremalError):
 
 
 class StalledDescent(ExtremalError):
-    """Backtracking line search failed to find any decrease."""
+    """The minimizer rejected too many trial steps in a row to go on."""
 
 
 class DomainViolation(ExtremalError):
-    """Descent drove the polyline out of the weight's domain."""
+    """The minimizer drove the polyline out of the weight's domain."""

@@ -152,14 +152,25 @@ class ExtremalSpec:
         if self._near is not None:
             return self._near
         zt = self.z_turn
-        z_hi = zt
+        z_hi = z_prev = z_before = zt
+        g_prev = 0.0
         step = max(1e-6 * zt, 1e-12)
         for _ in range(200):
             z_hi = zt + step
-            if _profile(self.weight, self.n, z_hi) >= _G_HANDOFF:
+            g = _profile(self.weight, self.n, z_hi)
+            if g >= _G_HANDOFF:
+                break
+            if g <= g_prev and z_prev > zt:
+                # past the peak of g: hand off where g still rises, so the
+                # w table below stays monotone and dense
+                if _profile_slope(self.weight, self.n, z_prev) <= 0.0 \
+                        and z_before > zt:
+                    z_prev = z_before
+                z_hi = z_prev
                 break
             if step > 1e7 * max(1.0, zt):
                 break   # profile plateaus; hand off wherever we got to
+            z_before, z_prev, g_prev = z_prev, z_hi, g
             step *= 2.0
         frac = np.linspace(0.0, 1.0, _TABLE_SIZE + 1) ** 2
         z_tab = zt + (z_hi - zt) * frac

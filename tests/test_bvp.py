@@ -103,6 +103,32 @@ class TestSolveN:
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert len(calls) <= 12
 
+    def test_root_pieces_reused(self, monkeypatch):
+        # first draw of criterion 07: the returned n* is one of the span
+        # evaluations, so its spec and angles are not built again
+        rng = np.random.default_rng(23)
+        lam = float(rng.uniform(0.0, 3.0))
+        n_true = float(rng.uniform(0.7, 2.2))
+        phi0 = float(rng.uniform(-0.5, 0.5))
+        psi_a = -float(rng.uniform(0.6, 1.3))
+        psi_b = float(rng.uniform(0.6, 1.3))
+        a, b = endpoints_from_curve(lam, n_true, psi_a, psi_b, phi0)
+        spans, specs = [], []
+
+        def counted_span(n, prob, tol=1e-12):
+            spans.append(n)
+            return angular_span(n, prob, tol)
+
+        def counted_spec(*args, **kwargs):
+            specs.append(args)
+            return ExtremalSpec(*args, **kwargs)
+        monkeypatch.setattr(bvp, "angular_span", counted_span)
+        monkeypatch.setattr(bvp, "ExtremalSpec", counted_spec)
+        sol = solve_n(BvpProblem(a, b, PowerLaw(lam)), abs(b.phi - a.phi),
+                      (0.85 * n_true, 1.6 * n_true), 1e-12)
+        assert sol.n == pytest.approx(n_true, rel=1e-7)
+        assert 0 < len(specs) <= len(spans)
+
     def test_recovered_curve_passes_endpoints(self):
         rng = np.random.default_rng(97)
         for _ in range(12):

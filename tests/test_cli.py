@@ -181,7 +181,17 @@ class TestOracle:
         assert doc["diagnostics"]["functional"] <= \
             doc["diagnostics"]["initial_functional"]
         assert doc["diagnostics"]["max_grad_component"] <= 1e-7
+        assert doc["diagnostics"]["converged"] is True
         assert len(doc["vertices"]) == 25
+        # a run cut short by --iters still exits 0 but says so
+        code, out, _ = run(capsys, "oracle", "--lambda", "1",
+                           "--endpoints=-0.4,1.1,0.4,1.1",
+                           "--segments", "24", "--iters", "1",
+                           "--grad-tol", "1e-7", "--format", "json")
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert diag["max_grad_component"] > 1e-7
+        assert diag["converged"] is False
 
 
 _FLOAT_OPTION_CASES = {   # option: (value template, rest of the command)

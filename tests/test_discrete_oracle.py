@@ -5,9 +5,9 @@ import pytest
 
 from radial_extremals import (DomainError, DomainViolation, ExpressionWeight,
                               PowerLaw, PowerLawCurve, Polyline,
-                              StalledDescent, eval_v, functional_value,
-                              gradient, minimize, parse_weight,
-                              power_law_point)
+                              StalledDescent, discrete_oracle, eval_q, eval_v,
+                              functional_value, gradient, minimize,
+                              parse_weight, power_law_point)
 from radial_extremals.expressions import parse_expression
 
 
@@ -102,6 +102,28 @@ class TestGradient:
         assert abs(grad[0, 1]) > 1e-3
 
 
+class TestHessian:
+    def test_matches_finite_differences_of_gradient(self):
+        rng = np.random.default_rng(43)
+        pool = [PowerLaw(0.0), PowerLaw(1.0), PowerLaw(2.0), PowerLaw(-1.0),
+                parse_weight("1/(1+z^2)"), parse_weight("exp(-z) + 1")]
+        h = 1e-7
+        for trial in range(60):
+            w = pool[trial % len(pool)]
+            pl = random_polyline(rng)
+            hess = discrete_oracle._hessian(pl.vertices, w)
+            fd = np.empty_like(hess)
+            for k in range(len(hess)):
+                plus = pl.vertices.copy()
+                minus = pl.vertices.copy()
+                plus[1 + k // 2, k % 2] += h
+                minus[1 + k // 2, k % 2] -= h
+                fd[:, k] = (gradient(Polyline(plus), w)
+                            - gradient(Polyline(minus), w)).ravel() / (2 * h)
+            assert np.abs(hess - fd).max() <= 1e-6 * np.abs(hess).max()
+            assert np.array_equal(hess, hess.T)
+
+
 class TestMinimize:
     def test_zigzag_converges_to_chord(self):
         xs = np.linspace(0.0, 1.0, 66)
@@ -114,7 +136,7 @@ class TestMinimize:
     def test_value_never_increases_with_budget(self):
         pl = chord((-0.6, 1.2), (0.6, 1.2), 24)
         w = PowerLaw(1.0)
-        values = [functional_value(minimize(pl, w, iters, 0.0), w)
+        values = [functional_value(minimize(pl, w, iters, 1e-11), w)
                   for iters in (1, 3, 10, 30, 100)]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
         assert values[-1] <= functional_value(pl, w)
@@ -128,6 +150,23 @@ class TestMinimize:
                         [math.sin(beta), math.cos(beta)]])
         turned = minimize(Polyline(pl.vertices @ rot.T), w, 30000, 1e-7)
         assert np.abs(turned.vertices - out.vertices @ rot.T).max() <= 1e-6
+
+    def test_newton_work_at_200_segments(self, monkeypatch):
+        # criterion 06's configuration; gradient descent needed about 110k
+        # gradient evaluations here
+        calls = []
+
+        def counting_eval_q(w, z):
+            calls.append(z)
+            return eval_q(w, z)
+
+        monkeypatch.setattr(discrete_oracle, "eval_q", counting_eval_q)
+        w = PowerLaw(1.0)
+        pl = closed_form_polyline(1.0, 1.0, -1.0, 1.0, 2)
+        a, b = pl.vertices
+        out = minimize(chord(a, b, 200), w, 200_000, 3e-7)
+        assert len(calls) <= 100
+        assert np.abs(gradient(out, w)).max() <= 3e-7
 
     def test_initial_polyline_outside_domain(self):
         w = ExpressionWeight(parse_expression("z"), domain_min=1.0)

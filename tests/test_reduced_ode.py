@@ -187,6 +187,23 @@ class TestIntegratePhi:
                 assert abs(got - psi / (lam + 1.0)) <= 10.0 * tol
                 assert psi_from_z(curve, z) == pytest.approx(psi, rel=1e-12)
 
+    def test_profile_peaking_below_handoff_against_mpmath(self):
+        # for 1/(1+z^2) at n = 3, g = n*v*z - 1 peaks at 0.5 at z = 1 and
+        # never passes the near/far handoff value; the near region must
+        # still end where g rises
+        mpmath = pytest.importorskip("mpmath")
+        spec = ExtremalSpec(parse_weight("1/(1+z^2)"), 3.0)
+
+        def dphi(z):
+            return 1 / (z * mpmath.sqrt((3 * z / (1 + z * z)) ** 2 - 1))
+
+        with mpmath.workdps(30):
+            z_turn = (3 - mpmath.sqrt(5)) / 2
+            for z in (0.67, 0.77, 0.9):
+                ref = mpmath.quad(dphi, [z_turn, z])
+                got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+                assert abs(got - ref) <= 1e-10 * ref
+
 
 class TestTrace:
     def test_straight_line_oracle(self):
