@@ -252,9 +252,10 @@ def _cmd_trace(args) -> int:
         curve = closed_form.PowerLawCurve(float(lam), n)
         psis = np.linspace(args.psi_range[0], args.psi_range[1], args.samples)
         points = [closed_form.power_law_point(curve, float(p)) for p in psis]
-        deviations = [first_integral_deviation(weight, n, p.z)
-                      for p in points]
+        deviations = first_integral_deviation(
+            weight, n, np.array([p.z for p in points])).tolist()
         z_turn = curve.z_turn
+        quad = {"panels": None, "error_estimate": None}   # no quadrature
         branches = [_cartesian_array(points)]
     else:
         spec = ExtremalSpec(weight, n)
@@ -263,6 +264,8 @@ def _cmd_trace(args) -> int:
         points = result.samples
         deviations = result.clairaut_deviation
         z_turn = result.z_turn
+        quad = {"panels": result.panels,
+                "error_estimate": result.error_estimate}
         xy = _cartesian_array(points)
         branches = [xy[:args.samples], xy[args.samples - 1:]]
 
@@ -280,6 +283,7 @@ def _cmd_trace(args) -> int:
                 "max_clairaut_dev": max(deviations),
                 "max_el_residual": _max_el_residual(
                     _cartesian_array(points), weight),
+                **quad,
             },
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")

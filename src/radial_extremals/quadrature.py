@@ -3,7 +3,9 @@
 The driver bisects whichever panel carries the largest error estimate until
 the summed estimate meets an absolute tolerance, with a hard budget on the
 number of panels.  Integrands must accept numpy arrays (they are called once
-per panel on all 15 nodes).
+per panel on all 15 nodes).  kronrod_panels evaluates many panels in one call
+of the integrand, on a (K, 15) array of nodes; each of its rows equals
+kronrod_panel on that panel exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["kronrod_panel", "integrate"]
+__all__ = ["kronrod_panel", "kronrod_panels", "integrate"]
 
 # 15-point Kronrod abscissae (positive half, descending) and weights,
 # with the embedded 7-point Gauss weights on the shared nodes.
@@ -42,18 +44,11 @@ _WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 _EPS = np.finfo(float).eps
 
 
-def kronrod_panel(f, a: float, b: float):
-    """One 15-point Kronrod evaluation of f on [a, b].
-
-    Returns (integral, error_estimate) where the estimate follows the usual
-    practice of sharpening |K15 - G7| against the integrand's variation.
-    """
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    fv = np.asarray(f(center + half * _NODES), dtype=float)
+def _panel_sums(fv: np.ndarray, half: float, width: float):
+    """(integral, error_estimate) of one panel from its 15 node values."""
     resk = half * float(_WK @ fv)
     resg = half * float(_WG @ fv)
-    mean = resk / (b - a) if b != a else 0.0
+    mean = resk / width if width != 0.0 else 0.0
     resasc = abs(half) * float(_WK @ np.abs(fv - mean))
     resabs = abs(half) * float(_WK @ np.abs(fv))
     err = abs(resk - resg)
@@ -63,16 +58,44 @@ def kronrod_panel(f, a: float, b: float):
     return resk, err
 
 
-def integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000) -> float:
-    """Integral of f over [a, b] with absolute error <= tol.
+def kronrod_panel(f, a: float, b: float):
+    """One 15-point Kronrod evaluation of f on [a, b].
 
-    Raises QuadratureFailure if the panel budget is exhausted or a panel can
-    no longer be refined.
+    Returns (integral, error_estimate) where the estimate follows the usual
+    practice of sharpening |K15 - G7| against the integrand's variation.
     """
+    half = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    fv = np.asarray(f(center + half * _NODES), dtype=float)
+    return _panel_sums(fv, half, b - a)
+
+
+def kronrod_panels(f, a, b):
+    """kronrod_panel on the panels [a[k], b[k]], with one call of f.
+
+    f receives the (K, 15) array of all panels' nodes.  Returns arrays
+    (integrals, error_estimates); row k equals kronrod_panel(f, a[k], b[k])
+    bit for bit, because each row is summed by the same scalar code.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    fv = np.asarray(f(center[:, None] + half[:, None] * _NODES), dtype=float)
+    vals = np.empty(len(a))
+    errs = np.empty(len(a))
+    for k, (h, width) in enumerate(zip(half.tolist(), (b - a).tolist())):
+        vals[k], errs[k] = _panel_sums(fv[k], h, width)
+    return vals, errs
+
+
+def _integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000):
+    """(integral, summed error estimate, panels in the final partition)."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0, 0
     if b < a:
-        return -integrate(f, b, a, tol, max_panels)
+        val, err, panels = _integrate(f, b, a, tol, max_panels)
+        return -val, err, panels
     val, err = kronrod_panel(f, a, b)
     total_val, total_err = val, err
     heap = [(-err, 0, a, b, val)]
@@ -94,4 +117,13 @@ def integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000) -> fl
         if len(heap) > max_panels:
             raise QuadratureFailure(
                 f"needed more than {max_panels} panels for tol {tol:.3e}")
-    return total_val
+    return total_val, total_err, len(heap)
+
+
+def integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000) -> float:
+    """Integral of f over [a, b] with absolute error <= tol.
+
+    Raises QuadratureFailure if the panel budget is exhausted or a panel can
+    no longer be refined.
+    """
+    return _integrate(f, a, b, tol, max_panels)[0]

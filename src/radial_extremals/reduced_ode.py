@@ -30,7 +30,7 @@ import numpy as np
 from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
                      TangentialTurningPoint)
-from .extremal_core import PolarPoint, clairaut_constant
+from .extremal_core import PolarPoint
 from .roots import find_root
 from .weights import PowerLaw, RadialWeight, eval_q, eval_v
 
@@ -218,11 +218,15 @@ def _far_integrand(spec: ExtremalSpec):
     return f
 
 
-def _w_of(spec: ExtremalSpec, z: float) -> float:
-    """Integration limit w = sqrt(g(z)), anchored at 0 for z at the turn."""
-    if z <= spec.z_turn * (1.0 + 1e-12):
-        return 0.0
-    return math.sqrt(max(_profile(spec.weight, spec.n, z), 0.0))
+def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
+    """Integration limits w = sqrt(g(z)), anchored at 0 for z at the turn."""
+    z = np.asarray(z, dtype=float)
+    w = np.zeros(z.shape)
+    out = z > spec.z_turn * (1.0 + 1e-12)
+    if out.any():
+        w[out] = np.sqrt(np.maximum(_profile(spec.weight, spec.n, z[out]),
+                                    0.0))
+    return w
 
 
 def _require_outside(spec: ExtremalSpec, z: float) -> None:
@@ -231,35 +235,98 @@ def _require_outside(spec: ExtremalSpec, z: float) -> None:
             f"z = {z} lies inside the turning radius z* = {spec.z_turn}")
 
 
+def _straddle_pieces(spec: ExtremalSpec, z_a: float, z_b: float,
+                     tol: float):
+    """Near and far integrals, as integrate arguments, of an interval that
+    contains the handoff radius z_split; each gets half of tol."""
+    z_split, w_split, _, _ = spec._near_setup()
+    return ((_near_integrand(spec), float(_w_of(spec, z_a)), w_split,
+             0.5 * tol),
+            (_far_integrand(spec), z_split, z_b, 0.5 * tol))
+
+
 def _increment(spec: ExtremalSpec, z_a: float, z_b: float,
                tol: float) -> float:
     """Angle swept from z_a to z_b, z_turn <= z_a <= z_b."""
     if z_a == z_b:
         return 0.0
-    z_split, w_split, _, _ = spec._near_setup()
+    z_split, _, _, _ = spec._near_setup()
     if z_b <= z_split:
         return quadrature.integrate(_near_integrand(spec),
-                                    _w_of(spec, z_a), _w_of(spec, z_b), tol)
+                                    float(_w_of(spec, z_a)),
+                                    float(_w_of(spec, z_b)), tol)
     if z_a >= z_split:
         return quadrature.integrate(_far_integrand(spec), z_a, z_b, tol)
-    near = quadrature.integrate(_near_integrand(spec),
-                                _w_of(spec, z_a), w_split, 0.5 * tol)
-    far = quadrature.integrate(_far_integrand(spec), z_split, z_b, 0.5 * tol)
+    near, far = (quadrature.integrate(*piece)
+                 for piece in _straddle_pieces(spec, z_a, z_b, tol))
     return near + far
 
 
-def dphi_dz(z: float, spec: ExtremalSpec) -> float:
+def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
+                tol: float):
+    """_increment(spec, z_a[k], z_b[k], tol) for every k, bit for bit.
+
+    The first Kronrod panel of every interval inside the near region (in w)
+    and of every interval beyond it (in z) is evaluated by one
+    kronrod_panels call per region.  A panel whose estimate meets tol is
+    what integrate would return; the rest, and the interval that contains
+    the handoff radius, go through adaptive quadrature, whose first panel
+    is that same panel.  Returns (increments, summed error estimate,
+    panels in the final partitions).
+    """
+    z_split, _, _, _ = spec._near_setup()
+    inc = np.zeros(len(z_a))
+    total_err, panels = 0.0, 0
+    moving = z_a != z_b
+    near = moving & (z_b <= z_split)
+    far = moving & ~near & (z_a >= z_split)
+    regions = ((near, _near_integrand(spec), _w_of(spec, z_a[near]),
+                _w_of(spec, z_b[near])),
+               (far, _far_integrand(spec), z_a[far], z_b[far]))
+    for mask, f, lo, hi in regions:
+        idx = np.flatnonzero(mask)
+        batch = lo < hi   # equal or reversed limits: integrate's own cases
+        if batch.any():
+            vals, errs = quadrature.kronrod_panels(f, lo[batch], hi[batch])
+            done = errs <= tol
+            inc[idx[batch][done]] = vals[done]
+            total_err += float(errs[done].sum())
+            panels += int(done.sum())
+            batch[np.flatnonzero(batch)[~done]] = False
+        for k in np.flatnonzero(~batch):
+            val, err, count = quadrature._integrate(f, float(lo[k]),
+                                                    float(hi[k]), tol)
+            inc[idx[k]] = val
+            total_err += err
+            panels += count
+    for k in np.flatnonzero(moving & ~near & ~far):
+        (near_val, near_err, near_count), (far_val, far_err, far_count) = (
+            quadrature._integrate(*piece) for piece in
+            _straddle_pieces(spec, float(z_a[k]), float(z_b[k]), tol))
+        inc[k] = near_val + far_val
+        total_err += near_err + far_err
+        panels += near_count + far_count
+    return inc, total_err, panels
+
+
+def dphi_dz(z, spec: ExtremalSpec):
     """Right-hand side 1/(z*sqrt(n^2 v^2 z^2 - 1)); positive and finite.
 
-    Raises ForbiddenRegion exactly when n*v(z)*z <= 1 (at or inside the
-    turning circle the radicand is not positive).
+    z may be a scalar or an array.  Raises ForbiddenRegion exactly when
+    n*v(z)*z <= 1 at some z (at or inside the turning circle the radicand
+    is not positive); the message names the first such z.
     """
-    wz = spec.n * eval_v(spec.weight, z) * z
+    za = np.asarray(z, dtype=float)
+    wz = spec.n * eval_v(spec.weight, za) * za
     rad = (wz - 1.0) * (wz + 1.0)
-    if rad <= 0.0:
+    inside = np.flatnonzero(rad <= 0.0)
+    if inside.size:
+        k = inside[0]
         raise ForbiddenRegion(
-            f"n*v(z)*z = {wz} <= 1 at z = {z}: inside the turning circle")
-    return 1.0 / (z * math.sqrt(rad))
+            f"n*v(z)*z = {float(np.ravel(wz)[k])} <= 1 at z = "
+            f"{float(np.ravel(za)[k])}: inside the turning circle")
+    out = 1.0 / (za * np.sqrt(rad))
+    return float(out) if out.ndim == 0 else out
 
 
 def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
@@ -279,29 +346,42 @@ def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
     return -_increment(spec, z_to, z_from, tol)
 
 
-def first_integral_deviation(w: RadialWeight, n: float, z: float) -> float:
+def first_integral_deviation(w: RadialWeight, n: float, z):
     """|n*P - 1| with P the conserved momentum recomputed at radius z.
 
     P comes from the polar momentum formula fed with the local slope
     dphi/dz of the curve (the perpendicular-tangent limit v*z at the turning
-    radius), so it cross-checks two independent formula chains.
+    radius), so it cross-checks two independent formula chains.  z may be a
+    scalar or an array; each entry equals extremal_core.clairaut_constant's
+    scalar arithmetic bit for bit (math.hypot is applied per entry, because
+    np.hypot rounds differently).
     """
-    wz = n * eval_v(w, z) * z
+    za = np.asarray(z, dtype=float)
+    v = eval_v(w, za)
+    wz = n * v * za
     rad = (wz - 1.0) * (wz + 1.0)
-    if rad <= 0.0:
-        p = math.inf   # at the turning circle the tangent is perpendicular
-    else:
-        p = 1.0 / (z * math.sqrt(rad))
-    return abs(n * clairaut_constant(z, p, w) - 1.0)
+    turn = rad <= 0.0   # at the turning circle the tangent is perpendicular
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rp = 1.0 / (za * np.sqrt(rad)) * za
+        hyp = np.array([math.hypot(1.0, x) for x in np.ravel(rp).tolist()])
+        p_n = np.where(turn, v * za, v * za * rp / hyp.reshape(za.shape))
+    dev = np.abs(n * p_n - 1.0)
+    return float(dev) if dev.ndim == 0 else dev
 
 
 @dataclass
 class TraceResult:
-    """Sampled extremal plus per-sample first-integral diagnostics."""
+    """Sampled extremal plus per-sample first-integral diagnostics.
+
+    panels counts the Kronrod panels in the final partitions of every angle
+    integral the trace ran, and error_estimate sums their error estimates.
+    """
 
     samples: list          # PolarPoint, walked with phi*orientation increasing
     clairaut_deviation: list
     z_turn: float
+    panels: int
+    error_estimate: float
 
     @property
     def phis(self) -> np.ndarray:
@@ -321,37 +401,39 @@ def _cosine_z_grid(spec: ExtremalSpec, z_max: float, count: int) -> np.ndarray:
 
 
 def _cumulative_phi(spec, z_grid, tol):
+    """Swept angle at every grid radius, plus the quadrature totals."""
     panel_tol = max(tol / max(len(z_grid) - 1, 1), 1e-16)
-    phi = np.empty_like(z_grid)
-    phi[0] = 0.0
-    for k in range(len(z_grid) - 1):
-        phi[k + 1] = phi[k] + _increment(spec, float(z_grid[k]),
-                                         float(z_grid[k + 1]), panel_tol)
-    return phi
+    inc, err, panels = _increments(spec, z_grid[:-1], z_grid[1:], panel_tol)
+    return np.cumsum(np.concatenate(([0.0], inc))), err, panels
 
 
 def _uniform_phi_grid(spec, z_max, count, tol):
-    """Radii whose swept angles are equally spaced."""
+    """Radii whose swept angles are equally spaced, plus the quadrature
+    totals of the dense pass and of both Newton passes."""
     dense_z = _cosine_z_grid(spec, z_max, max(8 * count, 512) + 1)
-    dense_phi = _cumulative_phi(spec, dense_z, tol)
+    dense_phi, err, panels = _cumulative_phi(spec, dense_z, tol)
     dense_s = np.sqrt(dense_z - spec.z_turn)
     targets = np.linspace(0.0, dense_phi[-1], count)
     # interpolate in s = sqrt(z - z*), where phi(s) is smooth through 0
     s_out = np.interp(targets, dense_phi, dense_s)
     zs = spec.z_turn + s_out * s_out
-    for j in range(1, count - 1):
-        z = float(zs[j])
-        i0 = max(int(np.searchsorted(dense_phi, targets[j])) - 1, 0)
-        base_z, base_phi = float(dense_z[i0]), float(dense_phi[i0])
-        for _ in range(2):
-            local = (_increment(spec, base_z, z, 1e-15) if z >= base_z
-                     else -_increment(spec, z, base_z, 1e-15))
-            z -= (base_phi + local - targets[j]) / dphi_dz(z, spec)
-            z = max(z, spec.z_turn * (1.0 + 1e-15))
-        zs[j] = z
+    # two Newton steps on every interior radius, from the nearest dense
+    # sample below its target angle
+    z = zs[1:-1]
+    i0 = np.maximum(np.searchsorted(dense_phi, targets[1:-1]) - 1, 0)
+    base_z, base_phi = dense_z[i0], dense_phi[i0]
+    for _ in range(2):
+        up = z >= base_z
+        local, e, p = _increments(spec, np.where(up, base_z, z),
+                                  np.where(up, z, base_z), 1e-15)
+        local = np.where(up, local, -local)
+        z = z - (base_phi + local - targets[1:-1]) / dphi_dz(z, spec)
+        z = np.maximum(z, spec.z_turn * (1.0 + 1e-15))
+        err, panels = err + e, panels + p
+    zs[1:-1] = z
     zs[0] = spec.z_turn
     zs[-1] = z_max
-    return zs, targets
+    return zs, targets, err, panels
 
 
 def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
@@ -373,9 +455,10 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
             f"z_max = {z_max} must exceed the turning radius {spec.z_turn}")
     if grid == "cosine":
         zs = _cosine_z_grid(spec, z_max, num_samples)
-        dphi = _cumulative_phi(spec, zs, tol)
+        dphi, err, panels = _cumulative_phi(spec, zs, tol)
     elif grid == "uniform-phi":
-        zs, dphi = _uniform_phi_grid(spec, z_max, num_samples, tol)
+        zs, dphi, err, panels = _uniform_phi_grid(spec, z_max, num_samples,
+                                                  tol)
     else:
         raise DomainError(f"unknown grid {grid!r}")
 
@@ -388,7 +471,9 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
         samples.append(PolarPoint(float(spec.phi0 + sgn * dphi[k]),
                                   float(zs[k])))
 
-    deviation = [first_integral_deviation(spec.weight, spec.n, p.z)
-                 for p in samples]
-    return TraceResult(samples=samples, clairaut_deviation=deviation,
-                       z_turn=spec.z_turn)
+    # both branches share the radii zs, so their deviations are shared too
+    dev = first_integral_deviation(spec.weight, spec.n, zs).tolist()
+    return TraceResult(samples=samples,
+                       clairaut_deviation=dev[:0:-1] + dev,
+                       z_turn=spec.z_turn, panels=panels,
+                       error_estimate=err)

@@ -266,7 +266,8 @@ def test_criterion_10_cli(tmp_path, capsys):
     doc = json.loads((tmp_path / "t.json").read_text())
     assert set(doc) == {"spec", "samples", "diagnostics"}
     assert set(doc["diagnostics"]) == {"z_turn", "max_clairaut_dev",
-                                       "max_el_residual"}
+                                       "max_el_residual", "panels",
+                                       "error_estimate"}
     assert len(doc["samples"]) == 99
 
     assert cli_main(["trace", "--lambda", "1", "--n", "1", "--zmax", "3",

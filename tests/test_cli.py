@@ -78,10 +78,23 @@ class TestTraceJsonSvg:
         assert set(doc["samples"][0]) == {"phi", "z", "x", "y",
                                           "clairaut_dev"}
         diag = doc["diagnostics"]
-        assert set(diag) == {"z_turn", "max_clairaut_dev", "max_el_residual"}
+        assert set(diag) == {"z_turn", "max_clairaut_dev", "max_el_residual",
+                             "panels", "error_estimate"}
         assert diag["z_turn"] == pytest.approx(1.0, rel=1e-12)
         assert diag["max_clairaut_dev"] <= 1e-8
         assert diag["max_el_residual"] is not None
+        # 49 grid intervals, one of which is split at the near/far handoff
+        assert diag["panels"] >= 50
+        assert 0.0 < diag["error_estimate"] <= 1e-12
+
+    def test_closed_form_json_has_no_quadrature(self, capsys):
+        code, out, _ = run(capsys, "trace", "--lambda", "1", "--n", "1",
+                           "--psi-range=-1:1", "--samples", "30",
+                           "--format", "json")
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert diag["panels"] is None and diag["error_estimate"] is None
+        assert diag["max_clairaut_dev"] <= 1e-8
 
     def test_svg_well_formed(self, capsys):
         code, out, _ = run(capsys, "trace", "--lambda", "1", "--n", "1",
@@ -124,6 +137,16 @@ class TestErrors:
                            "--zmax", "2")
         assert code == 1
         assert "TangentialTurningPoint" in err
+
+    @pytest.mark.parametrize("grid", ["cosine", "uniform-phi"])
+    def test_profile_dipping_below_one_is_forbidden(self, capsys, grid):
+        # n*v*z for 1/(1+z^2) at n = 2.2 falls back below 1 at z ~ 1.56,
+        # inside the traced range
+        code, out, err = run(capsys, "trace", "--weight", "1/(1+z^2)",
+                             "--n", "2.2", "--zmax", "2", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ForbiddenRegion:")
 
     def test_psi_range_needs_power_law(self, capsys):
         code, _, err = run(capsys, "trace", "--weight", "z^2+1", "--n", "1",

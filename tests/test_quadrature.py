@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from radial_extremals.errors import QuadratureFailure
-from radial_extremals.quadrature import integrate, kronrod_panel
+from radial_extremals import quadrature
+from radial_extremals.quadrature import (integrate, kronrod_panel,
+                                         kronrod_panels)
 
 
 def gaussian_reference(a, c, lo, hi):
@@ -28,6 +30,45 @@ class TestPanel:
         assert abs(val - ref) <= max(err, 1e-13)
 
 
+class TestPanels:
+    # each case: integrand, left ends, right ends
+    CASES = {
+        "smooth": (lambda x: np.exp(np.sin(3.0 * x)) / (1.0 + x * x),
+                   [0.0, 0.5, -2.0, 1.0, 3.0],
+                   [0.5, 1.25, 2.0, 1.0 + 1e-9, 7.5]),
+        "zero width": (lambda x: np.cos(x), [0.3, 1.0], [0.3, 2.0]),
+        "constant": (lambda x: np.full(np.shape(x), 2.5), [0.0, -1.0],
+                     [1.0, 4.0]),
+        "reversed": (lambda x: x ** 3 - x, [2.0, 0.0], [-1.0, 3.0]),
+        "steep": (lambda x: 1.0 / np.sqrt(x), [1e-8, 1e-3], [1.0, 2e-3]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_equal_scalar_panel(self, case):
+        f, lo, hi = self.CASES[case]
+        vals, errs = kronrod_panels(f, lo, hi)
+        assert vals.shape == errs.shape == (len(lo),)
+        for k, (a, b) in enumerate(zip(lo, hi)):
+            assert (vals[k], errs[k]) == kronrod_panel(f, a, b)
+
+    def test_one_call_on_all_nodes(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            return x * x
+        kronrod_panels(f, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        assert shapes == [(3, 15)]
+
+    def test_constant_integrand_sharpening_branch(self):
+        # f - mean vanishes on every node, so resasc is 0 and the estimate
+        # falls back to the round-off floor 50*eps*|integral|
+        vals, errs = kronrod_panels(lambda x: np.full(np.shape(x), 2.0),
+                                    [0.0], [3.0])
+        assert vals[0] == 6.0
+        assert errs[0] == 50.0 * np.finfo(float).eps * 6.0
+
+
 class TestIntegrate:
     def test_sin(self):
         assert integrate(lambda x: np.sin(x), 0.0, math.pi, 1e-13) == \
@@ -49,6 +90,18 @@ class TestIntegrate:
     def test_divergent_integrand_fails(self):
         with pytest.raises(QuadratureFailure):
             integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-8)
+
+    def test_core_reports_estimate_and_panels(self):
+        f = lambda x: np.exp(-1e2 * (x - 0.3) ** 2)  # noqa: E731
+        val, err, panels = quadrature._integrate(f, 0.0, 1.0, 1e-12)
+        assert val == integrate(f, 0.0, 1.0, 1e-12)
+        assert 0.0 < err <= 1e-12
+        assert panels > 1
+        assert quadrature._integrate(f, 1.0, 0.0, 1e-12) == \
+            (-val, err, panels)
+        assert quadrature._integrate(f, 0.5, 0.5, 1e-12) == (0.0, 0.0, 0)
+        one = quadrature._integrate(lambda x: x * x, 0.0, 1.0, 1e-10)
+        assert one == (*kronrod_panel(lambda x: x * x, 0.0, 1.0), 1)
 
     def test_panel_budget_exhaustion(self):
         with pytest.raises(QuadratureFailure):

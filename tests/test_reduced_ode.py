@@ -10,6 +10,7 @@ from radial_extremals import (DomainError, ExtremalError, ExtremalSpec,
                               parse_weight, psi_from_z, trace_extremal,
                               turning_radius)
 from radial_extremals import reduced_ode
+from radial_extremals.extremal_core import clairaut_constant
 
 # independent 30-digit quadrature of dz/(z sqrt(n^2 z^{2l+2} - 1)) for
 # lambda = 1/2, n = 1.3, from the turning radius to z = 2
@@ -278,8 +279,10 @@ class TestTrace:
     def test_tolerance_validated_before_quadrature(self, tol, monkeypatch):
         def no_quadrature(*args):
             raise AssertionError("quadrature ran")
-        monkeypatch.setattr(reduced_ode.quadrature, "integrate",
-                            no_quadrature)
+        # tracing enters quadrature through the batched panels and the
+        # adaptive core; integrate_phi through integrate
+        for name in ("integrate", "_integrate", "kronrod_panels"):
+            monkeypatch.setattr(reduced_ode.quadrature, name, no_quadrature)
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         with pytest.raises(DomainError, match="tol"):
             trace_extremal(spec, 3.0, 50, tol=tol)
@@ -288,3 +291,130 @@ class TestTrace:
         spec = ExtremalSpec(PowerLaw(1.0), 2.0)
         assert first_integral_deviation(spec.weight, spec.n,
                                         spec.z_turn) <= 1e-10
+
+
+def _scalar_cumulative_phi(spec, z_grid, tol):
+    """The grid loop of one _increment call per interval, for reference."""
+    panel_tol = max(tol / max(len(z_grid) - 1, 1), 1e-16)
+    phi = np.empty_like(z_grid)
+    phi[0] = 0.0
+    for k in range(len(z_grid) - 1):
+        phi[k + 1] = phi[k] + reduced_ode._increment(
+            spec, float(z_grid[k]), float(z_grid[k + 1]), panel_tol)
+    return phi
+
+
+def _scalar_uniform_radii(spec, z_max, count, tol):
+    """Sample-by-sample Newton passes of the uniform-phi grid."""
+    dense_z = reduced_ode._cosine_z_grid(spec, z_max, max(8 * count, 512) + 1)
+    dense_phi = _scalar_cumulative_phi(spec, dense_z, tol)
+    targets = np.linspace(0.0, dense_phi[-1], count)
+    s_out = np.interp(targets, dense_phi, np.sqrt(dense_z - spec.z_turn))
+    zs = spec.z_turn + s_out * s_out
+    for j in range(1, count - 1):
+        z = float(zs[j])
+        i0 = max(int(np.searchsorted(dense_phi, targets[j])) - 1, 0)
+        base_z, base_phi = float(dense_z[i0]), float(dense_phi[i0])
+        for _ in range(2):
+            local = (reduced_ode._increment(spec, base_z, z, 1e-15)
+                     if z >= base_z
+                     else -reduced_ode._increment(spec, z, base_z, 1e-15))
+            z -= (base_phi + local - targets[j]) / dphi_dz(z, spec)
+            z = max(z, spec.z_turn * (1.0 + 1e-15))
+        zs[j] = z
+    zs[0] = spec.z_turn
+    zs[-1] = z_max
+    return zs
+
+
+def _scalar_deviation(w, n, z):
+    """first_integral_deviation through extremal_core.clairaut_constant."""
+    wz = n * eval_v(w, z) * z
+    rad = (wz - 1.0) * (wz + 1.0)
+    p = math.inf if rad <= 0.0 else 1.0 / (z * math.sqrt(rad))
+    return abs(n * clairaut_constant(z, p, w) - 1.0)
+
+
+# (weight, n, z_max / z_turn or absolute z_max, samples, tol)
+_BATCH_CASES = {
+    "lambda 0": (PowerLaw(0.0), 1.7, ("rel", 3.0), 200, 1e-12),
+    "lambda 1": (PowerLaw(1.0), 1.0, ("rel", 3.0), 400, 1e-12),
+    "lambda 1.3": (PowerLaw(1.3), 0.9, ("rel", 2.5), 150, 1e-12),
+    "2.5*z^1.3": (parse_weight("2.5*z^1.3"), 1.1, ("rel", 3.5), 120, 1e-12),
+    "plateau handoff": (parse_weight("1/(1+z^2)"), 3.0, ("abs", 0.9), 100,
+                        1e-12),
+    "five samples": (parse_weight("1/(1+z^2)"), 3.0, ("abs", 0.9), 5,
+                     1e-12),
+    "five samples, wide": (PowerLaw(1.3), 0.9, ("rel", 10.0), 5, 1e-12),
+}
+
+
+class TestBatchedTracing:
+    """The batched grid quadrature equals the interval-by-interval loop."""
+
+    @staticmethod
+    def _setup(case):
+        w, n, (kind, zm), count, tol = _BATCH_CASES[case]
+        spec = ExtremalSpec(w, n)
+        z_max = zm * spec.z_turn if kind == "rel" else zm
+        return spec, z_max, count, tol
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        core = reduced_ode.quadrature._integrate
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return core(*args)
+        monkeypatch.setattr(reduced_ode.quadrature, "_integrate", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", _BATCH_CASES)
+    def test_cumulative_phi_equals_scalar_loop(self, case):
+        spec, z_max, count, tol = self._setup(case)
+        zs = reduced_ode._cosine_z_grid(spec, z_max, count)
+        phi, err, panels = reduced_ode._cumulative_phi(spec, zs, tol)
+        assert phi.tolist() == _scalar_cumulative_phi(spec, zs, tol).tolist()
+        assert panels >= count - 1
+        assert 0.0 < err <= tol
+
+    @pytest.mark.parametrize("case", _BATCH_CASES)
+    def test_uniform_phi_radii_equal_scalar_loop(self, case):
+        spec, z_max, count, tol = self._setup(case)
+        count = min(count, 60)
+        zs, _, _, _ = reduced_ode._uniform_phi_grid(spec, z_max, count, tol)
+        assert zs.tolist() == \
+            _scalar_uniform_radii(spec, z_max, count, tol).tolist()
+
+    @pytest.mark.parametrize("case", _BATCH_CASES)
+    def test_deviations_equal_scalar_formula(self, case):
+        spec, z_max, count, tol = self._setup(case)
+        tr = trace_extremal(spec, z_max, count, tol=tol)
+        ref = [_scalar_deviation(spec.weight, spec.n, p.z)
+               for p in tr.samples]
+        assert tr.clairaut_deviation == ref
+        assert first_integral_deviation(spec.weight, spec.n, z_max) == \
+            _scalar_deviation(spec.weight, spec.n, z_max)
+
+    def test_cases_cover_fallback_and_straddle(self, fallbacks):
+        straddles = 0
+        for case in _BATCH_CASES:
+            spec, z_max, count, tol = self._setup(case)
+            zs = reduced_ode._cosine_z_grid(spec, z_max, count)
+            z_split = spec._near_setup()[0]
+            straddles += int(np.sum((zs[:-1] < z_split) & (zs[1:] > z_split)))
+            reduced_ode._cumulative_phi(spec, zs, tol)
+        assert straddles >= 1
+        # each straddling interval makes two core calls; any others are
+        # panels whose batched estimate missed the tolerance
+        assert len(fallbacks) > 2 * straddles
+
+    def test_trace_reports_panels_and_estimate(self):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        tr = trace_extremal(spec, 3.0, 200, tol=1e-10)
+        assert tr.panels >= 199
+        assert 0.0 < tr.error_estimate <= 1e-10
+        uni = trace_extremal(spec, 3.0, 60, tol=1e-10, grid="uniform-phi")
+        assert uni.panels > 8 * 60
+        assert uni.error_estimate > 0.0
