@@ -11,17 +11,18 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 
-from . import closed_form, discrete_oracle
+from . import checks, closed_form, discrete_oracle
 from .bvp import BvpProblem, solve_n
 from .errors import ExtremalError, ParseError
-from .extremal_core import PolarPoint, clairaut_constant, el_residual
-from .reduced_ode import (ExtremalSpec, first_integral_deviation,
-                          integrate_phi, trace_extremal)
-from .weights import PowerLaw, eval_v, parse_weight
+from .extremal_core import PolarPoint
+from .reduced_ode import (ExtremalSpec, TraceResult, first_integral_deviation,
+                          trace_extremal)
+from .weights import PowerLaw, parse_weight
 
 _ANGLE_NOTE = ("angles use tan(phi) = x/y, measured from the +y axis; "
                "conventional polar angle: theta_std = pi/2 - phi")
@@ -29,10 +30,6 @@ _ANGLE_NOTE = ("angles use tan(phi) = x/y, measured from the +y axis; "
 
 class _UsageError(Exception):
     """Bad flag combination detected after argparse; exits with code 2."""
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _weight_arg(text: str):
@@ -170,41 +167,9 @@ def _emit(args, text: str) -> None:
 
 def _csv(header: str, rows) -> str:
     lines = [f"# {_ANGLE_NOTE}", header]
-    lines.extend(",".join(_g17(c) for c in row) for row in rows)
+    lines.extend(",".join(format(float(c), ".17g") for c in row)
+                 for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _monotone_runs(x: np.ndarray):
-    """Maximal strictly monotone index runs of x, at least 5 samples long."""
-    runs = []
-    start = 0
-    direction = 0
-    for i in range(1, len(x)):
-        d = 1 if x[i] > x[i - 1] else (-1 if x[i] < x[i - 1] else 0)
-        if d == 0 or (direction and d != direction):
-            runs.append((start, i - 1, direction))
-            start, direction = (i - 1 if d else i), d
-        else:
-            direction = d
-    runs.append((start, len(x) - 1, direction))
-    return [(a, b) for a, b, d in runs if d and b - a + 1 >= 5]
-
-
-def _max_el_residual(xy: np.ndarray, w) -> float | None:
-    worst = None
-    for a, b in _monotone_runs(xy[:, 0]):
-        seg = xy[a:b + 1]
-        if seg[0, 0] > seg[-1, 0]:
-            seg = seg[::-1]
-        res = np.abs(el_residual(seg, w)[1:-1])
-        peak = float(res.max())
-        worst = peak if worst is None else max(worst, peak)
-    return worst
-
-
-def _cartesian_array(points) -> np.ndarray:
-    return np.array([(p.z * math.sin(p.phi), p.z * math.cos(p.phi))
-                     for p in points])
 
 
 def _svg(paths, z_turn: float | None) -> str:
@@ -235,11 +200,6 @@ def _svg(paths, z_turn: float | None) -> str:
             + "\n".join(body) + "\n</svg>\n")
 
 
-def _trace_rows(points, deviations):
-    return [(pt.phi, pt.z, pt.z * math.sin(pt.phi), pt.z * math.cos(pt.phi),
-             dev) for pt, dev in zip(points, deviations)]
-
-
 def _cmd_trace(args) -> int:
     weight, lam = _resolve_weight(args)
     n = args.n
@@ -250,115 +210,48 @@ def _cmd_trace(args) -> int:
             raise _UsageError("--psi-range needs a power-law weight "
                               "(--lambda)")
         curve = closed_form.PowerLawCurve(float(lam), n)
-        psis = np.linspace(args.psi_range[0], args.psi_range[1], args.samples)
-        points = [closed_form.power_law_point(curve, float(p)) for p in psis]
-        deviations = first_integral_deviation(
-            weight, n, np.array([p.z for p in points])).tolist()
-        z_turn = curve.z_turn
-        quad = {"panels": None, "error_estimate": None}   # no quadrature
-        branches = [_cartesian_array(points)]
+        psis = np.linspace(*args.psi_range, args.samples)
+        phi, z = np.array([astuple(closed_form.power_law_point(curve, p))
+                           for p in psis]).T
+        result = TraceResult(phi, z, first_integral_deviation(weight, n, z),
+                             curve.z_turn, None, None)   # no quadrature
     else:
-        spec = ExtremalSpec(weight, n)
-        result = trace_extremal(spec, args.zmax, args.samples,
-                                tol=args.tol, grid=args.grid)
-        points = result.samples
-        deviations = result.clairaut_deviation
-        z_turn = result.z_turn
-        quad = {"panels": result.panels,
-                "error_estimate": result.error_estimate}
-        xy = _cartesian_array(points)
-        branches = [xy[:args.samples], xy[args.samples - 1:]]
+        result = trace_extremal(ExtremalSpec(weight, n), args.zmax,
+                                args.samples, tol=args.tol, grid=args.grid)
+    x, y = result.x, result.y
+    rows = np.column_stack((result.phi, result.z, x, y,
+                            result.clairaut_deviation)).tolist()
 
     if args.format == "csv":
-        _emit(args, _csv("phi,z,x,y,clairaut_dev",
-                         _trace_rows(points, deviations)))
+        _emit(args, _csv("phi,z,x,y,clairaut_dev", rows))
     elif args.format == "json":
         doc = {
             "spec": {"weight": weight.text(), "n": n,
                      "phi0": 0.0, "orientation": 1},
             "samples": [dict(zip(("phi", "z", "x", "y", "clairaut_dev"), row))
-                        for row in _trace_rows(points, deviations)],
+                        for row in rows],
             "diagnostics": {
-                "z_turn": z_turn,
-                "max_clairaut_dev": max(deviations),
-                "max_el_residual": _max_el_residual(
-                    _cartesian_array(points), weight),
-                **quad,
+                "z_turn": result.z_turn,
+                "max_clairaut_dev": float(result.clairaut_deviation.max()),
+                "max_el_residual": checks.max_el_residual(x, y, weight),
+                "panels": result.panels,
+                "error_estimate": result.error_estimate,
             },
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        _emit(args, _svg(branches, z_turn))
+        xy = np.column_stack((x, y))
+        paths = ([xy] if args.psi_range is not None else
+                 [xy[:args.samples], xy[args.samples - 1:]])
+        _emit(args, _svg(paths, result.z_turn))
     return 0
 
 
-def _check_gates(args):
-    """Yield (name, value, limit, cmp) rows; cmp is '<=' or '>='."""
-    weight, lam = _resolve_weight(args)
-    n = args.n
-    lam_f = float(lam) if lam is not None else None
-
-    if lam_f == -1.0:
-        # logarithmic-spiral family: constant first integral, exact ratio law
-        t = math.sqrt(n * n - 1.0)
-        devs = []
-        for phi in np.linspace(0.0, 2.0, 41):
-            pt = closed_form.log_spiral_point(n, 1.0, float(phi))
-            p = math.inf if t == 0.0 else 1.0 / (t * pt.z)
-            devs.append(abs(n * clairaut_constant(pt.z, p, weight) - 1.0))
-        yield "first-integral deviation (spiral)", max(devs), 1e-10, "<="
-        z1 = closed_form.log_spiral_point(n, 1.0, 1.0).z
-        z0 = closed_form.log_spiral_point(n, 1.0, 0.0).z
-        yield "radius ratio vs exp", abs(z1 / z0 - math.exp(t)), 1e-12, "<="
-        return
-
-    spec = ExtremalSpec(weight, n)
-    result = trace_extremal(spec, args.zmax, args.samples, tol=args.tol)
-    yield ("max first-integral deviation",
-           max(result.clairaut_deviation), 1e-8, "<=")
-
-    # slope identity n*v*z = sqrt(1+t^2), t = (dz/dphi)/z by differences
-    asc = result.samples[args.samples - 1:]
-    zs = np.array([p.z for p in asc])
-    phis = np.array([p.phi for p in asc])
-    keep = zs > spec.z_turn + 0.1 * (args.zmax - spec.z_turn)
-    t_fd = (np.gradient(zs, phis, edge_order=2) / zs)[keep]
-    nvz = n * eval_v(weight, zs[keep]) * zs[keep]
-    rel = np.abs(nvz - np.sqrt(1.0 + t_fd ** 2)) / nvz
-    yield "slope identity vs finite differences", float(rel.max()), 1e-3, "<="
-
-    if lam is not None:
-        k = lam_f + 1.0
-        worst = 0.0
-        for psi in np.linspace(0.0, 1.4, 15)[1:]:
-            z = (n * math.cos(psi)) ** (-1.0 / k)
-            got = integrate_phi(spec, spec.z_turn, z, 1e-12)
-            worst = max(worst, abs(got - psi / k))
-        yield "quadrature vs closed form", worst, 1e-10, "<="
-
-        curve = closed_form.PowerLawCurve(lam_f, n)
-        resid = max(abs(closed_form.algebraic_relation_residual(curve, p))
-                    for p in asc)
-        yield "algebraic relation residual", resid, 1e-10, "<="
-
-    fine = trace_extremal(spec, args.zmax, 2 * args.samples - 1,
-                          tol=args.tol)
-    r_coarse = _max_el_residual(_cartesian_array(result.samples), weight)
-    r_fine = _max_el_residual(_cartesian_array(fine.samples), weight)
-    if r_coarse is not None and r_fine is not None:
-        if r_coarse <= 1e-13:
-            # already at machine level (e.g. straight lines); a halving
-            # ratio would be rounding noise
-            yield "stationarity residual (machine level)", r_coarse, \
-                1e-13, "<="
-        else:
-            yield ("stationarity residual convergence factor",
-                   r_coarse / r_fine, 3.5, ">=")
-
-
 def _cmd_check(args) -> int:
+    weight, _ = _resolve_weight(args)
     failures = 0
-    for name, value, limit, cmp in _check_gates(args):
+    for name, value, limit, cmp in checks.gates(weight, args.n, args.zmax,
+                                                args.samples, args.tol):
         ok = value <= limit if cmp == "<=" else value >= limit
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} "
@@ -423,7 +316,7 @@ def _cmd_bvp(args) -> int:
     else:
         spec = ExtremalSpec(weight, sol.n, phi0=sol.phi0)
         result = trace_extremal(spec, max(z1, z2), 200)
-        xy = _cartesian_array(result.samples)
+        xy = np.column_stack((result.x, result.y))
         _emit(args, _svg([xy[:200], xy[199:]], sol.z_turn))
     return 0
 

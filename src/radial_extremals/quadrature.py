@@ -2,10 +2,12 @@
 
 The driver bisects whichever panel carries the largest error estimate until
 the summed estimate meets an absolute tolerance, with a hard budget on the
-number of panels.  Integrands must accept numpy arrays (they are called once
-per panel on all 15 nodes).  kronrod_panels evaluates many panels in one call
-of the integrand, on a (K, 15) array of nodes; each of its rows equals
-kronrod_panel on that panel exactly.
+number of panels.  A panel's estimate is never below its round-off floor
+50*eps*integral(|f|), so the driver gives up as soon as the summed floor of
+its partition exceeds the tolerance.  Integrands must accept numpy arrays
+(they are called once per panel on all 15 nodes).  kronrod_panels evaluates
+many panels in one call of the integrand, on a (K, 15) array of nodes; each
+of its rows equals kronrod_panel on that panel exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _NODES = np.concatenate([-_XK, [0.0], _XK[::-1]])
 _WK = np.concatenate([_WK_HALF, [_WK_CENTER], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
-_EPS = np.finfo(float).eps
+_FLOOR = 50.0 * np.finfo(float).eps
 
 
 def _panel_sums(fv: np.ndarray, half: float, width: float):
@@ -54,7 +56,7 @@ def _panel_sums(fv: np.ndarray, half: float, width: float):
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
+    err = max(err, _FLOOR * resabs)
     return resk, err
 
 
@@ -82,10 +84,9 @@ def kronrod_panels(f, a, b):
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
     fv = np.asarray(f(center[:, None] + half[:, None] * _NODES), dtype=float)
-    vals = np.empty(len(a))
-    errs = np.empty(len(a))
-    for k, (h, width) in enumerate(zip(half.tolist(), (b - a).tolist())):
-        vals[k], errs[k] = _panel_sums(fv[k], h, width)
+    sums = [_panel_sums(row, h, width) for row, h, width
+            in zip(fv, half.tolist(), (b - a).tolist())]
+    vals, errs = np.array(sums, dtype=float).reshape(-1, 2).T
     return vals, errs
 
 
@@ -98,9 +99,16 @@ def _integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000):
         return -val, err, panels
     val, err = kronrod_panel(f, a, b)
     total_val, total_err = val, err
+    # 50*eps*|integral| summed over the panels: at most the summed floor of
+    # their estimates, so once it exceeds tol no refinement can succeed
+    floor = _FLOOR * abs(val)
     heap = [(-err, 0, a, b, val)]
     seq = 1
     while total_err > tol:
+        if floor > tol:
+            raise QuadratureFailure(
+                f"tol {tol:.3e} is below the round-off floor {floor:.3e} "
+                "of the integral")
         neg_err, _, lo, hi, old_val = heapq.heappop(heap)
         if hi - lo < 1e-15 * (1.0 + abs(lo) + abs(hi)):
             raise QuadratureFailure(
@@ -111,6 +119,7 @@ def _integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000):
         v2, e2 = kronrod_panel(f, mid, hi)
         total_val += (v1 + v2) - old_val
         total_err += (e1 + e2) - (-neg_err)
+        floor += _FLOOR * (abs(v1) + abs(v2) - abs(old_val))
         heapq.heappush(heap, (-e1, seq, lo, mid, v1))
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2))
         seq += 2
@@ -123,7 +132,7 @@ def _integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000):
 def integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000) -> float:
     """Integral of f over [a, b] with absolute error <= tol.
 
-    Raises QuadratureFailure if the panel budget is exhausted or a panel can
-    no longer be refined.
+    Raises QuadratureFailure if the panel budget is exhausted, a panel can
+    no longer be refined, or tol is below the integral's round-off floor.
     """
     return _integrate(f, a, b, tol, max_panels)[0]

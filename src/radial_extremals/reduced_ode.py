@@ -30,7 +30,6 @@ import numpy as np
 from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
                      TangentialTurningPoint)
-from .extremal_core import PolarPoint
 from .roots import find_root
 from .weights import PowerLaw, RadialWeight, eval_q, eval_v
 
@@ -229,12 +228,6 @@ def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
     return w
 
 
-def _require_outside(spec: ExtremalSpec, z: float) -> None:
-    if z < spec.z_turn * (1.0 - 1e-12):
-        raise ForbiddenRegion(
-            f"z = {z} lies inside the turning radius z* = {spec.z_turn}")
-
-
 def _straddle_pieces(spec: ExtremalSpec, z_a: float, z_b: float,
                      tol: float):
     """Near and far integrals, as integrate arguments, of an interval that
@@ -338,9 +331,11 @@ def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
     itself, so no singular behavior is ever sampled).
     """
     if not 1e-14 <= tol <= 1e-3:
-        raise ValueError("tol must lie in [1e-14, 1e-3]")
-    _require_outside(spec, z_from)
-    _require_outside(spec, z_to)
+        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
+    for z in (z_from, z_to):
+        if z < spec.z_turn * (1.0 - 1e-12):
+            raise ForbiddenRegion(
+                f"z = {z} lies inside the turning radius z* = {spec.z_turn}")
     if z_to >= z_from:
         return _increment(spec, z_from, z_to, tol)
     return -_increment(spec, z_to, z_from, tol)
@@ -371,32 +366,34 @@ def first_integral_deviation(w: RadialWeight, n: float, z):
 
 @dataclass
 class TraceResult:
-    """Sampled extremal plus per-sample first-integral diagnostics.
+    """Sampled extremal: arrays phi, z and the first-integral deviation,
+    one entry per sample, walked with phi*orientation increasing.
 
     panels counts the Kronrod panels in the final partitions of every angle
-    integral the trace ran, and error_estimate sums their error estimates.
+    integral the trace ran, and error_estimate sums their error estimates;
+    both are None for closed-form samples, which need no quadrature.
     """
 
-    samples: list          # PolarPoint, walked with phi*orientation increasing
-    clairaut_deviation: list
+    phi: np.ndarray
+    z: np.ndarray
+    clairaut_deviation: np.ndarray
     z_turn: float
-    panels: int
-    error_estimate: float
+    panels: int | None
+    error_estimate: float | None
 
     @property
-    def phis(self) -> np.ndarray:
-        return np.array([p.phi for p in self.samples])
+    def x(self) -> np.ndarray:
+        return self.z * np.sin(self.phi)
 
     @property
-    def zs(self) -> np.ndarray:
-        return np.array([p.z for p in self.samples])
+    def y(self) -> np.ndarray:
+        return self.z * np.cos(self.phi)
 
 
 def _cosine_z_grid(spec: ExtremalSpec, z_max: float, count: int) -> np.ndarray:
     theta = np.linspace(0.0, 0.5 * math.pi, count)
     zs = spec.z_turn + (z_max - spec.z_turn) * 2.0 * np.sin(0.5 * theta) ** 2
-    zs[0] = spec.z_turn
-    zs[-1] = z_max
+    zs[[0, -1]] = spec.z_turn, z_max
     return zs
 
 
@@ -431,8 +428,7 @@ def _uniform_phi_grid(spec, z_max, count, tol):
         z = np.maximum(z, spec.z_turn * (1.0 + 1e-15))
         err, panels = err + e, panels + p
     zs[1:-1] = z
-    zs[0] = spec.z_turn
-    zs[-1] = z_max
+    zs[[0, -1]] = spec.z_turn, z_max
     return zs, targets, err, panels
 
 
@@ -462,18 +458,12 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
     else:
         raise DomainError(f"unknown grid {grid!r}")
 
-    samples = []
+    # descending branch z_max -> z*, then ascending; both share the radii zs
     sgn = float(spec.orientation)
-    for k in range(num_samples - 1, -1, -1):       # descending branch
-        samples.append(PolarPoint(float(spec.phi0 - sgn * dphi[k]),
-                                  float(zs[k])))
-    for k in range(1, num_samples):                # ascending branch
-        samples.append(PolarPoint(float(spec.phi0 + sgn * dphi[k]),
-                                  float(zs[k])))
-
-    # both branches share the radii zs, so their deviations are shared too
-    dev = first_integral_deviation(spec.weight, spec.n, zs).tolist()
-    return TraceResult(samples=samples,
-                       clairaut_deviation=dev[:0:-1] + dev,
-                       z_turn=spec.z_turn, panels=panels,
-                       error_estimate=err)
+    dev = first_integral_deviation(spec.weight, spec.n, zs)
+    return TraceResult(
+        phi=np.concatenate((spec.phi0 - sgn * dphi[::-1],
+                            spec.phi0 + sgn * dphi[1:])),
+        z=np.concatenate((zs[::-1], zs[1:])),
+        clairaut_deviation=np.concatenate((dev[::-1], dev[1:])),
+        z_turn=spec.z_turn, panels=panels, error_estimate=err)

@@ -1,0 +1,87 @@
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radial_extremals import PowerLaw, checks, parse_weight
+from radial_extremals.reduced_ode import trace_extremal
+
+
+def _passes(row):
+    _, value, limit, cmp = row
+    return value <= limit if cmp == "<=" else value >= limit
+
+
+def _failed(rows):
+    return {row[0] for row in rows if not _passes(row)}
+
+
+def _perturb(monkeypatch, amplitude):
+    """Make gates trace curves whose phi is off by amplitude*sin(3*phi)."""
+    def perturbed(spec, z_max, count, tol=1e-12):
+        tr = trace_extremal(spec, z_max, count, tol=tol)
+        return dataclasses.replace(
+            tr, phi=tr.phi + amplitude * np.sin(3.0 * tr.phi))
+    monkeypatch.setattr(checks, "trace_extremal", perturbed)
+
+
+@pytest.mark.parametrize("weight, n, z_max, names", [
+    (PowerLaw(1.3), 1.1, 3.0, 5),
+    (parse_weight("2.5*z^1.3"), 1.1, 2.0, 3),
+    (PowerLaw(0.0), 1.0, 3.0, 5),        # straight line: machine-level gate
+    (PowerLaw(-1.0), 1.5, 3.0, 2),       # logarithmic spiral, no trace
+])
+def test_clean_trace_passes_every_gate(weight, n, z_max, names):
+    rows = checks.gates(weight, n, z_max, 200, 1e-12)
+    assert len(rows) == names
+    assert _failed(rows) == set()
+
+
+def test_perturbed_phi_fails_slope_and_stationarity(monkeypatch):
+    _perturb(monkeypatch, 1e-3)
+    rows = checks.gates(parse_weight("2.5*z^1.3"), 1.1, 2.0, 200, 1e-12)
+    assert _failed(rows) == {"slope identity vs finite differences",
+                             "stationarity residual convergence factor"}
+
+
+@pytest.mark.parametrize("weight, z_max, amplitude, gate", [
+    (parse_weight("2.5*z^1.3"), 2.0, 1e-4,
+     "stationarity residual convergence factor"),
+    (PowerLaw(1.3), 3.0, 1e-5, "algebraic relation residual"),
+])
+def test_smaller_perturbations_are_caught(monkeypatch, weight, z_max,
+                                          amplitude, gate):
+    _perturb(monkeypatch, amplitude)
+    assert gate in _failed(checks.gates(weight, 1.1, z_max, 200, 1e-12))
+
+
+def test_max_el_residual_needs_a_five_sample_run():
+    x = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0])
+    y = 1.0 + 0.1 * x * x
+    assert checks.max_el_residual(x, y, PowerLaw(1.0)) is None
+    x5 = np.append(x[:4], 4.0)
+    assert checks.max_el_residual(x5, 1.0 + 0.1 * x5 * x5,
+                                  PowerLaw(1.0)) is not None
+
+
+def _reference_runs(x):
+    """Maximal strictly monotone runs of at least 5 samples, step by step."""
+    runs, start, direction = [], 0, 0
+    for i in range(1, len(x)):
+        d = 1 if x[i] > x[i - 1] else (-1 if x[i] < x[i - 1] else 0)
+        if d == 0 or (direction and d != direction):
+            runs.append((start, i - 1, direction))
+            start, direction = (i - 1 if d else i), d
+        else:
+            direction = d
+    runs.append((start, len(x) - 1, direction))
+    return [(a, b) for a, b, d in runs if d and b - a + 1 >= 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+def test_monotone_runs_match_stepwise_scan(steps):
+    x = np.cumsum(np.array(steps, dtype=float))
+    assert checks._monotone_runs(x) == _reference_runs(x)

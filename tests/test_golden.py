@@ -1,0 +1,47 @@
+"""CLI output must stay byte for byte the same as the saved golden files.
+
+Each golden file under tests/data/golden holds the exact standard output of
+one successful run; the file name is the case name below.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from radial_extremals.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+_TRACES = {
+    "lam13-cosine": ["--lambda", "13/10", "--n", "1.1", "--zmax", "3"],
+    "lam13-uniform": ["--lambda", "13/10", "--n", "1.1", "--zmax", "3",
+                      "--grid", "uniform-phi"],
+    "expr-power": ["--weight", "2.5*z^1.3", "--n", "1.1", "--zmax", "2"],
+    "expr-lorentz": ["--weight", "1/(1+z^2)", "--n", "3", "--zmax", "0.9"],
+    "psi-range": ["--lambda", "1", "--n", "1.2", "--psi-range=-1:1"],
+}
+
+CASES = {
+    f"trace-{name}.{fmt}": ["trace", *argv, "--samples", "7",
+                            "--format", fmt]
+    for name, argv in _TRACES.items() for fmt in ("csv", "json", "svg")
+}
+CASES.update({
+    "check-lam1.txt": ["check", "--lambda", "1", "--n", "1", "--zmax", "3"],
+    "check-expr.txt": ["check", "--weight", "2.5*z^1.3", "--n", "1.1",
+                       "--zmax", "2"],
+    "check-spiral.txt": ["check", "--lambda", "-1", "--n", "1.5",
+                         "--zmax", "3"],
+    "bvp.csv": ["bvp", "--lambda", "0", "--endpoints=-1.047,1,1.047,1",
+                "--n-bracket", "1.2:3.5"],
+    "bvp.svg": ["bvp", "--lambda", "0", "--endpoints=-1.047,1,1.047,1",
+                "--n-bracket", "1.2:3.5", "--format", "svg"],
+})
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, capsys):
+    code = main(list(CASES[name]))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.encode() == (GOLDEN / name).read_bytes()

@@ -103,6 +103,23 @@ class TestIntegrate:
         one = quadrature._integrate(lambda x: x * x, 0.0, 1.0, 1e-10)
         assert one == (*kronrod_panel(lambda x: x * x, 0.0, 1.0), 1)
 
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: 1.0 + x, 0.0, 1.0),        # first panel's floor > tol
+        (np.sin, 0.0, 2.0 * math.pi),         # floor appears on refinement
+    ])
+    def test_tolerance_below_round_off_fails_fast(self, f, a, b):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        with pytest.raises(QuadratureFailure, match="round-off"):
+            integrate(counted, a, b, 1e-14)
+        assert len(calls) <= 5     # not the 10k-panel budget
+        assert integrate(counted, a, b, 1e-13) == \
+            pytest.approx(integrate(f, a, b, 1e-10), abs=1e-13)
+
     def test_panel_budget_exhaustion(self):
         with pytest.raises(QuadratureFailure):
             integrate(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial_extremals import (DomainError, ExtremalError, ExtremalSpec,
                               ForbiddenRegion, NoBracket, PowerLaw,
-                              PowerLawCurve, TangentialTurningPoint, dphi_dz,
+                              PowerLawCurve, QuadratureFailure,
+                              TangentialTurningPoint, dphi_dz,
                               eval_v, first_integral_deviation, integrate_phi,
                               parse_weight, psi_from_z, trace_extremal,
                               turning_radius)
@@ -174,7 +177,7 @@ class TestIntegratePhi:
 
     def test_tolerance_validated(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="tol"):
             integrate_phi(spec, 1.0, 2.0, 1e-2)
 
     def test_agreement_with_closed_form_within_ten_tol(self):
@@ -210,35 +213,30 @@ class TestTrace:
     def test_straight_line_oracle(self):
         spec = ExtremalSpec(PowerLaw(0.0), 2.0)
         tr = trace_extremal(spec, 2.0, 200)
-        ys = [p.z * math.cos(p.phi) for p in tr.samples]
-        assert max(abs(y - 0.5) for y in ys) <= 1e-8
+        assert np.abs(tr.y - 0.5).max() <= 1e-8
 
     def test_row_count_and_shared_turning_sample(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         tr = trace_extremal(spec, 3.0, 200)
-        assert len(tr.samples) == 399
-        turn = tr.samples[199]
-        assert turn.z == tr.z_turn and turn.phi == spec.phi0
+        assert len(tr.phi) == len(tr.z) == 399
+        assert tr.z[199] == tr.z_turn and tr.phi[199] == spec.phi0
 
     def test_mirror_symmetry(self):
         spec = ExtremalSpec(PowerLaw(2.0), 1.3, phi0=0.4)
         tr = trace_extremal(spec, 2.5, 101)
-        for k in range(1, 101):
-            left, right = tr.samples[100 - k], tr.samples[100 + k]
-            assert left.z == pytest.approx(right.z, abs=1e-8)
-            assert (right.phi - spec.phi0) == \
-                pytest.approx(spec.phi0 - left.phi, abs=1e-12)
+        left, right = slice(99, None, -1), slice(101, None)
+        assert tr.z[left] == pytest.approx(tr.z[right], abs=1e-8)
+        assert (tr.phi[right] - spec.phi0) == \
+            pytest.approx(spec.phi0 - tr.phi[left], abs=1e-12)
 
     def test_phi_monotone_and_orientation_flip(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         tr = trace_extremal(spec, 2.0, 50)
-        phis = [p.phi for p in tr.samples]
-        assert all(b > a for a, b in zip(phis, phis[1:]))
+        assert (np.diff(tr.phi) > 0.0).all()
         flipped = trace_extremal(ExtremalSpec(PowerLaw(1.0), 1.0,
                                               orientation=-1), 2.0, 50)
-        fphis = [p.phi for p in flipped.samples]
-        assert all(b < a for a, b in zip(fphis, fphis[1:]))
-        assert fphis == [-p for p in phis]
+        assert (np.diff(flipped.phi) < 0.0).all()
+        assert flipped.phi.tolist() == (-tr.phi).tolist()
 
     def test_clairaut_deviation_along_trace(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
@@ -251,8 +249,8 @@ class TestTrace:
         spec = ExtremalSpec(PowerLaw(2.0), 1.1)
         count = 2400
         tr = trace_extremal(spec, 1.6 * spec.z_turn, count)
-        zs = tr.zs[count - 1:]
-        phis = tr.phis[count - 1:]
+        zs = tr.z[count - 1:]
+        phis = tr.phi[count - 1:]
         t = np.gradient(zs, phis, edge_order=2) / zs
         lhs = eval_v(spec.weight, zs) * zs
         rhs = np.sqrt(1.0 + t * t) / spec.n
@@ -262,10 +260,10 @@ class TestTrace:
     def test_uniform_phi_grid(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         tr = trace_extremal(spec, 3.0, 60, grid="uniform-phi")
-        gaps = np.diff(tr.phis)
+        gaps = np.diff(tr.phi)
         assert gaps.max() - gaps.min() <= 1e-10
         assert max(tr.clairaut_deviation) <= 1e-8
-        assert tr.zs[0] == pytest.approx(3.0) and tr.zs[-1] == \
+        assert tr.z[0] == pytest.approx(3.0) and tr.z[-1] == \
             pytest.approx(3.0)
 
     def test_domain_validation(self):
@@ -287,10 +285,56 @@ class TestTrace:
         with pytest.raises(DomainError, match="tol"):
             trace_extremal(spec, 3.0, 50, tol=tol)
 
+    def test_round_off_limited_tolerance_fails_fast(self, monkeypatch):
+        # the long intervals of a 3-sample grid cannot meet tol 1e-14 / 2
+        calls = []
+        integrand = reduced_ode._far_integrand
+
+        def counted(spec):
+            f = integrand(spec)
+
+            def g(z):
+                calls.append(1)
+                return f(z)
+            return g
+
+        monkeypatch.setattr(reduced_ode, "_far_integrand", counted)
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        with pytest.raises(QuadratureFailure, match="round-off"):
+            trace_extremal(spec, 3.0, 3, tol=1e-14)
+        assert 0 < len(calls) <= 10    # not the 10k-panel budget
+
     def test_deviation_helper_at_turning_radius(self):
         spec = ExtremalSpec(PowerLaw(1.0), 2.0)
         assert first_integral_deviation(spec.weight, spec.n,
                                         spec.z_turn) <= 1e-10
+
+
+class TestTraceArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.integers(0, 30).map(lambda k: k / 10),
+           n=st.floats(0.7, 2.2),
+           stretch=st.floats(1.05, 2.0),
+           count=st.integers(3, 40),
+           phi0=st.floats(-1.0, 1.0))
+    def test_samples_lie_on_the_closed_form(self, lam, n, stretch, count,
+                                            phi0):
+        spec = ExtremalSpec(PowerLaw(lam), n, phi0=phi0)
+        tr = trace_extremal(spec, stretch * spec.z_turn, count)
+        assert len(tr.phi) == len(tr.z) == len(tr.clairaut_deviation) \
+            == 2 * count - 1
+        phi, z = tr.phi.tolist(), tr.z.tolist()
+        # psi_from_z is ill-conditioned at z* itself (sqrt of a rounding
+        # error, ~1e-8), so the shared turning sample is checked exactly
+        turn = count - 1
+        assert z[turn] == spec.z_turn and phi[turn] == phi0
+        curve = PowerLawCurve(lam, n)
+        for k in range(len(z)):
+            if k != turn:
+                assert abs(abs(phi[k] - phi0) - psi_from_z(curve, z[k])
+                           / (lam + 1.0)) <= 1e-10
+        assert tr.x.tolist() == [r * math.sin(a) for a, r in zip(phi, z)]
+        assert tr.y.tolist() == [r * math.cos(a) for a, r in zip(phi, z)]
 
 
 def _scalar_cumulative_phi(spec, z_grid, tol):
@@ -391,9 +435,9 @@ class TestBatchedTracing:
     def test_deviations_equal_scalar_formula(self, case):
         spec, z_max, count, tol = self._setup(case)
         tr = trace_extremal(spec, z_max, count, tol=tol)
-        ref = [_scalar_deviation(spec.weight, spec.n, p.z)
-               for p in tr.samples]
-        assert tr.clairaut_deviation == ref
+        ref = [_scalar_deviation(spec.weight, spec.n, z)
+               for z in tr.z.tolist()]
+        assert tr.clairaut_deviation.tolist() == ref
         assert first_integral_deviation(spec.weight, spec.n, z_max) == \
             _scalar_deviation(spec.weight, spec.n, z_max)
 
