@@ -7,7 +7,8 @@ number of panels.  A panel's estimate is never below its round-off floor
 its partition exceeds the tolerance.  Integrands must accept numpy arrays
 (they are called once per panel on all 15 nodes).  kronrod_panels evaluates
 many panels in one call of the integrand, on a (K, 15) array of nodes; each
-of its rows equals kronrod_panel on that panel exactly.
+of its rows equals kronrod_panel on that panel exactly, and a row whose
+estimate misses the tolerance is refined from that row, not evaluated again.
 """
 
 from __future__ import annotations
@@ -97,7 +98,13 @@ def _integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000):
     if b < a:
         val, err, panels = _integrate(f, b, a, tol, max_panels)
         return -val, err, panels
-    val, err = kronrod_panel(f, a, b)
+    return _refine(f, a, b, tol, *kronrod_panel(f, a, b), max_panels)
+
+
+def _refine(f, a: float, b: float, tol: float, val: float, err: float,
+            max_panels: int = 10_000):
+    """_integrate on [a, b], a < b, from its already evaluated first Kronrod
+    panel (val, err), so that panel is not evaluated again."""
     total_val, total_err = val, err
     # 50*eps*|integral| summed over the panels: at most the summed floor of
     # their estimates, so once it exceeds tol no refinement can succeed

@@ -74,6 +74,15 @@ def turning_radius(w: RadialWeight, n: float, bracket) -> float:
     return best
 
 
+def _masked_profile(w: RadialWeight, n: float, z: np.ndarray):
+    """g(z) from the raw weight on an array, and the mask where eval_v would
+    succeed: v finite and positive, z inside the weight's domain."""
+    with np.errstate(all="ignore"):
+        v = w._raw_v(z)
+        g = n * v * z - 1.0
+    return g, np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
+
+
 def _auto_bracket(w: RadialWeight, n: float):
     """First sign change of n*v(z)*z - 1 on a geometric grid, as a bracket.
 
@@ -82,10 +91,8 @@ def _auto_bracket(w: RadialWeight, n: float):
     """
     z = np.geomspace(max(max(w.domain_min, 0.0) * (1.0 + 1e-9), 1e-8),
                      1e8, 321)
+    g, valid = _masked_profile(w, n, z)
     with np.errstate(all="ignore"):
-        v = w._raw_v(z)
-        g = n * v * z - 1.0
-        valid = np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
         change = valid[:-1] & valid[1:] & (g[:-1] * g[1:] <= 0.0)
     if not change.any():
         raise NoBracket(
@@ -151,26 +158,27 @@ class ExtremalSpec:
         if self._near is not None:
             return self._near
         zt = self.z_turn
-        z_hi = z_prev = z_before = zt
-        g_prev = 0.0
-        step = max(1e-6 * zt, 1e-12)
-        for _ in range(200):
-            z_hi = zt + step
-            g = _profile(self.weight, self.n, z_hi)
-            if g >= _G_HANDOFF:
-                break
-            if g <= g_prev and z_prev > zt:
-                # past the peak of g: hand off where g still rises, so the
-                # w table below stays monotone and dense
-                if _profile_slope(self.weight, self.n, z_prev) <= 0.0 \
-                        and z_before > zt:
-                    z_prev = z_before
-                z_hi = z_prev
-                break
-            if step > 1e7 * max(1.0, zt):
-                break   # profile plateaus; hand off wherever we got to
-            z_before, z_prev, g_prev = z_prev, z_hi, g
-            step *= 2.0
+        # handoff ladder z* + step*2^k, up to the first step past
+        # 1e7*max(1, z*) (70 rungs cover the widest ratio, 1e7/1e-12);
+        # the handoff is the first rung where g reaches _G_HANDOFF
+        steps = max(1e-6 * zt, 1e-12) * 2.0 ** np.arange(70)
+        z = zt + steps[:int(np.argmax(steps > 1e7 * max(1.0, zt))) + 1]
+        g, valid = _masked_profile(self.weight, self.n, z)
+        if not valid[0]:
+            _profile(self.weight, self.n, z[0])   # the weight's own error
+        reach = valid & (g >= _G_HANDOFF)
+        # g stops rising, or the weight turns invalid (a domain edge)
+        stop = np.concatenate(([False], ~valid[1:] | (g[1:] <= g[:-1])))
+        ends = reach | stop
+        ends[-1] = True   # the last rung: the profile plateaus
+        k = int(np.argmax(ends))
+        if stop[k] and not reach[k]:
+            # past the peak of g: hand off where g still rises, so the w
+            # table below stays monotone and dense
+            k -= 1
+            if k > 0 and _profile_slope(self.weight, self.n, z[k]) <= 0.0:
+                k -= 1
+        z_hi = float(z[k])
         frac = np.linspace(0.0, 1.0, _TABLE_SIZE + 1) ** 2
         z_tab = zt + (z_hi - zt) * frac
         w_tab = np.sqrt(np.maximum(
@@ -228,74 +236,51 @@ def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
     return w
 
 
-def _straddle_pieces(spec: ExtremalSpec, z_a: float, z_b: float,
-                     tol: float):
-    """Near and far integrals, as integrate arguments, of an interval that
-    contains the handoff radius z_split; each gets half of tol."""
-    z_split, w_split, _, _ = spec._near_setup()
-    return ((_near_integrand(spec), float(_w_of(spec, z_a)), w_split,
-             0.5 * tol),
-            (_far_integrand(spec), z_split, z_b, 0.5 * tol))
-
-
-def _increment(spec: ExtremalSpec, z_a: float, z_b: float,
-               tol: float) -> float:
-    """Angle swept from z_a to z_b, z_turn <= z_a <= z_b."""
-    if z_a == z_b:
-        return 0.0
-    z_split, _, _, _ = spec._near_setup()
-    if z_b <= z_split:
-        return quadrature.integrate(_near_integrand(spec),
-                                    float(_w_of(spec, z_a)),
-                                    float(_w_of(spec, z_b)), tol)
-    if z_a >= z_split:
-        return quadrature.integrate(_far_integrand(spec), z_a, z_b, tol)
-    near, far = (quadrature.integrate(*piece)
-                 for piece in _straddle_pieces(spec, z_a, z_b, tol))
-    return near + far
-
-
 def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
                 tol: float):
-    """_increment(spec, z_a[k], z_b[k], tol) for every k, bit for bit.
+    """Angle swept over every [z_a[k], z_b[k]], z_turn <= z_a <= z_b, to
+    absolute error tol each.
 
-    The first Kronrod panel of every interval inside the near region (in w)
-    and of every interval beyond it (in z) is evaluated by one
-    kronrod_panels call per region.  A panel whose estimate meets tol is
-    what integrate would return; the rest, and the interval that contains
-    the handoff radius, go through adaptive quadrature, whose first panel
-    is that same panel.  Returns (increments, summed error estimate,
+    Intervals inside the near region are integrated in w, those beyond it
+    in z, with the first Kronrod panels of each region in one
+    kronrod_panels call; a panel that misses tol is refined adaptively from
+    itself.  An interval across the handoff radius z_split is split there,
+    each piece to tol/2.  Returns (increments, summed error estimate,
     panels in the final partitions).
     """
-    z_split, _, _, _ = spec._near_setup()
+    z_split, w_split, _, _ = spec._near_setup()
+    near_f, far_f = _near_integrand(spec), _far_integrand(spec)
     inc = np.zeros(len(z_a))
     total_err, panels = 0.0, 0
     moving = z_a != z_b
     near = moving & (z_b <= z_split)
     far = moving & ~near & (z_a >= z_split)
-    regions = ((near, _near_integrand(spec), _w_of(spec, z_a[near]),
-                _w_of(spec, z_b[near])),
-               (far, _far_integrand(spec), z_a[far], z_b[far]))
+    regions = ((near, near_f, _w_of(spec, z_a[near]), _w_of(spec, z_b[near])),
+               (far, far_f, z_a[far], z_b[far]))
     for mask, f, lo, hi in regions:
         idx = np.flatnonzero(mask)
-        batch = lo < hi   # equal or reversed limits: integrate's own cases
+        batch = lo < hi   # equal or reversed limits: _integrate's own cases
+        first = np.full((len(idx), 2), np.nan)   # (value, estimate)
         if batch.any():
-            vals, errs = quadrature.kronrod_panels(f, lo[batch], hi[batch])
-            done = errs <= tol
-            inc[idx[batch][done]] = vals[done]
-            total_err += float(errs[done].sum())
-            panels += int(done.sum())
-            batch[np.flatnonzero(batch)[~done]] = False
-        for k in np.flatnonzero(~batch):
-            val, err, count = quadrature._integrate(f, float(lo[k]),
-                                                    float(hi[k]), tol)
+            first[batch] = np.column_stack(
+                quadrature.kronrod_panels(f, lo[batch], hi[batch]))
+        done = first[:, 1] <= tol
+        inc[idx[done]] = first[done, 0]
+        total_err += float(first[done, 1].sum())
+        panels += int(done.sum())
+        for k in np.flatnonzero(~done):
+            a, b = float(lo[k]), float(hi[k])
+            val, err, count = (
+                quadrature._refine(f, a, b, tol, *first[k].tolist())
+                if batch[k] else quadrature._integrate(f, a, b, tol))
             inc[idx[k]] = val
             total_err += err
             panels += count
     for k in np.flatnonzero(moving & ~near & ~far):
-        (near_val, near_err, near_count), (far_val, far_err, far_count) = (
-            quadrature._integrate(*piece) for piece in
-            _straddle_pieces(spec, float(z_a[k]), float(z_b[k]), tol))
+        near_val, near_err, near_count = quadrature._integrate(
+            near_f, float(_w_of(spec, z_a[k])), w_split, 0.5 * tol)
+        far_val, far_err, far_count = quadrature._integrate(
+            far_f, z_split, float(z_b[k]), 0.5 * tol)
         inc[k] = near_val + far_val
         total_err += near_err + far_err
         panels += near_count + far_count
@@ -328,7 +313,8 @@ def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
 
     Both radii must lie at or outside the turning radius; an endpoint at z*
     is exact (the w-substitution integrates from the root of n*v*z - 1
-    itself, so no singular behavior is ever sampled).
+    itself, so no singular behavior is ever sampled).  The interval goes
+    through the same batched increments as a traced grid.
     """
     if not 1e-14 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
@@ -336,9 +322,11 @@ def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
         if z < spec.z_turn * (1.0 - 1e-12):
             raise ForbiddenRegion(
                 f"z = {z} lies inside the turning radius z* = {spec.z_turn}")
-    if z_to >= z_from:
-        return _increment(spec, z_from, z_to, tol)
-    return -_increment(spec, z_to, z_from, tol)
+    up = z_to >= z_from
+    lo, hi = (z_from, z_to) if up else (z_to, z_from)
+    inc = float(_increments(spec, np.array([lo], dtype=float),
+                            np.array([hi], dtype=float), tol)[0][0])
+    return inc if up else -inc
 
 
 def first_integral_deviation(w: RadialWeight, n: float, z):

@@ -148,6 +148,15 @@ class TestErrors:
         assert out == ""
         assert err.startswith("ForbiddenRegion:")
 
+    @pytest.mark.parametrize("grid", ["cosine", "uniform-phi"])
+    def test_past_the_luneburg_apocentre_is_forbidden(self, capsys, grid):
+        # n*v*z for sqrt(2-z^2) at n = 1.5 falls back to 1 at z2 ~ 1.3211
+        code, out, err = run(capsys, "trace", "--weight", "sqrt(2-z^2)",
+                             "--n", "1.5", "--zmax", "1.4", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ForbiddenRegion:")
+
     def test_psi_range_needs_power_law(self, capsys):
         code, _, err = run(capsys, "trace", "--weight", "z^2+1", "--n", "1",
                            "--psi-range", "0.1:1")
@@ -174,6 +183,15 @@ class TestCheck:
                            "--n", "3", "--zmax", "0.6")
         assert code == 0
         assert "all checks passed" in out
+
+    def test_luneburg_check_passes(self, capsys):
+        # the handoff scan of this weight meets its domain edge at sqrt(2)
+        code, out, _ = run(capsys, "check", "--weight", "sqrt(2-z^2)",
+                           "--n", "1.5", "--zmax", "1.2")
+        assert code == 0
+        rows = out.splitlines()[:-1]
+        assert rows and all(row.startswith("PASS ") for row in rows)
+        assert out.splitlines()[-1] == "all checks passed"
 
     def test_log_spiral_check(self, capsys):
         code, out, _ = run(capsys, "check", "--lambda", "-1", "--n", "1.5",

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radial_extremals import (DomainError, ExtremalError, ExtremalSpec,
-                              ForbiddenRegion, NoBracket, PowerLaw,
+from radial_extremals import (DomainError, EvalError, ExtremalError,
+                              ExtremalSpec, ForbiddenRegion, NoBracket,
+                              PowerLaw,
                               PowerLawCurve, QuadratureFailure,
                               TangentialTurningPoint, dphi_dz,
                               eval_v, first_integral_deviation, integrate_phi,
@@ -14,6 +15,7 @@ from radial_extremals import (DomainError, ExtremalError, ExtremalSpec,
                               turning_radius)
 from radial_extremals import reduced_ode
 from radial_extremals.extremal_core import clairaut_constant
+from radial_extremals.weights import RadialWeight
 
 # independent 30-digit quadrature of dz/(z sqrt(n^2 z^{2l+2} - 1)) for
 # lambda = 1/2, n = 1.3, from the turning radius to z = 2
@@ -113,6 +115,91 @@ class TestAutoBracket:
             reduced_ode._auto_bracket(w, 1.0)
 
 
+def _doubling_near_setup(spec):
+    """The handoff as a point-by-point doubling scan, for reference."""
+    w, n, zt = spec.weight, spec.n, spec.z_turn
+    profile = reduced_ode._profile
+    z_hi = z_prev = z_before = zt
+    g_prev = 0.0
+    step = max(1e-6 * zt, 1e-12)
+    for _ in range(200):
+        z_hi = zt + step
+        g = profile(w, n, z_hi)
+        if g >= reduced_ode._G_HANDOFF:
+            break
+        if g <= g_prev and z_prev > zt:
+            if reduced_ode._profile_slope(w, n, z_prev) <= 0.0 \
+                    and z_before > zt:
+                z_prev = z_before
+            z_hi = z_prev
+            break
+        if step > 1e7 * max(1.0, zt):
+            break
+        z_before, z_prev, g_prev = z_prev, z_hi, g
+        step *= 2.0
+    frac = np.linspace(0.0, 1.0, reduced_ode._TABLE_SIZE + 1) ** 2
+    z_tab = zt + (z_hi - zt) * frac
+    w_tab = np.sqrt(np.maximum(profile(w, n, z_tab), 0.0))
+    w_tab[0] = 0.0
+    rising = np.diff(w_tab) > 0.0
+    if not rising.all():
+        cut = int(np.argmin(rising)) + 1
+        z_tab, w_tab = z_tab[:cut + 1], w_tab[:cut + 1]
+        z_hi = float(z_tab[-1])
+    return z_hi, float(w_tab[-1]), w_tab.tolist(), z_tab.tolist()
+
+
+class _EdgeWeight(RadialWeight):
+    """v = z up to z = edge, undefined beyond it."""
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def _raw_v(self, z):
+        return np.where(z <= self.edge, z, np.nan)
+
+    def _raw_q(self, z):
+        return np.ones_like(z)
+
+    def text(self):
+        return f"z up to {self.edge}"
+
+
+class TestHandoffLadder:
+    @pytest.mark.parametrize("weight,n", [
+        (parse_weight("1/(1+z^2)"), 3.0),     # g peaks at the handoff value
+        (parse_weight("1.4/z-1/(z*(1+z))"), 1.0),   # g rises to 0.4: cap
+        (parse_weight("exp(z)"), 1.0),
+        (parse_weight("2+sin(z)"), 1.0),
+        (parse_weight("sqrt(1+z^3)"), 1.2),
+        (PowerLaw(1.0), 1e12),                # z* = 1e-6
+        (PowerLaw(0.0), 0.9e6),               # z* just above 1e-6
+        (PowerLaw(1.0), 1e-12),               # z* = 1e6
+        (PowerLaw(2.0), 1e-18)])              # z* = 1e6
+    def test_matches_doubling_scan(self, weight, n):
+        spec = ExtremalSpec(weight, n)
+        z_hi, w_hi, w_tab, z_tab = spec._near_setup()
+        assert (z_hi, w_hi, w_tab.tolist(), z_tab.tolist()) == \
+            _doubling_near_setup(spec)
+
+    def test_domain_edge_ends_the_ladder(self):
+        # the scan steps past sqrt(2), where the weight is undefined; the
+        # handoff is the last rung on which g still rises
+        spec = ExtremalSpec(parse_weight("sqrt(2-z^2)"), 1.5)
+        with pytest.raises(EvalError):
+            _doubling_near_setup(spec)
+        z_hi, w_hi, w_tab, z_tab = spec._near_setup()
+        assert spec.z_turn < z_hi < 1.0     # g peaks at z = 1
+        assert len(w_tab) == len(z_tab) == reduced_ode._TABLE_SIZE + 1
+        assert (np.diff(w_tab) > 0.0).all() and w_hi == w_tab[-1]
+
+    def test_invalid_first_rung_raises_the_weight_error(self):
+        spec = ExtremalSpec(_EdgeWeight(1.0 + 1e-7), 1.0,
+                            turn_bracket=(0.5, 1.0 + 5e-8))
+        with pytest.raises(EvalError, match="not finite"):
+            spec._near_setup()
+
+
 class TestDphiDz:
     def test_constant_weight_value(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
@@ -209,6 +296,40 @@ class TestIntegratePhi:
                 assert abs(got - ref) <= 1e-10 * ref
 
 
+class TestLuneburgLens:
+    """v = sqrt(2 - z^2) at n = 1.5: the rays are ellipses centred on the
+    pole, between z* = sqrt(1 - sqrt(5)/3) and z2 = sqrt(1 + sqrt(5)/3)."""
+
+    @staticmethod
+    def _spec():
+        return ExtremalSpec(parse_weight("sqrt(2-z^2)"), 1.5)
+
+    def test_trace_lies_on_a_centred_ellipse(self):
+        tr = trace_extremal(self._spec(), 1.3, 50)
+        m = np.column_stack((tr.x * tr.x, tr.x * tr.y, tr.y * tr.y))
+        coef = np.linalg.lstsq(m, np.ones(len(tr.x)), rcond=None)[0]
+        assert np.abs(m @ coef - 1.0).max() <= 1e-12
+
+    def test_integrate_phi_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        spec = self._spec()
+
+        def dphi(z):
+            nvz = mpmath.mpf(3) / 2 * z * mpmath.sqrt(2 - z * z)
+            return 1 / (z * mpmath.sqrt(nvz * nvz - 1))
+
+        with mpmath.workdps(40):
+            z_turn = mpmath.sqrt(1 - mpmath.sqrt(5) / 3)
+            for z in (0.6, 0.8, 1.0, 1.2, 1.3):
+                ref = mpmath.quad(dphi, [z_turn, mpmath.mpf(z)])
+                got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+                assert abs(got - ref) <= 1e-12
+
+    def test_past_the_apocentre_is_forbidden(self):
+        with pytest.raises(ForbiddenRegion):
+            trace_extremal(self._spec(), 1.4, 50)
+
+
 class TestTrace:
     def test_straight_line_oracle(self):
         spec = ExtremalSpec(PowerLaw(0.0), 2.0)
@@ -278,7 +399,7 @@ class TestTrace:
         def no_quadrature(*args):
             raise AssertionError("quadrature ran")
         # tracing enters quadrature through the batched panels and the
-        # adaptive core; integrate_phi through integrate
+        # adaptive core
         for name in ("integrate", "_integrate", "kronrod_panels"):
             monkeypatch.setattr(reduced_ode.quadrature, name, no_quadrature)
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
@@ -337,13 +458,21 @@ class TestTraceArrays:
         assert tr.y.tolist() == [r * math.cos(a) for a, r in zip(phi, z)]
 
 
+def _one_increment(spec, z_a, z_b, tol):
+    """_increments on the single interval [z_a, z_b]."""
+    inc, _, _ = reduced_ode._increments(spec, np.array([z_a]),
+                                        np.array([z_b]), tol)
+    return float(inc[0])
+
+
 def _scalar_cumulative_phi(spec, z_grid, tol):
-    """The grid loop of one _increment call per interval, for reference."""
+    """The grid loop of one single-interval call per interval, for
+    reference."""
     panel_tol = max(tol / max(len(z_grid) - 1, 1), 1e-16)
     phi = np.empty_like(z_grid)
     phi[0] = 0.0
     for k in range(len(z_grid) - 1):
-        phi[k + 1] = phi[k] + reduced_ode._increment(
+        phi[k + 1] = phi[k] + _one_increment(
             spec, float(z_grid[k]), float(z_grid[k + 1]), panel_tol)
     return phi
 
@@ -360,9 +489,8 @@ def _scalar_uniform_radii(spec, z_max, count, tol):
         i0 = max(int(np.searchsorted(dense_phi, targets[j])) - 1, 0)
         base_z, base_phi = float(dense_z[i0]), float(dense_phi[i0])
         for _ in range(2):
-            local = (reduced_ode._increment(spec, base_z, z, 1e-15)
-                     if z >= base_z
-                     else -reduced_ode._increment(spec, z, base_z, 1e-15))
+            local = (_one_increment(spec, base_z, z, 1e-15) if z >= base_z
+                     else -_one_increment(spec, z, base_z, 1e-15))
             z -= (base_phi + local - targets[j]) / dphi_dz(z, spec)
             z = max(z, spec.z_turn * (1.0 + 1e-15))
         zs[j] = z
@@ -406,13 +534,32 @@ class TestBatchedTracing:
     @pytest.fixture
     def fallbacks(self, monkeypatch):
         calls = []
-        core = reduced_ode.quadrature._integrate
+        core = reduced_ode.quadrature._refine
 
         def counting(*args):
             calls.append(args[1:3])
             return core(*args)
-        monkeypatch.setattr(reduced_ode.quadrature, "_integrate", counting)
+        monkeypatch.setattr(reduced_ode.quadrature, "_refine", counting)
         return calls
+
+    @pytest.fixture
+    def panel_log(self, monkeypatch):
+        """(integrand, a, b) of every Kronrod panel evaluated."""
+        log = []
+        one, many = (reduced_ode.quadrature.kronrod_panel,
+                     reduced_ode.quadrature.kronrod_panels)
+
+        def panel(f, a, b):
+            log.append((f, float(a), float(b)))
+            return one(f, a, b)
+
+        def panels(f, a, b):
+            log.extend((f, x, y) for x, y in
+                       zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
+            return many(f, a, b)
+        monkeypatch.setattr(reduced_ode.quadrature, "kronrod_panel", panel)
+        monkeypatch.setattr(reduced_ode.quadrature, "kronrod_panels", panels)
+        return log
 
     @pytest.mark.parametrize("case", _BATCH_CASES)
     def test_cumulative_phi_equals_scalar_loop(self, case):
@@ -450,9 +597,24 @@ class TestBatchedTracing:
             straddles += int(np.sum((zs[:-1] < z_split) & (zs[1:] > z_split)))
             reduced_ode._cumulative_phi(spec, zs, tol)
         assert straddles >= 1
-        # each straddling interval makes two core calls; any others are
-        # panels whose batched estimate missed the tolerance
+        # each straddling interval makes two refinement calls; any others
+        # are panels whose batched estimate missed the tolerance
         assert len(fallbacks) > 2 * straddles
+
+    @pytest.mark.parametrize("case,integral_panels", [
+        ("five samples, wide", 18), ("five samples", 12)])
+    def test_no_panel_evaluated_twice(self, case, integral_panels,
+                                      panel_log):
+        # these grids have batched first panels that miss tol; refinement
+        # starts from them instead of evaluating them again
+        spec, z_max, count, tol = self._setup(case)
+        zs = reduced_ode._cosine_z_grid(spec, z_max, count)
+        reduced_ode._cumulative_phi(spec, zs, tol)
+        assert len(panel_log) > count - 1
+        assert len(set(panel_log)) == len(panel_log)
+        panel_log.clear()
+        integrate_phi(spec, spec.z_turn, z_max, 1e-13)
+        assert len(set(panel_log)) == len(panel_log) == integral_panels
 
     def test_trace_reports_panels_and_estimate(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
