@@ -152,9 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_weight(args):
-    if args.weight is not None:
-        return args.weight, None
-    return PowerLaw(float(args.lam)), args.lam
+    return args.weight if args.lam is None else PowerLaw(float(args.lam))
 
 
 def _emit(args, text: str) -> None:
@@ -201,15 +199,14 @@ def _svg(paths, z_turn: float | None) -> str:
 
 
 def _cmd_trace(args) -> int:
-    weight, lam = _resolve_weight(args)
+    weight = _resolve_weight(args)
     n = args.n
     if args.samples < 3:
         raise _UsageError("--samples must be at least 3")
     if args.psi_range is not None:
-        if lam is None:
-            raise _UsageError("--psi-range needs a power-law weight "
-                              "(--lambda)")
-        curve = closed_form.PowerLawCurve(float(lam), n)
+        if not isinstance(weight, PowerLaw):
+            raise _UsageError("--psi-range needs a power-law weight z^lambda")
+        curve = closed_form.PowerLawCurve(weight.lam, n)
         psis = np.linspace(*args.psi_range, args.samples)
         phi, z = np.array([astuple(closed_form.power_law_point(curve, p))
                            for p in psis]).T
@@ -248,7 +245,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    weight, _ = _resolve_weight(args)
+    weight = _resolve_weight(args)
     failures = 0
     for name, value, limit, cmp in checks.gates(weight, args.n, args.zmax,
                                                 args.samples, args.tol):
@@ -262,7 +259,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    weight, _ = _resolve_weight(args)
+    weight = _resolve_weight(args)
     (x1, y1, x2, y2) = args.endpoints
     if args.segments < 1:
         raise _UsageError("--segments must be positive")
@@ -294,7 +291,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bvp(args) -> int:
-    weight, _ = _resolve_weight(args)
+    weight = _resolve_weight(args)
     (phi1, z1, phi2, z2) = args.endpoints
     prob = BvpProblem(PolarPoint(phi1, z1), PolarPoint(phi2, z2), weight,
                       same_branch=args.same_branch)

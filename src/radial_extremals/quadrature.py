@@ -1,14 +1,15 @@
 """Adaptive quadrature on a nested 7/15-point Gauss-Kronrod rule.
 
-The driver bisects whichever panel carries the largest error estimate until
-the summed estimate meets an absolute tolerance, with a hard budget on the
-number of panels.  A panel's estimate is never below its round-off floor
-50*eps*integral(|f|), so the driver gives up as soon as the summed floor of
-its partition exceeds the tolerance.  Integrands must accept numpy arrays
-(they are called once per panel on all 15 nodes).  kronrod_panels evaluates
-many panels in one call of the integrand, on a (K, 15) array of nodes; each
-of its rows equals kronrod_panel on that panel exactly, and a row whose
-estimate misses the tolerance is refined from that row, not evaluated again.
+One driver integrates many intervals at once, each to its own absolute
+tolerance.  All first panels are evaluated in one kronrod_panels call; a
+panel whose estimate misses its tolerance is refined from that panel, by
+bisecting whichever panel carries the largest error estimate until the
+summed estimate meets the tolerance, with a hard budget on the number of
+panels.  A panel's estimate is never below its round-off floor
+50*eps*integral(|f|), so refinement gives up as soon as the summed floor of
+its partition exceeds the tolerance.  Integrands receive the (K, 15) array
+of the nodes of K panels and must return values of the same shape; each row
+of kronrod_panels equals kronrod_panel on that panel bit for bit.
 """
 
 from __future__ import annotations
@@ -91,20 +92,33 @@ def kronrod_panels(f, a, b):
     return vals, errs
 
 
-def _integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000):
-    """(integral, summed error estimate, panels in the final partition)."""
-    if a == b:
-        return 0.0, 0.0, 0
-    if b < a:
-        val, err, panels = _integrate(f, b, a, tol, max_panels)
-        return -val, err, panels
-    return _refine(f, a, b, tol, *kronrod_panel(f, a, b), max_panels)
+def _integrate(f, a, b, tol, max_panels: int = 10_000):
+    """Per-interval (integrals, summed error estimates, panels in the final
+    partitions) of f over [a[k], b[k]], each to absolute error tol[k].
+    Reversed limits negate the integral; equal limits give 0 with no panel,
+    and a NaN limit is evaluated, so the integrand sees it."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    tol = np.broadcast_to(tol, a.shape)
+    flip = b < a
+    lo, hi = np.where(flip, b, a), np.where(flip, a, b)
+    vals, errs = np.zeros(a.shape), np.zeros(a.shape)
+    panels = np.zeros(a.shape, dtype=int)
+    todo = np.flatnonzero(a != b)
+    if todo.size:
+        vals[todo], errs[todo] = kronrod_panels(f, lo[todo], hi[todo])
+        panels[todo] = 1
+        for k in todo[errs[todo] > tol[todo]].tolist():
+            vals[k], errs[k], panels[k] = _refine(
+                f, float(lo[k]), float(hi[k]), float(tol[k]),
+                float(vals[k]), float(errs[k]), max_panels)
+    return np.where(flip, -vals, vals), errs, panels
 
 
 def _refine(f, a: float, b: float, tol: float, val: float, err: float,
             max_panels: int = 10_000):
-    """_integrate on [a, b], a < b, from its already evaluated first Kronrod
-    panel (val, err), so that panel is not evaluated again."""
+    """(integral, summed error estimate, panels) on [a, b], a < b, from its
+    already evaluated first panel (val, err), by bisection; each bisection
+    evaluates both halves in one kronrod_panels call."""
     total_val, total_err = val, err
     # 50*eps*|integral| summed over the panels: at most the summed floor of
     # their estimates, so once it exceeds tol no refinement can succeed
@@ -122,8 +136,8 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
                 f"panel [{lo}, {hi}] cannot be refined further "
                 f"(remaining error {total_err:.3e} > tol {tol:.3e})")
         mid = 0.5 * (lo + hi)
-        v1, e1 = kronrod_panel(f, lo, mid)
-        v2, e2 = kronrod_panel(f, mid, hi)
+        (v1, v2), (e1, e2) = (x.tolist() for x in
+                              kronrod_panels(f, [lo, mid], [mid, hi]))
         total_val += (v1 + v2) - old_val
         total_err += (e1 + e2) - (-neg_err)
         floor += _FLOOR * (abs(v1) + abs(v2) - abs(old_val))
@@ -137,9 +151,9 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
 
 
 def integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000) -> float:
-    """Integral of f over [a, b] with absolute error <= tol.
-
-    Raises QuadratureFailure if the panel budget is exhausted, a panel can
-    no longer be refined, or tol is below the integral's round-off floor.
+    """Integral of f over [a, b] with absolute error <= tol: the driver on
+    one interval.  Raises QuadratureFailure if the panel budget is exhausted,
+    a panel can no longer be refined, or tol is below the integral's
+    round-off floor.
     """
-    return _integrate(f, a, b, tol, max_panels)[0]
+    return float(_integrate(f, [a], [b], tol, max_panels)[0][0])

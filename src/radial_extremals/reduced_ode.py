@@ -142,14 +142,14 @@ class ExtremalSpec:
                     "radius; quadrature tracing covers increasing crossings "
                     "only (closed_form handles these curves)")
             self.z_turn = self.n ** (-1.0 / (lam + 1.0))
-        else:
+            slope = _profile_slope(self.weight, self.n, self.z_turn)
+            if abs(slope) < 1e-8:
+                raise TangentialTurningPoint(
+                    f"n*v(z)*z has near-zero slope {slope:.3e} at the "
+                    "turning radius")
+        else:   # turning_radius checks the slope itself
             bracket = self.turn_bracket or _auto_bracket(self.weight, self.n)
             self.z_turn = turning_radius(self.weight, self.n, bracket)
-        slope = _profile_slope(self.weight, self.n, self.z_turn)
-        if abs(slope) < 1e-8:
-            raise TangentialTurningPoint(
-                f"n*v(z)*z has near-zero slope {slope:.3e} at the turning "
-                "radius")
         self._near = None    # lazy (z_split, w_split, w_table, z_table)
 
     # -- near-region machinery (w = sqrt(g) as integration variable) -----
@@ -229,7 +229,7 @@ def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
     """Integration limits w = sqrt(g(z)), anchored at 0 for z at the turn."""
     z = np.asarray(z, dtype=float)
     w = np.zeros(z.shape)
-    out = z > spec.z_turn * (1.0 + 1e-12)
+    out = ~(z <= spec.z_turn * (1.0 + 1e-12))   # a NaN reaches the weight
     if out.any():
         w[out] = np.sqrt(np.maximum(_profile(spec.weight, spec.n, z[out]),
                                     0.0))
@@ -242,49 +242,31 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
     absolute error tol each.
 
     Intervals inside the near region are integrated in w, those beyond it
-    in z, with the first Kronrod panels of each region in one
-    kronrod_panels call; a panel that misses tol is refined adaptively from
-    itself.  An interval across the handoff radius z_split is split there,
-    each piece to tol/2.  Returns (increments, summed error estimate,
-    panels in the final partitions).
+    in z, one adaptive quadrature call per region.  An interval across the
+    handoff radius z_split adds a piece [w(z_a), w_split] to the near call
+    and a piece [z_split, z_b] to the far call, each to tol/2.  Returns
+    (increments, exactly rounded sum of the pieces' error estimates, panels
+    in the final partitions).
     """
     z_split, w_split, _, _ = spec._near_setup()
-    near_f, far_f = _near_integrand(spec), _far_integrand(spec)
-    inc = np.zeros(len(z_a))
-    total_err, panels = 0.0, 0
     moving = z_a != z_b
-    near = moving & (z_b <= z_split)
-    far = moving & ~near & (z_a >= z_split)
-    regions = ((near, near_f, _w_of(spec, z_a[near]), _w_of(spec, z_b[near])),
-               (far, far_f, z_a[far], z_b[far]))
-    for mask, f, lo, hi in regions:
-        idx = np.flatnonzero(mask)
-        batch = lo < hi   # equal or reversed limits: _integrate's own cases
-        first = np.full((len(idx), 2), np.nan)   # (value, estimate)
-        if batch.any():
-            first[batch] = np.column_stack(
-                quadrature.kronrod_panels(f, lo[batch], hi[batch]))
-        done = first[:, 1] <= tol
-        inc[idx[done]] = first[done, 0]
-        total_err += float(first[done, 1].sum())
-        panels += int(done.sum())
-        for k in np.flatnonzero(~done):
-            a, b = float(lo[k]), float(hi[k])
-            val, err, count = (
-                quadrature._refine(f, a, b, tol, *first[k].tolist())
-                if batch[k] else quadrature._integrate(f, a, b, tol))
-            inc[idx[k]] = val
-            total_err += err
-            panels += count
-    for k in np.flatnonzero(moving & ~near & ~far):
-        near_val, near_err, near_count = quadrature._integrate(
-            near_f, float(_w_of(spec, z_a[k])), w_split, 0.5 * tol)
-        far_val, far_err, far_count = quadrature._integrate(
-            far_f, z_split, float(z_b[k]), 0.5 * tol)
-        inc[k] = near_val + far_val
-        total_err += near_err + far_err
-        panels += near_count + far_count
-    return inc, total_err, panels
+    # written so that a NaN radius enters a region and reaches the weight
+    near = moving & ~(z_a >= z_split)
+    far = moving & ~(z_b <= z_split)
+    piece_tol = np.where(near & far, 0.5 * tol, tol)
+    w_b = np.full(len(z_b), w_split)
+    w_b[near & ~far] = _w_of(spec, z_b[near & ~far])
+    near_val, near_err, near_panels = quadrature._integrate(
+        _near_integrand(spec), _w_of(spec, z_a[near]), w_b[near],
+        piece_tol[near])
+    far_val, far_err, far_panels = quadrature._integrate(
+        _far_integrand(spec), np.where(near, z_split, z_a)[far], z_b[far],
+        piece_tol[far])
+    inc = np.zeros(len(z_a))
+    inc[near] = near_val
+    inc[far] += far_val
+    return (inc, math.fsum(near_err.tolist() + far_err.tolist()),
+            int(near_panels.sum() + far_panels.sum()))
 
 
 def dphi_dz(z, spec: ExtremalSpec):
@@ -318,7 +300,9 @@ def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
     """
     if not 1e-14 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
-    for z in (z_from, z_to):
+    for name, z in (("z_from", z_from), ("z_to", z_to)):
+        if not math.isfinite(z):
+            raise DomainError(f"{name} must be finite, got {z}")
         if z < spec.z_turn * (1.0 - 1e-12):
             raise ForbiddenRegion(
                 f"z = {z} lies inside the turning radius z* = {spec.z_turn}")
@@ -434,6 +418,8 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if num_samples < 3:
         raise DomainError("need at least 3 samples per branch")
+    if not math.isfinite(z_max):
+        raise DomainError(f"z_max must be finite, got {z_max}")
     if not z_max > spec.z_turn:
         raise DomainError(
             f"z_max = {z_max} must exceed the turning radius {spec.z_turn}")

@@ -162,6 +162,13 @@ class TestErrors:
                            "--psi-range", "0.1:1")
         assert code == 2
 
+    def test_psi_range_accepts_a_parsed_power_law(self, capsys):
+        argv = ("--n", "1.2", "--psi-range=-1:1")
+        code, parsed, err = run(capsys, "trace", "--weight", "z^1.3", *argv)
+        assert code == 0 and err == ""
+        assert run(capsys, "trace", "--lambda", "13/10", *argv) == \
+            (0, parsed, "")
+
     def test_too_few_samples(self, capsys):
         code, _, _ = run(capsys, "trace", "--lambda", "1", "--n", "1",
                          "--zmax", "2", "--samples", "2")

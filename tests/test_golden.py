@@ -36,6 +36,14 @@ CASES.update({
                 "--n-bracket", "1.2:3.5"],
     "bvp.svg": ["bvp", "--lambda", "0", "--endpoints=-1.047,1,1.047,1",
                 "--n-bracket", "1.2:3.5", "--format", "svg"],
+    # a batched first panel that misses tol and is refined from itself
+    "trace-refined-panel.csv": ["trace", "--lambda", "13/10", "--n", "0.9",
+                                "--zmax", "10", "--samples", "5"],
+    "trace-expr-uniform.csv": ["trace", "--weight", "1/(1+z^2)", "--n", "3",
+                               "--zmax", "0.9", "--grid", "uniform-phi",
+                               "--samples", "7"],
+    "bvp-expr.json": ["bvp", "--weight", "1+z", "--endpoints=-1,1,1,2",
+                      "--n-bracket", "0.6:3", "--format", "json"],
 })
 
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -7,6 +8,39 @@ from radial_extremals.errors import QuadratureFailure
 from radial_extremals import quadrature
 from radial_extremals.quadrature import (integrate, kronrod_panel,
                                          kronrod_panels)
+
+
+def _scalar_driver(f, a, b, tol, max_panels=10_000):
+    """The one-interval adaptive driver, every panel from kronrod_panel and
+    each half of a bisection in its own integrand call, for reference."""
+    if a == b:
+        return 0.0, 0.0, 0
+    if b < a:
+        val, err, panels = _scalar_driver(f, b, a, tol, max_panels)
+        return -val, err, panels
+    val, err = kronrod_panel(f, a, b)
+    total_val, total_err = val, err
+    floor = quadrature._FLOOR * abs(val)
+    heap = [(-err, 0, a, b, val)]
+    seq = 1
+    while total_err > tol:
+        if floor > tol:
+            raise QuadratureFailure("round-off")
+        neg_err, _, lo, hi, old_val = heapq.heappop(heap)
+        if hi - lo < 1e-15 * (1.0 + abs(lo) + abs(hi)):
+            raise QuadratureFailure("cannot be refined")
+        mid = 0.5 * (lo + hi)
+        v1, e1 = kronrod_panel(f, lo, mid)
+        v2, e2 = kronrod_panel(f, mid, hi)
+        total_val += (v1 + v2) - old_val
+        total_err += (e1 + e2) - (-neg_err)
+        floor += quadrature._FLOOR * (abs(v1) + abs(v2) - abs(old_val))
+        heapq.heappush(heap, (-e1, seq, lo, mid, v1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2))
+        seq += 2
+        if len(heap) > max_panels:
+            raise QuadratureFailure("budget")
+    return total_val, total_err, len(heap)
 
 
 def gaussian_reference(a, c, lo, hi):
@@ -93,15 +127,17 @@ class TestIntegrate:
 
     def test_core_reports_estimate_and_panels(self):
         f = lambda x: np.exp(-1e2 * (x - 0.3) ** 2)  # noqa: E731
-        val, err, panels = quadrature._integrate(f, 0.0, 1.0, 1e-12)
+        vals, errs, panels = quadrature._integrate(
+            f, [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], 1e-12)
+        val, err, count = vals[0], errs[0], panels[0]
         assert val == integrate(f, 0.0, 1.0, 1e-12)
         assert 0.0 < err <= 1e-12
-        assert panels > 1
-        assert quadrature._integrate(f, 1.0, 0.0, 1e-12) == \
-            (-val, err, panels)
-        assert quadrature._integrate(f, 0.5, 0.5, 1e-12) == (0.0, 0.0, 0)
-        one = quadrature._integrate(lambda x: x * x, 0.0, 1.0, 1e-10)
-        assert one == (*kronrod_panel(lambda x: x * x, 0.0, 1.0), 1)
+        assert count > 1
+        assert (vals[1], errs[1], panels[1]) == (-val, err, count)
+        assert (vals[2], errs[2], panels[2]) == (0.0, 0.0, 0)
+        one = quadrature._integrate(lambda x: x * x, [0.0], [1.0], 1e-10)
+        assert [x[0] for x in one] == \
+            [*kronrod_panel(lambda x: x * x, 0.0, 1.0), 1]
 
     @pytest.mark.parametrize("f, a, b", [
         (lambda x: 1.0 + x, 0.0, 1.0),        # first panel's floor > tol
@@ -119,6 +155,31 @@ class TestIntegrate:
         assert len(calls) <= 5     # not the 10k-panel budget
         assert integrate(counted, a, b, 1e-13) == \
             pytest.approx(integrate(f, a, b, 1e-10), abs=1e-13)
+
+    def test_array_call_equals_scalar_driver(self):
+        # forward, reversed and equal limits; entries that need refinement
+        # and entries met by their first panel; a tol per interval
+        f = lambda x: np.exp(-1e3 * (x - 0.3) ** 2) + np.sin(x)  # noqa: E731
+        a = [0.0, 1.0, 0.5, 0.3, 0.31, -1.0, 2.0, 0.25]
+        b = [1.0, 0.0, 0.5, 0.31, 0.3, 2.0, 0.0, 0.35]
+        tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8]
+        vals, errs, panels = quadrature._integrate(f, a, b, tol)
+        got = list(zip(vals.tolist(), errs.tolist(), panels.tolist()))
+        assert got == [_scalar_driver(f, *args) for args in zip(a, b, tol)]
+        assert panels[2] == 0 and 1 in panels and panels.max() > 4
+        assert vals[1] == -vals[0]
+
+    def test_refine_one_integrand_call_per_bisection(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            return np.exp(-1e3 * (x - 0.3) ** 2)
+        val, err = kronrod_panel(f, 0.0, 1.0)
+        shapes.clear()
+        _, _, panels = quadrature._refine(f, 0.0, 1.0, 1e-12, val, err)
+        assert panels > 2
+        assert shapes == [(2, 15)] * (panels - 1)
 
     def test_panel_budget_exhaustion(self):
         with pytest.raises(QuadratureFailure):

@@ -81,6 +81,17 @@ class TestExtremalSpec:
         with pytest.raises(DomainError, match="finite"):
             ExtremalSpec(parse_weight("1+z"), n)
 
+    def test_turning_slope_evaluated_once(self, monkeypatch):
+        calls = []
+        slope = reduced_ode._profile_slope
+
+        def counted(*args):
+            calls.append(args[2])
+            return slope(*args)
+        monkeypatch.setattr(reduced_ode, "_profile_slope", counted)
+        spec = ExtremalSpec(parse_weight("1+z"), 1.0)
+        assert calls == [spec.z_turn]
+
 
 def _scalar_scan(w, n):
     """Point-by-point form of the automatic bracket scan, for reference."""
@@ -267,6 +278,27 @@ class TestIntegratePhi:
         with pytest.raises(DomainError, match="tol"):
             integrate_phi(spec, 1.0, 2.0, 1e-2)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, z):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        with pytest.raises(DomainError, match="z_to must be finite"):
+            integrate_phi(spec, spec.z_turn, z, 1e-12)
+        with pytest.raises(DomainError, match="z_from must be finite"):
+            integrate_phi(spec, z, 2.0, 1e-12)
+        for grid in ("cosine", "uniform-phi"):
+            with pytest.raises(DomainError, match="z_max must be finite"):
+                trace_extremal(spec, z, 5, grid=grid)
+
+    @pytest.mark.parametrize("weight", [PowerLaw(1.0), parse_weight("1+z")])
+    def test_nan_limit_reaches_the_weight(self, weight):
+        spec = ExtremalSpec(weight, 1.0)
+        z_split = spec._near_setup()[0]
+        for z_a, z_b in [(spec.z_turn, math.nan), (2.0 * z_split, math.nan),
+                         (math.nan, spec.z_turn), (math.nan, 2.0 * z_split)]:
+            with pytest.raises(DomainError, match="domain minimum"):
+                reduced_ode._increments(spec, np.array([z_a]),
+                                        np.array([z_b]), 1e-12)
+
     def test_agreement_with_closed_form_within_ten_tol(self):
         tol = 1e-12
         for lam, n in ((0.5, 0.7), (2.0, 1.9), (3.0, 2.5)):
@@ -409,17 +441,20 @@ class TestTrace:
     def test_round_off_limited_tolerance_fails_fast(self, monkeypatch):
         # the long intervals of a 3-sample grid cannot meet tol 1e-14 / 2
         calls = []
-        integrand = reduced_ode._far_integrand
 
-        def counted(spec):
-            f = integrand(spec)
+        def counted(integrand):
+            def make(spec):
+                f = integrand(spec)
 
-            def g(z):
-                calls.append(1)
-                return f(z)
-            return g
+                def g(z):
+                    calls.append(1)
+                    return f(z)
+                return g
+            return make
 
-        monkeypatch.setattr(reduced_ode, "_far_integrand", counted)
+        for name in ("_near_integrand", "_far_integrand"):
+            monkeypatch.setattr(reduced_ode, name,
+                                counted(getattr(reduced_ode, name)))
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         with pytest.raises(QuadratureFailure, match="round-off"):
             trace_extremal(spec, 3.0, 3, tol=1e-14)
@@ -596,10 +631,9 @@ class TestBatchedTracing:
             z_split = spec._near_setup()[0]
             straddles += int(np.sum((zs[:-1] < z_split) & (zs[1:] > z_split)))
             reduced_ode._cumulative_phi(spec, zs, tol)
+        # straddling intervals, and first panels that miss the tolerance
         assert straddles >= 1
-        # each straddling interval makes two refinement calls; any others
-        # are panels whose batched estimate missed the tolerance
-        assert len(fallbacks) > 2 * straddles
+        assert len(fallbacks) >= 1
 
     @pytest.mark.parametrize("case,integral_panels", [
         ("five samples, wide", 18), ("five samples", 12)])
