@@ -26,7 +26,7 @@ from .reduced_ode import (ExtremalSpec, TraceResult, dphi_dz,
                           first_integral_deviation, integrate_phi,
                           trace_extremal, turning_radius)
 from .weights import (ExpressionWeight, PowerLaw, RadialWeight, eval_q,
-                      eval_v, parse_weight, render)
+                      eval_v, eval_vq, parse_weight, render)
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,6 @@ __all__ = [
     "ExtremalSpec", "TraceResult", "dphi_dz", "first_integral_deviation",
     "integrate_phi", "trace_extremal", "turning_radius",
     "ExpressionWeight", "PowerLaw", "RadialWeight", "eval_q", "eval_v",
-    "parse_weight", "render",
+    "eval_vq", "parse_weight", "render",
     "__version__",
 ]

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ForbiddenRegion, NoBracket, QuadratureFailure
+from .errors import DomainError, ForbiddenRegion, NoBracket, QuadratureFailure
 from .extremal_core import PolarPoint
-from .reduced_ode import ExtremalSpec, integrate_phi
+from .reduced_ode import ExtremalSpec, _signed_increments
 from .roots import find_root
 from .weights import RadialWeight
 
@@ -34,6 +34,10 @@ class BvpProblem:
     same_branch: bool = False
 
     def __post_init__(self):
+        for name, point in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(point.z):
+                raise DomainError(
+                    f"endpoint {name} radius must be finite, got {point.z}")
         if (self.a.phi, self.a.z) == (self.b.phi, self.b.z):
             raise NoBracket("endpoints must differ")
 
@@ -55,13 +59,17 @@ class BvpSolution:
 
 
 def _branch_angles(prob: BvpProblem, n: float, tol: float):
+    """The extremal at constant n and integrate_phi(spec, z*, z, tol) at
+    both endpoint radii bit for bit, from one two-interval _increments call."""
     spec = ExtremalSpec(prob.weight, n)
     zt = spec.z_turn
     if min(prob.a.z, prob.b.z) < zt * (1.0 - 1e-12):
         raise ForbiddenRegion(
             f"turning radius {zt} exceeds an endpoint radius at n = {n}")
-    da = integrate_phi(spec, zt, prob.a.z, tol)
-    db = integrate_phi(spec, zt, prob.b.z, tol)
+    if not 1e-14 <= tol <= 1e-3:    # integrate_phi's range
+        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
+    da, db = _signed_increments(spec, [zt, zt], [prob.a.z, prob.b.z],
+                                tol)[0].tolist()
     if isinstance(prob, _RecordingProblem):
         prob.pieces[n] = (spec, da, db)
     return spec, da, db

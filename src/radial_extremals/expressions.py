@@ -129,6 +129,11 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(tok)
         raise ParseError(f"unexpected {what}", off, expected)
 
+    def expect(self, tok: str):
+        if self.peek()[1] != tok:
+            self.fail((repr(tok),))
+        self.advance()
+
     def expr(self):
         node = self.term()
         while self.peek()[1] in ("+", "-"):
@@ -164,23 +169,13 @@ class _Parser:
         if kind == "var":
             self.advance()
             return Var()
-        if kind == "func":
+        if kind == "func" or tok == "(":
             self.advance()
-            if self.peek()[1] != "(":
-                self.fail(("'('",))
-            self.advance()
+            if kind == "func":
+                self.expect("(")
             node = self.expr()
-            if self.peek()[1] != ")":
-                self.fail(("')'",))
-            self.advance()
-            return Fun(tok, node)
-        if tok == "(":
-            self.advance()
-            node = self.expr()
-            if self.peek()[1] != ")":
-                self.fail(("')'",))
-            self.advance()
-            return node
+            self.expect(")")
+            return Fun(tok, node) if kind == "func" else node
         self.fail(_ATOM_EXPECTED)
 
 

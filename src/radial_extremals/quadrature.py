@@ -15,6 +15,7 @@ of kronrod_panels equals kronrod_panel on that panel bit for bit.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -59,6 +60,10 @@ def _panel_sums(fv: np.ndarray, half: float, width: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     err = max(err, _FLOOR * resabs)
+    if not (math.isfinite(resk) and math.isfinite(err)):
+        # a NaN estimate never exceeds tol, so the panel would pass
+        raise QuadratureFailure(f"panel value {resk} or estimate {err} "
+                                "is not finite")
     return resk, err
 
 
@@ -66,7 +71,8 @@ def kronrod_panel(f, a: float, b: float):
     """One 15-point Kronrod evaluation of f on [a, b].
 
     Returns (integral, error_estimate) where the estimate follows the usual
-    practice of sharpening |K15 - G7| against the integrand's variation.
+    practice of sharpening |K15 - G7| against the integrand's variation;
+    raises QuadratureFailure if either is not finite.
     """
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
@@ -96,7 +102,8 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000):
     """Per-interval (integrals, summed error estimates, panels in the final
     partitions) of f over [a[k], b[k]], each to absolute error tol[k].
     Reversed limits negate the integral; equal limits give 0 with no panel,
-    and a NaN limit is evaluated, so the integrand sees it."""
+    a NaN limit is evaluated, so the integrand sees it, and an infinite one
+    raises QuadratureFailure."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     tol = np.broadcast_to(tol, a.shape)
     flip = b < a
@@ -105,6 +112,8 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000):
     panels = np.zeros(a.shape, dtype=int)
     todo = np.flatnonzero(a != b)
     if todo.size:
+        if np.isinf(lo[todo]).any() or np.isinf(hi[todo]).any():
+            raise QuadratureFailure("integration limits must be finite")
         vals[todo], errs[todo] = kronrod_panels(f, lo[todo], hi[todo])
         panels[todo] = 1
         for k in todo[errs[todo] > tol[todo]].tolist():

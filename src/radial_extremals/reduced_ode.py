@@ -31,7 +31,7 @@ from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
                      TangentialTurningPoint)
 from .roots import find_root
-from .weights import PowerLaw, RadialWeight, eval_q, eval_v
+from .weights import PowerLaw, RadialWeight, eval_v, eval_vq
 
 __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
            "integrate_phi", "trace_extremal", "first_integral_deviation"]
@@ -46,9 +46,10 @@ def _profile(w: RadialWeight, n: float, z):
     return n * eval_v(w, z) * z - 1.0
 
 
-def _profile_slope(w: RadialWeight, n: float, z):
-    """g'(z) = n*(q(z)*z + v(z))."""
-    return n * (eval_q(w, z) * z + eval_v(w, z))
+def _profile_and_slope(w: RadialWeight, n: float, z):
+    """(g(z), g'(z) = n*(q(z)*z + v(z))) from one checked weight pass."""
+    v, q = eval_vq(w, z)
+    return n * v * z - 1.0, n * (q * z + v)
 
 
 def turning_radius(w: RadialWeight, n: float, bracket) -> float:
@@ -63,7 +64,7 @@ def turning_radius(w: RadialWeight, n: float, bracket) -> float:
     best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
                         _profile(w, n, z_lo), _profile(w, n, z_hi),
                         _TURN_GTOL)
-    slope = _profile_slope(w, n, best)
+    slope = _profile_and_slope(w, n, best)[1]
     if abs(slope) < 1e-8:
         raise TangentialTurningPoint(
             f"n*v(z)*z has near-zero slope {slope:.3e} at z = {best}")
@@ -142,7 +143,7 @@ class ExtremalSpec:
                     "radius; quadrature tracing covers increasing crossings "
                     "only (closed_form handles these curves)")
             self.z_turn = self.n ** (-1.0 / (lam + 1.0))
-            slope = _profile_slope(self.weight, self.n, self.z_turn)
+            slope = _profile_and_slope(self.weight, self.n, self.z_turn)[1]
             if abs(slope) < 1e-8:
                 raise TangentialTurningPoint(
                     f"n*v(z)*z has near-zero slope {slope:.3e} at the "
@@ -176,7 +177,8 @@ class ExtremalSpec:
             # past the peak of g: hand off where g still rises, so the w
             # table below stays monotone and dense
             k -= 1
-            if k > 0 and _profile_slope(self.weight, self.n, z[k]) <= 0.0:
+            if k > 0 and _profile_and_slope(self.weight, self.n,
+                                            z[k])[1] <= 0.0:
                 k -= 1
         z_hi = float(z[k])
         frac = np.linspace(0.0, 1.0, _TABLE_SIZE + 1) ** 2
@@ -192,24 +194,27 @@ class ExtremalSpec:
         self._near = (z_hi, float(w_tab[-1]), w_tab, z_tab)
         return self._near
 
-    def _invert_profile(self, w_nodes: np.ndarray) -> np.ndarray:
-        """z values with g(z) = w^2, by table lookup plus Newton."""
+    def _invert_profile(self, w_nodes: np.ndarray):
+        """(z, g'(z)) with g(z) = w^2, by table lookup plus at most five
+        Newton steps of one weight pass each.  A step that moves no node is
+        a fixed point: the loop stops there and reuses that pass's g'."""
         z_hi, _, w_tab, z_tab = self._near_setup()
         zeta = np.interp(w_nodes, w_tab, z_tab)
         target = w_nodes * w_nodes
         lo, hi = self.z_turn, z_hi + (z_hi - self.z_turn)
         for _ in range(5):
-            g = _profile(self.weight, self.n, zeta)
-            gp = _profile_slope(self.weight, self.n, zeta)
-            zeta = np.clip(zeta - (g - target) / gp, lo, hi)
-        return zeta
+            g, gp = _profile_and_slope(self.weight, self.n, zeta)
+            new = np.clip(zeta - (g - target) / gp, lo, hi)
+            if np.array_equal(new, zeta):
+                return zeta, gp
+            zeta = new
+        return zeta, _profile_and_slope(self.weight, self.n, zeta)[1]
 
 
 def _near_integrand(spec: ExtremalSpec):
     def F(w):
         w = np.asarray(w, dtype=float)
-        zeta = spec._invert_profile(w)
-        gp = _profile_slope(spec.weight, spec.n, zeta)
+        zeta, gp = spec._invert_profile(w)
         return 2.0 / (gp * zeta * np.sqrt(w * w + 2.0))
     return F
 
@@ -269,6 +274,15 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
             int(near_panels.sum() + far_panels.sum()))
 
 
+def _signed_increments(spec: ExtremalSpec, z_from, z_to, tol: float):
+    """_increments on pairs of radii in either order: z_from[k] -> z_to[k]."""
+    z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)
+    up = z_to >= z_from
+    inc, err, panels = _increments(spec, np.where(up, z_from, z_to),
+                                   np.where(up, z_to, z_from), tol)
+    return np.where(up, inc, -inc), err, panels
+
+
 def dphi_dz(z, spec: ExtremalSpec):
     """Right-hand side 1/(z*sqrt(n^2 v^2 z^2 - 1)); positive and finite.
 
@@ -306,11 +320,7 @@ def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
         if z < spec.z_turn * (1.0 - 1e-12):
             raise ForbiddenRegion(
                 f"z = {z} lies inside the turning radius z* = {spec.z_turn}")
-    up = z_to >= z_from
-    lo, hi = (z_from, z_to) if up else (z_to, z_from)
-    inc = float(_increments(spec, np.array([lo], dtype=float),
-                            np.array([hi], dtype=float), tol)[0][0])
-    return inc if up else -inc
+    return float(_signed_increments(spec, [z_from], [z_to], tol)[0][0])
 
 
 def first_integral_deviation(w: RadialWeight, n: float, z):
@@ -392,10 +402,7 @@ def _uniform_phi_grid(spec, z_max, count, tol):
     i0 = np.maximum(np.searchsorted(dense_phi, targets[1:-1]) - 1, 0)
     base_z, base_phi = dense_z[i0], dense_phi[i0]
     for _ in range(2):
-        up = z >= base_z
-        local, e, p = _increments(spec, np.where(up, base_z, z),
-                                  np.where(up, z, base_z), 1e-15)
-        local = np.where(up, local, -local)
+        local, e, p = _signed_increments(spec, base_z, z, 1e-15)
         z = z - (base_phi + local - targets[1:-1]) / dphi_dz(z, spec)
         z = np.maximum(z, spec.z_turn * (1.0 + 1e-15))
         err, panels = err + e, panels + p

@@ -15,7 +15,7 @@ from .dual import Dual
 from .errors import DomainError, EvalError, NonPositiveWeight
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
-           "eval_v", "eval_q", "parse_weight", "render"]
+           "eval_v", "eval_q", "eval_vq", "parse_weight", "render"]
 
 
 class RadialWeight:
@@ -28,6 +28,9 @@ class RadialWeight:
 
     def _raw_q(self, z):
         raise NotImplementedError
+
+    def _raw_vq(self, z):   # override where one pass yields both
+        return self._raw_v(z), self._raw_q(z)
 
     def text(self) -> str:
         raise NotImplementedError
@@ -69,27 +72,31 @@ class ExpressionWeight(RadialWeight):
         return np.broadcast_to(np.asarray(expressions.evaluate(self.ast, z),
                                           dtype=float), np.shape(z))
 
-    def _raw_q(self, z):
+    def _raw_vq(self, z):   # .val: _raw_v's float operations, same bits
         out = expressions.evaluate(self.ast, Dual(z, np.ones_like(z)))
-        if not isinstance(out, Dual):  # constant expression
-            return np.zeros_like(z)
-        return np.broadcast_to(np.asarray(out.der, dtype=float), np.shape(z))
+        parts = (out.val, out.der) if isinstance(out, Dual) else (out, 0.0)
+        return tuple(np.broadcast_to(np.asarray(x, dtype=float), np.shape(z))
+                     for x in parts)
 
     def text(self) -> str:
         return self.source
 
 
-def _check_domain(w: RadialWeight, z):
+def _raw(w: RadialWeight, z, method):
+    """method(z) with warnings off, once z is inside the weight's domain."""
     z = np.asarray(z, dtype=float)
     if not np.all(z > w.domain_min):
         raise DomainError(
             f"z must exceed the weight's domain minimum {w.domain_min}")
-    return z
+    with np.errstate(all="ignore"):
+        return method(z)
 
 
 def _finish(w, z_in, value, what):
     if not np.all(np.isfinite(value)):
         raise EvalError(f"weight {what} is not finite for {w!r}")
+    if what == "value" and np.any(np.asarray(value) <= 0.0):
+        raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
     if np.ndim(z_in) == 0:
         return float(value)
     return value
@@ -101,26 +108,20 @@ def eval_v(w: RadialWeight, z):
     Raises DomainError for z <= domain_min, EvalError on non-finite results,
     and NonPositiveWeight where v(z) <= 0.
     """
-    za = _check_domain(w, z)
-    with np.errstate(all="ignore"):
-        val = w._raw_v(za)
-    out = _finish(w, z, val, "value")
-    if np.any(np.asarray(out) <= 0.0):
-        raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
-    return out
+    return _finish(w, z, _raw(w, z, w._raw_v), "value")
+
+
+def eval_vq(w: RadialWeight, z):
+    """(eval_v(w, z), eval_q(w, z)) bit for bit, from one raw pass with
+    one set of checks, raising what eval_q would in its order: DomainError,
+    EvalError (value), NonPositiveWeight, EvalError (derivative)."""
+    val, der = _raw(w, z, w._raw_vq)
+    return _finish(w, z, val, "value"), _finish(w, z, der, "derivative")
 
 
 def eval_q(w: RadialWeight, z):
-    """Exact derivative q(z) = dv/dz; same domain checks as eval_v."""
-    za = _check_domain(w, z)
-    with np.errstate(all="ignore"):
-        val = w._raw_v(za)
-        der = w._raw_q(za)
-    if not np.all(np.isfinite(val)):
-        raise EvalError(f"weight value is not finite for {w!r}")
-    if np.any(val <= 0.0):
-        raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
-    return _finish(w, z, der, "derivative")
+    """Exact derivative q(z) = dv/dz; eval_v's checks, then q finite."""
+    return eval_vq(w, z)[1]
 
 
 def parse_weight(text: str) -> RadialWeight:

@@ -3,17 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from radial_extremals import bvp
-from radial_extremals import (BvpProblem, ExtremalSpec, ForbiddenRegion,
-                              NoBracket, PolarPoint, PowerLaw, PowerLawCurve,
-                              Polyline, angular_span, functional_value,
-                              integrate_phi, power_law_point, psi_from_z,
-                              solve_n)
+from radial_extremals import bvp, reduced_ode
+from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
+                              ForbiddenRegion, NoBracket, PolarPoint,
+                              PowerLaw, PowerLawCurve, Polyline, angular_span,
+                              functional_value, integrate_phi, parse_weight,
+                              power_law_point, psi_from_z, solve_n)
 
 
 def endpoints_from_curve(lam, n, psi_a, psi_b, phi0=0.0):
     c = PowerLawCurve(lam, n, phi0)
     return power_law_point(c, psi_a), power_law_point(c, psi_b)
+
+
+def first_round_trip_draw():
+    """(lam, n_true, endpoint a, endpoint b) of criterion 07's first draw."""
+    rng = np.random.default_rng(23)
+    lam = float(rng.uniform(0.0, 3.0))
+    n_true = float(rng.uniform(0.7, 2.2))
+    phi0 = float(rng.uniform(-0.5, 0.5))
+    psi_a = -float(rng.uniform(0.6, 1.3))
+    psi_b = float(rng.uniform(0.6, 1.3))
+    return (lam, n_true) + endpoints_from_curve(lam, n_true, psi_a, psi_b,
+                                                phi0)
 
 
 class TestAngularSpan:
@@ -41,6 +53,33 @@ class TestAngularSpan:
                           PowerLaw(0.0))
         with pytest.raises(ForbiddenRegion):
             angular_span(0.5, prob)   # z* = 2 > 1
+
+    @pytest.mark.parametrize("weight,n,radii", [
+        (PowerLaw(0.0), 2.0, (0.6, 1.5)),      # z* = 0.5, handoff 0.75
+        (PowerLaw(0.0), 2.0, (1.5, 0.6)),
+        (PowerLaw(0.0), 2.0, (0.5 * (1.0 - 5e-13), 1.5)),   # inside z*
+        (PowerLaw(0.0), 2.0, (0.5, 0.5)),
+        (PowerLaw(1.3), 1.1, (1.0, 3.0)),
+        (parse_weight("sqrt(1+z^3)"), 1.2, (0.75, 2.0)),
+        (parse_weight("1/(1+z^2)"), 3.0, (0.4, 0.9))])
+    def test_both_angles_equal_integrate_phi(self, weight, n, radii):
+        prob = BvpProblem(PolarPoint(0.1, radii[0]),
+                          PolarPoint(0.7, radii[1]), weight)
+        for tol in (1e-12, 1e-13):
+            spec, da, db = bvp._branch_angles(prob, n, tol)
+            want = [integrate_phi(spec, spec.z_turn, z, tol) for z in radii]
+            assert [da, db] == want
+            assert [math.copysign(1.0, x) for x in (da, db)] == \
+                [-1.0 if z < spec.z_turn else 1.0 for z in radii]
+            assert all(type(x) is float for x in (da, db))
+
+    def test_tol_outside_integrate_phi_range(self):
+        prob = BvpProblem(PolarPoint(-1.0, 1.0), PolarPoint(1.0, 1.0),
+                          PowerLaw(0.0))
+        with pytest.raises(DomainError, match="tol must lie"):
+            angular_span(2.0, prob, 1e-2)
+        with pytest.raises(ForbiddenRegion):    # checked before tol
+            angular_span(0.5, prob, 1e-2)
 
 
 class TestSolveN:
@@ -85,13 +124,7 @@ class TestSolveN:
 
     def test_span_evaluations_per_solve(self, monkeypatch):
         # first draw of the acceptance round trip (criterion 07)
-        rng = np.random.default_rng(23)
-        lam = float(rng.uniform(0.0, 3.0))
-        n_true = float(rng.uniform(0.7, 2.2))
-        phi0 = float(rng.uniform(-0.5, 0.5))
-        psi_a = -float(rng.uniform(0.6, 1.3))
-        psi_b = float(rng.uniform(0.6, 1.3))
-        a, b = endpoints_from_curve(lam, n_true, psi_a, psi_b, phi0)
+        lam, n_true, a, b = first_round_trip_draw()
         calls = []
 
         def counted(n, prob, tol=1e-12):
@@ -103,16 +136,49 @@ class TestSolveN:
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert len(calls) <= 12
 
+    @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
+    def test_weight_passes_per_span(self, monkeypatch, weight):
+        # criterion 07's first draw: checked weight passes (eval_v, eval_q
+        # and eval_vq calls made by reduced_ode and bvp) per angular_span;
+        # at most half of the 59.4 (PowerLaw) and 69.2 (expression) passes
+        # per span of two integrate_phi calls with three passes per Newton
+        # step
+        lam, n_true, a, b = first_round_trip_draw()
+        w = PowerLaw(lam) if weight is None \
+            else parse_weight(weight.format(lam=lam))
+        passes, spans = [], []
+        for module in (reduced_ode, bvp):
+            for name in ("eval_v", "eval_q", "eval_vq"):
+                if hasattr(module, name):
+                    def counted(*args, _f=getattr(module, name)):
+                        passes.append(args)
+                        return _f(*args)
+                    monkeypatch.setattr(module, name, counted)
+
+        def counted_span(n, prob, tol=1e-12):
+            spans.append(n)
+            return angular_span(n, prob, tol)
+        monkeypatch.setattr(bvp, "angular_span", counted_span)
+        sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
+                      (0.85 * n_true, 1.6 * n_true), 1e-12)
+        assert sol.n == pytest.approx(n_true, rel=1e-7)
+        per_span = len(passes) / len(spans)
+        assert per_span <= 0.5 * (59.4 if weight is None else 69.2)
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_endpoint_radius(self, which, bad):
+        points = {"a": PolarPoint(-0.5, 1.0), "b": PolarPoint(0.5, 2.0)}
+        points[which] = PolarPoint(points[which].phi, bad)
+        with pytest.raises(DomainError,
+                           match=f"endpoint {which} radius must be finite"):
+            solve_n(BvpProblem(points["a"], points["b"], PowerLaw(1.0)),
+                    1.0, (0.5, 3.0), 1e-12)
+
     def test_root_pieces_reused(self, monkeypatch):
         # first draw of criterion 07: the returned n* is one of the span
         # evaluations, so its spec and angles are not built again
-        rng = np.random.default_rng(23)
-        lam = float(rng.uniform(0.0, 3.0))
-        n_true = float(rng.uniform(0.7, 2.2))
-        phi0 = float(rng.uniform(-0.5, 0.5))
-        psi_a = -float(rng.uniform(0.6, 1.3))
-        psi_b = float(rng.uniform(0.6, 1.3))
-        a, b = endpoints_from_curve(lam, n_true, psi_a, psi_b, phi0)
+        lam, n_true, a, b = first_round_trip_draw()
         spans, specs = [], []
 
         def counted_span(n, prob, tol=1e-12):

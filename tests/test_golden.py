@@ -44,6 +44,11 @@ CASES.update({
                                "--samples", "7"],
     "bvp-expr.json": ["bvp", "--weight", "1+z", "--endpoints=-1,1,1,2",
                       "--n-bracket", "0.6:3", "--format", "json"],
+    # one endpoint radius inside the near/far handoff (1.088 at n 1.2),
+    # one outside it
+    "bvp-same-branch.csv": ["bvp", "--weight", "sqrt(1+z^3)",
+                            "--endpoints=0.362576,0.75,0.971483,2",
+                            "--n-bracket", "1.13:2", "--same-branch"],
 })
 
 

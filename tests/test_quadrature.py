@@ -181,6 +181,29 @@ class TestIntegrate:
         assert panels > 2
         assert shapes == [(2, 15)] * (panels - 1)
 
+    def test_infinite_limit_fails(self):
+        with pytest.raises(QuadratureFailure, match="limits must be finite"):
+            integrate(np.exp, 0.0, math.inf, 1e-10)
+
+    def test_nan_first_panel_fails(self):
+        # with numpy's invalid-value warning off, sqrt past 1 hands the
+        # driver NaN quietly; a NaN estimate never exceeds tol
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(QuadratureFailure, match="not finite"):
+            integrate(lambda x: np.sqrt(1.0 - x), 0.0, 2.0, 1e-10)
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            kronrod_panel(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0)
+
+    def test_nan_on_refinement_fails(self):
+        # the first panel's nodes miss the NaN strip around 0.3, and its
+        # estimate misses tol, so only a bisection samples the strip
+        def f(x):
+            return np.where(abs(x - 0.3) < 1e-3, np.nan,
+                            np.exp(-1e3 * (x - 0.3) ** 2))
+        assert np.isfinite(kronrod_panel(f, 0.0, 1.0)).all()
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            integrate(f, 0.0, 1.0, 1e-10)
+
     def test_panel_budget_exhaustion(self):
         with pytest.raises(QuadratureFailure):
             integrate(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),

@@ -9,12 +9,13 @@ from radial_extremals import (DomainError, EvalError, ExtremalError,
                               ExtremalSpec, ForbiddenRegion, NoBracket,
                               PowerLaw,
                               PowerLawCurve, QuadratureFailure,
-                              TangentialTurningPoint, dphi_dz,
+                              TangentialTurningPoint, dphi_dz, eval_q,
                               eval_v, first_integral_deviation, integrate_phi,
                               parse_weight, psi_from_z, trace_extremal,
                               turning_radius)
 from radial_extremals import reduced_ode
 from radial_extremals.extremal_core import clairaut_constant
+from radial_extremals.quadrature import _NODES
 from radial_extremals.weights import RadialWeight
 
 # independent 30-digit quadrature of dz/(z sqrt(n^2 z^{2l+2} - 1)) for
@@ -83,12 +84,12 @@ class TestExtremalSpec:
 
     def test_turning_slope_evaluated_once(self, monkeypatch):
         calls = []
-        slope = reduced_ode._profile_slope
+        slope = reduced_ode._profile_and_slope
 
         def counted(*args):
             calls.append(args[2])
             return slope(*args)
-        monkeypatch.setattr(reduced_ode, "_profile_slope", counted)
+        monkeypatch.setattr(reduced_ode, "_profile_and_slope", counted)
         spec = ExtremalSpec(parse_weight("1+z"), 1.0)
         assert calls == [spec.z_turn]
 
@@ -139,7 +140,7 @@ def _doubling_near_setup(spec):
         if g >= reduced_ode._G_HANDOFF:
             break
         if g <= g_prev and z_prev > zt:
-            if reduced_ode._profile_slope(w, n, z_prev) <= 0.0 \
+            if reduced_ode._profile_and_slope(w, n, z_prev)[1] <= 0.0 \
                     and z_before > zt:
                 z_prev = z_before
             z_hi = z_prev
@@ -209,6 +210,52 @@ class TestHandoffLadder:
                             turn_bracket=(0.5, 1.0 + 5e-8))
         with pytest.raises(EvalError, match="not finite"):
             spec._near_setup()
+
+
+def _five_step_inversion(spec, w_nodes):
+    """The near-region inversion as five full Newton steps, g and g' from
+    separate eval_v and eval_q calls, then g' once more at the final z."""
+    w, n = spec.weight, spec.n
+    z_hi, _, w_tab, z_tab = spec._near_setup()
+    zeta = np.interp(w_nodes, w_tab, z_tab)
+    target = w_nodes * w_nodes
+    lo, hi = spec.z_turn, z_hi + (z_hi - spec.z_turn)
+    for _ in range(5):
+        g = n * eval_v(w, zeta) * zeta - 1.0
+        gp = n * (eval_q(w, zeta) * zeta + eval_v(w, zeta))
+        zeta = np.clip(zeta - (g - target) / gp, lo, hi)
+    return zeta, n * (eval_q(w, zeta) * zeta + eval_v(w, zeta))
+
+
+class TestInvertProfile:
+    @pytest.mark.parametrize("weight,n,panels,passes", [
+        (PowerLaw(1.3), 1.1, 8, 6),           # all five steps, then g'
+        (PowerLaw(2.0817992419720928), 1.66, 1, 4),   # fixed at step 4
+        (PowerLaw(0.0), 2.0, 2, 2),
+        (parse_weight("1.0*z^2.0817992419720928"), 1.66, 2, 6),
+        (parse_weight("1/(1+z^2)"), 3.0, 2, 6),
+        (parse_weight("sqrt(2-z^2)"), 1.5, 8, 6),
+        (PowerLaw(1.0), 1e12, 1, 4),
+        (PowerLaw(1.0), 1e-12, 2, 6)])
+    def test_equals_five_newton_steps(self, monkeypatch, weight, n, panels,
+                                      passes):
+        spec = ExtremalSpec(weight, n)
+        w_split = spec._near_setup()[1]
+        edges = np.linspace(0.0, w_split, panels + 1)
+        nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] \
+            + (0.5 * np.diff(edges))[:, None] * _NODES
+        want = _five_step_inversion(spec, nodes)
+        calls = []
+        pass_ = reduced_ode._profile_and_slope
+
+        def counted(*args):
+            calls.append(args[2])
+            return pass_(*args)
+        monkeypatch.setattr(reduced_ode, "_profile_and_slope", counted)
+        zeta, gp = spec._invert_profile(nodes)
+        assert zeta.tobytes() == want[0].tobytes()
+        assert gp.tobytes() == want[1].tobytes()
+        assert len(calls) == passes
 
 
 class TestDphiDz:

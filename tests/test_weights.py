@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from radial_extremals import (DomainError, EvalError, ExpressionWeight,
-                              NonPositiveWeight, ParseError, PowerLaw,
-                              eval_q, eval_v, parse_weight, render)
+                              ExtremalError, NonPositiveWeight, ParseError,
+                              PowerLaw, RadialWeight, eval_q, eval_v, eval_vq,
+                              parse_weight, render)
+from radial_extremals import expressions
+from radial_extremals.dual import Dual
 from radial_extremals.expressions import parse_expression
 
 
@@ -86,6 +89,96 @@ class TestEvalQ:
             fd = central_difference(w, z, h)
             assert abs(q - fd) <= 1e-6 * (1.0 + abs(q))
             checked += 1
+
+
+class _TwoMethodWeight(RadialWeight):
+    """A user weight that defines only _raw_v and _raw_q."""
+
+    def _raw_v(self, z):
+        return 1.0 + z * z
+
+    def _raw_q(self, z):
+        return 2.0 * z
+
+    def text(self):
+        return "1 + z*z, by hand"
+
+
+def _separate_q(w, z):
+    """eval_q from separate raw value and derivative passes, checked in
+    eval_q's order: domain, value finite, value positive, derivative
+    finite."""
+    za = np.asarray(z, dtype=float)
+    if not np.all(za > w.domain_min):
+        raise DomainError(
+            f"z must exceed the weight's domain minimum {w.domain_min}")
+    with np.errstate(all="ignore"):
+        val = w._raw_v(za)
+        if isinstance(w, ExpressionWeight):
+            out = expressions.evaluate(w.ast, Dual(za, np.ones_like(za)))
+            der = np.broadcast_to(np.asarray(
+                out.der if isinstance(out, Dual) else 0.0, dtype=float),
+                za.shape)
+        else:
+            der = w._raw_q(za)
+    if not np.all(np.isfinite(val)):
+        raise EvalError(f"weight value is not finite for {w!r}")
+    if np.any(val <= 0.0):
+        raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
+    if not np.all(np.isfinite(der)):
+        raise EvalError(f"weight derivative is not finite for {w!r}")
+    return float(der) if za.ndim == 0 else der
+
+
+def _outcome(fn):
+    """fn()'s result as (type, bytes) per part, or its error's class and
+    message."""
+    try:
+        parts = fn()
+    except ExtremalError as exc:
+        return type(exc), str(exc)
+    return [(type(x), np.asarray(x).tobytes()) for x in parts]
+
+
+_VQ_POINTS = [0.3, 1.0, 1.7, np.linspace(0.1, 3.0, 7),
+              np.array([[0.5, 1.2], [2.0, 1.41]]), 0.0, -1.0,
+              np.array([0.5, 0.0])]
+
+
+class TestEvalVQ:
+    @pytest.mark.parametrize("weight", [
+        PowerLaw(1.3), PowerLaw(0.0), PowerLaw(2.0817992419720928),
+        # the five perfbench expression forms
+        parse_weight("2.5*z^1.3"), parse_weight("z^1.3*2.5"),
+        parse_weight("exp(1.3*log(z))"), parse_weight("z*sqrt(z)"),
+        parse_weight("2.5*z*z"),
+        parse_weight("1.0*z^2.0817992419720928"),
+        parse_weight("1/(1+z^2)"), parse_weight("3"), parse_weight("2-1"),
+        parse_weight("sqrt(2-z^2)"),     # undefined past sqrt(2)
+        parse_weight("z - 1"),           # non-positive at and below 1
+        parse_weight("1+sqrt(z-1)"),     # infinite derivative at 1
+        parse_weight("1/(z-1)"),         # infinite value at 1
+        _TwoMethodWeight()], ids=repr)
+    def test_equals_eval_v_and_eval_q(self, weight):
+        def reference():   # eval_q's checks first, then eval_v's value
+            q = _separate_q(weight, z)
+            return eval_v(weight, z), q
+
+        for z in _VQ_POINTS:
+            assert _outcome(lambda: eval_vq(weight, z)) == \
+                _outcome(reference), z
+            assert _outcome(lambda: (eval_q(weight, z),)) == \
+                _outcome(lambda: (_separate_q(weight, z),)), z
+
+    @pytest.mark.parametrize("weight,z,cls,match", [
+        (PowerLaw(1.0), 0.0, DomainError, "domain minimum"),
+        (parse_weight("sqrt(2-z^2)"), 1.5, EvalError, "value is not finite"),
+        (parse_weight("z - 1"), 1.0, NonPositiveWeight, "non-positive"),
+        (parse_weight("1+sqrt(z-1)"), 1.0, EvalError,
+         "derivative is not finite")])
+    def test_each_check_is_reached(self, weight, z, cls, match):
+        with pytest.raises(cls, match=match):
+            eval_vq(weight, z)
 
 
 class TestParse:
