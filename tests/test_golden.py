@@ -49,6 +49,16 @@ CASES.update({
     "bvp-same-branch.csv": ["bvp", "--weight", "sqrt(1+z^3)",
                             "--endpoints=0.362576,0.75,0.971483,2",
                             "--n-bracket", "1.13:2", "--same-branch"],
+    # enough samples that the trace JSON samples array is long
+    "trace-expr-power-64.json": ["trace", "--weight", "2.5*z^1.3", "--n",
+                                 "1.1", "--zmax", "2", "--samples", "64",
+                                 "--format", "json"],
+})
+CASES.update({
+    f"oracle-lam1.{fmt}": ["oracle", "--lambda", "1",
+                           "--endpoints=-0.65,1.19,0.65,1.19",
+                           "--segments", "8", "--format", fmt]
+    for fmt in ("csv", "json", "svg")
 })
 
 
