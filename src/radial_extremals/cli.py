@@ -8,6 +8,7 @@ toward the +x axis); the conventional polar angle is theta_std = pi/2 - phi.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,6 +27,7 @@ from .weights import PowerLaw, parse_weight
 
 _ANGLE_NOTE = ("angles use tan(phi) = x/y, measured from the +y axis; "
                "conventional polar angle: theta_std = pi/2 - phi")
+_LEAST = {"samples": 3, "segments": 1, "iters": 0}   # smallest valid counts
 
 
 class _UsageError(Exception):
@@ -83,6 +85,7 @@ def _add_output_options(sub):
                      help="output path (default: standard output)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radial-extremals",
@@ -155,19 +158,42 @@ def _resolve_weight(args):
     return args.weight if args.lam is None else PowerLaw(float(args.lam))
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
+def _emit(args, text: str) -> int:
+    """Write text to --out or standard output; returns the exit code."""
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def _csv(header: str, rows) -> str:
-    lines = [f"# {_ANGLE_NOTE}", header]
-    lines.extend(",".join(format(float(c), ".17g") for c in row)
-                 for row in rows)
-    return "\n".join(lines) + "\n"
+    """Angle note, header and one line per row, each value written as
+    format(value, ".17g") by one %-template for the whole table."""
+    table = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (line * len(table)) % tuple(table.ravel().tolist())
+    return f"# {_ANGLE_NOTE}\n{header}\n{body}"
+
+
+def _json_with_samples(doc: dict, keys, rows) -> str:
+    """The bytes of json.dumps(doc, indent=2) with doc["samples"] (empty in
+    doc) holding one {key: value} object per row, each object written by
+    one %-template from the values as json spells them."""
+    text = json.dumps(doc, indent=2)
+    if len(rows) == 0:
+        return text
+    values = json.dumps(np.ravel(rows).tolist())[1:-1].split(", ")
+    record = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in keys)
+              + "\n    }")
+    body = ",\n".join([record] * len(rows)) % tuple(values)
+    return text.replace('"samples": []', f'"samples": [\n{body}\n  ]', 1)
 
 
 def _svg(paths, z_turn: float | None) -> str:
@@ -188,8 +214,9 @@ def _svg(paths, z_turn: float | None) -> str:
         body.append(f'<circle cx="0" cy="0" r="{fmt(z_turn)}" fill="none" '
                     f'stroke="gray" stroke-width="{fmt(0.5 * stroke)}" '
                     f'stroke-dasharray="{fmt(4 * stroke)}"/>')
-    for path in paths:
-        d = "M " + " L ".join(f"{fmt(x)} {fmt(-y)}" for x, y in path)
+    for path in paths:   # each point as f"{fmt(x)} {fmt(-y)}"
+        xy = np.column_stack((path[:, 0], -path[:, 1])).ravel().tolist()
+        d = "M " + " L ".join(["%.8g %.8g"] * len(path)) % tuple(xy)
         body.append(f'<path d="{d}" fill="none" stroke="black" '
                     f'stroke-width="{fmt(stroke)}"/>')
     return (f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -201,8 +228,6 @@ def _svg(paths, z_turn: float | None) -> str:
 def _cmd_trace(args) -> int:
     weight = _resolve_weight(args)
     n = args.n
-    if args.samples < 3:
-        raise _UsageError("--samples must be at least 3")
     if args.psi_range is not None:
         if not isinstance(weight, PowerLaw):
             raise _UsageError("--psi-range needs a power-law weight z^lambda")
@@ -217,16 +242,15 @@ def _cmd_trace(args) -> int:
                                 args.samples, tol=args.tol, grid=args.grid)
     x, y = result.x, result.y
     rows = np.column_stack((result.phi, result.z, x, y,
-                            result.clairaut_deviation)).tolist()
+                            result.clairaut_deviation))
 
     if args.format == "csv":
-        _emit(args, _csv("phi,z,x,y,clairaut_dev", rows))
-    elif args.format == "json":
+        return _emit(args, _csv("phi,z,x,y,clairaut_dev", rows))
+    if args.format == "json":
         doc = {
             "spec": {"weight": weight.text(), "n": n,
                      "phi0": 0.0, "orientation": 1},
-            "samples": [dict(zip(("phi", "z", "x", "y", "clairaut_dev"), row))
-                        for row in rows],
+            "samples": [],
             "diagnostics": {
                 "z_turn": result.z_turn,
                 "max_clairaut_dev": float(result.clairaut_deviation.max()),
@@ -235,13 +259,12 @@ def _cmd_trace(args) -> int:
                 "error_estimate": result.error_estimate,
             },
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        xy = np.column_stack((x, y))
-        paths = ([xy] if args.psi_range is not None else
-                 [xy[:args.samples], xy[args.samples - 1:]])
-        _emit(args, _svg(paths, result.z_turn))
-    return 0
+        return _emit(args, _json_with_samples(
+            doc, ("phi", "z", "x", "y", "clairaut_dev"), rows) + "\n")
+    xy = np.column_stack((x, y))
+    paths = ([xy] if args.psi_range is not None else
+             [xy[:args.samples], xy[args.samples - 1:]])
+    return _emit(args, _svg(paths, result.z_turn))
 
 
 def _cmd_check(args) -> int:
@@ -261,8 +284,6 @@ def _cmd_check(args) -> int:
 def _cmd_oracle(args) -> int:
     weight = _resolve_weight(args)
     (x1, y1, x2, y2) = args.endpoints
-    if args.segments < 1:
-        raise _UsageError("--segments must be positive")
     ts = np.linspace(0.0, 1.0, args.segments + 1)[:, None]
     chord = np.array([[x1, y1]]) * (1.0 - ts) + np.array([[x2, y2]]) * ts
     initial = discrete_oracle.Polyline(chord)
@@ -273,8 +294,8 @@ def _cmd_oracle(args) -> int:
     gmax = float(np.abs(discrete_oracle.gradient(final, weight)).max())
 
     if args.format == "csv":
-        _emit(args, _csv("x,y", [tuple(v) for v in final.vertices]))
-    elif args.format == "json":
+        return _emit(args, _csv("x,y", final.vertices))
+    if args.format == "json":
         doc = {
             "weight": weight.text(),
             "endpoints": [[x1, y1], [x2, y2]],
@@ -284,10 +305,8 @@ def _cmd_oracle(args) -> int:
                             "max_grad_component": gmax,
                             "converged": gmax <= args.grad_tol},
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        _emit(args, _svg([final.vertices], None))
-    return 0
+        return _emit(args, json.dumps(doc, indent=2) + "\n")
+    return _emit(args, _svg([final.vertices], None))
 
 
 def _cmd_bvp(args) -> int:
@@ -298,9 +317,9 @@ def _cmd_bvp(args) -> int:
     sol = solve_n(prob, abs(phi2 - phi1), args.n_bracket, args.tol)
 
     if args.format == "csv":
-        _emit(args, _csv("n,phi0,z_turn,span",
-                         [(sol.n, sol.phi0, sol.z_turn, sol.span)]))
-    elif args.format == "json":
+        return _emit(args, _csv("n,phi0,z_turn,span",
+                                [(sol.n, sol.phi0, sol.z_turn, sol.span)]))
+    if args.format == "json":
         doc = {
             "problem": {"weight": weight.text(),
                         "a": {"phi": phi1, "z": z1},
@@ -309,28 +328,30 @@ def _cmd_bvp(args) -> int:
             "solution": {"n": sol.n, "phi0": sol.phi0,
                          "z_turn": sol.z_turn, "span": sol.span},
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        spec = ExtremalSpec(weight, sol.n, phi0=sol.phi0)
-        result = trace_extremal(spec, max(z1, z2), 200)
-        xy = np.column_stack((result.x, result.y))
-        _emit(args, _svg([xy[:200], xy[199:]], sol.z_turn))
-    return 0
+        return _emit(args, json.dumps(doc, indent=2) + "\n")
+    spec = ExtremalSpec(weight, sol.n, phi0=sol.phi0)
+    result = trace_extremal(spec, max(z1, z2), 200)
+    xy = np.column_stack((result.x, result.y))
+    return _emit(args, _svg([xy[:200], xy[199:]], sol.z_turn))
 
 
 def run(argv=None) -> int:
     """Execute one invocation; returns the process exit code.
 
-    0 on success with the artifact written, 2 on usage errors (bad flags or
-    a malformed weight expression), 1 on numerical failure with the error
-    name and context on the error stream.  Never raises on bad input.
+    0 on success with the artifact written, 2 on usage errors (bad flags,
+    bad counts, a malformed weight expression, or an --out path that cannot
+    be written), 1 on numerical failure with the error name and context on
+    the error stream.  Never raises on bad input.  The argument parser is
+    built on the first call and reused by later calls in the process.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        for name, least in _LEAST.items():
+            if getattr(args, name, least) < least:
+                raise _UsageError(f"--{name} must be at least {least}")
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

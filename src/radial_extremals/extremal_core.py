@@ -95,8 +95,11 @@ def clairaut_constant_from_angle(r: float, alpha: float,
 
 
 def _xy_arrays(samples):
-    pts = np.asarray([(s.x, s.y) if isinstance(s, CartesianPoint) else tuple(s)
-                      for s in samples], dtype=float)
+    """x and y columns of a (K, 2) array or of a sequence of points."""
+    if not isinstance(samples, np.ndarray):
+        samples = [(s.x, s.y) if isinstance(s, CartesianPoint) else tuple(s)
+                   for s in samples]
+    pts = np.asarray(samples, dtype=float)
     return pts[:, 0], pts[:, 1]
 
 

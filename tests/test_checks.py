@@ -1,12 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radial_extremals import PowerLaw, checks, parse_weight
-from radial_extremals.reduced_ode import trace_extremal
+from radial_extremals import (ExtremalSpec, PowerLaw, checks, el_residual,
+                              integrate_phi, parse_weight)
+from radial_extremals.reduced_ode import _signed_increments, trace_extremal
 
 
 def _passes(row):
@@ -64,6 +66,37 @@ def test_max_el_residual_needs_a_five_sample_run():
     x5 = np.append(x[:4], 4.0)
     assert checks.max_el_residual(x5, 1.0 + 0.1 * x5 * x5,
                                   PowerLaw(1.0)) is not None
+
+
+@pytest.mark.parametrize("weight", [PowerLaw(1.3), parse_weight("2.5*z^1.3")])
+def test_max_el_residual_matches_point_lists(weight):
+    tr = trace_extremal(ExtremalSpec(weight, 1.1), 2.0, 200)
+    worst = None
+    for a, b in checks._monotone_runs(tr.x):
+        pts = list(zip(tr.x[a:b + 1].tolist(), tr.y[a:b + 1].tolist()))
+        if pts[0][0] > pts[-1][0]:
+            pts.reverse()
+        peak = float(np.abs(el_residual(pts, weight)[1:-1]).max())
+        worst = peak if worst is None else max(worst, peak)
+    assert checks.max_el_residual(tr.x, tr.y, weight) == worst
+
+
+@pytest.mark.parametrize("weight", [PowerLaw(1.3), parse_weight("1.0*z^1.3")])
+def test_closed_form_row_is_one_call_per_angle(weight):
+    n, k = 1.1, 2.3
+    spec = ExtremalSpec(weight, n)
+    psis = np.linspace(0.0, 1.4, 15)[1:].tolist()
+    zs = [(n * math.cos(psi)) ** (-1.0 / k) for psi in psis]
+    separate = [integrate_phi(spec, spec.z_turn, z, 1e-12) for z in zs]
+    batched = _signed_increments(spec, [spec.z_turn] * 14, zs, 1e-12)[0]
+    assert batched.tolist() == separate
+    worst = 0.0
+    for psi, got in zip(psis, separate):
+        worst = max(worst, abs(got - psi / k))
+    if isinstance(weight, PowerLaw):
+        rows = dict((row[0], row[1])
+                    for row in checks.gates(weight, n, 3.0, 50, 1e-12))
+        assert rows["quadrature vs closed form"] == worst
 
 
 def _reference_runs(x):

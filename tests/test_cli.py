@@ -2,8 +2,10 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from radial_extremals import cli
 from radial_extremals.cli import main
 
 
@@ -298,3 +300,153 @@ class TestBvp:
                            "--n-bracket", "0.9:2.2", "--format", "svg")
         assert code == 0
         ET.fromstring(out)
+
+
+class TestOutputErrors:
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "o.csv"
+        code, out, err = run(capsys, "trace", "--lambda", "1", "--n", "1.2",
+                             "--zmax", "3", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_directory_as_path_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "oracle", "--lambda", "1",
+                             "--endpoints=-0.5,1,0.5,1", "--segments", "8",
+                             "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+class TestBadCounts:
+    def test_check_too_few_samples_exits_2(self, capsys):
+        code, out, err = run(capsys, "check", "--lambda", "1", "--n", "1",
+                             "--zmax", "2", "--samples", "2")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --samples must be at least 3\n"
+
+    def test_oracle_negative_iters_exits_2(self, capsys):
+        argv = ("oracle", "--lambda", "1", "--endpoints=-0.5,1,0.5,1",
+                "--segments", "4")
+        code, out, err = run(capsys, *argv, "--iters", "-1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --iters must be at least 0\n"
+        # zero iterations stay valid and return the chord
+        code, out, _ = run(capsys, *argv, "--iters", "0")
+        assert code == 0
+        assert {line.split(",")[1] for line in out.splitlines()[2:]} == {"1"}
+
+
+class TestParserReuse:
+    TRACE = ("trace", "--lambda", "1", "--n", "1.2", "--zmax", "3",
+             "--samples", "5")
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        add = cli._add_weight_options
+        monkeypatch.setattr(cli, "_add_weight_options",
+                            lambda sub: built.append(sub) or add(sub))
+        cli._build_parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, *self.TRACE)[0] == 0
+            assert run(capsys, "trace", "--samples", "x")[0] == 2
+        finally:
+            cli._build_parser.cache_clear()
+        assert len(built) == 4    # one build: one call per subcommand
+
+    def test_format_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, *self.TRACE, "--format", "json")
+        assert code == 0 and out.startswith("{")
+        code, out, _ = run(capsys, *self.TRACE)
+        assert code == 0 and out.splitlines()[1] == "phi,z,x,y,clairaut_dev"
+
+    def test_out_does_not_stick(self, capsys, tmp_path):
+        path = tmp_path / "o.csv"
+        code, out, _ = run(capsys, *self.TRACE, "--out", str(path))
+        assert (code, out) == (0, "")
+        written = path.read_bytes()
+        code, out, _ = run(capsys, *self.TRACE, "--samples", "7")
+        assert code == 0 and len(out.splitlines()) == 2 + 13
+        assert path.read_bytes() == written
+
+    def test_usage_error_does_not_break_next_run(self, capsys):
+        first = run(capsys, *self.TRACE)
+        assert run(capsys, "trace", "--lambda", "1", "--n", "x")[0] == 2
+        assert run(capsys, "oracle", "--lambda", "1",
+                   "--endpoints=-0.5,1,0.5,1", "--iters", "-1")[0] == 2
+        assert run(capsys, *self.TRACE) == first
+
+
+# Reference writers: the per-value format() and json.dumps paths that the
+# %-template writers must reproduce byte for byte.
+def _reference_csv(header, rows):
+    lines = [f"# {cli._ANGLE_NOTE}", header]
+    lines.extend(",".join(format(float(c), ".17g") for c in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(doc, keys, rows):
+    doc = {**doc, "samples": [dict(zip(keys, row)) for row in rows]}
+    return json.dumps(doc, indent=2)
+
+
+def _reference_path_d(path):
+    return "M " + " L ".join(f"{format(x, '.8g')} {format(-y, '.8g')}"
+                             for x, y in path)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324, 1e300]
+
+
+def _table(columns, finite=False):
+    """Rows holding every special value in every column, then random
+    values over many decades."""
+    special = [v for v in _SPECIAL if math.isfinite(v) or not finite]
+    rng = np.random.default_rng(7)
+    cols = [np.roll(special, k) for k in range(columns)]
+    head = np.column_stack(cols)
+    tail = (rng.standard_normal((40, columns))
+            * 10.0 ** rng.integers(-300, 300, (40, columns)))
+    return np.vstack((head, tail, -head))
+
+
+class TestWriters:
+    KEYS = ("phi", "z", "x", "y", "clairaut_dev")
+
+    @pytest.mark.parametrize("header", ["phi,z,x,y,clairaut_dev", "x,y",
+                                        "n,phi0,z_turn,span"])
+    def test_csv_matches_reference(self, header):
+        table = _table(header.count(",") + 1)
+        assert cli._csv(header, table) == _reference_csv(header,
+                                                         table.tolist())
+        rows = [tuple(row) for row in table.tolist()]
+        assert cli._csv(header, rows) == _reference_csv(header, rows)
+        empty = np.empty((0, header.count(",") + 1))
+        assert cli._csv(header, empty) == _reference_csv(header, [])
+        assert cli._csv(header, []) == _reference_csv(header, [])
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_json_matches_reference(self, finite):
+        table = _table(5, finite)
+        doc = {"spec": {"weight": "z^1.0", "n": 1.2},
+               "samples": [],
+               "diagnostics": {"z_turn": 0.5, "max_el_residual": None}}
+        got = cli._json_with_samples(doc, self.KEYS, table)
+        assert got == _reference_json(doc, self.KEYS, table.tolist())
+        assert cli._json_with_samples(doc, self.KEYS, table[:0]) == \
+            _reference_json(doc, self.KEYS, [])
+        # a weight text that spells the splice marker stays untouched
+        doc["spec"]["weight"] = '"samples": []'
+        assert cli._json_with_samples(doc, self.KEYS, table[:3]) == \
+            _reference_json(doc, self.KEYS, table[:3].tolist())
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_svg_paths_match_reference(self, finite):
+        table = _table(2, finite)
+        paths = [table[:20], table[19:]]
+        svg = cli._svg(paths, 1.5 if finite else None)
+        for path in paths:
+            assert f'<path d="{_reference_path_d(path)}" ' in svg
+        assert svg.count("<path ") == 2

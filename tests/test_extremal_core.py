@@ -165,6 +165,14 @@ class TestResiduals:
             expect = v / math.sqrt(1.0 + p * p)
             assert parts.V - parts.P * p == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("w", [PowerLaw(1.3), parse_weight("2.5*z^1.3")])
+    def test_array_input_matches_point_list(self, w):
+        pts = curve_xy(1.3, 1.1, np.linspace(-1.2, 1.2, 401))
+        as_tuples = [tuple(p) for p in pts.tolist()]
+        for residual in (el_residual, beltrami_residual):
+            got, want = residual(pts, w), residual(as_tuples, w)
+            assert got.tobytes() == want.tobytes()
+
     def test_requires_monotone_abscissa(self):
         pts = np.array([[0.0, 1.0], [0.5, 1.0], [0.4, 1.0],
                         [0.8, 1.0], [1.0, 1.0]])
