@@ -223,7 +223,7 @@ def _far_integrand(spec: ExtremalSpec):
     def f(z):
         z = np.asarray(z, dtype=float)
         g = _profile(spec.weight, spec.n, z)
-        if np.any(g <= 0.0):
+        if (g <= 0.0).any():
             raise ForbiddenRegion(
                 "n*v(z)*z dips to 1 inside the integration range")
         return 1.0 / (z * np.sqrt(g * (g + 2.0)))

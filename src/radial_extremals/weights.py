@@ -85,7 +85,7 @@ class ExpressionWeight(RadialWeight):
 def _raw(w: RadialWeight, z, method):
     """method(z) with warnings off, once z is inside the weight's domain."""
     z = np.asarray(z, dtype=float)
-    if not np.all(z > w.domain_min):
+    if not (z > w.domain_min).all():
         raise DomainError(
             f"z must exceed the weight's domain minimum {w.domain_min}")
     with np.errstate(all="ignore"):
@@ -93,9 +93,9 @@ def _raw(w: RadialWeight, z, method):
 
 
 def _finish(w, z_in, value, what):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise EvalError(f"weight {what} is not finite for {w!r}")
-    if what == "value" and np.any(np.asarray(value) <= 0.0):
+    if what == "value" and (np.asarray(value) <= 0.0).any():
         raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
     if np.ndim(z_in) == 0:
         return float(value)

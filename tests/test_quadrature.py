@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,31 @@ def _scalar_driver(f, a, b, tol, max_panels=10_000):
         if len(heap) > max_panels:
             raise QuadratureFailure("budget")
     return total_val, total_err, len(heap)
+
+
+def _row_sums(fv, half, width, power=pow):
+    """One panel's (integral, estimate) from four 1-D dot products and
+    scalar arithmetic: the one-row reference for _panel_sums.  power is
+    the sharpening's **, replaceable to show what the tests catch."""
+    wk, wg = quadrature._WK, quadrature._WG
+    with np.errstate(all="ignore"):   # inf and overflowing rows
+        resk = half * float(wk @ fv)
+        resg = half * float(wg @ fv)
+        mean = resk / width if width != 0.0 else 0.0
+        resasc = abs(half) * float(wk @ np.abs(fv - mean))
+        resabs = abs(half) * float(wk @ np.abs(fv))
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, power(200.0 * err / resasc, 1.5))
+    err = max(err, quadrature._FLOOR * resabs)
+    if not (math.isfinite(resk) and math.isfinite(err)):
+        raise QuadratureFailure(f"panel value {resk} or estimate {err} "
+                                "is not finite")
+    return resk, err
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def gaussian_reference(a, c, lo, hi):
@@ -102,6 +128,74 @@ class TestPanels:
         assert vals[0] == 6.0
         assert errs[0] == 50.0 * np.finfo(float).eps * 6.0
 
+
+class TestBatchedSums:
+    """_panel_sums on K rows at once against _row_sums row by row, bit for
+    bit: the batched dot products must round as the per-row ones do."""
+
+    @staticmethod
+    def rows(seed=0, k=400):
+        rng = np.random.default_rng(seed)
+        # smooth rows, so the estimate is sharpened below |K15 - G7|, and
+        # noise rows, with magnitudes spread over about 1e+-20
+        smooth = np.exp(rng.uniform(0.5, 20.0, (k, 1)) * quadrature._NODES)
+        noise = rng.standard_normal((k, 15))
+        fv = np.concatenate([smooth, noise])
+        fv *= 10.0 ** rng.uniform(-20.0, 20.0, (2 * k, 1))
+        a = rng.uniform(-3.0, 3.0, 2 * k)
+        b = a + rng.uniform(-2.0, 2.0, 2 * k) * 10.0 ** rng.uniform(
+            -6.0, 0.0, 2 * k)
+        # constant rows (f - mean vanishes, so resasc is 0) and zero widths
+        fv[::7] = fv[::7, :1]
+        b[::11] = a[::11]
+        return fv, 0.5 * (b - a), b - a
+
+    @staticmethod
+    def reference(fv, half, width, power=pow):
+        return np.array([_row_sums(*args, power=power) for args
+                         in zip(fv, half.tolist(), width.tolist())]).T
+
+    # node values as the integrand returned them, in any memory layout
+    @pytest.mark.parametrize("layout", [
+        np.ascontiguousarray, np.asfortranarray,
+        lambda fv: np.repeat(fv, 2, axis=1)[:, ::2]])
+    def test_rows_equal_per_row_sums(self, layout):
+        fv, half, width = self.rows()
+        fv = layout(fv)
+        got = quadrature._panel_sums(fv, half, width)
+        want = self.reference(fv, half, width)
+        for g, w in zip(got, want):
+            assert (_bits(g) == _bits(w)).all()
+            assert not g[width == 0.0].any()
+
+    def test_sharpening_uses_python_power(self):
+        # rows whose estimate moves if the ratio is raised by np.power
+        fv, half, width = self.rows(seed=1)
+        want = self.reference(fv, half, width)
+        moved = _bits(self.reference(fv, half, width, np.power)[1]) \
+            != _bits(want[1])
+        assert moved.sum() >= 5
+        vals, errs = quadrature._panel_sums(fv[moved], half[moved],
+                                           width[moved])
+        assert (_bits(vals) == _bits(want[0][moved])).all()
+        assert (_bits(errs) == _bits(want[1][moved])).all()
+
+    # a NaN node, an inf node, and finite nodes whose sums overflow
+    BAD_ROWS = {"nan": [1.0] * 7 + [np.nan] + [1.0] * 7,
+                "inf": [1.0] * 9 + [np.inf] + [1.0] * 5,
+                "overflow": [1e308] * 15}
+
+    @pytest.mark.parametrize("first, second", [
+        ("nan", "inf"), ("inf", "nan"), ("overflow", "nan")])
+    def test_first_non_finite_row_named(self, first, second):
+        fv, half, width = (x[:20] for x in self.rows(seed=2))
+        fv[8], fv[13] = self.BAD_ROWS[first], self.BAD_ROWS[second]
+        with pytest.raises(QuadratureFailure) as want:
+            for args in zip(fv, half.tolist(), width.tolist()):
+                _row_sums(*args)
+        with pytest.raises(QuadratureFailure,
+                           match=re.escape(str(want.value))):
+            quadrature._panel_sums(fv, half, width)
 
 class TestIntegrate:
     def test_sin(self):
