@@ -9,7 +9,7 @@ endpoint angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, ForbiddenRegion, NoBracket, QuadratureFailure
 from .extremal_core import PolarPoint
@@ -38,16 +38,11 @@ class BvpProblem:
             if not math.isfinite(point.z):
                 raise DomainError(
                     f"endpoint {name} radius must be finite, got {point.z}")
+            if not point.z > 0.0:
+                raise DomainError(
+                    f"endpoint {name} radius must be positive, got {point.z}")
         if (self.a.phi, self.a.z) == (self.b.phi, self.b.z):
             raise NoBracket("endpoints must differ")
-
-
-@dataclass
-class _RecordingProblem(BvpProblem):
-    """A BvpProblem that keeps (spec, da, db) for every n it is evaluated at,
-    so solve_n reuses the pieces of its root instead of recomputing them."""
-
-    pieces: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -60,7 +55,10 @@ class BvpSolution:
 
 def _branch_angles(prob: BvpProblem, n: float, tol: float):
     """The extremal at constant n and integrate_phi(spec, z*, z, tol) at
-    both endpoint radii bit for bit, from one two-interval _increments call."""
+    both endpoint radii bit for bit, from one two-interval _increments call
+    that speculates on each piece's first bisection: about half of these
+    long pieces miss tol on their first panel, and most of those meet it
+    after one bisection."""
     spec = ExtremalSpec(prob.weight, n)
     zt = spec.z_turn
     if min(prob.a.z, prob.b.z) < zt * (1.0 - 1e-12):
@@ -69,15 +67,17 @@ def _branch_angles(prob: BvpProblem, n: float, tol: float):
     if not 1e-14 <= tol <= 1e-3:    # integrate_phi's range
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
     da, db = _signed_increments(spec, [zt, zt], [prob.a.z, prob.b.z],
-                                tol)[0].tolist()
-    if isinstance(prob, _RecordingProblem):
-        prob.pieces[n] = (spec, da, db)
+                                tol, speculate=True)[0].tolist()
     return spec, da, db
 
 
 def angular_span(n: float, prob: BvpProblem, tol: float = 1e-12) -> float:
     """Total |delta phi| between the endpoints on the extremal with constant n."""
     _, da, db = _branch_angles(prob, n, tol)
+    return _span(prob, da, db)
+
+
+def _span(prob: BvpProblem, da: float, db: float) -> float:
     return abs(da - db) if prob.same_branch else da + db
 
 
@@ -89,18 +89,21 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
     beyond that sign change is assumed.  A bracket end that puts the turning
     radius outside an endpoint radius raises NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
-    raises QuadratureFailure.  Returns the constant and the pose phi0
-    implied by the endpoint angles.
+    raises QuadratureFailure.  A negative or NaN tol raises DomainError;
+    tol 0 searches until the bracket collapses.  Returns the constant and
+    the pose phi0 implied by the endpoint angles.
     """
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be non-negative, got {tol}")
     n_lo, n_hi = float(n_bracket[0]), float(n_bracket[1])
     if not 0.0 < n_lo < n_hi:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")
     qtol = min(1e-13, max(tol / 10.0, 1e-14))
-    recorded = _RecordingProblem(prob.a, prob.b, prob.weight,
-                                 prob.same_branch)
+    pieces = {}   # (spec, da, db) per n, so the root's are not rebuilt
 
     def residual(n):
-        return angular_span(n, recorded, qtol) - target_span
+        pieces[n] = _branch_angles(prob, n, qtol)
+        return _span(prob, *pieces[n][1:]) - target_span
 
     try:
         f_lo, f_hi = residual(n_lo), residual(n_hi)
@@ -112,7 +115,7 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
             f"bracket collapsed with span residual {f_star:.3e} "
             f"still above tol {tol:.3e}")
 
-    spec, da, db = recorded.pieces[n_star]
+    spec, da, db = pieces[n_star]
     phi_a, phi_b = prob.a.phi, prob.b.phi
     if prob.same_branch:
         sgn = math.copysign(1.0, (phi_b - phi_a) * (prob.b.z - prob.a.z)) \
@@ -122,4 +125,4 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
         sgn = math.copysign(1.0, phi_b - phi_a)
         phi0 = phi_a + sgn * da
     return BvpSolution(n=n_star, phi0=phi0, z_turn=spec.z_turn,
-                       span=abs(da - db) if prob.same_branch else da + db)
+                       span=_span(prob, da, db))

@@ -14,6 +14,15 @@ row of kronrod_panels equals kronrod_panel on that panel bit for bit:
 np.vecdot takes one dot product per row, the one a single row gets (a
 matrix product accumulates in another order), and each estimate is
 sharpened with Python's float ** 1.5, which np.power does not always match.
+
+Because a row's bits do not depend on its batch, a caller whose intervals
+mostly need exactly one bisection (the BVP span pieces; a traced grid's
+short intervals almost never refine) can ask the driver to speculate:
+the first panels and both halves of every first bisection then come from
+one kronrod_panels call, and refinement takes those halves instead of
+calling the integrand again.  The result, estimate and panel count are the
+plain driver's, and so is every failure, because a speculative call that
+fails or would warn is replaced by the plain first-panel call.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import heapq
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import ExtremalError, QuadratureFailure
 
 __all__ = ["kronrod_panel", "kronrod_panels", "integrate"]
 
@@ -107,12 +116,21 @@ def kronrod_panels(f, a, b):
     return _panel_sums(fv, half, b - a)
 
 
-def _integrate(f, a, b, tol, max_panels: int = 10_000):
+def _integrate(f, a, b, tol, max_panels: int = 10_000,
+               speculate: bool = False):
     """Per-interval (integrals, summed error estimates, panels in the final
     partitions) of f over [a[k], b[k]], each to absolute error tol[k].
     Reversed limits negate the integral; equal limits give 0 with no panel,
     a NaN limit is evaluated, so the integrand sees it, and an infinite one
-    raises QuadratureFailure."""
+    raises QuadratureFailure.
+
+    With speculate, one kronrod_panels call evaluates every first panel
+    together with both halves of its first bisection, which _refine then
+    takes instead of calling f again: the same bits in fewer calls where
+    most intervals need one bisection.  If that call raises an
+    ExtremalError or a numpy floating-point warning, the plain first-panel
+    call is made instead, so every failure and warning is the plain one's.
+    """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     tol = np.broadcast_to(tol, a.shape)
     flip = b < a
@@ -121,22 +139,47 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000):
     panels = np.zeros(a.shape, dtype=int)
     todo = np.flatnonzero(a != b)
     if todo.size:
-        if np.isinf(lo[todo]).any() or np.isinf(hi[todo]).any():
+        lo_t, hi_t = lo[todo], hi[todo]
+        if np.isinf(lo_t).any() or np.isinf(hi_t).any():
             raise QuadratureFailure("integration limits must be finite")
-        vals[todo], errs[todo] = kronrod_panels(f, lo[todo], hi[todo])
+        halves = _speculative_panels(f, lo_t, hi_t) if speculate else None
+        if halves is None:
+            vals[todo], errs[todo] = kronrod_panels(f, lo_t, hi_t)
+        else:
+            (vals[todo], errs[todo]), halves = halves
         panels[todo] = 1
-        for k in todo[errs[todo] > tol[todo]].tolist():
+        for j in np.flatnonzero(errs[todo] > tol[todo]).tolist():
+            k = todo[j]
             vals[k], errs[k], panels[k] = _refine(
                 f, float(lo[k]), float(hi[k]), float(tol[k]),
-                float(vals[k]), float(errs[k]), max_panels)
+                float(vals[k]), float(errs[k]), max_panels,
+                None if halves is None else halves[j])
     return np.where(flip, -vals, vals), errs, panels
 
 
+def _speculative_panels(f, lo, hi):
+    """((first-panel integrals, estimates), per interval the halves
+    ((v1, v2), (e1, e2)) of its first bisection) from one kronrod_panels
+    call, or None if that call fails or would warn."""
+    k = len(lo)
+    mid = 0.5 * (lo + hi)     # _refine's midpoint, bit for bit
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            vals, errs = kronrod_panels(f, np.concatenate((lo, lo, mid)),
+                                        np.concatenate((hi, mid, hi)))
+    except (ExtremalError, FloatingPointError):
+        return None
+    halves = zip(vals[k:].reshape(2, k).T.tolist(),
+                 errs[k:].reshape(2, k).T.tolist())
+    return (vals[:k], errs[:k]), list(halves)
+
+
 def _refine(f, a: float, b: float, tol: float, val: float, err: float,
-            max_panels: int = 10_000):
+            max_panels: int = 10_000, halves=None):
     """(integral, summed error estimate, panels) on [a, b], a < b, from its
     already evaluated first panel (val, err), by bisection; each bisection
-    evaluates both halves in one kronrod_panels call."""
+    evaluates both halves in one kronrod_panels call, except a first
+    bisection whose halves ((v1, v2), (e1, e2)) are given."""
     total_val, total_err = val, err
     # 50*eps*|integral| summed over the panels: at most the summed floor of
     # their estimates, so once it exceeds tol no refinement can succeed
@@ -154,8 +197,11 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
                 f"panel [{lo}, {hi}] cannot be refined further "
                 f"(remaining error {total_err:.3e} > tol {tol:.3e})")
         mid = 0.5 * (lo + hi)
-        (v1, v2), (e1, e2) = (x.tolist() for x in
-                              kronrod_panels(f, [lo, mid], [mid, hi]))
+        if halves is None:
+            halves = (x.tolist() for x in
+                      kronrod_panels(f, [lo, mid], [mid, hi]))
+        (v1, v2), (e1, e2) = halves
+        halves = None
         total_val += (v1 + v2) - old_val
         total_err += (e1 + e2) - (-neg_err)
         floor += _FLOOR * (abs(v1) + abs(v2) - abs(old_val))

@@ -75,25 +75,35 @@ def turning_radius(w: RadialWeight, n: float, bracket) -> float:
     return best
 
 
-def _masked_profile(w: RadialWeight, n: float, z: np.ndarray):
-    """g(z) from the raw weight on an array, and the mask where eval_v would
+def _masked_weight(w: RadialWeight, z: np.ndarray):
+    """v(z) from the raw weight on an array, and the mask where eval_v would
     succeed: v finite and positive, z inside the weight's domain."""
     with np.errstate(all="ignore"):
         v = w._raw_v(z)
-        g = n * v * z - 1.0
-    return g, np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
+    return v, np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
+
+
+def _masked_profile(w: RadialWeight, n: float, z: np.ndarray):
+    """g(z) from the raw weight on an array, and _masked_weight's mask."""
+    v, valid = _masked_weight(w, z)
+    with np.errstate(all="ignore"):
+        return n * v * z - 1.0, valid
 
 
 def _auto_bracket(w: RadialWeight, n: float):
     """First sign change of n*v(z)*z - 1 on a geometric grid, as a bracket.
 
     Grid points where v is not finite or positive, or z is outside the
-    weight's domain, cannot end a bracket.
+    weight's domain, cannot end a bracket.  The grid, v and the mask do not
+    depend on n, so they are kept on the weight after its first scan.
     """
-    z = np.geomspace(max(max(w.domain_min, 0.0) * (1.0 + 1e-9), 1e-8),
-                     1e8, 321)
-    g, valid = _masked_profile(w, n, z)
+    if w._bracket_scan is None:
+        z = np.geomspace(max(max(w.domain_min, 0.0) * (1.0 + 1e-9), 1e-8),
+                         1e8, 321)
+        w._bracket_scan = (z, *_masked_weight(w, z))
+    z, v, valid = w._bracket_scan
     with np.errstate(all="ignore"):
+        g = n * v * z - 1.0
         change = valid[:-1] & valid[1:] & (g[:-1] * g[1:] <= 0.0)
     if not change.any():
         raise NoBracket(
@@ -242,7 +252,7 @@ def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
 
 
 def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
-                tol: float):
+                tol: float, speculate: bool = False):
     """Angle swept over every [z_a[k], z_b[k]], z_turn <= z_a <= z_b, to
     absolute error tol each.
 
@@ -251,7 +261,9 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
     handoff radius z_split adds a piece [w(z_a), w_split] to the near call
     and a piece [z_split, z_b] to the far call, each to tol/2.  Returns
     (increments, exactly rounded sum of the pieces' error estimates, panels
-    in the final partitions).
+    in the final partitions).  speculate is passed to both
+    quadrature._integrate calls: it saves integrand calls where most pieces
+    need one bisection, as the long pieces of a BVP span do.
     """
     z_split, w_split, _, _ = spec._near_setup()
     moving = z_a != z_b
@@ -263,10 +275,10 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
     w_b[near & ~far] = _w_of(spec, z_b[near & ~far])
     near_val, near_err, near_panels = quadrature._integrate(
         _near_integrand(spec), _w_of(spec, z_a[near]), w_b[near],
-        piece_tol[near])
+        piece_tol[near], speculate=speculate)
     far_val, far_err, far_panels = quadrature._integrate(
         _far_integrand(spec), np.where(near, z_split, z_a)[far], z_b[far],
-        piece_tol[far])
+        piece_tol[far], speculate=speculate)
     inc = np.zeros(len(z_a))
     inc[near] = near_val
     inc[far] += far_val
@@ -274,12 +286,13 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
             int(near_panels.sum() + far_panels.sum()))
 
 
-def _signed_increments(spec: ExtremalSpec, z_from, z_to, tol: float):
+def _signed_increments(spec: ExtremalSpec, z_from, z_to, tol: float,
+                       speculate: bool = False):
     """_increments on pairs of radii in either order: z_from[k] -> z_to[k]."""
     z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)
     up = z_to >= z_from
     inc, err, panels = _increments(spec, np.where(up, z_from, z_to),
-                                   np.where(up, z_to, z_from), tol)
+                                   np.where(up, z_to, z_from), tol, speculate)
     return np.where(up, inc, -inc), err, panels
 
 

@@ -28,6 +28,18 @@ def first_round_trip_draw():
                                                 phi0)
 
 
+def count_spans(monkeypatch):
+    """The list of n at which solve_n evaluates an angular span, filled as
+    it runs."""
+    spans = []
+
+    def counted(prob, n, tol, _f=bvp._branch_angles):
+        spans.append(n)
+        return _f(prob, n, tol)
+    monkeypatch.setattr(bvp, "_branch_angles", counted)
+    return spans
+
+
 class TestAngularSpan:
     def test_constant_weight_symmetric(self):
         prob = BvpProblem(PolarPoint(-1.0, 1.0), PolarPoint(1.0, 1.0),
@@ -125,12 +137,7 @@ class TestSolveN:
     def test_span_evaluations_per_solve(self, monkeypatch):
         # first draw of the acceptance round trip (criterion 07)
         lam, n_true, a, b = first_round_trip_draw()
-        calls = []
-
-        def counted(n, prob, tol=1e-12):
-            calls.append(n)
-            return angular_span(n, prob, tol)
-        monkeypatch.setattr(bvp, "angular_span", counted)
+        calls = count_spans(monkeypatch)
         sol = solve_n(BvpProblem(a, b, PowerLaw(lam)), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
@@ -146,7 +153,7 @@ class TestSolveN:
         lam, n_true, a, b = first_round_trip_draw()
         w = PowerLaw(lam) if weight is None \
             else parse_weight(weight.format(lam=lam))
-        passes, spans = [], []
+        passes = []
         for module in (reduced_ode, bvp):
             for name in ("eval_v", "eval_q", "eval_vq"):
                 if hasattr(module, name):
@@ -154,11 +161,7 @@ class TestSolveN:
                         passes.append(args)
                         return _f(*args)
                     monkeypatch.setattr(module, name, counted)
-
-        def counted_span(n, prob, tol=1e-12):
-            spans.append(n)
-            return angular_span(n, prob, tol)
-        monkeypatch.setattr(bvp, "angular_span", counted_span)
+        spans = count_spans(monkeypatch)
         sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
@@ -175,20 +178,69 @@ class TestSolveN:
             solve_n(BvpProblem(points["a"], points["b"], PowerLaw(1.0)),
                     1.0, (0.5, 3.0), 1e-12)
 
+    @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("bad", [-1.3, 0.0, -0.0])
+    def test_non_positive_endpoint_radius(self, which, bad):
+        points = {"a": PolarPoint(-0.5, 1.3), "b": PolarPoint(0.5, 1.3)}
+        points[which] = PolarPoint(points[which].phi, bad)
+        with pytest.raises(DomainError,
+                           match=f"^endpoint {which} radius must be "
+                                 f"positive, got {bad}$"):
+            BvpProblem(points["a"], points["b"], PowerLaw(1.0))
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_bad_tol_fails_before_any_span(self, monkeypatch, tol):
+        spans = count_spans(monkeypatch)
+        prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
+                          PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
+        with pytest.raises(DomainError,
+                           match=f"^tol must be non-negative, got {tol}$"):
+            solve_n(prob, 2.0 * math.pi / 3, (1.2, 3.5), tol)
+        assert spans == []
+
+    def test_zero_tol_runs_to_bracket_collapse(self):
+        # on the curve n z^2 cos(2 phi) = 1 of v = z
+        prob = BvpProblem(PolarPoint(-0.45, 1.3), PolarPoint(0.45, 1.3),
+                          PowerLaw(1.0))
+        sol = solve_n(prob, 0.9, (0.9, 2.2), 0.0)
+        assert sol.n == pytest.approx(1.0 / (1.3 ** 2 * math.cos(0.9)),
+                                      rel=1e-12)
+
+    @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
+    def test_one_near_integrand_call_per_span(self, monkeypatch, weight):
+        # criterion 07's first draw: each span's near pieces, first panels
+        # and first bisections together, take one integrand call (22 calls
+        # over 10 spans without the speculative first bisection)
+        lam, n_true, a, b = first_round_trip_draw()
+        w = PowerLaw(lam) if weight is None \
+            else parse_weight(weight.format(lam=lam))
+        near_calls = []
+
+        def counted_near(spec, _f=reduced_ode._near_integrand):
+            F = _f(spec)
+
+            def counted(x):
+                near_calls.append(np.shape(x))
+                return F(x)
+            return counted
+        monkeypatch.setattr(reduced_ode, "_near_integrand", counted_near)
+        spans = count_spans(monkeypatch)
+        sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
+                      (0.85 * n_true, 1.6 * n_true), 1e-12)
+        assert sol.n == pytest.approx(n_true, rel=1e-7)
+        assert len(spans) == 10
+        assert near_calls == [(6, 15)] * len(spans)
+
     def test_root_pieces_reused(self, monkeypatch):
         # first draw of criterion 07: the returned n* is one of the span
         # evaluations, so its spec and angles are not built again
         lam, n_true, a, b = first_round_trip_draw()
-        spans, specs = [], []
-
-        def counted_span(n, prob, tol=1e-12):
-            spans.append(n)
-            return angular_span(n, prob, tol)
+        specs = []
 
         def counted_spec(*args, **kwargs):
             specs.append(args)
             return ExtremalSpec(*args, **kwargs)
-        monkeypatch.setattr(bvp, "angular_span", counted_span)
+        spans = count_spans(monkeypatch)
         monkeypatch.setattr(bvp, "ExtremalSpec", counted_spec)
         sol = solve_n(BvpProblem(a, b, PowerLaw(lam)), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)

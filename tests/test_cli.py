@@ -301,6 +301,19 @@ class TestBvp:
         assert code == 0
         ET.fromstring(out)
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--endpoints=-0.5,1.3,0.5,-1.3"],
+         "DomainError: endpoint b radius must be positive, got -1.3\n"),
+        (["--endpoints=-0.5,0,0.5,1.3"],
+         "DomainError: endpoint a radius must be positive, got 0.0\n"),
+        (["--endpoints=-0.5,1.3,0.5,1.3", "--tol=-1"],
+         "DomainError: tol must be non-negative, got -1.0\n"),
+    ])
+    def test_bad_radius_or_tol_fails_fast(self, capsys, extra, message):
+        code, out, err = run(capsys, "bvp", "--lambda", "1", *extra,
+                             "--n-bracket", "0.9:1.5")
+        assert (code, out, err) == (1, "", message)
+
 
 class TestOutputErrors:
     def test_missing_directory_exits_2(self, capsys, tmp_path):

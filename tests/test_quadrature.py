@@ -298,6 +298,54 @@ class TestIntegrate:
         with pytest.raises(QuadratureFailure, match="not finite"):
             integrate(f, 0.0, 1.0, 1e-10)
 
+    def test_speculative_equals_plain(self):
+        # the cases of test_array_call_equals_scalar_driver: first panels
+        # that meet tol, and panels that need one or many bisections
+        f = lambda x: np.exp(-1e3 * (x - 0.3) ** 2) + np.sin(x)  # noqa: E731
+        a = [0.0, 1.0, 0.5, 0.3, 0.31, -1.0, 2.0, 0.25, 0.0]
+        b = [1.0, 0.0, 0.5, 0.31, 0.3, 2.0, 0.0, 0.35, 0.6]
+        tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8, 1e-8]
+        calls = {False: [], True: []}
+        got = {}
+        for speculate in calls:
+            def counted(x, _calls=calls[speculate]):
+                _calls.append(np.shape(x))
+                return f(x)
+            got[speculate] = [x.tolist() for x in quadrature._integrate(
+                counted, a, b, tol, speculate=speculate)]
+        assert got[True] == got[False]
+        assert calls[True][0] == (3 * 8, 15)
+        assert len(calls[True]) == len(calls[False]) - \
+            sum(p > 1 for p in got[False][2])
+
+    # NaN between the nodes of [0, 1], on the midpoint node 0.25 of [0, 0.5]
+    @staticmethod
+    def _strip(f):
+        return lambda x: np.where(abs(x - 0.25) < 1e-3, np.nan, f(x))
+
+    def test_speculative_nan_half_first_panel_meets_tol(self):
+        f = self._strip(lambda x: 1.0 + x)
+        plain = quadrature._integrate(f, [0.0], [1.0], 1e-10)
+        spec = quadrature._integrate(f, [0.0], [1.0], 1e-10, speculate=True)
+        assert [x.tolist() for x in spec] == [x.tolist() for x in plain]
+        assert plain[2].tolist() == [1]
+
+    def test_speculative_nan_half_on_refinement_fails(self):
+        f = self._strip(lambda x: np.exp(-1e3 * (x - 0.3) ** 2))
+        with pytest.raises(QuadratureFailure, match="not finite") as plain:
+            quadrature._integrate(f, [0.0], [1.0], 1e-10)
+        with pytest.raises(QuadratureFailure,
+                           match=f"^{re.escape(str(plain.value))}$"):
+            quadrature._integrate(f, [0.0], [1.0], 1e-10, speculate=True)
+
+    def test_speculative_warning_left_to_plain_call(self):
+        # log(0) at the half's midpoint node would warn (an error here);
+        # the plain call that replaces the speculative one never samples it
+        f = lambda x: 1.0 + x + 0.0 * np.log(abs(x - 0.25))  # noqa: E731
+        spec = quadrature._integrate(f, [0.0], [1.0], 1e-10, speculate=True)
+        assert [x.tolist() for x in spec] == \
+            [[x] for x in kronrod_panel(f, 0.0, 1.0)] + [[1]]
+
     def test_panel_budget_exhaustion(self):
         with pytest.raises(QuadratureFailure):
             integrate(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),

@@ -127,6 +127,23 @@ class TestAutoBracket:
             reduced_ode._auto_bracket(w, 1.0)
 
 
+    def test_scan_kept_on_the_weight(self, monkeypatch):
+        # one raw pass over the grid per weight; each n's bracket is still
+        # the scalar scan's
+        w = parse_weight("1/(1+z^2)")
+        passes = []
+        raw = w._raw_v
+
+        def counted(z):
+            passes.append(np.shape(z))
+            return raw(z)
+        monkeypatch.setattr(w, "_raw_v", counted)
+        for n in (3.0, 2.2, 5.0, 3.0):
+            assert reduced_ode._auto_bracket(w, n) == _scalar_scan(w, n)
+        assert passes.count((321,)) == 1
+        assert parse_weight("1/(1+z^2)")._bracket_scan is None
+
+
 def _doubling_near_setup(spec):
     """The handoff as a point-by-point doubling scan, for reference."""
     w, n, zt = spec.weight, spec.n, spec.z_turn
@@ -373,6 +390,49 @@ class TestIntegratePhi:
                 ref = mpmath.quad(dphi, [z_turn, z])
                 got = integrate_phi(spec, spec.z_turn, z, 1e-12)
                 assert abs(got - ref) <= 1e-10 * ref
+
+
+class TestSpeculativeIncrements:
+    """Speculating on the first bisection changes no bit of the increments,
+    their summed estimate or the panel count."""
+
+    @pytest.mark.parametrize("weight, n", [
+        (PowerLaw(0.0), 2.0), (PowerLaw(1.3), 1.1), (PowerLaw(2.08), 0.9),
+        (parse_weight("2.5*z^1.3"), 1.1), (parse_weight("1/(1+z^2)"), 3.0),
+        (parse_weight("sqrt(2-z^2)"), 1.5)])
+    def test_equals_plain(self, weight, n, monkeypatch):
+        spec = ExtremalSpec(weight, n)
+        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        z_top = 1.3 if weight.text() == "sqrt(2-z^2)" else 3.0 * z_split
+        # span-like pieces from z*, pieces inside one region, and a piece
+        # across the handoff radius
+        z_a = np.array([zt, zt, zt, zt, zt * (1.0 + 1e-3), z_split, zt])
+        z_b = np.array([zt * (1.0 + 1e-6), 0.5 * (zt + z_split), z_split,
+                        z_top, 0.9 * z_split + 0.1 * zt, z_top,
+                        0.5 * (z_split + z_top)])
+        refines = []
+        core = reduced_ode.quadrature._refine
+
+        def counted(*args):
+            refines.append(args[1:3])
+            return core(*args)
+        monkeypatch.setattr(reduced_ode.quadrature, "_refine", counted)
+        for tol in (1e-10, 1e-12, 1e-13):
+            plain = reduced_ode._increments(spec, z_a, z_b, tol)
+            spec_inc = reduced_ode._increments(spec, z_a, z_b, tol,
+                                               speculate=True)
+            assert spec_inc[0].tolist() == plain[0].tolist()
+            assert spec_inc[1:] == plain[1:]
+        assert refines
+
+    def test_signed_increments_pass_speculate(self):
+        spec = ExtremalSpec(parse_weight("sqrt(1+z^3)"), 1.2)
+        z_from, z_to = [spec.z_turn, 2.0, 0.75], [0.75, spec.z_turn, 2.0]
+        plain = reduced_ode._signed_increments(spec, z_from, z_to, 1e-13)
+        got = reduced_ode._signed_increments(spec, z_from, z_to, 1e-13,
+                                             speculate=True)
+        assert got[0].tolist() == plain[0].tolist()
+        assert got[1:] == plain[1:]
 
 
 class TestLuneburgLens:
