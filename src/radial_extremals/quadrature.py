@@ -21,8 +21,9 @@ short intervals almost never refine) can ask the driver to speculate:
 the first panels and both halves of every first bisection then come from
 one kronrod_panels call, and refinement takes those halves instead of
 calling the integrand again.  The result, estimate and panel count are the
-plain driver's, and so is every failure, because a speculative call that
-fails or would warn is replaced by the plain first-panel call.
+plain driver's, and so is every failure: a speculative call that raises an
+ExtremalError or would give a numpy floating-point warning is replaced by
+the plain first-panel call.
 """
 
 from __future__ import annotations
@@ -122,15 +123,8 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000,
     partitions) of f over [a[k], b[k]], each to absolute error tol[k].
     Reversed limits negate the integral; equal limits give 0 with no panel,
     a NaN limit is evaluated, so the integrand sees it, and an infinite one
-    raises QuadratureFailure.
-
-    With speculate, one kronrod_panels call evaluates every first panel
-    together with both halves of its first bisection, which _refine then
-    takes instead of calling f again: the same bits in fewer calls where
-    most intervals need one bisection.  If that call raises an
-    ExtremalError or a numpy floating-point warning, the plain first-panel
-    call is made instead, so every failure and warning is the plain one's.
-    """
+    raises QuadratureFailure.  speculate evaluates the halves of every
+    first bisection with the first panels (see the module notes)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     tol = np.broadcast_to(tol, a.shape)
     flip = b < a
@@ -142,23 +136,23 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000,
         lo_t, hi_t = lo[todo], hi[todo]
         if np.isinf(lo_t).any() or np.isinf(hi_t).any():
             raise QuadratureFailure("integration limits must be finite")
-        halves = _speculative_panels(f, lo_t, hi_t) if speculate else None
-        if halves is None:
+        first = _speculative_panels(f, lo_t, hi_t) if speculate else None
+        if first is None:
             vals[todo], errs[todo] = kronrod_panels(f, lo_t, hi_t)
+            halves = [None] * todo.size
         else:
-            (vals[todo], errs[todo]), halves = halves
+            vals[todo], errs[todo], halves = first
         panels[todo] = 1
         for j in np.flatnonzero(errs[todo] > tol[todo]).tolist():
             k = todo[j]
             vals[k], errs[k], panels[k] = _refine(
                 f, float(lo[k]), float(hi[k]), float(tol[k]),
-                float(vals[k]), float(errs[k]), max_panels,
-                None if halves is None else halves[j])
+                float(vals[k]), float(errs[k]), max_panels, halves[j])
     return np.where(flip, -vals, vals), errs, panels
 
 
 def _speculative_panels(f, lo, hi):
-    """((first-panel integrals, estimates), per interval the halves
+    """(first-panel integrals, their estimates, per interval the halves
     ((v1, v2), (e1, e2)) of its first bisection) from one kronrod_panels
     call, or None if that call fails or would warn."""
     k = len(lo)
@@ -171,7 +165,7 @@ def _speculative_panels(f, lo, hi):
         return None
     halves = zip(vals[k:].reshape(2, k).T.tolist(),
                  errs[k:].reshape(2, k).T.tolist())
-    return (vals[:k], errs[:k]), list(halves)
+    return vals[:k], errs[:k], list(halves)
 
 
 def _refine(f, a: float, b: float, tol: float, val: float, err: float,
