@@ -47,9 +47,10 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
     traced out to z_max; a row passes when value cmp limit holds, with cmp
     '<=' or '>='.  Power-law weights also get the closed-form gates, and
     v = 1/z gets the logarithmic-spiral gates instead of a trace.
-    "Quadrature vs closed form" takes its 14 angles from one
+    "Quadrature vs closed form" takes its 14 angles from one speculative
     _signed_increments call, each equal to integrate_phi(spec, z*, z, 1e-12)
-    bit for bit, since every interval is refined on its own.
+    bit for bit, since every interval is refined on its own and the
+    speculative first bisection gives the plain driver's halves.
     """
     lam = w.lam if isinstance(w, PowerLaw) else None
     if lam == -1.0:
@@ -84,7 +85,8 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
         k = lam + 1.0
         psis = np.linspace(0.0, 1.4, 15)[1:]
         z_psi = [(n * math.cos(psi)) ** (-1.0 / k) for psi in psis.tolist()]
-        got = _signed_increments(spec, [spec.z_turn] * 14, z_psi, 1e-12)[0]
+        got = _signed_increments(spec, [spec.z_turn] * 14, z_psi, 1e-12,
+                                 speculate=True)[0]
         worst = max([0.0, *np.abs(got - psis / k).tolist()])
         rows.append(("quadrature vs closed form", worst, 1e-10, "<="))
 

@@ -173,23 +173,57 @@ def _emit(args, text: str) -> int:
     return 0
 
 
+def _spell(values, spell) -> list:
+    """Words for the flattened float values, as spell would give them one
+    by one, with spell called once on each distinct magnitude.
+
+    spell maps a list of non-negative floats to their words.  A value with
+    its sign bit set gets '-' and its magnitude's word, except a NaN, which
+    every spelling used here writes without a sign.  The mirrored branches
+    of a trace share their radii and repeat phi and x with the opposite
+    sign, so a 400-sample trace has about 1,600 distinct magnitudes in
+    about 4,000 values.  The distinct magnitudes are found as a set of bit
+    patterns, not by np.unique, which costs more memory on its first call.
+    """
+    x = np.ravel(np.asarray(values, dtype=float))
+    keys = np.abs(x).view(np.int64).tolist()
+    distinct = list(set(keys))
+    words = dict(zip(distinct, spell(
+        np.array(distinct, dtype=np.int64).view(float).tolist())))
+    out = list(map(words.__getitem__, keys))
+    for i in np.flatnonzero(np.signbit(x) & ~np.isnan(x)).tolist():
+        out[i] = "-" + out[i]
+    return out
+
+
+def _g17_spelling(values: list) -> list:
+    """A spell for _spell: each value as format(value, ".17g")."""
+    return (("%.17g " * len(values)) % tuple(values)).split()
+
+
+def _json_spelling(values: list) -> list:
+    """A spell for _spell: each value as the C json encoder writes it."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
 def _csv(header: str, rows) -> str:
     """Angle note, header and one line per row, each value written as
-    format(value, ".17g") by one %-template for the whole table."""
+    format(value, ".17g"), spelt by _spell and set by one %-template for
+    the whole table."""
     table = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    body = (line * len(table)) % tuple(table.ravel().tolist())
+    line = ",".join(["%s"] * table.shape[1]) + "\n"
+    body = (line * len(table)) % tuple(_spell(table, _g17_spelling))
     return f"# {_ANGLE_NOTE}\n{header}\n{body}"
 
 
 def _json_with_samples(doc: dict, keys, rows) -> str:
     """The bytes of json.dumps(doc, indent=2) with doc["samples"] (empty in
-    doc) holding one {key: value} object per row, each object written by
-    one %-template from the values as json spells them."""
+    doc) holding one {key: value} object per row, each object set by one
+    %-template from the values as json spells them, spelt by _spell."""
     text = json.dumps(doc, indent=2)
     if len(rows) == 0:
         return text
-    values = json.dumps(np.ravel(rows).tolist())[1:-1].split(", ")
+    values = _spell(rows, _json_spelling)
     record = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in keys)
               + "\n    }")
     body = ",\n".join([record] * len(rows)) % tuple(values)
@@ -197,7 +231,10 @@ def _json_with_samples(doc: dict, keys, rows) -> str:
 
 
 def _svg(paths, z_turn: float | None) -> str:
-    """Standalone SVG: one path per branch, pole marker, turning circle."""
+    """Standalone SVG: one path per branch, pole marker, turning circle.
+    Path coordinates are written per value by one "%.8g" template per path,
+    not through _spell: an 8-digit spelling costs less than finding the
+    distinct magnitudes does."""
     pts = np.vstack(paths)
     xs, ys = pts[:, 0], -pts[:, 1]
     x0, x1 = float(xs.min()), float(xs.max())

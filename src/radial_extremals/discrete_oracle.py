@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainError, DomainViolation, EvalError,
                      NonPositiveWeight, StalledDescent)
-from .weights import RadialWeight, eval_q, eval_v
+from .weights import RadialWeight, eval_v, eval_vq
 
 __all__ = ["Polyline", "functional_value", "gradient", "minimize"]
 
@@ -68,8 +68,7 @@ def gradient(pl: Polyline, w: RadialWeight) -> np.ndarray:
 
 def _gradient(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
     delta, length, mid, z_mid = _segment_data(verts)
-    v = eval_v(w, z_mid)
-    q = eval_q(w, z_mid)
+    v, q = eval_vq(w, z_mid)
     unit = delta / length[:, None]
     # each segment j contributes q*(mid/z)*L/2 to both ends and +-v*unit
     w_part = (0.5 * q * length / z_mid)[:, None] * mid
@@ -88,9 +87,11 @@ def _hessian(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
     """
     delta, length, mid, z_mid = _segment_data(verts)
     h = 1e-5 * (z_mid - w.domain_min)
-    v = eval_v(w, z_mid)
-    q, q_up, q_down = eval_q(w, np.concatenate(
-        [z_mid, z_mid + h, z_mid - h])).reshape(3, -1)
+    # minimize has checked v at z_mid through the gradient, so one pass
+    # over all three point sets raises what eval_v and then eval_q did
+    v, q = eval_vq(w, np.concatenate([z_mid, z_mid + h, z_mid - h]))
+    v = v[:len(z_mid)]
+    q, q_up, q_down = q.reshape(3, -1)
     v2 = (q_up - q_down) / (2.0 * h)
     m_hat = mid / z_mid[:, None]
     e_hat = delta / length[:, None]

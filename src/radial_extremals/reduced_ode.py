@@ -214,8 +214,8 @@ class ExtremalSpec:
         lo, hi = self.z_turn, z_hi + (z_hi - self.z_turn)
         for _ in range(5):
             g, gp = _profile_and_slope(self.weight, self.n, zeta)
-            new = np.clip(zeta - (g - target) / gp, lo, hi)
-            if np.array_equal(new, zeta):
+            new = np.minimum(np.maximum(zeta - (g - target) / gp, lo), hi)
+            if (new == zeta).all():
                 return zeta, gp
             zeta = new
         return zeta, _profile_and_slope(self.weight, self.n, zeta)[1]

@@ -90,6 +90,10 @@ def test_closed_form_row_is_one_call_per_angle(weight):
     separate = [integrate_phi(spec, spec.z_turn, z, 1e-12) for z in zs]
     batched = _signed_increments(spec, [spec.z_turn] * 14, zs, 1e-12)[0]
     assert batched.tolist() == separate
+    # gates speculates; the first bisection it saves keeps every bit
+    speculative = _signed_increments(spec, [spec.z_turn] * 14, zs, 1e-12,
+                                     speculate=True)[0]
+    assert speculative.tobytes() == batched.tobytes()
     worst = 0.0
     for psi, got in zip(psis, separate):
         worst = max(worst, abs(got - psi / k))

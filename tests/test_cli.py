@@ -7,6 +7,8 @@ import pytest
 
 from radial_extremals import cli
 from radial_extremals.cli import main
+from radial_extremals.reduced_ode import ExtremalSpec, trace_extremal
+from radial_extremals.weights import PowerLaw
 
 
 def run(capsys, *argv):
@@ -410,7 +412,8 @@ def _reference_path_d(path):
                              for x, y in path)
 
 
-_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324, 1e300]
+_SPECIAL = [math.nan, float(np.copysign(math.nan, -1.0)), math.inf,
+            -math.inf, -0.0, 0.0, 1.0, 5e-324, -5e-324, 1e300]
 
 
 def _table(columns, finite=False):
@@ -463,3 +466,64 @@ class TestWriters:
         for path in paths:
             assert f'<path d="{_reference_path_d(path)}" ' in svg
         assert svg.count("<path ") == 2
+
+
+def _mirrored_trace_rows():
+    trace = trace_extremal(ExtremalSpec(PowerLaw(1.3), 1.1), 2.5, 400)
+    return np.column_stack((trace.phi, trace.z, trace.x, trace.y,
+                            trace.clairaut_deviation))
+
+
+# one word per value, each spelt on its own
+_PER_VALUE = {"%.17g": lambda v: format(v, ".17g"), "json": json.dumps}
+
+
+def _speller(name):
+    return cli._json_spelling if name == "json" else cli._g17_spelling
+
+
+class TestSpell:
+    def values(self):
+        """Special values, a trace's mirrored and repeated values, and the
+        same values again with the opposite sign."""
+        head = np.concatenate((_SPECIAL, _mirrored_trace_rows().ravel()))
+        return np.concatenate((head, -head, head[::-1]))
+
+    @pytest.mark.parametrize("name", sorted(_PER_VALUE))
+    def test_matches_per_value_spelling(self, name):
+        values = self.values()
+        want = [_PER_VALUE[name](v) for v in values.tolist()]
+        assert cli._spell(values, _speller(name)) == want
+        assert cli._spell(values.reshape(3, -1), _speller(name)) == want
+
+    @pytest.mark.parametrize("name", sorted(_PER_VALUE))
+    def test_each_distinct_magnitude_spelt_once(self, name):
+        values = self.values()
+        seen = []
+
+        def counted(mags):
+            seen.append(list(mags))
+            return _speller(name)(mags)
+        cli._spell(values, counted)
+        assert len(seen) == 1
+        bits = np.array(seen[0]).view(np.int64)
+        assert (bits >= 0).all()   # no sign bit
+        assert len(set(bits.tolist())) == len(bits)
+        assert set(bits.tolist()) == \
+            set(np.abs(values).view(np.int64).tolist())
+
+    @pytest.mark.parametrize("name", sorted(_PER_VALUE))
+    def test_empty(self, name):
+        # json.dumps([]) splits into one empty word
+        assert cli._spell([], _speller(name)) == []
+        assert cli._spell(np.empty((0, 5)), _speller(name)) == []
+
+    def test_writers_match_reference_on_a_mirrored_trace(self):
+        rows = _mirrored_trace_rows()
+        header = "phi,z,x,y,clairaut_dev"
+        assert cli._csv(header, rows) == _reference_csv(header,
+                                                        rows.tolist())
+        doc = {"spec": {"n": 1.1}, "samples": []}
+        keys = TestWriters.KEYS
+        assert cli._json_with_samples(doc, keys, rows) == \
+            _reference_json(doc, keys, rows.tolist())

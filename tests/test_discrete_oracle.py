@@ -5,7 +5,7 @@ import pytest
 
 from radial_extremals import (DomainError, DomainViolation, ExpressionWeight,
                               PowerLaw, PowerLawCurve, Polyline,
-                              StalledDescent, discrete_oracle, eval_q, eval_v,
+                              StalledDescent, discrete_oracle, eval_v, eval_vq,
                               functional_value, gradient, minimize,
                               parse_weight, power_law_point)
 from radial_extremals.expressions import parse_expression
@@ -156,11 +156,11 @@ class TestMinimize:
         # gradient evaluations here
         calls = []
 
-        def counting_eval_q(w, z):
+        def counting_eval_vq(w, z):
             calls.append(z)
-            return eval_q(w, z)
+            return eval_vq(w, z)
 
-        monkeypatch.setattr(discrete_oracle, "eval_q", counting_eval_q)
+        monkeypatch.setattr(discrete_oracle, "eval_vq", counting_eval_vq)
         w = PowerLaw(1.0)
         pl = closed_form_polyline(1.0, 1.0, -1.0, 1.0, 2)
         a, b = pl.vertices
