@@ -474,12 +474,9 @@ def _mirrored_trace_rows():
                             trace.clairaut_deviation))
 
 
-# one word per value, each spelt on its own
-_PER_VALUE = {"%.17g": lambda v: format(v, ".17g"), "json": json.dumps}
-
-
-def _speller(name):
-    return cli._json_spelling if name == "json" else cli._g17_spelling
+# (spell for _spell, the same spelling of one value on its own)
+_SPELLINGS = {"%.17g": (cli._g17_spelling, lambda v: format(v, ".17g")),
+              "json": (cli._json_spelling, json.dumps)}
 
 
 class TestSpell:
@@ -489,21 +486,23 @@ class TestSpell:
         head = np.concatenate((_SPECIAL, _mirrored_trace_rows().ravel()))
         return np.concatenate((head, -head, head[::-1]))
 
-    @pytest.mark.parametrize("name", sorted(_PER_VALUE))
+    @pytest.mark.parametrize("name", sorted(_SPELLINGS))
     def test_matches_per_value_spelling(self, name):
+        spell, one = _SPELLINGS[name]
         values = self.values()
-        want = [_PER_VALUE[name](v) for v in values.tolist()]
-        assert cli._spell(values, _speller(name)) == want
-        assert cli._spell(values.reshape(3, -1), _speller(name)) == want
+        want = [one(v) for v in values.tolist()]
+        assert cli._spell(values, spell) == want
+        assert cli._spell(values.reshape(3, -1), spell) == want
 
-    @pytest.mark.parametrize("name", sorted(_PER_VALUE))
+    @pytest.mark.parametrize("name", sorted(_SPELLINGS))
     def test_each_distinct_magnitude_spelt_once(self, name):
+        spell = _SPELLINGS[name][0]
         values = self.values()
         seen = []
 
         def counted(mags):
             seen.append(list(mags))
-            return _speller(name)(mags)
+            return spell(mags)
         cli._spell(values, counted)
         assert len(seen) == 1
         bits = np.array(seen[0]).view(np.int64)
@@ -512,11 +511,12 @@ class TestSpell:
         assert set(bits.tolist()) == \
             set(np.abs(values).view(np.int64).tolist())
 
-    @pytest.mark.parametrize("name", sorted(_PER_VALUE))
+    @pytest.mark.parametrize("name", sorted(_SPELLINGS))
     def test_empty(self, name):
         # json.dumps([]) splits into one empty word
-        assert cli._spell([], _speller(name)) == []
-        assert cli._spell(np.empty((0, 5)), _speller(name)) == []
+        spell = _SPELLINGS[name][0]
+        assert cli._spell([], spell) == []
+        assert cli._spell(np.empty((0, 5)), spell) == []
 
     def test_writers_match_reference_on_a_mirrored_trace(self):
         rows = _mirrored_trace_rows()
