@@ -27,7 +27,8 @@ from .weights import PowerLaw, parse_weight
 
 _ANGLE_NOTE = ("angles use tan(phi) = x/y, measured from the +y axis; "
                "conventional polar angle: theta_std = pi/2 - phi")
-_LEAST = {"samples": 3, "segments": 1, "iters": 0}   # smallest valid counts
+# smallest valid counts, and the smallest tolerance a run can meet
+_LEAST = {"samples": 3, "segments": 1, "iters": 0, "grad_tol": 0}
 
 
 class _UsageError(Exception):
@@ -376,10 +377,11 @@ def run(argv=None) -> int:
     """Execute one invocation; returns the process exit code.
 
     0 on success with the artifact written, 2 on usage errors (bad flags,
-    bad counts, a malformed weight expression, or an --out path that cannot
-    be written), 1 on numerical failure with the error name and context on
-    the error stream.  Never raises on bad input.  The argument parser is
-    built on the first call and reused by later calls in the process.
+    bad counts, a tolerance no run can meet, a malformed weight expression,
+    or an --out path that cannot be written), 1 on numerical failure with
+    the error name and context on the error stream.  Never raises on bad
+    input.  The argument parser is built on the first call and reused by
+    later calls in the process.
     """
     try:
         args = _build_parser().parse_args(argv)
@@ -388,7 +390,14 @@ def run(argv=None) -> int:
     try:
         for name, least in _LEAST.items():
             if getattr(args, name, least) < least:
-                raise _UsageError(f"--{name} must be at least {least}")
+                raise _UsageError(
+                    f"--{name.replace('_', '-')} must be at least {least}")
+        # --tol where it is used: bvp searches to bracket collapse at 0,
+        # while a traced curve (trace --zmax, check) needs tol > 0
+        if args.subcommand == "bvp" and args.tol < 0:
+            raise _UsageError("--tol must be at least 0")
+        if getattr(args, "zmax", None) is not None and not args.tol > 0:
+            raise _UsageError("--tol must be positive")
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,29 +1,31 @@
 """Adaptive quadrature on a nested 7/15-point Gauss-Kronrod rule.
 
 One driver integrates many intervals at once, each to its own absolute
-tolerance.  All first panels are evaluated in one kronrod_panels call; a
-panel whose estimate misses its tolerance is refined from that panel, by
-bisecting whichever panel carries the largest error estimate until the
-summed estimate meets the tolerance, with a hard budget on the number of
-panels.  A panel's estimate is never below its round-off floor
-50*eps*integral(|f|), so refinement gives up as soon as the summed floor of
-its partition exceeds the tolerance.  Integrands receive the (K, 15) array
-of the nodes of K panels and must return values of the same shape.  The
-weighted sums and estimates of all K panels are computed together, yet each
-row of kronrod_panels equals kronrod_panel on that panel bit for bit:
-np.vecdot takes one dot product per row, the one a single row gets (a
-matrix product accumulates in another order), and each estimate is
-sharpened with Python's float ** 1.5, which np.power does not always match.
+tolerance and, given runs of intervals, each run with its own integrand.
+All first panels are evaluated in one kronrod_panels call; a panel whose
+estimate misses its tolerance is refined from that panel, by bisecting
+whichever panel carries the largest error estimate until the summed
+estimate meets the tolerance, with a hard budget on the number of panels.
+A panel's estimate is never below its round-off floor 50*eps*integral(|f|),
+so refinement gives up as soon as the summed floor of its partition exceeds
+the tolerance.  Integrands receive the (K, 15) array of the nodes of K
+panels and must return values of the same shape.
 
-Because a row's bits do not depend on its batch, a caller whose intervals
+The sums and estimates of all K panels are computed together, yet a row's
+bits do not depend on its batch: np.vecdot takes one dot product per row,
+the one a single row gets (a matrix product accumulates in another order),
+and each estimate is sharpened with Python's float ** 1.5, which np.power
+does not always match.  So where each node's value depends on that node
+alone (as in reduced_ode), runs of several integrands share the first call,
+each integrand called once on its own rows, and a caller whose intervals
 mostly need exactly one bisection (the BVP span pieces; a traced grid's
-short intervals almost never refine) can ask the driver to speculate:
-the first panels and both halves of every first bisection then come from
-one kronrod_panels call, and refinement takes those halves instead of
-calling the integrand again.  The result, estimate and panel count are the
-plain driver's, and so is every failure: a speculative call that raises an
+short intervals almost never refine) can ask the driver to speculate: both
+halves of every first bisection then come from that same call, and
+refinement takes them instead of calling the integrand again.  Results,
+estimates and panel counts are those of one plain call per run, in order,
+and so is every failure: a shared or speculative first call that raises an
 ExtremalError or would give a numpy floating-point warning is replaced by
-the plain first-panel call.
+those plain calls.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import ExtremalError, QuadratureFailure
 
-__all__ = ["kronrod_panel", "kronrod_panels", "integrate"]
+__all__ = ["kronrod_panels"]
 
 # 15-point Kronrod abscissae (positive half, descending) and weights,
 # with the embedded 7-point Gauss weights on the shared nodes.
@@ -87,27 +89,14 @@ def _panel_sums(fv: np.ndarray, half: np.ndarray, width: np.ndarray):
     return resk, err
 
 
-def kronrod_panel(f, a: float, b: float):
-    """One 15-point Kronrod evaluation of f on [a, b].
-
-    Returns (integral, error_estimate) where the estimate follows the usual
-    practice of sharpening |K15 - G7| against the integrand's variation;
-    raises QuadratureFailure if either is not finite.
-    """
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    fv = np.asarray(f(center + half * _NODES), dtype=float)
-    val, err = _panel_sums(fv[None], np.array([half]), np.array([b - a]))
-    return val.item(), err.item()
-
-
 def kronrod_panels(f, a, b):
-    """kronrod_panel on the panels [a[k], b[k]], with one call of f.
+    """(integrals, error estimates) of the 15-point Kronrod panels of f on
+    [a[k], b[k]], with one call of f.
 
-    f receives the (K, 15) array of all panels' nodes.  Returns arrays
-    (integrals, error_estimates); row k equals kronrod_panel(f, a[k], b[k])
-    bit for bit, because np.vecdot sums each row by its own dot product and
-    each row's ratio is sharpened by Python's ** 1.5 (see the module notes).
+    f receives the (K, 15) array of all panels' nodes.  Each estimate is
+    |K15 - G7| sharpened against the integrand's variation, as is usual;
+    row k's bits do not depend on the other rows (see the module notes).
+    Raises QuadratureFailure if a value or an estimate is not finite.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -121,12 +110,16 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000,
                speculate: bool = False):
     """Per-interval (integrals, summed error estimates, panels in the final
     partitions) of f over [a[k], b[k]], each to absolute error tol[k].
-    Reversed limits negate the integral; equal limits give 0 with no panel,
-    a NaN limit is evaluated, so the integrand sees it, and an infinite one
+    f is one integrand, or a list of (integrand, count) runs: the first
+    count intervals take the first integrand, the next run the next, and
+    so on; the result is that of one call per run, in order.  Reversed
+    limits negate the integral; equal limits give 0 with no panel, a NaN
+    limit is evaluated, so the integrand sees it, and an infinite one
     raises QuadratureFailure.  speculate evaluates the halves of every
     first bisection with the first panels (see the module notes)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     tol = np.broadcast_to(tol, a.shape)
+    runs = f if isinstance(f, list) else [(f, a.size)]
     flip = b < a
     lo, hi = np.where(flip, b, a), np.where(flip, a, b)
     vals, errs = np.zeros(a.shape), np.zeros(a.shape)
@@ -134,38 +127,73 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000,
     todo = np.flatnonzero(a != b)
     if todo.size:
         lo_t, hi_t = lo[todo], hi[todo]
-        if np.isinf(lo_t).any() or np.isinf(hi_t).any():
-            raise QuadratureFailure("integration limits must be finite")
-        first = _speculative_panels(f, lo_t, hi_t) if speculate else None
+        finite = not (np.isinf(lo_t).any() or np.isinf(hi_t).any())
+        fs = [g for g, _ in runs]
+        owner = np.searchsorted(np.cumsum([n for _, n in runs]), todo,
+                                side="right")    # index into fs
+        first = None
+        if finite and (speculate or len(runs) > 1):
+            first = _first_panels(fs, owner, lo_t, hi_t, speculate)
+        if first is None and len(runs) > 1:
+            # one call per run, so failures come in the runs' order
+            parts, start = [], 0
+            for g, count in runs:
+                run = slice(start, start + count)
+                parts.append(_integrate(g, a[run], b[run], tol[run],
+                                        max_panels, speculate))
+                start += count
+            return tuple(np.concatenate(x) for x in zip(*parts))
         if first is None:
-            vals[todo], errs[todo] = kronrod_panels(f, lo_t, hi_t)
-            halves = [None] * todo.size
-        else:
-            vals[todo], errs[todo], halves = first
+            if not finite:
+                raise QuadratureFailure("integration limits must be finite")
+            first = (*kronrod_panels(fs[0], lo_t, hi_t), [None] * todo.size)
+        vals[todo], errs[todo], halves = first
         panels[todo] = 1
         for j in np.flatnonzero(errs[todo] > tol[todo]).tolist():
             k = todo[j]
             vals[k], errs[k], panels[k] = _refine(
-                f, float(lo[k]), float(hi[k]), float(tol[k]),
+                fs[owner[j]], float(lo[k]), float(hi[k]), float(tol[k]),
                 float(vals[k]), float(errs[k]), max_panels, halves[j])
     return np.where(flip, -vals, vals), errs, panels
 
 
-def _speculative_panels(f, lo, hi):
+def _first_panels(fs, owner, lo, hi, speculate: bool):
     """(first-panel integrals, their estimates, per interval the halves
-    ((v1, v2), (e1, e2)) of its first bisection) from one kronrod_panels
-    call, or None if that call fails or would warn."""
+    ((v1, v2), (e1, e2)) of its first bisection, or None each unless
+    speculate) of the intervals [lo[k], hi[k]] with integrands
+    fs[owner[k]], from one kronrod_panels call, or None if that call fails
+    or would warn."""
     k = len(lo)
-    mid = 0.5 * (lo + hi)     # _refine's midpoint, bit for bit
+    if speculate:
+        mid = 0.5 * (lo + hi)     # _refine's midpoint, bit for bit
+        lo, hi = np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))
+        owner = np.tile(owner, 3)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            vals, errs = kronrod_panels(f, np.concatenate((lo, lo, mid)),
-                                        np.concatenate((hi, mid, hi)))
+            vals, errs = kronrod_panels(_by_row(fs, owner), lo, hi)
     except (ExtremalError, FloatingPointError):
         return None
+    if not speculate:
+        return vals, errs, [None] * k
     halves = zip(vals[k:].reshape(2, k).T.tolist(),
                  errs[k:].reshape(2, k).T.tolist())
     return vals[:k], errs[:k], list(halves)
+
+
+def _by_row(fs, owner):
+    """The integrand whose node row r is evaluated by fs[owner[r]]: each of
+    fs is called once, on its own rows, in the order of fs."""
+    if len(fs) == 1:
+        return fs[0]
+
+    def f(x):
+        out = np.empty(x.shape)
+        for i, g in enumerate(fs):
+            rows = owner == i
+            if rows.any():
+                out[rows] = g(x[rows])
+        return out
+    return f
 
 
 def _refine(f, a: float, b: float, tol: float, val: float, err: float,
@@ -206,12 +234,3 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
             raise QuadratureFailure(
                 f"needed more than {max_panels} panels for tol {tol:.3e}")
     return total_val, total_err, len(heap)
-
-
-def integrate(f, a: float, b: float, tol: float, max_panels: int = 10_000) -> float:
-    """Integral of f over [a, b] with absolute error <= tol: the driver on
-    one interval.  Raises QuadratureFailure if the panel budget is exhausted,
-    a panel can no longer be refined, or tol is below the integral's
-    round-off floor.
-    """
-    return float(_integrate(f, [a], [b], tol, max_panels)[0][0])

@@ -39,6 +39,10 @@ __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
 _G_HANDOFF = 0.5          # g value at which integration switches to z-space
 _TABLE_SIZE = 64          # samples in the cached w -> z inversion table
 _TURN_GTOL = 4.0 * np.finfo(float).eps   # |g| at z*: rounding level
+# n-free factors of _near_setup: the handoff ladder's steps (70 rungs cover
+# the widest ratio, 1e7/1e-12) and the w table's radii, z* to z_hi
+_LADDER = 2.0 ** np.arange(70)
+_TABLE_FRAC = np.linspace(0.0, 1.0, _TABLE_SIZE + 1) ** 2
 
 
 def _profile(w: RadialWeight, n: float, z):
@@ -170,9 +174,9 @@ class ExtremalSpec:
             return self._near
         zt = self.z_turn
         # handoff ladder z* + step*2^k, up to the first step past
-        # 1e7*max(1, z*) (70 rungs cover the widest ratio, 1e7/1e-12);
-        # the handoff is the first rung where g reaches _G_HANDOFF
-        steps = max(1e-6 * zt, 1e-12) * 2.0 ** np.arange(70)
+        # 1e7*max(1, z*); the handoff is the first rung where g reaches
+        # _G_HANDOFF
+        steps = max(1e-6 * zt, 1e-12) * _LADDER
         z = zt + steps[:int(np.argmax(steps > 1e7 * max(1.0, zt))) + 1]
         g, valid = _masked_profile(self.weight, self.n, z)
         if not valid[0]:
@@ -191,8 +195,7 @@ class ExtremalSpec:
                                             z[k])[1] <= 0.0:
                 k -= 1
         z_hi = float(z[k])
-        frac = np.linspace(0.0, 1.0, _TABLE_SIZE + 1) ** 2
-        z_tab = zt + (z_hi - zt) * frac
+        z_tab = zt + (z_hi - zt) * _TABLE_FRAC
         w_tab = np.sqrt(np.maximum(
             _profile(self.weight, self.n, z_tab), 0.0))
         w_tab[0] = 0.0
@@ -257,13 +260,14 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
     absolute error tol each.
 
     Intervals inside the near region are integrated in w, those beyond it
-    in z, one adaptive quadrature call per region.  An interval across the
-    handoff radius z_split adds a piece [w(z_a), w_split] to the near call
-    and a piece [z_split, z_b] to the far call, each to tol/2.  Returns
-    (increments, exactly rounded sum of the pieces' error estimates, panels
-    in the final partitions).  speculate is passed to both
-    quadrature._integrate calls: it saves integrand calls where most pieces
-    need one bisection, as the long pieces of a BVP span do.
+    in z, in one adaptive quadrature call whose near pieces come first, so
+    the result and every failure are those of a near call followed by a far
+    call.  An interval across the handoff radius z_split adds a near piece
+    [w(z_a), w_split] and a far piece [z_split, z_b], each to tol/2.
+    Returns (increments, exactly rounded sum of the pieces' error
+    estimates, panels in the final partitions).  speculate is passed to
+    quadrature._integrate: it saves integrand calls where most pieces need
+    one bisection, as the long pieces of a BVP span do.
     """
     z_split, w_split, _, _ = spec._near_setup()
     moving = z_a != z_b
@@ -273,17 +277,18 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
     piece_tol = np.where(near & far, 0.5 * tol, tol)
     w_b = np.full(len(z_b), w_split)
     w_b[near & ~far] = _w_of(spec, z_b[near & ~far])
-    near_val, near_err, near_panels = quadrature._integrate(
-        _near_integrand(spec), _w_of(spec, z_a[near]), w_b[near],
-        piece_tol[near], speculate=speculate)
-    far_val, far_err, far_panels = quadrature._integrate(
-        _far_integrand(spec), np.where(near, z_split, z_a)[far], z_b[far],
-        piece_tol[far], speculate=speculate)
+    lo = np.concatenate((_w_of(spec, z_a[near]),
+                         np.where(near, z_split, z_a)[far]))
+    n_near = int(np.count_nonzero(near))
+    val, err, panels = quadrature._integrate(
+        [(_near_integrand(spec), n_near),
+         (_far_integrand(spec), len(lo) - n_near)],
+        lo, np.concatenate((w_b[near], z_b[far])),
+        np.concatenate((piece_tol[near], piece_tol[far])), speculate=speculate)
     inc = np.zeros(len(z_a))
-    inc[near] = near_val
-    inc[far] += far_val
-    return (inc, math.fsum(near_err.tolist() + far_err.tolist()),
-            int(near_panels.sum() + far_panels.sum()))
+    inc[near] = val[:n_near]
+    inc[far] += val[n_near:]
+    return inc, math.fsum(err.tolist()), int(panels.sum())
 
 
 def _signed_increments(spec: ExtremalSpec, z_from, z_to, tol: float,

@@ -72,17 +72,26 @@ class ExpressionWeight(RadialWeight):
         self.domain_min = float(domain_min)
 
     def _raw_v(self, z):
-        return np.broadcast_to(np.asarray(expressions.evaluate(self.ast, z),
-                                          dtype=float), np.shape(z))
+        return _shaped(expressions.evaluate(self.ast, z), z)
 
     def _raw_vq(self, z):   # .val: _raw_v's float operations, same bits
         out = expressions.evaluate(self.ast, Dual(z, np.ones_like(z)))
-        parts = (out.val, out.der) if isinstance(out, Dual) else (out, 0.0)
-        return tuple(np.broadcast_to(np.asarray(x, dtype=float), np.shape(z))
-                     for x in parts)
+        if isinstance(out, Dual):
+            return _shaped(out.val, z), _shaped(out.der, z)
+        return _shaped(out, z), _shaped(0.0, z)
 
     def text(self) -> str:
         return self.source
+
+
+def _shaped(x, z: np.ndarray) -> np.ndarray:
+    """An expression's value x as a float array of z's shape.  Only a
+    constant (a scalar) is broadcast; the weight z returns z itself, which
+    comes back as a read-only view, so no result aliases z."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != z.shape or x is z:
+        return np.broadcast_to(x, z.shape)
+    return x
 
 
 def _raw(w: RadialWeight, z, method):
@@ -96,9 +105,15 @@ def _raw(w: RadialWeight, z, method):
 
 
 def _finish(w, z_in, value, what):
-    if not np.isfinite(value).all():
-        raise EvalError(f"weight {what} is not finite for {w!r}")
-    if what == "value" and (np.asarray(value) <= 0.0).any():
+    """value, checked by one mask (v finite and positive, q finite); only
+    a failing mask runs the separate checks, in order, to pick the error.
+    The mask is made by ufuncs, so a Python float from a user's weight
+    gives a numpy bool too."""
+    good = np.greater(value, 0.0) & np.less(value, np.inf) \
+        if what == "value" else np.isfinite(value)
+    if not good.all():
+        if not np.isfinite(value).all():
+            raise EvalError(f"weight {what} is not finite for {w!r}")
         raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
     if np.ndim(z_in) == 0:
         return float(value)

@@ -308,8 +308,6 @@ class TestBvp:
          "DomainError: endpoint b radius must be positive, got -1.3\n"),
         (["--endpoints=-0.5,0,0.5,1.3"],
          "DomainError: endpoint a radius must be positive, got 0.0\n"),
-        (["--endpoints=-0.5,1.3,0.5,1.3", "--tol=-1"],
-         "DomainError: tol must be non-negative, got -1.0\n"),
     ])
     def test_bad_radius_or_tol_fails_fast(self, capsys, extra, message):
         code, out, err = run(capsys, "bvp", "--lambda", "1", *extra,
@@ -350,6 +348,50 @@ class TestBadCounts:
         code, out, _ = run(capsys, *argv, "--iters", "0")
         assert code == 0
         assert {line.split(",")[1] for line in out.splitlines()[2:]} == {"1"}
+
+
+class TestBadTolerances:
+    """A tolerance no run can meet is a usage error, caught before any
+    quadrature or descent."""
+
+    TRACE = ("trace", "--lambda", "1", "--n", "1", "--samples", "5")
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-12"])
+    def test_trace_nonpositive_tol_exits_2(self, capsys, tol):
+        code, out, err = run(capsys, *self.TRACE, "--zmax", "3",
+                             f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --tol must be positive\n"
+        # closed-form sampling runs no quadrature and ignores --tol
+        code, out, _ = run(capsys, *self.TRACE, "--psi-range=-1:1",
+                           f"--tol={tol}")
+        assert code == 0 and len(out.splitlines()) == 2 + 5
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_check_nonpositive_tol_exits_2(self, capsys, tol):
+        code, out, err = run(capsys, "check", "--lambda", "1", "--n", "1",
+                             "--zmax", "2", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --tol must be positive\n"
+
+    def test_bvp_negative_tol_exits_2(self, capsys):
+        argv = ("bvp", "--lambda", "1", "--endpoints=-0.45,1.3,0.45,1.3",
+                "--n-bracket", "0.9:2.2")
+        code, out, err = run(capsys, *argv, "--tol=-1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --tol must be at least 0\n"
+        # 0 stays valid: the search runs until the bracket collapses
+        code, out, _ = run(capsys, *argv, "--tol=0")
+        assert code == 0 and out.splitlines()[1] == "n,phi0,z_turn,span"
+
+    def test_oracle_negative_grad_tol_exits_2(self, capsys):
+        argv = ("oracle", "--lambda", "1", "--endpoints=-1,1,1,1.5",
+                "--segments", "4", "--iters", "3")
+        code, out, err = run(capsys, *argv, "--grad-tol", "-1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --grad-tol must be at least 0\n"
+        code, _, _ = run(capsys, *argv, "--grad-tol", "0")
+        assert code == 0
 
 
 class TestParserReuse:

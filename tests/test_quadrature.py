@@ -1,14 +1,15 @@
 import heapq
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from radial_extremals.errors import QuadratureFailure
+from radial_extremals.errors import (DomainError, ForbiddenRegion,
+                                     QuadratureFailure)
 from radial_extremals import quadrature
-from radial_extremals.quadrature import (integrate, kronrod_panel,
-                                         kronrod_panels)
+from radial_extremals.quadrature import kronrod_panels
 
 
 def _scalar_driver(f, a, b, tol, max_panels=10_000):
@@ -63,6 +64,20 @@ def _row_sums(fv, half, width, power=pow):
         raise QuadratureFailure(f"panel value {resk} or estimate {err} "
                                 "is not finite")
     return resk, err
+
+
+def kronrod_panel(f, a, b):
+    """One 15-point Kronrod panel of f on [a, b], f called on the panel's
+    1-D node array: the one-panel reference for kronrod_panels."""
+    half, center = 0.5 * (b - a), 0.5 * (a + b)
+    fv = np.asarray(f(center + half * quadrature._NODES), dtype=float)
+    return _row_sums(fv, half, b - a)
+
+
+def integrate(f, a, b, tol, max_panels=10_000):
+    """Integral of f over [a, b] with absolute error <= tol: the driver on
+    one interval."""
+    return float(quadrature._integrate(f, [a], [b], tol, max_panels)[0][0])
 
 
 def _bits(x):
@@ -350,3 +365,125 @@ class TestIntegrate:
         with pytest.raises(QuadratureFailure):
             integrate(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
                       0.0, 1.0, 1e-12, max_panels=2)
+
+
+class TestRuns:
+    """Several integrands in one call: each run of intervals gets the bits
+    and the failures of a call of its own, the runs taken in order."""
+
+    # smooth, peaked (refines) and reversed intervals, an equal pair, and
+    # pieces met by their first panel
+    A = [0.0, 1.0, 0.5, 0.3, 0.25, -1.0]
+    B = [1.0, 0.0, 0.5, 0.31, 0.35, 2.0]
+    TOL = [1e-12, 1e-12, 1e-12, 1e-9, 1e-8, 1e-10]
+
+    @staticmethod
+    def f1(x):
+        return np.exp(-1e3 * (x - 0.3) ** 2) + np.sin(x)
+
+    @staticmethod
+    def f2(x):
+        return 1.0 / (2.0 + np.cos(3.0 * x))
+
+    @staticmethod
+    def per_run(runs, a, b, tol, speculate):
+        parts, start = [], 0
+        for f, count in runs:
+            run = slice(start, start + count)
+            parts.append(quadrature._integrate(f, a[run], b[run], tol[run],
+                                               speculate=speculate))
+            start += count
+        return [np.concatenate(x) for x in zip(*parts)]
+
+    @pytest.mark.parametrize("speculate", [False, True])
+    @pytest.mark.parametrize("split", [0, 2, 4, 6])   # 0, 6: one run only
+    def test_equals_one_call_per_run(self, speculate, split):
+        a, b, tol = (np.array(x) for x in (self.A, self.B, self.TOL))
+        runs = [(self.f1, split), (self.f2, len(a) - split)]
+        calls = []
+
+        def counted(f):
+            def g(x):
+                calls.append(f)
+                return f(x)
+            return g
+        got = quadrature._integrate(
+            [(counted(f), n) for f, n in runs], a, b, tol,
+            speculate=speculate)
+        want = self.per_run(runs, a, b, tol, speculate)
+        for g, w in zip(got, want):
+            assert (_bits(g) == _bits(w)).all()
+        assert got[2].dtype == want[2].dtype
+        assert got[2][2] == 0 and got[2].max() > 1
+        # one shared first call, in which each integrand is called once,
+        # in order; f1's peaked interval is refined only after it
+        first = [f for f, n in runs if n]
+        assert calls[:len(first)] == first
+
+    def test_nan_limit_fails_as_its_own_call(self):
+        a = np.array([0.0, np.nan, 0.0])
+        b = np.array([1.0, 1.0, 2.0])
+        for split in (1, 2):
+            with pytest.raises(QuadratureFailure) as want:
+                self.per_run([(self.f1, split), (self.f2, 3 - split)],
+                             a, b, np.full(3, 1e-10), False)
+            with pytest.raises(QuadratureFailure,
+                               match=f"^{re.escape(str(want.value))}$"):
+                quadrature._integrate(
+                    [(self.f1, split), (self.f2, 3 - split)], a, b, 1e-10)
+
+    def test_infinite_limit_of_a_later_run_fails_after_the_first(self):
+        # the first run's failure comes before the second run's limits are
+        # looked at, as in one call per run
+        def bad(x):
+            raise DomainError("first run")
+        runs = [(bad, 1), (self.f2, 1)]
+        with pytest.raises(DomainError, match="first run"):
+            quadrature._integrate(runs, [0.0, 0.0], [1.0, math.inf], 1e-10)
+        with pytest.raises(QuadratureFailure, match="limits must be finite"):
+            quadrature._integrate([(self.f1, 1), (self.f2, 1)],
+                                  [0.0, 0.0], [1.0, math.inf], 1e-10)
+
+    @pytest.mark.parametrize("speculate", [False, True])
+    def test_failed_refinement_of_first_run_wins(self, speculate):
+        # the second integrand raises; the first run's piece would fail
+        # only on refinement (tol below its round-off floor), so a shared
+        # first call that skipped to the second run's error would hide it
+        seen = []
+
+        def second(x):
+            seen.append(x.shape)
+            raise ForbiddenRegion("second run")
+        runs = [(self.f1, 1), (second, 1)]
+        a, b, tol = [0.0, 0.0], [1.0, 1.0], [1e-17, 1e-10]
+        with pytest.raises(QuadratureFailure, match="round-off") as want:
+            quadrature._integrate(self.f1, a[:1], b[:1], tol[:1],
+                                  speculate=speculate)
+        with pytest.raises(QuadratureFailure,
+                           match=f"^{re.escape(str(want.value))}$"):
+            quadrature._integrate(runs, a, b, tol, speculate=speculate)
+        assert len(seen) == 1    # the shared call, never the second run's
+        # both runs fail on refinement: the first run's failure is raised
+        runs = [(self.f1, 1), (self.f2, 1)]
+        with pytest.raises(QuadratureFailure,
+                           match=f"^{re.escape(str(want.value))}$"):
+            quadrature._integrate(runs, a, b, 1e-17, speculate=speculate)
+
+    def test_warning_left_to_the_calls_per_run(self):
+        # 1/0 at the centre node of [0, 0.5] warns, and exp(-inf) is 0: the
+        # shared call would warn, so the calls per run are made, with the
+        # one warning
+        def second(x):
+            return np.exp(-1.0 / abs(x - 0.25))
+        runs = [(self.f1, 1), (second, 1)]
+        a, b, tol = np.zeros(2), np.array([1.0, 0.5]), np.full(2, 1e-10)
+        got = {}
+        for name, call in (
+                ("runs", lambda: quadrature._integrate(runs, a, b, tol)),
+                ("per run", lambda: self.per_run(runs, a, b, tol, False))):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                got[name] = [x.tolist() for x in call()]
+            got[name].append([str(w.message) for w in seen])
+        assert got["runs"] == got["per run"]
+        assert got["runs"][-1] == ["divide by zero encountered in divide"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,150 @@ class TestSpeculativeIncrements:
         assert got[1:] == plain[1:]
 
 
+def _region_pieces(spec, z_a, z_b, tol):
+    """The near pieces (in w) and far pieces (in z) of _increments, each as
+    (integrand, lo, hi, tol), with the near and far masks."""
+    z_split, w_split, _, _ = spec._near_setup()
+    moving = z_a != z_b
+    near = moving & ~(z_a >= z_split)
+    far = moving & ~(z_b <= z_split)
+    piece_tol = np.where(near & far, 0.5 * tol, tol)
+    w_b = np.full(len(z_b), w_split)
+    w_b[near & ~far] = reduced_ode._w_of(spec, z_b[near & ~far])
+    return ((reduced_ode._near_integrand(spec),
+             reduced_ode._w_of(spec, z_a[near]), w_b[near], piece_tol[near]),
+            (reduced_ode._far_integrand(spec),
+             np.where(near, z_split, z_a)[far], z_b[far], piece_tol[far]),
+            near, far)
+
+
+def _two_call_increments(spec, z_a, z_b, tol, speculate=False):
+    """_increments from a near quadrature call and then a far one, for
+    reference."""
+    near_piece, far_piece, near, far = _region_pieces(spec, z_a, z_b, tol)
+    (near_val, near_err, near_panels), (far_val, far_err, far_panels) = (
+        reduced_ode.quadrature._integrate(*piece, speculate=speculate)
+        for piece in (near_piece, far_piece))
+    inc = np.zeros(len(z_a))
+    inc[near] = near_val
+    inc[far] += far_val
+    return (inc, math.fsum(near_err.tolist() + far_err.tolist()),
+            int(near_panels.sum() + far_panels.sum()))
+
+
+def _outcome(call):
+    """call()'s arrays as int64 bit patterns, or its error's class and
+    message."""
+    try:
+        return [np.asarray(x, dtype=float).view(np.int64).tolist()
+                for x in call()]
+    except ExtremalError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneQuadratureCall:
+    """Both regions of _increments share one quadrature call, whose results
+    and failures are those of a near call followed by a far call."""
+
+    WEIGHTS = {"lambda 1.3": (PowerLaw(1.3), 0.9),
+               "2.5*z^1.3": (parse_weight("2.5*z^1.3"), 1.1)}
+
+    @staticmethod
+    def radii(spec, case):
+        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        grid = reduced_ode._cosine_z_grid(spec, 3.0 * z_split, 40)
+        near_grid = reduced_ode._cosine_z_grid(spec, 0.9 * z_split, 12)
+        far_grid = np.linspace(z_split, 4.0 * z_split, 12)
+        return {
+            "traced grid": (grid[:-1], grid[1:]),
+            "bvp span": ([zt, zt], [1.7 * zt, 4.0 * z_split]),
+            "equal radii": ([zt, 2.0 * zt, z_split, zt],
+                            [zt, 2.0 * zt, z_split, 3.0 * z_split]),
+            "only near": (near_grid[:-1], near_grid[1:]),
+            "only far": (far_grid[:-1], far_grid[1:]),
+            "nan near": ([zt, np.nan], [3.0 * z_split, 0.5 * z_split]),
+            "nan far": ([zt, zt], [3.0 * z_split, np.nan]),
+        }[case]
+
+    @pytest.mark.parametrize("speculate", [False, True])
+    @pytest.mark.parametrize("case", ["traced grid", "bvp span",
+                                      "equal radii", "only near",
+                                      "only far", "nan near", "nan far"])
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_equals_near_then_far_call(self, weight, case, speculate):
+        spec = ExtremalSpec(*self.WEIGHTS[weight])
+        z_a, z_b = (np.asarray(x, dtype=float)
+                    for x in self.radii(spec, case))
+        for tol in (1e-10, 1e-13):
+            got = _outcome(lambda: reduced_ode._increments(
+                spec, z_a, z_b, tol, speculate=speculate))
+            assert got == _outcome(lambda: _two_call_increments(
+                spec, z_a, z_b, tol, speculate))
+            if not case.startswith("nan"):
+                # piece by piece: values, estimates and panel counts, with
+                # reversed and equal limits added to both regions
+                pieces = _region_pieces(spec, z_a, z_b, tol)[:2]
+                pieces = [(f, np.concatenate((lo, hi[:1], lo[:1])),
+                           np.concatenate((hi, lo[:1], lo[:1])),
+                           np.concatenate((t, t[:1], t[:1])))
+                          for f, lo, hi, t in pieces]
+                runs = [(f, len(lo)) for f, lo, _, _ in pieces]
+                merged = reduced_ode.quadrature._integrate(
+                    runs, *(np.concatenate(x) for x in
+                            zip(*(p[1:] for p in pieces))),
+                    speculate=speculate)
+                per_region = [reduced_ode.quadrature._integrate(
+                    *p, speculate=speculate) for p in pieces]
+                for m, w in zip(merged, zip(*per_region)):
+                    w = np.concatenate(w)
+                    assert m.dtype == w.dtype
+                    assert (m.view(np.int64) == w.view(np.int64)).all()
+        assert isinstance(got, list) != case.startswith("nan")
+
+    @pytest.mark.parametrize("speculate", [False, True])
+    def test_signed_increments_reversed(self, speculate):
+        spec = ExtremalSpec(*self.WEIGHTS["2.5*z^1.3"])
+        z_split = spec._near_setup()[0]
+        z_from = np.array([3.0 * z_split, spec.z_turn, 0.5 * z_split])
+        z_to = np.array([spec.z_turn, 2.0 * z_split, 0.5 * z_split])
+        got = reduced_ode._signed_increments(spec, z_from, z_to, 1e-13,
+                                             speculate)
+        up = z_to >= z_from
+        inc, err, panels = _two_call_increments(
+            spec, np.where(up, z_from, z_to), np.where(up, z_to, z_from),
+            1e-13, speculate)
+        assert _outcome(lambda: got) == _outcome(
+            lambda: (np.where(up, inc, -inc), err, panels))
+        assert got[0][0] < 0.0 < got[0][1] and got[0][2] == 0.0
+
+    @pytest.mark.parametrize("speculate", [False, True])
+    def test_near_refinement_failure_wins_over_far_error(self, speculate,
+                                                         monkeypatch):
+        # the far integrand raises; a near piece fails only on refinement
+        # (tol below its round-off floor): the near failure is raised, as
+        # by a near call made before the far one
+        far_calls = []
+
+        def raising_far(spec):
+            def f(z):
+                far_calls.append(np.shape(z))
+                raise ForbiddenRegion("far integrand")
+            return f
+        spec = ExtremalSpec(*self.WEIGHTS["lambda 1.3"])
+        z_split = spec._near_setup()[0]
+        z_a, z_b = np.array([spec.z_turn]), np.array([3.0 * z_split])
+        with pytest.raises(QuadratureFailure, match="round-off") as want:
+            _two_call_increments(spec, z_a, z_b, 1e-17, speculate)
+        monkeypatch.setattr(reduced_ode, "_far_integrand", raising_far)
+        with pytest.raises(QuadratureFailure,
+                           match=f"^{re.escape(str(want.value))}$"):
+            reduced_ode._increments(spec, z_a, z_b, 1e-17, speculate)
+        assert len(far_calls) == 1   # the shared first call only
+        # with a near piece that meets tol, the far error is raised
+        with pytest.raises(ForbiddenRegion, match="far integrand"):
+            reduced_ode._increments(spec, z_a, z_b, 1e-10, speculate)
+
+
 class TestLuneburgLens:
     """v = sqrt(2 - z^2) at n = 1.5: the rays are ellipses centred on the
     pole, between z* = sqrt(1 - sqrt(5)/3) and z2 = sqrt(1 + sqrt(5)/3)."""
@@ -539,7 +684,7 @@ class TestTrace:
             raise AssertionError("quadrature ran")
         # tracing enters quadrature through the batched panels and the
         # adaptive core
-        for name in ("integrate", "_integrate", "kronrod_panels"):
+        for name in ("_integrate", "kronrod_panels"):
             monkeypatch.setattr(reduced_ode.quadrature, name, no_quadrature)
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         with pytest.raises(DomainError, match="tol"):
@@ -688,18 +833,12 @@ class TestBatchedTracing:
     def panel_log(self, monkeypatch):
         """(integrand, a, b) of every Kronrod panel evaluated."""
         log = []
-        one, many = (reduced_ode.quadrature.kronrod_panel,
-                     reduced_ode.quadrature.kronrod_panels)
-
-        def panel(f, a, b):
-            log.append((f, float(a), float(b)))
-            return one(f, a, b)
+        many = reduced_ode.quadrature.kronrod_panels
 
         def panels(f, a, b):
             log.extend((f, x, y) for x, y in
                        zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
             return many(f, a, b)
-        monkeypatch.setattr(reduced_ode.quadrature, "kronrod_panel", panel)
         monkeypatch.setattr(reduced_ode.quadrature, "kronrod_panels", panels)
         return log
 

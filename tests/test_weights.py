@@ -145,6 +145,63 @@ _VQ_POINTS = [0.3, 1.0, 1.7, np.linspace(0.1, 3.0, 7),
               np.array([0.5, 0.0])]
 
 
+class _FloatWeight(RadialWeight):
+    """A user weight whose raw passes return Python floats, whatever z."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def _raw_v(self, z):
+        return self.value
+
+    def _raw_q(self, z):
+        return 0.0
+
+    def text(self):
+        return f"{self.value}, by hand"
+
+
+def _separate_v(w, z):
+    """eval_v from the separate checks in their order: domain, value
+    finite, value positive."""
+    za = np.asarray(z, dtype=float)
+    if not np.all(za > w.domain_min):
+        raise DomainError(
+            f"z must exceed the weight's domain minimum {w.domain_min}")
+    with np.errstate(all="ignore"):
+        val = w._raw_v(za)
+    if not np.all(np.isfinite(val)):
+        raise EvalError(f"weight value is not finite for {w!r}")
+    if np.any(np.asarray(val) <= 0.0):
+        raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
+    return float(val) if za.ndim == 0 else val
+
+
+# (weight, z, the error eval_vq raises) for each check, on scalars and
+# arrays of both weight kinds; an array's first point passes every check
+_FUSED_CASES = [
+    (PowerLaw(1.3), -1.0, DomainError),
+    (PowerLaw(1.3), np.array([0.5, 0.0]), DomainError),
+    (PowerLaw(-2.0), 1e-200, EvalError),            # v overflows to inf
+    (PowerLaw(-2.0), np.array([1.0, 1e-200]), EvalError),
+    (PowerLaw(2.0), 1e-200, NonPositiveWeight),     # v underflows to 0
+    (PowerLaw(2.0), np.array([1.0, 1e-200]), NonPositiveWeight),
+    (PowerLaw(-0.5), 1e-300, EvalError),            # q is -inf, v finite
+    (PowerLaw(-0.5), np.array([1.0, 1e-300]), EvalError),
+    (parse_weight("2.5*z^1.3"), 0.0, DomainError),
+    (parse_weight("2.5*z^1.3"), np.array([1.0, -2.0]), DomainError),
+    (parse_weight("1/(z-1)"), 1.0, EvalError),
+    (parse_weight("-1/(z-1)"), np.array([2.0, 1.0]), EvalError),  # -inf
+    (parse_weight("sqrt(z-2)-1"), np.array([2.5, 1.0]), EvalError),  # NaN
+    (parse_weight("z - 1"), 1.0, NonPositiveWeight),
+    (parse_weight("z - 1"), np.array([2.0, 0.5]), NonPositiveWeight),
+    (parse_weight("1+sqrt(z-1)"), 1.0, EvalError),
+    (parse_weight("1+sqrt(z-1)"), np.array([2.0, 1.0]), EvalError),
+    (_FloatWeight(2.0), np.array([1.0, 2.0]), None),
+    (_FloatWeight(-1.0), 1.0, NonPositiveWeight),
+]
+
+
 class TestEvalVQ:
     @pytest.mark.parametrize("weight", [
         PowerLaw(1.3), PowerLaw(0.0), PowerLaw(2.0817992419720928),
@@ -179,6 +236,43 @@ class TestEvalVQ:
     def test_each_check_is_reached(self, weight, z, cls, match):
         with pytest.raises(cls, match=match):
             eval_vq(weight, z)
+
+    @pytest.mark.parametrize("weight,z,cls", _FUSED_CASES,
+                             ids=lambda x: repr(x).replace("\n", ""))
+    def test_fused_check_picks_the_separate_checks_error(self, weight, z,
+                                                         cls):
+        # the one mask of a checked pass fails exactly where a separate
+        # check would, and the error is the first separate check's
+        got = _outcome(lambda: eval_vq(weight, z))
+        assert got == _outcome(lambda: (_separate_v(weight, z),
+                                        _separate_q(weight, z)))
+        if cls is not None:
+            assert got[0] is cls
+        assert _outcome(lambda: (eval_v(weight, z),)) == \
+            _outcome(lambda: (_separate_v(weight, z),))
+
+    @pytest.mark.parametrize("z", [np.array([0.5, 2.0, 3.0]),
+                                   np.array([[0.5], [2.0]]), 1.5])
+    def test_constant_expression_takes_the_shape_of_z(self, z):
+        w = parse_weight("2.5")
+        v, q = eval_vq(w, z)
+        assert np.shape(v) == np.shape(q) == np.shape(z)
+        assert (np.asarray(v) == 2.5).all() and not np.any(q)
+        assert np.shape(eval_v(w, z)) == np.shape(z)
+        assert np.shape(w._raw_v(np.asarray(z))) == np.shape(z)
+
+    def test_weight_z_never_aliases_its_input(self):
+        w = parse_weight("z")
+        z = np.array([0.5, 2.0, 3.0])
+        results = [eval_v(w, z), eval_vq(w, z)[0], w._raw_v(z),
+                   w._raw_vq(z)[0]]
+        for v in results:
+            assert v.tolist() == [0.5, 2.0, 3.0]
+            try:
+                v[0] = 7.0
+            except ValueError:   # a read-only view
+                pass
+            assert z.tolist() == [0.5, 2.0, 3.0]
 
 
 class TestParse:
