@@ -1,7 +1,8 @@
 """CLI output must stay byte for byte the same as the saved golden files.
 
 Each golden file under tests/data/golden holds the exact standard output of
-one successful run; the file name is the case name below.
+one successful run; the file name is the case name below.  Failing runs are
+pinned in FAILURES by exit code and exact standard error.
 """
 
 from pathlib import Path
@@ -68,3 +69,61 @@ def test_output_matches_golden(name, capsys):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out.encode() == (GOLDEN / name).read_bytes()
+
+
+_BVP_LAM0 = ["bvp", "--lambda", "0", "--endpoints=-1.047,1,1.047,1"]
+
+# case name: (argv, exit code, standard error); none writes standard output
+FAILURES = {
+    "trace-value-eval-error": (
+        ["trace", "--weight", "sqrt(2-z^2)", "--n", "1.5", "--zmax", "1.5"],
+        1, "EvalError: weight value is not finite for "
+           "ExpressionWeight('sqrt(2-z^2)')\n"),
+    "trace-derivative-eval-error": (   # v = 1e150 at z* = 1e-300, q = -inf
+        ["trace", "--lambda=-1/2", "--n", "1e150", "--zmax", "1"],
+        1, "EvalError: weight derivative is not finite for "
+           "PowerLaw('z^-0.5')\n"),
+    "oracle-value-eval-error": (
+        ["oracle", "--weight", "1+sqrt(z-1)", "--endpoints=-1,0,1,0",
+         "--segments", "8"],
+        1, "EvalError: weight value is not finite for "
+           "ExpressionWeight('1+sqrt(z-1)')\n"),
+    "trace-non-positive": (
+        ["trace", "--weight", "sin(z)", "--n", "1", "--zmax", "5"],
+        1, "NonPositiveWeight: weight ExpressionWeight('sin(z)') is "
+           "non-positive at some z\n"),
+    "oracle-non-positive": (
+        ["oracle", "--weight", "z-1", "--endpoints=-1,0.5,1,0.5",
+         "--segments", "8"],
+        1, "NonPositiveWeight: weight ExpressionWeight('z-1') is "
+           "non-positive at some z\n"),
+    "trace-no-bracket": (
+        ["trace", "--weight", "1/(z-1)", "--n", "1", "--zmax", "3"],
+        1, "NoBracket: no sign change of n*v(z)*z - 1 found on the scan "
+           "grid\n"),
+    "bvp-no-bracket": (
+        [*_BVP_LAM0, "--n-bracket", "2.5:3.5"],
+        1, "NoBracket: no sign change on [2.5, 3.5] (end values 2.246e-01, "
+           "4.681e-01)\n"),
+    "trace-domain-error": (
+        ["trace", "--lambda", "-2", "--n", "1", "--zmax", "2"],
+        1, "DomainError: for exponents below -1 the turning radius is a "
+           "maximum radius; quadrature tracing covers increasing crossings "
+           "only (closed_form handles these curves)\n"),
+    "oracle-weight-domain-error": (    # one segment, its midpoint the pole
+        ["oracle", "--lambda", "1", "--endpoints=-1,0,1,0", "--segments",
+         "1"],
+        1, "DomainError: z must exceed the weight's domain minimum 0.0\n"),
+    "bvp-round-off-floor": (
+        [*_BVP_LAM0, "--n-bracket", "1.2:3.5", "--tol", "1e-13"],
+        1, "QuadratureFailure: tol 5.000e-15 is below the round-off floor "
+           "9.495e-15 of the integral\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failure_matches_golden(name, capsys):
+    argv, code, err = FAILURES[name]
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
