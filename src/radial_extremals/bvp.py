@@ -90,8 +90,9 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
     radius outside an endpoint radius raises NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
     raises QuadratureFailure.  A negative or NaN tol raises DomainError;
-    tol 0 searches until the bracket collapses.  Returns the constant and
-    the pose phi0 implied by the endpoint angles.
+    tol 0 searches until the bracket collapses.  A tol below about 5e-13,
+    0 included, can raise QuadratureFailure at the round-off floor.
+    Returns the constant and the pose phi0 implied by the endpoint angles.
     """
     if not tol >= 0.0:
         raise DomainError(f"tol must be non-negative, got {tol}")

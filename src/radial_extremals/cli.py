@@ -109,10 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--samples", type=int, default=200,
                        help="samples per branch (default 200)")
     trace.add_argument("--tol", type=_float_arg, default=1e-12,
-                       help="quadrature tolerance (default 1e-12)")
+                       help="quadrature tolerance of --zmax traces (default "
+                            "1e-12; ignored with --psi-range)")
     trace.add_argument("--grid", choices=("cosine", "uniform-phi"),
                        default="cosine",
-                       help="radial sample placement (default cosine)")
+                       help="radial sample placement of --zmax traces "
+                            "(default cosine; ignored with --psi-range)")
     _add_output_options(trace)
     trace.set_defaults(handler=_cmd_trace)
 

@@ -81,7 +81,7 @@ def _panel_sums(fv: np.ndarray, half: np.ndarray, width: np.ndarray):
         floor = _FLOOR * resabs
         err = np.where(floor > err, floor, err)
     finite = np.isfinite(resk) & np.isfinite(err)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         # a NaN estimate never exceeds tol, so the panel would pass
         k = int(np.argmin(finite))
         raise QuadratureFailure(f"panel value {resk[k].item()} or estimate "
@@ -127,7 +127,7 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000,
     todo = np.flatnonzero(a != b)
     if todo.size:
         lo_t, hi_t = lo[todo], hi[todo]
-        finite = not (np.isinf(lo_t).any() or np.isinf(hi_t).any())
+        finite = not np.count_nonzero(np.isinf(lo_t) | np.isinf(hi_t))
         fs = [g for g, _ in runs]
         owner = np.searchsorted(np.cumsum([n for _, n in runs]), todo,
                                 side="right")    # index into fs
@@ -190,7 +190,7 @@ def _by_row(fs, owner):
         out = np.empty(x.shape)
         for i, g in enumerate(fs):
             rows = owner == i
-            if rows.any():
+            if np.count_nonzero(rows):
                 out[rows] = g(x[rows])
         return out
     return f

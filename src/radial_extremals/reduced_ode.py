@@ -200,7 +200,7 @@ class ExtremalSpec:
             _profile(self.weight, self.n, z_tab), 0.0))
         w_tab[0] = 0.0
         rising = np.diff(w_tab) > 0.0
-        if not rising.all():
+        if np.count_nonzero(rising) < rising.size:
             cut = int(np.argmin(rising)) + 1   # keep the monotone prefix
             z_tab, w_tab = z_tab[:cut + 1], w_tab[:cut + 1]
             z_hi = float(z_tab[-1])
@@ -218,7 +218,7 @@ class ExtremalSpec:
         for _ in range(5):
             g, gp = _profile_and_slope(self.weight, self.n, zeta)
             new = np.minimum(np.maximum(zeta - (g - target) / gp, lo), hi)
-            if (new == zeta).all():
+            if not np.count_nonzero(new != zeta):
                 return zeta, gp
             zeta = new
         return zeta, _profile_and_slope(self.weight, self.n, zeta)[1]
@@ -236,7 +236,7 @@ def _far_integrand(spec: ExtremalSpec):
     def f(z):
         z = np.asarray(z, dtype=float)
         g = _profile(spec.weight, spec.n, z)
-        if (g <= 0.0).any():
+        if np.count_nonzero(g <= 0.0):
             raise ForbiddenRegion(
                 "n*v(z)*z dips to 1 inside the integration range")
         return 1.0 / (z * np.sqrt(g * (g + 2.0)))
@@ -248,7 +248,7 @@ def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     w = np.zeros(z.shape)
     out = ~(z <= spec.z_turn * (1.0 + 1e-12))   # a NaN reaches the weight
-    if out.any():
+    if np.count_nonzero(out):
         w[out] = np.sqrt(np.maximum(_profile(spec.weight, spec.n, z[out]),
                                     0.0))
     return w

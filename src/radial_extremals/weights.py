@@ -4,6 +4,11 @@ The weight multiplies arc length in the functional ``integral of v(z) ds``,
 where z is the distance from the fixed pole.  Two variants exist: an exact
 power law z**lam, and a parsed expression differentiated by forward-mode dual
 numbers.  Both evaluate on scalars or numpy arrays.
+
+A checked pass (eval_v, eval_vq) tests z and its raw result once: by Python
+comparisons for a scalar z, else by np.count_nonzero on ufunc masks (a user's
+weight may return Python floats).  Only a failing test runs the separate
+checks, in order, to pick the error.
 """
 
 from __future__ import annotations
@@ -95,46 +100,58 @@ def _shaped(x, z: np.ndarray) -> np.ndarray:
 
 
 def _raw(w: RadialWeight, z, method):
-    """method(z) with warnings off, once z is inside the weight's domain."""
+    """z as a float array and method(z), warnings off, for z in the domain."""
     z = np.asarray(z, dtype=float)
+    if not (float(z) > w.domain_min if z.ndim == 0
+            else _every(z > w.domain_min)):
+        _finish(w, z)
+    with np.errstate(all="ignore"):
+        return z, method(z)
+
+
+def _every(mask) -> bool:
+    """mask.all() counted in C; ndarray.all runs Python code in numpy 2."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _finish(w, z, v=None, q=None):
+    """Raise the first failing check's error, in order: DomainError,
+    EvalError (value), NonPositiveWeight, EvalError (derivative); only a
+    failed fused test calls it, so one of them fails."""
     if not (z > w.domain_min).all():
         raise DomainError(
             f"z must exceed the weight's domain minimum {w.domain_min}")
-    with np.errstate(all="ignore"):
-        return method(z)
-
-
-def _finish(w, z_in, value, what):
-    """value, checked by one mask (v finite and positive, q finite); only
-    a failing mask runs the separate checks, in order, to pick the error.
-    The mask is made by ufuncs, so a Python float from a user's weight
-    gives a numpy bool too."""
-    good = np.greater(value, 0.0) & np.less(value, np.inf) \
-        if what == "value" else np.isfinite(value)
-    if not good.all():
-        if not np.isfinite(value).all():
-            raise EvalError(f"weight {what} is not finite for {w!r}")
+    if not np.isfinite(v).all():
+        raise EvalError(f"weight value is not finite for {w!r}")
+    if not np.greater(v, 0.0).all():
         raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
-    if np.ndim(z_in) == 0:
-        return float(value)
-    return value
+    raise EvalError(f"weight derivative is not finite for {w!r}")
 
 
 def eval_v(w: RadialWeight, z):
     """Weight value v(z); z may be a scalar or an array.
 
     Raises DomainError for z <= domain_min, EvalError on non-finite results,
-    and NonPositiveWeight where v(z) <= 0.
+    and NonPositiveWeight where v(z) <= 0.  A float for a scalar z.
     """
-    return _finish(w, z, _raw(w, z, w._raw_v), "value")
+    z, v = _raw(w, z, w._raw_v)
+    if z.ndim == 0 and 0.0 < float(v) < np.inf:
+        return float(v)
+    if z.ndim and _every(np.greater(v, 0.0) & np.less(v, np.inf)):
+        return v
+    _finish(w, z, v)
 
 
 def eval_vq(w: RadialWeight, z):
-    """(eval_v(w, z), eval_q(w, z)) bit for bit, from one raw pass with
-    one set of checks, raising what eval_q would in its order: DomainError,
-    EvalError (value), NonPositiveWeight, EvalError (derivative)."""
-    val, der = _raw(w, z, w._raw_vq)
-    return _finish(w, z, val, "value"), _finish(w, z, der, "derivative")
+    """(eval_v(w, z), eval_q(w, z)) bit for bit, from one raw pass and its
+    fused test, raising what eval_q would, in _finish's order."""
+    z, (v, q) = _raw(w, z, w._raw_vq)
+    if z.ndim == 0 and 0.0 < float(v) < np.inf and abs(float(q)) < np.inf:
+        return float(v), float(q)
+    if z.ndim and _every(np.greater(v, 0.0) & np.less(v, np.inf)) \
+            and _every(np.isfinite(q)):   # an empty q would hide a scalar v
+        return v, q
+    _finish(w, z, v, q)
 
 
 def eval_q(w: RadialWeight, z):

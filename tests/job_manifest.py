@@ -10,12 +10,18 @@ read.  Each job runs in-process through ``radial_extremals.cli.run`` with
 every warning shown, as the benchmark runs it.  Like the golden files, the
 hashes depend on the numpy and libm of the machine that wrote them.
 
-    PYTHONPATH=src python tests/job_manifest.py      # rewrite the manifest
+    PYTHONPATH=src python tests/job_manifest.py              # rewrite it
+    PYTHONPATH=src python tests/job_manifest.py --print 5 9  # write nothing
+
+With --print the lines of the given seeds, at the same counts, go to
+standard output and no file is written, so two trees are compared job by
+job with a diff of that command's output in each.
 """
 
 from __future__ import annotations
 
 import contextlib
+import argparse
 import hashlib
 import importlib.util
 import io
@@ -39,12 +45,13 @@ def _joblist():
     return module
 
 
-def jobs():
-    """(workload, index, argv) of every job the manifest covers."""
+def jobs(seed=SEED):
+    """(workload, index, argv) of every job the manifest covers, or of the
+    same counts drawn from another seed."""
     joblist = _joblist()
     return [(workload, job.id, job.argv)
             for workload, count in COUNTS.items()
-            for job in joblist.make_jobs(workload, SEED, count)]
+            for job in joblist.make_jobs(workload, seed, count)]
 
 
 def run_job(argv):
@@ -69,11 +76,21 @@ def digest(argv, code, out, err) -> str:
         json.dumps([list(argv), code, out, err]).encode()).hexdigest()
 
 
-def line(workload, index, argv) -> str:
-    return f"{workload} {SEED} {index} {digest(argv, *run_job(argv))}"
+def line(workload, index, argv, seed=SEED) -> str:
+    return f"{workload} {seed} {index} {digest(argv, *run_job(argv))}"
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--print", nargs="+", type=int, metavar="SEED",
+                        help="print the lines of these seeds to standard "
+                             "output; the manifest is left as it is")
+    seeds = parser.parse_args(argv).print
+    if seeds:
+        for seed in seeds:
+            for job in jobs(seed):
+                print(line(*job, seed=seed), flush=True)
+        return 0
     MANIFEST.write_text("".join(line(*job) + "\n" for job in jobs()))
     print(f"wrote {sum(COUNTS.values())} lines to {MANIFEST.relative_to(ROOT)}")
     return 0

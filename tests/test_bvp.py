@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from radial_extremals import bvp, reduced_ode
+from radial_extremals import bvp, reduced_ode, weights
 from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
                               ForbiddenRegion, NoBracket, PolarPoint,
                               PowerLaw, PowerLawCurve, Polyline, angular_span,
@@ -168,6 +168,25 @@ class TestSolveN:
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         per_span = len(passes) / len(spans)
         assert per_span <= 0.5 * (59.4 if weight is None else 69.2)
+
+    @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
+    def test_passing_weight_checks_never_finish(self, monkeypatch, weight):
+        # criterion 07's first draw: every checked weight pass passes its
+        # fused test, so the separate checks never run
+        lam, n_true, a, b = first_round_trip_draw()
+        w = PowerLaw(lam) if weight is None \
+            else parse_weight(weight.format(lam=lam))
+        finished = []
+
+        def counted(*args, _f=weights._finish):
+            finished.append(args)
+            return _f(*args)
+        monkeypatch.setattr(weights, "_finish", counted)
+        spans = count_spans(monkeypatch)
+        sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
+                      (0.85 * n_true, 1.6 * n_true), 1e-12)
+        assert sol.n == pytest.approx(n_true, rel=1e-7)
+        assert len(spans) == 10 and finished == []
 
     @pytest.mark.parametrize("which", ["a", "b"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial_extremals import (DomainError, EvalError, ExpressionWeight,
                               ExtremalError, NonPositiveWeight, ParseError,
@@ -146,35 +148,41 @@ _VQ_POINTS = [0.3, 1.0, 1.7, np.linspace(0.1, 3.0, 7),
 
 
 class _FloatWeight(RadialWeight):
-    """A user weight whose raw passes return Python floats, whatever z."""
+    """A user weight whose raw passes return preset values, whatever z:
+    Python floats (q is 0.0 unless given), or arrays."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, v, q=0.0, domain_min=0.0):
+        self.v, self.q, self.domain_min = v, q, domain_min
 
     def _raw_v(self, z):
-        return self.value
+        return self.v
 
     def _raw_q(self, z):
-        return 0.0
+        return self.q
 
     def text(self):
-        return f"{self.value}, by hand"
+        return f"{self.v}, by hand"
 
 
-def _separate_v(w, z):
-    """eval_v from the separate checks in their order: domain, value
-    finite, value positive."""
+def _checked_separately(w, z, derivative):
+    """eval_v (eval_vq if derivative) from one raw pass and the separate
+    checks in their order: domain, value finite, value positive, derivative
+    finite; a float (a pair) for a scalar z, else the raw pass's result."""
     za = np.asarray(z, dtype=float)
     if not np.all(za > w.domain_min):
         raise DomainError(
             f"z must exceed the weight's domain minimum {w.domain_min}")
     with np.errstate(all="ignore"):
-        val = w._raw_v(za)
-    if not np.all(np.isfinite(val)):
+        out = w._raw_vq(za) if derivative else (w._raw_v(za),)
+    if not np.all(np.isfinite(out[0])):
         raise EvalError(f"weight value is not finite for {w!r}")
-    if np.any(np.asarray(val) <= 0.0):
+    if np.any(np.asarray(out[0]) <= 0.0):
         raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
-    return float(val) if za.ndim == 0 else val
+    if derivative and not np.all(np.isfinite(out[1])):
+        raise EvalError(f"weight derivative is not finite for {w!r}")
+    if za.ndim == 0:
+        out = tuple(float(x) for x in out)
+    return out if derivative else out[0]
 
 
 # (weight, z, the error eval_vq raises) for each check, on scalars and
@@ -241,15 +249,15 @@ class TestEvalVQ:
                              ids=lambda x: repr(x).replace("\n", ""))
     def test_fused_check_picks_the_separate_checks_error(self, weight, z,
                                                          cls):
-        # the one mask of a checked pass fails exactly where a separate
+        # the fused test of a checked pass fails exactly where a separate
         # check would, and the error is the first separate check's
         got = _outcome(lambda: eval_vq(weight, z))
-        assert got == _outcome(lambda: (_separate_v(weight, z),
+        assert got == _outcome(lambda: (_checked_separately(weight, z, False),
                                         _separate_q(weight, z)))
         if cls is not None:
             assert got[0] is cls
         assert _outcome(lambda: (eval_v(weight, z),)) == \
-            _outcome(lambda: (_separate_v(weight, z),))
+            _outcome(lambda: (_checked_separately(weight, z, False),))
 
     @pytest.mark.parametrize("z", [np.array([0.5, 2.0, 3.0]),
                                    np.array([[0.5], [2.0]]), 1.5])
@@ -273,6 +281,98 @@ class TestEvalVQ:
             except ValueError:   # a read-only view
                 pass
             assert z.tolist() == [0.5, 2.0, 3.0]
+
+
+def _bits(fn):
+    """fn()'s result as (type, shape, int64 bits) per part, or its error's
+    class and message."""
+    try:
+        out = fn()
+    except ExtremalError as exc:
+        return type(exc), str(exc)
+    return [(type(x), np.shape(x),
+             np.asarray(x, dtype=float).view(np.int64).tolist())
+            for x in (out if isinstance(out, tuple) else (out,))]
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300,
+            1e-200, 1.0, math.sqrt(2.0), 2.0]
+_EXPRESSIONS = ["z - 1", "sqrt(2-z^2)", "1+sqrt(z-1)", "1/(z-1)", "-1/(z-1)",
+                "2.5*z^1.3", "sin(z)", "log(z)", "z", "3"]
+
+
+def _entries(data, shape, low, high):
+    """A float array of the shape, uniform on [low, high] but for up to two
+    entries drawn from _SPECIAL."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.uniform(low, high, shape)
+    if x.size:
+        for k, special in data.draw(st.lists(st.tuples(
+                st.integers(0, x.size - 1), st.sampled_from(_SPECIAL)),
+                max_size=2)):
+            x.flat[k] = special
+    return x
+
+
+class TestFusedCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_separate_checks(self, data):
+        # same error class and message, or the same bits and return types,
+        # as one raw pass checked by the separate checks in order
+        form = data.draw(st.sampled_from(
+            ["float", "float64", "0-d", "1-d", "K x 15"]))
+        shape = {"1-d": (data.draw(st.integers(0, 6)),),
+                 "K x 15": (data.draw(st.integers(1, 3)), 15)}.get(form, ())
+        z = _entries(data, shape, 0.05, 4.0)
+        z = {"float": float, "float64": np.float64}.get(form, np.asarray)(z)
+        domain_min = data.draw(st.sampled_from([0.0, 1.0]))
+        kind = data.draw(st.sampled_from(["power", "expression", "preset"]))
+        if kind == "power":
+            w = PowerLaw(data.draw(st.sampled_from(
+                [-2.0, -0.5, 0.0, 1.0, 1.3, 2.0])), domain_min)
+        elif kind == "expression":
+            text = data.draw(st.sampled_from(_EXPRESSIONS))
+            w = ExpressionWeight(parse_expression(text), text, domain_min)
+        else:   # Python floats, or arrays of z's shape
+            v, q = (data.draw(st.one_of(st.sampled_from(_SPECIAL),
+                                        st.just(_entries(data, shape, *r))))
+                    for r in ((0.1, 3.0), (-3.0, 3.0)))
+            w = _FloatWeight(v, q, domain_min)
+        before = np.array(z)
+        for derivative, fn in ((False, eval_v), (True, eval_vq)):
+            got = _bits(lambda: fn(w, z))
+            assert got == _bits(lambda: _checked_separately(w, z, derivative))
+            if isinstance(got, list):
+                out = fn(w, z)
+                for x in out if derivative else (out,):
+                    assert x is not z
+                    if isinstance(z, np.ndarray) and np.shares_memory(x, z):
+                        assert not x.flags.writeable
+        assert _bits(lambda: eval_q(w, z)) == \
+            _bits(lambda: _checked_separately(w, z, True)[1])
+        assert np.array_equal(np.asarray(z), before, equal_nan=True)
+
+    @pytest.mark.parametrize("v,q,z,cls,match", [
+        # v broadcast against an empty q in one mask would count no entry
+        (math.nan, np.zeros(0), np.zeros(0), EvalError, "value"),
+        (-1.0, np.zeros(0), np.zeros(0), NonPositiveWeight, "non-positive"),
+        # v = +inf with q finite: only the value test sees it
+        (np.array([1.0, math.inf]), np.zeros(2), np.ones(2), EvalError,
+         "value"),
+        (math.inf, 0.0, 1.0, EvalError, "value"),
+        (np.array([1.0, 2.0]), np.array([0.0, -math.inf]), np.ones(2),
+         EvalError, "derivative"),
+        (1.0, math.nan, np.float64(1.0), EvalError, "derivative"),
+        (-0.0, 0.0, np.asarray(1.0), NonPositiveWeight, "non-positive")])
+    def test_edge_cases(self, v, q, z, cls, match):
+        w = _FloatWeight(v, q, 0.0)
+        with pytest.raises(cls, match=match):
+            eval_vq(w, z)
+        assert _bits(lambda: eval_vq(w, z)) == \
+            _bits(lambda: _checked_separately(w, z, True))
+        assert _bits(lambda: eval_v(w, z)) == \
+            _bits(lambda: _checked_separately(w, z, False))
 
 
 class TestParse:
