@@ -114,7 +114,7 @@ def _every(mask) -> bool:
     return np.count_nonzero(mask) == mask.size
 
 
-def _finish(w, z, v=None, q=None):
+def _finish(w, z, v=None):
     """Raise the first failing check's error, in order: DomainError,
     EvalError (value), NonPositiveWeight, EvalError (derivative); only a
     failed fused test calls it, so one of them fails."""
@@ -151,7 +151,7 @@ def eval_vq(w: RadialWeight, z):
     if z.ndim and _every(np.greater(v, 0.0) & np.less(v, np.inf)) \
             and _every(np.isfinite(q)):   # an empty q would hide a scalar v
         return v, q
-    _finish(w, z, v, q)
+    _finish(w, z, v)
 
 
 def eval_q(w: RadialWeight, z):

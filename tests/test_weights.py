@@ -133,13 +133,15 @@ def _separate_q(w, z):
 
 
 def _outcome(fn):
-    """fn()'s result as (type, bytes) per part, or its error's class and
-    message."""
+    """fn()'s result as (type, shape, int64 bits) per part, or its error's
+    class and message."""
     try:
-        parts = fn()
+        out = fn()
     except ExtremalError as exc:
         return type(exc), str(exc)
-    return [(type(x), np.asarray(x).tobytes()) for x in parts]
+    return [(type(x), np.shape(x),
+             np.asarray(x, dtype=float).view(np.int64).tolist())
+            for x in (out if isinstance(out, tuple) else (out,))]
 
 
 _VQ_POINTS = [0.3, 1.0, 1.7, np.linspace(0.1, 3.0, 7),
@@ -283,18 +285,6 @@ class TestEvalVQ:
             assert z.tolist() == [0.5, 2.0, 3.0]
 
 
-def _bits(fn):
-    """fn()'s result as (type, shape, int64 bits) per part, or its error's
-    class and message."""
-    try:
-        out = fn()
-    except ExtremalError as exc:
-        return type(exc), str(exc)
-    return [(type(x), np.shape(x),
-             np.asarray(x, dtype=float).view(np.int64).tolist())
-            for x in (out if isinstance(out, tuple) else (out,))]
-
-
 _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300,
             1e-200, 1.0, math.sqrt(2.0), 2.0]
 _EXPRESSIONS = ["z - 1", "sqrt(2-z^2)", "1+sqrt(z-1)", "1/(z-1)", "-1/(z-1)",
@@ -341,16 +331,17 @@ class TestFusedCheck:
             w = _FloatWeight(v, q, domain_min)
         before = np.array(z)
         for derivative, fn in ((False, eval_v), (True, eval_vq)):
-            got = _bits(lambda: fn(w, z))
-            assert got == _bits(lambda: _checked_separately(w, z, derivative))
+            got = _outcome(lambda: fn(w, z))
+            assert got == _outcome(
+                lambda: _checked_separately(w, z, derivative))
             if isinstance(got, list):
                 out = fn(w, z)
                 for x in out if derivative else (out,):
                     assert x is not z
                     if isinstance(z, np.ndarray) and np.shares_memory(x, z):
                         assert not x.flags.writeable
-        assert _bits(lambda: eval_q(w, z)) == \
-            _bits(lambda: _checked_separately(w, z, True)[1])
+        assert _outcome(lambda: eval_q(w, z)) == \
+            _outcome(lambda: _checked_separately(w, z, True)[1])
         assert np.array_equal(np.asarray(z), before, equal_nan=True)
 
     @pytest.mark.parametrize("v,q,z,cls,match", [
@@ -369,10 +360,10 @@ class TestFusedCheck:
         w = _FloatWeight(v, q, 0.0)
         with pytest.raises(cls, match=match):
             eval_vq(w, z)
-        assert _bits(lambda: eval_vq(w, z)) == \
-            _bits(lambda: _checked_separately(w, z, True))
-        assert _bits(lambda: eval_v(w, z)) == \
-            _bits(lambda: _checked_separately(w, z, False))
+        assert _outcome(lambda: eval_vq(w, z)) == \
+            _outcome(lambda: _checked_separately(w, z, True))
+        assert _outcome(lambda: eval_v(w, z)) == \
+            _outcome(lambda: _checked_separately(w, z, False))
 
 
 class TestParse:
