@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ForbiddenRegion, NoBracket, QuadratureFailure
 from .extremal_core import PolarPoint
-from .reduced_ode import ExtremalSpec, _signed_increments
+from .reduced_ode import ExtremalSpec, integrate_phi
 from .roots import find_root
 from .weights import RadialWeight
 
@@ -54,20 +54,15 @@ class BvpSolution:
 
 
 def _branch_angles(prob: BvpProblem, n: float, tol: float):
-    """The extremal at constant n and integrate_phi(spec, z*, z, tol) at
-    both endpoint radii bit for bit, from one two-interval _increments call
-    that speculates on each piece's first bisection: about half of these
-    long pieces miss tol on their first panel, and most of those meet it
-    after one bisection."""
+    """The extremal at constant n and the angles from its turning radius to
+    both endpoint radii, from one integrate_phi call.  An endpoint inside
+    the turning radius raises ForbiddenRegion naming n."""
     spec = ExtremalSpec(prob.weight, n)
     zt = spec.z_turn
     if min(prob.a.z, prob.b.z) < zt * (1.0 - 1e-12):
         raise ForbiddenRegion(
             f"turning radius {zt} exceeds an endpoint radius at n = {n}")
-    if not 1e-14 <= tol <= 1e-3:    # integrate_phi's range
-        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
-    da, db = _signed_increments(spec, [zt, zt], [prob.a.z, prob.b.z],
-                                tol, speculate=True)[0].tolist()
+    da, db = integrate_phi(spec, zt, [prob.a.z, prob.b.z], tol).tolist()
     return spec, da, db
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import closed_form
 from .extremal_core import PolarPoint, clairaut_constant, el_residual
-from .reduced_ode import ExtremalSpec, _signed_increments, trace_extremal
+from .reduced_ode import ExtremalSpec, integrate_phi, trace_extremal
 from .weights import PowerLaw, RadialWeight, eval_v
 
 __all__ = ["max_el_residual", "gates"]
@@ -47,10 +47,7 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
     traced out to z_max; a row passes when value cmp limit holds, with cmp
     '<=' or '>='.  Power-law weights also get the closed-form gates, and
     v = 1/z gets the logarithmic-spiral gates instead of a trace.
-    "Quadrature vs closed form" takes its 14 angles from one speculative
-    _signed_increments call, each equal to integrate_phi(spec, z*, z, 1e-12)
-    bit for bit, since every interval is refined on its own and the
-    speculative first bisection gives the plain driver's halves.
+    "Quadrature vs closed form" takes its 14 angles from one integrate_phi.
     """
     lam = w.lam if isinstance(w, PowerLaw) else None
     if lam == -1.0:
@@ -85,8 +82,7 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
         k = lam + 1.0
         psis = np.linspace(0.0, 1.4, 15)[1:]
         z_psi = [(n * math.cos(psi)) ** (-1.0 / k) for psi in psis.tolist()]
-        got = _signed_increments(spec, [spec.z_turn] * 14, z_psi, 1e-12,
-                                 speculate=True)[0]
+        got = integrate_phi(spec, spec.z_turn, z_psi, 1e-12)
         worst = max([0.0, *np.abs(got - psis / k).tolist()])
         rows.append(("quadrature vs closed form", worst, 1e-10, "<="))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks, closed_form, discrete_oracle
 from .bvp import BvpProblem, solve_n
-from .errors import ExtremalError, ParseError
+from .errors import ExtremalError
 from .extremal_core import PolarPoint
 from .reduced_ode import (ExtremalSpec, TraceResult, first_integral_deviation,
                           trace_extremal)
@@ -38,7 +38,7 @@ class _UsageError(Exception):
 def _weight_arg(text: str):
     try:
         return parse_weight(text)
-    except ParseError as exc:
+    except ExtremalError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
@@ -403,9 +403,6 @@ def run(argv=None) -> int:
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except ExtremalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

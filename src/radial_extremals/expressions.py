@@ -15,6 +15,7 @@ both values and exact first derivatives.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -165,7 +166,10 @@ class _Parser:
         kind, tok, off = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(tok))
+            value = float(tok)
+            if value == math.inf:
+                raise ParseError(f"number {tok!r} overflows to inf", off)
+            return Num(value)
         if kind == "var":
             self.advance()
             return Var()
@@ -182,7 +186,10 @@ class _Parser:
 def parse_expression(text: str):
     """Parse text into an expression tree; raises ParseError on bad input."""
     parser = _Parser(text)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:   # where depends on the caller's stack: offset 0
+        raise ParseError("expression nests too deeply", 0) from None
     if parser.peek()[0] != "end":
         parser.fail(("operator", "end of input"))
     return node

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonMonotoneAbscissa
-from .weights import RadialWeight, eval_q, eval_v
+from .weights import RadialWeight, eval_v, eval_vq
 
 __all__ = ["CartesianPoint", "PolarPoint", "ELPartials",
            "to_cartesian", "to_polar", "lagrangian_partials_cartesian",
@@ -65,8 +65,7 @@ def lagrangian_partials_cartesian(pt: CartesianPoint, p: float,
                                   w: RadialWeight) -> ELPartials:
     """Partials of V = v(z)*sqrt(1+p^2) at a point with slope p = dy/dx."""
     z = math.hypot(pt.x, pt.y)
-    v = eval_v(w, z)
-    q = eval_q(w, z)
+    v, q = eval_vq(w, z)
     root = math.sqrt(1.0 + p * p)
     return ELPartials(V=v * root,
                       M=q * pt.x * root / z,
@@ -133,9 +132,9 @@ def el_residual(samples, w: RadialWeight) -> np.ndarray:
     z = np.hypot(x, y)
     p = np.gradient(y, x, edge_order=2)
     root = np.sqrt(1.0 + p * p)
-    q = eval_q(w, z)
+    v, q = eval_vq(w, z)
     N = q * y * root / z
-    P = eval_v(w, z) * p / root
+    P = v * p / root
     dPdx = np.gradient(P, x, edge_order=2)
     return (N - dPdx) * _local_dx(x)
 
@@ -146,8 +145,7 @@ def beltrami_residual(samples, w: RadialWeight) -> np.ndarray:
     z = np.hypot(x, y)
     p = np.gradient(y, x, edge_order=2)
     root = np.sqrt(1.0 + p * p)
-    v = eval_v(w, z)
-    q = eval_q(w, z)
+    v, q = eval_vq(w, z)
     M = q * x * root / z
     W = v * root - (v * p / root) * p   # V - P*p, equals v/sqrt(1+p^2)
     dWdx = np.gradient(W, x, edge_order=2)

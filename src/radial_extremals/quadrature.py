@@ -18,14 +18,15 @@ and each estimate is sharpened with Python's float ** 1.5, which np.power
 does not always match.  So where each node's value depends on that node
 alone (as in reduced_ode), runs of several integrands share the first call,
 each integrand called once on its own rows, and a caller whose intervals
-mostly need exactly one bisection (the BVP span pieces; a traced grid's
-short intervals almost never refine) can ask the driver to speculate: both
+mostly need exactly one bisection can ask integrate to speculate: both
 halves of every first bisection then come from that same call, and
-refinement takes them instead of calling the integrand again.  Results,
-estimates and panel counts are those of one plain call per run, in order,
-and so is every failure: a shared or speculative first call that raises an
-ExtremalError or would give a numpy floating-point warning is replaced by
-those plain calls.
+refinement takes them instead of calling the integrand again.  reduced_ode
+asks for it on intervals from the turning radius (BVP spans, the
+closed-form gate), not on a traced grid's short intervals, which almost
+never refine.  Results, estimates and panel counts are those of one plain
+call per run, in order, and so is every failure: a shared or speculative
+first call that raises an ExtremalError or would give a numpy
+floating-point warning is replaced by those plain calls.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ExtremalError, QuadratureFailure
 
-__all__ = ["kronrod_panels"]
+__all__ = ["integrate", "kronrod_panels"]
 
 # 15-point Kronrod abscissae (positive half, descending) and weights,
 # with the embedded 7-point Gauss weights on the shared nodes.
@@ -106,8 +107,8 @@ def kronrod_panels(f, a, b):
     return _panel_sums(fv, half, b - a)
 
 
-def _integrate(f, a, b, tol, max_panels: int = 10_000,
-               speculate: bool = False):
+def integrate(f, a, b, tol, max_panels: int = 10_000,
+              speculate: bool = False):
     """Per-interval (integrals, summed error estimates, panels in the final
     partitions) of f over [a[k], b[k]], each to absolute error tol[k].
     f is one integrand, or a list of (integrand, count) runs: the first
@@ -139,8 +140,8 @@ def _integrate(f, a, b, tol, max_panels: int = 10_000,
             parts, start = [], 0
             for g, count in runs:
                 run = slice(start, start + count)
-                parts.append(_integrate(g, a[run], b[run], tol[run],
-                                        max_panels, speculate))
+                parts.append(integrate(g, a[run], b[run], tol[run],
+                                       max_panels, speculate))
                 start += count
             return tuple(np.concatenate(x) for x in zip(*parts))
         if first is None:

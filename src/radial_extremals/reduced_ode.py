@@ -31,7 +31,7 @@ from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
                      TangentialTurningPoint)
 from .roots import find_root
-from .weights import PowerLaw, RadialWeight, eval_v, eval_vq
+from .weights import PowerLaw, RadialWeight, eval_v, eval_vq, masked_v
 
 __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
            "integrate_phi", "trace_extremal", "first_integral_deviation"]
@@ -79,21 +79,6 @@ def turning_radius(w: RadialWeight, n: float, bracket) -> float:
     return best
 
 
-def _masked_weight(w: RadialWeight, z: np.ndarray):
-    """v(z) from the raw weight on an array, and the mask where eval_v would
-    succeed: v finite and positive, z inside the weight's domain."""
-    with np.errstate(all="ignore"):
-        v = w._raw_v(z)
-    return v, np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
-
-
-def _masked_profile(w: RadialWeight, n: float, z: np.ndarray):
-    """g(z) from the raw weight on an array, and _masked_weight's mask."""
-    v, valid = _masked_weight(w, z)
-    with np.errstate(all="ignore"):
-        return n * v * z - 1.0, valid
-
-
 def _auto_bracket(w: RadialWeight, n: float):
     """First sign change of n*v(z)*z - 1 on a geometric grid, as a bracket.
 
@@ -104,7 +89,7 @@ def _auto_bracket(w: RadialWeight, n: float):
     if w._bracket_scan is None:
         z = np.geomspace(max(max(w.domain_min, 0.0) * (1.0 + 1e-9), 1e-8),
                          1e8, 321)
-        w._bracket_scan = (z, *_masked_weight(w, z))
+        w._bracket_scan = (z, *masked_v(w, z))
     z, v, valid = w._bracket_scan
     with np.errstate(all="ignore"):
         g = n * v * z - 1.0
@@ -178,7 +163,9 @@ class ExtremalSpec:
         # _G_HANDOFF
         steps = max(1e-6 * zt, 1e-12) * _LADDER
         z = zt + steps[:int(np.argmax(steps > 1e7 * max(1.0, zt))) + 1]
-        g, valid = _masked_profile(self.weight, self.n, z)
+        v, valid = masked_v(self.weight, z)
+        with np.errstate(all="ignore"):
+            g = self.n * v * z - 1.0
         if not valid[0]:
             _profile(self.weight, self.n, z[0])   # the weight's own error
         reach = valid & (g >= _G_HANDOFF)
@@ -201,7 +188,7 @@ class ExtremalSpec:
         w_tab[0] = 0.0
         rising = np.diff(w_tab) > 0.0
         if np.count_nonzero(rising) < rising.size:
-            cut = int(np.argmin(rising)) + 1   # keep the monotone prefix
+            cut = int(np.argmin(rising))   # end at the last rising row
             z_tab, w_tab = z_tab[:cut + 1], w_tab[:cut + 1]
             z_hi = float(z_tab[-1])
         self._near = (z_hi, float(w_tab[-1]), w_tab, z_tab)
@@ -254,21 +241,23 @@ def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
     return w
 
 
-def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
-                tol: float, speculate: bool = False):
-    """Angle swept over every [z_a[k], z_b[k]], z_turn <= z_a <= z_b, to
-    absolute error tol each.
+def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
+                tol: float):
+    """Angle swept from z_from[k] to z_to[k], radii at or outside z_turn in
+    either order (negated where z_to < z_from), to absolute error tol each.
 
-    Intervals inside the near region are integrated in w, those beyond it
-    in z, in one adaptive quadrature call whose near pieces come first, so
-    the result and every failure are those of a near call followed by a far
-    call.  An interval across the handoff radius z_split adds a near piece
-    [w(z_a), w_split] and a far piece [z_split, z_b], each to tol/2.
-    Returns (increments, exactly rounded sum of the pieces' error
-    estimates, panels in the final partitions).  speculate is passed to
-    quadrature._integrate: it saves integrand calls where most pieces need
-    one bisection, as the long pieces of a BVP span do.
+    Over [z_a, z_b], lower radius first, near-region pieces are integrated
+    in w and those beyond it in z, in one quadrature call whose near pieces
+    come first, so the result and every failure are those of a near call
+    followed by a far call; an interval across the handoff radius z_split
+    adds pieces [w(z_a), w_split] and [z_split, z_b], each to tol/2.
+    Returns (increments, exactly rounded sum of the pieces' error estimates,
+    panels in the final partitions).  When every interval starts at z_turn
+    the first call also evaluates each first bisection (same bits): about
+    half of such long pieces need exactly one; a traced grid's rarely do.
     """
+    flip = z_to < z_from
+    z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
     z_split, w_split, _, _ = spec._near_setup()
     moving = z_a != z_b
     # written so that a NaN radius enters a region and reaches the weight
@@ -280,25 +269,17 @@ def _increments(spec: ExtremalSpec, z_a: np.ndarray, z_b: np.ndarray,
     lo = np.concatenate((_w_of(spec, z_a[near]),
                          np.where(near, z_split, z_a)[far]))
     n_near = int(np.count_nonzero(near))
-    val, err, panels = quadrature._integrate(
+    val, err, panels = quadrature.integrate(
         [(_near_integrand(spec), n_near),
          (_far_integrand(spec), len(lo) - n_near)],
         lo, np.concatenate((w_b[near], z_b[far])),
-        np.concatenate((piece_tol[near], piece_tol[far])), speculate=speculate)
+        np.concatenate((piece_tol[near], piece_tol[far])),
+        speculate=not np.count_nonzero(z_a != spec.z_turn))
     inc = np.zeros(len(z_a))
     inc[near] = val[:n_near]
     inc[far] += val[n_near:]
-    return inc, math.fsum(err.tolist()), int(panels.sum())
-
-
-def _signed_increments(spec: ExtremalSpec, z_from, z_to, tol: float,
-                       speculate: bool = False):
-    """_increments on pairs of radii in either order: z_from[k] -> z_to[k]."""
-    z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)
-    up = z_to >= z_from
-    inc, err, panels = _increments(spec, np.where(up, z_from, z_to),
-                                   np.where(up, z_to, z_from), tol, speculate)
-    return np.where(up, inc, -inc), err, panels
+    return (np.where(flip, -inc, inc), math.fsum(err.tolist()),
+            int(panels.sum()))
 
 
 def dphi_dz(z, spec: ExtremalSpec):
@@ -321,24 +302,33 @@ def dphi_dz(z, spec: ExtremalSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def integrate_phi(spec: ExtremalSpec, z_from: float, z_to: float,
-                  tol: float) -> float:
-    """Signed angle swept between two radii on one branch.
-
-    Both radii must lie at or outside the turning radius; an endpoint at z*
-    is exact (the w-substitution integrates from the root of n*v*z - 1
-    itself, so no singular behavior is ever sampled).  The interval goes
-    through the same batched increments as a traced grid.
-    """
+def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
+    """Signed angle swept between radii on one branch: a float for two
+    scalars, else (1-d arrays of one length, or a scalar paired with each
+    entry) one angle per pair, each with the bits of its own scalar call.
+    Radii must lie at or outside z*; an endpoint at z* is exact (the
+    w-substitution integrates from the root of n*v*z - 1 itself)."""
     if not 1e-14 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
-    for name, z in (("z_from", z_from), ("z_to", z_to)):
-        if not math.isfinite(z):
-            raise DomainError(f"{name} must be finite, got {z}")
-        if z < spec.z_turn * (1.0 - 1e-12):
-            raise ForbiddenRegion(
-                f"z = {z} lies inside the turning radius z* = {spec.z_turn}")
-    return float(_signed_increments(spec, [z_from], [z_to], tol)[0][0])
+    z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)
+    ndim = max(z_from.ndim, z_to.ndim)
+    if ndim > 1 or (z_from.ndim and z_to.ndim and z_from.size != z_to.size):
+        raise DomainError("z_from and z_to must be scalars or 1-d arrays of "
+                          f"one length, got {z_from.shape} and {z_to.shape}")
+    pairs = np.empty((2, z_to.size if z_to.ndim else z_from.size))
+    pairs[0], pairs[1] = z_from, z_to
+    z_min = spec.z_turn * (1.0 - 1e-12)
+    if np.count_nonzero(~np.isfinite(pairs) | (pairs < z_min)):
+        for name, z in zip(("z_from", "z_to"), pairs.tolist()):
+            for x in z:
+                if not math.isfinite(x):
+                    raise DomainError(f"{name} must be finite, got {x}")
+            for x in z:
+                if x < z_min:
+                    raise ForbiddenRegion(f"z = {x} lies inside the turning "
+                                          f"radius z* = {spec.z_turn}")
+    inc = _increments(spec, pairs[0], pairs[1], tol)[0]
+    return inc if ndim else float(inc[0])
 
 
 def first_integral_deviation(w: RadialWeight, n: float, z):
@@ -420,7 +410,7 @@ def _uniform_phi_grid(spec, z_max, count, tol):
     i0 = np.maximum(np.searchsorted(dense_phi, targets[1:-1]) - 1, 0)
     base_z, base_phi = dense_z[i0], dense_phi[i0]
     for _ in range(2):
-        local, e, p = _signed_increments(spec, base_z, z, 1e-15)
+        local, e, p = _increments(spec, base_z, z, 1e-15)
         z = z - (base_phi + local - targets[1:-1]) / dphi_dz(z, spec)
         z = np.maximum(z, spec.z_turn * (1.0 + 1e-15))
         err, panels = err + e, panels + p

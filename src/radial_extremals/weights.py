@@ -20,7 +20,8 @@ from .dual import Dual
 from .errors import DomainError, EvalError, NonPositiveWeight
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
-           "eval_v", "eval_q", "eval_vq", "parse_weight", "render"]
+           "eval_v", "eval_q", "eval_vq", "masked_v", "parse_weight",
+           "render"]
 
 
 class RadialWeight:
@@ -126,6 +127,15 @@ def _finish(w, z, v=None):
     if not np.greater(v, 0.0).all():
         raise NonPositiveWeight(f"weight {w!r} is non-positive at some z")
     raise EvalError(f"weight derivative is not finite for {w!r}")
+
+
+def masked_v(w: RadialWeight, z):
+    """(raw v(z), mask where eval_v would succeed: v finite and positive, z
+    inside the domain), raising nothing, for scans of where v turns bad."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):
+        v = w._raw_v(z)
+    return v, np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
 
 
 def eval_v(w: RadialWeight, z):

@@ -254,31 +254,31 @@ class TestSolveN:
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_one_quadrature_call_per_span(self, monkeypatch, weight):
         # criterion 07's first draw: each span's near and far pieces go
-        # through one _integrate call, whose first panels (with their
+        # through one integrate call, whose first panels (with their
         # first bisections) are one kronrod_panels call; the calls of
         # refinement's later bisections are not counted
         lam, n_true, a, b = first_round_trip_draw()
         w = PowerLaw(lam) if weight is None \
             else parse_weight(weight.format(lam=lam))
         quad = reduced_ode.quadrature
-        calls = {"_integrate": [], "first panels": []}
+        calls = {"integrate": [], "first panels": []}
 
-        def counted_integrate(*args, _f=quad._integrate, **kwargs):
-            calls["_integrate"].append(args[1])
+        def counted_integrate(*args, _f=quad.integrate, **kwargs):
+            calls["integrate"].append(args[1])
             return _f(*args, **kwargs)
 
         def counted_panels(f, lo, hi, _f=quad.kronrod_panels):
             if sys._getframe(1).f_code.co_name != "_refine":
                 calls["first panels"].append(len(lo))
             return _f(f, lo, hi)
-        monkeypatch.setattr(quad, "_integrate", counted_integrate)
+        monkeypatch.setattr(quad, "integrate", counted_integrate)
         monkeypatch.setattr(quad, "kronrod_panels", counted_panels)
         spans = count_spans(monkeypatch)
         sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert len(spans) == 10
-        assert len(calls["_integrate"]) == len(spans)
+        assert len(calls["integrate"]) == len(spans)
         assert len(calls["first panels"]) == len(spans)
         assert all(k % 3 == 0 for k in calls["first panels"])
 

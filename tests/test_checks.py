@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from radial_extremals import (ExtremalSpec, PowerLaw, checks, el_residual,
                               integrate_phi, parse_weight)
-from radial_extremals.reduced_ode import _signed_increments, trace_extremal
+from radial_extremals import quadrature
+from radial_extremals.reduced_ode import trace_extremal
 
 
 def _passes(row):
@@ -82,18 +83,26 @@ def test_max_el_residual_matches_point_lists(weight):
 
 
 @pytest.mark.parametrize("weight", [PowerLaw(1.3), parse_weight("1.0*z^1.3")])
-def test_closed_form_row_is_one_call_per_angle(weight):
+def test_closed_form_row_is_one_call_per_angle(weight, monkeypatch):
     n, k = 1.1, 2.3
     spec = ExtremalSpec(weight, n)
     psis = np.linspace(0.0, 1.4, 15)[1:].tolist()
     zs = [(n * math.cos(psi)) ** (-1.0 / k) for psi in psis]
     separate = [integrate_phi(spec, spec.z_turn, z, 1e-12) for z in zs]
-    batched = _signed_increments(spec, [spec.z_turn] * 14, zs, 1e-12)[0]
+    batched = integrate_phi(spec, spec.z_turn, zs, 1e-12)
     assert batched.tolist() == separate
-    # gates speculates; the first bisection it saves keeps every bit
-    speculative = _signed_increments(spec, [spec.z_turn] * 14, zs, 1e-12,
-                                     speculate=True)[0]
-    assert speculative.tobytes() == batched.tobytes()
+    # angles from z* take each first bisection from the first call; the
+    # plain driver gives every bit of them
+    flags = []
+
+    def plain(*args, speculate, _f=quadrature.integrate):
+        flags.append(speculate)
+        return _f(*args, speculate=False)
+    monkeypatch.setattr(quadrature, "integrate", plain)
+    assert integrate_phi(spec, spec.z_turn, zs, 1e-12).tobytes() == \
+        batched.tobytes()
+    assert flags == [True]
+    monkeypatch.undo()
     worst = 0.0
     for psi, got in zip(psis, separate):
         worst = max(worst, abs(got - psi / k))

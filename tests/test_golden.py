@@ -72,6 +72,16 @@ def test_output_matches_golden(name, capsys):
 
 
 _BVP_LAM0 = ["bvp", "--lambda", "0", "--endpoints=-1.047,1,1.047,1"]
+# argparse's usage block for trace, wrapped at the 80 columns the failing-run
+# test sets, then the prefix of its error line
+_TRACE_USAGE = (
+    "usage: radial-extremals trace [-h] (--lambda A/B | --weight EXPR) --n N\n"
+    "                              (--zmax ZMAX | --psi-range A:B)\n"
+    "                              [--samples SAMPLES] [--tol TOL]\n"
+    "                              [--grid {cosine,uniform-phi}]\n"
+    "                              [--format {csv,json,svg}] [--out PATH]\n"
+    "radial-extremals trace: error: argument --weight: ")
+_TRACE_TAIL = ["--n", "1", "--zmax", "2"]
 
 # case name: (argv, exit code, standard error); none writes standard output
 FAILURES = {
@@ -118,11 +128,24 @@ FAILURES = {
         [*_BVP_LAM0, "--n-bracket", "1.2:3.5", "--tol", "1e-13"],
         1, "QuadratureFailure: tol 5.000e-15 is below the round-off floor "
            "9.495e-15 of the integral\n"),
+    "trace-empty-weight": (
+        ["trace", "--weight", "", *_TRACE_TAIL],
+        2, _TRACE_USAGE + "weight expression must be nonempty\n"),
+    "trace-blank-weight": (
+        ["trace", "--weight", "   ", *_TRACE_TAIL],
+        2, _TRACE_USAGE + "weight expression must be nonempty\n"),
+    "trace-deeply-nested-weight": (   # deeper than the parser's stack
+        ["trace", "--weight=3000+" + "-" * 990 + "z", *_TRACE_TAIL],
+        2, _TRACE_USAGE + "expression nests too deeply at offset 0\n"),
+    "trace-overflowing-literal": (
+        ["trace", "--weight", "1e999*z", *_TRACE_TAIL],
+        2, _TRACE_USAGE + "number '1e999' overflows to inf at offset 0\n"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FAILURES))
-def test_failure_matches_golden(name, capsys):
+def test_failure_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to it
     argv, code, err = FAILURES[name]
     assert main(list(argv)) == code
     captured = capsys.readouterr()

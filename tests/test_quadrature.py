@@ -74,10 +74,10 @@ def kronrod_panel(f, a, b):
     return _row_sums(fv, half, b - a)
 
 
-def integrate(f, a, b, tol, max_panels=10_000):
-    """Integral of f over [a, b] with absolute error <= tol: the driver on
+def integrate_one(f, a, b, tol, max_panels=10_000):
+    """Integral of f over [a, b] with absolute error <= tol: integrate on
     one interval."""
-    return float(quadrature._integrate(f, [a], [b], tol, max_panels)[0][0])
+    return float(quadrature.integrate(f, [a], [b], tol, max_panels)[0][0])
 
 
 def _bits(x):
@@ -101,7 +101,8 @@ class TestPanel:
 
     def test_error_estimate_bounds_true_error(self):
         val, err = kronrod_panel(lambda x: np.exp(np.sin(3.0 * x)), 0.0, 2.0)
-        ref = integrate(lambda x: np.exp(np.sin(3.0 * x)), 0.0, 2.0, 1e-13)
+        ref = integrate_one(lambda x: np.exp(np.sin(3.0 * x)), 0.0, 2.0,
+                            1e-13)
         assert abs(val - ref) <= max(err, 1e-13)
 
 
@@ -214,37 +215,38 @@ class TestBatchedSums:
 
 class TestIntegrate:
     def test_sin(self):
-        assert integrate(lambda x: np.sin(x), 0.0, math.pi, 1e-13) == \
+        assert integrate_one(lambda x: np.sin(x), 0.0, math.pi, 1e-13) == \
             pytest.approx(2.0, abs=1e-13)
 
     def test_empty_and_reversed(self):
-        assert integrate(lambda x: x, 1.0, 1.0, 1e-10) == 0.0
-        fwd = integrate(lambda x: x ** 3 + 1.0, 0.0, 2.0, 1e-12)
-        rev = integrate(lambda x: x ** 3 + 1.0, 2.0, 0.0, 1e-12)
+        assert integrate_one(lambda x: x, 1.0, 1.0, 1e-10) == 0.0
+        fwd = integrate_one(lambda x: x ** 3 + 1.0, 0.0, 2.0, 1e-12)
+        rev = integrate_one(lambda x: x ** 3 + 1.0, 2.0, 0.0, 1e-12)
         assert fwd == pytest.approx(-rev, rel=1e-14)
         assert fwd == pytest.approx(6.0, abs=1e-12)
 
     def test_sharp_peak_meets_tolerance(self):
         a, c = 1e4, 0.3
-        got = integrate(lambda x: np.exp(-a * (x - c) ** 2), 0.0, 1.0, 1e-12)
+        got = integrate_one(lambda x: np.exp(-a * (x - c) ** 2), 0.0, 1.0,
+                            1e-12)
         assert got == pytest.approx(gaussian_reference(a, c, 0.0, 1.0),
                                     abs=1e-11)
 
     def test_divergent_integrand_fails(self):
         with pytest.raises(QuadratureFailure):
-            integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-8)
+            integrate_one(lambda x: 1.0 / x, 0.0, 1.0, 1e-8)
 
     def test_core_reports_estimate_and_panels(self):
         f = lambda x: np.exp(-1e2 * (x - 0.3) ** 2)  # noqa: E731
-        vals, errs, panels = quadrature._integrate(
+        vals, errs, panels = quadrature.integrate(
             f, [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], 1e-12)
         val, err, count = vals[0], errs[0], panels[0]
-        assert val == integrate(f, 0.0, 1.0, 1e-12)
+        assert val == integrate_one(f, 0.0, 1.0, 1e-12)
         assert 0.0 < err <= 1e-12
         assert count > 1
         assert (vals[1], errs[1], panels[1]) == (-val, err, count)
         assert (vals[2], errs[2], panels[2]) == (0.0, 0.0, 0)
-        one = quadrature._integrate(lambda x: x * x, [0.0], [1.0], 1e-10)
+        one = quadrature.integrate(lambda x: x * x, [0.0], [1.0], 1e-10)
         assert [x[0] for x in one] == \
             [*kronrod_panel(lambda x: x * x, 0.0, 1.0), 1]
 
@@ -260,10 +262,10 @@ class TestIntegrate:
             return f(x)
 
         with pytest.raises(QuadratureFailure, match="round-off"):
-            integrate(counted, a, b, 1e-14)
+            integrate_one(counted, a, b, 1e-14)
         assert len(calls) <= 5     # not the 10k-panel budget
-        assert integrate(counted, a, b, 1e-13) == \
-            pytest.approx(integrate(f, a, b, 1e-10), abs=1e-13)
+        assert integrate_one(counted, a, b, 1e-13) == \
+            pytest.approx(integrate_one(f, a, b, 1e-10), abs=1e-13)
 
     def test_array_call_equals_scalar_driver(self):
         # forward, reversed and equal limits; entries that need refinement
@@ -272,7 +274,7 @@ class TestIntegrate:
         a = [0.0, 1.0, 0.5, 0.3, 0.31, -1.0, 2.0, 0.25]
         b = [1.0, 0.0, 0.5, 0.31, 0.3, 2.0, 0.0, 0.35]
         tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8]
-        vals, errs, panels = quadrature._integrate(f, a, b, tol)
+        vals, errs, panels = quadrature.integrate(f, a, b, tol)
         got = list(zip(vals.tolist(), errs.tolist(), panels.tolist()))
         assert got == [_scalar_driver(f, *args) for args in zip(a, b, tol)]
         assert panels[2] == 0 and 1 in panels and panels.max() > 4
@@ -292,14 +294,14 @@ class TestIntegrate:
 
     def test_infinite_limit_fails(self):
         with pytest.raises(QuadratureFailure, match="limits must be finite"):
-            integrate(np.exp, 0.0, math.inf, 1e-10)
+            integrate_one(np.exp, 0.0, math.inf, 1e-10)
 
     def test_nan_first_panel_fails(self):
         # with numpy's invalid-value warning off, sqrt past 1 hands the
         # driver NaN quietly; a NaN estimate never exceeds tol
         with np.errstate(invalid="ignore"), \
                 pytest.raises(QuadratureFailure, match="not finite"):
-            integrate(lambda x: np.sqrt(1.0 - x), 0.0, 2.0, 1e-10)
+            integrate_one(lambda x: np.sqrt(1.0 - x), 0.0, 2.0, 1e-10)
         with pytest.raises(QuadratureFailure, match="not finite"):
             kronrod_panel(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0)
 
@@ -311,7 +313,7 @@ class TestIntegrate:
                             np.exp(-1e3 * (x - 0.3) ** 2))
         assert np.isfinite(kronrod_panel(f, 0.0, 1.0)).all()
         with pytest.raises(QuadratureFailure, match="not finite"):
-            integrate(f, 0.0, 1.0, 1e-10)
+            integrate_one(f, 0.0, 1.0, 1e-10)
 
     def test_speculative_equals_plain(self):
         # the cases of test_array_call_equals_scalar_driver: first panels
@@ -326,7 +328,7 @@ class TestIntegrate:
             def counted(x, _calls=calls[speculate]):
                 _calls.append(np.shape(x))
                 return f(x)
-            got[speculate] = [x.tolist() for x in quadrature._integrate(
+            got[speculate] = [x.tolist() for x in quadrature.integrate(
                 counted, a, b, tol, speculate=speculate)]
         assert got[True] == got[False]
         assert calls[True][0] == (3 * 8, 15)
@@ -340,31 +342,31 @@ class TestIntegrate:
 
     def test_speculative_nan_half_first_panel_meets_tol(self):
         f = self._strip(lambda x: 1.0 + x)
-        plain = quadrature._integrate(f, [0.0], [1.0], 1e-10)
-        spec = quadrature._integrate(f, [0.0], [1.0], 1e-10, speculate=True)
+        plain = quadrature.integrate(f, [0.0], [1.0], 1e-10)
+        spec = quadrature.integrate(f, [0.0], [1.0], 1e-10, speculate=True)
         assert [x.tolist() for x in spec] == [x.tolist() for x in plain]
         assert plain[2].tolist() == [1]
 
     def test_speculative_nan_half_on_refinement_fails(self):
         f = self._strip(lambda x: np.exp(-1e3 * (x - 0.3) ** 2))
         with pytest.raises(QuadratureFailure, match="not finite") as plain:
-            quadrature._integrate(f, [0.0], [1.0], 1e-10)
+            quadrature.integrate(f, [0.0], [1.0], 1e-10)
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(plain.value))}$"):
-            quadrature._integrate(f, [0.0], [1.0], 1e-10, speculate=True)
+            quadrature.integrate(f, [0.0], [1.0], 1e-10, speculate=True)
 
     def test_speculative_warning_left_to_plain_call(self):
         # log(0) at the half's midpoint node would warn (an error here);
         # the plain call that replaces the speculative one never samples it
         f = lambda x: 1.0 + x + 0.0 * np.log(abs(x - 0.25))  # noqa: E731
-        spec = quadrature._integrate(f, [0.0], [1.0], 1e-10, speculate=True)
+        spec = quadrature.integrate(f, [0.0], [1.0], 1e-10, speculate=True)
         assert [x.tolist() for x in spec] == \
             [[x] for x in kronrod_panel(f, 0.0, 1.0)] + [[1]]
 
     def test_panel_budget_exhaustion(self):
         with pytest.raises(QuadratureFailure):
-            integrate(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
-                      0.0, 1.0, 1e-12, max_panels=2)
+            integrate_one(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
+                          0.0, 1.0, 1e-12, max_panels=2)
 
 
 class TestRuns:
@@ -390,8 +392,8 @@ class TestRuns:
         parts, start = [], 0
         for f, count in runs:
             run = slice(start, start + count)
-            parts.append(quadrature._integrate(f, a[run], b[run], tol[run],
-                                               speculate=speculate))
+            parts.append(quadrature.integrate(f, a[run], b[run], tol[run],
+                                              speculate=speculate))
             start += count
         return [np.concatenate(x) for x in zip(*parts)]
 
@@ -407,7 +409,7 @@ class TestRuns:
                 calls.append(f)
                 return f(x)
             return g
-        got = quadrature._integrate(
+        got = quadrature.integrate(
             [(counted(f), n) for f, n in runs], a, b, tol,
             speculate=speculate)
         want = self.per_run(runs, a, b, tol, speculate)
@@ -429,7 +431,7 @@ class TestRuns:
                              a, b, np.full(3, 1e-10), False)
             with pytest.raises(QuadratureFailure,
                                match=f"^{re.escape(str(want.value))}$"):
-                quadrature._integrate(
+                quadrature.integrate(
                     [(self.f1, split), (self.f2, 3 - split)], a, b, 1e-10)
 
     def test_infinite_limit_of_a_later_run_fails_after_the_first(self):
@@ -439,10 +441,10 @@ class TestRuns:
             raise DomainError("first run")
         runs = [(bad, 1), (self.f2, 1)]
         with pytest.raises(DomainError, match="first run"):
-            quadrature._integrate(runs, [0.0, 0.0], [1.0, math.inf], 1e-10)
+            quadrature.integrate(runs, [0.0, 0.0], [1.0, math.inf], 1e-10)
         with pytest.raises(QuadratureFailure, match="limits must be finite"):
-            quadrature._integrate([(self.f1, 1), (self.f2, 1)],
-                                  [0.0, 0.0], [1.0, math.inf], 1e-10)
+            quadrature.integrate([(self.f1, 1), (self.f2, 1)],
+                                 [0.0, 0.0], [1.0, math.inf], 1e-10)
 
     @pytest.mark.parametrize("speculate", [False, True])
     def test_failed_refinement_of_first_run_wins(self, speculate):
@@ -457,17 +459,17 @@ class TestRuns:
         runs = [(self.f1, 1), (second, 1)]
         a, b, tol = [0.0, 0.0], [1.0, 1.0], [1e-17, 1e-10]
         with pytest.raises(QuadratureFailure, match="round-off") as want:
-            quadrature._integrate(self.f1, a[:1], b[:1], tol[:1],
-                                  speculate=speculate)
+            quadrature.integrate(self.f1, a[:1], b[:1], tol[:1],
+                                 speculate=speculate)
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
-            quadrature._integrate(runs, a, b, tol, speculate=speculate)
+            quadrature.integrate(runs, a, b, tol, speculate=speculate)
         assert len(seen) == 1    # the shared call, never the second run's
         # both runs fail on refinement: the first run's failure is raised
         runs = [(self.f1, 1), (self.f2, 1)]
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
-            quadrature._integrate(runs, a, b, 1e-17, speculate=speculate)
+            quadrature.integrate(runs, a, b, 1e-17, speculate=speculate)
 
     def test_warning_left_to_the_calls_per_run(self):
         # 1/0 at the centre node of [0, 0.5] warns, and exp(-inf) is 0: the
@@ -479,7 +481,7 @@ class TestRuns:
         a, b, tol = np.zeros(2), np.array([1.0, 0.5]), np.full(2, 1e-10)
         got = {}
         for name, call in (
-                ("runs", lambda: quadrature._integrate(runs, a, b, tol)),
+                ("runs", lambda: quadrature.integrate(runs, a, b, tol)),
                 ("per run", lambda: self.per_run(runs, a, b, tol, False))):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +224,34 @@ class TestHandoffLadder:
         assert len(w_tab) == len(z_tab) == reduced_ode._TABLE_SIZE + 1
         assert (np.diff(w_tab) > 0.0).all() and w_hi == w_tab[-1]
 
+    def test_cut_table_ends_at_the_last_rising_row(self):
+        # w stops rising inside this weight's table (g peaks before the
+        # handoff value), so the table is cut: an angle past the cut may
+        # fail, but never comes out wrong
+        mpmath = pytest.importorskip("mpmath")
+        n = 8.634916453297178
+        spec = ExtremalSpec(parse_weight("1 + 0.3*sin(20*z)"), n)
+        z_hi, w_hi, w_tab, z_tab = spec._near_setup()
+        assert len(w_tab) < reduced_ode._TABLE_SIZE + 1
+        assert (np.diff(w_tab) > 0.0).all()
+        assert (z_hi, w_hi) == (z_tab[-1], w_tab[-1])
+        got = {}
+        for z in (0.128, 0.15, 0.16, 0.1645, 0.1666906108583988):
+            try:
+                got[z] = integrate_phi(spec, spec.z_turn, z, 1e-13)
+            except ExtremalError:
+                pass
+        with mpmath.workdps(40):
+            def g(x):
+                return n * (1 + mpmath.mpf("0.3") * mpmath.sin(20 * x)) * x - 1
+            zt = mpmath.findroot(g, spec.z_turn)
+            for z, phi in got.items():
+                ref = mpmath.quad(
+                    lambda x: 1 / (x * mpmath.sqrt(g(x) * (g(x) + 2))),
+                    [zt, z])
+                assert abs(phi - ref) <= (1e-12 if z == 0.128 else 1e-10)
+        assert 0.128 in got
+
     def test_invalid_first_rung_raises_the_weight_error(self):
         spec = ExtremalSpec(_EdgeWeight(1.0 + 1e-7), 1.0,
                             turn_bracket=(0.5, 1.0 + 5e-8))
@@ -338,6 +367,40 @@ class TestIntegratePhi:
         with pytest.raises(ForbiddenRegion):
             integrate_phi(spec, 0.5, 2.0, 1e-12)
 
+    @pytest.mark.parametrize("weight, n, z_top", [
+        (PowerLaw(1.3), 0.9, 3.0), (parse_weight("1/(1+z^2)"), 3.0, 0.9)])
+    def test_arrays_equal_scalar_calls(self, weight, n, z_top):
+        spec = ExtremalSpec(weight, n)
+        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        z_to = [zt, 1.1 * zt, 0.5 * (zt + z_split), z_split, z_top]
+        z_from = [z_top, zt, z_split, 1.05 * zt, z_top]
+        for a, b in ((zt, z_to), (z_from, z_to), (z_to, z_from)):
+            got = integrate_phi(spec, a, b, 1e-13)
+            assert isinstance(got, np.ndarray) and got.shape == (5,)
+            want = [integrate_phi(spec, x, y, 1e-13)
+                    for x, y in zip(np.broadcast_to(a, 5).tolist(), b)]
+            assert got.tolist() == want
+        assert integrate_phi(spec, zt, [], 1e-13).shape == (0,)
+        assert type(integrate_phi(spec, np.float64(zt), z_top, 1e-13)) is float
+
+    def test_array_checks_keep_the_scalar_order(self):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        bad = [(1e-2, [2.0, math.nan], [0.5, 2.0], DomainError, "tol"),
+               (1e-12, [2.0, math.nan], [0.5, 2.0], DomainError,
+                "z_from must be finite, got nan"),
+               (1e-12, [2.0, 0.5], [math.inf, 2.0], ForbiddenRegion,
+                "z = 0.5 lies inside"),
+               (1e-12, [2.0, 3.0], [1.5, -math.inf], DomainError,
+                "z_to must be finite, got -inf"),
+               (1e-12, 2.0, [1.5, 0.25, 0.5], ForbiddenRegion,
+                "z = 0.25 lies inside"),
+               (1e-12, [2.0, 3.0], [1.5, 2.0, 2.5], DomainError,
+                r"1-d arrays of one length, got \(2,\) and \(3,\)"),
+               (1e-12, 2.0, [[1.5, 2.0]], DomainError, "1-d arrays")]
+        for tol, z_from, z_to, error, message in bad:
+            with pytest.raises(error, match=message):
+                integrate_phi(spec, z_from, z_to, tol)
+
     def test_tolerance_validated(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
         with pytest.raises(DomainError, match="tol"):
@@ -393,15 +456,31 @@ class TestIntegratePhi:
                 assert abs(got - ref) <= 1e-10 * ref
 
 
+@pytest.fixture
+def speculated(monkeypatch):
+    """The speculate flag of every quadrature call made by _increments."""
+    flags = []
+    core = reduced_ode.quadrature.integrate
+
+    def integrate(*args, speculate=False, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_increments":
+            flags.append(speculate)
+        return core(*args, speculate=speculate, **kwargs)
+    monkeypatch.setattr(reduced_ode.quadrature, "integrate", integrate)
+    return flags
+
+
 class TestSpeculativeIncrements:
-    """Speculating on the first bisection changes no bit of the increments,
-    their summed estimate or the panel count."""
+    """_increments asks the quadrature to speculate on the first bisection
+    exactly when every interval starts at the turning radius, and that
+    changes no bit of the increments, their summed estimate or the panel
+    count."""
 
     @pytest.mark.parametrize("weight, n", [
         (PowerLaw(0.0), 2.0), (PowerLaw(1.3), 1.1), (PowerLaw(2.08), 0.9),
         (parse_weight("2.5*z^1.3"), 1.1), (parse_weight("1/(1+z^2)"), 3.0),
         (parse_weight("sqrt(2-z^2)"), 1.5)])
-    def test_equals_plain(self, weight, n, monkeypatch):
+    def test_equals_plain(self, weight, n, monkeypatch, speculated):
         spec = ExtremalSpec(weight, n)
         zt, z_split = spec.z_turn, spec._near_setup()[0]
         z_top = 1.3 if weight.text() == "sqrt(2-z^2)" else 3.0 * z_split
@@ -411,6 +490,7 @@ class TestSpeculativeIncrements:
         z_b = np.array([zt * (1.0 + 1e-6), 0.5 * (zt + z_split), z_split,
                         z_top, 0.9 * z_split + 0.1 * zt, z_top,
                         0.5 * (z_split + z_top)])
+        from_turn = z_a == zt
         refines = []
         core = reduced_ode.quadrature._refine
 
@@ -419,21 +499,30 @@ class TestSpeculativeIncrements:
             return core(*args)
         monkeypatch.setattr(reduced_ode.quadrature, "_refine", counted)
         for tol in (1e-10, 1e-12, 1e-13):
-            plain = reduced_ode._increments(spec, z_a, z_b, tol)
-            spec_inc = reduced_ode._increments(spec, z_a, z_b, tol,
-                                               speculate=True)
-            assert spec_inc[0].tolist() == plain[0].tolist()
-            assert spec_inc[1:] == plain[1:]
+            for keep in (np.ones(len(z_a), bool), from_turn):
+                got = _outcome(lambda: reduced_ode._increments(
+                    spec, z_a[keep], z_b[keep], tol))
+                for speculate in (False, True):
+                    assert got == _outcome(lambda: _two_call_increments(
+                        spec, z_a[keep], z_b[keep], tol, speculate))
+        assert speculated == [False, True] * 3
         assert refines
 
-    def test_signed_increments_pass_speculate(self):
+    def test_signed_increments_pass_speculate(self, speculated):
+        # radii in either order: every interval that starts at z*,
+        # whichever end it is, lets the quadrature speculate
         spec = ExtremalSpec(parse_weight("sqrt(1+z^3)"), 1.2)
-        z_from, z_to = [spec.z_turn, 2.0, 0.75], [0.75, spec.z_turn, 2.0]
-        plain = reduced_ode._signed_increments(spec, z_from, z_to, 1e-13)
-        got = reduced_ode._signed_increments(spec, z_from, z_to, 1e-13,
-                                             speculate=True)
-        assert got[0].tolist() == plain[0].tolist()
-        assert got[1:] == plain[1:]
+        zt = spec.z_turn
+        cases = [([zt, 2.0, zt, 0.75], [0.75, zt, 2.0, zt], True),
+                 ([zt, 2.0, 0.75], [0.75, zt, 2.0], False)]
+        for z_from, z_to, speculate in cases:
+            z_from, z_to = np.array(z_from), np.array(z_to)
+            got = _outcome(lambda: reduced_ode._increments(
+                spec, z_from, z_to, 1e-13))
+            for mode in (False, True):
+                assert got == _outcome(lambda: _two_call_increments(
+                    spec, z_from, z_to, 1e-13, mode))
+        assert speculated == [case[2] for case in cases]
 
 
 def _region_pieces(spec, z_a, z_b, tol):
@@ -453,17 +542,21 @@ def _region_pieces(spec, z_a, z_b, tol):
             near, far)
 
 
-def _two_call_increments(spec, z_a, z_b, tol, speculate=False):
-    """_increments from a near quadrature call and then a far one, for
-    reference."""
+def _two_call_increments(spec, z_from, z_to, tol, speculate):
+    """_increments from a near quadrature call and then a far one, each
+    interval from its lower radius and negated where z_to < z_from, with
+    the quadrature's speculation on or off, for reference."""
+    flip = z_to < z_from
+    z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
     near_piece, far_piece, near, far = _region_pieces(spec, z_a, z_b, tol)
     (near_val, near_err, near_panels), (far_val, far_err, far_panels) = (
-        reduced_ode.quadrature._integrate(*piece, speculate=speculate)
+        reduced_ode.quadrature.integrate(*piece, speculate=speculate)
         for piece in (near_piece, far_piece))
     inc = np.zeros(len(z_a))
     inc[near] = near_val
     inc[far] += far_val
-    return (inc, math.fsum(near_err.tolist() + far_err.tolist()),
+    return (np.where(flip, -inc, inc),
+            math.fsum(near_err.tolist() + far_err.tolist()),
             int(near_panels.sum() + far_panels.sum()))
 
 
@@ -512,7 +605,7 @@ class TestOneQuadratureCall:
                     for x in self.radii(spec, case))
         for tol in (1e-10, 1e-13):
             got = _outcome(lambda: reduced_ode._increments(
-                spec, z_a, z_b, tol, speculate=speculate))
+                spec, z_a, z_b, tol))
             assert got == _outcome(lambda: _two_call_increments(
                 spec, z_a, z_b, tol, speculate))
             if not case.startswith("nan"):
@@ -524,11 +617,11 @@ class TestOneQuadratureCall:
                            np.concatenate((t, t[:1], t[:1])))
                           for f, lo, hi, t in pieces]
                 runs = [(f, len(lo)) for f, lo, _, _ in pieces]
-                merged = reduced_ode.quadrature._integrate(
+                merged = reduced_ode.quadrature.integrate(
                     runs, *(np.concatenate(x) for x in
                             zip(*(p[1:] for p in pieces))),
                     speculate=speculate)
-                per_region = [reduced_ode.quadrature._integrate(
+                per_region = [reduced_ode.quadrature.integrate(
                     *p, speculate=speculate) for p in pieces]
                 for m, w in zip(merged, zip(*per_region)):
                     w = np.concatenate(w)
@@ -542,15 +635,15 @@ class TestOneQuadratureCall:
         z_split = spec._near_setup()[0]
         z_from = np.array([3.0 * z_split, spec.z_turn, 0.5 * z_split])
         z_to = np.array([spec.z_turn, 2.0 * z_split, 0.5 * z_split])
-        got = reduced_ode._signed_increments(spec, z_from, z_to, 1e-13,
-                                             speculate)
-        up = z_to >= z_from
-        inc, err, panels = _two_call_increments(
-            spec, np.where(up, z_from, z_to), np.where(up, z_to, z_from),
-            1e-13, speculate)
+        got = reduced_ode._increments(spec, z_from, z_to, 1e-13)
         assert _outcome(lambda: got) == _outcome(
-            lambda: (np.where(up, inc, -inc), err, panels))
+            lambda: _two_call_increments(spec, z_from, z_to, 1e-13,
+                                         speculate))
         assert got[0][0] < 0.0 < got[0][1] and got[0][2] == 0.0
+        # each angle is minus that of its interval taken upwards
+        up = reduced_ode._increments(spec, np.minimum(z_from, z_to),
+                                     np.maximum(z_from, z_to), 1e-13)[0]
+        assert got[0].tolist() == [-up[0], up[1], up[2]]
 
     @pytest.mark.parametrize("speculate", [False, True])
     def test_near_refinement_failure_wins_over_far_error(self, speculate,
@@ -567,17 +660,19 @@ class TestOneQuadratureCall:
             return f
         spec = ExtremalSpec(*self.WEIGHTS["lambda 1.3"])
         z_split = spec._near_setup()[0]
-        z_a, z_b = np.array([spec.z_turn]), np.array([3.0 * z_split])
+        # an interval from z* lets the quadrature speculate
+        z_a = np.array([spec.z_turn * (1.0 if speculate else 1.0 + 1e-6)])
+        z_b = np.array([3.0 * z_split])
         with pytest.raises(QuadratureFailure, match="round-off") as want:
             _two_call_increments(spec, z_a, z_b, 1e-17, speculate)
         monkeypatch.setattr(reduced_ode, "_far_integrand", raising_far)
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
-            reduced_ode._increments(spec, z_a, z_b, 1e-17, speculate)
+            reduced_ode._increments(spec, z_a, z_b, 1e-17)
         assert len(far_calls) == 1   # the shared first call only
         # with a near piece that meets tol, the far error is raised
         with pytest.raises(ForbiddenRegion, match="far integrand"):
-            reduced_ode._increments(spec, z_a, z_b, 1e-10, speculate)
+            reduced_ode._increments(spec, z_a, z_b, 1e-10)
 
 
 class TestLuneburgLens:
@@ -684,7 +779,7 @@ class TestTrace:
             raise AssertionError("quadrature ran")
         # tracing enters quadrature through the batched panels and the
         # adaptive core
-        for name in ("_integrate", "kronrod_panels"):
+        for name in ("integrate", "kronrod_panels"):
             monkeypatch.setattr(reduced_ode.quadrature, name, no_quadrature)
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         with pytest.raises(DomainError, match="tol"):
@@ -882,11 +977,14 @@ class TestBatchedTracing:
         assert len(fallbacks) >= 1
 
     @pytest.mark.parametrize("case,integral_panels", [
-        ("five samples, wide", 18), ("five samples", 12)])
+        ("five samples, wide", 18), ("five samples", 14)])
     def test_no_panel_evaluated_twice(self, case, integral_panels,
                                       panel_log):
         # these grids have batched first panels that miss tol; refinement
-        # starts from them instead of evaluating them again
+        # starts from them instead of evaluating them again.  integrate_phi
+        # from z* also evaluates each first bisection with the first
+        # panels, which costs the near/far pair of "five samples" 2 panels
+        # that its plain refinement would not evaluate
         spec, z_max, count, tol = self._setup(case)
         zs = reduced_ode._cosine_z_grid(spec, z_max, count)
         reduced_ode._cumulative_phi(spec, zs, tol)

@@ -10,7 +10,7 @@ from radial_extremals import (DomainError, EvalError, ExpressionWeight,
                               PowerLaw, RadialWeight, eval_q, eval_v, eval_vq,
                               parse_weight, render)
 from radial_extremals import expressions
-from radial_extremals.dual import Dual
+from radial_extremals.dual import FUNCTIONS, Dual
 from radial_extremals.expressions import parse_expression
 
 
@@ -91,6 +91,25 @@ class TestEvalQ:
             fd = central_difference(w, z, h)
             assert abs(q - fd) <= 1e-6 * (1.0 + abs(q))
             checked += 1
+
+    # each weight reaches one dual-number rule: Dual + Dual, Dual ** Dual,
+    # number ** Dual and the derivative of cos
+    DUAL_RULES = {"z + sqrt(z)": lambda m, z: z + m.sqrt(z),
+                  "z^z": lambda m, z: z ** z,
+                  "2^z": lambda m, z: 2 ** z,
+                  "cos(z) + 2": lambda m, z: m.cos(z) + 2}
+
+    @pytest.mark.parametrize("text", DUAL_RULES)
+    def test_dual_rules_match_mpmath(self, text):
+        mpmath = pytest.importorskip("mpmath")
+        w, f = parse_weight(text), self.DUAL_RULES[text]
+        z = np.linspace(0.2, 4.0, 39)
+        with mpmath.workdps(30):
+            ref = [float(mpmath.diff(lambda x: f(mpmath, x), mpmath.mpf(x)))
+                   for x in z.tolist()]
+        got = eval_q(w, z)
+        assert got.tolist() == [eval_q(w, x) for x in z.tolist()]
+        assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 class _TwoMethodWeight(RadialWeight):
@@ -412,19 +431,65 @@ class TestParse:
     def test_scientific_literals(self):
         assert eval_v(parse_weight("1e-2 + z"), 1.0) == 1.01
 
+    def test_literal_overflowing_to_inf(self):
+        # inf would render as "inf", which does not parse back
+        with pytest.raises(ParseError, match="'1e999' overflows") as err:
+            parse_weight("2 * 1e999*z")
+        assert err.value.offset == 4
+        assert parse_expression("1e-999") == expressions.Num(0.0)
+
+    def test_trailing_token(self):
+        for text, offset in (("z z", 2), ("(z))", 3), ("2 3", 2)):
+            with pytest.raises(ParseError) as err:
+                parse_expression(text)
+            assert err.value.offset == offset
+            assert err.value.expected == {"operator", "end of input"}
+
+    @pytest.mark.parametrize("text", ["-" * 5000 + "z",
+                                      "(" * 2000 + "z" + ")" * 2000,
+                                      "z^" * 3000 + "z"])
+    def test_nesting_deeper_than_the_stack(self, text):
+        with pytest.raises(ParseError, match="nests too deeply") as err:
+            parse_weight(text)
+        assert err.value.offset == 0
+
+
+# expression trees as parse_expression builds them: literals are finite and
+# not negative (a leading minus is a Neg node)
+_TREES = st.recursive(
+    st.builds(expressions.Num, st.floats(min_value=0.0, allow_nan=False,
+                                         allow_infinity=False))
+    | st.just(expressions.Var()),
+    lambda sub: st.builds(expressions.Neg, sub)
+    | st.builds(expressions.Bin, st.sampled_from("+-*/^"), sub, sub)
+    | st.builds(expressions.Fun, st.sampled_from(sorted(FUNCTIONS)), sub),
+    max_leaves=12)
+
 
 class TestRenderRoundTrip:
+    TEXTS = ["1/(1+z^2)", "exp(-z)", "sqrt(z) * (1 + z)",
+             "2 + sin(z)/4 - cos(z)/8", "z^2/(1+z)", "-(z - 3) + z*z",
+             "log(1+z) + 1", "z^-2 + 1", "exp(-z^2/8)*(1+z)"]
+
     def test_round_trip_evaluations(self):
-        texts = ["1/(1+z^2)", "exp(-z)", "sqrt(z) * (1 + z)",
-                 "2 + sin(z)/4 - cos(z)/8", "z^2/(1+z)", "-(z - 3) + z*z",
-                 "log(1+z) + 1", "z^-2 + 1", "exp(-z^2/8)*(1+z)"]
         rng = np.random.default_rng(7)
-        for text in texts:
+        for text in self.TEXTS:
             w = parse_weight(text)
-            w2 = parse_weight(render(w))
+            w2 = parse_weight(expressions.render(w.ast))
             for z in rng.uniform(0.2, 4.0, size=100):
                 a, b = eval_v(w, float(z)), eval_v(w2, float(z))
                 assert abs(a - b) <= 1e-12 * abs(a)
+
+    @pytest.mark.parametrize("text", TEXTS + [
+        "z - (z - 1) - 2", "-(-z)^2^-z / -(z*z)", "2^z^z", "(2^z)^z"])
+    def test_render_parses_back_to_the_tree(self, text):
+        tree = parse_expression(text)
+        assert parse_expression(expressions.render(tree)) == tree
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_any_tree_parses_back(self, tree):
+        assert parse_expression(expressions.render(tree)) == tree
 
     def test_power_law_render(self):
         w = parse_weight(render(PowerLaw(0.5)))
