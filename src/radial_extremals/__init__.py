@@ -12,7 +12,8 @@ from .bvp import BvpProblem, BvpSolution, angular_span, solve_n
 from .closed_form import (PowerLawCurve, algebraic_relation_residual,
                           is_algebraic, log_spiral_point, power_law_point,
                           psi_from_z)
-from .discrete_oracle import Polyline, functional_value, gradient, minimize
+from .discrete_oracle import (OracleResult, Polyline, functional_value,
+                              gradient, minimize)
 from .errors import (DomainError, DomainViolation, EvalError, ExtremalError,
                      ForbiddenRegion, NoBracket, NonMonotoneAbscissa,
                      NonPositiveWeight, ParseError, QuadratureFailure,
@@ -34,7 +35,7 @@ __all__ = [
     "BvpProblem", "BvpSolution", "angular_span", "solve_n",
     "PowerLawCurve", "algebraic_relation_residual", "is_algebraic",
     "log_spiral_point", "power_law_point", "psi_from_z",
-    "Polyline", "functional_value", "gradient", "minimize",
+    "OracleResult", "Polyline", "functional_value", "gradient", "minimize",
     "DomainError", "DomainViolation", "EvalError", "ExtremalError",
     "ForbiddenRegion", "NoBracket", "NonMonotoneAbscissa",
     "NonPositiveWeight", "ParseError", "QuadratureFailure",

@@ -327,11 +327,12 @@ def _cmd_oracle(args) -> int:
     ts = np.linspace(0.0, 1.0, args.segments + 1)[:, None]
     chord = np.array([[x1, y1]]) * (1.0 - ts) + np.array([[x2, y2]]) * ts
     initial = discrete_oracle.Polyline(chord)
+    # before minimize, whose checks would wrap a chord through the pole's
+    # DomainError in a DomainViolation
     f0 = discrete_oracle.functional_value(initial, weight)
-    final = discrete_oracle.minimize(initial, weight, args.iters,
-                                     args.grad_tol)
-    f1 = discrete_oracle.functional_value(final, weight)
-    gmax = float(np.abs(discrete_oracle.gradient(final, weight)).max())
+    result = discrete_oracle.minimize(initial, weight, args.iters,
+                                      args.grad_tol)
+    final = result.polyline
 
     if args.format == "csv":
         return _emit(args, _csv("x,y", final.vertices))
@@ -341,9 +342,10 @@ def _cmd_oracle(args) -> int:
             "endpoints": [[x1, y1], [x2, y2]],
             "segments": args.segments,
             "vertices": [[float(a), float(b)] for a, b in final.vertices],
-            "diagnostics": {"initial_functional": f0, "functional": f1,
-                            "max_grad_component": gmax,
-                            "converged": gmax <= args.grad_tol},
+            "diagnostics": {"initial_functional": f0,
+                            "functional": result.value,
+                            "max_grad_component": result.max_gradient,
+                            "converged": result.converged},
         }
         return _emit(args, json.dumps(doc, indent=2) + "\n")
     return _emit(args, _svg([final.vertices], None))

@@ -9,13 +9,20 @@ extremals.
 The functional is ill-conditioned (roughly like N^2 in the segment count),
 so minimize takes damped Newton (Levenberg-Marquardt) steps on the exact
 Hessian rather than gradient steps.  Each segment couples only its two end
-vertices, so the Hessian is block-tridiagonal with 2x2 blocks; at the sizes
+vertices, so the Hessian is block-tridiagonal with 2x2 blocks, added into
+diagonal block views of a matrix over the interior vertices; at the sizes
 used here (a few hundred vertices) a dense Cholesky solve is fast enough.
+
+minimize evaluates each vertex set once: its value, gradient and next
+Hessian share one set of segment data and one (v, q) pass at the midpoints,
+bit for bit what separate passes give, and its OracleResult carries the
+final value and gradient so that no caller evaluates them again.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +30,8 @@ from .errors import (DomainError, DomainViolation, EvalError,
                      NonPositiveWeight, StalledDescent)
 from .weights import RadialWeight, eval_v, eval_vq
 
-__all__ = ["Polyline", "functional_value", "gradient", "minimize"]
+__all__ = ["OracleResult", "Polyline", "functional_value", "gradient",
+           "minimize"]
 
 _MU_START = 1.0        # initial damping, in units of tr(H)/dim
 _MU_MIN = 1e-12
@@ -31,16 +39,33 @@ _MAX_REJECTIONS = 50
 
 
 class Polyline:
-    """Ordered vertices with fixed endpoints; the oracle's decision variable."""
+    """Ordered vertices with fixed endpoints; the oracle's decision variable.
+
+    Takes a (k, 2) array (or anything np.array turns into one), copied.
+    """
 
     def __init__(self, vertices):
-        pts = np.asarray([(p.x, p.y) if hasattr(p, "x") else tuple(p)
-                          for p in vertices], dtype=float)
+        pts = np.array(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise DomainError("a polyline needs at least two 2-d vertices")
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise DomainError("consecutive vertices must be distinct")
         self.vertices = pts
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """What minimize returns: the final polyline, its functional value and
+    largest gradient component (bit for bit what functional_value and
+    gradient give for it), the accepted Newton steps, the rejected trials
+    plus failed factorizations, and whether the gradient met grad_tol."""
+
+    polyline: Polyline
+    value: float
+    max_gradient: float
+    iterations: int
+    rejected: int
+    converged: bool
 
 
 def _segment_data(verts: np.ndarray):
@@ -53,22 +78,23 @@ def _segment_data(verts: np.ndarray):
 
 def functional_value(pl: Polyline, w: RadialWeight) -> float:
     """Sum of v(|segment midpoint|) * |segment| over the polyline."""
-    return _functional(pl.vertices, w)
+    return _functional(_segment_data(pl.vertices), w)
 
 
-def _functional(verts: np.ndarray, w: RadialWeight) -> float:
-    _, length, _, z_mid = _segment_data(verts)
+def _functional(seg, w: RadialWeight) -> float:
+    _, length, _, z_mid = seg
     return math.fsum(eval_v(w, z_mid) * length)
 
 
 def gradient(pl: Polyline, w: RadialWeight) -> np.ndarray:
     """Exact gradient with respect to the interior vertices, shape (k-2, 2)."""
-    return _gradient(pl.vertices, w)
+    seg = _segment_data(pl.vertices)
+    return _gradient(seg, *eval_vq(w, seg[3]))
 
 
-def _gradient(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
-    delta, length, mid, z_mid = _segment_data(verts)
-    v, q = eval_vq(w, z_mid)
+def _gradient(seg, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The gradient from segment data and (v, q) at the midpoints."""
+    delta, length, mid, z_mid = seg
     unit = delta / length[:, None]
     # each segment j contributes q*(mid/z)*L/2 to both ends and +-v*unit
     w_part = (0.5 * q * length / z_mid)[:, None] * mid
@@ -76,8 +102,10 @@ def _gradient(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
     return (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
 
 
-def _hessian(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
-    """Exact Hessian over the interior vertices, a dense (2(k-2))^2 matrix.
+def _hessian(seg, v: np.ndarray, q: np.ndarray,
+             w: RadialWeight) -> np.ndarray:
+    """Exact Hessian over the interior vertices, a dense (2(k-2))^2 matrix,
+    from segment data and (v, q) at the midpoints.
 
     Segment j depends on m = (a+b)/2 and e = b-a only, with
     d2/dm2 = v''*L*mm' + q*L*(I - mm')/z, d2/dm de = q*m e' and
@@ -85,13 +113,12 @@ def _hessian(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
     block-tridiagonal in the vertices.  v'' is a central difference of the
     exact q in z.
     """
-    delta, length, mid, z_mid = _segment_data(verts)
+    delta, length, mid, z_mid = seg
     h = 1e-5 * (z_mid - w.domain_min)
-    # minimize has checked v at z_mid through the gradient, so one pass
-    # over all three point sets raises what eval_v and then eval_q did
-    v, q = eval_vq(w, np.concatenate([z_mid, z_mid + h, z_mid - h]))
-    v = v[:len(z_mid)]
-    q, q_up, q_down = q.reshape(3, -1)
+    # v and q at z_mid have passed their checks, so this pass raises what
+    # one pass over z_mid and both offsets would
+    q_up, q_down = eval_vq(w, np.concatenate([z_mid + h, z_mid - h]))[1] \
+        .reshape(2, -1)
     v2 = (q_up - q_down) / (2.0 * h)
     m_hat = mid / z_mid[:, None]
     e_hat = delta / length[:, None]
@@ -103,22 +130,31 @@ def _hessian(verts: np.ndarray, w: RadialWeight) -> np.ndarray:
     h_ee = (v / length)[:, None, None] \
         * (eye - e_hat[:, :, None] * e_hat[:, None, :])
     # chain rule through m = (a+b)/2, e = b-a
+    quarter = 0.25 * h_mm
     sym = 0.5 * (h_me + h_me.transpose(0, 2, 1))
-    h_aa = 0.25 * h_mm - sym + h_ee
-    h_bb = 0.25 * h_mm + sym + h_ee
-    h_ab = 0.25 * h_mm + 0.5 * (h_me - h_me.transpose(0, 2, 1)) - h_ee
-    k = len(verts)
-    full = np.zeros((k, 2, k, 2))
-    j = np.arange(k - 1)
-    full[j, :, j, :] += h_aa
-    full[j + 1, :, j + 1, :] += h_bb
-    full[j, :, j + 1, :] += h_ab
-    full[j + 1, :, j, :] += h_ab.transpose(0, 2, 1)
-    return full.reshape(2 * k, 2 * k)[2:-2, 2:-2]
+    h_aa = quarter - sym + h_ee
+    h_bb = quarter + sym + h_ee
+    h_ab = quarter + 0.5 * (h_me - h_me.transpose(0, 2, 1)) - h_ee
+    # interior vertex i+1 is row i; adding into zeros turns a coupling
+    # entry of -0.0 into +0.0, as a scatter over all vertices did
+    m = len(z_mid) - 1
+    hess = np.zeros((m, 2, m, 2))
+    diag, upper, lower = (_blocks(hess), _blocks(hess[:-1, :, 1:]),
+                          _blocks(hess[1:, :, :-1]))
+    diag += h_aa[1:]
+    diag += h_bb[:-1]
+    upper += h_ab[1:-1]
+    lower += h_ab[1:-1].transpose(0, 2, 1)
+    return hess.reshape(2 * m, 2 * m)
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """Writeable view of the diagonal 2x2 blocks a[i, :, i, :]."""
+    return np.einsum("iaib->iab", a)
 
 
 def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
-             grad_tol: float) -> Polyline:
+             grad_tol: float) -> OracleResult:
     """Levenberg-Marquardt Newton iteration on the interior vertices.
 
     Each iteration solves (H + mu*(tr H/dim)*I) p = -g by Cholesky, with g
@@ -130,19 +166,29 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     by an ulp, and the gradient can still see progress there.  Stops when
     every gradient component is <= grad_tol in magnitude or after max_iters
     iterations, whichever comes first; the returned functional value never
-    exceeds the initial one.  A trial whose midpoints leave the weight's
-    domain raises DomainViolation rather than being clamped; 50 consecutive
-    rejected trials raise StalledDescent.
+    exceeds the initial one.  A polyline without interior vertices comes
+    back unchanged and converged.  A trial whose midpoints leave the
+    weight's domain raises DomainViolation rather than being clamped; 50
+    consecutive rejected trials raise StalledDescent.
+
+    Each vertex set is evaluated once.  Its value comes first, and only a
+    value that may be accepted is followed by v and q at the midpoints,
+    which give the gradient and then the next Hessian.  Returns an
+    OracleResult.
     """
     verts = pl.vertices.copy()
-    value = _checked(_functional, verts, w, "initial polyline")
-    grad = _checked(_gradient, verts, w, "initial polyline")
-    gmax = np.abs(grad).max()
+    seg = _segment_data(verts)
+    value = _checked("initial polyline", _functional, seg, w)
+    v, q = _checked("initial polyline", eval_vq, w, seg[3])
+    grad = _gradient(seg, v, q)
+    gmax = np.abs(grad).max(initial=0.0)   # 0.0 without interior vertices
     mu = _MU_START
+    iterations = rejected = 0
     for _ in range(max_iters):
         if gmax <= grad_tol:
             break
-        hess = _checked(_hessian, verts, w, "current polyline")
+        iterations += 1
+        hess = _checked("current polyline", _hessian, seg, v, q, w)
         # damping in units of tr(H)/dim keeps the step rotation invariant
         damping = (np.trace(hess) / len(hess)) * np.eye(len(hess))
         rejections = 0
@@ -156,15 +202,17 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                     chol.T, np.linalg.solve(chol, -grad.ravel()))
                 trial = verts.copy()
                 trial[1:-1] += step.reshape(-1, 2)
-                t_value = _checked(_functional, trial, w, "trial step")
+                t_seg = _segment_data(trial)
+                t_value = _checked("trial step", _functional, t_seg, w)
                 if t_value <= value:
-                    t_grad = _checked(_gradient, trial, w, "trial step")
-                    t_gmax = np.abs(t_grad).max()
+                    t_v, t_q = _checked("trial step", eval_vq, w, t_seg[3])
+                    t_grad = _gradient(t_seg, t_v, t_q)
+                    t_gmax = np.abs(t_grad).max(initial=0.0)
                     # at the floor of both value and gradient every trial
                     # fails, so the stall counter sees the plateau
                     if (t_value, t_gmax) < (value, gmax):
-                        verts, value = trial, t_value
-                        grad, gmax = t_grad, t_gmax
+                        verts, seg, value = trial, t_seg, t_value
+                        v, q, grad, gmax = t_v, t_q, t_grad, t_gmax
                         mu = max(mu / 10.0, _MU_MIN)
                         break
             mu *= 10.0
@@ -173,11 +221,13 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                 raise StalledDescent(
                     f"no decrease after {rejections} rejected steps "
                     f"(value {value}, max gradient {gmax:.3e})")
-    return Polyline(verts)
+        rejected += rejections
+    return OracleResult(Polyline(verts), value, float(gmax), iterations,
+                        rejected, bool(gmax <= grad_tol))
 
 
-def _checked(fn, verts, w, where):
+def _checked(where, fn, *args):
     try:
-        return fn(verts, w)
+        return fn(*args)
     except (DomainError, NonPositiveWeight, EvalError) as exc:
         raise DomainViolation(f"{where} left the weight's domain: {exc}") from exc

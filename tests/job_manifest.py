@@ -12,10 +12,12 @@ hashes depend on the numpy and libm of the machine that wrote them.
 
     PYTHONPATH=src python tests/job_manifest.py              # rewrite it
     PYTHONPATH=src python tests/job_manifest.py --print 5 9  # write nothing
+    PYTHONPATH=src python tests/job_manifest.py --print 5 9 --workload oracle
 
 With --print the lines of the given seeds, at the same counts, go to
 standard output and no file is written, so two trees are compared job by
-job with a diff of that command's output in each.
+job with a diff of that command's output in each; --workload keeps the lines
+of one workload only.
 """
 
 from __future__ import annotations
@@ -85,11 +87,16 @@ def main(argv=None) -> int:
     parser.add_argument("--print", nargs="+", type=int, metavar="SEED",
                         help="print the lines of these seeds to standard "
                              "output; the manifest is left as it is")
-    seeds = parser.parse_args(argv).print
-    if seeds:
-        for seed in seeds:
+    parser.add_argument("--workload", choices=sorted(COUNTS),
+                        help="with --print, only this workload's lines")
+    args = parser.parse_args(argv)
+    if args.workload and not args.print:
+        parser.error("--workload needs --print")
+    if args.print:
+        for seed in args.print:
             for job in jobs(seed):
-                print(line(*job, seed=seed), flush=True)
+                if args.workload in (None, job[0]):
+                    print(line(*job, seed=seed), flush=True)
         return 0
     MANIFEST.write_text("".join(line(*job) + "\n" for job in jobs()))
     print(f"wrote {sum(COUNTS.values())} lines to {MANIFEST.relative_to(ROOT)}")

@@ -111,7 +111,7 @@ def test_criterion_06_oracle_equivalence():
     ts = np.linspace(0.0, 1.0, segments + 1)[:, None]
     chord = rx.Polyline(a[None, :] * (1.0 - ts) + b[None, :] * ts)
 
-    out = rx.minimize(chord, w, 200_000, 3e-7)
+    out = rx.minimize(chord, w, 200_000, 3e-7).polyline
     dense = curve_xy(lam, n, np.linspace(-1.01, 1.01, 4001))
     analytic_value = rx.functional_value(rx.Polyline(
         curve_xy(lam, n, np.linspace(-1.0, 1.0, 4001))), w)

@@ -245,6 +245,21 @@ class TestOracle:
         assert diag["max_grad_component"] > 1e-7
         assert diag["converged"] is False
 
+    def test_one_segment_returns_the_chord(self, capsys):
+        # no interior vertices: nothing to minimize, and nothing to raise
+        argv = ("oracle", "--lambda", "1", "--endpoints=-0.5,1,0.5,1",
+                "--segments", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["x,y", "-0.5,1", "0.5,1"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["vertices"] == [[-0.5, 1.0], [0.5, 1.0]]
+        assert doc["diagnostics"] == {
+            "initial_functional": 1.0, "functional": 1.0,
+            "max_grad_component": 0.0, "converged": True}
+
 
 _FLOAT_OPTION_CASES = {   # option: (value template, rest of the command)
     "--n": ("{}", ["trace", "--lambda", "1", "--zmax", "3"]),
