@@ -61,30 +61,39 @@ def to_polar(pt: CartesianPoint) -> PolarPoint:
     return PolarPoint(math.atan2(pt.x, pt.y), z)
 
 
+def _partials(x, y, p, w: RadialWeight):
+    """(V, M, N, P) of V = v(z)*sqrt(1+p^2), z = hypot(x, y), for scalars
+    (math.hypot) or arrays (np.hypot, which rounds differently)."""
+    z = np.hypot(x, y) if np.ndim(x) else math.hypot(x, y)
+    v, q = eval_vq(w, z)
+    root = np.sqrt(1.0 + p * p)
+    return v * root, q * x * root / z, q * y * root / z, v * p / root
+
+
 def lagrangian_partials_cartesian(pt: CartesianPoint, p: float,
                                   w: RadialWeight) -> ELPartials:
     """Partials of V = v(z)*sqrt(1+p^2) at a point with slope p = dy/dx."""
-    z = math.hypot(pt.x, pt.y)
-    v, q = eval_vq(w, z)
-    root = math.sqrt(1.0 + p * p)
-    return ELPartials(V=v * root,
-                      M=q * pt.x * root / z,
-                      N=q * pt.y * root / z,
-                      P=v * p / root)
+    return ELPartials(*map(float, _partials(pt.x, pt.y, p, w)))
 
 
-def clairaut_constant(r: float, dtheta_dr: float, w: RadialWeight) -> float:
+def clairaut_constant(r, dtheta_dr, w: RadialWeight):
     """Conserved tangential momentum v*p*r^2/sqrt(1+p^2*r^2), p = dtheta/dr.
 
     Along any extremal this equals a constant 1/n.  The point-at-infinity
     marker (math.inf) for dtheta_dr encodes a tangent perpendicular to the
-    radius, where the limit is v*r.
+    radius, where the limit is v*r with the marker's sign.  r and dtheta_dr
+    may be scalars or arrays; each entry has its scalar call's bits
+    (math.hypot is applied per entry, because np.hypot rounds differently).
     """
     v = eval_v(w, r)
-    if math.isinf(dtheta_dr):
-        return math.copysign(v * r, dtheta_dr)
-    rp = dtheta_dr * r
-    return v * r * rp / math.hypot(1.0, rp)
+    r, p = np.broadcast_arrays(np.asarray(r, dtype=float),
+                               np.asarray(dtheta_dr, dtype=float))
+    rp = p * r
+    hyp = np.reshape([math.hypot(1.0, x) for x in rp.ravel().tolist()],
+                     rp.shape)
+    with np.errstate(invalid="ignore"):   # inf/inf where the marker is
+        out = np.where(np.isinf(p), np.copysign(v * r, p), v * r * rp / hyp)
+    return float(out) if out.ndim == 0 else out
 
 
 def clairaut_constant_from_angle(r: float, alpha: float,
@@ -119,6 +128,15 @@ def _check_graph(samples):
     return x, y
 
 
+def _graph_partials(samples, w: RadialWeight):
+    """Abscissae, slopes and (V, M, N, P) of a sampled graph, the slopes
+    from second-order differences (central in the interior, one-sided at
+    the two ends)."""
+    x, y = _check_graph(samples)
+    p = np.gradient(y, x, edge_order=2)
+    return x, p, _partials(x, y, p, w)
+
+
 def el_residual(samples, w: RadialWeight) -> np.ndarray:
     """Discrete residual of the stationarity condition N dx = dP.
 
@@ -128,25 +146,12 @@ def el_residual(samples, w: RadialWeight) -> np.ndarray:
     extremal; end entries use one-sided stencils and should be excluded from
     max-residual gates.
     """
-    x, y = _check_graph(samples)
-    z = np.hypot(x, y)
-    p = np.gradient(y, x, edge_order=2)
-    root = np.sqrt(1.0 + p * p)
-    v, q = eval_vq(w, z)
-    N = q * y * root / z
-    P = v * p / root
-    dPdx = np.gradient(P, x, edge_order=2)
-    return (N - dPdx) * _local_dx(x)
+    x, _, (_, _, N, P) = _graph_partials(samples, w)
+    return (N - np.gradient(P, x, edge_order=2)) * _local_dx(x)
 
 
 def beltrami_residual(samples, w: RadialWeight) -> np.ndarray:
     """Discrete residual of the equivalent condition M dx = d(V - P*p)."""
-    x, y = _check_graph(samples)
-    z = np.hypot(x, y)
-    p = np.gradient(y, x, edge_order=2)
-    root = np.sqrt(1.0 + p * p)
-    v, q = eval_vq(w, z)
-    M = q * x * root / z
-    W = v * root - (v * p / root) * p   # V - P*p, equals v/sqrt(1+p^2)
-    dWdx = np.gradient(W, x, edge_order=2)
-    return (M - dWdx) * _local_dx(x)
+    x, p, (V, M, _, P) = _graph_partials(samples, w)
+    # V - P*p equals v/sqrt(1+p^2)
+    return (M - np.gradient(V - P * p, x, edge_order=2)) * _local_dx(x)

@@ -63,6 +63,7 @@ _WK = np.concatenate([_WK_HALF, [_WK_CENTER], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 _FLOOR = 50.0 * np.finfo(float).eps
+_MAX_PANELS = 10_000      # panels one interval may be refined into
 _WKG = np.stack([_WK, _WG])
 
 
@@ -107,8 +108,7 @@ def kronrod_panels(f, a, b):
     return _panel_sums(fv, half, b - a)
 
 
-def integrate(f, a, b, tol, max_panels: int = 10_000,
-              speculate: bool = False):
+def integrate(f, a, b, tol, speculate: bool = False):
     """Per-interval (integrals, summed error estimates, panels in the final
     partitions) of f over [a[k], b[k]], each to absolute error tol[k].
     f is one integrand, or a list of (integrand, count) runs: the first
@@ -141,7 +141,7 @@ def integrate(f, a, b, tol, max_panels: int = 10_000,
             for g, count in runs:
                 run = slice(start, start + count)
                 parts.append(integrate(g, a[run], b[run], tol[run],
-                                       max_panels, speculate))
+                                       speculate))
                 start += count
             return tuple(np.concatenate(x) for x in zip(*parts))
         if first is None:
@@ -154,7 +154,7 @@ def integrate(f, a, b, tol, max_panels: int = 10_000,
             k = todo[j]
             vals[k], errs[k], panels[k] = _refine(
                 fs[owner[j]], float(lo[k]), float(hi[k]), float(tol[k]),
-                float(vals[k]), float(errs[k]), max_panels, halves[j])
+                float(vals[k]), float(errs[k]), halves[j])
     return np.where(flip, -vals, vals), errs, panels
 
 
@@ -198,7 +198,7 @@ def _by_row(fs, owner):
 
 
 def _refine(f, a: float, b: float, tol: float, val: float, err: float,
-            max_panels: int = 10_000, halves=None):
+            halves=None):
     """(integral, summed error estimate, panels) on [a, b], a < b, from its
     already evaluated first panel (val, err), by bisection; each bisection
     evaluates both halves in one kronrod_panels call, except a first
@@ -231,7 +231,7 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
         heapq.heappush(heap, (-e1, seq, lo, mid, v1))
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2))
         seq += 2
-        if len(heap) > max_panels:
+        if len(heap) > _MAX_PANELS:
             raise QuadratureFailure(
-                f"needed more than {max_panels} panels for tol {tol:.3e}")
+                f"needed more than {_MAX_PANELS} panels for tol {tol:.3e}")
     return total_val, total_err, len(heap)

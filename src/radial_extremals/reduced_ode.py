@@ -30,6 +30,7 @@ import numpy as np
 from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
                      TangentialTurningPoint)
+from .extremal_core import clairaut_constant
 from .roots import find_root
 from .weights import PowerLaw, RadialWeight, eval_v, eval_vq, masked_v
 
@@ -56,18 +57,33 @@ def _profile_and_slope(w: RadialWeight, n: float, z):
     return n * v * z - 1.0, n * (q * z + v)
 
 
-def turning_radius(w: RadialWeight, n: float, bracket) -> float:
-    """Root z* of n*v(z)*z = 1 inside a sign-changing bracket.
+def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
+    """Root z* of n*v(z)*z = 1: for a power law without a bracket the
+    closed form n**(-1/(lam+1)), otherwise the root inside a sign-changing
+    bracket (by default the first sign change of a geometric scan).
 
     roots.find_root drives |n*v*z - 1| to 4 eps (well inside 1e-13) or the
     bracket to a few ulps.  The crossing must be transversal and increasing:
     |g'(z*)| < 1e-8 raises TangentialTurningPoint, and a decreasing crossing
     (g' < 0) is rejected because z < z* would then be the allowed side.
     """
-    z_lo, z_hi = float(bracket[0]), float(bracket[1])
-    best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
-                        _profile(w, n, z_lo), _profile(w, n, z_hi),
-                        _TURN_GTOL)
+    if bracket is None and isinstance(w, PowerLaw):
+        if w.lam == -1.0:
+            raise TangentialTurningPoint(
+                "v = 1/z makes n*v*z constant (no transversal turning "
+                "point); use closed_form.log_spiral_point")
+        if w.lam < -1.0:
+            raise DomainError(
+                "for exponents below -1 the turning radius is a maximum "
+                "radius; quadrature tracing covers increasing crossings "
+                "only (closed_form handles these curves)")
+        best = n ** (-1.0 / (w.lam + 1.0))
+    else:
+        bracket = bracket or _auto_bracket(w, n)
+        z_lo, z_hi = float(bracket[0]), float(bracket[1])
+        best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
+                            _profile(w, n, z_lo), _profile(w, n, z_hi),
+                            _TURN_GTOL)
     slope = _profile_and_slope(w, n, best)[1]
     if abs(slope) < 1e-8:
         raise TangentialTurningPoint(
@@ -105,17 +121,17 @@ def _auto_bracket(w: RadialWeight, n: float):
 class ExtremalSpec:
     """One extremal: a weight, the first-integral constant n, and a pose.
 
-    A negative n is normalized to n > 0 with the orientation flipped (the
-    constant's sign is just a branch choice).  The turning radius is resolved
-    at construction: exactly for power laws, otherwise by root finding inside
-    turn_bracket (or an automatic geometric scan).
+    The sign of n is a branch choice: a negative n is normalized to n > 0
+    with orientation -1, the direction in which phi advances (+1 for a
+    positive n).  The turning radius is resolved at construction by
+    turning_radius, inside turn_bracket when one is given.
     """
 
     weight: RadialWeight
     n: float
     phi0: float = 0.0
-    orientation: int = 1
     turn_bracket: tuple | None = None
+    orientation: int = field(init=False)
     z_turn: float = field(init=False)
 
     def __post_init__(self):
@@ -125,31 +141,9 @@ class ExtremalSpec:
                 f"the first-integral constant n must be finite, got {self.n}")
         if self.n == 0.0:
             raise DomainError("the first-integral constant n must be nonzero")
-        if self.n < 0.0:
-            self.n = -self.n
-            self.orientation = -self.orientation
-        if self.orientation not in (1, -1):
-            raise DomainError("orientation must be +1 or -1")
-        if isinstance(self.weight, PowerLaw) and self.turn_bracket is None:
-            lam = self.weight.lam
-            if lam == -1.0:
-                raise TangentialTurningPoint(
-                    "v = 1/z makes n*v*z constant (no transversal turning "
-                    "point); use closed_form.log_spiral_point")
-            if lam < -1.0:
-                raise DomainError(
-                    "for exponents below -1 the turning radius is a maximum "
-                    "radius; quadrature tracing covers increasing crossings "
-                    "only (closed_form handles these curves)")
-            self.z_turn = self.n ** (-1.0 / (lam + 1.0))
-            slope = _profile_and_slope(self.weight, self.n, self.z_turn)[1]
-            if abs(slope) < 1e-8:
-                raise TangentialTurningPoint(
-                    f"n*v(z)*z has near-zero slope {slope:.3e} at the "
-                    "turning radius")
-        else:   # turning_radius checks the slope itself
-            bracket = self.turn_bracket or _auto_bracket(self.weight, self.n)
-            self.z_turn = turning_radius(self.weight, self.n, bracket)
+        self.orientation = 1 if self.n > 0.0 else -1
+        self.n = abs(self.n)
+        self.z_turn = turning_radius(self.weight, self.n, self.turn_bracket)
         self._near = None    # lazy (z_split, w_split, w_table, z_table)
 
     # -- near-region machinery (w = sqrt(g) as integration variable) -----
@@ -334,23 +328,17 @@ def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
 def first_integral_deviation(w: RadialWeight, n: float, z):
     """|n*P - 1| with P the conserved momentum recomputed at radius z.
 
-    P comes from the polar momentum formula fed with the local slope
-    dphi/dz of the curve (the perpendicular-tangent limit v*z at the turning
+    P is extremal_core.clairaut_constant fed with the local slope dphi/dz
+    of the curve (the perpendicular-tangent marker inf at the turning
     radius), so it cross-checks two independent formula chains.  z may be a
-    scalar or an array; each entry equals extremal_core.clairaut_constant's
-    scalar arithmetic bit for bit (math.hypot is applied per entry, because
-    np.hypot rounds differently).
+    scalar or an array.
     """
     za = np.asarray(z, dtype=float)
-    v = eval_v(w, za)
-    wz = n * v * za
+    wz = n * eval_v(w, za) * za
     rad = (wz - 1.0) * (wz + 1.0)
-    turn = rad <= 0.0   # at the turning circle the tangent is perpendicular
     with np.errstate(divide="ignore", invalid="ignore"):
-        rp = 1.0 / (za * np.sqrt(rad)) * za
-        hyp = np.array([math.hypot(1.0, x) for x in np.ravel(rp).tolist()])
-        p_n = np.where(turn, v * za, v * za * rp / hyp.reshape(za.shape))
-    dev = np.abs(n * p_n - 1.0)
+        p = np.where(rad <= 0.0, np.inf, 1.0 / (za * np.sqrt(rad)))
+    dev = np.abs(n * clairaut_constant(za, p, w) - 1.0)
     return float(dev) if dev.ndim == 0 else dev
 
 

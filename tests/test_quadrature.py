@@ -12,13 +12,13 @@ from radial_extremals import quadrature
 from radial_extremals.quadrature import kronrod_panels
 
 
-def _scalar_driver(f, a, b, tol, max_panels=10_000):
+def _scalar_driver(f, a, b, tol):
     """The one-interval adaptive driver, every panel from kronrod_panel and
     each half of a bisection in its own integrand call, for reference."""
     if a == b:
         return 0.0, 0.0, 0
     if b < a:
-        val, err, panels = _scalar_driver(f, b, a, tol, max_panels)
+        val, err, panels = _scalar_driver(f, b, a, tol)
         return -val, err, panels
     val, err = kronrod_panel(f, a, b)
     total_val, total_err = val, err
@@ -40,7 +40,7 @@ def _scalar_driver(f, a, b, tol, max_panels=10_000):
         heapq.heappush(heap, (-e1, seq, lo, mid, v1))
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2))
         seq += 2
-        if len(heap) > max_panels:
+        if len(heap) > quadrature._MAX_PANELS:
             raise QuadratureFailure("budget")
     return total_val, total_err, len(heap)
 
@@ -74,10 +74,10 @@ def kronrod_panel(f, a, b):
     return _row_sums(fv, half, b - a)
 
 
-def integrate_one(f, a, b, tol, max_panels=10_000):
+def integrate_one(f, a, b, tol):
     """Integral of f over [a, b] with absolute error <= tol: integrate on
     one interval."""
-    return float(quadrature.integrate(f, [a], [b], tol, max_panels)[0][0])
+    return float(quadrature.integrate(f, [a], [b], tol)[0][0])
 
 
 def _bits(x):
@@ -363,10 +363,12 @@ class TestIntegrate:
         assert [x.tolist() for x in spec] == \
             [[x] for x in kronrod_panel(f, 0.0, 1.0)] + [[1]]
 
-    def test_panel_budget_exhaustion(self):
-        with pytest.raises(QuadratureFailure):
+    def test_panel_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+        with pytest.raises(QuadratureFailure,
+                           match="needed more than 2 panels"):
             integrate_one(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
-                          0.0, 1.0, 1e-12, max_panels=2)
+                          0.0, 1.0, 1e-12)
 
 
 class TestRuns:

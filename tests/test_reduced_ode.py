@@ -733,8 +733,8 @@ class TestTrace:
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         tr = trace_extremal(spec, 2.0, 50)
         assert (np.diff(tr.phi) > 0.0).all()
-        flipped = trace_extremal(ExtremalSpec(PowerLaw(1.0), 1.0,
-                                              orientation=-1), 2.0, 50)
+        flipped = trace_extremal(ExtremalSpec(PowerLaw(1.0), -1.0), 2.0,
+                                 50)
         assert (np.diff(flipped.phi) < 0.0).all()
         assert flipped.phi.tolist() == (-tr.phi).tolist()
 
