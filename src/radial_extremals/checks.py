@@ -52,13 +52,14 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
     lam = w.lam if isinstance(w, PowerLaw) else None
     if lam == -1.0:
         # logarithmic-spiral family: constant first integral, exact ratio law
+        # log_spiral_point first: it rejects n < 1
+        z1 = closed_form.log_spiral_point(n, 1.0, 1.0).z
+        z0 = closed_form.log_spiral_point(n, 1.0, 0.0).z
         t = math.sqrt(n * n - 1.0)
         z = np.exp(t * np.linspace(0.0, 2.0, 41))
         with np.errstate(divide="ignore"):   # t = 0: the marker inf
             p = 1.0 / (t * z)
         devs = np.abs(n * clairaut_constant(z, p, w) - 1.0)
-        z1 = closed_form.log_spiral_point(n, 1.0, 1.0).z
-        z0 = closed_form.log_spiral_point(n, 1.0, 0.0).z
         return [("first-integral deviation (spiral)", float(devs.max()),
                  1e-10, "<="),
                 ("radius ratio vs exp", abs(z1 / z0 - math.exp(t)), 1e-12,

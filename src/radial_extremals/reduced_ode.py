@@ -40,6 +40,9 @@ __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
 _G_HANDOFF = 0.5          # g value at which integration switches to z-space
 _TABLE_SIZE = 64          # samples in the cached w -> z inversion table
 _TURN_GTOL = 4.0 * np.finfo(float).eps   # |g| at z*: rounding level
+# far pieces with z_b/z_a above this are integrated in log z: one z-panel
+# over them can miss the mass next to z_a, its error estimate included
+_LONG_FAR = 100.0
 # n-free factors of _near_setup: the handoff ladder's steps (70 rungs cover
 # the widest ratio, 1e7/1e-12) and the w table's radii, z* to z_hi
 _LADDER = 2.0 ** np.arange(70)
@@ -64,8 +67,10 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
 
     roots.find_root drives |n*v*z - 1| to 4 eps (well inside 1e-13) or the
     bracket to a few ulps.  The crossing must be transversal and increasing:
-    |g'(z*)| < 1e-8 raises TangentialTurningPoint, and a decreasing crossing
-    (g' < 0) is rejected because z < z* would then be the allowed side.
+    |g'(z*)|*max(1, z*) < 1e-8 raises TangentialTurningPoint (z*g'(z*) is
+    the scale-free slope, lam + 1 for every power law), and a decreasing
+    crossing (g' < 0) is rejected because z < z* would then be the allowed
+    side.
     """
     if bracket is None and isinstance(w, PowerLaw):
         if w.lam == -1.0:
@@ -85,7 +90,7 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
                             _profile(w, n, z_lo), _profile(w, n, z_hi),
                             _TURN_GTOL)
     slope = _profile_and_slope(w, n, best)[1]
-    if abs(slope) < 1e-8:
+    if abs(slope) * max(1.0, best) < 1e-8:
         raise TangentialTurningPoint(
             f"n*v(z)*z has near-zero slope {slope:.3e} at z = {best}")
     if slope < 0.0:
@@ -216,12 +221,28 @@ def _near_integrand(spec: ExtremalSpec):
 def _far_integrand(spec: ExtremalSpec):
     def f(z):
         z = np.asarray(z, dtype=float)
-        g = _profile(spec.weight, spec.n, z)
+        with np.errstate(over="ignore"):
+            g = _profile(spec.weight, spec.n, z)
+            rad = g * (g + 2.0)
         if np.count_nonzero(g <= 0.0):
             raise ForbiddenRegion(
                 "n*v(z)*z dips to 1 inside the integration range")
-        return 1.0 / (z * np.sqrt(g * (g + 2.0)))
+        if np.count_nonzero(rad == np.inf):
+            raise DomainError(
+                f"(n*v(z)*z)^2 overflows at z = {float(z[rad == np.inf][0])}"
+                ": the radius is too large for the angle integral")
+        return 1.0 / (z * np.sqrt(rad))
     return f
+
+
+def _log_far_integrand(spec: ExtremalSpec):
+    """The far integrand in s = log(z): dphi/ds = z*dphi/dz."""
+    f = _far_integrand(spec)
+
+    def h(s):
+        z = np.exp(s)
+        return f(z) * z
+    return h
 
 
 def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
@@ -241,10 +262,11 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     either order (negated where z_to < z_from), to absolute error tol each.
 
     Over [z_a, z_b], lower radius first, near-region pieces are integrated
-    in w and those beyond it in z, in one quadrature call whose near pieces
-    come first, so the result and every failure are those of a near call
-    followed by a far call; an interval across the handoff radius z_split
-    adds pieces [w(z_a), w_split] and [z_split, z_b], each to tol/2.
+    in w and those beyond it in z (in log z where z_b/z_a > _LONG_FAR), in
+    one quadrature call whose near pieces come first, then the far pieces
+    in z, so the result and every failure are those of one call per kind in
+    that order; an interval across the handoff radius z_split adds pieces
+    [w(z_a), w_split] and [z_split, z_b], each to tol/2.
     Returns (increments, exactly rounded sum of the pieces' error estimates,
     panels in the final partitions).  When every interval starts at z_turn
     the first call also evaluates each first bisection (same bits): about
@@ -260,18 +282,22 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     piece_tol = np.where(near & far, 0.5 * tol, tol)
     w_b = np.full(len(z_b), w_split)
     w_b[near & ~far] = _w_of(spec, z_b[near & ~far])
-    lo = np.concatenate((_w_of(spec, z_a[near]),
-                         np.where(near, z_split, z_a)[far]))
-    n_near = int(np.count_nonzero(near))
+    far_lo = np.where(near, z_split, z_a)
+    long = far & (z_b > _LONG_FAR * far_lo)
+    short = far & ~long
+    lo = np.concatenate((_w_of(spec, z_a[near]), far_lo[short],
+                         np.log(far_lo[long])))
+    n_near, n_short = int(np.count_nonzero(near)), int(np.count_nonzero(short))
     val, err, panels = quadrature.integrate(
-        [(_near_integrand(spec), n_near),
-         (_far_integrand(spec), len(lo) - n_near)],
-        lo, np.concatenate((w_b[near], z_b[far])),
-        np.concatenate((piece_tol[near], piece_tol[far])),
+        [(_near_integrand(spec), n_near), (_far_integrand(spec), n_short),
+         (_log_far_integrand(spec), len(lo) - n_near - n_short)],
+        lo, np.concatenate((w_b[near], z_b[short], np.log(z_b[long]))),
+        np.concatenate((piece_tol[near], piece_tol[short], piece_tol[long])),
         speculate=not np.count_nonzero(z_a != spec.z_turn))
     inc = np.zeros(len(z_a))
     inc[near] = val[:n_near]
-    inc[far] += val[n_near:]
+    inc[short] += val[n_near:n_near + n_short]
+    inc[long] += val[n_near + n_short:]
     return (np.where(flip, -inc, inc), math.fsum(err.tolist()),
             int(panels.sum()))
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radial_extremals import (ExtremalSpec, PowerLaw, checks, el_residual,
-                              integrate_phi, parse_weight)
+from radial_extremals import (DomainError, ExtremalSpec, PowerLaw, checks,
+                              el_residual, integrate_phi, parse_weight)
 from radial_extremals import quadrature
 from radial_extremals.reduced_ode import trace_extremal
 
@@ -40,6 +40,19 @@ def test_clean_trace_passes_every_gate(weight, n, z_max, names):
     rows = checks.gates(weight, n, z_max, 200, 1e-12)
     assert len(rows) == names
     assert _failed(rows) == set()
+
+
+def test_spiral_gates_below_n_one_raise_domain_error():
+    # sqrt(n^2 - 1) used to run first and raise ValueError
+    with pytest.raises(DomainError,
+                       match="^log-spiral extremals require n >= 1$"):
+        checks.gates(PowerLaw(-1.0), 0.5, 2.0, 200, 1e-12)
+
+
+def test_spiral_gates_at_n_one_take_the_perpendicular_marker():
+    # t = 0: the circle z = 1, every tangent perpendicular to the radius
+    rows = checks.gates(PowerLaw(-1.0), 1.0, 2.0, 200, 1e-12)
+    assert [row[1] for row in rows] == [0.0, 0.0]
 
 
 def test_perturbed_phi_fails_slope_and_stationarity(monkeypatch):

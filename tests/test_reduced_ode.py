@@ -56,6 +56,47 @@ class TestTurningRadius:
         with pytest.raises(DomainError):
             turning_radius(w, 1.0, (0.5, 2.0))
 
+    def test_power_law_without_bracket_is_the_closed_form(self):
+        for lam in (-0.5, 0.0, 0.5, 1.0, 1.3, 3.0):
+            for n in (0.7, 1.9, 1e-20):
+                assert turning_radius(PowerLaw(lam), n) == \
+                    n ** (-1.0 / (lam + 1.0))
+
+    @pytest.mark.parametrize("lam, error, message", [
+        (-1.0, TangentialTurningPoint,
+         "v = 1/z makes n*v*z constant (no transversal turning point); "
+         "use closed_form.log_spiral_point"),
+        (-2.0, DomainError,
+         "for exponents below -1 the turning radius is a maximum radius; "
+         "quadrature tracing covers increasing crossings only (closed_form "
+         "handles these curves)")])
+    def test_power_law_refusals(self, lam, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            turning_radius(PowerLaw(lam), 1.5)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ExtremalSpec(PowerLaw(lam), 1.5)
+
+    def test_expression_weight_without_bracket_scans(self):
+        w = parse_weight("1/(1+z^2)")
+        assert turning_radius(w, 3.0) == \
+            turning_radius(w, 3.0, reduced_ode._auto_bracket(w, 3.0))
+
+    @pytest.mark.parametrize("z_turn", [1e9, 1e10, 2.2e13])
+    def test_transversality_is_scale_free(self, z_turn):
+        # z*g'(z*) = lam + 1 = 2 for every power law, while g'(z*) = 2/z*
+        # alone falls below 1e-8 far out
+        n = z_turn ** -2.0
+        spec = ExtremalSpec(PowerLaw(1.0), n)
+        for psi in (0.3, 0.9, 1.35):
+            z = (n * math.cos(psi)) ** -0.5
+            got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+            assert abs(got - 0.5 * psi) <= 1e-12
+
+    def test_tangential_crossing_rejected(self):
+        w = parse_weight("(1+(z-1)^3)/z")   # g = (z-1)^3 at n = 1
+        with pytest.raises(TangentialTurningPoint, match="near-zero slope"):
+            turning_radius(w, 1.0, (0.5, 2.0))
+
 
 class TestExtremalSpec:
     def test_negative_n_normalized(self):
@@ -437,6 +478,39 @@ class TestIntegratePhi:
                 got = integrate_phi(spec, spec.z_turn, z, tol)
                 assert abs(got - psi / (lam + 1.0)) <= 10.0 * tol
                 assert psi_from_z(curve, z) == pytest.approx(psi, rel=1e-12)
+
+    @pytest.mark.parametrize("weight, lam, c", [
+        *[(PowerLaw(lam), lam, 1.0) for lam in (0.0, 0.5, 1.0, 2.0, 3.0)],
+        (parse_weight("2.5*z^1.3"), 1.3, 2.5)])
+    def test_long_far_pieces_match_the_closed_form(self, weight, lam, c):
+        # one z-panel over [z_split, z_b] missed the mass next to z_split,
+        # its estimate too: pi/4 came out as 0.446 at lambda 1, z_b = 1e10
+        spec = ExtremalSpec(weight, 1.0)
+        k = lam + 1.0
+        z_b = 10.0 ** np.arange(1, 31)
+        got = integrate_phi(spec, spec.z_turn, z_b, 1e-12)
+        want = [math.acos(1.0 / (c * z ** k)) / k for z in z_b.tolist()]
+        assert np.abs(got - want).max() <= 1e-10
+        assert got.tolist() == [integrate_phi(spec, spec.z_turn, z, 1e-12)
+                                for z in z_b.tolist()]
+
+    def test_long_far_pieces_only_change_past_the_ratio(self, monkeypatch):
+        # a far piece up to _LONG_FAR times its lower radius keeps the
+        # z-space bits of the parent's single far run
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        z_split = spec._near_setup()[0]
+        z_b = z_split * np.array([4.0, 99.0, 100.0])
+        got = integrate_phi(spec, z_split, z_b, 1e-12)
+        monkeypatch.setattr(reduced_ode, "_LONG_FAR", math.inf)
+        assert got.tolist() == \
+            integrate_phi(spec, z_split, z_b, 1e-12).tolist()
+
+    def test_radicand_overflow_fails_fast(self):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        with pytest.raises(DomainError, match=r"\(n\*v\(z\)\*z\)\^2 overflows"):
+            integrate_phi(spec, spec.z_turn, 1e300, 1e-12)
+        with pytest.raises(DomainError, match="overflows"):
+            trace_extremal(spec, 1e300, 3)
 
     def test_profile_peaking_below_handoff_against_mpmath(self):
         # for 1/(1+z^2) at n = 3, g = n*v*z - 1 peaks at 0.5 at z = 1 and
