@@ -182,8 +182,18 @@ class ExtremalSpec:
                 k -= 1
         z_hi = float(z[k])
         z_tab = zt + (z_hi - zt) * _TABLE_FRAC
-        w_tab = np.sqrt(np.maximum(
-            _profile(self.weight, self.n, z_tab), 0.0))
+        g_tab, gp_tab = _profile_and_slope(self.weight, self.n, z_tab)
+        if gp_tab[-1] <= 0.0:
+            # the handoff lies past a peak of g that the rungs and rows
+            # missed: hand off halfway to the peak, where g still rises
+            # (the far region integrates past the peak)
+            z_peak, _ = find_root(
+                lambda x: _profile_and_slope(self.weight, self.n, x)[1],
+                zt, z_hi, gp_tab[0], gp_tab[-1], 0.0)
+            z_hi = zt + 0.5 * (z_peak - zt)
+            z_tab = zt + (z_hi - zt) * _TABLE_FRAC
+            g_tab = _profile(self.weight, self.n, z_tab)
+        w_tab = np.sqrt(np.maximum(g_tab, 0.0))
         w_tab[0] = 0.0
         rising = np.diff(w_tab) > 0.0
         if np.count_nonzero(rising) < rising.size:

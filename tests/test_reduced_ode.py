@@ -300,6 +300,63 @@ class TestHandoffLadder:
             spec._near_setup()
 
 
+# weights whose g = n*v*z - 1 can rise, peak and fall while positive:
+# text -> (v(x) in mpmath, range of n, upper radius)
+_PEAKED = {
+    "2+sin(3*z)": (lambda mp, x: 2 + mp.sin(3 * x), (0.5, 1.5), 1.0),
+    "1+0.5*sin(5*z)": (lambda mp, x: 1 + mp.mpf("0.5") * mp.sin(5 * x),
+                       (1.2, 4.0), 1.5),
+    "exp(-z)+0.2": (lambda mp, x: mp.exp(-x) + mp.mpf("0.2"), (0.9, 3.0),
+                    2.0),
+    "1/(1+z^2)": (lambda mp, x: 1 / (1 + x * x), (2.05, 4.0), 1.5),
+}
+
+
+def _mpmath_angle(text, n, z_turn, z_b):
+    """The angle from z* to z_b by mpmath at 30 digits, z* refined from
+    z_turn; None where g dips to 0 on the way (a complex integral)."""
+    mp = pytest.importorskip("mpmath")
+    v = _PEAKED[text][0]
+    with mp.workdps(30):
+        def g(x):
+            return n * v(mp, x) * x - 1
+        zt = mp.findroot(g, z_turn)
+        ref = mp.quad(lambda x: 1 / (x * mp.sqrt(g(x) * (g(x) + 2))),
+                      [zt, z_b])
+    return None if isinstance(ref, mp.mpc) else float(ref)
+
+
+class TestPeakedProfiles:
+    """The near/far handoff never lies past a peak of g: the near region
+    inverts w = sqrt(g) on the rising side only."""
+
+    def test_handoff_below_a_peak_between_table_rows(self):
+        # g peaks at z ~ 0.8985, between the rows 0.8893 and 0.9037 of the
+        # table the ladder's handoff would give; that handoff's slope is
+        # -0.035, and the angle came out as 1.12747 with no error
+        spec = ExtremalSpec(parse_weight("2+sin(3*z)"), 0.75)
+        z_split = spec._near_setup()[0]
+        assert spec.z_turn < z_split < 0.8985
+        assert reduced_ode._profile_and_slope(spec.weight, spec.n,
+                                              z_split)[1] > 0.0
+        got = integrate_phi(spec, spec.z_turn, 1.0, 1e-13)
+        assert abs(got - 1.1393311408606654) <= 1e-10
+
+    @pytest.mark.parametrize("text", sorted(_PEAKED))
+    @settings(max_examples=12, deadline=None)
+    @given(u=st.floats(0.0, 1.0))
+    def test_angles_match_mpmath_or_raise(self, text, u):
+        _, (lo, hi), z_b = _PEAKED[text]
+        n = lo + (hi - lo) * u
+        try:
+            spec = ExtremalSpec(parse_weight(text), n)
+            got = integrate_phi(spec, spec.z_turn, z_b, 1e-13)
+        except ExtremalError:
+            return
+        ref = _mpmath_angle(text, n, spec.z_turn, z_b)
+        assert ref is not None and abs(got - ref) <= 1e-10
+
+
 def _five_step_inversion(spec, w_nodes):
     """The near-region inversion as five full Newton steps, g and g' from
     separate eval_v and eval_q calls, then g' once more at the final z."""
