@@ -83,7 +83,15 @@ def functional_value(pl: Polyline, w: RadialWeight) -> float:
 
 def _functional(seg, w: RadialWeight) -> float:
     _, length, _, z_mid = seg
-    return math.fsum(eval_v(w, z_mid) * length)
+    with np.errstate(over="ignore"):   # an overflow raises below
+        terms = eval_v(w, z_mid) * length
+    try:
+        value = math.fsum(terms)
+    except OverflowError:    # finite terms whose sum overflows
+        value = math.inf
+    if not value < math.inf:
+        raise EvalError(f"the weighted length {value} is not finite")
+    return value
 
 
 def gradient(pl: Polyline, w: RadialWeight) -> np.ndarray:
@@ -204,7 +212,8 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                 trial[1:-1] += step.reshape(-1, 2)
                 t_seg = _segment_data(trial)
                 t_value = _checked("trial step", _functional, t_seg, w)
-                if t_value <= value:
+                # a trial with a zero-length segment has no gradient
+                if t_value <= value and np.all(t_seg[1] > 0.0):
                     t_v, t_q = _checked("trial step", eval_vq, w, t_seg[3])
                     t_grad = _gradient(t_seg, t_v, t_q)
                     t_gmax = np.abs(t_grad).max(initial=0.0)

@@ -208,6 +208,32 @@ class TestMinimize:
         with pytest.raises(StalledDescent):
             minimize(out, w, 100000, 0.0)
 
+    def test_trial_with_a_vanishing_segment_is_rejected(self, monkeypatch):
+        # the end segments shrink until a trial makes one exactly 0: its
+        # value ties and its 0/0 gradient must not be computed
+        lengths = []
+        seg_data = discrete_oracle._segment_data
+
+        def recorded(verts):
+            seg = seg_data(verts)
+            lengths.append(seg[1].min())
+            return seg
+        monkeypatch.setattr(discrete_oracle, "_segment_data", recorded)
+        with pytest.raises(StalledDescent, match="no decrease after 50"):
+            minimize(chord((-0.65, 1.19), (0.65, 1.19), 8), PowerLaw(2.0),
+                     200_000, 3e-7)
+        assert 0.0 in lengths
+
+    @pytest.mark.parametrize("x, segments", [(1e200, 4), (1e155, 4),
+                                             (2e154, 1_000)])
+    def test_non_finite_functional_raises(self, x, segments):
+        # v*|segment| overflows, or the finite terms' sum does
+        pl = chord((x, 1.0), (-x, 1.0), segments)
+        with pytest.raises(EvalError, match="weighted length inf is not"):
+            functional_value(pl, PowerLaw(1.0))
+        with pytest.raises(DomainViolation, match="weighted length inf"):
+            minimize(pl, PowerLaw(1.0), 10, 1e-7)
+
     def test_discrete_conservation_along_minimizer(self):
         # v*z*sin(alpha) at segment midpoints stays constant to 5/N^2
         w = PowerLaw(1.0)
