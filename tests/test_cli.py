@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -584,3 +586,56 @@ class TestSpell:
         keys = TestWriters.KEYS
         assert cli._json_with_samples(doc, keys, rows) == \
             _reference_json(doc, keys, rows.tolist())
+
+
+# argv -> (exit code, exact standard error, or None for a successful run);
+# each of these once escaped cli.run, warned or printed a wrong number
+_SWEEP = {
+    "spiral-check-below-n-one": (
+        ["check", "--lambda", "-1", "--n", "0.5", "--zmax", "2"],
+        1, "DomainError: log-spiral extremals require n >= 1\n"),
+    "distant-turning-radius": (
+        ["trace", "--lambda", "1", "--n", "1e-20", "--zmax", "2e10"],
+        0, None),
+    "long-far-piece": (
+        ["trace", "--lambda", "1", "--n", "1", "--zmax", "1e10",
+         "--samples", "3"], 0, None),
+    "overflowing-radicand": (
+        ["trace", "--lambda", "1", "--n", "1", "--zmax", "1e300",
+         "--samples", "3"],
+        1, "DomainError: (n*v(z)*z)^2 overflows at z = "
+           "2.9591420132505034e+299: the radius is too large for the angle "
+           "integral\n"),
+    "peaked-profile": (
+        ["trace", "--weight", "2+sin(3*z)", "--n", "0.75", "--zmax", "1",
+         "--tol", "1e-13"], 0, None),
+    "oracle-vanishing-segment": (
+        ["oracle", "--lambda", "2", "--endpoints=-0.65,1.19,0.65,1.19",
+         "--segments", "8"],
+        1, "StalledDescent: no decrease after 50 rejected steps (value "
+           "1.6490131408051933, max gradient 1.498e+00)\n"),
+    "oracle-overflowing-functional": (
+        ["oracle", "--lambda", "1", "--endpoints=1e200,1,-1e200,1",
+         "--segments", "4", "--format", "json"],
+        1, "EvalError: the weighted length inf is not finite\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP))
+def test_robustness_sweep(name, capsys):
+    argv, code, err = _SWEEP[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cli.run(list(argv))
+    captured = capsys.readouterr()
+    assert got in (0, 1, 2) and got == code
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    if code:
+        assert captured.out == "" and captured.err == err
+    else:
+        assert captured.err == ""
+        numbers = [float(tok) for tok in re.split(r"[\s,]+", captured.out)
+                   if re.fullmatch(r"[-+]?[\d.]+(e[-+]?\d+)?|[-+]?(nan|inf)",
+                                   tok)]
+        assert numbers and all(math.isfinite(x) for x in numbers)

@@ -106,7 +106,62 @@ class TestLagrangianPartials:
                 <= 1e-15 * (1.0 + abs(parts.N * pt.x))
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _scalar_clairaut(r, p, w):
+    """clairaut_constant's scalar arithmetic, for reference."""
+    v = eval_v(w, r)
+    if math.isinf(p):
+        return math.copysign(v * r, p)
+    rp = p * r
+    return v * r * rp / math.hypot(1.0, rp)
+
+
+def _scalar_partials(x, y, p, w):
+    """(V, M, N, P) by the scalar formulas, for reference."""
+    z = math.hypot(x, y)
+    v, q = eval_v(w, z), eval_q(w, z)
+    root = math.sqrt(1.0 + p * p)
+    return v * root, q * x * root / z, q * y * root / z, v * p / root
+
+
+def _loop_residuals(pts, w):
+    """el_residual and beltrami_residual from per-sample scalar partials
+    and the same difference stencils, for reference."""
+    x, y = pts[:, 0], pts[:, 1]
+    p = np.gradient(y, x, edge_order=2)
+    V, M, N, P = np.array([_scalar_partials(a, b, s, w) for a, b, s in
+                           zip(x.tolist(), y.tolist(), p.tolist())]).T
+    dx = np.empty_like(x)
+    dx[1:-1] = 0.5 * (x[2:] - x[:-2])
+    dx[0], dx[-1] = x[1] - x[0], x[-1] - x[-2]
+    return ((N - np.gradient(P, x, edge_order=2)) * dx,
+            (M - np.gradient(V - P * p, x, edge_order=2)) * dx)
+
+
 class TestClairautConstant:
+    @pytest.mark.parametrize("w", [PowerLaw(1.3), parse_weight("1/(1+z^2)")])
+    def test_arrays_equal_scalar_calls_bit_for_bit(self, w):
+        rng = np.random.default_rng(11)
+        r = rng.uniform(0.3, 4.0, 200)
+        p = rng.uniform(-50.0, 50.0, 200)
+        p[:4] = [math.inf, -math.inf, 0.0, -0.0]
+        got = clairaut_constant(r, p, w)
+        want = [_scalar_clairaut(a, b, w)
+                for a, b in zip(r.tolist(), p.tolist())]
+        assert (_bits(got) == _bits(want)).all()
+        assert got[0] > 0.0 > got[1]
+        for a, b in zip(r[:8].tolist(), p[:8].tolist()):
+            one = clairaut_constant(a, b, w)
+            assert type(one) is float
+            assert _bits(one) == _bits(_scalar_clairaut(a, b, w))
+        # a scalar slope paired with each radius
+        assert (_bits(clairaut_constant(r, math.inf, w))
+                == _bits(clairaut_constant(r, np.full(200, math.inf), w))
+                ).all()
+
     def test_radial_tangent_gives_zero(self):
         assert clairaut_constant(1.7, 0.0, PowerLaw(2.0)) == 0.0
 
@@ -164,6 +219,19 @@ class TestResiduals:
             v = eval_v(w, math.hypot(pt.x, pt.y))
             expect = v / math.sqrt(1.0 + p * p)
             assert parts.V - parts.P * p == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("w", [PowerLaw(1.3), parse_weight("2.5*z^1.3")])
+    def test_one_partials_function_keeps_the_bits(self, w):
+        pts = curve_xy(1.3, 1.1, np.linspace(0.1, 1.2, 97))
+        want_el, want_bel = _loop_residuals(pts, w)
+        assert (_bits(el_residual(pts, w)) == _bits(want_el)).all()
+        assert (_bits(beltrami_residual(pts, w)) == _bits(want_bel)).all()
+        for x, y in pts[::8].tolist():
+            got = lagrangian_partials_cartesian(CartesianPoint(x, y), 0.7, w)
+            assert all(type(f) is float for f in
+                       (got.V, got.M, got.N, got.P))
+            assert (_bits([got.V, got.M, got.N, got.P])
+                    == _bits(_scalar_partials(x, y, 0.7, w))).all()
 
     @pytest.mark.parametrize("w", [PowerLaw(1.3), parse_weight("2.5*z^1.3")])
     def test_array_input_matches_point_list(self, w):
