@@ -237,12 +237,27 @@ def _far_integrand(spec: ExtremalSpec):
         if np.count_nonzero(g <= 0.0):
             raise ForbiddenRegion(
                 "n*v(z)*z dips to 1 inside the integration range")
-        if np.count_nonzero(rad == np.inf):
-            raise DomainError(
-                f"(n*v(z)*z)^2 overflows at z = {float(z[rad == np.inf][0])}"
-                ": the radius is too large for the angle integral")
+        _check_overflow(z, rad)
         return 1.0 / (z * np.sqrt(rad))
     return f
+
+
+def _check_overflow(z, rad):
+    """DomainError where a radicand of order (n*v*z)^2 overflowed."""
+    over = np.ravel(rad) == np.inf
+    if np.count_nonzero(over):
+        raise DomainError(f"(n*v(z)*z)^2 overflows at z = "
+                          f"{float(np.ravel(z)[over][0])}: the radius is "
+                          "beyond the float range of the first integral")
+
+
+def _radicand(w: RadialWeight, n: float, z: np.ndarray):
+    """(u, (u - 1)*(u + 1)) with u = n*v(z)*z; an overflow raises."""
+    with np.errstate(over="ignore"):
+        u = n * eval_v(w, z) * z
+        rad = (u - 1.0) * (u + 1.0)
+    _check_overflow(z, rad)
+    return u, rad
 
 
 def _log_far_integrand(spec: ExtremalSpec):
@@ -320,8 +335,7 @@ def dphi_dz(z, spec: ExtremalSpec):
     is not positive); the message names the first such z.
     """
     za = np.asarray(z, dtype=float)
-    wz = spec.n * eval_v(spec.weight, za) * za
-    rad = (wz - 1.0) * (wz + 1.0)
+    wz, rad = _radicand(spec.weight, spec.n, za)
     inside = np.flatnonzero(rad <= 0.0)
     if inside.size:
         k = inside[0]
@@ -370,8 +384,7 @@ def first_integral_deviation(w: RadialWeight, n: float, z):
     scalar or an array.
     """
     za = np.asarray(z, dtype=float)
-    wz = n * eval_v(w, za) * za
-    rad = (wz - 1.0) * (wz + 1.0)
+    rad = _radicand(w, n, za)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(rad <= 0.0, np.inf, 1.0 / (za * np.sqrt(rad)))
     dev = np.abs(n * clairaut_constant(za, p, w) - 1.0)

@@ -604,8 +604,13 @@ _SWEEP = {
         ["trace", "--lambda", "1", "--n", "1", "--zmax", "1e300",
          "--samples", "3"],
         1, "DomainError: (n*v(z)*z)^2 overflows at z = "
-           "2.9591420132505034e+299: the radius is too large for the angle "
-           "integral\n"),
+           "2.9591420132505034e+299: the radius is beyond the float range "
+           "of the first integral\n"),
+    "overflowing-radicand-at-the-top-radius": (
+        ["trace", "--lambda", "1", "--n", "1", "--zmax", "1.1586e77",
+         "--samples", "3"],
+        1, "DomainError: (n*v(z)*z)^2 overflows at z = 1.1586e+77: the "
+           "radius is beyond the float range of the first integral\n"),
     "peaked-profile": (
         ["trace", "--weight", "2+sin(3*z)", "--n", "0.75", "--zmax", "1",
          "--tol", "1e-13"], 0, None),

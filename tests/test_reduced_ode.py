@@ -568,6 +568,13 @@ class TestIntegratePhi:
             integrate_phi(spec, spec.z_turn, 1e300, 1e-12)
         with pytest.raises(DomainError, match="overflows"):
             trace_extremal(spec, 1e300, 3)
+        # just past the overflow radius only z itself overflows, not the
+        # far integrand's nodes below it
+        for check in (lambda z: first_integral_deviation(spec.weight, 1.0, z),
+                      lambda z: dphi_dz(z, spec)):
+            with pytest.raises(DomainError,
+                               match="overflows at z = 1.1586e"):
+                check(np.array([2.0, 1.1586e77]))
 
     def test_profile_peaking_below_handoff_against_mpmath(self):
         # for 1/(1+z^2) at n = 3, g = n*v*z - 1 peaks at 0.5 at z = 1 and
