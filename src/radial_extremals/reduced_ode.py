@@ -72,6 +72,8 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
     crossing (g' < 0) is rejected because z < z* would then be the allowed
     side.
     """
+    if not 0.0 < n < math.inf:   # ExtremalSpec passes |n|
+        raise DomainError(f"the turning radius needs a finite n > 0, got {n}")
     if bracket is None and isinstance(w, PowerLaw):
         if w.lam == -1.0:
             raise TangentialTurningPoint(

@@ -76,6 +76,12 @@ class TestTurningRadius:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             ExtremalSpec(PowerLaw(lam), 1.5)
 
+    @pytest.mark.parametrize("n", [-2.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("weight", [PowerLaw(1.0), parse_weight("1+z")])
+    def test_n_must_be_finite_and_positive(self, weight, n):
+        with pytest.raises(DomainError, match="needs a finite n > 0"):
+            turning_radius(weight, n)
+
     def test_expression_weight_without_bracket_scans(self):
         w = parse_weight("1/(1+z^2)")
         assert turning_radius(w, 3.0) == \
