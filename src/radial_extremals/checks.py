@@ -66,6 +66,7 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
                  "<=")]
 
     spec = ExtremalSpec(w, n)
+    n = spec.n   # a negative n only flips the walk's orientation
     result = trace_extremal(spec, z_max, samples, tol=tol)
     rows = [("max first-integral deviation",
              float(result.clairaut_deviation.max()), 1e-8, "<=")]

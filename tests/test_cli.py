@@ -614,6 +614,8 @@ _SWEEP = {
     "peaked-profile": (
         ["trace", "--weight", "2+sin(3*z)", "--n", "0.75", "--zmax", "1",
          "--tol", "1e-13"], 0, None),
+    "check-negative-n": (
+        ["check", "--lambda", "1", "--n", "-1", "--zmax", "3"], 0, None),
     "oracle-vanishing-segment": (
         ["oracle", "--lambda", "2", "--endpoints=-0.65,1.19,0.65,1.19",
          "--segments", "8"],
