@@ -63,7 +63,8 @@ def _profile_and_slope(w: RadialWeight, n: float, z):
 def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
     """Root z* of n*v(z)*z = 1: for a power law without a bracket the
     closed form n**(-1/(lam+1)), otherwise the root inside a sign-changing
-    bracket (by default the first sign change of a geometric scan).
+    bracket (by default the first sign change of a geometric scan).  n
+    must be finite and positive.
 
     roots.find_root drives |n*v*z - 1| to 4 eps (well inside 1e-13) or the
     bracket to a few ulps.  The crossing must be transversal and increasing:
