@@ -219,18 +219,24 @@ def _csv(header: str, rows) -> str:
     return f"# {_ANGLE_NOTE}\n{header}\n{body}"
 
 
-def _json_with_samples(doc: dict, keys, rows) -> str:
-    """The bytes of json.dumps(doc, indent=2) with doc["samples"] (empty in
-    doc) holding one {key: value} object per row, each object set by one
-    %-template from the values as json spells them, spelt by _spell."""
+# %-templates of one row's json entry: a trace sample, an oracle vertex
+_SAMPLE_RECORD = ("    {\n" + ",\n".join(
+    f'      "{k}": %s' for k in ("phi", "z", "x", "y", "clairaut_dev"))
+    + "\n    }")
+_VERTEX_RECORD = "    [\n      %s,\n      %s\n    ]"
+
+
+def _json_with_rows(doc: dict, key: str, record: str, rows) -> str:
+    """The bytes of json.dumps(doc, indent=2) with doc[key] (empty in doc,
+    at its top level) holding one entry per row, each set by the
+    %-template record from the values as json spells them, spelt by
+    _spell."""
     text = json.dumps(doc, indent=2)
     if len(rows) == 0:
         return text
-    values = _spell(rows, _json_spelling)
-    record = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in keys)
-              + "\n    }")
-    body = ",\n".join([record] * len(rows)) % tuple(values)
-    return text.replace('"samples": []', f'"samples": [\n{body}\n  ]', 1)
+    body = ",\n".join([record] * len(rows)) % tuple(
+        _spell(rows, _json_spelling))
+    return text.replace(f'"{key}": []', f'"{key}": [\n{body}\n  ]', 1)
 
 
 def _svg(paths, z_turn: float | None) -> str:
@@ -268,6 +274,7 @@ def _svg(paths, z_turn: float | None) -> str:
 def _cmd_trace(args) -> int:
     weight = _resolve_weight(args)
     n = args.n
+    orientation = 1    # --psi-range needs n > 0
     if args.psi_range is not None:
         if not isinstance(weight, PowerLaw):
             raise _UsageError("--psi-range needs a power-law weight z^lambda")
@@ -278,8 +285,10 @@ def _cmd_trace(args) -> int:
         result = TraceResult(phi, z, first_integral_deviation(weight, n, z),
                              curve.z_turn, None, None)   # no quadrature
     else:
-        result = trace_extremal(ExtremalSpec(weight, n), args.zmax,
-                                args.samples, tol=args.tol, grid=args.grid)
+        spec = ExtremalSpec(weight, n)
+        orientation = spec.orientation
+        result = trace_extremal(spec, args.zmax, args.samples, tol=args.tol,
+                                grid=args.grid)
     x, y = result.x, result.y
     rows = np.column_stack((result.phi, result.z, x, y,
                             result.clairaut_deviation))
@@ -289,7 +298,7 @@ def _cmd_trace(args) -> int:
     if args.format == "json":
         doc = {
             "spec": {"weight": weight.text(), "n": n,
-                     "phi0": 0.0, "orientation": 1},
+                     "phi0": 0.0, "orientation": orientation},
             "samples": [],
             "diagnostics": {
                 "z_turn": result.z_turn,
@@ -299,8 +308,8 @@ def _cmd_trace(args) -> int:
                 "error_estimate": result.error_estimate,
             },
         }
-        return _emit(args, _json_with_samples(
-            doc, ("phi", "z", "x", "y", "clairaut_dev"), rows) + "\n")
+        return _emit(args, _json_with_rows(doc, "samples", _SAMPLE_RECORD,
+                                           rows) + "\n")
     xy = np.column_stack((x, y))
     paths = ([xy] if args.psi_range is not None else
              [xy[:args.samples], xy[args.samples - 1:]])
@@ -341,13 +350,14 @@ def _cmd_oracle(args) -> int:
             "weight": weight.text(),
             "endpoints": [[x1, y1], [x2, y2]],
             "segments": args.segments,
-            "vertices": [[float(a), float(b)] for a, b in final.vertices],
+            "vertices": [],
             "diagnostics": {"initial_functional": f0,
                             "functional": result.value,
                             "max_grad_component": result.max_gradient,
                             "converged": result.converged},
         }
-        return _emit(args, json.dumps(doc, indent=2) + "\n")
+        return _emit(args, _json_with_rows(doc, "vertices", _VERTEX_RECORD,
+                                           final.vertices) + "\n")
     return _emit(args, _svg([final.vertices], None))
 
 

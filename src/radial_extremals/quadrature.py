@@ -17,16 +17,16 @@ the one a single row gets (a matrix product accumulates in another order),
 and each estimate is sharpened with Python's float ** 1.5, which np.power
 does not always match.  So where each node's value depends on that node
 alone (as in reduced_ode), runs of several integrands share the first call,
-each integrand called once on its own rows, and a caller whose intervals
-mostly need exactly one bisection can ask integrate to speculate: both
-halves of every first bisection then come from that same call, and
-refinement takes them instead of calling the integrand again.  reduced_ode
-asks for it on intervals from the turning radius (BVP spans, the
-closed-form gate), not on a traced grid's short intervals, which almost
-never refine.  Results, estimates and panel counts are those of one plain
-call per run, in order, and so is every failure: a shared or speculative
-first call that raises an ExtremalError or would give a numpy
-floating-point warning is replaced by those plain calls.
+each integrand called once on its own block of rows.  integrate's results,
+estimates and panel counts are those of one plain call per run, in order,
+and so is every failure: a shared first call that raises an ExtremalError
+or would give a numpy floating-point warning is replaced by those plain
+calls.  integrate_bisected serves pieces that mostly need exactly one
+bisection (reduced_ode's angles from the turning radius): its one first
+call also evaluates both halves of every first bisection, which refinement
+then takes instead of calling the integrand again; where that call fails
+or would warn it returns None, and the caller makes the plain calls that
+define the failure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ExtremalError, QuadratureFailure
 
-__all__ = ["integrate", "kronrod_panels"]
+__all__ = ["integrate", "integrate_bisected", "kronrod_panels"]
 
 # 15-point Kronrod abscissae (positive half, descending) and weights,
 # with the embedded 7-point Gauss weights on the shared nodes.
@@ -108,7 +108,7 @@ def kronrod_panels(f, a, b):
     return _panel_sums(fv, half, b - a)
 
 
-def integrate(f, a, b, tol, speculate: bool = False):
+def integrate(f, a, b, tol):
     """Per-interval (integrals, summed error estimates, panels in the final
     partitions) of f over [a[k], b[k]], each to absolute error tol[k].
     f is one integrand, or a list of (integrand, count) runs: the first
@@ -116,8 +116,7 @@ def integrate(f, a, b, tol, speculate: bool = False):
     so on; the result is that of one call per run, in order.  Reversed
     limits negate the integral; equal limits give 0 with no panel, a NaN
     limit is evaluated, so the integrand sees it, and an infinite one
-    raises QuadratureFailure.  speculate evaluates the halves of every
-    first bisection with the first panels (see the module notes)."""
+    raises QuadratureFailure."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     tol = np.broadcast_to(tol, a.shape)
     runs = f if isinstance(f, list) else [(f, a.size)]
@@ -133,66 +132,86 @@ def integrate(f, a, b, tol, speculate: bool = False):
         owner = np.searchsorted(np.cumsum([n for _, n in runs]), todo,
                                 side="right")    # index into fs
         first = None
-        if finite and (speculate or len(runs) > 1):
-            first = _first_panels(fs, owner, lo_t, hi_t, speculate)
+        if finite and len(runs) > 1:
+            first = _first_panels(fs, np.bincount(owner, minlength=len(fs)),
+                                  lo_t, hi_t)
         if first is None and len(runs) > 1:
             # one call per run, so failures come in the runs' order
             parts, start = [], 0
             for g, count in runs:
                 run = slice(start, start + count)
-                parts.append(integrate(g, a[run], b[run], tol[run],
-                                       speculate))
+                parts.append(integrate(g, a[run], b[run], tol[run]))
                 start += count
             return tuple(np.concatenate(x) for x in zip(*parts))
         if first is None:
             if not finite:
                 raise QuadratureFailure("integration limits must be finite")
-            first = (*kronrod_panels(fs[0], lo_t, hi_t), [None] * todo.size)
-        vals[todo], errs[todo], halves = first
+            first = kronrod_panels(fs[0], lo_t, hi_t)
+        vals[todo], errs[todo] = first
         panels[todo] = 1
         for j in np.flatnonzero(errs[todo] > tol[todo]).tolist():
             k = todo[j]
             vals[k], errs[k], panels[k] = _refine(
                 fs[owner[j]], float(lo[k]), float(hi[k]), float(tol[k]),
-                float(vals[k]), float(errs[k]), halves[j])
+                float(vals[k]), float(errs[k]))
     return np.where(flip, -vals, vals), errs, panels
 
 
-def _first_panels(fs, owner, lo, hi, speculate: bool):
-    """(first-panel integrals, their estimates, per interval the halves
-    ((v1, v2), (e1, e2)) of its first bisection, or None each unless
-    speculate) of the intervals [lo[k], hi[k]] with integrands
-    fs[owner[k]], from one kronrod_panels call, or None if that call fails
-    or would warn."""
-    k = len(lo)
-    if speculate:
-        mid = 0.5 * (lo + hi)     # _refine's midpoint, bit for bit
-        lo, hi = np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))
-        owner = np.tile(owner, 3)
+def integrate_bisected(runs, lo, hi, tol):
+    """integrate(runs, lo, hi, tol) for pieces with finite lo[k] < hi[k]
+    and per-piece tol[k], or None.
+
+    One first call evaluates every piece's first panel and both halves of
+    its first bisection, each integrand of runs once, on its own block of
+    rows; refinement takes those halves.  Returns None if that call raises
+    an ExtremalError or would give a numpy floating-point warning: the
+    caller then makes the plain calls that define the failure.  Otherwise
+    results, estimates, panel counts and refinement failures are those of
+    integrate(runs, lo, hi, tol) (see the module notes).
+    """
+    lo, hi, tol = (np.asarray(x, dtype=float).tolist() for x in (lo, hi, tol))
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]   # _refine's midpoint
+    first = _first_panels(   # rows 3k, 3k+1, 3k+2: piece k and its halves
+        [f for f, _ in runs], [3 * count for _, count in runs],
+        [x for a, m in zip(lo, mid) for x in (a, a, m)],
+        [x for b, m in zip(hi, mid) for x in (b, m, b)])
+    if first is None:
+        return None
+    v, e = (x.tolist() for x in first)
+    vals, errs, panels = [], [], []
+    for k, f in enumerate([f for f, count in runs for _ in range(count)]):
+        j = 3 * k
+        val, err, n = v[j], e[j], 1
+        if err > tol[k]:
+            val, err, n = _refine(f, lo[k], hi[k], tol[k], val, err,
+                                  ((v[j + 1], v[j + 2]), (e[j + 1], e[j + 2])))
+        vals.append(val)
+        errs.append(err)
+        panels.append(n)
+    return np.array(vals), np.array(errs), np.array(panels, dtype=int)
+
+
+def _first_panels(fs, counts, lo, hi):
+    """(integrals, estimates) of the panels [lo[r], hi[r]] from one
+    kronrod_panels call, fs[i] evaluating the next counts[i] rows, or None
+    if that call raises an ExtremalError or would warn."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            vals, errs = kronrod_panels(_by_row(fs, owner), lo, hi)
+            return kronrod_panels(_by_block(fs, counts), lo, hi)
     except (ExtremalError, FloatingPointError):
         return None
-    if not speculate:
-        return vals, errs, [None] * k
-    halves = zip(vals[k:].reshape(2, k).T.tolist(),
-                 errs[k:].reshape(2, k).T.tolist())
-    return vals[:k], errs[:k], list(halves)
 
 
-def _by_row(fs, owner):
-    """The integrand whose node row r is evaluated by fs[owner[r]]: each of
-    fs is called once, on its own rows, in the order of fs."""
-    if len(fs) == 1:
-        return fs[0]
-
+def _by_block(fs, counts):
+    """The integrand of rows in blocks: fs[i] is called once, on the next
+    counts[i] rows, in the order of fs."""
     def f(x):
         out = np.empty(x.shape)
-        for i, g in enumerate(fs):
-            rows = owner == i
-            if np.count_nonzero(rows):
-                out[rows] = g(x[rows])
+        start = 0
+        for g, count in zip(fs, counts):
+            if count:
+                out[start:start + count] = g(x[start:start + count])
+                start += count
         return out
     return f
 

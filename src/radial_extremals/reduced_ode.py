@@ -296,9 +296,7 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     that order; an interval across the handoff radius z_split adds pieces
     [w(z_a), w_split] and [z_split, z_b], each to tol/2.
     Returns (increments, exactly rounded sum of the pieces' error estimates,
-    panels in the final partitions).  When every interval starts at z_turn
-    the first call also evaluates each first bisection (same bits): about
-    half of such long pieces need exactly one; a traced grid's rarely do.
+    panels in the final partitions).
     """
     flip = z_to < z_from
     z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
@@ -320,14 +318,58 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
         [(_near_integrand(spec), n_near), (_far_integrand(spec), n_short),
          (_log_far_integrand(spec), len(lo) - n_near - n_short)],
         lo, np.concatenate((w_b[near], z_b[short], np.log(z_b[long]))),
-        np.concatenate((piece_tol[near], piece_tol[short], piece_tol[long])),
-        speculate=not np.count_nonzero(z_a != spec.z_turn))
+        np.concatenate((piece_tol[near], piece_tol[short], piece_tol[long])))
     inc = np.zeros(len(z_a))
     inc[near] = val[:n_near]
     inc[short] += val[n_near:n_near + n_short]
     inc[long] += val[n_near + n_short:]
     return (np.where(flip, -inc, inc), math.fsum(err.tolist()),
             int(panels.sum()))
+
+
+def _angles_from_turn(spec: ExtremalSpec, z_b: np.ndarray, tol: float):
+    """_increments(spec, z_turn, z_b, tol)[0] bit for bit, from the pieces
+    built directly, or None where that call must be made instead: a radius
+    at or inside z_turn, an empty near region, or a first evaluation that
+    fails or would warn.
+
+    The near region [0, w_split] is one piece at tol/2 however many radii
+    lie beyond the handoff, taken at the slot of the first of them; a
+    radius inside the handoff has its own piece [0, w(z_b)] at tol.  All
+    pieces go through one quadrature.integrate_bisected call, near pieces
+    first, then the far pieces in z, then those in log z, as in
+    _increments, and each angle is its near piece plus its far piece.
+    """
+    z_split, w_split, _, _ = spec._near_setup()
+    radii = z_b.tolist()
+    inner = [z for z in radii if not z > z_split]
+    w_hi = _w_of(spec, inner).tolist()
+    if not (spec.z_turn < z_split and all(w > 0.0 for w in w_hi)):
+        return None      # a radius at z*: its piece has equal limits
+    z_long = _LONG_FAR * z_split
+    short = [z for z in radii if z_split < z <= z_long]
+    long = [z for z in radii if z > z_long]
+    tols = [tol] * len(w_hi)
+    if short or long:
+        slot = next(i for i, z in enumerate(radii) if z > z_split)
+        w_hi.insert(slot, w_split)
+        tols.insert(slot, 0.5 * tol)
+    log_z = np.log([z_split, *long]).tolist()
+    pieces = quadrature.integrate_bisected(
+        [(_near_integrand(spec), len(w_hi)),
+         (_far_integrand(spec), len(short)),
+         (_log_far_integrand(spec), len(long))],
+        [0.0] * len(w_hi) + [z_split] * len(short) + log_z[:1] * len(long),
+        w_hi + short + log_z[1:],
+        tols + [0.5 * tol] * (len(short) + len(long)))
+    if pieces is None:
+        return None
+    val = pieces[0].tolist()
+    near, far = val[:len(w_hi)], val[len(w_hi):]
+    shared = near.pop(slot) if short or long else None
+    angle = dict(zip(inner, near))
+    angle.update((z, shared + x) for z, x in zip(short + long, far))
+    return np.array([angle[z] for z in radii])
 
 
 def dphi_dz(z, spec: ExtremalSpec):
@@ -354,7 +396,9 @@ def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
     scalars, else (1-d arrays of one length, or a scalar paired with each
     entry) one angle per pair, each with the bits of its own scalar call.
     Radii must lie at or outside z*; an endpoint at z* is exact (the
-    w-substitution integrates from the root of n*v*z - 1 itself)."""
+    w-substitution integrates from the root of n*v*z - 1 itself).  Angles
+    from z* (every z_from equal to spec.z_turn: BVP spans, the closed-form
+    gate) take a lean pass of the same bits and failures."""
     if not 1e-14 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
     z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)
@@ -374,7 +418,11 @@ def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
                 if x < z_min:
                     raise ForbiddenRegion(f"z = {x} lies inside the turning "
                                           f"radius z* = {spec.z_turn}")
-    inc = _increments(spec, pairs[0], pairs[1], tol)[0]
+    inc = None
+    if not np.count_nonzero(pairs[0] != spec.z_turn):
+        inc = _angles_from_turn(spec, pairs[1], tol)
+    if inc is None:
+        inc = _increments(spec, pairs[0], pairs[1], tol)[0]
     return inc if ndim else float(inc[0])
 
 

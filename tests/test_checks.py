@@ -115,17 +115,21 @@ def test_closed_form_row_is_one_call_per_angle(weight, monkeypatch):
     separate = [integrate_phi(spec, spec.z_turn, z, 1e-12) for z in zs]
     batched = integrate_phi(spec, spec.z_turn, zs, 1e-12)
     assert batched.tolist() == separate
-    # angles from z* take each first bisection from the first call; the
-    # plain driver gives every bit of them
-    flags = []
+    # angles from z* take the lean pass, each first bisection from its
+    # first call; the plain path (taken where that call returns None)
+    # gives every bit of them
+    pieces = []
 
-    def plain(*args, speculate, _f=quadrature.integrate):
-        flags.append(speculate)
-        return _f(*args, speculate=False)
-    monkeypatch.setattr(quadrature, "integrate", plain)
+    def plain(runs, lo, hi, tol):
+        pieces.append(len(lo))
+        return None
+    monkeypatch.setattr(quadrature, "integrate_bisected", plain)
     assert integrate_phi(spec, spec.z_turn, zs, 1e-12).tobytes() == \
         batched.tobytes()
-    assert flags == [True]
+    # nine radii inside the handoff, one near piece shared by the five
+    # beyond it, and their five far pieces (19 pieces when each radius
+    # beyond the handoff had its own near piece)
+    assert pieces == [15]
     monkeypatch.undo()
     worst = 0.0
     for psi, got in zip(psis, separate):

@@ -93,6 +93,24 @@ class TestTraceJsonSvg:
         assert diag["panels"] >= 50
         assert 0.0 < diag["error_estimate"] <= 1e-12
 
+    @pytest.mark.parametrize("n, orientation", [("1", 1), ("-1", -1)])
+    def test_json_orientation_is_the_walk_direction(self, capsys, n,
+                                                    orientation):
+        # the sign of n sets the orientation; phi advances with it
+        code, out, _ = run(capsys, "trace", "--lambda", "1", "--n", n,
+                           "--zmax", "2", "--samples", "3",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["spec"]["orientation"] == orientation
+        assert doc["spec"]["n"] == float(n)
+        phis = [sample["phi"] for sample in doc["samples"]]
+        assert np.sign(np.diff(phis)).tolist() == [orientation] * 4
+        code, out, _ = run(capsys, "trace", "--lambda", "1", "--n", "1",
+                           "--psi-range=-1:1", "--samples", "3",
+                           "--format", "json")
+        assert json.loads(out)["spec"]["orientation"] == 1
+
     def test_closed_form_json_has_no_quadrature(self, capsys):
         code, out, _ = run(capsys, "trace", "--lambda", "1", "--n", "1",
                            "--psi-range=-1:1", "--samples", "30",
@@ -508,14 +526,36 @@ class TestWriters:
         doc = {"spec": {"weight": "z^1.0", "n": 1.2},
                "samples": [],
                "diagnostics": {"z_turn": 0.5, "max_el_residual": None}}
-        got = cli._json_with_samples(doc, self.KEYS, table)
+        got = cli._json_with_rows(doc, "samples", cli._SAMPLE_RECORD,
+                                  table)
         assert got == _reference_json(doc, self.KEYS, table.tolist())
-        assert cli._json_with_samples(doc, self.KEYS, table[:0]) == \
+        assert cli._json_with_rows(doc, "samples", cli._SAMPLE_RECORD,
+                                   table[:0]) == \
             _reference_json(doc, self.KEYS, [])
         # a weight text that spells the splice marker stays untouched
         doc["spec"]["weight"] = '"samples": []'
-        assert cli._json_with_samples(doc, self.KEYS, table[:3]) == \
+        assert cli._json_with_rows(doc, "samples", cli._SAMPLE_RECORD,
+                                   table[:3]) == \
             _reference_json(doc, self.KEYS, table[:3].tolist())
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_json_vertices_match_reference(self, finite):
+        table = _table(2, finite)
+        doc = {"weight": "z^1.0", "endpoints": [[-1.0, 1.0], [1.0, 1.0]],
+               "segments": 3, "vertices": [],
+               "diagnostics": {"functional": 2.0, "converged": True}}
+
+        def reference(rows):
+            return json.dumps({**doc, "vertices": rows}, indent=2)
+        assert cli._json_with_rows(doc, "vertices", cli._VERTEX_RECORD,
+                                   table) == reference(table.tolist())
+        assert cli._json_with_rows(doc, "vertices", cli._VERTEX_RECORD,
+                                   table[:0]) == reference([])
+        # a weight text that spells the splice marker stays untouched
+        doc["weight"] = '"vertices": []'
+        assert cli._json_with_rows(doc, "vertices", cli._VERTEX_RECORD,
+                                   table[:3]) == reference(
+                                       table[:3].tolist())
 
     @pytest.mark.parametrize("finite", [True, False])
     def test_svg_paths_match_reference(self, finite):
@@ -584,7 +624,8 @@ class TestSpell:
                                                         rows.tolist())
         doc = {"spec": {"n": 1.1}, "samples": []}
         keys = TestWriters.KEYS
-        assert cli._json_with_samples(doc, keys, rows) == \
+        assert cli._json_with_rows(doc, "samples", cli._SAMPLE_RECORD,
+                                   rows) == \
             _reference_json(doc, keys, rows.tolist())
 
 

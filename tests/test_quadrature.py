@@ -80,6 +80,12 @@ def integrate_one(f, a, b, tol):
     return float(quadrature.integrate(f, [a], [b], tol)[0][0])
 
 
+def bisected_or_plain(runs, lo, hi, tol):
+    """integrate_bisected, with the plain call that its None asks for."""
+    return quadrature.integrate_bisected(runs, lo, hi, tol) or \
+        quadrature.integrate(runs, lo, hi, tol)
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -315,21 +321,37 @@ class TestIntegrate:
         with pytest.raises(QuadratureFailure, match="not finite"):
             integrate_one(f, 0.0, 1.0, 1e-10)
 
-    def test_speculative_equals_plain(self):
-        # the cases of test_array_call_equals_scalar_driver: first panels
-        # that meet tol, and panels that need one or many bisections
+    def test_panel_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+        with pytest.raises(QuadratureFailure,
+                           match="needed more than 2 panels"):
+            integrate_one(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
+                          0.0, 1.0, 1e-12)
+
+
+class TestBisected:
+    """integrate_bisected evaluates each first bisection with the first
+    panels and gives integrate's bits; where that first call fails or
+    would warn it returns None, and the plain call gives the result."""
+
+    def test_equals_plain(self):
+        # the cases of test_array_call_equals_scalar_driver, upwards and
+        # without the equal pair: first panels that meet tol, and panels
+        # that need one or many bisections
         f = lambda x: np.exp(-1e3 * (x - 0.3) ** 2) + np.sin(x)  # noqa: E731
-        a = [0.0, 1.0, 0.5, 0.3, 0.31, -1.0, 2.0, 0.25, 0.0]
-        b = [1.0, 0.0, 0.5, 0.31, 0.3, 2.0, 0.0, 0.35, 0.6]
-        tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8, 1e-8]
+        lo = [0.0, 0.0, 0.3, 0.3, -1.0, 0.0, 0.25, 0.0]
+        hi = [1.0, 1.0, 0.31, 0.31, 2.0, 2.0, 0.35, 0.6]
+        tol = [1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8, 1e-8]
         calls = {False: [], True: []}
         got = {}
-        for speculate in calls:
-            def counted(x, _calls=calls[speculate]):
+        for bisected in calls:
+            def counted(x, _calls=calls[bisected]):
                 _calls.append(np.shape(x))
                 return f(x)
-            got[speculate] = [x.tolist() for x in quadrature.integrate(
-                counted, a, b, tol, speculate=speculate)]
+            call = quadrature.integrate_bisected if bisected \
+                else quadrature.integrate
+            got[bisected] = [x.tolist() for x in call(
+                [(counted, len(lo))], lo, hi, tol)]
         assert got[True] == got[False]
         assert calls[True][0] == (3 * 8, 15)
         assert len(calls[True]) == len(calls[False]) - \
@@ -340,35 +362,32 @@ class TestIntegrate:
     def _strip(f):
         return lambda x: np.where(abs(x - 0.25) < 1e-3, np.nan, f(x))
 
-    def test_speculative_nan_half_first_panel_meets_tol(self):
+    def test_nan_half_first_panel_meets_tol(self):
         f = self._strip(lambda x: 1.0 + x)
         plain = quadrature.integrate(f, [0.0], [1.0], 1e-10)
-        spec = quadrature.integrate(f, [0.0], [1.0], 1e-10, speculate=True)
-        assert [x.tolist() for x in spec] == [x.tolist() for x in plain]
+        assert quadrature.integrate_bisected(
+            [(f, 1)], [0.0], [1.0], [1e-10]) is None
+        got = bisected_or_plain([(f, 1)], [0.0], [1.0], [1e-10])
+        assert [x.tolist() for x in got] == [x.tolist() for x in plain]
         assert plain[2].tolist() == [1]
 
-    def test_speculative_nan_half_on_refinement_fails(self):
+    def test_nan_half_on_refinement_fails(self):
         f = self._strip(lambda x: np.exp(-1e3 * (x - 0.3) ** 2))
         with pytest.raises(QuadratureFailure, match="not finite") as plain:
             quadrature.integrate(f, [0.0], [1.0], 1e-10)
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(plain.value))}$"):
-            quadrature.integrate(f, [0.0], [1.0], 1e-10, speculate=True)
+            bisected_or_plain([(f, 1)], [0.0], [1.0], [1e-10])
 
-    def test_speculative_warning_left_to_plain_call(self):
+    def test_warning_left_to_plain_call(self):
         # log(0) at the half's midpoint node would warn (an error here);
-        # the plain call that replaces the speculative one never samples it
+        # the plain call that replaces the first call never samples it
         f = lambda x: 1.0 + x + 0.0 * np.log(abs(x - 0.25))  # noqa: E731
-        spec = quadrature.integrate(f, [0.0], [1.0], 1e-10, speculate=True)
-        assert [x.tolist() for x in spec] == \
+        assert quadrature.integrate_bisected(
+            [(f, 1)], [0.0], [1.0], [1e-10]) is None
+        got = bisected_or_plain([(f, 1)], [0.0], [1.0], [1e-10])
+        assert [x.tolist() for x in got] == \
             [[x] for x in kronrod_panel(f, 0.0, 1.0)] + [[1]]
-
-    def test_panel_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
-        with pytest.raises(QuadratureFailure,
-                           match="needed more than 2 panels"):
-            integrate_one(lambda x: np.exp(-1e4 * (x - 0.3) ** 2),
-                          0.0, 1.0, 1e-12)
 
 
 class TestRuns:
@@ -390,19 +409,21 @@ class TestRuns:
         return 1.0 / (2.0 + np.cos(3.0 * x))
 
     @staticmethod
-    def per_run(runs, a, b, tol, speculate):
+    def per_run(runs, a, b, tol):
         parts, start = [], 0
         for f, count in runs:
             run = slice(start, start + count)
-            parts.append(quadrature.integrate(f, a[run], b[run], tol[run],
-                                              speculate=speculate))
+            parts.append(quadrature.integrate(f, a[run], b[run], tol[run]))
             start += count
         return [np.concatenate(x) for x in zip(*parts)]
 
-    @pytest.mark.parametrize("speculate", [False, True])
+    @pytest.mark.parametrize("bisected", [False, True])
     @pytest.mark.parametrize("split", [0, 2, 4, 6])   # 0, 6: one run only
-    def test_equals_one_call_per_run(self, speculate, split):
+    def test_equals_one_call_per_run(self, bisected, split):
         a, b, tol = (np.array(x) for x in (self.A, self.B, self.TOL))
+        if bisected:   # finite lo < hi only
+            a, b = np.minimum(a, b), np.maximum(a, b)
+            b[2] = 0.75
         runs = [(self.f1, split), (self.f2, len(a) - split)]
         calls = []
 
@@ -411,14 +432,14 @@ class TestRuns:
                 calls.append(f)
                 return f(x)
             return g
-        got = quadrature.integrate(
-            [(counted(f), n) for f, n in runs], a, b, tol,
-            speculate=speculate)
-        want = self.per_run(runs, a, b, tol, speculate)
+        call = quadrature.integrate_bisected if bisected \
+            else quadrature.integrate
+        got = call([(counted(f), n) for f, n in runs], a, b, tol)
+        want = self.per_run(runs, a, b, tol)
         for g, w in zip(got, want):
             assert (_bits(g) == _bits(w)).all()
         assert got[2].dtype == want[2].dtype
-        assert got[2][2] == 0 and got[2].max() > 1
+        assert (got[2][2] == 0) != bisected and got[2].max() > 1
         # one shared first call, in which each integrand is called once,
         # in order; f1's peaked interval is refined only after it
         first = [f for f, n in runs if n]
@@ -430,7 +451,7 @@ class TestRuns:
         for split in (1, 2):
             with pytest.raises(QuadratureFailure) as want:
                 self.per_run([(self.f1, split), (self.f2, 3 - split)],
-                             a, b, np.full(3, 1e-10), False)
+                             a, b, np.full(3, 1e-10))
             with pytest.raises(QuadratureFailure,
                                match=f"^{re.escape(str(want.value))}$"):
                 quadrature.integrate(
@@ -448,8 +469,8 @@ class TestRuns:
             quadrature.integrate([(self.f1, 1), (self.f2, 1)],
                                  [0.0, 0.0], [1.0, math.inf], 1e-10)
 
-    @pytest.mark.parametrize("speculate", [False, True])
-    def test_failed_refinement_of_first_run_wins(self, speculate):
+    @pytest.mark.parametrize("bisected", [False, True])
+    def test_failed_refinement_of_first_run_wins(self, bisected):
         # the second integrand raises; the first run's piece would fail
         # only on refinement (tol below its round-off floor), so a shared
         # first call that skipped to the second run's error would hide it
@@ -458,20 +479,22 @@ class TestRuns:
         def second(x):
             seen.append(x.shape)
             raise ForbiddenRegion("second run")
+        call = bisected_or_plain if bisected else quadrature.integrate
         runs = [(self.f1, 1), (second, 1)]
         a, b, tol = [0.0, 0.0], [1.0, 1.0], [1e-17, 1e-10]
         with pytest.raises(QuadratureFailure, match="round-off") as want:
-            quadrature.integrate(self.f1, a[:1], b[:1], tol[:1],
-                                 speculate=speculate)
+            quadrature.integrate(self.f1, a[:1], b[:1], tol[:1])
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
-            quadrature.integrate(runs, a, b, tol, speculate=speculate)
-        assert len(seen) == 1    # the shared call, never the second run's
+            call(runs, a, b, tol)
+        # the shared calls (integrate_bisected's first, then integrate's),
+        # never the second run's own
+        assert len(seen) == 1 + bisected
         # both runs fail on refinement: the first run's failure is raised
         runs = [(self.f1, 1), (self.f2, 1)]
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
-            quadrature.integrate(runs, a, b, 1e-17, speculate=speculate)
+            call(runs, a, b, [1e-17, 1e-17])
 
     def test_warning_left_to_the_calls_per_run(self):
         # 1/0 at the centre node of [0, 0.5] warns, and exp(-inf) is 0: the
@@ -484,7 +507,7 @@ class TestRuns:
         got = {}
         for name, call in (
                 ("runs", lambda: quadrature.integrate(runs, a, b, tol)),
-                ("per run", lambda: self.per_run(runs, a, b, tol, False))):
+                ("per run", lambda: self.per_run(runs, a, b, tol))):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 got[name] = [x.tolist() for x in call()]

@@ -1,6 +1,8 @@
 import math
 import re
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -614,30 +616,33 @@ class TestIntegratePhi:
 
 
 @pytest.fixture
-def speculated(monkeypatch):
-    """The speculate flag of every quadrature call made by _increments."""
-    flags = []
-    core = reduced_ode.quadrature.integrate
+def entries(monkeypatch):
+    """The quadrature entry of every call made by _increments
+    ("integrate") or by the lean pass _angles_from_turn
+    ("integrate_bisected")."""
+    names = []
+    quad = reduced_ode.quadrature
+    for name in ("integrate", "integrate_bisected"):
+        def entry(*args, _f=getattr(quad, name), _name=name):
+            if sys._getframe(1).f_code.co_name in ("_increments",
+                                                   "_angles_from_turn"):
+                names.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(quad, name, entry)
+    return names
 
-    def integrate(*args, speculate=False, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_increments":
-            flags.append(speculate)
-        return core(*args, speculate=speculate, **kwargs)
-    monkeypatch.setattr(reduced_ode.quadrature, "integrate", integrate)
-    return flags
 
-
-class TestSpeculativeIncrements:
-    """_increments asks the quadrature to speculate on the first bisection
-    exactly when every interval starts at the turning radius, and that
-    changes no bit of the increments, their summed estimate or the panel
-    count."""
+class TestAnglesFromTurn:
+    """integrate_phi takes the lean pass exactly when every interval
+    starts at the turning radius, and integrate_bisected's first
+    bisections change no bit of the increments, their summed estimate or
+    the panel count."""
 
     @pytest.mark.parametrize("weight, n", [
         (PowerLaw(0.0), 2.0), (PowerLaw(1.3), 1.1), (PowerLaw(2.08), 0.9),
         (parse_weight("2.5*z^1.3"), 1.1), (parse_weight("1/(1+z^2)"), 3.0),
         (parse_weight("sqrt(2-z^2)"), 1.5)])
-    def test_equals_plain(self, weight, n, monkeypatch, speculated):
+    def test_equals_plain(self, weight, n, monkeypatch, entries):
         spec = ExtremalSpec(weight, n)
         zt, z_split = spec.z_turn, spec._near_setup()[0]
         z_top = 1.3 if weight.text() == "sqrt(2-z^2)" else 3.0 * z_split
@@ -659,27 +664,122 @@ class TestSpeculativeIncrements:
             for keep in (np.ones(len(z_a), bool), from_turn):
                 got = _outcome(lambda: reduced_ode._increments(
                     spec, z_a[keep], z_b[keep], tol))
-                for speculate in (False, True):
+                for bisected in (False, True):
                     assert got == _outcome(lambda: _two_call_increments(
-                        spec, z_a[keep], z_b[keep], tol, speculate))
-        assert speculated == [False, True] * 3
+                        spec, z_a[keep], z_b[keep], tol, bisected))
+            # the lean pass gives the increments from z* bit for bit
+            assert _outcome(lambda: [integrate_phi(
+                spec, zt, z_b[from_turn], tol)]) == got[:1]
+        assert entries == ["integrate", "integrate",
+                           "integrate_bisected"] * 3
         assert refines
 
-    def test_signed_increments_pass_speculate(self, speculated):
-        # radii in either order: every interval that starts at z*,
-        # whichever end it is, lets the quadrature speculate
+    def test_only_angles_from_turn_take_the_lean_pass(self, entries):
+        # radii in either order: _increments never speculates, and only a
+        # z_from equal to z* everywhere takes integrate_bisected
         spec = ExtremalSpec(parse_weight("sqrt(1+z^3)"), 1.2)
         zt = spec.z_turn
-        cases = [([zt, 2.0, zt, 0.75], [0.75, zt, 2.0, zt], True),
-                 ([zt, 2.0, 0.75], [0.75, zt, 2.0], False)]
-        for z_from, z_to, speculate in cases:
+        cases = [([zt, 2.0, zt, 0.75], [0.75, zt, 2.0, zt]),
+                 ([zt, 2.0, 0.75], [0.75, zt, 2.0])]
+        for z_from, z_to in cases:
             z_from, z_to = np.array(z_from), np.array(z_to)
             got = _outcome(lambda: reduced_ode._increments(
                 spec, z_from, z_to, 1e-13))
             for mode in (False, True):
                 assert got == _outcome(lambda: _two_call_increments(
                     spec, z_from, z_to, 1e-13, mode))
-        assert speculated == [case[2] for case in cases]
+        assert entries == ["integrate"] * len(cases)
+        entries.clear()
+        integrate_phi(spec, zt, [0.75, 2.0], 1e-13)
+        integrate_phi(spec, [zt, zt], [0.75, 2.0], 1e-13)
+        integrate_phi(spec, [0.75, 2.0], zt, 1e-13)
+        integrate_phi(spec, [zt, 0.75], 2.0, 1e-13)
+        # a radius at z*: its piece has equal limits
+        integrate_phi(spec, zt, [zt, 2.0], 1e-13)
+        assert entries == ["integrate_bisected"] * 2 + ["integrate"] * 3
+
+
+# (weight from (lam, c), n range): power laws over (-1, 3], the
+# benchmark's expression spellings, a weight whose g peaks (radii past its
+# second root fail in the far integrand) and one whose value turns NaN
+# past sqrt(2) inside a far piece
+_LEAN_WEIGHTS = {
+    "power law": (lambda lam, c: PowerLaw(lam), (0.03, 30.0)),
+    "c*z^p": (lambda lam, c: parse_weight(f"{c!r}*z^{abs(lam)!r}"),
+              (0.03, 30.0)),
+    "z^p*c": (lambda lam, c: parse_weight(f"z^{abs(lam)!r}*{c!r}"),
+              (0.03, 30.0)),
+    "exp(p*log(z))": (lambda lam, c: parse_weight(f"exp({lam!r}*log(z))"),
+                      (0.03, 30.0)),
+    "z*sqrt(z)": (lambda lam, c: parse_weight("z*sqrt(z)"), (0.03, 30.0)),
+    "c*z*z": (lambda lam, c: parse_weight(f"{c!r}*z*z"), (0.03, 30.0)),
+    "1/(1+z^2)": (lambda lam, c: parse_weight("1/(1+z^2)"), (2.05, 10.0)),
+    "sqrt(2-z^2)": (lambda lam, c: parse_weight("sqrt(2-z^2)"),
+                    (1.05, 5.0)),
+}
+
+
+def _radius(spec, kind, u):
+    """A radius of one kind for the lean pass: at z*, just inside it
+    (allowed, 1e-13, or refused, 1e-9), inside the handoff, beyond it, or
+    past _LONG_FAR*z_split, where math.log would move bits."""
+    zt, z_split = spec.z_turn, spec._near_setup()[0]
+    return {"turn": zt, "inside turn": zt * (1.0 - 1e-13),
+            "inside turn, refused": zt * (1.0 - 1e-9),
+            "near": zt + (z_split - zt) * max(u, 1e-9),
+            "far": z_split * (1.0 + (reduced_ode._LONG_FAR - 1.0) * u),
+            "long": z_split * reduced_ode._LONG_FAR * (1.0 + 1e3 * u)}[kind]
+
+
+def _outcome_and_warnings(call):
+    """(call()'s bytes, or its error's class and message; the messages of
+    the RuntimeWarnings it gave)."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            got = np.asarray(call()).tobytes()
+        except ExtremalError as exc:
+            got = (type(exc), str(exc))
+    return got, [str(w.message) for w in seen
+                 if issubclass(w.category, RuntimeWarning)]
+
+
+class TestLeanPassEquivalence:
+    """integrate_phi from z* (the lean pass) equals _increments bit for
+    bit, and fails as the general path does: same error, message and
+    RuntimeWarnings."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(sorted(_LEAN_WEIGHTS)),
+           lam=st.floats(-0.99, 3.0), c=st.floats(0.5, 3.0),
+           u_n=st.floats(0.0, 1.0),
+           radii=st.lists(st.tuples(
+               st.sampled_from(["turn", "inside turn", "inside turn, "
+                                "refused", "near", "far", "long"]),
+               st.floats(0.0, 1.0)), min_size=1, max_size=5),
+           repeat=st.booleans(),
+           tol=st.sampled_from([1e-14, 1e-13, 1e-12, 1e-10, 1e-6]))
+    def test_equals_general_path(self, family, lam, c, u_n, radii, repeat,
+                                 tol):
+        make, (n_lo, n_hi) = _LEAN_WEIGHTS[family]
+        n = n_lo * (n_hi / n_lo) ** u_n
+        try:
+            spec = ExtremalSpec(make(lam, c), n)
+            z_b = np.array([_radius(spec, k, u) for k, u in radii])
+        except ExtremalError:
+            return
+        if repeat:
+            z_b = np.append(z_b, z_b[0])
+        lean = _outcome_and_warnings(
+            lambda: integrate_phi(spec, spec.z_turn, z_b, tol))
+        with mock.patch.object(reduced_ode, "_angles_from_turn",
+                               lambda *args: None):
+            general = _outcome_and_warnings(
+                lambda: integrate_phi(spec, spec.z_turn, z_b, tol))
+        assert lean == general
+        if isinstance(lean[0], bytes):
+            assert lean[0] == reduced_ode._increments(
+                spec, np.full(len(z_b), spec.z_turn), z_b, tol)[0].tobytes()
 
 
 def _region_pieces(spec, z_a, z_b, tol):
@@ -699,22 +799,42 @@ def _region_pieces(spec, z_a, z_b, tol):
             near, far)
 
 
-def _two_call_increments(spec, z_from, z_to, tol, speculate):
+def _two_call_increments(spec, z_from, z_to, tol, bisected):
     """_increments from a near quadrature call and then a far one, each
-    interval from its lower radius and negated where z_to < z_from, with
-    the quadrature's speculation on or off, for reference."""
+    interval from its lower radius and negated where z_to < z_from, by
+    integrate or by integrate_bisected (with the plain call where it
+    returns None), for reference."""
     flip = z_to < z_from
     z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
     near_piece, far_piece, near, far = _region_pieces(spec, z_a, z_b, tol)
     (near_val, near_err, near_panels), (far_val, far_err, far_panels) = (
-        reduced_ode.quadrature.integrate(*piece, speculate=speculate)
-        for piece in (near_piece, far_piece))
+        _bisected_or_plain([(f, len(lo))], lo, hi, t) if bisected
+        else reduced_ode.quadrature.integrate(f, lo, hi, t)
+        for f, lo, hi, t in (near_piece, far_piece))
     inc = np.zeros(len(z_a))
     inc[near] = near_val
     inc[far] += far_val
     return (np.where(flip, -inc, inc),
             math.fsum(near_err.tolist() + far_err.tolist()),
             int(near_panels.sum() + far_panels.sum()))
+
+
+def _bisected_or_plain(runs, lo, hi, tol):
+    """quadrature.integrate_bisected, with the plain call that its None
+    asks for."""
+    quad = reduced_ode.quadrature
+    return quad.integrate_bisected(runs, lo, hi, tol) or \
+        quad.integrate(runs, lo, hi, tol)
+
+
+def _from_turn(spec, z_b, tol):
+    """integrate_phi's angles from z*, without its tol range: the lean
+    pass, or _increments where the lean pass returns None."""
+    got = reduced_ode._angles_from_turn(spec, z_b, tol)
+    if got is None:
+        got = reduced_ode._increments(spec, np.full(len(z_b), spec.z_turn),
+                                      z_b, tol)[0]
+    return got
 
 
 def _outcome(call):
@@ -751,43 +871,45 @@ class TestOneQuadratureCall:
             "nan far": ([zt, zt], [3.0 * z_split, np.nan]),
         }[case]
 
-    @pytest.mark.parametrize("speculate", [False, True])
+    @pytest.mark.parametrize("bisected", [False, True])
     @pytest.mark.parametrize("case", ["traced grid", "bvp span",
                                       "equal radii", "only near",
                                       "only far", "nan near", "nan far"])
     @pytest.mark.parametrize("weight", WEIGHTS)
-    def test_equals_near_then_far_call(self, weight, case, speculate):
+    def test_equals_near_then_far_call(self, weight, case, bisected):
         spec = ExtremalSpec(*self.WEIGHTS[weight])
         z_a, z_b = (np.asarray(x, dtype=float)
                     for x in self.radii(spec, case))
+        quad = reduced_ode.quadrature
         for tol in (1e-10, 1e-13):
             got = _outcome(lambda: reduced_ode._increments(
                 spec, z_a, z_b, tol))
             assert got == _outcome(lambda: _two_call_increments(
-                spec, z_a, z_b, tol, speculate))
+                spec, z_a, z_b, tol, bisected))
             if not case.startswith("nan"):
                 # piece by piece: values, estimates and panel counts, with
-                # reversed and equal limits added to both regions
+                # reversed and equal limits added to both regions where
+                # integrate takes them (integrate_bisected takes lo < hi)
                 pieces = _region_pieces(spec, z_a, z_b, tol)[:2]
-                pieces = [(f, np.concatenate((lo, hi[:1], lo[:1])),
-                           np.concatenate((hi, lo[:1], lo[:1])),
-                           np.concatenate((t, t[:1], t[:1])))
-                          for f, lo, hi, t in pieces]
+                if not bisected:
+                    pieces = [(f, np.concatenate((lo, hi[:1], lo[:1])),
+                               np.concatenate((hi, lo[:1], lo[:1])),
+                               np.concatenate((t, t[:1], t[:1])))
+                              for f, lo, hi, t in pieces]
                 runs = [(f, len(lo)) for f, lo, _, _ in pieces]
-                merged = reduced_ode.quadrature.integrate(
+                merged = (quad.integrate_bisected if bisected
+                          else quad.integrate)(
                     runs, *(np.concatenate(x) for x in
-                            zip(*(p[1:] for p in pieces))),
-                    speculate=speculate)
-                per_region = [reduced_ode.quadrature.integrate(
-                    *p, speculate=speculate) for p in pieces]
+                            zip(*(p[1:] for p in pieces))))
+                per_region = [quad.integrate(*p) for p in pieces]
                 for m, w in zip(merged, zip(*per_region)):
                     w = np.concatenate(w)
                     assert m.dtype == w.dtype
                     assert (m.view(np.int64) == w.view(np.int64)).all()
         assert isinstance(got, list) != case.startswith("nan")
 
-    @pytest.mark.parametrize("speculate", [False, True])
-    def test_signed_increments_reversed(self, speculate):
+    @pytest.mark.parametrize("bisected", [False, True])
+    def test_signed_increments_reversed(self, bisected):
         spec = ExtremalSpec(*self.WEIGHTS["2.5*z^1.3"])
         z_split = spec._near_setup()[0]
         z_from = np.array([3.0 * z_split, spec.z_turn, 0.5 * z_split])
@@ -795,15 +917,15 @@ class TestOneQuadratureCall:
         got = reduced_ode._increments(spec, z_from, z_to, 1e-13)
         assert _outcome(lambda: got) == _outcome(
             lambda: _two_call_increments(spec, z_from, z_to, 1e-13,
-                                         speculate))
+                                         bisected))
         assert got[0][0] < 0.0 < got[0][1] and got[0][2] == 0.0
         # each angle is minus that of its interval taken upwards
         up = reduced_ode._increments(spec, np.minimum(z_from, z_to),
                                      np.maximum(z_from, z_to), 1e-13)[0]
         assert got[0].tolist() == [-up[0], up[1], up[2]]
 
-    @pytest.mark.parametrize("speculate", [False, True])
-    def test_near_refinement_failure_wins_over_far_error(self, speculate,
+    @pytest.mark.parametrize("from_turn", [False, True])
+    def test_near_refinement_failure_wins_over_far_error(self, from_turn,
                                                          monkeypatch):
         # the far integrand raises; a near piece fails only on refinement
         # (tol below its round-off floor): the near failure is raised, as
@@ -817,19 +939,26 @@ class TestOneQuadratureCall:
             return f
         spec = ExtremalSpec(*self.WEIGHTS["lambda 1.3"])
         z_split = spec._near_setup()[0]
-        # an interval from z* lets the quadrature speculate
-        z_a = np.array([spec.z_turn * (1.0 if speculate else 1.0 + 1e-6)])
+        # an interval from z* takes the lean pass, which falls back to
+        # _increments when its first call raises
+        z_a = np.array([spec.z_turn * (1.0 if from_turn else 1.0 + 1e-6)])
         z_b = np.array([3.0 * z_split])
+
+        def angles(tol):
+            if from_turn:
+                return _from_turn(spec, z_b, tol)
+            return reduced_ode._increments(spec, z_a, z_b, tol)
         with pytest.raises(QuadratureFailure, match="round-off") as want:
-            _two_call_increments(spec, z_a, z_b, 1e-17, speculate)
+            _two_call_increments(spec, z_a, z_b, 1e-17, from_turn)
         monkeypatch.setattr(reduced_ode, "_far_integrand", raising_far)
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
-            reduced_ode._increments(spec, z_a, z_b, 1e-17)
-        assert len(far_calls) == 1   # the shared first call only
+            angles(1e-17)
+        # the shared first calls only: the lean pass's, then _increments'
+        assert len(far_calls) == 1 + from_turn
         # with a near piece that meets tol, the far error is raised
         with pytest.raises(ForbiddenRegion, match="far integrand"):
-            reduced_ode._increments(spec, z_a, z_b, 1e-10)
+            angles(1e-10)
 
 
 class TestLuneburgLens:
