@@ -6,46 +6,46 @@ them by quadrature of the reduced equation dphi = dz/(z*sqrt(n^2 v^2 z^2 -
 1)), evaluating the exact closed forms for power-law weights, checking the
 conserved first integral v*z*sin(alpha) = 1/n, and cross-validating
 everything against direct minimization of the discretized functional.
+
+Importing the package loads none of its modules: a public name is imported
+from its module on first use (PEP 562).
 """
 
-from .bvp import BvpProblem, BvpSolution, angular_span, solve_n
-from .closed_form import (PowerLawCurve, algebraic_relation_residual,
-                          is_algebraic, log_spiral_point, power_law_point,
-                          psi_from_z)
-from .discrete_oracle import (OracleResult, Polyline, functional_value,
-                              gradient, minimize)
-from .errors import (DomainError, DomainViolation, EvalError, ExtremalError,
-                     ForbiddenRegion, NoBracket, NonMonotoneAbscissa,
-                     NonPositiveWeight, ParseError, QuadratureFailure,
-                     StalledDescent, TangentialTurningPoint)
-from .extremal_core import (CartesianPoint, ELPartials, PolarPoint,
-                            beltrami_residual, clairaut_constant,
-                            clairaut_constant_from_angle, el_residual,
-                            lagrangian_partials_cartesian, to_cartesian,
-                            to_polar)
-from .reduced_ode import (ExtremalSpec, TraceResult, dphi_dz,
-                          first_integral_deviation, integrate_phi,
-                          trace_extremal, turning_radius)
-from .weights import (ExpressionWeight, PowerLaw, RadialWeight, eval_q,
-                      eval_v, eval_vq, parse_weight, render)
+import importlib
+
+_MODULE_OF = {name: module for module, names in {
+    "bvp": "BvpProblem BvpSolution angular_span solve_n",
+    "closed_form": "PowerLawCurve algebraic_relation_residual is_algebraic "
+                   "log_spiral_point power_law_point psi_from_z",
+    "discrete_oracle": "OracleResult Polyline functional_value gradient "
+                       "minimize",
+    "errors": "DomainError DomainViolation EvalError ExtremalError "
+              "ForbiddenRegion NoBracket NonMonotoneAbscissa "
+              "NonPositiveWeight ParseError QuadratureFailure StalledDescent "
+              "TangentialTurningPoint",
+    "extremal_core": "CartesianPoint ELPartials PolarPoint beltrami_residual "
+                     "clairaut_constant clairaut_constant_from_angle "
+                     "el_residual lagrangian_partials_cartesian to_cartesian "
+                     "to_polar",
+    "reduced_ode": "ExtremalSpec TraceResult dphi_dz first_integral_deviation "
+                   "integrate_phi trace_extremal turning_radius",
+    "weights": "ExpressionWeight PowerLaw RadialWeight eval_q eval_v eval_vq "
+               "parse_weight render",
+}.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BvpProblem", "BvpSolution", "angular_span", "solve_n",
-    "PowerLawCurve", "algebraic_relation_residual", "is_algebraic",
-    "log_spiral_point", "power_law_point", "psi_from_z",
-    "OracleResult", "Polyline", "functional_value", "gradient", "minimize",
-    "DomainError", "DomainViolation", "EvalError", "ExtremalError",
-    "ForbiddenRegion", "NoBracket", "NonMonotoneAbscissa",
-    "NonPositiveWeight", "ParseError", "QuadratureFailure",
-    "StalledDescent", "TangentialTurningPoint",
-    "CartesianPoint", "ELPartials", "PolarPoint", "beltrami_residual",
-    "clairaut_constant", "clairaut_constant_from_angle", "el_residual",
-    "lagrangian_partials_cartesian", "to_cartesian", "to_polar",
-    "ExtremalSpec", "TraceResult", "dphi_dz", "first_integral_deviation",
-    "integrate_phi", "trace_extremal", "turning_radius",
-    "ExpressionWeight", "PowerLaw", "RadialWeight", "eval_q", "eval_v",
-    "eval_vq", "parse_weight", "render",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

@@ -17,12 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import checks, closed_form, discrete_oracle
-from .bvp import BvpProblem, solve_n
 from .errors import ExtremalError
-from .extremal_core import PolarPoint
-from .reduced_ode import (ExtremalSpec, TraceResult, first_integral_deviation,
-                          trace_extremal)
 from .weights import PowerLaw, parse_weight
 
 _ANGLE_NOTE = ("angles use tan(phi) = x/y, measured from the +y axis; "
@@ -272,12 +267,15 @@ def _svg(paths, z_turn: float | None) -> str:
 
 
 def _cmd_trace(args) -> int:
+    from .reduced_ode import (ExtremalSpec, TraceResult,
+                              first_integral_deviation, trace_extremal)
     weight = _resolve_weight(args)
     n = args.n
     orientation = 1    # --psi-range needs n > 0
     if args.psi_range is not None:
         if not isinstance(weight, PowerLaw):
             raise _UsageError("--psi-range needs a power-law weight z^lambda")
+        from . import closed_form
         curve = closed_form.PowerLawCurve(weight.lam, n)
         psis = np.linspace(*args.psi_range, args.samples)
         phi, z = np.array([astuple(closed_form.power_law_point(curve, p))
@@ -296,6 +294,7 @@ def _cmd_trace(args) -> int:
     if args.format == "csv":
         return _emit(args, _csv("phi,z,x,y,clairaut_dev", rows))
     if args.format == "json":
+        from . import checks
         doc = {
             "spec": {"weight": weight.text(), "n": n,
                      "phi0": 0.0, "orientation": orientation},
@@ -317,6 +316,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
     weight = _resolve_weight(args)
     failures = 0
     for name, value, limit, cmp in checks.gates(weight, args.n, args.zmax,
@@ -331,6 +331,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import discrete_oracle
     weight = _resolve_weight(args)
     (x1, y1, x2, y2) = args.endpoints
     ts = np.linspace(0.0, 1.0, args.segments + 1)[:, None]
@@ -362,6 +363,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bvp(args) -> int:
+    from .bvp import BvpProblem, solve_n
+    from .extremal_core import PolarPoint
+    from .reduced_ode import ExtremalSpec, trace_extremal
     weight = _resolve_weight(args)
     (phi1, z1, phi2, z2) = args.endpoints
     prob = BvpProblem(PolarPoint(phi1, z1), PolarPoint(phi2, z2), weight,
