@@ -207,19 +207,28 @@ class ExtremalSpec:
         return self._near
 
     def _invert_profile(self, w_nodes: np.ndarray):
-        """(z, g'(z)) with g(z) = w^2, by table lookup plus at most five
-        Newton steps of one weight pass each.  A step that moves no node is
-        a fixed point: the loop stops there and reuses that pass's g'."""
+        """(z, g'(z)) with g(z) = w^2: the fifth Newton iterate x_5 from a
+        table lookup x_0, one weight pass per step.  A node's iterates
+        depend on that node alone, so once step k leaves every node fixed
+        (x_k == x_{k-1}) or in a 2-cycle (x_k == x_{k-2}), x_5 and g' there
+        are already known: x_{k-1}, or x_{k-2} for a cycling node when 5 - k
+        is even, with the g' of the pass that evaluated it."""
         z_hi, _, w_tab, z_tab = self._near_setup()
         zeta = np.interp(w_nodes, w_tab, z_tab)
         target = w_nodes * w_nodes
         lo, hi = self.z_turn, z_hi + (z_hi - self.z_turn)
-        for _ in range(5):
+        back = None    # (x_{k-2}, g' there)
+        for k in range(1, 6):
             g, gp = _profile_and_slope(self.weight, self.n, zeta)
             new = np.minimum(np.maximum(zeta - (g - target) / gp, lo), hi)
-            if not np.count_nonzero(new != zeta):
-                return zeta, gp
-            zeta = new
+            fixed = new == zeta
+            settled = fixed if back is None else fixed | (new == back[0])
+            if np.count_nonzero(settled) == settled.size:
+                if back is None or k % 2 == 0:
+                    return zeta, gp
+                return (np.where(fixed, zeta, back[0]),
+                        np.where(fixed, gp, back[1]))
+            back, zeta = (zeta, gp), new
         return zeta, _profile_and_slope(self.weight, self.n, zeta)[1]
 
 

@@ -395,14 +395,16 @@ def _five_step_inversion(spec, w_nodes):
 
 class TestInvertProfile:
     @pytest.mark.parametrize("weight,n,panels,passes", [
-        (PowerLaw(1.3), 1.1, 8, 6),           # all five steps, then g'
+        (PowerLaw(1.3), 1.1, 8, 5),     # 26 nodes in 2-cycles at step 5
         (PowerLaw(2.0817992419720928), 1.66, 1, 4),   # fixed at step 4
         (PowerLaw(0.0), 2.0, 2, 2),
-        (parse_weight("1.0*z^2.0817992419720928"), 1.66, 2, 6),
-        (parse_weight("1/(1+z^2)"), 3.0, 2, 6),
+        (parse_weight("1.0*z^2.0817992419720928"), 1.66, 2, 4),
+        (parse_weight("1/(1+z^2)"), 3.0, 2, 6),   # all five steps, then g'
         (parse_weight("sqrt(2-z^2)"), 1.5, 8, 6),
         (PowerLaw(1.0), 1e12, 1, 4),
-        (PowerLaw(1.0), 1e-12, 2, 6)])
+        (PowerLaw(1.0), 1e-12, 2, 4),
+        (PowerLaw(0.0), 1.1, 2, 3),     # 6 nodes in 2-cycles, 24 fixed
+        (PowerLaw(1.0), 5.0, 4, 5)])    # 14 nodes in 2-cycles, 46 fixed
     def test_equals_five_newton_steps(self, monkeypatch, weight, n, panels,
                                       passes):
         spec = ExtremalSpec(weight, n)
