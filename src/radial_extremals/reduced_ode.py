@@ -43,6 +43,10 @@ _TURN_GTOL = 4.0 * np.finfo(float).eps   # |g| at z*: rounding level
 # far pieces with z_b/z_a above this are integrated in log z: one z-panel
 # over them can miss the mass next to z_a, its error estimate included
 _LONG_FAR = 100.0
+# least scale-free slope z*g' at the w table's last row: next to a peak of
+# g, g' -> 0 makes the near integrand 2/(g'*z*sqrt(w^2+2)) nearly singular
+# just past the table, and its error estimate misses that
+_SLOPE_FLOOR = 0.1
 # n-free factors of _near_setup: the handoff ladder's steps (70 rungs cover
 # the widest ratio, 1e7/1e-12) and the w table's radii, z* to z_hi
 _LADDER = 2.0 ** np.arange(70)
@@ -195,13 +199,18 @@ class ExtremalSpec:
                 zt, z_hi, gp_tab[0], gp_tab[-1], 0.0)
             z_hi = zt + 0.5 * (z_peak - zt)
             z_tab = zt + (z_hi - zt) * _TABLE_FRAC
-            g_tab = _profile(self.weight, self.n, z_tab)
+            g_tab, gp_tab = _profile_and_slope(self.weight, self.n, z_tab)
         w_tab = np.sqrt(np.maximum(g_tab, 0.0))
         w_tab[0] = 0.0
-        rising = np.diff(w_tab) > 0.0
-        if np.count_nonzero(rising) < rising.size:
-            cut = int(np.argmin(rising))   # end at the last rising row
-            z_tab, w_tab = z_tab[:cut + 1], w_tab[:cut + 1]
+        # end at the last rising row, then at the last row past z* whose
+        # scale-free slope clears _SLOPE_FLOOR, if one does
+        end = int(np.argmin(np.append(np.diff(w_tab) > 0.0, False)))
+        steep = np.flatnonzero(z_tab[1:end + 1] * gp_tab[1:end + 1]
+                               >= _SLOPE_FLOOR)
+        if steep.size:
+            end = int(steep[-1]) + 1
+        if end < z_tab.size - 1:
+            z_tab, w_tab = z_tab[:end + 1], w_tab[:end + 1]
             z_hi = float(z_tab[-1])
         self._near = (z_hi, float(w_tab[-1]), w_tab, z_tab)
         return self._near

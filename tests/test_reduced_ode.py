@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radial_extremals import (DomainError, EvalError, ExtremalError,
@@ -366,6 +366,11 @@ class TestPeakedProfiles:
     @pytest.mark.parametrize("text", sorted(_PEAKED))
     @settings(max_examples=12, deadline=None)
     @given(u=st.floats(0.0, 1.0))
+    # for 1/(1+z^2), handoffs next to the peak of g: angles off by 1.27e-9,
+    # 1.34e-10 and 1.73e-10 with no error before the table's slope floor
+    @example(u=0.24977300850675915)
+    @example(u=0.06692500000000019)
+    @example(u=0.24982500000000016)
     def test_angles_match_mpmath_or_raise(self, text, u):
         _, (lo, hi), z_b = _PEAKED[text]
         n = lo + (hi - lo) * u
@@ -376,6 +381,25 @@ class TestPeakedProfiles:
             return
         ref = _mpmath_angle(text, n, spec.z_turn, z_b)
         assert ref is not None and abs(got - ref) <= 1e-10
+
+    def test_handoffs_next_to_the_peak_of_g(self):
+        # g = n*z/(1+z^2) - 1 peaks at z = 1, below _G_HANDOFF for n < 3,
+        # and the angle to 1.5 exists for n > 13/6.  Where the ladder's
+        # last rung below the peak lies next to it, z*g' is near 0 there
+        # and the near integrand 2/(g'*z*sqrt(w^2+2)) is nearly singular
+        # just past the table: n = 2.53708 gave an angle off by 7.4e-10
+        # with no error, and n = 2.18042 raised QuadratureFailure.
+        ns = 13 / 6 + (3 - 13 / 6) * np.arange(2000) / 2000
+        zt = (ns - np.sqrt(ns * ns - 4.0)) / 2.0
+        rungs = zt[:, None] \
+            + np.maximum(1e-6 * zt, 1e-12)[:, None] * reduced_ode._LADDER
+        below = np.where(rungs < 1.0, rungs, 0.0).max(axis=1)
+        slopes = ns * below * (1.0 - below ** 2) / (1.0 + below ** 2) ** 2
+        for n in ns[np.argsort(slopes)[:10]].tolist():
+            spec = ExtremalSpec(parse_weight("1/(1+z^2)"), n)
+            got = integrate_phi(spec, spec.z_turn, 1.5, 1e-13)
+            ref = _mpmath_angle("1/(1+z^2)", n, spec.z_turn, 1.5)
+            assert abs(got - ref) <= 1e-10
 
 
 def _five_step_inversion(spec, w_nodes):
