@@ -9,20 +9,23 @@ Grammar (whitespace insignificant)::
     atom   := number | 'z' | func '(' expr ')' | '(' expr ')' ;
     func   := 'exp'|'log'|'sqrt'|'sin'|'cos' ;
 
-Trees evaluate over floats, numpy arrays, or Dual numbers, so one tree gives
-both values and exact first derivatives.
+Trees evaluate over floats or numpy arrays, and one walk gives both values
+and exact first derivatives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
-from .dual import FUNCTIONS
+import numpy as np
+
 from .errors import ParseError
 
-__all__ = ["Num", "Var", "Neg", "Bin", "Fun", "parse_expression", "evaluate", "render"]
+__all__ = ["Num", "Var", "Neg", "Bin", "Fun", "FUNCTIONS", "parse_expression",
+           "evaluate", "render"]
 
 
 @dataclass(frozen=True)
@@ -53,29 +56,71 @@ class Fun:
     arg: object
 
 
-def evaluate(node, z):
-    """Evaluate an expression tree at z (float, ndarray, or Dual)."""
+FUNCTIONS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
+             "cos": np.cos}
+
+# the derivative of f(x) from x, v = f(x) and the derivative dx of x
+_CHAIN = {"exp": lambda x, v, dx: v * dx,
+          "log": lambda x, v, dx: dx / x,
+          "sqrt": lambda x, v, dx: 0.5 * dx / v,
+          "sin": lambda x, v, dx: np.cos(x) * dx,
+          "cos": lambda x, v, dx: -np.sin(x) * dx}
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": operator.pow}
+
+# (a op b, its derivative) with z in both operands, in a only, in b only:
+# first-order dual-number rules in their order of operations, so with z in
+# b alone the reflected rule runs and c + z's value is z + c
+_RULES = {
+    "+": (lambda a, da, b, db: (a + b, da + db),
+          lambda a, da, b, db: (a + b, da),
+          lambda a, da, b, db: (b + a, db)),
+    "-": (lambda a, da, b, db: (a - b, da - db),
+          lambda a, da, b, db: (a - b, da),
+          lambda a, da, b, db: (a - b, -db)),
+    "*": (lambda a, da, b, db: (a * b, da * b + a * db),
+          lambda a, da, b, db: (a * b, da * b),
+          lambda a, da, b, db: (b * a, db * a)),
+    "/": (lambda a, da, b, db: (a / b, (da * b - a * db) / (b * b)),
+          lambda a, da, b, db: (a / b, da / b),
+          lambda a, da, b, db: (a / b, -a * db / (b * b))),
+    "^": (lambda a, da, b, db: ((v := a ** b),
+                                v * (db * np.log(a) + b * da / a)),
+          lambda a, da, b, db: (a ** b, b * a ** (b - 1) * da),
+          lambda a, da, b, db: ((v := a ** b), v * np.log(a) * db)),
+}
+
+
+def evaluate(node, z, seed=None):
+    """(value, derivative) of a tree at z, a float or an ndarray.  The
+    derivative is d(value)/dz times seed, None where it is zero: without z
+    in the subtree, or with no seed.  The left spine of a chain of binary
+    operators is a loop, so a long sum or product does not recurse."""
     if isinstance(node, Num):
-        return node.value
+        return node.value, None
     if isinstance(node, Var):
-        return z
+        return z, seed
     if isinstance(node, Neg):
-        return -evaluate(node.operand, z)
+        v, d = evaluate(node.operand, z, seed)
+        return -v, None if d is None else -d
     if isinstance(node, Fun):
-        return FUNCTIONS[node.name](evaluate(node.arg, z))
-    a = evaluate(node.lhs, z)
-    b = evaluate(node.rhs, z)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    if node.op == "^":
-        return a ** b
-    raise ValueError(f"unknown operator {node.op!r}")
+        x, dx = evaluate(node.arg, z, seed)
+        v = FUNCTIONS[node.name](x)
+        return v, None if dx is None else _CHAIN[node.name](x, v, dx)
+    spine = [node]
+    while isinstance(node.lhs, Bin):
+        node = node.lhs
+        spine.append(node)
+    v, d = evaluate(node.lhs, z, seed)
+    for node in reversed(spine):
+        b, db = evaluate(node.rhs, z, seed)
+        if d is None and db is None:
+            v = _OPS[node.op](v, b)
+        else:
+            v, d = _RULES[node.op][2 * (d is None) + (db is None)](v, d, b,
+                                                                   db)
+    return v, d
 
 
 _TOKEN_RE = re.compile(r"""

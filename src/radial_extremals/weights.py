@@ -2,8 +2,8 @@
 
 The weight multiplies arc length in the functional ``integral of v(z) ds``,
 where z is the distance from the fixed pole.  Two variants exist: an exact
-power law z**lam, and a parsed expression differentiated by forward-mode dual
-numbers.  Both evaluate on scalars or numpy arrays.
+power law z**lam, and a parsed expression whose tree walk carries the
+derivative beside the value.  Both evaluate on scalars or numpy arrays.
 
 A checked pass (eval_v, eval_vq) tests z and its raw result once: by Python
 comparisons for a scalar z, else by np.count_nonzero on ufunc masks (a user's
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import expressions
-from .dual import Dual
 from .errors import DomainError, EvalError, NonPositiveWeight
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
@@ -78,13 +77,11 @@ class ExpressionWeight(RadialWeight):
         self.domain_min = float(domain_min)
 
     def _raw_v(self, z):
-        return _shaped(expressions.evaluate(self.ast, z), z)
+        return _shaped(expressions.evaluate(self.ast, z)[0], z)
 
-    def _raw_vq(self, z):   # .val: _raw_v's float operations, same bits
-        out = expressions.evaluate(self.ast, Dual(z, np.ones_like(z)))
-        if isinstance(out, Dual):
-            return _shaped(out.val, z), _shaped(out.der, z)
-        return _shaped(out, z), _shaped(0.0, z)
+    def _raw_vq(self, z):   # v: _raw_v's float operations, same bits
+        v, q = expressions.evaluate(self.ast, z, np.ones_like(z))
+        return _shaped(v, z), _shaped(0.0 if q is None else q, z)
 
     def text(self) -> str:
         return self.source
@@ -173,7 +170,7 @@ def parse_weight(text: str) -> RadialWeight:
     """Parse an expression for v(z).
 
     A bare power ``z^<number>`` reduces to the exact PowerLaw variant;
-    anything else becomes an ExpressionWeight differentiated by dual numbers.
+    anything else becomes an ExpressionWeight.
     """
     if not text or not text.strip():
         raise DomainError("weight expression must be nonempty")

@@ -1,13 +1,10 @@
-"""First-order dual numbers for forward-mode differentiation.
-
-A Dual carries a value and the derivative of that value with respect to the
-single seed variable.  Components may be Python floats or numpy arrays, so an
-expression tree can be differentiated at many points in one pass.
-"""
-
-from __future__ import annotations
+"""A reference for expression weights' (v, q): first-order dual numbers and
+the value-only tree walk, in the order of operations that the library's
+single (value, derivative) walk must repeat bit for bit."""
 
 import numpy as np
+
+from radial_extremals import expressions
 
 
 class Dual:
@@ -18,9 +15,6 @@ class Dual:
     def __init__(self, val, der):
         self.val = val
         self.der = der
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.der!r})"
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -60,7 +54,6 @@ class Dual:
 
     def __pow__(self, other):
         if isinstance(other, Dual):
-            # general a^b = exp(b log a); requires a > 0
             val = self.val ** other.val
             return Dual(val, val * (other.der * np.log(self.val)
                                     + other.val * self.der / self.val))
@@ -72,43 +65,60 @@ class Dual:
         return Dual(val, val * np.log(other) * self.der)
 
 
-def dual_exp(x):
+def _exp(x):
     if isinstance(x, Dual):
         v = np.exp(x.val)
         return Dual(v, v * x.der)
     return np.exp(x)
 
 
-def dual_log(x):
+def _log(x):
     if isinstance(x, Dual):
         return Dual(np.log(x.val), x.der / x.val)
     return np.log(x)
 
 
-def dual_sqrt(x):
+def _sqrt(x):
     if isinstance(x, Dual):
         v = np.sqrt(x.val)
         return Dual(v, 0.5 * x.der / v)
     return np.sqrt(x)
 
 
-def dual_sin(x):
+def _sin(x):
     if isinstance(x, Dual):
         return Dual(np.sin(x.val), np.cos(x.val) * x.der)
     return np.sin(x)
 
 
-def dual_cos(x):
+def _cos(x):
     if isinstance(x, Dual):
         return Dual(np.cos(x.val), -np.sin(x.val) * x.der)
     return np.cos(x)
 
 
-FUNCTIONS = {
-    "exp": dual_exp,
-    "log": dual_log,
-    "sqrt": dual_sqrt,
-    "sin": dual_sin,
-    "cos": dual_cos,
-}
+FUNCTIONS = {"exp": _exp, "log": _log, "sqrt": _sqrt, "sin": _sin,
+             "cos": _cos}
 
+
+def walk(node, z):
+    """A tree's value at z, a float, an ndarray or a Dual, recursively."""
+    if isinstance(node, expressions.Num):
+        return node.value
+    if isinstance(node, expressions.Var):
+        return z
+    if isinstance(node, expressions.Neg):
+        return -walk(node.operand, z)
+    if isinstance(node, expressions.Fun):
+        return FUNCTIONS[node.name](walk(node.arg, z))
+    a, b = walk(node.lhs, z), walk(node.rhs, z)
+    return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+            "/": lambda: a / b, "^": lambda: a ** b}[node.op]()
+
+
+def raw_vq(ast, z):
+    """(v, q) of a tree at z by one Dual pass, q 0.0 for a constant."""
+    out = walk(ast, Dual(z, np.ones_like(z)))
+    if isinstance(out, Dual):
+        return out.val, out.der
+    return out, 0.0

@@ -34,7 +34,7 @@ ALL = [
     "__version__",
 ]
 
-CLI_MODULES = {"cli", "errors", "weights", "expressions", "dual"}
+CLI_MODULES = {"cli", "errors", "weights", "expressions"}
 TRACE_MODULES = {"reduced_ode", "quadrature", "roots", "extremal_core"}
 
 

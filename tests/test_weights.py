@@ -10,8 +10,9 @@ from radial_extremals import (DomainError, EvalError, ExpressionWeight,
                               PowerLaw, RadialWeight, eval_q, eval_v, eval_vq,
                               parse_weight, render)
 from radial_extremals import expressions
-from radial_extremals.dual import FUNCTIONS, Dual
-from radial_extremals.expressions import parse_expression
+from radial_extremals.expressions import FUNCTIONS, parse_expression
+
+import dual_reference
 
 
 def central_difference(w, z, h):
@@ -136,10 +137,8 @@ def _separate_q(w, z):
     with np.errstate(all="ignore"):
         val = w._raw_v(za)
         if isinstance(w, ExpressionWeight):
-            out = expressions.evaluate(w.ast, Dual(za, np.ones_like(za)))
             der = np.broadcast_to(np.asarray(
-                out.der if isinstance(out, Dual) else 0.0, dtype=float),
-                za.shape)
+                dual_reference.raw_vq(w.ast, za)[1], dtype=float), za.shape)
         else:
             der = w._raw_q(za)
     if not np.all(np.isfinite(val)):
@@ -497,3 +496,48 @@ class TestRenderRoundTrip:
         # negative exponents re-parse as expressions with equal values
         w2 = parse_weight(render(PowerLaw(-1.0)))
         assert eval_v(w2, 2.0) == 0.5
+
+
+def _raw_outcome(fn):
+    """fn()'s parts as (dtype, shape, int64 bits), or its error's type."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn()
+    except Exception as exc:   # the type is the outcome
+        return type(exc)
+    return [(x.dtype, x.shape, x.ravel().view(np.int64).tolist())
+            for x in map(np.asarray, out)]
+
+
+_WALK_POINTS = [np.linspace(0.1, 3.0, 7), np.asarray(1.3),
+                np.array([2.0, 0.0, -1.5, 0.7])]
+
+
+class TestOneWalk:
+    """expressions.evaluate gives the value-only walk's v and a Dual pass's
+    (v, q) bit for bit, and a parsed weight never crashes a checked pass."""
+
+    @staticmethod
+    def assert_walk_matches_reference(tree):
+        for z in _WALK_POINTS:
+            def new():
+                v, q = expressions.evaluate(tree, z, np.ones_like(z))
+                return v, 0.0 if q is None else q
+            assert _raw_outcome(new) == _raw_outcome(
+                lambda: dual_reference.raw_vq(tree, z)), z
+            assert _raw_outcome(lambda: expressions.evaluate(tree, z)[:1]) \
+                == _raw_outcome(lambda: (dual_reference.walk(tree, z),)), z
+
+    @pytest.mark.parametrize("text", [
+        "2.5*z^1.3", "z^1.3*2.5", "exp(0.7*log(z))", "z*sqrt(z)", "1.5*z*z",
+        "2-z", "2/z", "2^z", "z^z", "z-z", "-(-z)^2^-z / -(z*z)",
+        "exp(1)*z + sin(2)/z - cos(z)^2", "(3*z+1)^1.3", "(z/7)^2.5*3",
+        "2^(z/3)", "(z+1)^(z/3)"])
+    def test_benchmark_spellings_match_the_dual_reference(self, text):
+        self.assert_walk_matches_reference(parse_expression(text))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TREES)
+    def test_any_tree_matches_the_dual_reference(self, tree):
+        # trees as built, constants that fault included
+        self.assert_walk_matches_reference(tree)
