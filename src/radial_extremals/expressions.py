@@ -180,32 +180,50 @@ class _Parser:
             self.fail((repr(tok),))
         self.advance()
 
+    # each method returns (node, value): the value of a subtree without z,
+    # computed once as evaluate computes it, else None
     def expr(self):
         node = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            node = Bin(op, node, self.term())
+            node = self.bin(self.advance(), node, self.term())
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            node = Bin(op, node, self.factor())
+            node = self.bin(self.advance(), node, self.factor())
         return node
 
     def factor(self):
         if self.peek()[1] == "-":
             self.advance()
-            return Neg(self.factor())
+            node, c = self.factor()
+            return Neg(node), None if c is None else -c
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek()[1] == "^":
-            self.advance()
-            return Bin("^", base, self.factor())
+            return self.bin(self.advance(), base, self.factor())
         return base
+
+    def bin(self, tok, lhs, rhs):
+        """(Bin, value) for the operator token tok; a constant operation
+        that raises or goes complex in Python floats is a ParseError at tok."""
+        (a, ca), (b, cb), (_, op, off) = lhs, rhs, tok
+        if ca is None or cb is None:
+            return Bin(op, a, b), None
+        try:
+            c = _OPS[op](ca, cb)
+        except ZeroDivisionError:
+            raise ParseError("constant subexpression divides by zero",
+                             off) from None
+        except OverflowError:
+            raise ParseError("constant subexpression overflows",
+                             off) from None
+        if isinstance(c, complex):
+            raise ParseError("constant subexpression has no real value", off)
+        return Bin(op, a, b), c
 
     def atom(self):
         kind, tok, off = self.peek()
@@ -214,25 +232,31 @@ class _Parser:
             value = float(tok)
             if value == math.inf:
                 raise ParseError(f"number {tok!r} overflows to inf", off)
-            return Num(value)
+            return Num(value), value
         if kind == "var":
             self.advance()
-            return Var()
+            return Var(), None
         if kind == "func" or tok == "(":
             self.advance()
             if kind == "func":
                 self.expect("(")
-            node = self.expr()
+            node, c = self.expr()
             self.expect(")")
-            return Fun(tok, node) if kind == "func" else node
+            if kind != "func":
+                return node, c
+            return Fun(tok, node), None if c is None else FUNCTIONS[tok](c)
         self.fail(_ATOM_EXPECTED)
 
 
 def parse_expression(text: str):
-    """Parse text into an expression tree; raises ParseError on bad input."""
+    """Parse text into an expression tree; raises ParseError on bad input,
+    among it a subexpression without z that divides by zero, overflows or
+    has no real value in Python floats (numpy's inf and nan are left to the
+    weight's checks)."""
     parser = _Parser(text)
     try:
-        node = parser.expr()
+        with np.errstate(all="ignore"):
+            node, _ = parser.expr()
     except RecursionError:   # where depends on the caller's stack: offset 0
         raise ParseError("expression nests too deeply", 0) from None
     if parser.peek()[0] != "end":

@@ -141,6 +141,14 @@ class TestTraceJsonSvg:
         assert doc["diagnostics"]["max_clairaut_dev"] <= 1e-8
 
 
+    def test_long_flat_sum_traces(self, capsys):
+        # the tree walk loops over a chain: 3000 terms do not recurse
+        code, out, _ = run(capsys, "trace", "--weight",
+                           "+".join(["z"] * 3000), "--n", "1", "--zmax", "3",
+                           "--samples", "7")
+        assert code == 0 and out.splitlines()[-1].split(",")[1] == "3"
+
+
 class TestErrors:
     def test_malformed_weight_exits_2(self, capsys):
         code, _, err = run(capsys, "trace", "--weight", "z +", "--n", "1",

@@ -82,6 +82,13 @@ _TRACE_USAGE = (
     "                              [--format {csv,json,svg}] [--out PATH]\n"
     "radial-extremals trace: error: argument --weight: ")
 _TRACE_TAIL = ["--n", "1", "--zmax", "2"]
+_ORACLE_USAGE = (
+    "usage: radial-extremals oracle [-h] (--lambda A/B | --weight EXPR) "
+    "--endpoints\n"
+    "                               X1,Y1,X2,Y2 [--segments SEGMENTS]\n"
+    "                               [--iters ITERS] [--grad-tol GRAD_TOL]\n"
+    "                               [--format {csv,json,svg}] [--out PATH]\n"
+    "radial-extremals oracle: error: argument --weight: ")
 
 # case name: (argv, exit code, standard error); none writes standard output
 FAILURES = {
@@ -140,6 +147,18 @@ FAILURES = {
     "trace-overflowing-literal": (
         ["trace", "--weight", "1e999*z", *_TRACE_TAIL],
         2, _TRACE_USAGE + "number '1e999' overflows to inf at offset 0\n"),
+    # subexpressions without z that raise or go complex in Python floats
+    "trace-constant-divides-by-zero": (
+        ["trace", "--weight", "z+1/0", *_TRACE_TAIL],
+        2, _TRACE_USAGE + "constant subexpression divides by zero at "
+                          "offset 3\n"),
+    "trace-constant-not-real": (
+        ["trace", "--weight", "(-4)^0.5+z", *_TRACE_TAIL],
+        2, _TRACE_USAGE + "constant subexpression has no real value at "
+                          "offset 4\n"),
+    "oracle-constant-overflows": (
+        ["oracle", "--weight", "z+10^400", "--endpoints=-1,1,1,1"],
+        2, _ORACLE_USAGE + "constant subexpression overflows at offset 4\n"),
 }
 
 

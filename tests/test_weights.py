@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,26 @@ class TestParse:
         assert err.value.offset == 4
         assert parse_expression("1e-999") == expressions.Num(0.0)
 
+    @pytest.mark.parametrize("text,offset,match", [
+        ("z+1/0", 3, "divides by zero"),
+        ("z+0^(-1)", 3, "divides by zero"),
+        ("z+10^400", 4, "overflows"),
+        ("(-4)^0.5+z", 4, "has no real value"),
+        ("z+(-8)^(1/3)", 6, "has no real value"),
+        ("z*(-1)^0.5", 6, "has no real value"),
+        ("sqrt(2-1/(3-3))*z", 8, "divides by zero")])
+    def test_constant_that_faults_in_python_floats(self, text, offset, match):
+        # a ParseError at its operator, not a crash or a real part
+        with pytest.raises(ParseError, match="constant subexpression " + match
+                           ) as err:
+            parse_weight(text)
+        assert err.value.offset == offset
+
+    def test_constant_that_numpy_makes_inf_is_left_to_the_checks(self):
+        assert eval_v(parse_weight("z^(1/exp(1000))"), 2.0) == 1.0
+        with pytest.raises(EvalError):
+            eval_v(parse_weight("exp(1000)+z"), 2.0)
+
     def test_trailing_token(self):
         for text, offset in (("z z", 2), ("(z))", 3), ("2 3", 2)):
             with pytest.raises(ParseError) as err:
@@ -488,7 +509,13 @@ class TestRenderRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(_TREES)
     def test_any_tree_parses_back(self, tree):
-        assert parse_expression(expressions.render(tree)) == tree
+        # unless a subtree without z faults, which is a ParseError
+        text = expressions.render(tree)
+        if _constant_fault(tree):
+            with pytest.raises(ParseError, match="constant subexpression"):
+                parse_expression(text)
+        else:
+            assert parse_expression(text) == tree
 
     def test_power_law_render(self):
         w = parse_weight(render(PowerLaw(0.5)))
@@ -496,6 +523,16 @@ class TestRenderRoundTrip:
         # negative exponents re-parse as expressions with equal values
         w2 = parse_weight(render(PowerLaw(-1.0)))
         assert eval_v(w2, 2.0) == 0.5
+
+
+def _constant_fault(tree) -> bool:
+    """Whether a subtree without z raises or goes complex in Python floats,
+    by the reference walk (it carries a complex value to the result)."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.iscomplexobj(dual_reference.walk(tree, np.ones(1)))
+    except (ZeroDivisionError, OverflowError):
+        return True
 
 
 def _raw_outcome(fn):
@@ -541,3 +578,35 @@ class TestOneWalk:
     def test_any_tree_matches_the_dual_reference(self, tree):
         # trees as built, constants that fault included
         self.assert_walk_matches_reference(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_parsed_weight_never_crashes(self, tree):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            try:
+                w = parse_weight(expressions.render(tree))
+                for z in (np.linspace(0.1, 3.0, 7), 1.3):
+                    for fn in (eval_v, eval_vq):
+                        try:
+                            fn(w, z)
+                        except ExtremalError:
+                            pass
+            except ExtremalError:
+                pass
+
+    def test_long_flat_sum(self):
+        # 3000 terms: the walk loops down a chain's left spine
+        z = np.linspace(0.1, 3.0, 7)
+        w = parse_weight("+".join(["z"] * 3000))
+        want = z
+        for _ in range(2999):
+            want = want + z
+        v, q = eval_vq(w, z)
+        assert v.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert eval_v(w, z).tolist() == v.tolist()
+        assert q.tolist() == [3000.0] * 7
+        scalar = 1.3
+        for _ in range(2999):
+            scalar += 1.3
+        assert eval_v(w, 1.3) == scalar
