@@ -140,7 +140,6 @@ class TestTraceJsonSvg:
         doc = json.loads(out)
         assert doc["diagnostics"]["max_clairaut_dev"] <= 1e-8
 
-
     def test_long_flat_sum_traces(self, capsys):
         # the tree walk loops over a chain: 3000 terms do not recurse
         code, out, _ = run(capsys, "trace", "--weight",

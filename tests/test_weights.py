@@ -565,12 +565,12 @@ class TestOneWalk:
             assert _raw_outcome(lambda: expressions.evaluate(tree, z)[:1]) \
                 == _raw_outcome(lambda: (dual_reference.walk(tree, z),)), z
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text", [   # the benchmark's five first
         "2.5*z^1.3", "z^1.3*2.5", "exp(0.7*log(z))", "z*sqrt(z)", "1.5*z*z",
         "2-z", "2/z", "2^z", "z^z", "z-z", "-(-z)^2^-z / -(z*z)",
         "exp(1)*z + sin(2)/z - cos(z)^2", "(3*z+1)^1.3", "(z/7)^2.5*3",
         "2^(z/3)", "(z+1)^(z/3)"])
-    def test_benchmark_spellings_match_the_dual_reference(self, text):
+    def test_spellings_match_the_dual_reference(self, text):
         self.assert_walk_matches_reference(parse_expression(text))
 
     @settings(max_examples=500, deadline=None)
@@ -586,14 +586,14 @@ class TestOneWalk:
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
             try:
                 w = parse_weight(expressions.render(tree))
-                for z in (np.linspace(0.1, 3.0, 7), 1.3):
-                    for fn in (eval_v, eval_vq):
-                        try:
-                            fn(w, z)
-                        except ExtremalError:
-                            pass
-            except ExtremalError:
-                pass
+            except ParseError:
+                return
+            for z in (np.linspace(0.1, 3.0, 7), 1.3):
+                for fn in (eval_v, eval_vq):
+                    try:
+                        fn(w, z)
+                    except ExtremalError:
+                        pass
 
     def test_long_flat_sum(self):
         # 3000 terms: the walk loops down a chain's left spine
