@@ -118,8 +118,8 @@ def evaluate(node, z, seed=None):
         if d is None and db is None:
             v = _OPS[node.op](v, b)
         else:
-            v, d = _RULES[node.op][2 * (d is None) + (db is None)](v, d, b,
-                                                                   db)
+            rule = _RULES[node.op][2 * (d is None) + (db is None)]
+            v, d = rule(v, d, b, db)
     return v, d
 
 
