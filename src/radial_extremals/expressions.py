@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParseError
 
 __all__ = ["Num", "Var", "Neg", "Bin", "Fun", "FUNCTIONS", "parse_expression",
-           "evaluate", "render"]
+           "check_constants", "evaluate", "render"]
 
 
 @dataclass(frozen=True)
@@ -208,22 +208,9 @@ class _Parser:
         return base
 
     def bin(self, tok, lhs, rhs):
-        """(Bin, value) for the operator token tok; a constant operation
-        that raises or goes complex in Python floats is a ParseError at tok."""
+        """(Bin, value) for the operator token tok, the value by _fold."""
         (a, ca), (b, cb), (_, op, off) = lhs, rhs, tok
-        if ca is None or cb is None:
-            return Bin(op, a, b), None
-        try:
-            c = _OPS[op](ca, cb)
-        except ZeroDivisionError:
-            raise ParseError("constant subexpression divides by zero",
-                             off) from None
-        except OverflowError:
-            raise ParseError("constant subexpression overflows",
-                             off) from None
-        if isinstance(c, complex):
-            raise ParseError("constant subexpression has no real value", off)
-        return Bin(op, a, b), c
+        return Bin(op, a, b), _fold(op, ca, cb, off)
 
     def atom(self):
         kind, tok, off = self.peek()
@@ -246,6 +233,53 @@ class _Parser:
                 return node, c
             return Fun(tok, node), None if c is None else FUNCTIONS[tok](c)
         self.fail(_ATOM_EXPECTED)
+
+
+def _fold(op, ca, cb, off):
+    """ca op cb in Python floats, None where an operand is None (has z); an
+    operation that raises or goes complex is a ParseError at offset off."""
+    if ca is None or cb is None:
+        return None
+    try:
+        c = _OPS[op](ca, cb)
+    except ZeroDivisionError:
+        raise ParseError("constant subexpression divides by zero",
+                         off) from None
+    except OverflowError:
+        raise ParseError("constant subexpression overflows", off) from None
+    if isinstance(c, complex):
+        raise ParseError("constant subexpression has no real value", off)
+    return c
+
+
+def check_constants(node) -> None:
+    """parse_expression's check of the subexpressions without z, on a tree
+    built without text: the same ParseError, at offset 0."""
+    with np.errstate(all="ignore"):
+        _constant(node)
+
+
+def _constant(node):
+    """A tree's value in Python floats where it has no z, else None, each
+    operation by _fold; a chain's left spine is a loop, as in evaluate."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return None
+    if isinstance(node, Neg):
+        c = _constant(node.operand)
+        return None if c is None else -c
+    if isinstance(node, Fun):
+        c = _constant(node.arg)
+        return None if c is None else FUNCTIONS[node.name](c)
+    spine = [node]
+    while isinstance(node.lhs, Bin):
+        node = node.lhs
+        spine.append(node)
+    c = _constant(node.lhs)
+    for node in reversed(spine):
+        c = _fold(node.op, c, _constant(node.rhs), 0)
+    return c
 
 
 def parse_expression(text: str):
@@ -275,7 +309,9 @@ def _prec(node) -> int:
 
 
 def render(node) -> str:
-    """Re-render a tree as parseable text (inverse of parse_expression)."""
+    """Re-render a tree as parseable text (inverse of parse_expression).
+    The left spine of a chain of binary operators is a loop, as in
+    evaluate."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -287,17 +323,25 @@ def render(node) -> str:
         if _prec(node.operand) < 3:
             inner = f"({inner})"
         return f"-{inner}"
-    lhs, rhs = render(node.lhs), render(node.rhs)
-    p = _prec(node)
-    if node.op == "^":
-        # base of '^' must be an atom; exponent is a factor
-        if _prec(node.lhs) < 5:
+    spine = [node]
+    while isinstance(node.lhs, Bin):
+        node = node.lhs
+        spine.append(node)
+    text = render(node.lhs)
+    for node in reversed(spine):
+        lhs, rhs = text, render(node.rhs)
+        p = _prec(node)
+        if node.op == "^":
+            # base of '^' must be an atom; exponent is a factor
+            if _prec(node.lhs) < 5:
+                lhs = f"({lhs})"
+            if isinstance(node.rhs, Bin):
+                rhs = f"({rhs})"
+            text = f"{lhs}^{rhs}"
+            continue
+        if _prec(node.lhs) < p:
             lhs = f"({lhs})"
-        if isinstance(node.rhs, Bin):
+        if _prec(node.rhs) <= p:
             rhs = f"({rhs})"
-        return f"{lhs}^{rhs}"
-    if _prec(node.lhs) < p:
-        lhs = f"({lhs})"
-    if _prec(node.rhs) <= p:
-        rhs = f"({rhs})"
-    return f"{lhs} {node.op} {rhs}"
+        text = f"{lhs} {node.op} {rhs}"
+    return text

@@ -69,9 +69,12 @@ class PowerLaw(RadialWeight):
 
 
 class ExpressionWeight(RadialWeight):
-    """Weight given by a parsed expression tree over z."""
+    """Weight given by a parsed expression tree over z.  A tree built
+    without the parser gets the parser's check of its subexpressions
+    without z (expressions.check_constants)."""
 
     def __init__(self, ast, source: str | None = None, domain_min: float = 0.0):
+        expressions.check_constants(ast)
         self.ast = ast
         self.source = source if source is not None else expressions.render(ast)
         self.domain_min = float(domain_min)

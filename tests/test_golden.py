@@ -3,8 +3,17 @@
 Each golden file under tests/data/golden holds the exact standard output of
 one successful run; the file name is the case name below.  Failing runs are
 pinned in FAILURES by exit code and exact standard error.
+
+A change that moves output on purpose rewrites every file of CASES from a
+fresh run, and leaves FAILURES as they are:
+
+    PYTHONPATH=src python tests/test_golden.py --rewrite
 """
 
+import argparse
+import contextlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,3 +178,32 @@ def test_failure_matches_golden(name, capsys, monkeypatch):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == err
+
+
+def rewrite() -> list[str]:
+    """Write every golden file of CASES from a fresh run; the names of the
+    files whose bytes changed.  A run that fails or writes to standard
+    error stops the rewrite."""
+    changed = []
+    for name in sorted(CASES):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(CASES[name]))
+        if code != 0 or err.getvalue():
+            raise SystemExit(f"{name}: exit code {code}, standard error "
+                             f"{err.getvalue()!r}")
+        path, data = GOLDEN / name, out.getvalue().encode()
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+            changed.append(name)
+    return changed
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rewrite", action="store_true", required=True,
+                        help="rewrite every golden file of CASES")
+    parser.parse_args()
+    changed = rewrite()
+    print(f"{len(changed)} of {len(CASES)} golden files changed"
+          + "".join(f"\n  {name}" for name in changed))

@@ -327,7 +327,13 @@ def _mpmath_angle(text, n, z_turn, z_b):
     The range is split at every extremum of g: where g dips close to 0 the
     integrand has a narrow peak, and one tanh-sinh rule over the whole
     range misses it (by 1.4e-9 for 1+0.5*sin(5*z) at n = 2.184375, whose
-    g falls to 0.0049 at z = 0.896)."""
+    g falls to 0.0049 at z = 0.896).
+
+    The integral is taken in t with z = z* + t^2, whose integrand
+    2/(z*sqrt(g/t^2*(g+2))) is regular at t = 0.  Where z* + t^2 rounds
+    onto z* at 30 digits, g/t^2 would be 0/0 (exp(-z)+0.2 at n =
+    1.4924059468161475 met a node there), so below t^2 = 1e-20*z* it is
+    g'(z*), off by about g''*t^2/2."""
     mp = pytest.importorskip("mpmath")
     v = _PEAKED[text][0]
     with mp.workdps(30):
@@ -342,8 +348,15 @@ def _mpmath_angle(text, n, z_turn, z_b):
         cuts = [mp.findroot(gp, (a, b), solver="anderson")
                 for a, b, sa, sb in zip(grid, grid[1:], slopes, slopes[1:])
                 if sa * sb < 0]
-        ref = mp.quad(lambda x: 1 / (x * mp.sqrt(g(x) * (g(x) + 2))),
-                      [zt, *cuts, mp.mpf(z_b)])
+        slope = gp(zt)
+
+        def integrand(t):
+            s = t * t
+            z = zt + s
+            h = slope if s < 1e-20 * zt else g(z) / s
+            return 2 / (z * mp.sqrt(h * (g(z) + 2)))
+        ref = mp.quad(integrand, [mp.sqrt(c - zt)
+                                  for c in [zt, *cuts, mp.mpf(z_b)]])
     return None if isinstance(ref, mp.mpc) else float(ref)
 
 
@@ -371,6 +384,8 @@ class TestPeakedProfiles:
     @example(u=0.24977300850675915)
     @example(u=0.06692500000000019)
     @example(u=0.24982500000000016)
+    # for exp(-z)+0.2, a quadrature node of the reference on z*
+    @example(u=0.2820980699124512)
     def test_angles_match_mpmath_or_raise(self, text, u):
         _, (lo, hi), z_b = _PEAKED[text]
         n = lo + (hi - lo) * u

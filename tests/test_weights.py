@@ -453,6 +453,15 @@ class TestParse:
             parse_weight(text)
         assert err.value.offset == offset
 
+    def test_tree_built_without_the_parser_gets_its_check(self):
+        # a ParseError, not a bare ZeroDivisionError at the first pass
+        tree = expressions.Bin("+", expressions.Var(), expressions.Bin(
+            "/", expressions.Num(1.0), expressions.Num(0.0)))
+        for source in (None, "z+1/0"):
+            with pytest.raises(ParseError, match="^constant subexpression "
+                               "divides by zero at offset 0$"):
+                ExpressionWeight(tree, source)
+
     def test_constant_that_numpy_makes_inf_is_left_to_the_checks(self):
         assert eval_v(parse_weight("z^(1/exp(1000))"), 2.0) == 1.0
         with pytest.raises(EvalError):
@@ -516,6 +525,21 @@ class TestRenderRoundTrip:
                 parse_expression(text)
         else:
             assert parse_expression(text) == tree
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_any_tree_weight_gets_the_parsers_check(self, tree):
+        # built from the tree alone, so its text comes from render
+        if _constant_fault(tree):
+            with pytest.raises(ParseError, match="constant subexpression"):
+                ExpressionWeight(tree)
+        else:
+            assert ExpressionWeight(tree).text() == expressions.render(tree)
+
+    def test_long_flat_sum_renders(self):
+        # 3000 terms: render loops down a chain's left spine
+        w = ExpressionWeight(parse_expression("+".join(["z"] * 3000)))
+        assert w.text() == " + ".join(["z"] * 3000)
 
     def test_power_law_render(self):
         w = parse_weight(render(PowerLaw(0.5)))
