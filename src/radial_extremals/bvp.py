@@ -47,10 +47,16 @@ class BvpProblem:
 
 @dataclass
 class BvpSolution:
+    """The constant n, the pose phi0 and the extremal's turning radius and
+    span; evaluations counts the span evaluations (both bracket ends
+    included), and residual is the span minus the target at n."""
+
     n: float
     phi0: float
     z_turn: float
     span: float
+    evaluations: int
+    residual: float
 
 
 def _branch_angles(prob: BvpProblem, n: float, tol: float):
@@ -87,7 +93,8 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
     raises QuadratureFailure.  A negative or NaN tol raises DomainError;
     tol 0 searches until the bracket collapses.  A tol below about 5e-13,
     0 included, can raise QuadratureFailure at the round-off floor.
-    Returns the constant and the pose phi0 implied by the endpoint angles.
+    Returns the constant and the pose phi0 implied by the endpoint angles,
+    with the span evaluations made and the final span residual.
     """
     if not tol >= 0.0:
         raise DomainError(f"tol must be non-negative, got {tol}")
@@ -95,7 +102,9 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
     if not 0.0 < n_lo < n_hi:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")
     qtol = min(1e-13, max(tol / 10.0, 1e-14))
-    pieces = {}   # (spec, da, db) per n, so the root's are not rebuilt
+    # (spec, da, db) per n, so the root's are not rebuilt; one entry per
+    # span evaluation, since find_root evaluates each n at most once
+    pieces = {}
 
     def residual(n):
         pieces[n] = _branch_angles(prob, n, qtol)
@@ -121,4 +130,5 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
         sgn = math.copysign(1.0, phi_b - phi_a)
         phi0 = phi_a + sgn * da
     return BvpSolution(n=n_star, phi0=phi0, z_turn=spec.z_turn,
-                       span=_span(prob, da, db))
+                       span=_span(prob, da, db), evaluations=len(pieces),
+                       residual=f_star)

@@ -383,6 +383,8 @@ def _cmd_bvp(args) -> int:
                         "same_branch": args.same_branch},
             "solution": {"n": sol.n, "phi0": sol.phi0,
                          "z_turn": sol.z_turn, "span": sol.span},
+            "diagnostics": {"span_evaluations": sol.evaluations,
+                            "residual": sol.residual},
         }
         return _emit(args, json.dumps(doc, indent=2) + "\n")
     spec = ExtremalSpec(weight, sol.n, phi0=sol.phi0)

@@ -142,7 +142,9 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, PowerLaw(lam)), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert len(calls) <= 12
+        assert sol.evaluations == len(calls) == 8
+        assert sol.residual == sol.span - abs(b.phi - a.phi)
+        assert abs(sol.residual) <= 1e-12
 
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_weight_passes_per_span(self, monkeypatch, weight):
@@ -186,7 +188,7 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert len(spans) == 10 and finished == []
+        assert len(spans) == 8 and finished == []
 
     @pytest.mark.parametrize("which", ["a", "b"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -229,8 +231,7 @@ class TestSolveN:
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_one_near_integrand_call_per_span(self, monkeypatch, weight):
         # criterion 07's first draw: each span's near pieces, first panels
-        # and first bisections together, take one integrand call (22 calls
-        # over 10 spans without the speculative first bisection); the
+        # and first bisections together, take one integrand call; the
         # second span has both endpoints beyond the handoff, which share
         # one near piece (6 rows each when every endpoint had its own)
         lam, n_true, a, b = first_round_trip_draw()
@@ -250,8 +251,8 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert len(spans) == 10
-        assert near_calls == [(6, 15), (3, 15)] + [(6, 15)] * 8
+        assert len(spans) == 8
+        assert near_calls == [(6, 15), (3, 15)] + [(6, 15)] * 6
 
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_one_quadrature_call_per_span(self, monkeypatch, weight):
@@ -284,11 +285,11 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert len(spans) == 10
+        assert len(spans) == 8
         assert calls["integrate"] == []
         # pieces per span: near ones (one shared by the endpoints beyond
         # the handoff), then far ones; three rows each
-        pieces = [2, 3, 3, 3, 2, 2, 2, 2, 2, 2]
+        pieces = [2, 3, 3, 2, 2, 2, 2, 2]
         assert calls["integrate_bisected"] == pieces
         assert calls["first panels"] == [3 * k for k in pieces]
 

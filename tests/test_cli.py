@@ -328,6 +328,12 @@ class TestBvp:
         doc = json.loads(out)
         assert doc["solution"]["n"] == pytest.approx(2.0, abs=1e-7)
         assert doc["solution"]["phi0"] == pytest.approx(0.0, abs=1e-9)
+        diagnostics = doc["diagnostics"]
+        assert set(diagnostics) == {"span_evaluations", "residual"}
+        assert diagnostics["span_evaluations"] >= 2
+        assert diagnostics["residual"] == \
+            doc["solution"]["span"] - 2.0 * 1.0471975511965976
+        assert abs(diagnostics["residual"]) <= 1e-10
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run(capsys, "bvp", "--lambda", "1",

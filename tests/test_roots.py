@@ -58,6 +58,16 @@ class TestFindRoot:
         x, fx = find_root(f, 0.0, 2.0, -1.0, math.exp(2.0) - 2.0, 1e-14)
         assert abs(fx) <= 1e-14
         assert x == pytest.approx(math.log(2.0), rel=1e-14)
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("ftol", [0.0, 1e-14])
+    def test_strongly_curved_root_is_superlinear(self, ftol):
+        # regula falsi steps alone creep toward the root from one side, and
+        # truncated ones spent ITP's one step of slack: 51 evaluations
+        f, calls = counted(lambda x: x ** 3 - 2.0)
+        x, fx = find_root(f, 0.0, 4.0, -2.0, 62.0, ftol)
+        assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16)
+        assert abs(fx) <= max(ftol, 4.0 * math.ulp(2.0))
         assert len(calls) <= 10
 
     @pytest.mark.parametrize("levels", [(-1.0, 1.0), (-1.0, 3.0),
