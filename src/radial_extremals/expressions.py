@@ -161,6 +161,7 @@ class _Parser:
             self.tokens.append((kind, tok, m.start()))
         self.tokens.append(("end", "", len(text)))
         self.i = 0
+        self.offsets = {}   # id of each Bin -> its operator's offset
 
     def peek(self):
         return self.tokens[self.i]
@@ -180,8 +181,6 @@ class _Parser:
             self.fail((repr(tok),))
         self.advance()
 
-    # each method returns (node, value): the value of a subtree without z,
-    # computed once as evaluate computes it, else None
     def expr(self):
         node = self.term()
         while self.peek()[1] in ("+", "-"):
@@ -197,8 +196,7 @@ class _Parser:
     def factor(self):
         if self.peek()[1] == "-":
             self.advance()
-            node, c = self.factor()
-            return Neg(node), None if c is None else -c
+            return Neg(self.factor())
         return self.power()
 
     def power(self):
@@ -208,9 +206,10 @@ class _Parser:
         return base
 
     def bin(self, tok, lhs, rhs):
-        """(Bin, value) for the operator token tok, the value by _fold."""
-        (a, ca), (b, cb), (_, op, off) = lhs, rhs, tok
-        return Bin(op, a, b), _fold(op, ca, cb, off)
+        """Bin for the operator token tok, its offset kept for _constant."""
+        node = Bin(tok[1], lhs, rhs)
+        self.offsets[id(node)] = tok[2]
+        return node
 
     def atom(self):
         kind, tok, off = self.peek()
@@ -219,36 +218,57 @@ class _Parser:
             value = float(tok)
             if value == math.inf:
                 raise ParseError(f"number {tok!r} overflows to inf", off)
-            return Num(value), value
+            return Num(value)
         if kind == "var":
             self.advance()
-            return Var(), None
+            return Var()
         if kind == "func" or tok == "(":
             self.advance()
             if kind == "func":
                 self.expect("(")
-            node, c = self.expr()
+            node = self.expr()
             self.expect(")")
-            if kind != "func":
-                return node, c
-            return Fun(tok, node), None if c is None else FUNCTIONS[tok](c)
+            return Fun(tok, node) if kind == "func" else node
         self.fail(_ATOM_EXPECTED)
 
 
-def _fold(op, ca, cb, off):
-    """ca op cb in Python floats, None where an operand is None (has z); an
-    operation that raises or goes complex is a ParseError at offset off."""
-    if ca is None or cb is None:
+def _constant(node, offsets):
+    """A tree's value in Python floats where it has no z, else None.  An
+    operation without z that raises or goes complex is a ParseError at its
+    operator's offset in offsets (keyed by id), else at 0.  Operands before
+    operators, as the parser reads them; a chain's left spine is a loop, as
+    in evaluate."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
         return None
-    try:
-        c = _OPS[op](ca, cb)
-    except ZeroDivisionError:
-        raise ParseError("constant subexpression divides by zero",
-                         off) from None
-    except OverflowError:
-        raise ParseError("constant subexpression overflows", off) from None
-    if isinstance(c, complex):
-        raise ParseError("constant subexpression has no real value", off)
+    if isinstance(node, Neg):
+        c = _constant(node.operand, offsets)
+        return None if c is None else -c
+    if isinstance(node, Fun):
+        c = _constant(node.arg, offsets)
+        return None if c is None else FUNCTIONS[node.name](c)
+    spine = [node]
+    while isinstance(node.lhs, Bin):
+        node = node.lhs
+        spine.append(node)
+    c = _constant(node.lhs, offsets)
+    for node in reversed(spine):
+        cb = _constant(node.rhs, offsets)
+        if c is None or cb is None:
+            c = None
+            continue
+        off = offsets.get(id(node), 0)
+        try:
+            c = _OPS[node.op](c, cb)
+        except ZeroDivisionError:
+            raise ParseError("constant subexpression divides by zero",
+                             off) from None
+        except OverflowError:
+            raise ParseError("constant subexpression overflows",
+                             off) from None
+        if isinstance(c, complex):
+            raise ParseError("constant subexpression has no real value", off)
     return c
 
 
@@ -256,30 +276,7 @@ def check_constants(node) -> None:
     """parse_expression's check of the subexpressions without z, on a tree
     built without text: the same ParseError, at offset 0."""
     with np.errstate(all="ignore"):
-        _constant(node)
-
-
-def _constant(node):
-    """A tree's value in Python floats where it has no z, else None, each
-    operation by _fold; a chain's left spine is a loop, as in evaluate."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Neg):
-        c = _constant(node.operand)
-        return None if c is None else -c
-    if isinstance(node, Fun):
-        c = _constant(node.arg)
-        return None if c is None else FUNCTIONS[node.name](c)
-    spine = [node]
-    while isinstance(node.lhs, Bin):
-        node = node.lhs
-        spine.append(node)
-    c = _constant(node.lhs)
-    for node in reversed(spine):
-        c = _fold(node.op, c, _constant(node.rhs), 0)
-    return c
+        _constant(node, {})
 
 
 def parse_expression(text: str):
@@ -290,11 +287,12 @@ def parse_expression(text: str):
     parser = _Parser(text)
     try:
         with np.errstate(all="ignore"):
-            node, _ = parser.expr()
+            node = parser.expr()
+            if parser.peek()[0] != "end":
+                parser.fail(("operator", "end of input"))
+            _constant(node, parser.offsets)
     except RecursionError:   # where depends on the caller's stack: offset 0
         raise ParseError("expression nests too deeply", 0) from None
-    if parser.peek()[0] != "end":
-        parser.fail(("operator", "end of input"))
     return node
 
 
