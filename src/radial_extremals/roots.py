@@ -8,8 +8,9 @@ falsi point nudged toward the midpoint.  Either is then projected into a
 ball around the midpoint that shrinks like bisection's worst case: any sign
 change, even a jump, costs at most one evaluation more than bisection
 (n0 = 1).  Near a smooth simple root the interpolation converges
-superlinearly, where regula falsi steps alone creep from one side (x^3 - 2
-on [0, 4]: 9 evaluations, against 51).
+superlinearly, where the truncated regula falsi step alone can spend that
+one step of slack and fall back to bisection (x^3 - 2 on [0, 4]: 9
+evaluations, against 51).
 """
 
 from __future__ import annotations

@@ -69,9 +69,10 @@ class PowerLaw(RadialWeight):
 
 
 class ExpressionWeight(RadialWeight):
-    """Weight given by a parsed expression tree over z.  A tree built
-    without the parser gets the parser's check of its subexpressions
-    without z (expressions.check_constants)."""
+    """Weight given by an expression tree over z.  Every tree gets the
+    parser's check of its subexpressions without z
+    (expressions.check_constants): a tree built without text raises the
+    ParseError its text would, at offset 0."""
 
     def __init__(self, ast, source: str | None = None, domain_min: float = 0.0):
         expressions.check_constants(ast)

@@ -62,8 +62,8 @@ class TestFindRoot:
 
     @pytest.mark.parametrize("ftol", [0.0, 1e-14])
     def test_strongly_curved_root_is_superlinear(self, ftol):
-        # regula falsi steps alone creep toward the root from one side, and
-        # truncated ones spent ITP's one step of slack: 51 evaluations
+        # ITP's truncated regula falsi step alone spent its one step of
+        # slack and fell back to bisection: 51 evaluations
         f, calls = counted(lambda x: x ** 3 - 2.0)
         x, fx = find_root(f, 0.0, 4.0, -2.0, 62.0, ftol)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16)
