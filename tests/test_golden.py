@@ -13,7 +13,6 @@ fresh run, and leaves FAILURES as they are:
 import argparse
 import contextlib
 import io
-import sys
 from pathlib import Path
 
 import pytest

@@ -330,7 +330,7 @@ def _mpmath_angle(text, n, z_turn, z_b):
     g falls to 0.0049 at z = 0.896).
 
     The integral is taken in t with z = z* + t^2, whose integrand
-    2/(z*sqrt(g/t^2*(g+2))) is regular at t = 0.  Where z* + t^2 rounds
+    2 / (z sqrt((g/t^2) (g+2))) is regular at t = 0.  Where z* + t^2 rounds
     onto z* at 30 digits, g/t^2 would be 0/0 (exp(-z)+0.2 at n =
     1.4924059468161475 met a node there), so below t^2 = 1e-20*z* it is
     g'(z*), off by about g''*t^2/2."""
