@@ -14,9 +14,9 @@ from its module on first use (PEP 562).
 import importlib
 
 _MODULE_OF = {name: module for module, names in {
-    "bvp": "BvpProblem BvpSolution angular_span solve_n",
-    "closed_form": "PowerLawCurve algebraic_relation_residual is_algebraic "
-                   "log_spiral_point power_law_point psi_from_z",
+    "bvp": "BvpProblem BvpSolution solve_n",
+    "closed_form": "PowerLawCurve algebraic_relation_residual "
+                   "log_spiral_point power_law_point",
     "discrete_oracle": "OracleResult Polyline functional_value gradient "
                        "minimize",
     "errors": "DomainError DomainViolation EvalError ExtremalError "
@@ -24,13 +24,12 @@ _MODULE_OF = {name: module for module, names in {
               "NonPositiveWeight ParseError QuadratureFailure StalledDescent "
               "TangentialTurningPoint",
     "extremal_core": "CartesianPoint ELPartials PolarPoint beltrami_residual "
-                     "clairaut_constant clairaut_constant_from_angle "
-                     "el_residual lagrangian_partials_cartesian to_cartesian "
-                     "to_polar",
+                     "clairaut_constant el_residual "
+                     "lagrangian_partials_cartesian",
     "reduced_ode": "ExtremalSpec TraceResult dphi_dz first_integral_deviation "
                    "integrate_phi trace_extremal turning_radius",
     "weights": "ExpressionWeight PowerLaw RadialWeight eval_q eval_v eval_vq "
-               "parse_weight render",
+               "parse_weight",
 }.items() for name in names.split()}
 
 __version__ = "0.1.0"

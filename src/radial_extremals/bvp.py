@@ -17,7 +17,7 @@ from .reduced_ode import ExtremalSpec, integrate_phi
 from .roots import find_root
 from .weights import RadialWeight
 
-__all__ = ["BvpProblem", "BvpSolution", "angular_span", "solve_n"]
+__all__ = ["BvpProblem", "BvpSolution", "solve_n"]
 
 
 @dataclass
@@ -70,12 +70,6 @@ def _branch_angles(prob: BvpProblem, n: float, tol: float):
             f"turning radius {zt} exceeds an endpoint radius at n = {n}")
     da, db = integrate_phi(spec, zt, [prob.a.z, prob.b.z], tol).tolist()
     return spec, da, db
-
-
-def angular_span(n: float, prob: BvpProblem, tol: float = 1e-12) -> float:
-    """Total |delta phi| between the endpoints on the extremal with constant n."""
-    _, da, db = _branch_angles(prob, n, tol)
-    return _span(prob, da, db)
 
 
 def _span(prob: BvpProblem, da: float, db: float) -> float:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .extremal_core import PolarPoint
 
-__all__ = ["PowerLawCurve", "power_law_point", "psi_from_z",
-           "log_spiral_point", "is_algebraic", "algebraic_relation_residual"]
+__all__ = ["PowerLawCurve", "power_law_point", "log_spiral_point",
+           "algebraic_relation_residual"]
 
 
 @dataclass(frozen=True)
@@ -58,23 +57,6 @@ def power_law_point(c: PowerLawCurve, psi: float) -> PolarPoint:
     return PolarPoint(c.phi0 + psi / k, z)
 
 
-def psi_from_z(c: PowerLawCurve, z: float) -> float:
-    """Inverse of the radial part on the psi >= 0 branch.
-
-    Requires n*v(z)*z >= 1 (z at or outside the turning radius when
-    lam > -1, at or inside it when lam < -1).
-    """
-    u_sq = (c.n * z ** (c.lam + 1.0)) ** 2 - 1.0
-    if u_sq < 0.0:
-        if u_sq > -1e-12:
-            u_sq = 0.0
-        else:
-            raise DomainError(
-                f"z = {z} lies on the forbidden side of the turning radius "
-                f"{c.z_turn}")
-    return math.atan(math.sqrt(u_sq))
-
-
 def log_spiral_point(n: float, z0: float, phi: float) -> PolarPoint:
     """Point of the lam = -1 extremal z = z0*exp(sqrt(n^2-1)*phi).
 
@@ -86,43 +68,6 @@ def log_spiral_point(n: float, z0: float, phi: float) -> PolarPoint:
     if not z0 > 0.0:
         raise DomainError("z0 must be positive")
     return PolarPoint(phi, z0 * math.exp(math.sqrt(n * n - 1.0) * phi))
-
-
-def _as_fraction(lam) -> Fraction:
-    if isinstance(lam, float):
-        raise TypeError(
-            "is_algebraic needs an exact rational (int, Fraction, 'a/b'), "
-            "not a float")
-    return Fraction(lam)
-
-
-def is_algebraic(lam) -> tuple[bool, str]:
-    """Whether the lam-extremal satisfies a polynomial relation, with text.
-
-    For rational lam = a/b != -1 the answer is always yes: writing
-    m/k = lam + 1 in lowest terms, the curve obeys
-    n * z^(m/k) * cos((m/k)*(phi - phi0)) = 1, and multiple-angle expansion
-    of the cosine turns this into a polynomial tie between z^(1/k) and the
-    sine/cosine of (phi - phi0)/k.
-    """
-    frac = _as_fraction(lam)
-    if frac == -1:
-        raise DomainError("lam = -1 is excluded (logarithmic spiral)")
-    k = frac + 1
-    m, b = k.numerator, k.denominator
-    relation = (f"n * z^({m}/{b}) * cos(({m}/{b})*(phi - phi0)) = 1"
-                if b != 1 else
-                f"n * z^{m} * cos({m}*(phi - phi0)) = 1")
-    if frac == 0:
-        note = "a straight line: z*cos(phi - phi0) = 1/n"
-    elif frac == 1:
-        note = "z^2 * cos(2*(phi - phi0)) = 1/n"
-    else:
-        note = ("expand the multiple angle to get a polynomial relation "
-                "between z^(1/{b}) multiples of sin/cos".format(b=b)
-                if b != 1 else
-                "expand cos({m}*angle) in powers of cos/sin".format(m=m))
-    return True, f"{relation} ({note})"
 
 
 def algebraic_relation_residual(c: PowerLawCurve, pt: PolarPoint) -> float:

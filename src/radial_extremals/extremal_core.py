@@ -22,8 +22,7 @@ from .errors import DomainError, NonMonotoneAbscissa
 from .weights import RadialWeight, eval_v, eval_vq
 
 __all__ = ["CartesianPoint", "PolarPoint", "ELPartials",
-           "to_cartesian", "to_polar", "lagrangian_partials_cartesian",
-           "clairaut_constant", "clairaut_constant_from_angle",
+           "lagrangian_partials_cartesian", "clairaut_constant",
            "el_residual", "beltrami_residual"]
 
 
@@ -46,19 +45,6 @@ class ELPartials:
     M: float
     N: float
     P: float
-
-
-def to_cartesian(pt: PolarPoint) -> CartesianPoint:
-    """x = z*sin(phi), y = z*cos(phi)."""
-    return CartesianPoint(pt.z * math.sin(pt.phi), pt.z * math.cos(pt.phi))
-
-
-def to_polar(pt: CartesianPoint) -> PolarPoint:
-    """Inverse of to_cartesian on the principal branch phi in (-pi, pi]."""
-    z = math.hypot(pt.x, pt.y)
-    if z == 0.0:
-        raise DomainError("the pole x = y = 0 has no polar angle")
-    return PolarPoint(math.atan2(pt.x, pt.y), z)
 
 
 def _partials(x, y, p, w: RadialWeight):
@@ -94,12 +80,6 @@ def clairaut_constant(r, dtheta_dr, w: RadialWeight):
     with np.errstate(invalid="ignore"):   # inf/inf where the marker is
         out = np.where(np.isinf(p), np.copysign(v * r, p), v * r * rp / hyp)
     return float(out) if out.ndim == 0 else out
-
-
-def clairaut_constant_from_angle(r: float, alpha: float,
-                                 w: RadialWeight) -> float:
-    """Same conserved quantity from the tangent-radius angle: v*r*sin(alpha)."""
-    return eval_v(w, r) * r * math.sin(alpha)
 
 
 def _xy_arrays(samples):

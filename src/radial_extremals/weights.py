@@ -19,8 +19,7 @@ from . import expressions
 from .errors import DomainError, EvalError, NonPositiveWeight
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
-           "eval_v", "eval_q", "eval_vq", "masked_v", "parse_weight",
-           "render"]
+           "eval_v", "eval_q", "eval_vq", "masked_v", "parse_weight"]
 
 
 class RadialWeight:
@@ -50,9 +49,8 @@ class RadialWeight:
 class PowerLaw(RadialWeight):
     """v(z) = z**lam with exact derivative lam * z**(lam-1)."""
 
-    def __init__(self, lam: float, domain_min: float = 0.0):
+    def __init__(self, lam: float):
         self.lam = float(lam)
-        self.domain_min = float(domain_min)
 
     def _raw_v(self, z):
         if self.lam == 0.0:
@@ -185,7 +183,3 @@ def parse_weight(text: str) -> RadialWeight:
         return PowerLaw(ast.rhs.value)
     return ExpressionWeight(ast, source=text)
 
-
-def render(w: RadialWeight) -> str:
-    """Parseable text form of a weight (round-trips through parse_weight)."""
-    return w.text()

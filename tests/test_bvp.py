@@ -7,9 +7,18 @@ import pytest
 from radial_extremals import bvp, reduced_ode, weights
 from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
                               ForbiddenRegion, NoBracket, PolarPoint,
-                              PowerLaw, PowerLawCurve, Polyline, angular_span,
+                              PowerLaw, PowerLawCurve, Polyline,
                               functional_value, integrate_phi, parse_weight,
-                              power_law_point, psi_from_z, solve_n)
+                              power_law_point, solve_n)
+
+import closed_form_reference
+
+
+def span(n, prob, tol=1e-12):
+    """Total |delta phi| between the endpoints on the extremal with
+    constant n, by the two helpers solve_n evaluates."""
+    _, da, db = bvp._branch_angles(prob, n, tol)
+    return bvp._span(prob, da, db)
 
 
 def endpoints_from_curve(lam, n, psi_a, psi_b, phi0=0.0):
@@ -45,27 +54,27 @@ class TestAngularSpan:
     def test_constant_weight_symmetric(self):
         prob = BvpProblem(PolarPoint(-1.0, 1.0), PolarPoint(1.0, 1.0),
                           PowerLaw(0.0))
-        got = angular_span(2.0, prob)
+        got = span(2.0, prob)
         assert got == pytest.approx(2.0 * math.atan(math.sqrt(3.0)),
                                     abs=1e-10)
 
     def test_same_branch_equal_radii(self):
         prob = BvpProblem(PolarPoint(0.2, 1.5), PolarPoint(0.9, 1.5),
                           PowerLaw(0.0), same_branch=True)
-        assert angular_span(1.0, prob) == 0.0
+        assert span(1.0, prob) == 0.0
 
     def test_linear_weight_vs_closed_form(self):
         n = 1.4
         a, b = endpoints_from_curve(1.0, n, -0.8, 0.8)
         prob = BvpProblem(a, b, PowerLaw(1.0))
-        got = angular_span(n, prob)
+        got = span(n, prob)
         assert got == pytest.approx(0.8, abs=1e-10)  # 2 * (psi/2)
 
     def test_forbidden_when_turning_radius_exceeds_endpoint(self):
         prob = BvpProblem(PolarPoint(-0.5, 1.0), PolarPoint(0.5, 1.0),
                           PowerLaw(0.0))
         with pytest.raises(ForbiddenRegion):
-            angular_span(0.5, prob)   # z* = 2 > 1
+            span(0.5, prob)   # z* = 2 > 1
 
     @pytest.mark.parametrize("weight,n,radii", [
         (PowerLaw(0.0), 2.0, (0.6, 1.5)),      # z* = 0.5, handoff 0.75
@@ -90,9 +99,9 @@ class TestAngularSpan:
         prob = BvpProblem(PolarPoint(-1.0, 1.0), PolarPoint(1.0, 1.0),
                           PowerLaw(0.0))
         with pytest.raises(DomainError, match="tol must lie"):
-            angular_span(2.0, prob, 1e-2)
+            span(2.0, prob, 1e-2)
         with pytest.raises(ForbiddenRegion):    # checked before tol
-            angular_span(0.5, prob, 1e-2)
+            span(0.5, prob, 1e-2)
 
 
 class TestSolveN:
@@ -149,7 +158,7 @@ class TestSolveN:
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_weight_passes_per_span(self, monkeypatch, weight):
         # criterion 07's first draw: checked weight passes (eval_v, eval_q
-        # and eval_vq calls made by reduced_ode and bvp) per angular_span;
+        # and eval_vq calls made by reduced_ode and bvp) per angular span;
         # at most half of the 59.4 (PowerLaw) and 69.2 (expression) passes
         # per span of two integrate_phi calls with three passes per Newton
         # step
@@ -339,7 +348,7 @@ class TestSolveN:
             sol = solve_n(prob, abs(b.phi - a.phi),
                           (0.9 * n_true, 1.4 * n_true), 1e-12)
             curve = PowerLawCurve(lam, sol.n, sol.phi0)
-            psi_b = psi_from_z(curve, b.z)
+            psi_b = closed_form_reference.psi(curve, b.z)
             pts = [power_law_point(curve, float(s))
                    for s in np.linspace(-psi_b, psi_b, 2001)]
             xy = np.array([(p.z * math.sin(p.phi), p.z * math.cos(p.phi))

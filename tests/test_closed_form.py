@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +6,9 @@ import pytest
 from radial_extremals import (DomainError, ExtremalSpec, PowerLaw,
                               PowerLawCurve, algebraic_relation_residual,
                               clairaut_constant, eval_v, integrate_phi,
-                              is_algebraic, log_spiral_point, power_law_point,
-                              psi_from_z)
+                              log_spiral_point, power_law_point)
+
+import closed_form_reference
 
 
 def cartesian(pt):
@@ -68,9 +68,10 @@ class TestPowerLawPoint:
         assert c.z_turn == pytest.approx(1.5, rel=1e-15)
         z_in = power_law_point(c, 1.0).z
         assert z_in < c.z_turn
-        assert psi_from_z(c, z_in) == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(DomainError):
-            psi_from_z(c, 2.0)   # outside the maximum radius
+        assert closed_form_reference.psi(c, z_in) == \
+            pytest.approx(1.0, rel=1e-12)
+        for psi in np.linspace(-1.5, 1.5, 31):   # never outside z*
+            assert power_law_point(c, float(psi)).z <= c.z_turn
 
     def test_clairaut_with_fd_tangents(self):
         # v*z*sin(alpha) = 1/n with alpha from Richardson-extrapolated
@@ -98,28 +99,6 @@ class TestPowerLawPoint:
                 assert abs(got - 1.0 / n) <= 1e-10
 
 
-class TestPsiFromZ:
-    def test_zero_at_turning_radius(self):
-        c = PowerLawCurve(1.0, 1.7)
-        assert psi_from_z(c, c.z_turn) == 0.0
-
-    def test_constant_weight_value(self):
-        assert psi_from_z(PowerLawCurve(0.0, 1.0), 2.0) == \
-            pytest.approx(math.atan(math.sqrt(3.0)), rel=1e-14)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(31)
-        c = PowerLawCurve(0.5, 1.3)
-        for psi in rng.uniform(0.0, 1.5, 100):
-            z = power_law_point(c, float(psi)).z
-            assert psi_from_z(c, z) == pytest.approx(float(psi), abs=1e-12)
-
-    def test_inside_turning_radius_rejected(self):
-        c = PowerLawCurve(1.0, 1.0)
-        with pytest.raises(DomainError):
-            psi_from_z(c, 0.9)
-
-
 class TestLogSpiral:
     def test_circle_limit(self):
         for phi in (-2.0, 0.0, 1.0, 7.0):
@@ -145,14 +124,8 @@ class TestLogSpiral:
             log_spiral_point(1.5, 0.0, 0.0)
 
 
-class TestIsAlgebraic:
-    def test_line(self):
-        ok, text = is_algebraic(0)
-        assert ok and "straight line" in text
-
+class TestAlgebraicRelationResidual:
     def test_linear_weight_relation(self):
-        ok, text = is_algebraic(1)
-        assert ok and "z^2" in text.replace(" ", "")
         c = PowerLawCurve(1.0, 1.3, phi0=0.2)
         for psi in np.linspace(-1.4, 1.4, 100):
             pt = power_law_point(c, float(psi))
@@ -160,19 +133,8 @@ class TestIsAlgebraic:
             assert abs(algebraic_relation_residual(c, pt)) <= 1e-10
 
     def test_half_integer_relation(self):
-        ok, text = is_algebraic(Fraction(1, 2))
-        assert ok and "3/2" in text
         c = PowerLawCurve(0.5, 0.8)
         for psi in np.linspace(-1.2, 1.2, 50):
             pt = power_law_point(c, float(psi))
             assert abs(algebraic_relation_residual(c, pt)) <= 1e-10
 
-    def test_excluded_and_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            is_algebraic(-1)
-        with pytest.raises(TypeError):
-            is_algebraic(0.5)
-
-    def test_string_rational(self):
-        ok, text = is_algebraic("2/3")
-        assert ok and "5/3" in text

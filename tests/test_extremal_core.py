@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from radial_extremals import (CartesianPoint, DomainError, ExtremalSpec,
-                              NonMonotoneAbscissa, PolarPoint, PowerLaw,
-                              PowerLawCurve, beltrami_residual,
-                              clairaut_constant, clairaut_constant_from_angle,
+                              NonMonotoneAbscissa, PowerLaw, PowerLawCurve,
+                              beltrami_residual, clairaut_constant,
                               el_residual, eval_q, eval_v,
                               lagrangian_partials_cartesian, parse_weight,
-                              power_law_point, to_cartesian, to_polar)
+                              power_law_point)
 
 
 def curve_xy(lam, n, psi_values, phi0=0.0):
@@ -17,41 +16,6 @@ def curve_xy(lam, n, psi_values, phi0=0.0):
     pts = [power_law_point(c, float(p)) for p in psi_values]
     return np.array([(p.z * math.sin(p.phi), p.z * math.cos(p.phi))
                      for p in pts])
-
-
-class TestCoordinates:
-    def test_to_cartesian_examples(self):
-        p = to_cartesian(PolarPoint(0.0, 2.0))
-        assert (p.x, p.y) == (0.0, 2.0)
-        p = to_cartesian(PolarPoint(math.pi / 2, 1.0))
-        assert p.x == pytest.approx(1.0, abs=1e-15)
-        assert p.y == pytest.approx(0.0, abs=1e-15)
-        p = to_cartesian(PolarPoint(math.pi / 3, 1.0))
-        assert p.x == pytest.approx(math.sin(math.pi / 3), rel=1e-15)
-        assert p.y == pytest.approx(0.5, rel=1e-15)
-
-    def test_to_polar_examples(self):
-        p = to_polar(CartesianPoint(0.0, 2.0))
-        assert (p.phi, p.z) == (0.0, 2.0)
-        p = to_polar(CartesianPoint(1.0, 1.0))
-        assert p.phi == pytest.approx(math.pi / 4, rel=1e-15)
-        assert p.z == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        p = to_polar(CartesianPoint(1.0, 0.0))
-        assert p.phi == pytest.approx(math.pi / 2, rel=1e-15)
-        assert p.z == 1.0
-
-    def test_pole_has_no_angle(self):
-        with pytest.raises(DomainError):
-            to_polar(CartesianPoint(0.0, 0.0))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        phis = rng.uniform(-math.pi, math.pi, 200)
-        zs = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 200))
-        for phi, z in zip(phis, zs):
-            back = to_polar(to_cartesian(PolarPoint(float(phi), float(z))))
-            assert back.phi == pytest.approx(phi, abs=1e-12)
-            assert back.z == pytest.approx(z, rel=1e-12)
 
 
 class TestLagrangianPartials:
@@ -182,7 +146,7 @@ class TestClairautConstant:
             p = float(rng.uniform(-50.0, 50.0))
             alpha = math.atan2(p * r, 1.0)
             a = clairaut_constant(r, p, w)
-            b = clairaut_constant_from_angle(r, alpha, w)
+            b = eval_v(w, r) * r * math.sin(alpha)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 

@@ -15,12 +15,13 @@ from radial_extremals import (DomainError, EvalError, ExtremalError,
                               PowerLawCurve, QuadratureFailure,
                               TangentialTurningPoint, dphi_dz, eval_q,
                               eval_v, first_integral_deviation, integrate_phi,
-                              parse_weight, psi_from_z, trace_extremal,
-                              turning_radius)
+                              parse_weight, trace_extremal, turning_radius)
 from radial_extremals import reduced_ode
 from radial_extremals.extremal_core import clairaut_constant
 from radial_extremals.quadrature import _NODES
 from radial_extremals.weights import RadialWeight
+
+import closed_form_reference
 
 # independent 30-digit quadrature of dz/(z sqrt(n^2 z^{2l+2} - 1)) for
 # lambda = 1/2, n = 1.3, from the turning radius to z = 2
@@ -596,7 +597,8 @@ class TestIntegratePhi:
                 z = (n * math.cos(psi)) ** (-1.0 / (lam + 1.0))
                 got = integrate_phi(spec, spec.z_turn, z, tol)
                 assert abs(got - psi / (lam + 1.0)) <= 10.0 * tol
-                assert psi_from_z(curve, z) == pytest.approx(psi, rel=1e-12)
+                assert closed_form_reference.psi(curve, z) == \
+                    pytest.approx(psi, rel=1e-12)
 
     @pytest.mark.parametrize("weight, lam, c", [
         *[(PowerLaw(lam), lam, 1.0) for lam in (0.0, 0.5, 1.0, 2.0, 3.0)],
@@ -1154,15 +1156,16 @@ class TestTraceArrays:
         assert len(tr.phi) == len(tr.z) == len(tr.clairaut_deviation) \
             == 2 * count - 1
         phi, z = tr.phi.tolist(), tr.z.tolist()
-        # psi_from_z is ill-conditioned at z* itself (sqrt of a rounding
-        # error, ~1e-8), so the shared turning sample is checked exactly
+        # the closed-form psi is ill-conditioned at z* itself (sqrt of a
+        # rounding error, ~1e-8), so the shared turning sample is checked
+        # exactly
         turn = count - 1
         assert z[turn] == spec.z_turn and phi[turn] == phi0
         curve = PowerLawCurve(lam, n)
         for k in range(len(z)):
             if k != turn:
-                assert abs(abs(phi[k] - phi0) - psi_from_z(curve, z[k])
-                           / (lam + 1.0)) <= 1e-10
+                psi = closed_form_reference.psi(curve, z[k])
+                assert abs(abs(phi[k] - phi0) - psi / (lam + 1.0)) <= 1e-10
         assert tr.x.tolist() == [r * math.sin(a) for a, r in zip(phi, z)]
         assert tr.y.tolist() == [r * math.cos(a) for a, r in zip(phi, z)]
 

@@ -16,21 +16,21 @@ SRC = Path(radial_extremals.__file__).resolve().parents[1]
 
 # the package's public names before they were loaded on first use
 ALL = [
-    "BvpProblem", "BvpSolution", "angular_span", "solve_n",
-    "PowerLawCurve", "algebraic_relation_residual", "is_algebraic",
-    "log_spiral_point", "power_law_point", "psi_from_z",
+    "BvpProblem", "BvpSolution", "solve_n",
+    "PowerLawCurve", "algebraic_relation_residual",
+    "log_spiral_point", "power_law_point",
     "OracleResult", "Polyline", "functional_value", "gradient", "minimize",
     "DomainError", "DomainViolation", "EvalError", "ExtremalError",
     "ForbiddenRegion", "NoBracket", "NonMonotoneAbscissa",
     "NonPositiveWeight", "ParseError", "QuadratureFailure",
     "StalledDescent", "TangentialTurningPoint",
     "CartesianPoint", "ELPartials", "PolarPoint", "beltrami_residual",
-    "clairaut_constant", "clairaut_constant_from_angle", "el_residual",
-    "lagrangian_partials_cartesian", "to_cartesian", "to_polar",
+    "clairaut_constant", "el_residual",
+    "lagrangian_partials_cartesian",
     "ExtremalSpec", "TraceResult", "dphi_dz", "first_integral_deviation",
     "integrate_phi", "trace_extremal", "turning_radius",
     "ExpressionWeight", "PowerLaw", "RadialWeight", "eval_q", "eval_v",
-    "eval_vq", "parse_weight", "render",
+    "eval_vq", "parse_weight",
     "__version__",
 ]
 
