@@ -32,6 +32,9 @@ class PowerLawCurve:
     phi0: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam, self.n, self.phi0))):
+            raise DomainError(f"lam, n and phi0 must be finite, got "
+                              f"{self.lam}, {self.n}, {self.phi0}")
         if self.lam == -1.0:
             raise DomainError(
                 "lam = -1 is the logarithmic-spiral family; "
@@ -63,6 +66,9 @@ def log_spiral_point(n: float, z0: float, phi: float) -> PolarPoint:
     For n = 1 the curve is the circle z = z0; n < 1 admits no real curve
     (the first integral would need n*v*z = n < 1 everywhere).
     """
+    if not all(map(math.isfinite, (n, z0, phi))):
+        raise DomainError(
+            f"n, z0 and phi must be finite, got {n}, {z0}, {phi}")
     if n < 1.0:
         raise DomainError("log-spiral extremals require n >= 1")
     if not z0 > 0.0:

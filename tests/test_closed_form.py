@@ -138,3 +138,20 @@ class TestAlgebraicRelationResidual:
             pt = power_law_point(c, float(psi))
             assert abs(algebraic_relation_residual(c, pt)) <= 1e-10
 
+
+@pytest.mark.parametrize("make, args", [
+    (PowerLawCurve, (math.nan, 1.0)), (PowerLawCurve, (math.inf, 1.0)),
+    (PowerLawCurve, (1.0, math.nan)), (PowerLawCurve, (1.0, math.inf)),
+    (PowerLawCurve, (1.0, 1.0, math.nan)),
+    (PowerLawCurve, (1.0, 1.0, -math.inf)),
+    (log_spiral_point, (math.nan, 1.0, 0.5)),
+    (log_spiral_point, (math.inf, 1.0, 0.5)),
+    (log_spiral_point, (2.0, math.inf, 0.5)),
+    (log_spiral_point, (2.0, math.nan, 0.5)),
+    (log_spiral_point, (2.0, 1.0, math.nan)),
+    (log_spiral_point, (2.0, 1.0, math.inf))])
+def test_non_finite_input_fails_fast(make, args):
+    # before the check: a NaN lam gave PolarPoint(nan, nan), an infinite n
+    # put the point on the pole, and log spirals returned z = nan or inf
+    with pytest.raises(DomainError, match="must be finite"):
+        make(*args)
