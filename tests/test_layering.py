@@ -1,5 +1,6 @@
 """Every module of the package reaches its siblings through their public
-names: no ``from .<module> import _<name>`` and no ``<module>._<name>``."""
+names: no ``from .<module> import _<name>`` and no ``<module>._<name>``.
+Every public name is used by the package's own code, or kept on purpose."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,52 @@ def test_flags_both_spellings():
         (2, "from . import _x"),
         (3, "from radial_extremals.weights import _raw"),
         (4, "quadrature._refine")]
+
+
+# public names that no module's code uses, each kept for the reason given
+KEPT = {
+    "beltrami_residual": "the paper's own equation, M dx = d(V - P*p)",
+    "lagrangian_partials_cartesian": "acceptance criterion 08 reads V, M, "
+                                     "N and P through it",
+    "eval_q": "acceptance criterion 08 reads q through it",
+}
+
+
+def used_names(source: str) -> set:
+    """Every name the module's code reads (an ``ast.Name``, an attribute or
+    an import alias), except inside a top-level def or class of that same
+    name, so recursion is not a use; an assignment is not a use either.
+    Strings are not code: a docstring or an ``__all__`` entry is never a
+    use.  Names are matched by spelling alone, so a public name that shares
+    its spelling with a name used elsewhere is hidden: ``weights.render``
+    was, behind ``expressions.render``."""
+    used = set()
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else owner)
+            if name != owner and not isinstance(getattr(node, "ctx", None),
+                                                ast.Store):
+                used.add(name)
+    return used
+
+
+def test_every_public_name_is_used_or_kept():
+    used = set().union(*(used_names(p.read_text())
+                         for p in PACKAGE.glob("*.py")))
+    unused = set(radial_extremals._MODULE_OF) - used
+    dead, stale = sorted(unused - set(KEPT)), sorted(set(KEPT) - unused)
+    assert not dead, f"public names that no module uses: {', '.join(dead)}"
+    assert not stale, f"KEPT names that are used or not public: {stale}"
+
+
+def test_uses_are_code_outside_their_own_definition():
+    source = ('"""f g"""\n__all__ = ["f", "h"]\n'
+              "from .m import a as b\n"
+              "def f(x):\n    return f(x.g)\n"
+              "class C:\n    def h(self):\n        return C, k\n"
+              "y = C()\n")
+    assert used_names(source) - {"x", "self"} == {"a", "g", "k", "C"}
