@@ -122,7 +122,7 @@ def _hessian(seg, v: np.ndarray, q: np.ndarray,
     exact q in z.
     """
     delta, length, mid, z_mid = seg
-    h = 1e-5 * (z_mid - w.domain_min)
+    h = 1e-5 * z_mid
     # v and q at z_mid have passed their checks, so this pass raises what
     # one pass over z_mid and both offsets would
     q_up, q_down = eval_vq(w, np.concatenate([z_mid + h, z_mid - h]))[1] \

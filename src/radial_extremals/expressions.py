@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParseError
 
 __all__ = ["Num", "Var", "Neg", "Bin", "Fun", "FUNCTIONS", "parse_expression",
-           "check_constants", "evaluate", "render"]
+           "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,9 @@ class _Parser:
 
 
 def _constant(node, offsets):
-    """A tree's value in Python floats where it has no z, else None.  An
-    operation without z that raises or goes complex is a ParseError at its
-    operator's offset in offsets (keyed by id), else at 0.  Operands before
+    """A parsed tree's value in Python floats where it has no z, else None.
+    An operation without z that raises or goes complex is a ParseError at
+    its operator's offset in offsets (keyed by id).  Operands before
     operators, as the parser reads them; a chain's left spine is a loop, as
     in evaluate."""
     if isinstance(node, Num):
@@ -258,7 +258,7 @@ def _constant(node, offsets):
         if c is None or cb is None:
             c = None
             continue
-        off = offsets.get(id(node), 0)
+        off = offsets[id(node)]
         try:
             c = _OPS[node.op](c, cb)
         except ZeroDivisionError:
@@ -270,13 +270,6 @@ def _constant(node, offsets):
         if isinstance(c, complex):
             raise ParseError("constant subexpression has no real value", off)
     return c
-
-
-def check_constants(node) -> None:
-    """parse_expression's check of the subexpressions without z, on a tree
-    built without text: the same ParseError, at offset 0."""
-    with np.errstate(all="ignore"):
-        _constant(node, {})
 
 
 def parse_expression(text: str):
@@ -294,52 +287,3 @@ def parse_expression(text: str):
     except RecursionError:   # where depends on the caller's stack: offset 0
         raise ParseError("expression nests too deeply", 0) from None
     return node
-
-
-# precedence levels used when rendering: additive 1, multiplicative 2,
-# unary minus 3, exponent 4, atoms 5
-def _prec(node) -> int:
-    if isinstance(node, Bin):
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[node.op]
-    if isinstance(node, Neg):
-        return 3
-    return 5
-
-
-def render(node) -> str:
-    """Re-render a tree as parseable text (inverse of parse_expression).
-    The left spine of a chain of binary operators is a loop, as in
-    evaluate."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "z"
-    if isinstance(node, Fun):
-        return f"{node.name}({render(node.arg)})"
-    if isinstance(node, Neg):
-        inner = render(node.operand)
-        if _prec(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    spine = [node]
-    while isinstance(node.lhs, Bin):
-        node = node.lhs
-        spine.append(node)
-    text = render(node.lhs)
-    for node in reversed(spine):
-        lhs, rhs = text, render(node.rhs)
-        p = _prec(node)
-        if node.op == "^":
-            # base of '^' must be an atom; exponent is a factor
-            if _prec(node.lhs) < 5:
-                lhs = f"({lhs})"
-            if isinstance(node.rhs, Bin):
-                rhs = f"({rhs})"
-            text = f"{lhs}^{rhs}"
-            continue
-        if _prec(node.lhs) < p:
-            lhs = f"({lhs})"
-        if _prec(node.rhs) <= p:
-            rhs = f"({rhs})"
-        text = f"{lhs} {node.op} {rhs}"
-    return text

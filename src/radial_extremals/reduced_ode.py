@@ -110,13 +110,12 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
 def _auto_bracket(w: RadialWeight, n: float):
     """First sign change of n*v(z)*z - 1 on a geometric grid, as a bracket.
 
-    Grid points where v is not finite or positive, or z is outside the
-    weight's domain, cannot end a bracket.  The grid, v and the mask do not
-    depend on n, so they are kept on the weight after its first scan.
+    The grid runs from 1e-8 to 1e8; points where v is not finite or
+    positive cannot end a bracket.  The grid, v and the mask do not depend
+    on n, so they are kept on the weight after its first scan.
     """
     if w._bracket_scan is None:
-        z = np.geomspace(max(max(w.domain_min, 0.0) * (1.0 + 1e-9), 1e-8),
-                         1e8, 321)
+        z = np.geomspace(1e-8, 1e8, 321)
         w._bracket_scan = (z, *masked_v(w, z))
     z, v, valid = w._bracket_scan
     with np.errstate(all="ignore"):
@@ -136,13 +135,12 @@ class ExtremalSpec:
     The sign of n is a branch choice: a negative n is normalized to n > 0
     with orientation -1, the direction in which phi advances (+1 for a
     positive n).  The turning radius is resolved at construction by
-    turning_radius, inside turn_bracket when one is given.
+    turning_radius.
     """
 
     weight: RadialWeight
     n: float
     phi0: float = 0.0
-    turn_bracket: tuple | None = None
     orientation: int = field(init=False)
     z_turn: float = field(init=False)
 
@@ -155,7 +153,7 @@ class ExtremalSpec:
             raise DomainError("the first-integral constant n must be nonzero")
         self.orientation = 1 if self.n > 0.0 else -1
         self.n = abs(self.n)
-        self.z_turn = turning_radius(self.weight, self.n, self.turn_bracket)
+        self.z_turn = turning_radius(self.weight, self.n)
         self._near = None    # lazy (z_split, w_split, w_table, z_table)
 
     # -- near-region machinery (w = sqrt(g) as integration variable) -----
@@ -292,10 +290,11 @@ def _log_far_integrand(spec: ExtremalSpec):
 
 
 def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
-    """Integration limits w = sqrt(g(z)), anchored at 0 for z at the turn."""
+    """Integration limits w = sqrt(g(z)), anchored at 0 for z at or inside
+    the turn; g rounding below 0 just outside it is clipped to 0."""
     z = np.asarray(z, dtype=float)
     w = np.zeros(z.shape)
-    out = ~(z <= spec.z_turn * (1.0 + 1e-12))   # a NaN reaches the weight
+    out = ~(z <= spec.z_turn)   # a NaN reaches the weight
     if np.count_nonzero(out):
         w[out] = np.sqrt(np.maximum(_profile(spec.weight, spec.n, z[out]),
                                     0.0))
@@ -414,9 +413,12 @@ def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
     scalars, else (1-d arrays of one length, or a scalar paired with each
     entry) one angle per pair, each with the bits of its own scalar call.
     Radii must lie at or outside z*; an endpoint at z* is exact (the
-    w-substitution integrates from the root of n*v*z - 1 itself).  Angles
-    from z* (every z_from equal to spec.z_turn: BVP spans, the closed-form
-    gate) take a lean pass of the same bits and failures."""
+    w-substitution integrates from the root of n*v*z - 1 itself).  Next to
+    z* the angle is as ill-conditioned as sqrt(g): g = n*v*z - 1 rounds by
+    a few eps, which moves the angle by about that over z*g'(z*)*sqrt(g),
+    some 1e-9 rad within 1e-12 relative of z* where z*g'(z*) is near 1.
+    Angles from z* (every z_from equal to spec.z_turn: BVP spans, the
+    closed-form gate) take a lean pass of the same bits and failures."""
     if not 1e-14 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
     z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)

@@ -23,9 +23,9 @@ __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
 
 
 class RadialWeight:
-    """Base class; subclasses implement raw value/derivative evaluation."""
+    """Base class; subclasses implement raw value/derivative evaluation.
+    The domain is z > 0."""
 
-    domain_min: float = 0.0
     # (z grid, raw v, validity mask) of reduced_ode's bracket scan, set on
     # the instance by its first scan: none of them depends on n
     _bracket_scan = None
@@ -67,16 +67,13 @@ class PowerLaw(RadialWeight):
 
 
 class ExpressionWeight(RadialWeight):
-    """Weight given by an expression tree over z.  Every tree gets the
-    parser's check of its subexpressions without z
-    (expressions.check_constants): a tree built without text raises the
-    ParseError its text would, at offset 0."""
+    """Weight given by the text of an expression over z, parsed once into
+    the tree ast; bad text raises expressions.parse_expression's
+    ParseError."""
 
-    def __init__(self, ast, source: str | None = None, domain_min: float = 0.0):
-        expressions.check_constants(ast)
-        self.ast = ast
-        self.source = source if source is not None else expressions.render(ast)
-        self.domain_min = float(domain_min)
+    def __init__(self, text: str):
+        self.ast = expressions.parse_expression(text)
+        self.source = text
 
     def _raw_v(self, z):
         return _shaped(expressions.evaluate(self.ast, z)[0], z)
@@ -102,8 +99,7 @@ def _shaped(x, z: np.ndarray) -> np.ndarray:
 def _raw(w: RadialWeight, z, method):
     """z as a float array and method(z), warnings off, for z in the domain."""
     z = np.asarray(z, dtype=float)
-    if not (float(z) > w.domain_min if z.ndim == 0
-            else _every(z > w.domain_min)):
+    if not (float(z) > 0.0 if z.ndim == 0 else _every(z > 0.0)):
         _finish(w, z)
     with np.errstate(all="ignore"):
         return z, method(z)
@@ -118,9 +114,8 @@ def _finish(w, z, v=None):
     """Raise the first failing check's error, in order: DomainError,
     EvalError (value), NonPositiveWeight, EvalError (derivative); only a
     failed fused test calls it, so one of them fails."""
-    if not (z > w.domain_min).all():
-        raise DomainError(
-            f"z must exceed the weight's domain minimum {w.domain_min}")
+    if not (z > 0.0).all():
+        raise DomainError("z must exceed the weight's domain minimum 0.0")
     if not np.isfinite(v).all():
         raise EvalError(f"weight value is not finite for {w!r}")
     if not np.greater(v, 0.0).all():
@@ -129,18 +124,18 @@ def _finish(w, z, v=None):
 
 
 def masked_v(w: RadialWeight, z):
-    """(raw v(z), mask where eval_v would succeed: v finite and positive, z
-    inside the domain), raising nothing, for scans of where v turns bad."""
+    """(raw v(z), mask where eval_v would succeed: z > 0 and v finite and
+    positive), raising nothing, for scans of where v turns bad."""
     z = np.asarray(z, dtype=float)
     with np.errstate(all="ignore"):
         v = w._raw_v(z)
-    return v, np.isfinite(v) & (v > 0.0) & (z > w.domain_min)
+    return v, np.isfinite(v) & (v > 0.0) & (z > 0.0)
 
 
 def eval_v(w: RadialWeight, z):
     """Weight value v(z); z may be a scalar or an array.
 
-    Raises DomainError for z <= domain_min, EvalError on non-finite results,
+    Raises DomainError for z <= 0, EvalError on non-finite results,
     and NonPositiveWeight where v(z) <= 0.  A float for a scalar z.
     """
     z, v = _raw(w, z, w._raw_v)
@@ -176,10 +171,10 @@ def parse_weight(text: str) -> RadialWeight:
     """
     if not text or not text.strip():
         raise DomainError("weight expression must be nonempty")
-    ast = expressions.parse_expression(text)
-    if isinstance(ast, expressions.Bin) and ast.op == "^" \
-            and isinstance(ast.lhs, expressions.Var) \
-            and isinstance(ast.rhs, expressions.Num):
-        return PowerLaw(ast.rhs.value)
-    return ExpressionWeight(ast, source=text)
+    w = ExpressionWeight(text)
+    if isinstance(w.ast, expressions.Bin) and w.ast.op == "^" \
+            and isinstance(w.ast.lhs, expressions.Var) \
+            and isinstance(w.ast.rhs, expressions.Num):
+        return PowerLaw(w.ast.rhs.value)
+    return w
 

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radial_extremals import (DomainError, DomainViolation, EvalError,
-                              ExpressionWeight, NonPositiveWeight,
-                              OracleResult, PowerLaw, PowerLawCurve, Polyline,
-                              StalledDescent, cli, discrete_oracle, eval_v,
-                              eval_vq, functional_value, gradient, minimize,
+                              NonPositiveWeight, OracleResult, PowerLaw,
+                              PowerLawCurve, Polyline, StalledDescent, cli,
+                              discrete_oracle, eval_v, eval_vq,
+                              functional_value, gradient, minimize,
                               parse_weight, power_law_point)
-from radial_extremals.expressions import parse_expression
 
 
 def chord(a, b, segments):
@@ -189,14 +188,15 @@ class TestMinimize:
         assert np.abs(gradient(out, w)).max() <= 3e-7
 
     def test_initial_polyline_outside_domain(self):
-        w = ExpressionWeight(parse_expression("z"), domain_min=1.0)
+        w = parse_weight("1+sqrt(z-1)")   # undefined below z = 1
         with pytest.raises(DomainViolation):
             minimize(chord((-0.5, 0.8), (0.5, 0.8), 8), w, 100, 1e-8)
 
     def test_descent_leaving_domain_is_reported(self):
-        # v = z on z > 1: the extremal through these endpoints dips below
-        # z = 1, so descent must cross the domain boundary
-        w = ExpressionWeight(parse_expression("z"), domain_min=1.0)
+        # v = 1 + sqrt(z - 1) on z > 1: the extremal through these
+        # endpoints dips below z = 1, so descent must cross the domain
+        # boundary
+        w = parse_weight("1+sqrt(z-1)")
         pl = chord((-0.9, 1.3), (0.9, 1.3), 32)
         with pytest.raises(DomainViolation):
             minimize(pl, w, 200000, 1e-10)
@@ -280,7 +280,7 @@ def reference_gradient(verts, w):
 
 def reference_hessian(verts, w):
     delta, length, mid, z_mid = reference_segment_data(verts)
-    h = 1e-5 * (z_mid - w.domain_min)
+    h = 1e-5 * z_mid
     v, q = eval_vq(w, np.concatenate([z_mid, z_mid + h, z_mid - h]))
     v = v[:len(z_mid)]
     q, q_up, q_down = q.reshape(3, -1)
@@ -313,13 +313,13 @@ def bits(x):
 
 
 # lam = 0 and the constant expression "3" have q = 0 (the latter's v and q
-# come back broadcast); sqrt(z-0.5) checks the Hessian's offsets against a
-# domain minimum above 0
+# come back broadcast); sqrt(z-0.5) checks the Hessian's offsets next to
+# a weight that is undefined below z = 0.5
 BIT_WEIGHTS = [
     PowerLaw(0.0), PowerLaw(0.5), PowerLaw(1.0), PowerLaw(2.0),
     parse_weight("1/(1+z^2)"), parse_weight("exp(-z) + 1"),
     parse_weight("3"),
-    ExpressionWeight(parse_expression("sqrt(z-0.5)"), domain_min=0.5),
+    parse_weight("sqrt(z-0.5)"),
 ]
 
 

@@ -59,7 +59,16 @@ KEPT = {
     "lagrangian_partials_cartesian": "acceptance criterion 08 reads V, M, "
                                      "N and P through it",
     "eval_q": "acceptance criterion 08 reads q through it",
+    "gradient": "acceptance criterion 08 reads the discrete gradient through "
+                "it",
 }
+
+
+def _base(node) -> str | None:
+    """The name an attribute chain such as ``np.linalg.solve`` starts at."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def used_names(source: str) -> set:
@@ -67,13 +76,21 @@ def used_names(source: str) -> set:
     an import alias), except inside a top-level def or class of that same
     name, so recursion is not a use; an assignment is not a use either.
     Strings are not code: a docstring or an ``__all__`` entry is never a
-    use.  Names are matched by spelling alone, so a public name that shares
-    its spelling with a name used elsewhere is hidden: ``weights.render``
-    was, behind ``expressions.render``."""
+    use.  An attribute is resolved by its base name: one of a module bound
+    by a plain ``import`` outside the package (``np.gradient``,
+    ``math.log``) is that module's, not a use of the package's name of the
+    same spelling."""
+    tree = ast.parse(source)
+    foreign = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names
+               if not alias.name.startswith("radial_extremals")}
     used = set()
-    for stmt in ast.parse(source).body:
+    for stmt in tree.body:
         owner = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and _base(node) in foreign:
+                continue
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias)
@@ -100,3 +117,13 @@ def test_uses_are_code_outside_their_own_definition():
               "class C:\n    def h(self):\n        return C, k\n"
               "y = C()\n")
     assert used_names(source) - {"x", "self"} == {"a", "g", "k", "C"}
+
+
+def test_attributes_of_foreign_modules_are_not_uses():
+    source = ("import numpy as np\nimport os.path\n"
+              "from . import discrete_oracle\n"
+              "np.gradient(x)\nnp.linalg.solve(a, b)\nos.path.join(y)\n"
+              "discrete_oracle.minimize(pl).polyline\nw.text()\n")
+    assert used_names(source) - {"np", "os", "numpy", "os.path", "x", "y",
+                                 "a", "b", "pl", "w"} == {
+        "discrete_oracle", "minimize", "polyline", "text"}

@@ -148,9 +148,8 @@ class TestExtremalSpec:
 
 def _scalar_scan(w, n):
     """Point-by-point form of the automatic bracket scan, for reference."""
-    lo = max(w.domain_min, 0.0)
     prev = None
-    for z in np.geomspace(max(lo * (1.0 + 1e-9), 1e-8), 1e8, 321):
+    for z in np.geomspace(1e-8, 1e8, 321):
         try:
             g = n * eval_v(w, float(z)) * float(z) - 1.0
         except ExtremalError:
@@ -230,20 +229,20 @@ def _doubling_near_setup(spec):
     return z_hi, float(w_tab[-1]), w_tab.tolist(), z_tab.tolist()
 
 
-class _EdgeWeight(RadialWeight):
-    """v = z up to z = edge, undefined beyond it."""
+class _GapWeight(RadialWeight):
+    """v = z, undefined on the gap (lo, hi)."""
 
-    def __init__(self, edge):
-        self.edge = edge
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
 
     def _raw_v(self, z):
-        return np.where(z <= self.edge, z, np.nan)
+        return np.where((z > self.lo) & (z < self.hi), np.nan, z)
 
     def _raw_q(self, z):
         return np.ones_like(z)
 
     def text(self):
-        return f"z up to {self.edge}"
+        return f"z, undefined on ({self.lo}, {self.hi})"
 
 
 class TestHandoffLadder:
@@ -303,8 +302,9 @@ class TestHandoffLadder:
         assert 0.128 in got
 
     def test_invalid_first_rung_raises_the_weight_error(self):
-        spec = ExtremalSpec(_EdgeWeight(1.0 + 1e-7), 1.0,
-                            turn_bracket=(0.5, 1.0 + 5e-8))
+        # z* = 1; the first rung, 1 + 1e-6, lies in the gap
+        spec = ExtremalSpec(_GapWeight(1.0 + 1e-7, 1.05), 1.0)
+        assert spec.z_turn == 1.0
         with pytest.raises(EvalError, match="not finite"):
             spec._near_setup()
 
@@ -509,6 +509,22 @@ class TestIntegratePhi:
         spec = ExtremalSpec(PowerLaw(0.5), 1.3)
         got = integrate_phi(spec, spec.z_turn, 2.0, 1e-12)
         assert got == pytest.approx(_HALF_POWER_REFERENCE, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1e-14, 1e-13, 9.9e-13])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+    def test_angle_just_outside_the_turn(self, lam, r):
+        # up to 1.4e-6 rad within 1e-12 relative of z*, not 0; the error is
+        # that of sqrt(g) with g rounded next to its root
+        mpmath = pytest.importorskip("mpmath")
+        spec = ExtremalSpec(PowerLaw(lam), 1.3)
+        z = spec.z_turn * (1.0 + r)
+        got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+        with mpmath.workdps(40):
+            k = mpmath.mpf(lam) + 1
+            ref = float(mpmath.acos(1 / (mpmath.mpf(1.3) * mpmath.mpf(z) ** k))
+                        / k)
+        assert got != 0.0 and abs(got - ref) <= 1e-9
+        assert integrate_phi(spec, z, spec.z_turn, 1e-12) == -got
 
     def test_empty_interval(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
