@@ -24,6 +24,9 @@ _ANGLE_NOTE = ("angles use tan(phi) = x/y, measured from the +y axis; "
                "conventional polar angle: theta_std = pi/2 - phi")
 # smallest valid counts, and the smallest tolerance a run can meet
 _LEAST = {"samples": 3, "segments": 1, "iters": 0, "grad_tol": 0}
+# largest counts, as in trace_extremal: far past what fits in memory (a
+# trace sample takes about 1.6 kB), and below the sizes numpy refuses
+_MOST = {"samples": 10 ** 8, "segments": 10 ** 8}
 
 
 class _UsageError(Exception):
@@ -412,6 +415,9 @@ def run(argv=None) -> int:
             if getattr(args, name, least) < least:
                 raise _UsageError(
                     f"--{name.replace('_', '-')} must be at least {least}")
+        for name, most in _MOST.items():
+            if getattr(args, name, 0) > most:
+                raise _UsageError(f"--{name} must be at most {most}")
         # --tol where it is used: bvp searches to bracket collapse at 0,
         # while a traced curve (trace --zmax, check) needs tol > 0
         if args.subcommand == "bvp" and args.tol < 0:

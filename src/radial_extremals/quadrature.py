@@ -1,43 +1,38 @@
 """Adaptive quadrature on a nested 7/15-point Gauss-Kronrod rule.
 
-One driver integrates many intervals at once, each to its own absolute
-tolerance and, given runs of intervals, each run with its own integrand.
-All first panels are evaluated in one kronrod_panels call; a panel whose
-estimate misses its tolerance is refined from that panel, by bisecting
-whichever panel carries the largest error estimate until the summed
-estimate meets the tolerance, with a hard budget on the number of panels.
-A panel's estimate is never below its round-off floor 50*eps*integral(|f|),
-so refinement gives up as soon as the summed floor of its partition exceeds
-the tolerance.  Integrands receive the (K, 15) array of the nodes of K
-panels and must return values of the same shape.
+integrate is the one driver.  It integrates many intervals, each to its
+own absolute tolerance and, given runs of intervals, each run with its own
+integrand, which receives the (K, 15) array of the nodes of K panels and
+returns values of the same shape.  A first panel whose estimate misses its
+tolerance is refined by bisecting whichever panel carries the largest
+estimate, under a hard budget on panels.  An estimate is never below its
+round-off floor 50*eps*integral(|f|), so refinement gives up once the
+summed floor of its partition exceeds the tolerance.
 
-The sums and estimates of all K panels are computed together, yet a row's
-bits do not depend on its batch: np.vecdot takes one dot product per row,
-the one a single row gets (a matrix product accumulates in another order),
-and each estimate is sharpened with Python's float ** 1.5, which np.power
-does not always match.  So where each node's value depends on that node
-alone (as in reduced_ode), runs of several integrands share the first call,
-each integrand called once on its own block of rows.  integrate's results,
-estimates and panel counts are those of one plain call per run, in order,
-and so is every failure: a shared first call that raises an ExtremalError
-or would give a numpy floating-point warning is replaced by those plain
-calls.  integrate_bisected serves pieces that mostly need exactly one
-bisection (reduced_ode's angles from the turning radius): its one first
-call also evaluates both halves of every first bisection, which refinement
-then takes instead of calling the integrand again; where that call fails
-or would warn it returns None, and the caller makes the plain calls that
-define the failure.
+A row's sums and estimate do not depend on its batch: np.vecdot takes one
+dot product per row (a matrix product accumulates in another order), and
+each estimate is sharpened with Python's float ** 1.5, which np.power does
+not always match.  So where each node's value depends on that node alone
+(as in reduced_ode), all first panels share one call, each integrand
+called once on its own block of rows; with split=True that call also
+evaluates both halves of each first bisection, which refinement takes.
+One rule defines every outcome: results, estimates, panel counts, errors
+and warnings are those of plain calls, one per run, in order.  Where the
+shared call raises an ExtremalError or would give a numpy floating-point
+warning, the driver makes those plain calls itself.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ExtremalError, QuadratureFailure
 
-__all__ = ["integrate", "integrate_bisected", "kronrod_panels"]
+__all__ = ["integrate", "kronrod_panels"]
 
 # 15-point Kronrod abscissae (positive half, descending) and weights,
 # with the embedded 7-point Gauss weights on the shared nodes.
@@ -108,96 +103,89 @@ def kronrod_panels(f, a, b):
     return _panel_sums(fv, half, b - a)
 
 
-def integrate(f, a, b, tol):
+def integrate(runs, lo, hi, tol, split=False):
     """Per-interval (integrals, summed error estimates, panels in the final
-    partitions) of f over [a[k], b[k]], each to absolute error tol[k].
-    f is one integrand, or a list of (integrand, count) runs: the first
-    count intervals take the first integrand, the next run the next, and
-    so on; the result is that of one call per run, in order.  Reversed
-    limits negate the integral; equal limits give 0 with no panel, a NaN
-    limit is evaluated, so the integrand sees it, and an infinite one
-    raises QuadratureFailure."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    tol = np.broadcast_to(tol, a.shape)
-    runs = f if isinstance(f, list) else [(f, a.size)]
-    flip = b < a
-    lo, hi = np.where(flip, b, a), np.where(flip, a, b)
+    partitions) over [lo[k], hi[k]], each to absolute error tol[k] (or a
+    scalar tol).  runs is one integrand, or a list of (integrand, count)
+    runs: the first count intervals take the first integrand, the next run
+    the next, and so on.  Reversed limits negate the integral; equal limits
+    give 0 with no panel, a NaN limit is evaluated, so the integrand sees
+    it, and an infinite one raises QuadratureFailure.  split=True also
+    evaluates both halves of each first bisection in the first call; no
+    result depends on it (see the module notes)."""
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not isinstance(runs, list):
+        runs = [(runs, a.size)]
+    tol = np.zeros(a.shape) + tol     # a scalar tol serves every interval
+    if np.count_nonzero(b <= a):      # a NaN limit is evaluated as it is
+        flip = b < a
+        if np.count_nonzero(flip):
+            vals, errs, panels = integrate(runs, np.where(flip, b, a),
+                                           np.where(flip, a, b), tol, split)
+            return np.where(flip, -vals, vals), errs, panels
+        ks = np.flatnonzero(a != b)   # equal limits give 0 with no panel
+        ends = np.searchsorted(ks, list(accumulate(n for _, n in runs)))
+        part = integrate(
+            [(f, n) for (f, _), n in
+             zip(runs, np.diff(ends, prepend=0).tolist())],
+            a[ks], b[ks], tol[ks], split)
+        out = np.zeros(a.shape), np.zeros(a.shape), np.zeros(a.shape, int)
+        for whole, got in zip(out, part):
+            whole[ks] = got
+        return out
+    # every interval moves upwards: run r is cuts[r] to cuts[r + 1]
+    cuts = [0, *accumulate(n for _, n in runs)]
+    first = None
+    if split or len(runs) > 1:
+        first = _first_panels([f for f, _ in runs], cuts, a, b, split)
+    step = 3 if split and first is not None else 1
     vals, errs = np.zeros(a.shape), np.zeros(a.shape)
     panels = np.zeros(a.shape, dtype=int)
-    todo = np.flatnonzero(a != b)
-    if todo.size:
-        lo_t, hi_t = lo[todo], hi[todo]
-        finite = not np.count_nonzero(np.isinf(lo_t) | np.isinf(hi_t))
-        fs = [g for g, _ in runs]
-        owner = np.searchsorted(np.cumsum([n for _, n in runs]), todo,
-                                side="right")    # index into fs
-        first = None
-        if finite and len(runs) > 1:
-            first = _first_panels(fs, np.bincount(owner, minlength=len(fs)),
-                                  lo_t, hi_t)
-        if first is None and len(runs) > 1:
-            # one call per run, so failures come in the runs' order
-            parts, start = [], 0
-            for g, count in runs:
-                run = slice(start, start + count)
-                parts.append(integrate(g, a[run], b[run], tol[run]))
-                start += count
-            return tuple(np.concatenate(x) for x in zip(*parts))
-        if first is None:
-            if not finite:
+    # one group for the shared call, else one plain call per run, in order
+    groups = [(0, len(runs))] if first is not None else \
+        [(r, r + 1) for r in range(len(runs))]
+    for r0, r1 in groups:
+        i, j = cuts[r0], cuts[r1]
+        if first is not None:
+            (v, e), base = first, 0
+        else:
+            if np.count_nonzero(np.isinf(a[i:j]) | np.isinf(b[i:j])):
                 raise QuadratureFailure("integration limits must be finite")
-            first = kronrod_panels(fs[0], lo_t, hi_t)
-        vals[todo], errs[todo] = first
-        panels[todo] = 1
-        for j in np.flatnonzero(errs[todo] > tol[todo]).tolist():
-            k = todo[j]
+            if i == j:
+                continue
+            (v, e), base = kronrod_panels(runs[r0][0], a[i:j], b[i:j]), i
+        # interval k's first panel is row step*(k - base) of v and e
+        vals[i:j], errs[i:j], panels[i:j] = v[::step], e[::step], 1
+        for k in (errs[i:j] > tol[i:j]).nonzero()[0].tolist():
+            k += i
+            r = step * (k - base)
             vals[k], errs[k], panels[k] = _refine(
-                fs[owner[j]], float(lo[k]), float(hi[k]), float(tol[k]),
-                float(vals[k]), float(errs[k]))
-    return np.where(flip, -vals, vals), errs, panels
+                runs[bisect_right(cuts, k) - 1][0],     # the run of k
+                a.item(k), b.item(k), tol.item(k), v.item(r), e.item(r),
+                ((v.item(r + 1), v.item(r + 2)),
+                 (e.item(r + 1), e.item(r + 2))) if step == 3 else None)
+    return vals, errs, panels
 
 
-def integrate_bisected(runs, lo, hi, tol):
-    """integrate(runs, lo, hi, tol) for pieces with finite lo[k] < hi[k]
-    and per-piece tol[k], or None.
-
-    One first call evaluates every piece's first panel and both halves of
-    its first bisection, each integrand of runs once, on its own block of
-    rows; refinement takes those halves.  Returns None if that call raises
-    an ExtremalError or would give a numpy floating-point warning: the
-    caller then makes the plain calls that define the failure.  Otherwise
-    results, estimates, panel counts and refinement failures are those of
-    integrate(runs, lo, hi, tol) (see the module notes).
-    """
-    lo, hi, tol = (np.asarray(x, dtype=float).tolist() for x in (lo, hi, tol))
-    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]   # _refine's midpoint
-    first = _first_panels(   # rows 3k, 3k+1, 3k+2: piece k and its halves
-        [f for f, _ in runs], [3 * count for _, count in runs],
-        [x for a, m in zip(lo, mid) for x in (a, a, m)],
-        [x for b, m in zip(hi, mid) for x in (b, m, b)])
-    if first is None:
-        return None
-    v, e = (x.tolist() for x in first)
-    vals, errs, panels = [], [], []
-    for k, f in enumerate([f for f, count in runs for _ in range(count)]):
-        j = 3 * k
-        val, err, n = v[j], e[j], 1
-        if err > tol[k]:
-            val, err, n = _refine(f, lo[k], hi[k], tol[k], val, err,
-                                  ((v[j + 1], v[j + 2]), (e[j + 1], e[j + 2])))
-        vals.append(val)
-        errs.append(err)
-        panels.append(n)
-    return np.array(vals), np.array(errs), np.array(panels, dtype=int)
-
-
-def _first_panels(fs, counts, lo, hi):
-    """(integrals, estimates) of the panels [lo[r], hi[r]] from one
-    kronrod_panels call, fs[i] evaluating the next counts[i] rows, or None
-    if that call raises an ExtremalError or would warn."""
+def _first_panels(fs, cuts, lo, hi, split):
+    """(integrals, estimates) of the panels [lo[k], hi[k]] from one
+    kronrod_panels call in which fs[r] evaluates the rows of intervals
+    cuts[r] to cuts[r + 1], once; with split, rows 3k, 3k+1 and 3k+2 are
+    interval k and the two halves of its first bisection.  None if that
+    call raises an ExtremalError or would warn (an infinite limit always
+    does: its panel's zero node is inf*0)."""
+    rows = 1
+    if split:
+        lo, hi = lo.tolist(), hi.tolist()
+        mid = [0.5 * (x + y) for x, y in zip(lo, hi)]   # _refine's midpoint
+        lo = [x for y, m in zip(lo, mid) for x in (y, y, m)]
+        hi = [x for y, m in zip(hi, mid) for x in (y, m, y)]
+        rows = 3
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return kronrod_panels(_by_block(fs, counts), lo, hi)
+            return kronrod_panels(_by_block(
+                fs, [rows * (j - i) for i, j in zip(cuts, cuts[1:])]),
+                lo, hi)
     except (ExtremalError, FloatingPointError):
         return None
 

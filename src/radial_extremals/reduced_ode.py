@@ -1,23 +1,19 @@
 """Tracing extremals from the reduced first-order equation.
 
-Along an extremal the quantity n*v(z)*z determines everything: the curve's
-closest approach to the pole is the turning radius z* where n*v(z*)*z* = 1,
-and away from it the polar angle obeys
+Along an extremal the closest approach to the pole is the turning radius
+z*, where n*v(z*)*z* = 1, and away from it the polar angle obeys
 
     dphi = dz / (z * sqrt(n^2 v(z)^2 z^2 - 1)).
 
-The integrand has an inverse-square-root singularity at z*.  Writing
-g(z) = n*v(z)*z - 1, the substitution w = sqrt(g) turns the angle element
-into
+With g(z) = n*v(z)*z - 1, the substitution w = sqrt(g) removes the
+inverse-square-root singularity at z*,
 
     dphi = 2 dw / (g'(z) * z * sqrt(w^2 + 2)),      z = z(w),
 
-which is smooth through the turning point and, crucially, anchors the lower
-limit w = 0 at the exact root of g: the angle measured from the turning
-point stays well conditioned even though z* itself is only known to
-rounding.  Radii where g is no longer small are integrated directly in z
-(the raw integrand is well conditioned there); the two regions meet at a
-fixed handoff value of g.
+and anchors the lower limit w = 0 at the exact root of g, so an angle from
+z* stays well conditioned although z* is only known to rounding.  Past a
+fixed handoff value of g the angle is integrated in z (in log z over long
+pieces).  Each batch of angles is one quadrature.integrate call.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
 
 _G_HANDOFF = 0.5          # g value at which integration switches to z-space
 _TABLE_SIZE = 64          # samples in the cached w -> z inversion table
+_MOST_SAMPLES = 10 ** 8   # far past what fits in memory, about 1.6 kB each
 _TURN_GTOL = 4.0 * np.finfo(float).eps   # |g| at z*: rounding level
 # far pieces with z_b/z_a above this are integrated in log z: one z-panel
 # over them can miss the mass next to z_a, its error estimate included
@@ -345,15 +342,13 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
 
 
 def _angles_from_turn(spec: ExtremalSpec, z_b: np.ndarray, tol: float):
-    """_increments(spec, z_turn, z_b, tol)[0] bit for bit, from the pieces
-    built directly, or None where that call must be made instead: a radius
-    at or inside z_turn, an empty near region, or a first evaluation that
-    fails or would warn.
+    """_increments(spec, z_turn, z_b, tol)[0] bit for bit, for radii at or
+    outside z_turn, from pieces built directly.
 
     The near region [0, w_split] is one piece at tol/2 however many radii
     lie beyond the handoff, taken at the slot of the first of them; a
-    radius inside the handoff has its own piece [0, w(z_b)] at tol.  All
-    pieces go through one quadrature.integrate_bisected call, near pieces
+    radius inside the handoff has its own piece [0, w(z_b)] at tol.  The
+    pieces go through one split quadrature.integrate call, near pieces
     first, then the far pieces in z, then those in log z, as in
     _increments, and each angle is its near piece plus its far piece.
     """
@@ -361,27 +356,24 @@ def _angles_from_turn(spec: ExtremalSpec, z_b: np.ndarray, tol: float):
     radii = z_b.tolist()
     inner = [z for z in radii if not z > z_split]
     w_hi = _w_of(spec, inner).tolist()
-    if not (spec.z_turn < z_split and all(w > 0.0 for w in w_hi)):
-        return None      # a radius at z*: its piece has equal limits
     z_long = _LONG_FAR * z_split
     short = [z for z in radii if z_split < z <= z_long]
     long = [z for z in radii if z > z_long]
+    # with no near region (z_split at z*) a far piece takes all of tol
+    half = 0.5 * tol if spec.z_turn < z_split else tol
     tols = [tol] * len(w_hi)
     if short or long:
         slot = next(i for i, z in enumerate(radii) if z > z_split)
         w_hi.insert(slot, w_split)
-        tols.insert(slot, 0.5 * tol)
+        tols.insert(slot, half)
     log_z = np.log([z_split, *long]).tolist()
-    pieces = quadrature.integrate_bisected(
+    val = quadrature.integrate(
         [(_near_integrand(spec), len(w_hi)),
          (_far_integrand(spec), len(short)),
          (_log_far_integrand(spec), len(long))],
         [0.0] * len(w_hi) + [z_split] * len(short) + log_z[:1] * len(long),
-        w_hi + short + log_z[1:],
-        tols + [0.5 * tol] * (len(short) + len(long)))
-    if pieces is None:
-        return None
-    val = pieces[0].tolist()
+        w_hi + short + log_z[1:], tols + [half] * (len(short) + len(long)),
+        split=True)[0].tolist()
     near, far = val[:len(w_hi)], val[len(w_hi):]
     shared = near.pop(slot) if short or long else None
     angle = dict(zip(inner, near))
@@ -417,8 +409,9 @@ def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
     z* the angle is as ill-conditioned as sqrt(g): g = n*v*z - 1 rounds by
     a few eps, which moves the angle by about that over z*g'(z*)*sqrt(g),
     some 1e-9 rad within 1e-12 relative of z* where z*g'(z*) is near 1.
-    Angles from z* (every z_from equal to spec.z_turn: BVP spans, the
-    closed-form gate) take a lean pass of the same bits and failures."""
+    Angles from z* to radii at or outside it (BVP spans, the closed-form
+    gate) take _angles_from_turn, other pairs _increments: the same bits
+    and failures from fewer pieces."""
     if not 1e-14 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
     z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)
@@ -438,11 +431,10 @@ def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
                 if x < z_min:
                     raise ForbiddenRegion(f"z = {x} lies inside the turning "
                                           f"radius z* = {spec.z_turn}")
-    inc = None
-    if not np.count_nonzero(pairs[0] != spec.z_turn):
-        inc = _angles_from_turn(spec, pairs[1], tol)
-    if inc is None:
+    if np.count_nonzero((pairs[0] != spec.z_turn) | (pairs[1] < spec.z_turn)):
         inc = _increments(spec, pairs[0], pairs[1], tol)[0]
+    else:
+        inc = _angles_from_turn(spec, pairs[1], tol)
     return inc if ndim else float(inc[0])
 
 
@@ -541,6 +533,8 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if num_samples < 3:
         raise DomainError("need at least 3 samples per branch")
+    if num_samples > _MOST_SAMPLES:
+        raise DomainError(f"need at most {_MOST_SAMPLES} samples per branch")
     if not math.isfinite(z_max):
         raise DomainError(f"z_max must be finite, got {z_max}")
     if not z_max > spec.z_turn:

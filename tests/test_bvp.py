@@ -266,40 +266,35 @@ class TestSolveN:
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_one_quadrature_call_per_span(self, monkeypatch, weight):
         # criterion 07's first draw: each span's near and far pieces go
-        # through one integrate_bisected call, whose first panels (with
-        # their first bisections) are one kronrod_panels call, and none
-        # falls back to integrate; the calls of refinement's later
-        # bisections are not counted
+        # through one split integrate call, whose first panels (with their
+        # first bisections) are one kronrod_panels call, and none falls
+        # back to plain calls; the calls of refinement's later bisections
+        # are not counted
         lam, n_true, a, b = first_round_trip_draw()
         w = PowerLaw(lam) if weight is None \
             else parse_weight(weight.format(lam=lam))
         quad = reduced_ode.quadrature
-        calls = {"integrate": [], "integrate_bisected": [],
-                 "first panels": []}
+        calls = {"integrate": [], "first panels": []}
 
-        def counting(name):
-            def entry(*args, _f=getattr(quad, name)):
-                calls[name].append(len(args[1]))
-                return _f(*args)
-            return entry
+        def counted(runs, lo, hi, tol, split=False, _f=quad.integrate):
+            calls["integrate"].append((split, len(lo)))
+            return _f(runs, lo, hi, tol, split=split)
 
         def counted_panels(f, lo, hi, _f=quad.kronrod_panels):
             if sys._getframe(1).f_code.co_name != "_refine":
                 calls["first panels"].append(len(lo))
             return _f(f, lo, hi)
-        for name in ("integrate", "integrate_bisected"):
-            monkeypatch.setattr(quad, name, counting(name))
+        monkeypatch.setattr(quad, "integrate", counted)
         monkeypatch.setattr(quad, "kronrod_panels", counted_panels)
         spans = count_spans(monkeypatch)
         sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert len(spans) == 8
-        assert calls["integrate"] == []
         # pieces per span: near ones (one shared by the endpoints beyond
         # the handoff), then far ones; three rows each
         pieces = [2, 3, 3, 2, 2, 2, 2, 2]
-        assert calls["integrate_bisected"] == pieces
+        assert calls["integrate"] == [(True, k) for k in pieces]
         assert calls["first panels"] == [3 * k for k in pieces]
 
     def test_root_pieces_reused(self, monkeypatch):

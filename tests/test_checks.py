@@ -116,20 +116,20 @@ def test_closed_form_row_is_one_call_per_angle(weight, monkeypatch):
     batched = integrate_phi(spec, spec.z_turn, zs, 1e-12)
     assert batched.tolist() == separate
     # angles from z* take the lean pass, each first bisection from its
-    # first call; the plain path (taken where that call returns None)
+    # split first call; the plain path (taken where that call fails)
     # gives every bit of them
     pieces = []
 
-    def plain(runs, lo, hi, tol):
-        pieces.append(len(lo))
-        return None
-    monkeypatch.setattr(quadrature, "integrate_bisected", plain)
+    def plain(runs, lo, hi, tol, split=False, _f=quadrature.integrate):
+        pieces.append((split, len(lo)))
+        return _f(runs, lo, hi, tol)
+    monkeypatch.setattr(quadrature, "integrate", plain)
     assert integrate_phi(spec, spec.z_turn, zs, 1e-12).tobytes() == \
         batched.tobytes()
     # nine radii inside the handoff, one near piece shared by the five
     # beyond it, and their five far pieces (19 pieces when each radius
     # beyond the handoff had its own near piece)
-    assert pieces == [15]
+    assert pieces == [(True, 15)]
     monkeypatch.undo()
     worst = 0.0
     for psi, got in zip(psis, separate):

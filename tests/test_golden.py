@@ -167,6 +167,23 @@ FAILURES = {
     "oracle-constant-overflows": (
         ["oracle", "--weight", "z+10^400", "--endpoints=-1,1,1,1"],
         2, _ORACLE_USAGE + "constant subexpression overflows at offset 4\n"),
+    # counts that numpy refuses to size
+    "trace-too-many-samples": (
+        ["trace", "--lambda", "1", "--n", "1", "--zmax", "3", "--samples",
+         "100000000000000000000"],
+        2, "usage error: --samples must be at most 100000000\n"),
+    "trace-psi-range-too-many-samples": (
+        ["trace", "--lambda", "1", "--n", "1", "--psi-range=-1:1",
+         "--samples", "100000000000000000000"],
+        2, "usage error: --samples must be at most 100000000\n"),
+    "check-too-many-samples": (
+        ["check", "--lambda", "1", "--n", "1", "--zmax", "3", "--samples",
+         "100000000000000000000"],
+        2, "usage error: --samples must be at most 100000000\n"),
+    "oracle-too-many-segments": (
+        ["oracle", "--lambda", "1", "--endpoints=-1,1,1,1", "--segments",
+         "100000000000000000000"],
+        2, "usage error: --segments must be at most 100000000\n"),
 }
 
 

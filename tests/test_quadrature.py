@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radial_extremals.errors import (DomainError, ForbiddenRegion,
-                                     QuadratureFailure)
+from radial_extremals.errors import (DomainError, ExtremalError,
+                                     ForbiddenRegion, QuadratureFailure)
 from radial_extremals import quadrature
 from radial_extremals.quadrature import kronrod_panels
 
@@ -78,12 +79,6 @@ def integrate_one(f, a, b, tol):
     """Integral of f over [a, b] with absolute error <= tol: integrate on
     one interval."""
     return float(quadrature.integrate(f, [a], [b], tol)[0][0])
-
-
-def bisected_or_plain(runs, lo, hi, tol):
-    """integrate_bisected, with the plain call that its None asks for."""
-    return quadrature.integrate_bisected(runs, lo, hi, tol) or \
-        quadrature.integrate(runs, lo, hi, tol)
 
 
 def _bits(x):
@@ -330,9 +325,9 @@ class TestIntegrate:
 
 
 class TestBisected:
-    """integrate_bisected evaluates each first bisection with the first
-    panels and gives integrate's bits; where that first call fails or
-    would warn it returns None, and the plain call gives the result."""
+    """integrate with split=True evaluates each first bisection with the
+    first panels and gives the plain call's bits; where that first call
+    fails or would warn, the driver makes the plain call itself."""
 
     def test_equals_plain(self):
         # the cases of test_array_call_equals_scalar_driver, upwards and
@@ -344,14 +339,12 @@ class TestBisected:
         tol = [1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8, 1e-8]
         calls = {False: [], True: []}
         got = {}
-        for bisected in calls:
-            def counted(x, _calls=calls[bisected]):
+        for split in calls:
+            def counted(x, _calls=calls[split]):
                 _calls.append(np.shape(x))
                 return f(x)
-            call = quadrature.integrate_bisected if bisected \
-                else quadrature.integrate
-            got[bisected] = [x.tolist() for x in call(
-                [(counted, len(lo))], lo, hi, tol)]
+            got[split] = [x.tolist() for x in quadrature.integrate(
+                [(counted, len(lo))], lo, hi, tol, split=split)]
         assert got[True] == got[False]
         assert calls[True][0] == (3 * 8, 15)
         assert len(calls[True]) == len(calls[False]) - \
@@ -362,12 +355,21 @@ class TestBisected:
     def _strip(f):
         return lambda x: np.where(abs(x - 0.25) < 1e-3, np.nan, f(x))
 
+    @staticmethod
+    def counted(f, shapes):
+        def g(x):
+            shapes.append(np.shape(x))
+            return f(x)
+        return g
+
     def test_nan_half_first_panel_meets_tol(self):
         f = self._strip(lambda x: 1.0 + x)
         plain = quadrature.integrate(f, [0.0], [1.0], 1e-10)
-        assert quadrature.integrate_bisected(
-            [(f, 1)], [0.0], [1.0], [1e-10]) is None
-        got = bisected_or_plain([(f, 1)], [0.0], [1.0], [1e-10])
+        shapes = []
+        got = quadrature.integrate([(self.counted(f, shapes), 1)], [0.0],
+                                   [1.0], [1e-10], split=True)
+        # the split first call fails, and the plain call replaces it
+        assert shapes == [(3, 15), (1, 15)]
         assert [x.tolist() for x in got] == [x.tolist() for x in plain]
         assert plain[2].tolist() == [1]
 
@@ -377,15 +379,19 @@ class TestBisected:
             quadrature.integrate(f, [0.0], [1.0], 1e-10)
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(plain.value))}$"):
-            bisected_or_plain([(f, 1)], [0.0], [1.0], [1e-10])
+            quadrature.integrate([(f, 1)], [0.0], [1.0], [1e-10],
+                                 split=True)
 
     def test_warning_left_to_plain_call(self):
         # log(0) at the half's midpoint node would warn (an error here);
         # the plain call that replaces the first call never samples it
         f = lambda x: 1.0 + x + 0.0 * np.log(abs(x - 0.25))  # noqa: E731
-        assert quadrature.integrate_bisected(
-            [(f, 1)], [0.0], [1.0], [1e-10]) is None
-        got = bisected_or_plain([(f, 1)], [0.0], [1.0], [1e-10])
+        shapes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature.integrate([(self.counted(f, shapes), 1)],
+                                       [0.0], [1.0], [1e-10], split=True)
+        assert shapes == [(3, 15), (1, 15)]
         assert [x.tolist() for x in got] == \
             [[x] for x in kronrod_panel(f, 0.0, 1.0)] + [[1]]
 
@@ -417,14 +423,14 @@ class TestRuns:
             start += count
         return [np.concatenate(x) for x in zip(*parts)]
 
-    @pytest.mark.parametrize("bisected", [False, True])
-    @pytest.mark.parametrize("split", [0, 2, 4, 6])   # 0, 6: one run only
-    def test_equals_one_call_per_run(self, bisected, split):
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("cut", [0, 2, 4, 6])   # 0, 6: one run only
+    def test_equals_one_call_per_run(self, split, cut):
         a, b, tol = (np.array(x) for x in (self.A, self.B, self.TOL))
-        if bisected:   # finite lo < hi only
+        if split:   # upward limits without the equal pair, as span pieces
             a, b = np.minimum(a, b), np.maximum(a, b)
             b[2] = 0.75
-        runs = [(self.f1, split), (self.f2, len(a) - split)]
+        runs = [(self.f1, cut), (self.f2, len(a) - cut)]
         calls = []
 
         def counted(f):
@@ -432,14 +438,13 @@ class TestRuns:
                 calls.append(f)
                 return f(x)
             return g
-        call = quadrature.integrate_bisected if bisected \
-            else quadrature.integrate
-        got = call([(counted(f), n) for f, n in runs], a, b, tol)
+        got = quadrature.integrate([(counted(f), n) for f, n in runs], a, b,
+                                   tol, split=split)
         want = self.per_run(runs, a, b, tol)
         for g, w in zip(got, want):
             assert (_bits(g) == _bits(w)).all()
         assert got[2].dtype == want[2].dtype
-        assert (got[2][2] == 0) != bisected and got[2].max() > 1
+        assert (got[2][2] == 0) != split and got[2].max() > 1
         # one shared first call, in which each integrand is called once,
         # in order; f1's peaked interval is refined only after it
         first = [f for f, n in runs if n]
@@ -469,8 +474,8 @@ class TestRuns:
             quadrature.integrate([(self.f1, 1), (self.f2, 1)],
                                  [0.0, 0.0], [1.0, math.inf], 1e-10)
 
-    @pytest.mark.parametrize("bisected", [False, True])
-    def test_failed_refinement_of_first_run_wins(self, bisected):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_failed_refinement_of_first_run_wins(self, split):
         # the second integrand raises; the first run's piece would fail
         # only on refinement (tol below its round-off floor), so a shared
         # first call that skipped to the second run's error would hide it
@@ -479,7 +484,8 @@ class TestRuns:
         def second(x):
             seen.append(x.shape)
             raise ForbiddenRegion("second run")
-        call = bisected_or_plain if bisected else quadrature.integrate
+        def call(runs, a, b, tol):
+            return quadrature.integrate(runs, a, b, tol, split=split)
         runs = [(self.f1, 1), (second, 1)]
         a, b, tol = [0.0, 0.0], [1.0, 1.0], [1e-17, 1e-10]
         with pytest.raises(QuadratureFailure, match="round-off") as want:
@@ -487,9 +493,8 @@ class TestRuns:
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
             call(runs, a, b, tol)
-        # the shared calls (integrate_bisected's first, then integrate's),
-        # never the second run's own
-        assert len(seen) == 1 + bisected
+        # the shared first call only, never the second run's own
+        assert len(seen) == 1
         # both runs fail on refinement: the first run's failure is raised
         runs = [(self.f1, 1), (self.f2, 1)]
         with pytest.raises(QuadratureFailure,
@@ -514,3 +519,58 @@ class TestRuns:
             got[name].append([str(w.message) for w in seen])
         assert got["runs"] == got["per run"]
         assert got["runs"][-1] == ["divide by zero encountered in divide"]
+
+
+def _split_kind(kind, c):
+    """An integrand of one kind; c is the centre node of the first half of
+    a piece, which its first panel does not sample."""
+    def peak(x):
+        return np.exp(-1e3 * (x - c) ** 2)
+    return {"smooth": lambda x: np.exp(np.sin(3.0 * x)) / (1.0 + x * x),
+            "peaked": peak,
+            "nan strip": lambda x: np.where(abs(x - c) < 1e-12, np.nan,
+                                            peak(x)),
+            "log node": lambda x: peak(x) + 0.0 * np.log(abs(x - c))}[kind]
+
+
+def _split_outcome(call):
+    """(value and estimate bits and panel counts, or the error's class and
+    message; the messages of the RuntimeWarnings given)."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            vals, errs, panels = call()
+            got = (_bits(vals).tolist(), _bits(errs).tolist(),
+                   panels.tolist())
+        except ExtremalError as exc:
+            got = (type(exc), str(exc))
+    return got, [str(w.message) for w in seen
+                 if issubclass(w.category, RuntimeWarning)]
+
+
+_PIECE = st.tuples(st.floats(-3.0, 3.0),
+                   st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                   st.floats(-14.0, -6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(
+    st.sampled_from(["smooth", "peaked", "nan strip", "log node"]),
+    st.lists(_PIECE, min_size=1, max_size=4)), min_size=1, max_size=3))
+def test_split_first_call_changes_no_outcome(runs):
+    # runs of random pieces, upward, reversed or of zero width, each with
+    # its own tol; a NaN strip or a log node sits where only the halves of
+    # the run's first piece sample it
+    fs, lo, hi, tol = [], [], [], []
+    for kind, pieces in runs:
+        a, width, _ = pieces[0]
+        b = a + abs(width)
+        fs.append((_split_kind(kind, 0.5 * (a + 0.5 * (a + b))),
+                   len(pieces)))
+        for a, width, log_tol in pieces:
+            lo.append(a)
+            hi.append(a + width)
+            tol.append(10.0 ** log_tol)
+    plain = _split_outcome(lambda: quadrature.integrate(fs, lo, hi, tol))
+    assert plain == _split_outcome(
+        lambda: quadrature.integrate(fs, lo, hi, tol, split=True))

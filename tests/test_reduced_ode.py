@@ -676,25 +676,24 @@ class TestIntegratePhi:
 
 @pytest.fixture
 def entries(monkeypatch):
-    """The quadrature entry of every call made by _increments
-    ("integrate") or by the lean pass _angles_from_turn
-    ("integrate_bisected")."""
-    names = []
-    quad = reduced_ode.quadrature
-    for name in ("integrate", "integrate_bisected"):
-        def entry(*args, _f=getattr(quad, name), _name=name):
-            if sys._getframe(1).f_code.co_name in ("_increments",
-                                                   "_angles_from_turn"):
-                names.append(_name)
-            return _f(*args)
-        monkeypatch.setattr(quad, name, entry)
-    return names
+    """(split flag, pieces) of every quadrature call made by _increments
+    or by the lean pass _angles_from_turn."""
+    calls = []
+
+    def entry(runs, lo, hi, tol, split=False,
+              _f=reduced_ode.quadrature.integrate):
+        if sys._getframe(1).f_code.co_name in ("_increments",
+                                               "_angles_from_turn"):
+            calls.append((split, len(lo)))
+        return _f(runs, lo, hi, tol, split=split)
+    monkeypatch.setattr(reduced_ode.quadrature, "integrate", entry)
+    return calls
 
 
 class TestAnglesFromTurn:
     """integrate_phi takes the lean pass exactly when every interval
-    starts at the turning radius, and integrate_bisected's first
-    bisections change no bit of the increments, their summed estimate or
+    starts at the turning radius and ends at or outside it, and its split
+    first call changes no bit of the increments, their summed estimate or
     the panel count."""
 
     @pytest.mark.parametrize("weight, n", [
@@ -723,19 +722,21 @@ class TestAnglesFromTurn:
             for keep in (np.ones(len(z_a), bool), from_turn):
                 got = _outcome(lambda: reduced_ode._increments(
                     spec, z_a[keep], z_b[keep], tol))
-                for bisected in (False, True):
+                for split in (False, True):
                     assert got == _outcome(lambda: _two_call_increments(
-                        spec, z_a[keep], z_b[keep], tol, bisected))
+                        spec, z_a[keep], z_b[keep], tol, split))
             # the lean pass gives the increments from z* bit for bit
             assert _outcome(lambda: [integrate_phi(
                 spec, zt, z_b[from_turn], tol)]) == got[:1]
-        assert entries == ["integrate", "integrate",
-                           "integrate_bisected"] * 3
+        # seven intervals in nine pieces, the five from z* in seven, and
+        # the lean pass's six: three inside the handoff, one near piece
+        # shared by the two beyond it, and their far pieces
+        assert entries == [(False, 9), (False, 7), (True, 6)] * 3
         assert refines
 
     def test_only_angles_from_turn_take_the_lean_pass(self, entries):
-        # radii in either order: _increments never speculates, and only a
-        # z_from equal to z* everywhere takes integrate_bisected
+        # radii in either order: _increments never splits, and only a
+        # z_from equal to z* everywhere takes the split call
         spec = ExtremalSpec(parse_weight("sqrt(1+z^3)"), 1.2)
         zt = spec.z_turn
         cases = [([zt, 2.0, zt, 0.75], [0.75, zt, 2.0, zt]),
@@ -747,15 +748,17 @@ class TestAnglesFromTurn:
             for mode in (False, True):
                 assert got == _outcome(lambda: _two_call_increments(
                     spec, z_from, z_to, 1e-13, mode))
-        assert entries == ["integrate"] * len(cases)
+        assert entries == [(False, 6), (False, 5)]
         entries.clear()
         integrate_phi(spec, zt, [0.75, 2.0], 1e-13)
         integrate_phi(spec, [zt, zt], [0.75, 2.0], 1e-13)
         integrate_phi(spec, [0.75, 2.0], zt, 1e-13)
         integrate_phi(spec, [zt, 0.75], 2.0, 1e-13)
-        # a radius at z*: its piece has equal limits
+        # a radius at z*: its near piece has equal limits, and the driver
+        # skips it
         integrate_phi(spec, zt, [zt, 2.0], 1e-13)
-        assert entries == ["integrate_bisected"] * 2 + ["integrate"] * 3
+        assert entries == [(True, 3)] * 2 + [(False, 3), (False, 4),
+                                             (True, 3)]
 
 
 # (weight from (lam, c), n range): power laws over (-1, 3], the
@@ -831,8 +834,10 @@ class TestLeanPassEquivalence:
             z_b = np.append(z_b, z_b[0])
         lean = _outcome_and_warnings(
             lambda: integrate_phi(spec, spec.z_turn, z_b, tol))
-        with mock.patch.object(reduced_ode, "_angles_from_turn",
-                               lambda *args: None):
+        with mock.patch.object(
+                reduced_ode, "_angles_from_turn",
+                lambda spec, z_b, tol: reduced_ode._increments(
+                    spec, np.full(len(z_b), spec.z_turn), z_b, tol)[0]):
             general = _outcome_and_warnings(
                 lambda: integrate_phi(spec, spec.z_turn, z_b, tol))
         assert lean == general
@@ -858,17 +863,16 @@ def _region_pieces(spec, z_a, z_b, tol):
             near, far)
 
 
-def _two_call_increments(spec, z_from, z_to, tol, bisected):
+def _two_call_increments(spec, z_from, z_to, tol, split):
     """_increments from a near quadrature call and then a far one, each
     interval from its lower radius and negated where z_to < z_from, by
-    integrate or by integrate_bisected (with the plain call where it
-    returns None), for reference."""
+    integrate with or without split, for reference."""
     flip = z_to < z_from
     z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
     near_piece, far_piece, near, far = _region_pieces(spec, z_a, z_b, tol)
     (near_val, near_err, near_panels), (far_val, far_err, far_panels) = (
-        _bisected_or_plain([(f, len(lo))], lo, hi, t) if bisected
-        else reduced_ode.quadrature.integrate(f, lo, hi, t)
+        reduced_ode.quadrature.integrate([(f, len(lo))], lo, hi, t,
+                                         split=split)
         for f, lo, hi, t in (near_piece, far_piece))
     inc = np.zeros(len(z_a))
     inc[near] = near_val
@@ -876,24 +880,6 @@ def _two_call_increments(spec, z_from, z_to, tol, bisected):
     return (np.where(flip, -inc, inc),
             math.fsum(near_err.tolist() + far_err.tolist()),
             int(near_panels.sum() + far_panels.sum()))
-
-
-def _bisected_or_plain(runs, lo, hi, tol):
-    """quadrature.integrate_bisected, with the plain call that its None
-    asks for."""
-    quad = reduced_ode.quadrature
-    return quad.integrate_bisected(runs, lo, hi, tol) or \
-        quad.integrate(runs, lo, hi, tol)
-
-
-def _from_turn(spec, z_b, tol):
-    """integrate_phi's angles from z*, without its tol range: the lean
-    pass, or _increments where the lean pass returns None."""
-    got = reduced_ode._angles_from_turn(spec, z_b, tol)
-    if got is None:
-        got = reduced_ode._increments(spec, np.full(len(z_b), spec.z_turn),
-                                      z_b, tol)[0]
-    return got
 
 
 def _outcome(call):
@@ -930,12 +916,12 @@ class TestOneQuadratureCall:
             "nan far": ([zt, zt], [3.0 * z_split, np.nan]),
         }[case]
 
-    @pytest.mark.parametrize("bisected", [False, True])
+    @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("case", ["traced grid", "bvp span",
                                       "equal radii", "only near",
                                       "only far", "nan near", "nan far"])
     @pytest.mark.parametrize("weight", WEIGHTS)
-    def test_equals_near_then_far_call(self, weight, case, bisected):
+    def test_equals_near_then_far_call(self, weight, case, split):
         spec = ExtremalSpec(*self.WEIGHTS[weight])
         z_a, z_b = (np.asarray(x, dtype=float)
                     for x in self.radii(spec, case))
@@ -944,22 +930,19 @@ class TestOneQuadratureCall:
             got = _outcome(lambda: reduced_ode._increments(
                 spec, z_a, z_b, tol))
             assert got == _outcome(lambda: _two_call_increments(
-                spec, z_a, z_b, tol, bisected))
+                spec, z_a, z_b, tol, split))
             if not case.startswith("nan"):
                 # piece by piece: values, estimates and panel counts, with
-                # reversed and equal limits added to both regions where
-                # integrate takes them (integrate_bisected takes lo < hi)
-                pieces = _region_pieces(spec, z_a, z_b, tol)[:2]
-                if not bisected:
-                    pieces = [(f, np.concatenate((lo, hi[:1], lo[:1])),
-                               np.concatenate((hi, lo[:1], lo[:1])),
-                               np.concatenate((t, t[:1], t[:1])))
-                              for f, lo, hi, t in pieces]
+                # reversed and equal limits added to both regions
+                pieces = [(f, np.concatenate((lo, hi[:1], lo[:1])),
+                           np.concatenate((hi, lo[:1], lo[:1])),
+                           np.concatenate((t, t[:1], t[:1])))
+                          for f, lo, hi, t in
+                          _region_pieces(spec, z_a, z_b, tol)[:2]]
                 runs = [(f, len(lo)) for f, lo, _, _ in pieces]
-                merged = (quad.integrate_bisected if bisected
-                          else quad.integrate)(
+                merged = quad.integrate(
                     runs, *(np.concatenate(x) for x in
-                            zip(*(p[1:] for p in pieces))))
+                            zip(*(p[1:] for p in pieces))), split=split)
                 per_region = [quad.integrate(*p) for p in pieces]
                 for m, w in zip(merged, zip(*per_region)):
                     w = np.concatenate(w)
@@ -967,16 +950,15 @@ class TestOneQuadratureCall:
                     assert (m.view(np.int64) == w.view(np.int64)).all()
         assert isinstance(got, list) != case.startswith("nan")
 
-    @pytest.mark.parametrize("bisected", [False, True])
-    def test_signed_increments_reversed(self, bisected):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_signed_increments_reversed(self, split):
         spec = ExtremalSpec(*self.WEIGHTS["2.5*z^1.3"])
         z_split = spec._near_setup()[0]
         z_from = np.array([3.0 * z_split, spec.z_turn, 0.5 * z_split])
         z_to = np.array([spec.z_turn, 2.0 * z_split, 0.5 * z_split])
         got = reduced_ode._increments(spec, z_from, z_to, 1e-13)
         assert _outcome(lambda: got) == _outcome(
-            lambda: _two_call_increments(spec, z_from, z_to, 1e-13,
-                                         bisected))
+            lambda: _two_call_increments(spec, z_from, z_to, 1e-13, split))
         assert got[0][0] < 0.0 < got[0][1] and got[0][2] == 0.0
         # each angle is minus that of its interval taken upwards
         up = reduced_ode._increments(spec, np.minimum(z_from, z_to),
@@ -998,14 +980,14 @@ class TestOneQuadratureCall:
             return f
         spec = ExtremalSpec(*self.WEIGHTS["lambda 1.3"])
         z_split = spec._near_setup()[0]
-        # an interval from z* takes the lean pass, which falls back to
-        # _increments when its first call raises
+        # an interval from z* takes the lean pass, whose split first call
+        # raises, so the driver makes the near and far calls itself
         z_a = np.array([spec.z_turn * (1.0 if from_turn else 1.0 + 1e-6)])
         z_b = np.array([3.0 * z_split])
 
         def angles(tol):
             if from_turn:
-                return _from_turn(spec, z_b, tol)
+                return reduced_ode._angles_from_turn(spec, z_b, tol)
             return reduced_ode._increments(spec, z_a, z_b, tol)
         with pytest.raises(QuadratureFailure, match="round-off") as want:
             _two_call_increments(spec, z_a, z_b, 1e-17, from_turn)
@@ -1013,8 +995,8 @@ class TestOneQuadratureCall:
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
             angles(1e-17)
-        # the shared first calls only: the lean pass's, then _increments'
-        assert len(far_calls) == 1 + from_turn
+        # the shared first call only
+        assert len(far_calls) == 1
         # with a near piece that meets tol, the far error is raised
         with pytest.raises(ForbiddenRegion, match="far integrand"):
             angles(1e-10)
@@ -1117,6 +1099,10 @@ class TestTrace:
             trace_extremal(spec, 0.9, 50)
         with pytest.raises(DomainError):
             trace_extremal(spec, 2.0, 2)
+        # a count numpy refuses to size fails as bad input, not ValueError
+        for grid in ("cosine", "uniform-phi"):
+            with pytest.raises(DomainError, match="at most 100000000 "):
+                trace_extremal(spec, 2.0, 10 ** 20, grid=grid)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
     def test_tolerance_validated_before_quadrature(self, tol, monkeypatch):
