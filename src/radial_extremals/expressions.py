@@ -130,8 +130,6 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>[-+*/^()])
 """, re.VERBOSE)
 
-_FUNC_NAMES = frozenset(FUNCTIONS)
-
 _ATOM_EXPECTED = ("number", "'z'", "function", "'('")
 
 
@@ -153,7 +151,7 @@ class _Parser:
             if kind == "name":
                 if tok == "z":
                     kind = "var"
-                elif tok in _FUNC_NAMES:
+                elif tok in FUNCTIONS:
                     kind = "func"
                 else:
                     raise ParseError(f"unknown name {tok!r}", m.start(),
@@ -161,7 +159,7 @@ class _Parser:
             self.tokens.append((kind, tok, m.start()))
         self.tokens.append(("end", "", len(text)))
         self.i = 0
-        self.offsets = {}   # id of each Bin -> its operator's offset
+        self.values = {}   # id of each node without z -> its value
 
     def peek(self):
         return self.tokens[self.i]
@@ -196,7 +194,8 @@ class _Parser:
     def factor(self):
         if self.peek()[1] == "-":
             self.advance()
-            return Neg(self.factor())
+            node = self.factor()
+            return self.fold(Neg(node), operator.neg, node)
         return self.power()
 
     def power(self):
@@ -206,9 +205,27 @@ class _Parser:
         return base
 
     def bin(self, tok, lhs, rhs):
-        """Bin for the operator token tok, its offset kept for _constant."""
-        node = Bin(tok[1], lhs, rhs)
-        self.offsets[id(node)] = tok[2]
+        return self.fold(Bin(tok[1], lhs, rhs), _OPS[tok[1]], lhs, rhs,
+                         off=tok[2])
+
+    def fold(self, node, fn, *operands, off=None):
+        """node, its value fn(*values) in Python floats recorded where every
+        operand has one; an operation that raises or goes complex is a
+        ParseError at off, its operator's offset."""
+        try:
+            values = [self.values[id(x)] for x in operands]
+        except KeyError:    # an operand has z
+            return node
+        try:
+            value = fn(*values)
+        except ZeroDivisionError:
+            raise ParseError("constant subexpression divides by zero",
+                             off) from None
+        except OverflowError:
+            raise ParseError("constant subexpression overflows", off) from None
+        if isinstance(value, complex):
+            raise ParseError("constant subexpression has no real value", off)
+        self.values[id(node)] = value
         return node
 
     def atom(self):
@@ -218,7 +235,9 @@ class _Parser:
             value = float(tok)
             if value == math.inf:
                 raise ParseError(f"number {tok!r} overflows to inf", off)
-            return Num(value)
+            node = Num(value)
+            self.values[id(node)] = value
+            return node
         if kind == "var":
             self.advance()
             return Var()
@@ -228,48 +247,10 @@ class _Parser:
                 self.expect("(")
             node = self.expr()
             self.expect(")")
-            return Fun(tok, node) if kind == "func" else node
+            if kind == "func":
+                return self.fold(Fun(tok, node), FUNCTIONS[tok], node)
+            return node
         self.fail(_ATOM_EXPECTED)
-
-
-def _constant(node, offsets):
-    """A parsed tree's value in Python floats where it has no z, else None.
-    An operation without z that raises or goes complex is a ParseError at
-    its operator's offset in offsets (keyed by id).  Operands before
-    operators, as the parser reads them; a chain's left spine is a loop, as
-    in evaluate."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Neg):
-        c = _constant(node.operand, offsets)
-        return None if c is None else -c
-    if isinstance(node, Fun):
-        c = _constant(node.arg, offsets)
-        return None if c is None else FUNCTIONS[node.name](c)
-    spine = [node]
-    while isinstance(node.lhs, Bin):
-        node = node.lhs
-        spine.append(node)
-    c = _constant(node.lhs, offsets)
-    for node in reversed(spine):
-        cb = _constant(node.rhs, offsets)
-        if c is None or cb is None:
-            c = None
-            continue
-        off = offsets[id(node)]
-        try:
-            c = _OPS[node.op](c, cb)
-        except ZeroDivisionError:
-            raise ParseError("constant subexpression divides by zero",
-                             off) from None
-        except OverflowError:
-            raise ParseError("constant subexpression overflows",
-                             off) from None
-        if isinstance(c, complex):
-            raise ParseError("constant subexpression has no real value", off)
-    return c
 
 
 def parse_expression(text: str):
@@ -283,7 +264,6 @@ def parse_expression(text: str):
             node = parser.expr()
             if parser.peek()[0] != "end":
                 parser.fail(("operator", "end of input"))
-            _constant(node, parser.offsets)
     except RecursionError:   # where depends on the caller's stack: offset 0
         raise ParseError("expression nests too deeply", 0) from None
     return node

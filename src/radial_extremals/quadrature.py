@@ -117,53 +117,45 @@ def integrate(runs, lo, hi, tol, split=False):
     if not isinstance(runs, list):
         runs = [(runs, a.size)]
     tol = np.zeros(a.shape) + tol     # a scalar tol serves every interval
+    if not a.size:    # no interval: no integrand is called
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
     if np.count_nonzero(b <= a):      # a NaN limit is evaluated as it is
-        flip = b < a
-        if np.count_nonzero(flip):
-            vals, errs, panels = integrate(runs, np.where(flip, b, a),
-                                           np.where(flip, a, b), tol, split)
-            return np.where(flip, -vals, vals), errs, panels
-        ks = np.flatnonzero(a != b)   # equal limits give 0 with no panel
+        # drop equal limits (0 with no panel), order the rest, negate back
+        flip, ks = b < a, np.flatnonzero(a != b)
         ends = np.searchsorted(ks, list(accumulate(n for _, n in runs)))
         part = integrate(
             [(f, n) for (f, _), n in
              zip(runs, np.diff(ends, prepend=0).tolist())],
-            a[ks], b[ks], tol[ks], split)
+            np.where(flip, b, a)[ks], np.where(flip, a, b)[ks], tol[ks],
+            split)
         out = np.zeros(a.shape), np.zeros(a.shape), np.zeros(a.shape, int)
         for whole, got in zip(out, part):
             whole[ks] = got
-        return out
+        return np.where(flip, -out[0], out[0]), *out[1:]
     # every interval moves upwards: run r is cuts[r] to cuts[r + 1]
     cuts = [0, *accumulate(n for _, n in runs)]
-    first = None
+    step = 3 if split else 1
     if split or len(runs) > 1:
         first = _first_panels([f for f, _ in runs], cuts, a, b, split)
-    step = 3 if split and first is not None else 1
-    vals, errs = np.zeros(a.shape), np.zeros(a.shape)
-    panels = np.zeros(a.shape, dtype=int)
-    # one group for the shared call, else one plain call per run, in order
-    groups = [(0, len(runs))] if first is not None else \
-        [(r, r + 1) for r in range(len(runs))]
-    for r0, r1 in groups:
-        i, j = cuts[r0], cuts[r1]
-        if first is not None:
-            (v, e), base = first, 0
-        else:
-            if np.count_nonzero(np.isinf(a[i:j]) | np.isinf(b[i:j])):
-                raise QuadratureFailure("integration limits must be finite")
-            if i == j:
-                continue
-            (v, e), base = kronrod_panels(runs[r0][0], a[i:j], b[i:j]), i
-        # interval k's first panel is row step*(k - base) of v and e
-        vals[i:j], errs[i:j], panels[i:j] = v[::step], e[::step], 1
-        for k in (errs[i:j] > tol[i:j]).nonzero()[0].tolist():
-            k += i
-            r = step * (k - base)
-            vals[k], errs[k], panels[k] = _refine(
-                runs[bisect_right(cuts, k) - 1][0],     # the run of k
-                a.item(k), b.item(k), tol.item(k), v.item(r), e.item(r),
-                ((v.item(r + 1), v.item(r + 2)),
-                 (e.item(r + 1), e.item(r + 2))) if step == 3 else None)
+        if first is None:   # the plain calls, one per run, in order
+            return tuple(map(np.concatenate, zip(*(
+                integrate(f, a[i:j], b[i:j], tol[i:j])
+                for (f, _), i, j in zip(runs, cuts, cuts[1:]) if i < j))))
+        v, e = first
+    elif np.count_nonzero(np.isinf(a) | np.isinf(b)):
+        raise QuadratureFailure("integration limits must be finite")
+    else:
+        v, e = kronrod_panels(runs[0][0], a, b)
+    # interval k's first panel is row step*k of v and e
+    vals, errs = v[::step].copy(), e[::step].copy()
+    panels = np.ones(a.shape, dtype=int)
+    for k in (errs > tol).nonzero()[0].tolist():
+        r = step * k
+        vals[k], errs[k], panels[k] = _refine(
+            runs[bisect_right(cuts, k) - 1][0],     # the run of k
+            a.item(k), b.item(k), tol.item(k), v.item(r), e.item(r),
+            ((v.item(r + 1), v.item(r + 2)),
+             (e.item(r + 1), e.item(r + 2))) if split else None)
     return vals, errs, panels
 
 
@@ -222,11 +214,11 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
                 f"tol {tol:.3e} is below the round-off floor {floor:.3e} "
                 "of the integral")
         neg_err, _, lo, hi, old_val = heapq.heappop(heap)
-        if hi - lo < 1e-15 * (1.0 + abs(lo) + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-15 * (b - a) or not lo < mid < hi:
             raise QuadratureFailure(
                 f"panel [{lo}, {hi}] cannot be refined further "
                 f"(remaining error {total_err:.3e} > tol {tol:.3e})")
-        mid = 0.5 * (lo + hi)
         if halves is None:
             halves = (x.tolist() for x in
                       kronrod_panels(f, [lo, mid], [mid, hi]))

@@ -44,8 +44,9 @@ _LONG_FAR = 100.0
 # g, g' -> 0 makes the near integrand 2/(g'*z*sqrt(w^2+2)) nearly singular
 # just past the table, and its error estimate misses that
 _SLOPE_FLOOR = 0.1
-# n-free factors of _near_setup: the handoff ladder's steps (70 rungs cover
-# the widest ratio, 1e7/1e-12) and the w table's radii, z* to z_hi
+# n-free factors of _near_setup: the handoff ladder's steps (70 rungs reach
+# 1e7*max(1, z*) from 1e-6*z* for every z* >= 1e-6) and the w table's radii,
+# z* to z_hi
 _LADDER = 2.0 ** np.arange(70)
 _TABLE_FRAC = np.linspace(0.0, 1.0, _TABLE_SIZE + 1) ** 2
 
@@ -159,11 +160,13 @@ class ExtremalSpec:
         if self._near is not None:
             return self._near
         zt = self.z_turn
-        # handoff ladder z* + step*2^k, up to the first step past
-        # 1e7*max(1, z*); the handoff is the first rung where g reaches
-        # _G_HANDOFF
-        steps = max(1e-6 * zt, 1e-12) * _LADDER
-        z = zt + steps[:int(np.argmax(steps > 1e7 * max(1.0, zt))) + 1]
+        # handoff ladder z* + 1e-6*z* * 2^k, up to the first step past
+        # 1e7*max(1, z*) or its last rung; the handoff is the first rung
+        # where g reaches _G_HANDOFF
+        steps = 1e-6 * zt * _LADDER
+        cut = steps > 1e7 * max(1.0, zt)
+        cut[-1] = True
+        z = zt + steps[:int(np.argmax(cut)) + 1]
         v, valid = masked_v(self.weight, z)
         with np.errstate(all="ignore"):
             g = self.n * v * z - 1.0

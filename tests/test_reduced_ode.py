@@ -201,7 +201,7 @@ def _doubling_near_setup(spec):
     profile = reduced_ode._profile
     z_hi = z_prev = z_before = zt
     g_prev = 0.0
-    step = max(1e-6 * zt, 1e-12)
+    step = 1e-6 * zt
     for _ in range(200):
         z_hi = zt + step
         g = profile(w, n, z_hi)
@@ -255,7 +255,8 @@ class TestHandoffLadder:
         (PowerLaw(1.0), 1e12),                # z* = 1e-6
         (PowerLaw(0.0), 0.9e6),               # z* just above 1e-6
         (PowerLaw(1.0), 1e-12),               # z* = 1e6
-        (PowerLaw(2.0), 1e-18)])              # z* = 1e6
+        (PowerLaw(2.0), 1e-18),               # z* = 1e6
+        (PowerLaw(1.0), 1e40)])               # z* = 1e-20
     def test_matches_doubling_scan(self, weight, n):
         spec = ExtremalSpec(weight, n)
         z_hi, w_hi, w_tab, z_tab = spec._near_setup()
@@ -307,6 +308,49 @@ class TestHandoffLadder:
         assert spec.z_turn == 1.0
         with pytest.raises(EvalError, match="not finite"):
             spec._near_setup()
+
+
+def _closed_form_angle(mpmath, lam, n, z):
+    """arccos(1/(n*z^k))/k, k = lam + 1, at 40 digits."""
+    with mpmath.workdps(40):
+        k = mpmath.mpf(lam) + 1
+        return float(mpmath.acos(1 / (mpmath.mpf(n) * mpmath.mpf(z) ** k))
+                     / k)
+
+
+class TestTinyTurningRadius:
+    """The ladder's first rung is 1e-6*z* however small z* is: an absolute
+    first step of 1e-12 once put the handoff decades past z*, where the w
+    table cannot resolve the profile, and angles came out wrong."""
+
+    @pytest.mark.parametrize("lam,n", [
+        (0.5, 1e100), (0.5, 1e30), (1.0, 1e60), (0.0, 1e200), (2.0, 1e290),
+        (-0.5, 1e100), (1.0, 1e-200)])
+    def test_angles_match_the_closed_form(self, lam, n):
+        mpmath = pytest.importorskip("mpmath")
+        spec = ExtremalSpec(PowerLaw(lam), n)
+        zt = spec.z_turn
+        z = np.array([zt * r for r in (1.0001, 1.5, 10.0, 1e3)])
+        got = integrate_phi(spec, zt, z, 1e-13)
+        for phi, zb in zip(got.tolist(), z.tolist()):
+            assert abs(phi - _closed_form_angle(mpmath, lam, n, zb)) <= 1e-12
+
+    @pytest.mark.parametrize("n,z_max", [("1e100", "1e-65"),
+                                         ("1e30", "1e-19")])
+    def test_trace_matches_the_closed_form(self, n, z_max, capsys):
+        # the turning sample prints 0 at the float z*; the angle there is
+        # as ill-conditioned as sqrt(g), so it is left out
+        mpmath = pytest.importorskip("mpmath")
+        from radial_extremals import cli
+        assert cli.run(["trace", "--lambda", "1/2", "--n", n, "--zmax", z_max,
+                        "--samples", "50"]) == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 99
+        for i, (phi, z, *_) in enumerate(rows):
+            if i != 49:
+                want = _closed_form_angle(mpmath, 0.5, float(n), z)
+                assert abs(phi - math.copysign(want, i - 49)) <= 1e-12
 
 
 # weights whose g = n*v*z - 1 can rise, peak and fall while positive:

@@ -472,6 +472,22 @@ class TestParse:
             assert err.value.offset == offset
             assert err.value.expected == {"operator", "end of input"}
 
+    def test_constant_fault_wins_over_a_later_syntax_error(self):
+        # each operator is checked as it is read, before the rest of the
+        # text is parsed
+        with pytest.raises(ParseError, match="^constant subexpression "
+                           "divides by zero at offset 1$") as err:
+            parse_expression("1/0+)")
+        assert err.value.offset == 1
+
+    def test_long_constant_chain(self):
+        # 2999 constant terms, each sum recorded as it is read, then z
+        tree = parse_expression("1+" * 2999 + "z")
+        assert tree.rhs == expressions.Var()
+        assert expressions.evaluate(tree.lhs, 0.0) == (2999.0, None)
+        w = parse_weight("1+" * 2999 + "z")
+        assert eval_vq(w, 1.3) == (1.3 + 2999.0, 1.0)
+
     @pytest.mark.parametrize("text", ["-" * 5000 + "z",
                                       "(" * 2000 + "z" + ")" * 2000,
                                       "z^" * 3000 + "z"])
@@ -493,17 +509,42 @@ _TREES = st.recursive(
     max_leaves=12)
 
 
-def _text(node) -> str:
-    """A tree as fully parenthesized text that parses back to it."""
+def _text(node, start=0):
+    """(text, operators): a tree as fully parenthesized text that parses
+    back to it, and (Bin, offset of its operator in the text) for each Bin,
+    operands before operators, as the parser reads them.  start is the
+    offset of the tree's own text."""
     if isinstance(node, expressions.Num):
-        return repr(node.value)
+        return repr(node.value), []
     if isinstance(node, expressions.Var):
-        return "z"
+        return "z", []
     if isinstance(node, expressions.Neg):
-        return f"-({_text(node.operand)})"
+        inner, ops = _text(node.operand, start + 2)
+        return f"-({inner})", ops
     if isinstance(node, expressions.Fun):
-        return f"{node.name}({_text(node.arg)})"
-    return f"({_text(node.lhs)}){node.op}({_text(node.rhs)})"
+        inner, ops = _text(node.arg, start + len(node.name) + 1)
+        return f"{node.name}({inner})", ops
+    lhs, lhs_ops = _text(node.lhs, start + 1)
+    off = start + len(lhs) + 2
+    rhs, rhs_ops = _text(node.rhs, off + 2)
+    return f"({lhs}){node.op}({rhs})", lhs_ops + rhs_ops + [(node, off)]
+
+
+def _first_fault(tree):
+    """The offset in _text(tree) of the first operator, operands first,
+    whose operands have no z and whose value raises or goes complex in
+    Python floats by the reference walk; None if no operator does."""
+    for node, off in _text(tree)[1]:
+        if "z" in _text(node)[0]:   # no function name has a z
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                value = dual_reference.walk(node, None)
+        except (ZeroDivisionError, OverflowError):
+            return off
+        if isinstance(value, complex):
+            return off
+    return None
 
 
 class TestTextRoundTrip:
@@ -517,13 +558,13 @@ class TestTextRoundTrip:
         # the tree that precedence and associativity build is the one that
         # full parentheses spell out
         tree = parse_expression(text)
-        assert parse_expression(_text(tree)) == tree
+        assert parse_expression(_text(tree)[0]) == tree
 
     @settings(max_examples=300, deadline=None)
     @given(_TREES)
     def test_any_tree_parses_back(self, tree):
         # unless a subtree without z faults, which is a ParseError
-        text = _text(tree)
+        text = _text(tree)[0]
         if _constant_fault(tree):
             with pytest.raises(ParseError, match="constant subexpression"):
                 parse_expression(text)
@@ -533,13 +574,28 @@ class TestTextRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(_TREES)
     def test_any_tree_weight_gets_the_parsers_check(self, tree):
-        text = _text(tree)
+        text = _text(tree)[0]
         if _constant_fault(tree):
             with pytest.raises(ParseError, match="constant subexpression"):
                 ExpressionWeight(text)
         else:
             w = ExpressionWeight(text)
             assert w.ast == tree and w.text() == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_constant_fault_is_reported_at_its_first_operator(self, tree):
+        # the parser checks each operator as it reads it, operands first
+        text = _text(tree)[0]
+        off = _first_fault(tree)
+        assert (off is not None) == _constant_fault(tree)
+        if off is None:
+            assert parse_expression(text) == tree
+        else:
+            with pytest.raises(ParseError, match="constant subexpression"
+                               ) as err:
+                parse_expression(text)
+            assert err.value.offset == off
 
     def test_power_law_text_parses_back(self):
         w = parse_weight(PowerLaw(0.5).text())
@@ -609,7 +665,7 @@ class TestOneWalk:
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
             try:
-                w = parse_weight(_text(tree))
+                w = parse_weight(_text(tree)[0])
             except ParseError:
                 return
             for z in (np.linspace(0.1, 3.0, 7), 1.3):
