@@ -109,8 +109,9 @@ def integrate(runs, lo, hi, tol, split=False):
     scalar tol).  runs is one integrand, or a list of (integrand, count)
     runs: the first count intervals take the first integrand, the next run
     the next, and so on.  Reversed limits negate the integral; equal limits
-    give 0 with no panel, a NaN limit is evaluated, so the integrand sees
-    it, and an infinite one raises QuadratureFailure.  split=True also
+    give 0 with no panel, each limit is evaluated (a NaN one and the point
+    of equal ones reach the integrand), and an infinite limit raises
+    QuadratureFailure, as do [inf, inf] and [-inf, -inf].  split=True also
     evaluates both halves of each first bisection in the first call; no
     result depends on it (see the module notes)."""
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -119,28 +120,18 @@ def integrate(runs, lo, hi, tol, split=False):
     tol = np.zeros(a.shape) + tol     # a scalar tol serves every interval
     if not a.size:    # no interval: no integrand is called
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
-    if np.count_nonzero(b <= a):      # a NaN limit is evaluated as it is
-        # drop equal limits (0 with no panel), order the rest, negate back
-        flip, ks = b < a, np.flatnonzero(a != b)
-        ends = np.searchsorted(ks, list(accumulate(n for _, n in runs)))
-        part = integrate(
-            [(f, n) for (f, _), n in
-             zip(runs, np.diff(ends, prepend=0).tolist())],
-            np.where(flip, b, a)[ks], np.where(flip, a, b)[ks], tol[ks],
-            split)
-        out = np.zeros(a.shape), np.zeros(a.shape), np.zeros(a.shape, int)
-        for whole, got in zip(out, part):
-            whole[ks] = got
-        return np.where(flip, -out[0], out[0]), *out[1:]
-    # every interval moves upwards: run r is cuts[r] to cuts[r + 1]
-    cuts = [0, *accumulate(n for _, n in runs)]
+    # order reversed limits in place and negate their results on return
+    flip = b < a
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    cuts = [0, *accumulate(n for _, n in runs)]   # run r: cuts[r]..cuts[r+1]
     step = 3 if split else 1
     if split or len(runs) > 1:
         first = _first_panels([f for f, _ in runs], cuts, a, b, split)
         if first is None:   # the plain calls, one per run, in order
-            return tuple(map(np.concatenate, zip(*(
+            vals, errs, panels = map(np.concatenate, zip(*(
                 integrate(f, a[i:j], b[i:j], tol[i:j])
-                for (f, _), i, j in zip(runs, cuts, cuts[1:]) if i < j))))
+                for (f, _), i, j in zip(runs, cuts, cuts[1:]) if i < j)))
+            return np.where(flip, -vals, vals), errs, panels
         v, e = first
     elif np.count_nonzero(np.isinf(a) | np.isinf(b)):
         raise QuadratureFailure("integration limits must be finite")
@@ -148,7 +139,7 @@ def integrate(runs, lo, hi, tol, split=False):
         v, e = kronrod_panels(runs[0][0], a, b)
     # interval k's first panel is row step*k of v and e
     vals, errs = v[::step].copy(), e[::step].copy()
-    panels = np.ones(a.shape, dtype=int)
+    panels = (a != b).astype(int)     # a zero-width row has no panel
     for k in (errs > tol).nonzero()[0].tolist():
         r = step * k
         vals[k], errs[k], panels[k] = _refine(
@@ -156,7 +147,7 @@ def integrate(runs, lo, hi, tol, split=False):
             a.item(k), b.item(k), tol.item(k), v.item(r), e.item(r),
             ((v.item(r + 1), v.item(r + 2)),
              (e.item(r + 1), e.item(r + 2))) if split else None)
-    return vals, errs, panels
+    return np.where(flip, -vals, vals), errs, panels
 
 
 def _first_panels(fs, cuts, lo, hi, split):

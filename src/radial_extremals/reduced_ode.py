@@ -133,7 +133,8 @@ class ExtremalSpec:
     The sign of n is a branch choice: a negative n is normalized to n > 0
     with orientation -1, the direction in which phi advances (+1 for a
     positive n).  The turning radius is resolved at construction by
-    turning_radius.
+    turning_radius, which raises DomainError unless |n| is finite and
+    nonzero.
     """
 
     weight: RadialWeight
@@ -144,11 +145,6 @@ class ExtremalSpec:
 
     def __post_init__(self):
         self.n = float(self.n)
-        if not math.isfinite(self.n):
-            raise DomainError(
-                f"the first-integral constant n must be finite, got {self.n}")
-        if self.n == 0.0:
-            raise DomainError("the first-integral constant n must be nonzero")
         self.orientation = 1 if self.n > 0.0 else -1
         self.n = abs(self.n)
         self.z_turn = turning_radius(self.weight, self.n)

@@ -297,6 +297,13 @@ class TestIntegrate:
         with pytest.raises(QuadratureFailure, match="limits must be finite"):
             integrate_one(np.exp, 0.0, math.inf, 1e-10)
 
+    @pytest.mark.parametrize("end", [math.inf, -math.inf])
+    def test_equal_infinite_limits_fail(self, end):
+        # equal limits are evaluated like any other, so an infinite pair
+        # is not the empty interval's 0
+        with pytest.raises(QuadratureFailure, match="limits must be finite"):
+            integrate_one(np.exp, end, end, 1e-10)
+
     def test_nan_first_panel_fails(self):
         # with numpy's invalid-value warning off, sqrt past 1 hands the
         # driver NaN quietly; a NaN estimate never exceeds tol
@@ -473,6 +480,15 @@ class TestRuns:
         with pytest.raises(QuadratureFailure, match="limits must be finite"):
             quadrature.integrate([(self.f1, 1), (self.f2, 1)],
                                  [0.0, 0.0], [1.0, math.inf], 1e-10)
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("end", [math.inf, -math.inf])
+    def test_equal_infinite_limits_of_one_run_fail(self, split, end):
+        for a, b in (([0.0, end], [1.0, end]), ([end, 0.0], [end, 1.0])):
+            with pytest.raises(QuadratureFailure,
+                               match="limits must be finite"):
+                quadrature.integrate([(self.f1, 1), (self.f2, 1)], a, b,
+                                     1e-10, split=split)
 
     @pytest.mark.parametrize("split", [False, True])
     def test_failed_refinement_of_first_run_wins(self, split):

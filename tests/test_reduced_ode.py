@@ -116,6 +116,13 @@ class TestExtremalSpec:
         with pytest.raises(DomainError):
             ExtremalSpec(PowerLaw(0.0), 0.0)
 
+    @pytest.mark.parametrize("n", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weight", [PowerLaw(1.0), parse_weight("1+z")])
+    def test_n_checked_once_by_turning_radius(self, weight, n):
+        with pytest.raises(DomainError, match="^the turning radius needs a "
+                           "finite n > 0, got (0.0|nan|inf)$"):
+            ExtremalSpec(weight, n)
+
     def test_log_spiral_exponent_rejected(self):
         with pytest.raises(TangentialTurningPoint):
             ExtremalSpec(PowerLaw(-1.0), 1.5)
@@ -403,6 +410,47 @@ def _mpmath_angle(text, n, z_turn, z_b):
         ref = mp.quad(integrand, [mp.sqrt(c - zt)
                                   for c in [zt, *cuts, mp.mpf(z_b)]])
     return None if isinstance(ref, mp.mpc) else float(ref)
+
+
+class TestCatenary:
+    """log(z)/z, a weight that is not a power law, against its exact
+    angles arccosh(n*log(z))/n and turning radius e^(1/n) at 40 digits.
+    n stops at 8: above about 8.69 the bracket scan misses z*."""
+
+    FACTORS = (1.0001, 1.01, 1.5, 3.0, 10.0, 1e3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.floats(0.3, 8.0))
+    @example(n=0.3)
+    @example(n=8.0)
+    def test_angles_trace_and_turning_radius(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        spec = ExtremalSpec(parse_weight("log(z)/z"), n)
+        radii = spec.z_turn * np.array(self.FACTORS)
+        angles = integrate_phi(spec, spec.z_turn, radii, 1e-12)
+        trace = trace_extremal(spec, 4.0 * spec.z_turn, 200)
+        turn = int(np.argmin(trace.z))
+        assert trace.z[turn] == spec.z_turn and trace.phi[turn] == 0.0
+        samples = np.delete(np.arange(trace.z.size), turn)
+        with mpmath.workdps(40):
+            ref = closed_form_reference.catenary_turn(mpmath, n)
+            turn_err = float(abs(spec.z_turn / ref - 1))
+            angle_err = max(
+                float(abs(phi - closed_form_reference.catenary_phi(
+                    mpmath, n, z)))
+                for z, phi in zip(radii.tolist(), angles.tolist()))
+            trace_err = max(
+                float(abs(abs(trace.phi[k]) - closed_form_reference
+                          .catenary_phi(mpmath, n, trace.z[k])))
+                for k in samples.tolist())
+        print(f"n = {n!r}: angle {angle_err:.2e}, trace {trace_err:.2e}, "
+              f"z* {turn_err:.2e}")
+        assert angle_err <= 1e-12
+        assert trace_err <= 1e-12
+        # find_root drives the computed |g| to 4 eps, over the slope
+        # z*g'(z*) = n; the rounding of g and of z* itself adds about an
+        # eps (4 eps/n alone fails: 1.8e-16 at n = 6.625)
+        assert turn_err <= (4.0 / n + 1.0) * np.finfo(float).eps
 
 
 class TestPeakedProfiles:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radial_extremals import NoBracket
@@ -93,15 +93,33 @@ def monotone_cubics(draw):
     return c3, c2, c1, c0
 
 
+def cubic_root(c3, c2, c1, c0):
+    """The one real root of an increasing cubic, by bisection to an ulp."""
+    lo = -1.0 - max(abs(c2), abs(c1), abs(c0)) / c3    # Cauchy's bound
+    hi = -lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if ((c3 * mid + c2) * mid + c1) * mid + c0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 @settings(max_examples=300, deadline=None)
-@given(coef=monotone_cubics(), a=st.floats(-20.0, 20.0),
+@given(coef=monotone_cubics(), u=st.floats(1e-3, 1.0 - 1e-3),
        width=st.floats(1e-6, 40.0), ftol=st.sampled_from([0.0, 1e-14, 1e-9]))
-def test_monotone_cubic_property(coef, a, width, ftol):
+def test_monotone_cubic_property(coef, u, width, ftol):
+    # the bracket straddles the root at u of its width from the lower end:
+    # a slope of at least c1 - c2^2/(3*c3) >= 0.0199*c1 keeps f(a) and f(b)
+    # clear of the rounding of f, so every draw holds a sign change
     c3, c2, c1, c0 = coef
+    a = cubic_root(c3, c2, c1, c0) - u * width
     b = a + width
     f, calls = counted(lambda x: ((c3 * x + c2) * x + c1) * x + c0)
     fa, fb = f(a), f(b)
-    assume(fa * fb < 0.0)
+    assert fa < 0.0 < fb
     calls.clear()
     x, fx = find_root(f, a, b, fa, fb, ftol)
     assert len(calls) <= bisection_count(a, b) + 1
