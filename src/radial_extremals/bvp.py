@@ -68,7 +68,7 @@ def _branch_angles(prob: BvpProblem, n: float, tol: float):
     if min(prob.a.z, prob.b.z) < zt * (1.0 - 1e-12):
         raise ForbiddenRegion(
             f"turning radius {zt} exceeds an endpoint radius at n = {n}")
-    da, db = integrate_phi(spec, zt, [prob.a.z, prob.b.z], tol).tolist()
+    da, db = integrate_phi(spec, [prob.a.z, prob.b.z], tol).tolist()
     return spec, da, db
 
 

@@ -84,7 +84,7 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
         k = lam + 1.0
         psis = np.linspace(0.0, 1.4, 15)[1:]
         z_psi = [(n * math.cos(psi)) ** (-1.0 / k) for psi in psis.tolist()]
-        got = integrate_phi(spec, spec.z_turn, z_psi, 1e-12)
+        got = integrate_phi(spec, z_psi, 1e-12)
         worst = max([0.0, *np.abs(got - psis / k).tolist()])
         rows.append(("quadrature vs closed form", worst, 1e-10, "<="))
 

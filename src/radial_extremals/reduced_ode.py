@@ -110,7 +110,9 @@ def _auto_bracket(w: RadialWeight, n: float):
 
     The grid runs from 1e-8 to 1e8; points where v is not finite or
     positive cannot end a bracket.  The grid, v and the mask do not depend
-    on n, so they are kept on the weight after its first scan.
+    on n, so they are kept on the weight after its first scan.  Failing
+    that, each gap from an invalid point to a valid one with g > 0 (a
+    domain edge) is bisected for a valid point with g <= 0.
     """
     if w._bracket_scan is None:
         z = np.geomspace(1e-8, 1e8, 321)
@@ -119,11 +121,20 @@ def _auto_bracket(w: RadialWeight, n: float):
     with np.errstate(all="ignore"):
         g = n * v * z - 1.0
         change = valid[:-1] & valid[1:] & (g[:-1] * g[1:] <= 0.0)
-    if not change.any():
-        raise NoBracket(
-            "no sign change of n*v(z)*z - 1 found on the scan grid")
-    i = int(np.argmax(change))
-    return float(z[i]), float(z[i + 1])
+    if change.any():
+        i = int(np.argmax(change))
+        return float(z[i]), float(z[i + 1])
+    for i in np.flatnonzero(~valid[:-1] & valid[1:] & (g[1:] > 0.0)).tolist():
+        lo, hi = float(z[i]), float(z[i + 1])
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            v_mid, ok = masked_v(w, [mid])
+            if not ok[0]:
+                lo = mid
+            elif n * float(v_mid[0]) * mid - 1.0 <= 0.0:
+                return mid, hi
+            else:
+                hi = mid
+    raise NoBracket("no sign change of n*v(z)*z - 1 found on the scan grid")
 
 
 @dataclass
@@ -340,19 +351,40 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
             int(panels.sum()))
 
 
-def _angles_from_turn(spec: ExtremalSpec, z_b: np.ndarray, tol: float):
-    """_increments(spec, z_turn, z_b, tol)[0] bit for bit, for radii at or
-    outside z_turn, from pieces built directly.
+def integrate_phi(spec: ExtremalSpec, z, tol: float):
+    """Angle swept from z* to radius z on one branch: a float for a scalar
+    z, else one angle per entry of a 1-d z, each with the bits of its own
+    scalar call.  Radii must lie at or outside z* (one within 1e-12
+    relative inside it gives +0.0); the angle to z* is exact, as the
+    w-substitution integrates from the root of n*v*z - 1 itself.  Next to
+    z* the angle is as ill-conditioned as sqrt(g): g = n*v*z - 1 rounds by
+    a few eps, which moves the angle by about that over z*g'(z*)*sqrt(g),
+    some 1e-9 rad within 1e-12 relative of z* where z*g'(z*) is near 1.
 
     The near region [0, w_split] is one piece at tol/2 however many radii
     lie beyond the handoff, taken at the slot of the first of them; a
-    radius inside the handoff has its own piece [0, w(z_b)] at tol.  The
+    radius inside the handoff has its own piece [0, w(z)] at tol.  The
     pieces go through one split quadrature.integrate call, near pieces
     first, then the far pieces in z, then those in log z, as in
-    _increments, and each angle is its near piece plus its far piece.
+    _increments, and each angle is its near piece plus its far piece: the
+    bits of _increments(spec, z*, z, tol)[0] from fewer pieces.
     """
+    if not 1e-14 <= tol <= 1e-3:
+        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
+    za = np.asarray(z, dtype=float)
+    if za.ndim > 1:
+        raise DomainError("z must be a scalar or a 1-d array, got shape "
+                          f"{za.shape}")
+    radii = np.atleast_1d(za).tolist()
+    for x in radii:
+        if not math.isfinite(x):
+            raise DomainError(f"z must be finite, got {x}")
+    z_min = spec.z_turn * (1.0 - 1e-12)
+    for x in radii:
+        if x < z_min:
+            raise ForbiddenRegion(f"z = {x} lies inside the turning "
+                                  f"radius z* = {spec.z_turn}")
     z_split, w_split, _, _ = spec._near_setup()
-    radii = z_b.tolist()
     inner = [z for z in radii if not z > z_split]
     w_hi = _w_of(spec, inner).tolist()
     z_long = _LONG_FAR * z_split
@@ -377,7 +409,7 @@ def _angles_from_turn(spec: ExtremalSpec, z_b: np.ndarray, tol: float):
     shared = near.pop(slot) if short or long else None
     angle = dict(zip(inner, near))
     angle.update((z, shared + x) for z, x in zip(short + long, far))
-    return np.array([angle[z] for z in radii])
+    return np.array([angle[z] for z in radii]) if za.ndim else angle[radii[0]]
 
 
 def dphi_dz(z, spec: ExtremalSpec):
@@ -397,44 +429,6 @@ def dphi_dz(z, spec: ExtremalSpec):
             f"{float(np.ravel(za)[k])}: inside the turning circle")
     out = 1.0 / (za * np.sqrt(rad))
     return float(out) if out.ndim == 0 else out
-
-
-def integrate_phi(spec: ExtremalSpec, z_from, z_to, tol: float):
-    """Signed angle swept between radii on one branch: a float for two
-    scalars, else (1-d arrays of one length, or a scalar paired with each
-    entry) one angle per pair, each with the bits of its own scalar call.
-    Radii must lie at or outside z*; an endpoint at z* is exact (the
-    w-substitution integrates from the root of n*v*z - 1 itself).  Next to
-    z* the angle is as ill-conditioned as sqrt(g): g = n*v*z - 1 rounds by
-    a few eps, which moves the angle by about that over z*g'(z*)*sqrt(g),
-    some 1e-9 rad within 1e-12 relative of z* where z*g'(z*) is near 1.
-    Angles from z* to radii at or outside it (BVP spans, the closed-form
-    gate) take _angles_from_turn, other pairs _increments: the same bits
-    and failures from fewer pieces."""
-    if not 1e-14 <= tol <= 1e-3:
-        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
-    z_from, z_to = np.asarray(z_from, float), np.asarray(z_to, float)
-    ndim = max(z_from.ndim, z_to.ndim)
-    if ndim > 1 or (z_from.ndim and z_to.ndim and z_from.size != z_to.size):
-        raise DomainError("z_from and z_to must be scalars or 1-d arrays of "
-                          f"one length, got {z_from.shape} and {z_to.shape}")
-    pairs = np.empty((2, z_to.size if z_to.ndim else z_from.size))
-    pairs[0], pairs[1] = z_from, z_to
-    z_min = spec.z_turn * (1.0 - 1e-12)
-    if np.count_nonzero(~np.isfinite(pairs) | (pairs < z_min)):
-        for name, z in zip(("z_from", "z_to"), pairs.tolist()):
-            for x in z:
-                if not math.isfinite(x):
-                    raise DomainError(f"{name} must be finite, got {x}")
-            for x in z:
-                if x < z_min:
-                    raise ForbiddenRegion(f"z = {x} lies inside the turning "
-                                          f"radius z* = {spec.z_turn}")
-    if np.count_nonzero((pairs[0] != spec.z_turn) | (pairs[1] < spec.z_turn)):
-        inc = _increments(spec, pairs[0], pairs[1], tol)[0]
-    else:
-        inc = _angles_from_turn(spec, pairs[1], tol)
-    return inc if ndim else float(inc[0])
 
 
 def first_integral_deviation(w: RadialWeight, n: float, z):

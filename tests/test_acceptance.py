@@ -69,7 +69,7 @@ def test_criterion_02_two_solutions_agree():
             for psi in np.linspace(0.0, 1.4, 15):
                 psi = float(psi)
                 z = (n * math.cos(psi)) ** (-1.0 / (lam + 1.0))
-                got = rx.integrate_phi(spec, spec.z_turn, z, tol)
+                got = rx.integrate_phi(spec, z, tol)
                 assert abs(got - psi / (lam + 1.0)) <= 1e-10
 
 

@@ -89,10 +89,10 @@ class TestAngularSpan:
                           PolarPoint(0.7, radii[1]), weight)
         for tol in (1e-12, 1e-13):
             spec, da, db = bvp._branch_angles(prob, n, tol)
-            want = [integrate_phi(spec, spec.z_turn, z, tol) for z in radii]
+            want = [integrate_phi(spec, z, tol) for z in radii]
             assert [da, db] == want
-            assert [math.copysign(1.0, x) for x in (da, db)] == \
-                [-1.0 if z < spec.z_turn else 1.0 for z in radii]
+            # a radius within 1e-12 inside z* gives +0.0, as at z*
+            assert [math.copysign(1.0, x) for x in (da, db)] == [1.0, 1.0]
             assert all(type(x) is float for x in (da, db))
 
     def test_tol_outside_integrate_phi_range(self):
@@ -328,7 +328,7 @@ class TestSolveN:
             assert sol.n == pytest.approx(n_true, rel=1e-7)
             spec = ExtremalSpec(PowerLaw(lam), sol.n, phi0=sol.phi0)
             for pt in (a, b):
-                off = integrate_phi(spec, spec.z_turn, pt.z, 1e-13)
+                off = integrate_phi(spec, pt.z, 1e-13)
                 hit = min(abs(sol.phi0 + off - pt.phi),
                           abs(sol.phi0 - off - pt.phi))
                 assert hit <= 1e-7

@@ -112,20 +112,18 @@ def test_closed_form_row_is_one_call_per_angle(weight, monkeypatch):
     spec = ExtremalSpec(weight, n)
     psis = np.linspace(0.0, 1.4, 15)[1:].tolist()
     zs = [(n * math.cos(psi)) ** (-1.0 / k) for psi in psis]
-    separate = [integrate_phi(spec, spec.z_turn, z, 1e-12) for z in zs]
-    batched = integrate_phi(spec, spec.z_turn, zs, 1e-12)
+    separate = [integrate_phi(spec, z, 1e-12) for z in zs]
+    batched = integrate_phi(spec, zs, 1e-12)
     assert batched.tolist() == separate
-    # angles from z* take the lean pass, each first bisection from its
-    # split first call; the plain path (taken where that call fails)
-    # gives every bit of them
+    # integrate_phi takes each first bisection from its split first call;
+    # the plain path (taken where that call fails) gives every bit of them
     pieces = []
 
     def plain(runs, lo, hi, tol, split=False, _f=quadrature.integrate):
         pieces.append((split, len(lo)))
         return _f(runs, lo, hi, tol)
     monkeypatch.setattr(quadrature, "integrate", plain)
-    assert integrate_phi(spec, spec.z_turn, zs, 1e-12).tobytes() == \
-        batched.tobytes()
+    assert integrate_phi(spec, zs, 1e-12).tobytes() == batched.tobytes()
     # nine radii inside the handoff, one near piece shared by the five
     # beyond it, and their five far pieces (19 pieces when each radius
     # beyond the handoff had its own near piece)

@@ -31,7 +31,7 @@ class TestPowerLawPoint:
         assert pt.phi == pytest.approx(math.pi / 6, rel=1e-15)
         assert pt.z == pytest.approx(math.sqrt(2.0), rel=1e-15)
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
-        assert integrate_phi(spec, spec.z_turn, pt.z, 1e-12) == \
+        assert integrate_phi(spec, pt.z, 1e-12) == \
             pytest.approx(pt.phi, abs=1e-11)
 
     def test_domain(self):

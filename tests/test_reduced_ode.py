@@ -2,7 +2,6 @@ import math
 import re
 import sys
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,7 +97,7 @@ class TestTurningRadius:
         spec = ExtremalSpec(PowerLaw(1.0), n)
         for psi in (0.3, 0.9, 1.35):
             z = (n * math.cos(psi)) ** -0.5
-            got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+            got = integrate_phi(spec, z, 1e-12)
             assert abs(got - 0.5 * psi) <= 1e-12
 
     def test_tangential_crossing_rejected(self):
@@ -177,12 +176,25 @@ class TestAutoBracket:
         w = parse_weight(text)
         assert reduced_ode._auto_bracket(w, n) == _scalar_scan(w, n)
 
-    @pytest.mark.parametrize("text", ["1/(z-2)", "exp(-z)"])
+    @pytest.mark.parametrize("text", ["1/(z-2)", "1/(z-1)", "exp(-z)"])
     def test_no_sign_change(self, text):
+        # past the domain edges of 1/(z-2) and 1/(z-1), g > 0 everywhere
         w = parse_weight(text)
         assert _scalar_scan(w, 1.0) is None
-        with pytest.raises(NoBracket):
+        with pytest.raises(NoBracket, match="^no sign change of n\\*v\\(z\\)"
+                           "\\*z - 1 found on the scan grid$"):
             reduced_ode._auto_bracket(w, 1.0)
+
+    @pytest.mark.parametrize("n", [8.7, 20.0, 50.0])
+    def test_domain_edge_gap_is_bisected(self, n):
+        # log(z)/z is invalid up to z = 1, and for n above about 8.69, g is
+        # already positive at the first grid point past it, 1.122
+        w = parse_weight("log(z)/z")
+        assert _scalar_scan(w, n) is None
+        lo, hi = reduced_ode._auto_bracket(w, n)
+        assert 1.0 < lo < math.exp(1.0 / n) < hi <= 1.1220184543019653
+        assert turning_radius(w, n) == pytest.approx(math.exp(1.0 / n),
+                                                     rel=1e-15)
 
 
     def test_scan_kept_on_the_weight(self, monkeypatch):
@@ -295,7 +307,7 @@ class TestHandoffLadder:
         got = {}
         for z in (0.128, 0.15, 0.16, 0.1645, 0.1666906108583988):
             try:
-                got[z] = integrate_phi(spec, spec.z_turn, z, 1e-13)
+                got[z] = integrate_phi(spec, z, 1e-13)
             except ExtremalError:
                 pass
         with mpmath.workdps(40):
@@ -338,7 +350,7 @@ class TestTinyTurningRadius:
         spec = ExtremalSpec(PowerLaw(lam), n)
         zt = spec.z_turn
         z = np.array([zt * r for r in (1.0001, 1.5, 10.0, 1e3)])
-        got = integrate_phi(spec, zt, z, 1e-13)
+        got = integrate_phi(spec, z, 1e-13)
         for phi, zb in zip(got.tolist(), z.tolist()):
             assert abs(phi - _closed_form_angle(mpmath, lam, n, zb)) <= 1e-12
 
@@ -415,19 +427,21 @@ def _mpmath_angle(text, n, z_turn, z_b):
 class TestCatenary:
     """log(z)/z, a weight that is not a power law, against its exact
     angles arccosh(n*log(z))/n and turning radius e^(1/n) at 40 digits.
-    n stops at 8: above about 8.69 the bracket scan misses z*."""
+    Above n = 8.69, z* lies between the domain edge z = 1 and the first
+    grid point of the bracket scan past it."""
 
     FACTORS = (1.0001, 1.01, 1.5, 3.0, 10.0, 1e3)
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.floats(0.3, 8.0))
+    @given(n=st.floats(0.3, 50.0))
     @example(n=0.3)
-    @example(n=8.0)
+    @example(n=8.7)
+    @example(n=50.0)
     def test_angles_trace_and_turning_radius(self, n):
         mpmath = pytest.importorskip("mpmath")
         spec = ExtremalSpec(parse_weight("log(z)/z"), n)
         radii = spec.z_turn * np.array(self.FACTORS)
-        angles = integrate_phi(spec, spec.z_turn, radii, 1e-12)
+        angles = integrate_phi(spec, radii, 1e-12)
         trace = trace_extremal(spec, 4.0 * spec.z_turn, 200)
         turn = int(np.argmin(trace.z))
         assert trace.z[turn] == spec.z_turn and trace.phi[turn] == 0.0
@@ -453,6 +467,63 @@ class TestCatenary:
         assert turn_err <= (4.0 / n + 1.0) * np.finfo(float).eps
 
 
+# text of u -> (k, range of n) for the power-map references
+_POWER_MAPS = {"1/(1+z^2)": (2.0, (2.05, 10.0)),
+               "2+sin(3*z)": (0.5, (0.3, 5.0)),
+               "exp(-z)+0.2": (3.0, (2.0, 50.0))}
+
+
+def _power_map(text, k):
+    """v_k(z) = k*z^(k-1)*u(z^k), built from the text of u by writing (z^k)
+    for each z."""
+    inner = text.replace("z", f"(z^{k!r})")
+    return parse_weight(f"{k!r}*z^({k - 1.0!r})*({inner})")
+
+
+def _angle_or_error(call):
+    """call()'s value, or the class of the ExtremalError it raised."""
+    try:
+        return call()
+    except ExtremalError as exc:
+        return type(exc)
+
+
+class TestPowerMap:
+    """With Z = z^k, (n/k)*v_k(z)*z = n*u(Z)*Z and dz/z = dZ/(k*Z): the
+    extremal of v_k with constant n/k turns at z*_u^(1/k) and sweeps
+    phi_u(z^k)/k.  So every weight u without a closed form gives a
+    reference for v_k, and the two quadratures share no piece."""
+
+    FACTORS = (1.0001, 1.01, 1.5, 3.0)
+
+    @pytest.mark.parametrize("text", sorted(_POWER_MAPS))
+    @settings(max_examples=20, deadline=None)
+    @given(u=st.floats(0.0, 1.0))
+    def test_angles_and_turning_radius(self, text, u):
+        k, (lo, hi) = _POWER_MAPS[text]
+        n = lo + (hi - lo) * u
+        base = _angle_or_error(lambda: ExtremalSpec(parse_weight(text), n))
+        mapped = _angle_or_error(lambda: ExtremalSpec(_power_map(text, k),
+                                                      n / k))
+        if isinstance(base, type) or isinstance(mapped, type):
+            assert base is mapped
+            return
+        turn_err = abs(mapped.z_turn / base.z_turn ** (1.0 / k) - 1.0)
+        angle_err = 0.0
+        for f in self.FACTORS:
+            z = base.z_turn * f
+            want = _angle_or_error(lambda: integrate_phi(base, z, 1e-12))
+            got = _angle_or_error(lambda: integrate_phi(
+                mapped, z ** (1.0 / k), 1e-12))
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want
+            else:
+                angle_err = max(angle_err, abs(got - want / k))
+        print(f"{text}, n = {n!r}: angle {angle_err:.2e}, z* {turn_err:.2e}")
+        assert angle_err <= (1.0 + 1.0 / k) * 1e-12
+        assert turn_err <= 1e-14
+
+
 class TestPeakedProfiles:
     """The near/far handoff never lies past a peak of g: the near region
     inverts w = sqrt(g) on the rising side only."""
@@ -466,7 +537,7 @@ class TestPeakedProfiles:
         assert spec.z_turn < z_split < 0.8985
         assert reduced_ode._profile_and_slope(spec.weight, spec.n,
                                               z_split)[1] > 0.0
-        got = integrate_phi(spec, spec.z_turn, 1.0, 1e-13)
+        got = integrate_phi(spec, 1.0, 1e-13)
         assert abs(got - 1.1393311408606654) <= 1e-10
 
     @pytest.mark.parametrize("text", sorted(_PEAKED))
@@ -484,7 +555,7 @@ class TestPeakedProfiles:
         n = lo + (hi - lo) * u
         try:
             spec = ExtremalSpec(parse_weight(text), n)
-            got = integrate_phi(spec, spec.z_turn, z_b, 1e-13)
+            got = integrate_phi(spec, z_b, 1e-13)
         except ExtremalError:
             return
         ref = _mpmath_angle(text, n, spec.z_turn, z_b)
@@ -505,7 +576,7 @@ class TestPeakedProfiles:
         slopes = ns * below * (1.0 - below ** 2) / (1.0 + below ** 2) ** 2
         for n in ns[np.argsort(slopes)[:10]].tolist():
             spec = ExtremalSpec(parse_weight("1/(1+z^2)"), n)
-            got = integrate_phi(spec, spec.z_turn, 1.5, 1e-13)
+            got = integrate_phi(spec, 1.5, 1e-13)
             ref = _mpmath_angle("1/(1+z^2)", n, spec.z_turn, 1.5)
             assert abs(got - ref) <= 1e-10
 
@@ -589,17 +660,17 @@ class TestDphiDz:
 class TestIntegratePhi:
     def test_constant_weight_arctan(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
-        got = integrate_phi(spec, 1.0, 2.0, 1e-12)
+        got = integrate_phi(spec, 2.0, 1e-12)
         assert got == pytest.approx(math.atan(math.sqrt(3.0)), abs=1e-12)
 
     def test_linear_weight_sixth_pi(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
-        got = integrate_phi(spec, 1.0, math.sqrt(2.0), 1e-12)
+        got = integrate_phi(spec, math.sqrt(2.0), 1e-12)
         assert got == pytest.approx(math.pi / 6.0, abs=1e-12)
 
     def test_half_power_against_reference(self):
         spec = ExtremalSpec(PowerLaw(0.5), 1.3)
-        got = integrate_phi(spec, spec.z_turn, 2.0, 1e-12)
+        got = integrate_phi(spec, 2.0, 1e-12)
         assert got == pytest.approx(_HALF_POWER_REFERENCE, abs=1e-12)
 
     @pytest.mark.parametrize("r", [1e-14, 1e-13, 9.9e-13])
@@ -610,78 +681,108 @@ class TestIntegratePhi:
         mpmath = pytest.importorskip("mpmath")
         spec = ExtremalSpec(PowerLaw(lam), 1.3)
         z = spec.z_turn * (1.0 + r)
-        got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+        got = integrate_phi(spec, z, 1e-12)
         with mpmath.workdps(40):
             k = mpmath.mpf(lam) + 1
             ref = float(mpmath.acos(1 / (mpmath.mpf(1.3) * mpmath.mpf(z) ** k))
                         / k)
         assert got != 0.0 and abs(got - ref) <= 1e-9
-        assert integrate_phi(spec, z, spec.z_turn, 1e-12) == -got
+        assert reduced_ode._increments(spec, np.array([z]),
+                                       np.array([spec.z_turn]),
+                                       1e-12)[0].tolist() == [-got]
 
     def test_empty_interval(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
-        assert integrate_phi(spec, 1.7, 1.7, 1e-12) == 0.0
+        assert integrate_phi(spec, spec.z_turn, 1e-12) == 0.0
+        assert reduced_ode._increments(spec, np.array([1.7]), np.array([1.7]),
+                                       1e-12)[0].tolist() == [0.0]
 
     def test_signed_and_monotone_in_upper_limit(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
-        values = [integrate_phi(spec, 1.0, z, 1e-12)
+        values = [integrate_phi(spec, z, 1e-12)
                   for z in (1.0, 1.2, 1.7, 2.5, 4.0)]
         assert values[0] == 0.0
         assert all(b > a for a, b in zip(values, values[1:]))
-        assert integrate_phi(spec, 2.5, 1.2, 1e-12) == \
-            pytest.approx(values[1] - values[3], abs=1e-12)
+        back = reduced_ode._increments(spec, np.array([2.5]),
+                                       np.array([1.2]), 1e-12)[0][0]
+        assert back == pytest.approx(values[1] - values[3], abs=1e-12)
 
     def test_forbidden_region(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
         with pytest.raises(ForbiddenRegion):
-            integrate_phi(spec, 0.5, 2.0, 1e-12)
+            integrate_phi(spec, 0.5, 1e-12)
 
     @pytest.mark.parametrize("weight, n, z_top", [
         (PowerLaw(1.3), 0.9, 3.0), (parse_weight("1/(1+z^2)"), 3.0, 0.9)])
     def test_arrays_equal_scalar_calls(self, weight, n, z_top):
         spec = ExtremalSpec(weight, n)
         zt, z_split = spec.z_turn, spec._near_setup()[0]
-        z_to = [zt, 1.1 * zt, 0.5 * (zt + z_split), z_split, z_top]
-        z_from = [z_top, zt, z_split, 1.05 * zt, z_top]
-        for a, b in ((zt, z_to), (z_from, z_to), (z_to, z_from)):
-            got = integrate_phi(spec, a, b, 1e-13)
-            assert isinstance(got, np.ndarray) and got.shape == (5,)
-            want = [integrate_phi(spec, x, y, 1e-13)
-                    for x, y in zip(np.broadcast_to(a, 5).tolist(), b)]
-            assert got.tolist() == want
-        assert integrate_phi(spec, zt, [], 1e-13).shape == (0,)
-        assert type(integrate_phi(spec, np.float64(zt), z_top, 1e-13)) is float
+        z_b = [zt, 1.1 * zt, 0.5 * (zt + z_split), z_split, z_top, zt,
+               z_top, zt * (1.0 - 1e-13)]
+        got = integrate_phi(spec, z_b, 1e-13)
+        assert isinstance(got, np.ndarray) and got.shape == (8,)
+        want = [integrate_phi(spec, z, 1e-13) for z in z_b]
+        assert all(type(x) is float for x in want)
+        assert np.array(want).tobytes() == got.tobytes()
+        assert integrate_phi(spec, np.array(z_b), 1e-13).tobytes() == \
+            got.tobytes()
+        assert integrate_phi(spec, [], 1e-13).shape == (0,)
+        assert type(integrate_phi(spec, np.float64(z_top), 1e-13)) is float
+        assert type(integrate_phi(spec, np.array(z_top), 1e-13)) is float
+
+    def test_pairs_equal_single_intervals(self):
+        # _increments, the builder of traced grids and Newton steps, takes
+        # intervals in either order and equal radii, batched
+        spec = ExtremalSpec(PowerLaw(1.3), 0.9)
+        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        z_to = np.array([zt, 1.1 * zt, 0.5 * (zt + z_split), z_split, 3.0])
+        z_from = np.array([3.0, zt, z_split, 1.05 * zt, 3.0])
+        got = []
+        for a, b in ((z_from, z_to), (z_to, z_from)):
+            got.append(reduced_ode._increments(spec, a, b, 1e-13)[0].tolist())
+            assert got[-1] == [
+                reduced_ode._increments(spec, a[k:k + 1], b[k:k + 1],
+                                        1e-13)[0][0] for k in range(5)]
+        assert got[1] == [-x for x in got[0]]
+        assert got[0][0] < 0.0 < got[0][1] and got[0][4] == 0.0
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-13, 1e-12])
+    def test_radius_just_inside_the_turn_gives_plus_zero(self, radius):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.3)
+        z = spec.z_turn * (1.0 - radius)
+        got = integrate_phi(spec, z, 1e-12)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        assert integrate_phi(spec, [z, 2.0], 1e-12)[0].tobytes() == \
+            np.float64(0.0).tobytes()
 
     def test_array_checks_keep_the_scalar_order(self):
+        # tol, then the shape, then every non-finite radius, then every
+        # radius inside z*, each naming the first bad entry
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
-        bad = [(1e-2, [2.0, math.nan], [0.5, 2.0], DomainError, "tol"),
-               (1e-12, [2.0, math.nan], [0.5, 2.0], DomainError,
-                "z_from must be finite, got nan"),
-               (1e-12, [2.0, 0.5], [math.inf, 2.0], ForbiddenRegion,
-                "z = 0.5 lies inside"),
-               (1e-12, [2.0, 3.0], [1.5, -math.inf], DomainError,
-                "z_to must be finite, got -inf"),
-               (1e-12, 2.0, [1.5, 0.25, 0.5], ForbiddenRegion,
-                "z = 0.25 lies inside"),
-               (1e-12, [2.0, 3.0], [1.5, 2.0, 2.5], DomainError,
-                r"1-d arrays of one length, got \(2,\) and \(3,\)"),
-               (1e-12, 2.0, [[1.5, 2.0]], DomainError, "1-d arrays")]
-        for tol, z_from, z_to, error, message in bad:
+        bad = [(1e-2, [0.5, math.nan], DomainError, "^tol must lie"),
+               (1e-12, [[1.5, 2.0]], DomainError,
+                r"^z must be a scalar or a 1-d array, got shape \(1, 2\)$"),
+               (1e-12, [0.5, 2.0, math.nan, -math.inf], DomainError,
+                "^z must be finite, got nan$"),
+               (1e-12, [2.0, 0.25, 0.5, math.inf], DomainError,
+                "^z must be finite, got inf$"),
+               (1e-12, [2.0, 0.25, 0.5], ForbiddenRegion,
+                r"^z = 0.25 lies inside the turning radius z\* = 1.0$"),
+               (1e-12, -1.0, ForbiddenRegion, "^z = -1.0 lies inside")]
+        for tol, z, error, message in bad:
             with pytest.raises(error, match=message):
-                integrate_phi(spec, z_from, z_to, tol)
+                integrate_phi(spec, z, tol)
 
     def test_tolerance_validated(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
         with pytest.raises(DomainError, match="tol"):
-            integrate_phi(spec, 1.0, 2.0, 1e-2)
+            integrate_phi(spec, 2.0, 1e-2)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius_rejected(self, z):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
-        with pytest.raises(DomainError, match="z_to must be finite"):
-            integrate_phi(spec, spec.z_turn, z, 1e-12)
-        with pytest.raises(DomainError, match="z_from must be finite"):
-            integrate_phi(spec, z, 2.0, 1e-12)
+        with pytest.raises(DomainError, match="z must be finite"):
+            integrate_phi(spec, z, 1e-12)
         for grid in ("cosine", "uniform-phi"):
             with pytest.raises(DomainError, match="z_max must be finite"):
                 trace_extremal(spec, z, 5, grid=grid)
@@ -703,7 +804,7 @@ class TestIntegratePhi:
             curve = PowerLawCurve(lam, n)
             for psi in (0.3, 0.9, 1.35):
                 z = (n * math.cos(psi)) ** (-1.0 / (lam + 1.0))
-                got = integrate_phi(spec, spec.z_turn, z, tol)
+                got = integrate_phi(spec, z, tol)
                 assert abs(got - psi / (lam + 1.0)) <= 10.0 * tol
                 assert closed_form_reference.psi(curve, z) == \
                     pytest.approx(psi, rel=1e-12)
@@ -717,10 +818,10 @@ class TestIntegratePhi:
         spec = ExtremalSpec(weight, 1.0)
         k = lam + 1.0
         z_b = 10.0 ** np.arange(1, 31)
-        got = integrate_phi(spec, spec.z_turn, z_b, 1e-12)
+        got = integrate_phi(spec, z_b, 1e-12)
         want = [math.acos(1.0 / (c * z ** k)) / k for z in z_b.tolist()]
         assert np.abs(got - want).max() <= 1e-10
-        assert got.tolist() == [integrate_phi(spec, spec.z_turn, z, 1e-12)
+        assert got.tolist() == [integrate_phi(spec, z, 1e-12)
                                 for z in z_b.tolist()]
 
     def test_long_far_pieces_only_change_past_the_ratio(self, monkeypatch):
@@ -729,15 +830,16 @@ class TestIntegratePhi:
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         z_split = spec._near_setup()[0]
         z_b = z_split * np.array([4.0, 99.0, 100.0])
-        got = integrate_phi(spec, z_split, z_b, 1e-12)
+        z_a = np.full(3, z_split)
+        got = reduced_ode._increments(spec, z_a, z_b, 1e-12)[0]
         monkeypatch.setattr(reduced_ode, "_LONG_FAR", math.inf)
         assert got.tolist() == \
-            integrate_phi(spec, z_split, z_b, 1e-12).tolist()
+            reduced_ode._increments(spec, z_a, z_b, 1e-12)[0].tolist()
 
     def test_radicand_overflow_fails_fast(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         with pytest.raises(DomainError, match=r"\(n\*v\(z\)\*z\)\^2 overflows"):
-            integrate_phi(spec, spec.z_turn, 1e300, 1e-12)
+            integrate_phi(spec, 1e300, 1e-12)
         with pytest.raises(DomainError, match="overflows"):
             trace_extremal(spec, 1e300, 3)
         # just past the overflow radius only z itself overflows, not the
@@ -762,20 +864,20 @@ class TestIntegratePhi:
             z_turn = (3 - mpmath.sqrt(5)) / 2
             for z in (0.67, 0.77, 0.9):
                 ref = mpmath.quad(dphi, [z_turn, z])
-                got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+                got = integrate_phi(spec, z, 1e-12)
                 assert abs(got - ref) <= 1e-10 * ref
 
 
 @pytest.fixture
 def entries(monkeypatch):
     """(split flag, pieces) of every quadrature call made by _increments
-    or by the lean pass _angles_from_turn."""
+    or by integrate_phi."""
     calls = []
 
     def entry(runs, lo, hi, tol, split=False,
               _f=reduced_ode.quadrature.integrate):
         if sys._getframe(1).f_code.co_name in ("_increments",
-                                               "_angles_from_turn"):
+                                               "integrate_phi"):
             calls.append((split, len(lo)))
         return _f(runs, lo, hi, tol, split=split)
     monkeypatch.setattr(reduced_ode.quadrature, "integrate", entry)
@@ -783,10 +885,9 @@ def entries(monkeypatch):
 
 
 class TestAnglesFromTurn:
-    """integrate_phi takes the lean pass exactly when every interval
-    starts at the turning radius and ends at or outside it, and its split
-    first call changes no bit of the increments, their summed estimate or
-    the panel count."""
+    """integrate_phi, the angles from z*, gives the bits of _increments
+    from z*, and the split first calls of either change no bit of the
+    increments, their summed estimate or the panel count."""
 
     @pytest.mark.parametrize("weight, n", [
         (PowerLaw(0.0), 2.0), (PowerLaw(1.3), 1.1), (PowerLaw(2.08), 0.9),
@@ -817,18 +918,18 @@ class TestAnglesFromTurn:
                 for split in (False, True):
                     assert got == _outcome(lambda: _two_call_increments(
                         spec, z_a[keep], z_b[keep], tol, split))
-            # the lean pass gives the increments from z* bit for bit
+            # integrate_phi gives the increments from z* bit for bit
             assert _outcome(lambda: [integrate_phi(
-                spec, zt, z_b[from_turn], tol)]) == got[:1]
+                spec, z_b[from_turn], tol)]) == got[:1]
         # seven intervals in nine pieces, the five from z* in seven, and
-        # the lean pass's six: three inside the handoff, one near piece
+        # integrate_phi's six: three inside the handoff, one near piece
         # shared by the two beyond it, and their far pieces
         assert entries == [(False, 9), (False, 7), (True, 6)] * 3
         assert refines
 
-    def test_only_angles_from_turn_take_the_lean_pass(self, entries):
-        # radii in either order: _increments never splits, and only a
-        # z_from equal to z* everywhere takes the split call
+    def test_one_split_call_per_angle_batch(self, entries):
+        # radii in either order: _increments never splits, and each
+        # integrate_phi call, scalar or batched, is one split call
         spec = ExtremalSpec(parse_weight("sqrt(1+z^3)"), 1.2)
         zt = spec.z_turn
         cases = [([zt, 2.0, zt, 0.75], [0.75, zt, 2.0, zt]),
@@ -842,15 +943,13 @@ class TestAnglesFromTurn:
                     spec, z_from, z_to, 1e-13, mode))
         assert entries == [(False, 6), (False, 5)]
         entries.clear()
-        integrate_phi(spec, zt, [0.75, 2.0], 1e-13)
-        integrate_phi(spec, [zt, zt], [0.75, 2.0], 1e-13)
-        integrate_phi(spec, [0.75, 2.0], zt, 1e-13)
-        integrate_phi(spec, [zt, 0.75], 2.0, 1e-13)
+        integrate_phi(spec, [0.75, 2.0], 1e-13)
+        integrate_phi(spec, 2.0, 1e-13)
+        integrate_phi(spec, 0.75, 1e-13)
         # a radius at z*: its near piece has equal limits, and the driver
         # skips it
-        integrate_phi(spec, zt, [zt, 2.0], 1e-13)
-        assert entries == [(True, 3)] * 2 + [(False, 3), (False, 4),
-                                             (True, 3)]
+        integrate_phi(spec, [zt, 2.0], 1e-13)
+        assert entries == [(True, 3), (True, 2), (True, 1), (True, 3)]
 
 
 # (weight from (lam, c), n range): power laws over (-1, 3], the
@@ -874,7 +973,7 @@ _LEAN_WEIGHTS = {
 
 
 def _radius(spec, kind, u):
-    """A radius of one kind for the lean pass: at z*, just inside it
+    """A radius of one kind for integrate_phi: at z*, just inside it
     (allowed, 1e-13, or refused, 1e-9), inside the handoff, beyond it, or
     past _LONG_FAR*z_split, where math.log would move bits."""
     zt, z_split = spec.z_turn, spec._near_setup()[0]
@@ -899,9 +998,11 @@ def _outcome_and_warnings(call):
 
 
 class TestLeanPassEquivalence:
-    """integrate_phi from z* (the lean pass) equals _increments bit for
-    bit, and fails as the general path does: same error, message and
-    RuntimeWarnings."""
+    """integrate_phi equals _increments from z* bit for bit and fails as it
+    does: same error, message and RuntimeWarnings.  The one difference is
+    the sign of a zero: a radius within 1e-12 inside z* gives +0.0, where
+    _increments gives -0.0 for the reversed interval; a radius further
+    inside is refused before any quadrature."""
 
     @settings(max_examples=300, deadline=None)
     @given(family=st.sampled_from(sorted(_LEAN_WEIGHTS)),
@@ -913,8 +1014,8 @@ class TestLeanPassEquivalence:
                st.floats(0.0, 1.0)), min_size=1, max_size=5),
            repeat=st.booleans(),
            tol=st.sampled_from([1e-14, 1e-13, 1e-12, 1e-10, 1e-6]))
-    def test_equals_general_path(self, family, lam, c, u_n, radii, repeat,
-                                 tol):
+    def test_equals_increments_from_the_turn(self, family, lam, c, u_n,
+                                             radii, repeat, tol):
         make, (n_lo, n_hi) = _LEAN_WEIGHTS[family]
         n = n_lo * (n_hi / n_lo) ** u_n
         try:
@@ -924,18 +1025,15 @@ class TestLeanPassEquivalence:
             return
         if repeat:
             z_b = np.append(z_b, z_b[0])
-        lean = _outcome_and_warnings(
-            lambda: integrate_phi(spec, spec.z_turn, z_b, tol))
-        with mock.patch.object(
-                reduced_ode, "_angles_from_turn",
-                lambda spec, z_b, tol: reduced_ode._increments(
-                    spec, np.full(len(z_b), spec.z_turn), z_b, tol)[0]):
-            general = _outcome_and_warnings(
-                lambda: integrate_phi(spec, spec.z_turn, z_b, tol))
-        assert lean == general
-        if isinstance(lean[0], bytes):
-            assert lean[0] == reduced_ode._increments(
-                spec, np.full(len(z_b), spec.z_turn), z_b, tol)[0].tobytes()
+        got = _outcome_and_warnings(lambda: integrate_phi(spec, z_b, tol))
+        refused = z_b[z_b < spec.z_turn * (1.0 - 1e-12)].tolist()
+        if refused:
+            assert got == ((ForbiddenRegion, f"z = {refused[0]} lies inside "
+                            f"the turning radius z* = {spec.z_turn}"), [])
+            return
+        # adding +0.0 turns -0.0 into +0.0 and leaves every other bit
+        assert got == _outcome_and_warnings(lambda: reduced_ode._increments(
+            spec, np.full(len(z_b), spec.z_turn), z_b, tol)[0] + 0.0)
 
 
 def _region_pieces(spec, z_a, z_b, tol):
@@ -1061,8 +1159,9 @@ class TestOneQuadratureCall:
     def test_near_refinement_failure_wins_over_far_error(self, from_turn,
                                                          monkeypatch):
         # the far integrand raises; a near piece fails only on refinement
-        # (tol below its round-off floor): the near failure is raised, as
-        # by a near call made before the far one
+        # (tol below its round-off floor: near pieces of about 0.84 at
+        # tol/2 = 5e-15): the near failure is raised, as by a near call
+        # made before the far one
         far_calls = []
 
         def raising_far(spec):
@@ -1070,23 +1169,23 @@ class TestOneQuadratureCall:
                 far_calls.append(np.shape(z))
                 raise ForbiddenRegion("far integrand")
             return f
-        spec = ExtremalSpec(*self.WEIGHTS["lambda 1.3"])
+        spec = ExtremalSpec(PowerLaw(0.0), 1.0)
         z_split = spec._near_setup()[0]
-        # an interval from z* takes the lean pass, whose split first call
-        # raises, so the driver makes the near and far calls itself
+        # integrate_phi's split first call raises, so the driver makes the
+        # near and far calls itself
         z_a = np.array([spec.z_turn * (1.0 if from_turn else 1.0 + 1e-6)])
         z_b = np.array([3.0 * z_split])
 
         def angles(tol):
             if from_turn:
-                return reduced_ode._angles_from_turn(spec, z_b, tol)
+                return integrate_phi(spec, z_b, tol)
             return reduced_ode._increments(spec, z_a, z_b, tol)
         with pytest.raises(QuadratureFailure, match="round-off") as want:
-            _two_call_increments(spec, z_a, z_b, 1e-17, from_turn)
+            _two_call_increments(spec, z_a, z_b, 1e-14, from_turn)
         monkeypatch.setattr(reduced_ode, "_far_integrand", raising_far)
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(str(want.value))}$"):
-            angles(1e-17)
+            angles(1e-14)
         # the shared first call only
         assert len(far_calls) == 1
         # with a near piece that meets tol, the far error is raised
@@ -1120,7 +1219,7 @@ class TestLuneburgLens:
             z_turn = mpmath.sqrt(1 - mpmath.sqrt(5) / 3)
             for z in (0.6, 0.8, 1.0, 1.2, 1.3):
                 ref = mpmath.quad(dphi, [z_turn, mpmath.mpf(z)])
-                got = integrate_phi(spec, spec.z_turn, z, 1e-12)
+                got = integrate_phi(spec, z, 1e-12)
                 assert abs(got - ref) <= 1e-12
 
     def test_past_the_apocentre_is_forbidden(self):
@@ -1415,7 +1514,7 @@ class TestBatchedTracing:
         assert len(panel_log) > count - 1
         assert len(set(panel_log)) == len(panel_log)
         panel_log.clear()
-        integrate_phi(spec, spec.z_turn, z_max, 1e-13)
+        integrate_phi(spec, z_max, 1e-13)
         assert len(set(panel_log)) == len(panel_log) == integral_panels
 
     def test_trace_reports_panels_and_estimate(self):
