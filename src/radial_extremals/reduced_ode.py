@@ -68,12 +68,12 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
     bracket (by default the first sign change of a geometric scan).  n
     must be finite and positive.
 
-    roots.find_root drives |g| = |n*v*z - 1| to 4 eps or else the bracket
-    to a few ulps, then the float with least |g| near it is kept.  The
-    crossing must be transversal and increasing: |g'(z*)|*max(1, z*) <
-    1e-8 raises TangentialTurningPoint (z*g'(z*) is the scale-free slope,
-    lam + 1 for every power law), and a decreasing crossing (g' < 0) is
-    rejected because z < z* would then be the allowed side.
+    roots.find_root drives |n*v*z - 1| to 4 eps (well inside 1e-13) or the
+    bracket to a few ulps.  The crossing must be transversal and increasing:
+    |g'(z*)|*max(1, z*) < 1e-8 raises TangentialTurningPoint (z*g'(z*) is
+    the scale-free slope, lam + 1 for every power law), and a decreasing
+    crossing (g' < 0) is rejected because z < z* would then be the allowed
+    side.
     """
     if not 0.0 < n < math.inf:   # ExtremalSpec passes |n|
         raise DomainError(f"the turning radius needs a finite n > 0, got {n}")
@@ -91,21 +91,9 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
     else:
         bracket = bracket or _auto_bracket(w, n)
         z_lo, z_hi = float(bracket[0]), float(bracket[1])
-        best, g_best = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
-                                 _profile(w, n, z_lo), _profile(w, n, z_hi),
-                                 _TURN_GTOL)
-        # past a slope z*g' of 4, one ulp moves g by over _TURN_GTOL, and
-        # find_root can stop on a bracket four ulps wide, at an end off the
-        # float nearest z*: step at most that far while |g| shrinks
-        for _ in range(4):
-            if abs(g_best) <= _TURN_GTOL:
-                break
-            nb = min(((z, _profile(w, n, z)) for z in (
-                math.nextafter(best, 0.0), math.nextafter(best, math.inf))),
-                key=lambda p: abs(p[1]))
-            if abs(nb[1]) >= abs(g_best):
-                break
-            best, g_best = nb
+        best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
+                            _profile(w, n, z_lo), _profile(w, n, z_hi),
+                            _TURN_GTOL)
     slope = _profile_and_slope(w, n, best)[1]
     if abs(slope) * max(1.0, best) < 1e-8:
         raise TangentialTurningPoint(
