@@ -111,8 +111,10 @@ def _auto_bracket(w: RadialWeight, n: float):
     The grid runs from 1e-8 to 1e8; points where v is not finite or
     positive cannot end a bracket.  The grid, v and the mask do not depend
     on n, so they are kept on the weight after its first scan.  Failing
-    that, each gap from an invalid point to a valid one with g > 0 (a
-    domain edge) is bisected for a valid point with g <= 0.
+    that, each gap between an invalid point and a valid one (a domain
+    edge) where g rises toward the valid side's sign, g > 0 past a left
+    edge or g < 0 before a right one, is bisected for a valid point of
+    the other sign.
     """
     if w._bracket_scan is None:
         z = np.geomspace(1e-8, 1e8, 321)
@@ -124,16 +126,14 @@ def _auto_bracket(w: RadialWeight, n: float):
     if change.any():
         i = int(np.argmax(change))
         return float(z[i]), float(z[i + 1])
-    for i in np.flatnonzero(~valid[:-1] & valid[1:] & (g[1:] > 0.0)).tolist():
-        lo, hi = float(z[i]), float(z[i + 1])
+    left = ~valid[:-1] & valid[1:] & (g[1:] > 0.0)
+    for i in np.flatnonzero(left | valid[:-1] & ~valid[1:] & (g[:-1] < 0.0)):
+        lo, hi, is_left = float(z[i]), float(z[i + 1]), bool(left[i])
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             v_mid, ok = masked_v(w, [mid])
-            if not ok[0]:
-                lo = mid
-            elif n * float(v_mid[0]) * mid - 1.0 <= 0.0:
-                return mid, hi
-            else:
-                hi = mid
+            if ok[0] and (n * float(v_mid[0]) * mid - 1.0 > 0.0) != is_left:
+                return (mid, hi) if is_left else (lo, mid)
+            lo, hi = (mid, hi) if (not ok[0]) == is_left else (lo, mid)
     raise NoBracket("no sign change of n*v(z)*z - 1 found on the scan grid")
 
 
