@@ -61,15 +61,10 @@ class BvpSolution:
 
 def _branch_angles(prob: BvpProblem, n: float, tol: float):
     """The extremal at constant n and the angles from its turning radius to
-    both endpoint radii, from one integrate_phi call.  An endpoint inside
-    the turning radius raises ForbiddenRegion naming n."""
+    both endpoint radii, from one integrate_phi call, which raises
+    ForbiddenRegion naming z and n for an endpoint inside the turn."""
     spec = ExtremalSpec(prob.weight, n)
-    zt = spec.z_turn
-    if min(prob.a.z, prob.b.z) < zt * (1.0 - 1e-12):
-        raise ForbiddenRegion(
-            f"turning radius {zt} exceeds an endpoint radius at n = {n}")
-    da, db = integrate_phi(spec, [prob.a.z, prob.b.z], tol).tolist()
-    return spec, da, db
+    return spec, *integrate_phi(spec, [prob.a.z, prob.b.z], tol).tolist()
 
 
 def _span(prob: BvpProblem, da: float, db: float) -> float:

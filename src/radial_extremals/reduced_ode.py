@@ -62,11 +62,10 @@ def _profile_and_slope(w: RadialWeight, n: float, z):
     return n * v * z - 1.0, n * (q * z + v)
 
 
-def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
-    """Root z* of n*v(z)*z = 1: for a power law without a bracket the
-    closed form n**(-1/(lam+1)), otherwise the root inside a sign-changing
-    bracket (by default the first sign change of a geometric scan).  n
-    must be finite and positive.
+def turning_radius(w: RadialWeight, n: float) -> float:
+    """Root z* of n*v(z)*z = 1: for a power law the closed form
+    n**(-1/(lam+1)), for any other weight the root inside the first sign
+    change of a geometric scan.  n must be finite and positive.
 
     roots.find_root drives |n*v*z - 1| to 4 eps (well inside 1e-13) or the
     bracket to a few ulps.  The crossing must be transversal and increasing:
@@ -77,7 +76,7 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
     """
     if not 0.0 < n < math.inf:   # ExtremalSpec passes |n|
         raise DomainError(f"the turning radius needs a finite n > 0, got {n}")
-    if bracket is None and isinstance(w, PowerLaw):
+    if isinstance(w, PowerLaw):
         if w.lam == -1.0:
             raise TangentialTurningPoint(
                 "v = 1/z makes n*v*z constant (no transversal turning "
@@ -89,8 +88,7 @@ def turning_radius(w: RadialWeight, n: float, bracket=None) -> float:
                 "only (closed_form handles these curves)")
         best = n ** (-1.0 / (w.lam + 1.0))
     else:
-        bracket = bracket or _auto_bracket(w, n)
-        z_lo, z_hi = float(bracket[0]), float(bracket[1])
+        z_lo, z_hi = _auto_bracket(w, n)
         best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
                             _profile(w, n, z_lo), _profile(w, n, z_hi),
                             _TURN_GTOL)
@@ -145,7 +143,8 @@ class ExtremalSpec:
     with orientation -1, the direction in which phi advances (+1 for a
     positive n).  The turning radius is resolved at construction by
     turning_radius, which raises DomainError unless |n| is finite and
-    nonzero.
+    nonzero, and then the near-region handoff, so a weight error there
+    also surfaces at construction.
     """
 
     weight: RadialWeight
@@ -159,13 +158,11 @@ class ExtremalSpec:
         self.orientation = 1 if self.n > 0.0 else -1
         self.n = abs(self.n)
         self.z_turn = turning_radius(self.weight, self.n)
-        self._near = None    # lazy (z_split, w_split, w_table, z_table)
+        self._near = self._near_setup()   # (z_split, w_split, w_tab, z_tab)
 
     # -- near-region machinery (w = sqrt(g) as integration variable) -----
 
     def _near_setup(self):
-        if self._near is not None:
-            return self._near
         zt = self.z_turn
         # handoff ladder z* + 1e-6*z* * 2^k, up to the first step past
         # 1e7*max(1, z*) or its last rung; the handoff is the first rung
@@ -217,8 +214,7 @@ class ExtremalSpec:
         if end < z_tab.size - 1:
             z_tab, w_tab = z_tab[:end + 1], w_tab[:end + 1]
             z_hi = float(z_tab[-1])
-        self._near = (z_hi, float(w_tab[-1]), w_tab, z_tab)
-        return self._near
+        return z_hi, float(w_tab[-1]), w_tab, z_tab
 
     def _invert_profile(self, w_nodes: np.ndarray):
         """(z, g'(z)) with g(z) = w^2: the fifth Newton iterate x_5 from a
@@ -227,7 +223,7 @@ class ExtremalSpec:
         (x_k == x_{k-1}) or in a 2-cycle (x_k == x_{k-2}), x_5 and g' there
         are already known: x_{k-1}, or x_{k-2} for a cycling node when 5 - k
         is even, with the g' of the pass that evaluated it."""
-        z_hi, _, w_tab, z_tab = self._near_setup()
+        z_hi, _, w_tab, z_tab = self._near
         zeta = np.interp(w_nodes, w_tab, z_tab)
         target = w_nodes * w_nodes
         lo, hi = self.z_turn, z_hi + (z_hi - self.z_turn)
@@ -324,7 +320,7 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     """
     flip = z_to < z_from
     z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
-    z_split, w_split, _, _ = spec._near_setup()
+    z_split, w_split, _, _ = spec._near
     moving = z_a != z_b
     # written so that a NaN radius enters a region and reaches the weight
     near = moving & ~(z_a >= z_split)
@@ -382,9 +378,9 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     z_min = spec.z_turn * (1.0 - 1e-12)
     for x in radii:
         if x < z_min:
-            raise ForbiddenRegion(f"z = {x} lies inside the turning "
-                                  f"radius z* = {spec.z_turn}")
-    z_split, w_split, _, _ = spec._near_setup()
+            raise ForbiddenRegion(f"z = {x} lies inside the turning radius "
+                                  f"z* = {spec.z_turn} at n = {spec.n}")
+    z_split, w_split, _, _ = spec._near
     inner = [z for z in radii if not z > z_split]
     w_hi = _w_of(spec, inner).tolist()
     z_long = _LONG_FAR * z_split

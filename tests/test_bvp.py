@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,8 +9,9 @@ from radial_extremals import bvp, reduced_ode, weights
 from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
                               ForbiddenRegion, NoBracket, PolarPoint,
                               PowerLaw, PowerLawCurve, Polyline,
-                              functional_value, integrate_phi, parse_weight,
-                              power_law_point, solve_n)
+                              QuadratureFailure, functional_value,
+                              integrate_phi, parse_weight, power_law_point,
+                              solve_n)
 
 import closed_form_reference
 
@@ -26,16 +28,28 @@ def endpoints_from_curve(lam, n, psi_a, psi_b, phi0=0.0):
     return power_law_point(c, psi_a), power_law_point(c, psi_b)
 
 
+def round_trip_draws():
+    """(lam, n_true, problem) for each of criterion 07's 50 draws."""
+    rng = np.random.default_rng(23)
+    for draw in range(50):
+        lam = float(rng.uniform(0.0, 3.0))
+        n_true = float(rng.uniform(0.7, 2.2))
+        phi0 = float(rng.uniform(-0.5, 0.5))
+        same_branch = draw % 2 == 1
+        if same_branch:
+            psi_a = float(rng.uniform(0.6, 0.9))
+            psi_b = float(rng.uniform(1.0, 1.3))
+        else:
+            psi_a = -float(rng.uniform(0.6, 1.3))
+            psi_b = float(rng.uniform(0.6, 1.3))
+        a, b = endpoints_from_curve(lam, n_true, psi_a, psi_b, phi0)
+        yield lam, n_true, BvpProblem(a, b, PowerLaw(lam), same_branch)
+
+
 def first_round_trip_draw():
     """(lam, n_true, endpoint a, endpoint b) of criterion 07's first draw."""
-    rng = np.random.default_rng(23)
-    lam = float(rng.uniform(0.0, 3.0))
-    n_true = float(rng.uniform(0.7, 2.2))
-    phi0 = float(rng.uniform(-0.5, 0.5))
-    psi_a = -float(rng.uniform(0.6, 1.3))
-    psi_b = float(rng.uniform(0.6, 1.3))
-    return (lam, n_true) + endpoints_from_curve(lam, n_true, psi_a, psi_b,
-                                                phi0)
+    lam, n_true, prob = next(round_trip_draws())
+    return lam, n_true, prob.a, prob.b
 
 
 def count_spans(monkeypatch):
@@ -73,7 +87,8 @@ class TestAngularSpan:
     def test_forbidden_when_turning_radius_exceeds_endpoint(self):
         prob = BvpProblem(PolarPoint(-0.5, 1.0), PolarPoint(0.5, 1.0),
                           PowerLaw(0.0))
-        with pytest.raises(ForbiddenRegion):
+        with pytest.raises(ForbiddenRegion, match=r"^z = 1.0 lies inside "
+                           r"the turning radius z\* = 2.0 at n = 0.5$"):
             span(0.5, prob)   # z* = 2 > 1
 
     @pytest.mark.parametrize("weight,n,radii", [
@@ -100,7 +115,8 @@ class TestAngularSpan:
                           PowerLaw(0.0))
         with pytest.raises(DomainError, match="tol must lie"):
             span(2.0, prob, 1e-2)
-        with pytest.raises(ForbiddenRegion):    # checked before tol
+        # tol is checked before the radii, as in integrate_phi
+        with pytest.raises(DomainError, match="tol must lie"):
             span(0.5, prob, 1e-2)
 
 
@@ -219,6 +235,25 @@ class TestSolveN:
                                  f"positive, got {bad}$"):
             BvpProblem(points["a"], points["b"], PowerLaw(1.0))
 
+    def test_equal_endpoints_rejected(self):
+        with pytest.raises(NoBracket, match="^endpoints must differ$"):
+            BvpProblem(PolarPoint(0.3, 1.3), PolarPoint(0.3, 1.3),
+                       PowerLaw(1.0))
+
+    @pytest.mark.parametrize("n_bracket", [(2.0, 1.0), (0.0, 1.0),
+                                           (-1.0, 2.0), (math.nan, 2.0),
+                                           (1.2, 1.2)])
+    def test_invalid_n_bracket_fails_before_any_span(self, monkeypatch,
+                                                     n_bracket):
+        spans = count_spans(monkeypatch)
+        prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
+                          PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
+        lo, hi = map(float, n_bracket)
+        with pytest.raises(NoBracket, match=re.escape(
+                f"invalid n bracket [{lo}, {hi}]")):
+            solve_n(prob, 2.0 * math.pi / 3, n_bracket, 1e-12)
+        assert spans == []
+
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
     def test_bad_tol_fails_before_any_span(self, monkeypatch, tol):
         spans = count_spans(monkeypatch)
@@ -236,6 +271,27 @@ class TestSolveN:
         sol = solve_n(prob, 0.9, (0.9, 2.2), 0.0)
         assert sol.n == pytest.approx(1.0 / (1.3 ** 2 * math.cos(0.9)),
                                       rel=1e-12)
+
+    def test_zero_tol_round_trips_solve_or_refuse(self):
+        # criterion 07's draws at tol 0: the search runs until the bracket
+        # collapses, and ends exactly on the target, or refuses with the
+        # collapse residual, or meets the round-off floor on the way
+        outcomes = {"exact": 0, "collapsed": 0, "floor": 0}
+        for lam, n_true, prob in round_trip_draws():
+            try:
+                sol = solve_n(prob, abs(prob.b.phi - prob.a.phi),
+                              (0.85 * n_true, 1.6 * n_true), 0.0)
+            except QuadratureFailure as exc:
+                collapsed = str(exc).startswith(
+                    "bracket collapsed with span residual ")
+                assert collapsed or "below the round-off floor" in str(exc)
+                outcomes["collapsed" if collapsed else "floor"] += 1
+                continue
+            assert sol.residual == 0.0
+            assert abs(sol.n - n_true) <= 1e-7 * n_true
+            outcomes["exact"] += 1
+        print(outcomes)
+        assert min(outcomes.values()) > 0
 
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_one_near_integrand_call_per_span(self, monkeypatch, weight):

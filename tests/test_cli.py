@@ -310,6 +310,22 @@ def test_non_finite_float_option_exits_2(capsys, option, value):
     assert f"argument {option}: not a finite number" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "--lambda", "1/0", "--n", "1", "--zmax", "3"],
+     "argument --lambda: not a rational number: '1/0'"),
+    (["trace", "--lambda", "abc", "--n", "1", "--zmax", "3"],
+     "argument --lambda: not a rational number: 'abc'"),
+    (["oracle", "--lambda", "1", "--endpoints=1,2,3"],
+     "argument --endpoints: expected 4 ','-separated numbers, got '1,2,3'"),
+    (["bvp", "--lambda", "0", "--endpoints=-1,1,1,1", "--n-bracket",
+      "1:2:3"],
+     "argument --n-bracket: expected 2 ':'-separated numbers, got '1:2:3'")])
+def test_malformed_option_value_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
 class TestBvp:
     def test_bracket_end_outside_endpoint_radius(self, capsys):
         code, _, err = run(capsys, "bvp", "--lambda", "13/10",

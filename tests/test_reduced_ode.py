@@ -18,7 +18,7 @@ from radial_extremals import (DomainError, EvalError, ExtremalError,
 from radial_extremals import reduced_ode
 from radial_extremals.extremal_core import clairaut_constant
 from radial_extremals.quadrature import _NODES
-from radial_extremals.weights import RadialWeight
+from radial_extremals.weights import ExpressionWeight, RadialWeight
 
 import closed_form_reference
 
@@ -28,35 +28,38 @@ _HALF_POWER_REFERENCE = 0.8635752013343474
 
 
 class TestTurningRadius:
+    # an ExpressionWeight of a power law takes the root search, a PowerLaw
+    # the closed form
     def test_constant_weight(self):
-        z = turning_radius(PowerLaw(0.0), 2.0, (0.1, 3.0))
+        z = turning_radius(ExpressionWeight("1"), 2.0)
         assert abs(2.0 * z - 1.0) <= 1e-13
 
     def test_linear_weight(self):
-        z = turning_radius(PowerLaw(1.0), 4.0, (0.1, 3.0))
+        z = turning_radius(ExpressionWeight("z"), 4.0)
         assert abs(4.0 * z * z - 1.0) <= 1e-13
 
     def test_power_law_closed_form(self):
         for lam in (0.5, 2.0, 3.0):
             for n in (0.7, 1.9):
-                z = turning_radius(PowerLaw(lam), n, (1e-3, 50.0))
-                assert z == pytest.approx(n ** (-1.0 / (lam + 1.0)),
+                z = turning_radius(ExpressionWeight(f"z^{lam}"), n)
+                assert z == pytest.approx(turning_radius(PowerLaw(lam), n),
                                           rel=1e-12)
                 assert abs(n * z ** (lam + 1.0) - 1.0) <= 1e-13
 
     def test_expression_weight(self):
         w = parse_weight("1/(1+z^2)")
-        z = turning_radius(w, 3.0, (0.05, 0.9))
+        z = turning_radius(w, 3.0)
         assert abs(3.0 * eval_v(w, z) * z - 1.0) <= 1e-13
 
     def test_no_bracket(self):
-        with pytest.raises(NoBracket):
-            turning_radius(PowerLaw(1.0), 1.0, (2.0, 3.0))
+        # exp(-z)*z peaks at 1/e, so g < 0 on the whole scan grid
+        with pytest.raises(NoBracket, match="^no sign change of n"):
+            turning_radius(parse_weight("exp(-z)"), 1.0)
 
     def test_decreasing_crossing_rejected(self):
-        w = parse_weight("z^-2")  # n*v*z = n/z, decreasing
-        with pytest.raises(DomainError):
-            turning_radius(w, 1.0, (0.5, 2.0))
+        w = ExpressionWeight("z^-2")  # n*v*z = n/z, decreasing
+        with pytest.raises(DomainError, match="crosses 1 from above"):
+            turning_radius(w, 1.0)
 
     def test_power_law_without_bracket_is_the_closed_form(self):
         for lam in (-0.5, 0.0, 0.5, 1.0, 1.3, 3.0):
@@ -86,8 +89,8 @@ class TestTurningRadius:
 
     def test_expression_weight_without_bracket_scans(self):
         w = parse_weight("1/(1+z^2)")
-        assert turning_radius(w, 3.0) == \
-            turning_radius(w, 3.0, reduced_ode._auto_bracket(w, 3.0))
+        lo, hi = reduced_ode._auto_bracket(w, 3.0)
+        assert lo <= turning_radius(w, 3.0) <= hi
 
     @pytest.mark.parametrize("z_turn", [1e9, 1e10, 2.2e13])
     def test_transversality_is_scale_free(self, z_turn):
@@ -103,7 +106,7 @@ class TestTurningRadius:
     def test_tangential_crossing_rejected(self):
         w = parse_weight("(1+(z-1)^3)/z")   # g = (z-1)^3 at n = 1
         with pytest.raises(TangentialTurningPoint, match="near-zero slope"):
-            turning_radius(w, 1.0, (0.5, 2.0))
+            turning_radius(w, 1.0)
 
 
 class TestExtremalSpec:
@@ -141,6 +144,8 @@ class TestExtremalSpec:
             ExtremalSpec(parse_weight("1+z"), n)
 
     def test_turning_slope_evaluated_once(self, monkeypatch):
+        # the one scalar pass is the slope at z*; the near setup that
+        # follows it passes the w table's radii as one array
         calls = []
         slope = reduced_ode._profile_and_slope
 
@@ -149,7 +154,8 @@ class TestExtremalSpec:
             return slope(*args)
         monkeypatch.setattr(reduced_ode, "_profile_and_slope", counted)
         spec = ExtremalSpec(parse_weight("1+z"), 1.0)
-        assert calls == [spec.z_turn]
+        assert [z for z in calls if np.ndim(z) == 0] == [spec.z_turn]
+        assert calls[0] == spec.z_turn
 
 
 def _scalar_scan(w, n):
@@ -288,7 +294,7 @@ class TestHandoffLadder:
         (PowerLaw(1.0), 1e40)])               # z* = 1e-20
     def test_matches_doubling_scan(self, weight, n):
         spec = ExtremalSpec(weight, n)
-        z_hi, w_hi, w_tab, z_tab = spec._near_setup()
+        z_hi, w_hi, w_tab, z_tab = spec._near
         assert (z_hi, w_hi, w_tab.tolist(), z_tab.tolist()) == \
             _doubling_near_setup(spec)
 
@@ -298,7 +304,7 @@ class TestHandoffLadder:
         spec = ExtremalSpec(parse_weight("sqrt(2-z^2)"), 1.5)
         with pytest.raises(EvalError):
             _doubling_near_setup(spec)
-        z_hi, w_hi, w_tab, z_tab = spec._near_setup()
+        z_hi, w_hi, w_tab, z_tab = spec._near
         assert spec.z_turn < z_hi < 1.0     # g peaks at z = 1
         assert len(w_tab) == len(z_tab) == reduced_ode._TABLE_SIZE + 1
         assert (np.diff(w_tab) > 0.0).all() and w_hi == w_tab[-1]
@@ -310,7 +316,7 @@ class TestHandoffLadder:
         mpmath = pytest.importorskip("mpmath")
         n = 8.634916453297178
         spec = ExtremalSpec(parse_weight("1 + 0.3*sin(20*z)"), n)
-        z_hi, w_hi, w_tab, z_tab = spec._near_setup()
+        z_hi, w_hi, w_tab, z_tab = spec._near
         assert len(w_tab) < reduced_ode._TABLE_SIZE + 1
         assert (np.diff(w_tab) > 0.0).all()
         assert (z_hi, w_hi) == (z_tab[-1], w_tab[-1])
@@ -332,11 +338,12 @@ class TestHandoffLadder:
         assert 0.128 in got
 
     def test_invalid_first_rung_raises_the_weight_error(self):
-        # z* = 1; the first rung, 1 + 1e-6, lies in the gap
-        spec = ExtremalSpec(_GapWeight(1.0 + 1e-7, 1.05), 1.0)
-        assert spec.z_turn == 1.0
+        # z* = 1; the first rung, 1 + 1e-6, lies in the gap, and the spec
+        # builds its handoff, so it raises the weight's error
+        w = _GapWeight(1.0 + 1e-7, 1.05)
+        assert turning_radius(w, 1.0) == 1.0
         with pytest.raises(EvalError, match="not finite"):
-            spec._near_setup()
+            ExtremalSpec(w, 1.0)
 
 
 def _closed_form_angle(mpmath, lam, n, z):
@@ -551,7 +558,7 @@ class TestPeakedProfiles:
         # table the ladder's handoff would give; that handoff's slope is
         # -0.035, and the angle came out as 1.12747 with no error
         spec = ExtremalSpec(parse_weight("2+sin(3*z)"), 0.75)
-        z_split = spec._near_setup()[0]
+        z_split = spec._near[0]
         assert spec.z_turn < z_split < 0.8985
         assert reduced_ode._profile_and_slope(spec.weight, spec.n,
                                               z_split)[1] > 0.0
@@ -603,7 +610,7 @@ def _five_step_inversion(spec, w_nodes):
     """The near-region inversion as five full Newton steps, g and g' from
     separate eval_v and eval_q calls, then g' once more at the final z."""
     w, n = spec.weight, spec.n
-    z_hi, _, w_tab, z_tab = spec._near_setup()
+    z_hi, _, w_tab, z_tab = spec._near
     zeta = np.interp(w_nodes, w_tab, z_tab)
     target = w_nodes * w_nodes
     lo, hi = spec.z_turn, z_hi + (z_hi - spec.z_turn)
@@ -629,7 +636,7 @@ class TestInvertProfile:
     def test_equals_five_newton_steps(self, monkeypatch, weight, n, panels,
                                       passes):
         spec = ExtremalSpec(weight, n)
-        w_split = spec._near_setup()[1]
+        w_split = spec._near[1]
         edges = np.linspace(0.0, w_split, panels + 1)
         nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] \
             + (0.5 * np.diff(edges))[:, None] * _NODES
@@ -734,7 +741,7 @@ class TestIntegratePhi:
         (PowerLaw(1.3), 0.9, 3.0), (parse_weight("1/(1+z^2)"), 3.0, 0.9)])
     def test_arrays_equal_scalar_calls(self, weight, n, z_top):
         spec = ExtremalSpec(weight, n)
-        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        zt, z_split = spec.z_turn, spec._near[0]
         z_b = [zt, 1.1 * zt, 0.5 * (zt + z_split), z_split, z_top, zt,
                z_top, zt * (1.0 - 1e-13)]
         got = integrate_phi(spec, z_b, 1e-13)
@@ -752,7 +759,7 @@ class TestIntegratePhi:
         # _increments, the builder of traced grids and Newton steps, takes
         # intervals in either order and equal radii, batched
         spec = ExtremalSpec(PowerLaw(1.3), 0.9)
-        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        zt, z_split = spec.z_turn, spec._near[0]
         z_to = np.array([zt, 1.1 * zt, 0.5 * (zt + z_split), z_split, 3.0])
         z_from = np.array([3.0, zt, z_split, 1.05 * zt, 3.0])
         got = []
@@ -785,7 +792,8 @@ class TestIntegratePhi:
                (1e-12, [2.0, 0.25, 0.5, math.inf], DomainError,
                 "^z must be finite, got inf$"),
                (1e-12, [2.0, 0.25, 0.5], ForbiddenRegion,
-                r"^z = 0.25 lies inside the turning radius z\* = 1.0$"),
+                r"^z = 0.25 lies inside the turning radius z\* = 1.0 "
+                r"at n = 1.0$"),
                (1e-12, -1.0, ForbiddenRegion, "^z = -1.0 lies inside")]
         for tol, z, error, message in bad:
             with pytest.raises(error, match=message):
@@ -808,7 +816,7 @@ class TestIntegratePhi:
     @pytest.mark.parametrize("weight", [PowerLaw(1.0), parse_weight("1+z")])
     def test_nan_limit_reaches_the_weight(self, weight):
         spec = ExtremalSpec(weight, 1.0)
-        z_split = spec._near_setup()[0]
+        z_split = spec._near[0]
         for z_a, z_b in [(spec.z_turn, math.nan), (2.0 * z_split, math.nan),
                          (math.nan, spec.z_turn), (math.nan, 2.0 * z_split)]:
             with pytest.raises(DomainError, match="domain minimum"):
@@ -846,7 +854,7 @@ class TestIntegratePhi:
         # a far piece up to _LONG_FAR times its lower radius keeps the
         # z-space bits of the parent's single far run
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
-        z_split = spec._near_setup()[0]
+        z_split = spec._near[0]
         z_b = z_split * np.array([4.0, 99.0, 100.0])
         z_a = np.full(3, z_split)
         got = reduced_ode._increments(spec, z_a, z_b, 1e-12)[0]
@@ -913,7 +921,7 @@ class TestAnglesFromTurn:
         (parse_weight("sqrt(2-z^2)"), 1.5)])
     def test_equals_plain(self, weight, n, monkeypatch, entries):
         spec = ExtremalSpec(weight, n)
-        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        zt, z_split = spec.z_turn, spec._near[0]
         z_top = 1.3 if weight.text() == "sqrt(2-z^2)" else 3.0 * z_split
         # span-like pieces from z*, pieces inside one region, and a piece
         # across the handoff radius
@@ -994,7 +1002,7 @@ def _radius(spec, kind, u):
     """A radius of one kind for integrate_phi: at z*, just inside it
     (allowed, 1e-13, or refused, 1e-9), inside the handoff, beyond it, or
     past _LONG_FAR*z_split, where math.log would move bits."""
-    zt, z_split = spec.z_turn, spec._near_setup()[0]
+    zt, z_split = spec.z_turn, spec._near[0]
     return {"turn": zt, "inside turn": zt * (1.0 - 1e-13),
             "inside turn, refused": zt * (1.0 - 1e-9),
             "near": zt + (z_split - zt) * max(u, 1e-9),
@@ -1047,7 +1055,8 @@ class TestLeanPassEquivalence:
         refused = z_b[z_b < spec.z_turn * (1.0 - 1e-12)].tolist()
         if refused:
             assert got == ((ForbiddenRegion, f"z = {refused[0]} lies inside "
-                            f"the turning radius z* = {spec.z_turn}"), [])
+                            f"the turning radius z* = {spec.z_turn} at n = "
+                            f"{spec.n}"), [])
             return
         # adding +0.0 turns -0.0 into +0.0 and leaves every other bit
         assert got == _outcome_and_warnings(lambda: reduced_ode._increments(
@@ -1057,7 +1066,7 @@ class TestLeanPassEquivalence:
 def _region_pieces(spec, z_a, z_b, tol):
     """The near pieces (in w) and far pieces (in z) of _increments, each as
     (integrand, lo, hi, tol), with the near and far masks."""
-    z_split, w_split, _, _ = spec._near_setup()
+    z_split, w_split, _, _ = spec._near
     moving = z_a != z_b
     near = moving & ~(z_a >= z_split)
     far = moving & ~(z_b <= z_split)
@@ -1109,7 +1118,7 @@ class TestOneQuadratureCall:
 
     @staticmethod
     def radii(spec, case):
-        zt, z_split = spec.z_turn, spec._near_setup()[0]
+        zt, z_split = spec.z_turn, spec._near[0]
         grid = reduced_ode._cosine_z_grid(spec, 3.0 * z_split, 40)
         near_grid = reduced_ode._cosine_z_grid(spec, 0.9 * z_split, 12)
         far_grid = np.linspace(z_split, 4.0 * z_split, 12)
@@ -1161,7 +1170,7 @@ class TestOneQuadratureCall:
     @pytest.mark.parametrize("split", [False, True])
     def test_signed_increments_reversed(self, split):
         spec = ExtremalSpec(*self.WEIGHTS["2.5*z^1.3"])
-        z_split = spec._near_setup()[0]
+        z_split = spec._near[0]
         z_from = np.array([3.0 * z_split, spec.z_turn, 0.5 * z_split])
         z_to = np.array([spec.z_turn, 2.0 * z_split, 0.5 * z_split])
         got = reduced_ode._increments(spec, z_from, z_to, 1e-13)
@@ -1188,7 +1197,7 @@ class TestOneQuadratureCall:
                 raise ForbiddenRegion("far integrand")
             return f
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
-        z_split = spec._near_setup()[0]
+        z_split = spec._near[0]
         # integrate_phi's split first call raises, so the driver makes the
         # near and far calls itself
         z_a = np.array([spec.z_turn * (1.0 if from_turn else 1.0 + 1e-6)])
@@ -1308,6 +1317,8 @@ class TestTrace:
             trace_extremal(spec, 0.9, 50)
         with pytest.raises(DomainError):
             trace_extremal(spec, 2.0, 2)
+        with pytest.raises(DomainError, match="^unknown grid 'log'$"):
+            trace_extremal(spec, 2.0, 50, grid="log")
         # a count numpy refuses to size fails as bad input, not ValueError
         for grid in ("cosine", "uniform-phi"):
             with pytest.raises(DomainError, match="at most 100000000 "):
@@ -1510,7 +1521,7 @@ class TestBatchedTracing:
         for case in _BATCH_CASES:
             spec, z_max, count, tol = self._setup(case)
             zs = reduced_ode._cosine_z_grid(spec, z_max, count)
-            z_split = spec._near_setup()[0]
+            z_split = spec._near[0]
             straddles += int(np.sum((zs[:-1] < z_split) & (zs[1:] > z_split)))
             reduced_ode._cumulative_phi(spec, zs, tol)
         # straddling intervals, and first panels that miss the tolerance

@@ -411,6 +411,10 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_weight("w + 1")
         assert err.value.offset == 0
+        with pytest.raises(ParseError, match="^unexpected character '\\$' "
+                           "at offset 1 ") as err:
+            parse_weight("z$2")
+        assert err.value.offset == 1
         with pytest.raises(DomainError):
             parse_weight("   ")
 
