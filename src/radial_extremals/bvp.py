@@ -71,11 +71,10 @@ def _span(prob: BvpProblem, da: float, db: float) -> float:
     return abs(da - db) if prob.same_branch else da + db
 
 
-def solve_n(prob: BvpProblem, target_span: float, n_bracket,
-            tol: float) -> BvpSolution:
-    """Find n whose angular span matches target_span within tol.
+def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
+    """Find n whose angular span matches |phi_b - phi_a| within tol.
 
-    The bracket must produce spans straddling the target; no monotonicity
+    The bracket must produce spans straddling that target; no monotonicity
     beyond that sign change is assumed.  A bracket end that puts the turning
     radius outside an endpoint radius raises NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
@@ -90,6 +89,7 @@ def solve_n(prob: BvpProblem, target_span: float, n_bracket,
     n_lo, n_hi = float(n_bracket[0]), float(n_bracket[1])
     if not 0.0 < n_lo < n_hi:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")
+    target_span = abs(prob.b.phi - prob.a.phi)
     qtol = min(1e-13, max(tol / 10.0, 1e-14))
     # (spec, da, db) per n, so the root's are not rebuilt; one entry per
     # span evaluation, since find_root evaluates each n at most once

@@ -81,14 +81,13 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
                  1e-3, "<="))
 
     if lam is not None:
-        k = lam + 1.0
-        psis = np.linspace(0.0, 1.4, 15)[1:]
-        z_psi = [(n * math.cos(psi)) ** (-1.0 / k) for psi in psis.tolist()]
-        got = integrate_phi(spec, z_psi, 1e-12)
-        worst = max([0.0, *np.abs(got - psis / k).tolist()])
+        curve = closed_form.PowerLawCurve(lam, n)
+        pts = [closed_form.power_law_point(curve, psi)
+               for psi in np.linspace(0.0, 1.4, 15)[1:].tolist()]
+        got = integrate_phi(spec, [p.z for p in pts], 1e-12)
+        worst = max([0.0, *np.abs(got - [p.phi for p in pts]).tolist()])
         rows.append(("quadrature vs closed form", worst, 1e-10, "<="))
 
-        curve = closed_form.PowerLawCurve(lam, n)
         resid = max(abs(closed_form.algebraic_relation_residual(
             curve, PolarPoint(phi, z))) for phi, z in zip(phis.tolist(),
                                                           zs.tolist()))

@@ -373,7 +373,7 @@ def _cmd_bvp(args) -> int:
     (phi1, z1, phi2, z2) = args.endpoints
     prob = BvpProblem(PolarPoint(phi1, z1), PolarPoint(phi2, z2), weight,
                       same_branch=args.same_branch)
-    sol = solve_n(prob, abs(phi2 - phi1), args.n_bracket, args.tol)
+    sol = solve_n(prob, args.n_bracket, args.tol)
 
     if args.format == "csv":
         return _emit(args, _csv("n,phi0,z_turn,span",

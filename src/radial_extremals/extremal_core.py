@@ -82,15 +82,6 @@ def clairaut_constant(r, dtheta_dr, w: RadialWeight):
     return float(out) if out.ndim == 0 else out
 
 
-def _xy_arrays(samples):
-    """x and y columns of a (K, 2) array or of a sequence of points."""
-    if not isinstance(samples, np.ndarray):
-        samples = [(s.x, s.y) if isinstance(s, CartesianPoint) else tuple(s)
-                   for s in samples]
-    pts = np.asarray(samples, dtype=float)
-    return pts[:, 0], pts[:, 1]
-
-
 def _local_dx(x: np.ndarray) -> np.ndarray:
     dx = np.empty_like(x)
     dx[1:-1] = 0.5 * (x[2:] - x[:-2])
@@ -100,7 +91,7 @@ def _local_dx(x: np.ndarray) -> np.ndarray:
 
 
 def _check_graph(samples):
-    x, y = _xy_arrays(samples)
+    x, y = np.asarray(samples, dtype=float).T
     if len(x) < 5:
         raise DomainError("need at least 5 samples")
     if not np.all(np.diff(x) > 0.0):
@@ -118,7 +109,8 @@ def _graph_partials(samples, w: RadialWeight):
 
 
 def el_residual(samples, w: RadialWeight) -> np.ndarray:
-    """Discrete residual of the stationarity condition N dx = dP.
+    """Discrete residual of the stationarity condition N dx = dP at samples,
+    a (K, 2) array-like of (x, y) rows with x strictly increasing.
 
     Slopes and dP/dx come from second-order finite differences (central in
     the interior, one-sided at the two ends).  The returned per-sample values

@@ -321,10 +321,10 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     flip = z_to < z_from
     z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
     z_split, w_split, _, _ = spec._near
-    moving = z_a != z_b
-    # written so that a NaN radius enters a region and reaches the weight
-    near = moving & ~(z_a >= z_split)
-    far = moving & ~(z_b <= z_split)
+    # written so that a NaN radius enters a region and reaches the weight;
+    # an equal pair is a zero-width piece, which integrates to +0.0
+    near = ~(z_a >= z_split)
+    far = ~(z_b <= z_split)
     piece_tol = np.where(near & far, 0.5 * tol, tol)
     w_b = np.full(len(z_b), w_split)
     w_b[near & ~far] = _w_of(spec, z_b[near & ~far])

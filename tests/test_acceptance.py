@@ -163,8 +163,7 @@ def test_criterion_07_bvp_round_trip():
         a = rx.power_law_point(c, psi_a)
         b = rx.power_law_point(c, psi_b)
         prob = rx.BvpProblem(a, b, rx.PowerLaw(lam), same_branch=same_branch)
-        sol = rx.solve_n(prob, abs(b.phi - a.phi),
-                         (0.85 * n_true, 1.6 * n_true), 1e-12)
+        sol = rx.solve_n(prob, (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert abs(sol.n - n_true) <= 1e-7 * n_true
 
 

@@ -124,7 +124,7 @@ class TestSolveN:
     def test_constant_weight_line(self):
         prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
-        sol = solve_n(prob, 2.0 * math.pi / 3, (1.2, 3.5), 1e-12)
+        sol = solve_n(prob, (1.2, 3.5), 1e-12)
         assert sol.n == pytest.approx(2.0, abs=1e-8)
         assert sol.phi0 == pytest.approx(0.0, abs=1e-10)
         assert sol.z_turn == pytest.approx(0.5, rel=1e-8)
@@ -133,7 +133,7 @@ class TestSolveN:
         n_true = 1.7
         a, b = endpoints_from_curve(1.0, n_true, -0.9, 0.9, phi0=0.25)
         prob = BvpProblem(a, b, PowerLaw(1.0))
-        sol = solve_n(prob, abs(b.phi - a.phi), (1.2, 2.4), 1e-12)
+        sol = solve_n(prob, (1.2, 2.4), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-8)
         assert sol.phi0 == pytest.approx(0.25, abs=1e-8)
 
@@ -143,7 +143,7 @@ class TestSolveN:
         # endpoint radii: n_lo >= n_true * cos(psi_min)
         a, b = endpoints_from_curve(2.0, n_true, 0.5, 1.1, phi0=-0.4)
         prob = BvpProblem(a, b, PowerLaw(2.0), same_branch=True)
-        sol = solve_n(prob, abs(b.phi - a.phi), (1.17, 1.9), 1e-12)
+        sol = solve_n(prob, (1.17, 1.9), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-8)
         assert sol.phi0 == pytest.approx(-0.4, abs=1e-8)
 
@@ -151,20 +151,20 @@ class TestSolveN:
         prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
         with pytest.raises(NoBracket):
-            solve_n(prob, 2.0 * math.pi / 3, (2.5, 3.5), 1e-12)
+            solve_n(prob, (2.5, 3.5), 1e-12)
 
     def test_bracket_end_outside_endpoint_radius(self):
         # z*(0.5) = 0.5^(-1/2.3) = 1.35 lies outside both endpoint radii
         prob = BvpProblem(PolarPoint(-0.5, 1.3), PolarPoint(0.5, 1.3),
                           PowerLaw(1.3))
         with pytest.raises(NoBracket, match="invalid bracket end.* n = 0.5$"):
-            solve_n(prob, 1.0, (0.5, 3.0), 1e-12)
+            solve_n(prob, (0.5, 3.0), 1e-12)
 
     def test_span_evaluations_per_solve(self, monkeypatch):
         # first draw of the acceptance round trip (criterion 07)
         lam, n_true, a, b = first_round_trip_draw()
         calls = count_spans(monkeypatch)
-        sol = solve_n(BvpProblem(a, b, PowerLaw(lam)), abs(b.phi - a.phi),
+        sol = solve_n(BvpProblem(a, b, PowerLaw(lam)),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert sol.evaluations == len(calls) == 8
@@ -190,7 +190,7 @@ class TestSolveN:
                         return _f(*args)
                     monkeypatch.setattr(module, name, counted)
         spans = count_spans(monkeypatch)
-        sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
+        sol = solve_n(BvpProblem(a, b, w),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         per_span = len(passes) / len(spans)
@@ -210,7 +210,7 @@ class TestSolveN:
             return _f(*args)
         monkeypatch.setattr(weights, "_finish", counted)
         spans = count_spans(monkeypatch)
-        sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
+        sol = solve_n(BvpProblem(a, b, w),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert len(spans) == 8 and finished == []
@@ -223,7 +223,7 @@ class TestSolveN:
         with pytest.raises(DomainError,
                            match=f"endpoint {which} radius must be finite"):
             solve_n(BvpProblem(points["a"], points["b"], PowerLaw(1.0)),
-                    1.0, (0.5, 3.0), 1e-12)
+                    (0.5, 3.0), 1e-12)
 
     @pytest.mark.parametrize("which", ["a", "b"])
     @pytest.mark.parametrize("bad", [-1.3, 0.0, -0.0])
@@ -251,7 +251,7 @@ class TestSolveN:
         lo, hi = map(float, n_bracket)
         with pytest.raises(NoBracket, match=re.escape(
                 f"invalid n bracket [{lo}, {hi}]")):
-            solve_n(prob, 2.0 * math.pi / 3, n_bracket, 1e-12)
+            solve_n(prob, n_bracket, 1e-12)
         assert spans == []
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
@@ -261,14 +261,14 @@ class TestSolveN:
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
         with pytest.raises(DomainError,
                            match=f"^tol must be non-negative, got {tol}$"):
-            solve_n(prob, 2.0 * math.pi / 3, (1.2, 3.5), tol)
+            solve_n(prob, (1.2, 3.5), tol)
         assert spans == []
 
     def test_zero_tol_runs_to_bracket_collapse(self):
         # on the curve n z^2 cos(2 phi) = 1 of v = z
         prob = BvpProblem(PolarPoint(-0.45, 1.3), PolarPoint(0.45, 1.3),
                           PowerLaw(1.0))
-        sol = solve_n(prob, 0.9, (0.9, 2.2), 0.0)
+        sol = solve_n(prob, (0.9, 2.2), 0.0)
         assert sol.n == pytest.approx(1.0 / (1.3 ** 2 * math.cos(0.9)),
                                       rel=1e-12)
 
@@ -279,8 +279,7 @@ class TestSolveN:
         outcomes = {"exact": 0, "collapsed": 0, "floor": 0}
         for lam, n_true, prob in round_trip_draws():
             try:
-                sol = solve_n(prob, abs(prob.b.phi - prob.a.phi),
-                              (0.85 * n_true, 1.6 * n_true), 0.0)
+                sol = solve_n(prob, (0.85 * n_true, 1.6 * n_true), 0.0)
             except QuadratureFailure as exc:
                 collapsed = str(exc).startswith(
                     "bracket collapsed with span residual ")
@@ -313,7 +312,7 @@ class TestSolveN:
             return counted
         monkeypatch.setattr(reduced_ode, "_near_integrand", counted_near)
         spans = count_spans(monkeypatch)
-        sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
+        sol = solve_n(BvpProblem(a, b, w),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert len(spans) == 8
@@ -343,7 +342,7 @@ class TestSolveN:
         monkeypatch.setattr(quad, "integrate", counted)
         monkeypatch.setattr(quad, "kronrod_panels", counted_panels)
         spans = count_spans(monkeypatch)
-        sol = solve_n(BvpProblem(a, b, w), abs(b.phi - a.phi),
+        sol = solve_n(BvpProblem(a, b, w),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert len(spans) == 8
@@ -364,7 +363,7 @@ class TestSolveN:
             return ExtremalSpec(*args, **kwargs)
         spans = count_spans(monkeypatch)
         monkeypatch.setattr(bvp, "ExtremalSpec", counted_spec)
-        sol = solve_n(BvpProblem(a, b, PowerLaw(lam)), abs(b.phi - a.phi),
+        sol = solve_n(BvpProblem(a, b, PowerLaw(lam)),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
         assert 0 < len(specs) <= len(spans)
@@ -379,8 +378,7 @@ class TestSolveN:
             psi_b = float(rng.uniform(0.6, 1.3))
             a, b = endpoints_from_curve(lam, n_true, psi_a, psi_b, phi0)
             prob = BvpProblem(a, b, PowerLaw(lam))
-            sol = solve_n(prob, abs(b.phi - a.phi),
-                          (0.85 * n_true, 1.6 * n_true), 1e-12)
+            sol = solve_n(prob, (0.85 * n_true, 1.6 * n_true), 1e-12)
             assert sol.n == pytest.approx(n_true, rel=1e-7)
             spec = ExtremalSpec(PowerLaw(lam), sol.n, phi0=sol.phi0)
             for pt in (a, b):
@@ -396,8 +394,7 @@ class TestSolveN:
             n_true = 1.2
             a, b = endpoints_from_curve(lam, n_true, -1.0, 1.0)
             prob = BvpProblem(a, b, PowerLaw(lam))
-            sol = solve_n(prob, abs(b.phi - a.phi),
-                          (0.9 * n_true, 1.4 * n_true), 1e-12)
+            sol = solve_n(prob, (0.9 * n_true, 1.4 * n_true), 1e-12)
             curve = PowerLawCurve(lam, sol.n, sol.phi0)
             psi_b = closed_form_reference.psi(curve, b.z)
             pts = [power_law_point(curve, float(s))
