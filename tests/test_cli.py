@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -236,6 +237,36 @@ class TestCheck:
                            "--zmax", "2")
         assert code == 0
         assert "spiral" in out
+
+    @pytest.mark.parametrize("weight, n, z_max, failed", [
+        (["--lambda", "1"], "1", "3", [
+            "FAIL slope identity vs finite differences: 1.786e-03 "
+            "(<= 1.0e-03)",
+            "FAIL algebraic relation residual: 1.458e-02 (<= 1.0e-10)",
+            "FAIL stationarity residual convergence factor: 2.003e+00 "
+            "(>= 3.5e+00)"]),
+        (["--weight", "2.5*z^1.3"], "1.1", "2", [
+            "FAIL slope identity vs finite differences: 1.198e-03 "
+            "(<= 1.0e-03)",
+            "FAIL stationarity residual convergence factor: 2.001e+00 "
+            "(>= 3.5e+00)"]),
+    ])
+    def test_perturbed_trace_fails_and_exits_1(self, capsys, monkeypatch,
+                                               weight, n, z_max, failed):
+        # the gates trace curves whose phi is off by 1e-3*sin(3*phi)
+        from radial_extremals import checks
+
+        def perturbed(spec, z_max, count, tol=1e-12):
+            tr = trace_extremal(spec, z_max, count, tol=tol)
+            return dataclasses.replace(
+                tr, phi=tr.phi + 1e-3 * np.sin(3.0 * tr.phi))
+        monkeypatch.setattr(checks, "trace_extremal", perturbed)
+        code, out, err = run(capsys, "check", *weight, "--n", n,
+                             "--zmax", z_max)
+        lines = out.splitlines()
+        assert (code, err) == (1, "")
+        assert [row for row in lines if row.startswith("FAIL")] == failed
+        assert lines[-1] == f"{len(failed)} check(s) failed"
 
 
 class TestOracle:

@@ -127,3 +127,48 @@ def test_attributes_of_foreign_modules_are_not_uses():
     assert used_names(source) - {"np", "os", "numpy", "os.path", "x", "y",
                                  "a", "b", "pl", "w"} == {
         "discrete_oracle", "minimize", "polyline", "text"}
+
+
+def dead_names(source: str) -> list:
+    """Names the module binds by an import (``__future__`` aside) or as a
+    private top-level function, class or constant, and never reads: no
+    ``ast.Name`` loads it outside a top-level def or class of that same
+    name, so recursion is not a read, and neither is a string."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    for stmt in tree.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                   else [stmt])
+        bound |= {name for t in targets for name in
+                  ([t.name] if hasattr(t, "name") else
+                   [n.id for n in ast.walk(t) if isinstance(n, ast.Name)])
+                  if _private(name)}
+    read = {node.id for stmt in tree.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id != getattr(stmt, "name", None)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_and_private_name_is_read(path):
+    assert dead_names(path.read_text()) == []
+
+
+def test_dead_names_flags_imports_and_private_names():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport os.path\nimport numpy as np\n"
+              "from .m import a, b as c\n"
+              "_LIMIT = 3\n_SEEN, _x = {}, 1\n_T: int = 2\n"
+              "def _helper(x):\n    return _helper(x - 1)\n"
+              "class _Box:\n    pass\n"
+              "def f(y: c) -> float:\n"
+              "    from . import checks\n"
+              "    return np.hypot(y, _LIMIT) + _SEEN[y] + _Box.__name__\n")
+    assert dead_names(source) == ["_T", "_helper", "_x", "a", "checks",
+                                  "math", "os"]
