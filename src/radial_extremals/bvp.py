@@ -49,7 +49,7 @@ class BvpProblem:
 class BvpSolution:
     """The constant n, the pose phi0 and the extremal's turning radius and
     span; evaluations counts the span evaluations (both bracket ends
-    included), and residual is the span minus the target at n."""
+    included), and residual is the span minus |phi_b - phi_a| at n."""
 
     n: float
     phi0: float
