@@ -90,20 +90,19 @@ def _local_dx(x: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _check_graph(samples):
-    x, y = np.asarray(samples, dtype=float).T
-    if len(x) < 5:
-        raise DomainError("need at least 5 samples")
-    if not np.all(np.diff(x) > 0.0):
-        raise NonMonotoneAbscissa("abscissae must be strictly increasing")
-    return x, y
-
-
 def _graph_partials(samples, w: RadialWeight):
     """Abscissae, slopes and (V, M, N, P) of a sampled graph, the slopes
     from second-order differences (central in the interior, one-sided at
     the two ends)."""
-    x, y = _check_graph(samples)
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError(f"samples must be (x, y) rows, got shape "
+                          f"{pts.shape}")
+    x, y = pts.T
+    if len(x) < 5:
+        raise DomainError("need at least 5 samples")
+    if not np.all(np.diff(x) > 0.0):
+        raise NonMonotoneAbscissa("abscissae must be strictly increasing")
     p = np.gradient(y, x, edge_order=2)
     return x, p, _partials(x, y, p, w)
 

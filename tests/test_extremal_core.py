@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,17 @@ class TestResiduals:
         pts = np.array([[0.0, 1.0], [0.5, 1.0], [1.0, 1.0]])
         with pytest.raises(DomainError):
             el_residual(pts, PowerLaw(0.0))
+
+    @pytest.mark.parametrize("samples", [
+        np.linspace(0.0, 1.0, 10), np.ones((6, 3)), [], [[0.0]] * 6,
+        np.ones((2, 6, 2))], ids=["flat", "three-columns", "empty",
+                                  "one-column", "stacked"])
+    def test_requires_xy_rows(self, samples):
+        shape = re.escape(str(np.shape(samples)))
+        for residual in (el_residual, beltrami_residual):
+            with pytest.raises(DomainError, match="^samples must be "
+                               f"\\(x, y\\) rows, got shape {shape}$"):
+                residual(samples, PowerLaw(0.0))
 
 
 class TestReductionIdentities:
