@@ -170,7 +170,8 @@ def _polyline_gradient(verts):
     for (xa, ya), (xb, yb) in zip(verts, verts[1:]):
         mx, my, ex, ey = (xa + xb) / 2, (ya + yb) / 2, xb - xa, yb - ya
         m, e = mpmath.hypot(mx, my), mpmath.hypot(ex, ey)
-        # d/d(end) of |m|*|e|: e/2 * m/|m| at both ends, -+|m|*e/|e|
+        # the gradient of |m|*|e| at either end is |e|/2 * m/|m|, plus
+        # |m|*e/|e| at the right end and minus it at the left
         seg.append((e * mx / (2 * m), e * my / (2 * m),
                     m * ex / e, m * ey / e))
     for (hx, hy, px, py), (hx2, hy2, px2, py2) in zip(seg, seg[1:]):

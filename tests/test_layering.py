@@ -141,13 +141,14 @@ def dead_names(source: str) -> list:
              and getattr(node, "module", None) != "__future__"
              for alias in node.names}
     for stmt in tree.body:
-        targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                   else [stmt.target] if isinstance(stmt, ast.AnnAssign)
-                   else [stmt])
-        bound |= {name for t in targets for name in
-                  ([t.name] if hasattr(t, "name") else
-                   [n.id for n in ast.walk(t) if isinstance(n, ast.Name)])
-                  if _private(name)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            names = [n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        bound |= {name for name in names if _private(name)}
     read = {node.id for stmt in tree.body for node in ast.walk(stmt)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             and node.id != getattr(stmt, "name", None)}
