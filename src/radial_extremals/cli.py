@@ -40,12 +40,15 @@ def _weight_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _rational_arg(text: str) -> Fraction:
+def _lambda_arg(text: str) -> PowerLaw:
     try:
-        return Fraction(text)
+        return PowerLaw(float(Fraction(text)))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             f"not a rational number: {text!r}") from exc
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a finite number: {text!r}") from exc
 
 
 def _float_arg(text: str) -> float:
@@ -70,7 +73,7 @@ def _floats_arg(count: int, sep: str = ","):
 
 def _add_weight_options(sub):
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lambda", dest="lam", type=_rational_arg,
+    group.add_argument("--lambda", dest="weight", type=_lambda_arg,
                        metavar="A/B",
                        help="power-law weight v = z^(a/b), exact exponent")
     group.add_argument("--weight", type=_weight_arg, metavar="EXPR",
@@ -153,10 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bvp.set_defaults(handler=_cmd_bvp)
 
     return parser
-
-
-def _resolve_weight(args):
-    return args.weight if args.lam is None else PowerLaw(float(args.lam))
 
 
 def _emit(args, text: str) -> int:
@@ -272,8 +271,7 @@ def _svg(paths, z_turn: float | None) -> str:
 def _cmd_trace(args) -> int:
     from .reduced_ode import (ExtremalSpec, TraceResult,
                               first_integral_deviation, trace_extremal)
-    weight = _resolve_weight(args)
-    n = args.n
+    weight, n = args.weight, args.n
     orientation = 1    # --psi-range needs n > 0
     if args.psi_range is not None:
         if not isinstance(weight, PowerLaw):
@@ -320,9 +318,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_check(args) -> int:
     from . import checks
-    weight = _resolve_weight(args)
     failures = 0
-    for name, value, limit, cmp in checks.gates(weight, args.n, args.zmax,
+    for name, value, limit, cmp in checks.gates(args.weight, args.n, args.zmax,
                                                 args.samples, args.tol):
         ok = value <= limit if cmp == "<=" else value >= limit
         failures += 0 if ok else 1
@@ -335,15 +332,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from . import discrete_oracle
-    weight = _resolve_weight(args)
     (x1, y1, x2, y2) = args.endpoints
     ts = np.linspace(0.0, 1.0, args.segments + 1)[:, None]
     chord = np.array([[x1, y1]]) * (1.0 - ts) + np.array([[x2, y2]]) * ts
     initial = discrete_oracle.Polyline(chord)
     # before minimize, whose checks would wrap a chord through the pole's
     # DomainError in a DomainViolation
-    f0 = discrete_oracle.functional_value(initial, weight)
-    result = discrete_oracle.minimize(initial, weight, args.iters,
+    f0 = discrete_oracle.functional_value(initial, args.weight)
+    result = discrete_oracle.minimize(initial, args.weight, args.iters,
                                       args.grad_tol)
     final = result.polyline
 
@@ -351,7 +347,7 @@ def _cmd_oracle(args) -> int:
         return _emit(args, _csv("x,y", final.vertices))
     if args.format == "json":
         doc = {
-            "weight": weight.text(),
+            "weight": args.weight.text(),
             "endpoints": [[x1, y1], [x2, y2]],
             "segments": args.segments,
             "vertices": [],
@@ -369,9 +365,8 @@ def _cmd_bvp(args) -> int:
     from .bvp import BvpProblem, solve_n
     from .extremal_core import PolarPoint
     from .reduced_ode import ExtremalSpec, trace_extremal
-    weight = _resolve_weight(args)
     (phi1, z1, phi2, z2) = args.endpoints
-    prob = BvpProblem(PolarPoint(phi1, z1), PolarPoint(phi2, z2), weight,
+    prob = BvpProblem(PolarPoint(phi1, z1), PolarPoint(phi2, z2), args.weight,
                       same_branch=args.same_branch)
     sol = solve_n(prob, args.n_bracket, args.tol)
 
@@ -380,7 +375,7 @@ def _cmd_bvp(args) -> int:
                                 [(sol.n, sol.phi0, sol.z_turn, sol.span)]))
     if args.format == "json":
         doc = {
-            "problem": {"weight": weight.text(),
+            "problem": {"weight": args.weight.text(),
                         "a": {"phi": phi1, "z": z1},
                         "b": {"phi": phi2, "z": z2},
                         "same_branch": args.same_branch},
@@ -390,7 +385,7 @@ def _cmd_bvp(args) -> int:
                             "residual": sol.residual},
         }
         return _emit(args, json.dumps(doc, indent=2) + "\n")
-    spec = ExtremalSpec(weight, sol.n, phi0=sol.phi0)
+    spec = ExtremalSpec(args.weight, sol.n, phi0=sol.phi0)
     result = trace_extremal(spec, max(z1, z2), 200)
     xy = np.column_stack((result.x, result.y))
     return _emit(args, _svg([xy[:200], xy[199:]], sol.z_turn))

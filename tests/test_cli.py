@@ -341,6 +341,25 @@ def test_non_finite_float_option_exits_2(capsys, option, value):
     assert f"argument {option}: not a finite number" in err
 
 
+_WEIGHT_OPTION_RUNS = {   # each subcommand's arguments besides --lambda
+    "trace": ["--n", "1", "--zmax", "3"],
+    "check": ["--n", "1", "--zmax", "3"],
+    "oracle": ["--endpoints=-0.5,1,0.5,1"],
+    "bvp": ["--endpoints=-0.5,1.3,0.5,1.3", "--n-bracket", "0.9:2.2"],
+}
+
+
+@pytest.mark.parametrize("lam", ["1e400", "-1e400", "1" * 400 + "/3"])
+@pytest.mark.parametrize("subcommand", sorted(_WEIGHT_OPTION_RUNS))
+def test_overflowing_exponent_exits_2(capsys, subcommand, lam):
+    # float(Fraction(lam)) raised OverflowError out of every handler
+    code, out, err = run(capsys, subcommand, f"--lambda={lam}",
+                         *_WEIGHT_OPTION_RUNS[subcommand])
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --lambda: not a finite number: {lam!r}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["trace", "--lambda", "1/0", "--n", "1", "--zmax", "3"],
      "argument --lambda: not a rational number: '1/0'"),
