@@ -35,9 +35,10 @@ class BvpProblem:
 
     def __post_init__(self):
         for name, point in (("a", self.a), ("b", self.b)):
-            if not math.isfinite(point.z):
-                raise DomainError(
-                    f"endpoint {name} radius must be finite, got {point.z}")
+            for what, value in (("angle", point.phi), ("radius", point.z)):
+                if not math.isfinite(value):
+                    raise DomainError(f"endpoint {name} {what} must be "
+                                      f"finite, got {value}")
             if not point.z > 0.0:
                 raise DomainError(
                     f"endpoint {name} radius must be positive, got {point.z}")

@@ -45,7 +45,15 @@ class PowerLawCurve:
     @property
     def z_turn(self) -> float:
         """Radius of perpendicular tangency, n**(-1/(lam+1))."""
-        return self.n ** (-1.0 / (self.lam + 1.0))
+        return _power(self.n, -1.0 / (self.lam + 1.0), "z_turn")
+
+
+def _power(x: float, p: float, what: str) -> float:
+    """x**p; DomainError naming what on overflow (0**p, p < 0, too)."""
+    try:
+        return x ** p
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{what} = {x}**{p} overflows a float") from None
 
 
 def power_law_point(c: PowerLawCurve, psi: float) -> PolarPoint:
@@ -56,7 +64,7 @@ def power_law_point(c: PowerLawCurve, psi: float) -> PolarPoint:
     if not abs(psi) < 0.5 * math.pi:
         raise DomainError("psi must lie strictly inside (-pi/2, pi/2)")
     k = c.lam + 1.0
-    z = (c.n * math.cos(psi)) ** (-1.0 / k)
+    z = _power(c.n * math.cos(psi), -1.0 / k, f"z at psi {psi}")
     return PolarPoint(c.phi0 + psi / k, z)
 
 
@@ -73,10 +81,18 @@ def log_spiral_point(n: float, z0: float, phi: float) -> PolarPoint:
         raise DomainError("log-spiral extremals require n >= 1")
     if not z0 > 0.0:
         raise DomainError("z0 must be positive")
-    return PolarPoint(phi, z0 * math.exp(math.sqrt(n * n - 1.0) * phi))
+    try:
+        z = z0 * math.exp(math.sqrt(n * n - 1.0) * phi)
+    except OverflowError:
+        z = math.inf
+    if not math.isfinite(z):   # finite input: n*n or z overflowed
+        raise DomainError(f"z0*exp(sqrt(n*n - 1)*phi) overflows a float at "
+                          f"n {n}, z0 {z0}, phi {phi}")
+    return PolarPoint(phi, z)
 
 
 def algebraic_relation_residual(c: PowerLawCurve, pt: PolarPoint) -> float:
     """n * z^(lam+1) * cos((lam+1)*(phi-phi0)) - 1; zero on the curve."""
     k = c.lam + 1.0
-    return c.n * pt.z ** k * math.cos(k * (pt.phi - c.phi0)) - 1.0
+    return (c.n * _power(pt.z, k, "z^(lam+1)")
+            * math.cos(k * (pt.phi - c.phi0)) - 1.0)

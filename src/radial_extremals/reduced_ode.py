@@ -86,7 +86,11 @@ def turning_radius(w: RadialWeight, n: float) -> float:
                 "for exponents below -1 the turning radius is a maximum "
                 "radius; quadrature tracing covers increasing crossings "
                 "only (closed_form handles these curves)")
-        best = n ** (-1.0 / (w.lam + 1.0))
+        try:
+            best = n ** (-1.0 / (w.lam + 1.0))
+        except OverflowError:
+            raise DomainError(f"the turning radius n**(-1/(lam+1)) overflows "
+                              f"a float at n {n}") from None
     else:
         z_lo, z_hi = _auto_bracket(w, n)
         best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
@@ -433,13 +437,17 @@ def first_integral_deviation(w: RadialWeight, n: float, z):
     P is extremal_core.clairaut_constant fed with the local slope dphi/dz
     of the curve (the perpendicular-tangent marker inf at the turning
     radius), so it cross-checks two independent formula chains.  z may be a
-    scalar or an array.
+    scalar or an array; a deviation that is not finite raises DomainError.
     """
     za = np.asarray(z, dtype=float)
     rad = _radicand(w, n, za)[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = np.where(rad <= 0.0, np.inf, 1.0 / (za * np.sqrt(rad)))
-    dev = np.abs(n * clairaut_constant(za, p, w) - 1.0)
+        dev = np.abs(n * clairaut_constant(za, p, w) - 1.0)
+    bad = np.flatnonzero(~np.isfinite(np.ravel(dev)))
+    if bad.size:
+        raise DomainError(f"the first-integral deviation is not finite at z = "
+                          f"{float(np.ravel(za)[bad[0]])}: v(z)*z overflows")
     return float(dev) if dev.ndim == 0 else dev
 
 

@@ -226,6 +226,18 @@ class TestSolveN:
                     (0.5, 3.0), 1e-12)
 
     @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoint_angle(self, which, bad):
+        # a NaN angle reached solve_n, which raised NoBracket (end values
+        # nan, nan)
+        points = {"a": PolarPoint(-0.5, 1.3), "b": PolarPoint(0.5, 1.3)}
+        points[which] = PolarPoint(bad, points[which].z)
+        with pytest.raises(DomainError,
+                           match=f"^endpoint {which} angle must be "
+                                 f"finite, got {bad}$"):
+            BvpProblem(points["a"], points["b"], PowerLaw(1.0))
+
+    @pytest.mark.parametrize("which", ["a", "b"])
     @pytest.mark.parametrize("bad", [-1.3, 0.0, -0.0])
     def test_non_positive_endpoint_radius(self, which, bad):
         points = {"a": PolarPoint(-0.5, 1.3), "b": PolarPoint(0.5, 1.3)}

@@ -10,6 +10,7 @@ import pytest
 
 from radial_extremals import cli
 from radial_extremals.cli import main
+from radial_extremals.errors import ExtremalError
 from radial_extremals.reduced_ode import ExtremalSpec, trace_extremal
 from radial_extremals.weights import PowerLaw
 
@@ -741,6 +742,23 @@ _SWEEP = {
          "--segments", "8"],
         1, "StalledDescent: no decrease after 50 rejected steps (value "
            "1.6490131408051933, max gradient 1.498e+00)\n"),
+    "closed-form-overflow": (
+        ["trace", "--lambda=-1/2", "--n", "1e-200", "--psi-range=-1:1",
+         "--samples", "3"],
+        1, "DomainError: z at psi -1.0 = 5.4030230586813976e-201**-2.0 "
+           "overflows a float\n"),
+    "log-spiral-overflow": (
+        ["check", "--lambda", "-1", "--n", "800", "--zmax", "3"],
+        1, "DomainError: z0*exp(sqrt(n*n - 1)*phi) overflows a float at "
+           "n 800.0, z0 1.0, phi 1.0\n"),
+    "log-spiral-n-squared-overflow": (
+        ["check", "--lambda", "-1", "--n", "1e200", "--zmax", "3"],
+        1, "DomainError: z0*exp(sqrt(n*n - 1)*phi) overflows a float at "
+           "n 1e+200, z0 1.0, phi 1.0\n"),
+    "turning-radius-overflow": (
+        ["trace", "--lambda=-1/2", "--n", "1e-300", "--zmax", "2"],
+        1, "DomainError: the turning radius n**(-1/(lam+1)) overflows a "
+           "float at n 1e-300\n"),
     "oracle-overflowing-functional": (
         ["oracle", "--lambda", "1", "--endpoints=1e200,1,-1e200,1",
          "--segments", "4", "--format", "json"],
@@ -766,3 +784,81 @@ def test_robustness_sweep(name, capsys):
                    if re.fullmatch(r"[-+]?[\d.]+(e[-+]?\d+)?|[-+]?(nan|inf)",
                                    tok)]
         assert numbers and all(math.isfinite(x) for x in numbers)
+
+
+_GRID_LAMBDAS = ("1e400", "1/3", "-1/2", "-3/2", "0", "1e30", "-1e30",
+                 "1e-320", "10/3", "-1", "1" * 400 + "/3")
+_GRID_NS = ("1", "1e300", "1e-300", "0.5", "-2", "800")
+_GRID_ZMAXES = ("2", "1e300", "1e-300")
+
+
+def _grid_runs():
+    for lam in _GRID_LAMBDAS:
+        weight = f"--lambda={lam}"
+        for n in _GRID_NS:
+            curve = ["--n=" + n]
+            for zmax in _GRID_ZMAXES:
+                for fmt in ("csv", "json"):
+                    yield ["trace", weight, *curve, "--zmax=" + zmax,
+                           "--samples", "3", "--format", fmt]
+                yield ["check", weight, *curve, "--zmax=" + zmax,
+                       "--samples", "5"]
+            yield ["trace", weight, *curve, "--psi-range=-1:1",
+                   "--samples", "3"]
+        yield ["oracle", weight, "--endpoints=-0.5,1,0.5,1", "--segments",
+               "4", "--iters", "5", "--format", "json"]
+        yield ["bvp", weight, "--endpoints=-0.5,1.3,0.5,1.3",
+               "--n-bracket", "0.5:3", "--format", "json"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_run_never_raises_on_a_grid_of_extreme_values(capsys):
+    """cli.run keeps its promise over extreme exponents, constants and
+    radii: an exit code of 0, 1 or 2, never an exception; a numerical
+    failure named by its ExtremalError subclass (or, for check, a failed
+    gate reported on standard output); JSON without NaN or Infinity."""
+    def names(cls):
+        return {cls.__name__}.union(*map(names, cls.__subclasses__()))
+    errors = names(ExtremalError)
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for argv in _grid_runs():
+            try:
+                code = cli.run(argv)
+            except Exception as exc:   # noqa: BLE001 - the failure shown
+                capsys.readouterr()
+                failures.append((argv, f"raised {exc!r}"))
+                continue
+            out, err = capsys.readouterr()
+            gate_failed = (argv[0] == "check" and err == ""
+                           and out.endswith(" check(s) failed\n"))
+            if code not in (0, 1, 2):
+                failures.append((argv, f"exit code {code}"))
+            elif (code == 1 and not gate_failed
+                  and err.split(":")[0] not in errors):
+                failures.append((argv, f"stderr {err[:200]!r}"))
+            elif code == 0 and "--format" in argv and argv[-1] == "json":
+                try:
+                    json.loads(out, parse_constant=_refuse_constant)
+                except ValueError as exc:
+                    failures.append((argv, f"JSON: {exc}"))
+    assert failures == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_with_an_overflowing_first_integral_fails(capsys, fmt):
+    # v*z overflows past z ~ 1.6e231: clairaut_dev read nan and the JSON
+    # held NaN; the far integrand's 1/(z*sqrt(rad)) still warns on its way
+    # to 0, so warnings are ignored here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, "trace", "--lambda", "1/3", "--n",
+                             "1e-300", "--zmax", "1e300", "--samples", "3",
+                             "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == ("DomainError: the first-integral deviation is not finite "
+                   "at z = 2.928932188134525e+299: v(z)*z overflows\n")

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from radial_extremals import (DomainError, ExtremalSpec, PowerLaw,
-                              PowerLawCurve, algebraic_relation_residual,
+                              PolarPoint, PowerLawCurve,
+                              algebraic_relation_residual,
                               clairaut_constant, eval_v, integrate_phi,
                               log_spiral_point, power_law_point)
 
@@ -155,3 +157,40 @@ def test_non_finite_input_fails_fast(make, args):
     # put the point on the pole, and log spirals returned z = nan or inf
     with pytest.raises(DomainError, match="must be finite"):
         make(*args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: power_law_point(PowerLawCurve(-0.5, 1e-200), -1.0),
+     "z at psi -1.0 = 5.4030230586813976e-201**-2.0 overflows a float"),
+    (lambda: power_law_point(PowerLawCurve(1.0, 5e-324), 1.5),
+     "z at psi 1.5 = 0.0**-0.5 overflows a float"),
+    (lambda: PowerLawCurve(-1.5, 1e160).z_turn,
+     "z_turn = 1e+160**2.0 overflows a float"),
+    (lambda: algebraic_relation_residual(PowerLawCurve(1 / 3, 1e-300),
+                                         PolarPoint(0.0, 1e300)),
+     "z^(lam+1) = 1e+300**1.3333333333333333 overflows a float"),
+    (lambda: log_spiral_point(800.0, 1.0, 1.0),
+     "z0*exp(sqrt(n*n - 1)*phi) overflows a float at n 800.0, z0 1.0, "
+     "phi 1.0"),
+    (lambda: log_spiral_point(1e200, 1.0, 0.0),    # n*n overflows
+     "z0*exp(sqrt(n*n - 1)*phi) overflows a float at n 1e+200, z0 1.0, "
+     "phi 0.0"),
+    (lambda: log_spiral_point(2.0, 1e300, 100.0),  # the product overflows
+     "z0*exp(sqrt(n*n - 1)*phi) overflows a float at n 2.0, z0 1e+300, "
+     "phi 100.0")])
+def test_overflow_fails_fast(call, message):
+    # each raised OverflowError or ZeroDivisionError, or returned inf or NaN
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_finite_results_near_overflow_keep_their_bits():
+    curve = PowerLawCurve(-1.5, 1e150)
+    assert curve.z_turn == 1e150 ** 2.0
+    assert power_law_point(curve, 1.5).z == (1e150 * math.cos(1.5)) ** 2.0
+    assert log_spiral_point(700.0, 1.0, 1.0).z == \
+        math.exp(math.sqrt(700.0 * 700.0 - 1.0))
+    assert log_spiral_point(1e200, 1.0, -1.0).z == 0.0
+    c = PowerLawCurve(1.0, 1e-300)
+    assert algebraic_relation_residual(c, PolarPoint(0.0, 1e154)) == \
+        1e-300 * 1e154 ** 2.0 * math.cos(0.0) - 1.0

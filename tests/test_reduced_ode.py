@@ -143,6 +143,13 @@ class TestExtremalSpec:
         with pytest.raises(DomainError, match="finite"):
             ExtremalSpec(parse_weight("1+z"), n)
 
+    def test_overflowing_power_law_turning_radius_rejected(self):
+        # n**(-1/(lam+1)) = 1e600 raised OverflowError
+        with pytest.raises(DomainError, match=re.escape(
+                "the turning radius n**(-1/(lam+1)) overflows a float at "
+                "n 1e-300")):
+            ExtremalSpec(PowerLaw(-0.5), 1e-300)
+
     def test_turning_slope_evaluated_once(self, monkeypatch):
         # the one scalar pass is the slope at z*; the near setup that
         # follows it passes the w table's radii as one array
@@ -1515,6 +1522,15 @@ class TestBatchedTracing:
         assert tr.clairaut_deviation.tolist() == ref
         assert first_integral_deviation(spec.weight, spec.n, z_max) == \
             _scalar_deviation(spec.weight, spec.n, z_max)
+
+    @pytest.mark.parametrize("z", [2e299, [1e200, 1e220, 2e299, 1e300]])
+    def test_deviation_overflow_names_the_first_radius(self, z):
+        # v*z = z^(4/3) overflows from z ~ 1.6e231 on; the deviation read
+        # NaN there, and a trace printed it
+        with pytest.raises(DomainError, match=re.escape(
+                "the first-integral deviation is not finite at z = 2e+299: "
+                "v(z)*z overflows")):
+            first_integral_deviation(PowerLaw(1 / 3), 1e-300, z)
 
     def test_cases_cover_fallback_and_straddle(self, fallbacks):
         straddles = 0
