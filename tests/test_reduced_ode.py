@@ -21,6 +21,7 @@ from radial_extremals.quadrature import _NODES
 from radial_extremals.weights import ExpressionWeight, RadialWeight
 
 import closed_form_reference
+import collocation_reference
 
 # independent 30-digit quadrature of dz/(z sqrt(n^2 z^{2l+2} - 1)) for
 # lambda = 1/2, n = 1.3, from the turning radius to z = 2
@@ -1225,6 +1226,18 @@ class TestOneQuadratureCall:
         # with a near piece that meets tol, the far error is raised
         with pytest.raises(ForbiddenRegion, match="far integrand"):
             angles(1e-10)
+
+
+@pytest.mark.parametrize("text", sorted(collocation_reference.CASES))
+def test_collocation_reference_matches_integrate_phi(text):
+    # an Euler-Lagrange solve with no first integral, turning radius or
+    # quadrature, for weights that are not power laws: Clairaut's constant
+    # holds at every node, and each node's angle is integrate_phi's
+    spec, sol = collocation_reference.case(text)
+    clairaut, angle = collocation_reference.gaps(spec, sol)
+    assert clairaut <= 1e-12
+    assert angle <= 1e-12
+    assert sol.tail <= 1e-12   # the Chebyshev series is resolved at N
 
 
 class TestLuneburgLens:
