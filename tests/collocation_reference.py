@@ -9,7 +9,7 @@ Euler-Lagrange equation
 is solved by Chebyshev-Lobatto collocation in phi with z fixed at both
 ends (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 6 and 13):
 Newton steps with a finite-difference Jacobian, stopped on the residual
-relative to the equation's largest term.  It uses no first integral, no
+relative to the rounding scale of its terms.  It uses no first integral, no
 turning radius and no quadrature; a turn is an ordinary point where
 z' = 0.  Along the solution the conserved quantity of the phi-free
 Lagrangian, P = L - z'*dL/dz' = v*z^2/r, must equal the library's 1/n.
