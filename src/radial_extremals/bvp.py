@@ -79,9 +79,12 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     beyond that sign change is assumed.  A bracket end that puts the turning
     radius outside an endpoint radius raises NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
-    raises QuadratureFailure.  A negative or NaN tol raises DomainError;
-    tol 0 searches until the bracket collapses.  A tol below about 5e-13,
-    0 included, can raise QuadratureFailure at the round-off floor.
+    raises QuadratureFailure.  A negative or NaN tol raises DomainError.
+    The spans are integrated to qtol = min(1e-13, max(tol/10, 1e-14)), so a
+    tol below 1e-14, 0 included, searches until the bracket collapses and
+    takes a residual within 1e-14 there as the root; a larger one, such as
+    a jump, still raises.  A tol below about 5e-13, 0 included, can raise
+    QuadratureFailure at the round-off floor.
     Returns the constant and the pose phi0 implied by the endpoint angles,
     with the span evaluations made and the final span residual.
     """
@@ -105,7 +108,7 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     except ForbiddenRegion as exc:
         raise NoBracket(f"invalid bracket end: {exc}") from exc
     n_star, f_star = find_root(residual, n_lo, n_hi, f_lo, f_hi, tol)
-    if abs(f_star) > tol:
+    if abs(f_star) > max(tol, qtol):
         raise QuadratureFailure(
             f"bracket collapsed with span residual {f_star:.3e} "
             f"still above tol {tol:.3e}")

@@ -52,7 +52,9 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
     lam = w.lam if isinstance(w, PowerLaw) else None
     if lam == -1.0:
         # logarithmic-spiral family: constant first integral, exact ratio law
-        # log_spiral_point first: it rejects n < 1
+        # log_spiral_point first: it rejects n < 1, and a radius at phi = 2,
+        # the last of the 41 below, that overflows
+        closed_form.log_spiral_point(n, 1.0, 2.0)
         z1 = closed_form.log_spiral_point(n, 1.0, 1.0).z
         z0 = closed_form.log_spiral_point(n, 1.0, 0.0).z
         t = math.sqrt(n * n - 1.0)

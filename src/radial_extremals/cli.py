@@ -42,6 +42,13 @@ def _weight_arg(text: str):
 
 def _lambda_arg(text: str) -> PowerLaw:
     try:
+        finite = math.isfinite(float(text))
+    except ValueError:   # a/b
+        finite = True
+    if not finite:   # refused before the exact parse: 1e100000000 would
+        # build a 10^8-digit integer
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    try:
         return PowerLaw(float(Fraction(text)))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(

@@ -264,7 +264,8 @@ def _far_integrand(spec: ExtremalSpec):
             raise ForbiddenRegion(
                 "n*v(z)*z dips to 1 inside the integration range")
         _check_overflow(z, rad)
-        return 1.0 / (z * np.sqrt(rad))
+        with np.errstate(over="ignore"):   # past 1e308 the limit 0 is right
+            return 1.0 / (z * np.sqrt(rad))
     return f
 
 

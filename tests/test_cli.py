@@ -350,7 +350,10 @@ _WEIGHT_OPTION_RUNS = {   # each subcommand's arguments besides --lambda
 }
 
 
-@pytest.mark.parametrize("lam", ["1e400", "-1e400", "1" * 400 + "/3"])
+# 1e100000000 is refused before Fraction builds its 10^8-digit numerator,
+# which would take many minutes
+@pytest.mark.parametrize("lam", ["1e400", "-1e400", "1" * 400 + "/3",
+                                 "1e100000000", "inf", "nan"])
 @pytest.mark.parametrize("subcommand", sorted(_WEIGHT_OPTION_RUNS))
 def test_overflowing_exponent_exits_2(capsys, subcommand, lam):
     # float(Fraction(lam)) raised OverflowError out of every handler
@@ -750,11 +753,17 @@ _SWEEP = {
     "log-spiral-overflow": (
         ["check", "--lambda", "-1", "--n", "800", "--zmax", "3"],
         1, "DomainError: z0*exp(sqrt(n*n - 1)*phi) overflows a float at "
-           "n 800.0, z0 1.0, phi 1.0\n"),
+           "n 800.0, z0 1.0, phi 2.0\n"),
+    # the gate's radii run to phi = 2: they overflowed to inf and the
+    # weight 1/z read 0 (NonPositiveWeight) where phi = 1 did not overflow
+    "log-spiral-radii-overflow": (
+        ["check", "--lambda", "-1", "--n", "700", "--zmax", "3"],
+        1, "DomainError: z0*exp(sqrt(n*n - 1)*phi) overflows a float at "
+           "n 700.0, z0 1.0, phi 2.0\n"),
     "log-spiral-n-squared-overflow": (
         ["check", "--lambda", "-1", "--n", "1e200", "--zmax", "3"],
         1, "DomainError: z0*exp(sqrt(n*n - 1)*phi) overflows a float at "
-           "n 1e+200, z0 1.0, phi 1.0\n"),
+           "n 1e+200, z0 1.0, phi 2.0\n"),
     "turning-radius-overflow": (
         ["trace", "--lambda=-1/2", "--n", "1e-300", "--zmax", "2"],
         1, "DomainError: the turning radius n**(-1/(lam+1)) overflows a "
@@ -852,10 +861,10 @@ def test_run_never_raises_on_a_grid_of_extreme_values(capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trace_with_an_overflowing_first_integral_fails(capsys, fmt):
     # v*z overflows past z ~ 1.6e231: clairaut_dev read nan and the JSON
-    # held NaN; the far integrand's 1/(z*sqrt(rad)) still warns on its way
-    # to 0, so warnings are ignored here
+    # held NaN; the far integrand's 1/(z*sqrt(rad)) goes to its limit 0
+    # there without a warning (it warned "overflow encountered in multiply")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code, out, err = run(capsys, "trace", "--lambda", "1/3", "--n",
                              "1e-300", "--zmax", "1e300", "--samples", "3",
                              "--format", fmt)
