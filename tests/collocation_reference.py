@@ -76,7 +76,7 @@ def _slopes(w, z, p):
 
 
 def collocate(w, a, b, start, N: int, rtol: float = 1e-13,
-              max_iter: int = 30) -> Collocation:
+              max_iter: int = 30, polish: int = 0) -> Collocation:
     """Extremal of the weight w from polar point a = (phi_a, z_a) to
     b = (phi_b, z_b), from the start values z = start(phi) at the nodes.
 
@@ -85,7 +85,8 @@ def collocate(w, a, b, start, N: int, rtol: float = 1e-13,
     @ D, takes the pointwise partials from finite differences.  Newton
     stops once the residual at every interior node is within rtol of its
     rounding scale |D| @ |flux| + |force|, whose entries grow like N^2 as
-    those of D do; AssertionError if it never is."""
+    those of D do, and polish more steps past that; AssertionError if it
+    never is."""
     x, D = _cheb(N)
     mid, half = 0.5 * (a[0] + b[0]), 0.5 * (b[0] - a[0])
     phi = mid + half * x
@@ -99,7 +100,9 @@ def collocate(w, a, b, start, N: int, rtol: float = 1e-13,
         f = (D @ flux - force)[inner]
         scale = (np.abs(D) @ np.abs(flux) + np.abs(force))[inner]
         if np.all(np.abs(f) <= rtol * scale):
-            break
+            if not polish:
+                break
+            polish -= 1
         (flux_z, force_z), (flux_p, force_p) = _slopes(w, z, p)
         J = (D * flux_z + D @ (flux_p[:, None] * D) - np.diag(force_z)
              - force_p[:, None] * D)
