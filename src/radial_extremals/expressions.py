@@ -10,7 +10,11 @@ Grammar (whitespace insignificant)::
     func   := 'exp'|'log'|'sqrt'|'sin'|'cos' ;
 
 Trees evaluate over floats or numpy arrays, and one walk gives both values
-and exact first derivatives.
+and exact first derivatives, or values at two points and the slope between
+them (the divided difference), by slope arithmetic (R. Krawczyk and
+A. Neumaier, SIAM J. Numer. Anal. 22, 1985): each rule takes the step of
+its operands from their slopes, never from a difference of their values,
+so a slope keeps its relative accuracy however close the two points are.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from .errors import ParseError
 
 __all__ = ["Num", "Var", "Neg", "Bin", "Fun", "FUNCTIONS", "parse_expression",
-           "evaluate"]
+           "evaluate", "evaluate_slope"]
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,105 @@ def evaluate(node, z, seed=None):
             rule = _RULES[node.op][2 * (d is None) + (db is None)]
             v, d = rule(v, d, b, db)
     return v, d
+
+
+def _ratio(num, h, at_zero):
+    """num/h, with at_zero where h == 0 (num/h's limit there)."""
+    return np.where(h == 0.0, at_zero, num / h)
+
+
+def _log_slope(x0, sx, dx):
+    """[log x] = log1p(r)/r * [x]/x0, r = dx/x0."""
+    r = dx / x0
+    return _ratio(np.log1p(r), r, 1.0) * sx / x0
+
+
+def _sin_step(dx):
+    """sin(dx/2)/(dx/2): (sin x - sin x0)/dx = cos((x + x0)/2) times it."""
+    return _ratio(np.sin(0.5 * dx), 0.5 * dx, 1.0)
+
+
+# the slope of f(x) from x, x0, f(x), f(x0), the slope sx of x and the
+# step dx = sx*dz: secant rules whose only difference is the step itself
+_SLOPE_CHAIN = {
+    "exp": lambda x, x0, v, v0, sx, dx: v0 * _ratio(np.expm1(dx), dx, 1.0)
+    * sx,
+    "log": lambda x, x0, v, v0, sx, dx: _log_slope(x0, sx, dx),
+    "sqrt": lambda x, x0, v, v0, sx, dx: sx / (v + v0),
+    "sin": lambda x, x0, v, v0, sx, dx: np.cos(0.5 * (x + x0))
+    * _sin_step(dx) * sx,
+    "cos": lambda x, x0, v, v0, sx, dx: -np.sin(0.5 * (x + x0))
+    * _sin_step(dx) * sx,
+}
+
+
+def _slope_pow(a, a0, sa, b, b0, sb, dz):
+    """(a^b, a0^b0, slope of a^b).  A constant exponent p gives
+    a0^p*expm1(p*log1p(r))/r * [a]/a0, r = [a]*dz/a0; otherwise a^b is
+    exp(w), w = b*log(a), with [exp w] = a0^b0*expm1(dw)/dw * [w].  Where
+    that is not finite (a base that starts at 0 or changes sign) the slope
+    is the plain difference quotient."""
+    v, v0 = a ** b, a0 ** b0
+    if sb is None:
+        r = sa * dz / a0
+        s = v0 * _ratio(np.expm1(b0 * np.log1p(r)), r, b0) * sa / a0
+    else:
+        sw = sb * np.log(a)
+        if sa is not None:   # [b*log a] = [b]*log a(z) + b0*[log a]
+            sw = sw + b0 * _log_slope(a0, sa, sa * dz)
+        s = v0 * _ratio(np.expm1(sw * dz), sw * dz, 1.0) * sw
+    bad = ~np.isfinite(s)
+    if np.count_nonzero(bad):
+        s = np.where(bad, (v - v0) / dz, s)
+    return v, v0, s
+
+
+def evaluate_slope(node, z, z0, dz):
+    """(value at z, value at z0, slope (value(z) - value(z0))/dz) of a tree,
+    z = z0 + dz a float or an ndarray and z0 a float; the slope is None
+    without z in the subtree, and its limit, the derivative, where dz is 0.
+    The left spine of a chain of binary operators is a loop, as in
+    evaluate."""
+    if isinstance(node, Num):
+        return node.value, node.value, None
+    if isinstance(node, Var):   # numpy's float: 1/0 is inf, not an error
+        return z, np.float64(z0), 1.0
+    if isinstance(node, Neg):
+        v, v0, s = evaluate_slope(node.operand, z, z0, dz)
+        return -v, -v0, None if s is None else -s
+    if isinstance(node, Fun):
+        x, x0, sx = evaluate_slope(node.arg, z, z0, dz)
+        f = FUNCTIONS[node.name]
+        v, v0 = f(x), f(x0)
+        if sx is None:
+            return v, v0, None
+        return v, v0, _SLOPE_CHAIN[node.name](x, x0, v, v0, sx, sx * dz)
+    spine = [node]
+    while isinstance(node.lhs, Bin):
+        node = node.lhs
+        spine.append(node)
+    a, a0, sa = evaluate_slope(node.lhs, z, z0, dz)
+    for node in reversed(spine):
+        b, b0, sb = evaluate_slope(node.rhs, z, z0, dz)
+        op = node.op
+        if sa is None and sb is None:
+            a, a0 = _OPS[op](a, b), _OPS[op](a0, b0)
+            continue
+        if op == "^":
+            a, a0, sa = _slope_pow(a, a0, sa, b, b0, sb, dz)
+            continue
+        if op == "+":
+            s = sb if sa is None else sa if sb is None else sa + sb
+        elif op == "-":
+            s = -sb if sa is None else sa if sb is None else sa - sb
+        elif op == "*":   # [a*b] = [a]*b(z) + a(z0)*[b]
+            s = a0 * sb if sa is None else sa * b if sb is None \
+                else sa * b + a0 * sb
+        else:             # [a/b] = ([a] - (a0/b0)*[b])/b(z)
+            s = sa / b if sb is None else -(a0 / b0) * sb / b \
+                if sa is None else (sa - (a0 / b0) * sb) / b
+        a, a0, sa = _OPS[op](a, b), _OPS[op](a0, b0), s
+    return a, a0, sa
 
 
 _TOKEN_RE = re.compile(r"""

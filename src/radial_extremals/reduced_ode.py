@@ -5,15 +5,21 @@ z*, where n*v(z*)*z* = 1, and away from it the polar angle obeys
 
     dphi = dz / (z * sqrt(n^2 v(z)^2 z^2 - 1)).
 
-With g(z) = n*v(z)*z - 1, the substitution w = sqrt(g) removes the
+With g(z) = n*v(z)*z - 1, the substitution z = z* + t^2 removes the
 inverse-square-root singularity at z*,
 
-    dphi = 2 dw / (g'(z) * z * sqrt(w^2 + 2)),      z = z(w),
+    dphi = 2 dt / (z * sqrt(D * (D*t^2 + 2))),
+    D = (g(z) - g(z*))/t^2 = n*([v](z, z*)*z + v(z*)),
 
-and anchors the lower limit w = 0 at the exact root of g, so an angle from
-z* stays well conditioned although z* is only known to rounding.  Past a
-fixed handoff value of g the angle is integrated in z (in log z over long
-pieces).  Each batch of angles is one quadrature.integrate call.
+where [v] is the weight's slope (divided difference), computed from the
+step t^2 without cancellation.  The integrand is regular at t = 0.  The
+float z* misses the root of g by a fraction of an ulp, so t is measured
+from z* + eps, eps = -g(z*)/g'(z*) with g(z*) in long double, and D is
+moved to that root by the same first-order term; an angle from the turn
+then keeps its relative accuracy however close to z* its radius lies.
+Past a fixed handoff value of g, found on a geometric ladder of radii, the
+angle is integrated in z (in log z over long pieces).  Each batch of angles
+is one quadrature.integrate call.
 """
 
 from __future__ import annotations
@@ -28,27 +34,21 @@ from .errors import (DomainError, ForbiddenRegion, NoBracket,
                      TangentialTurningPoint)
 from .extremal_core import clairaut_constant
 from .roots import find_root
-from .weights import PowerLaw, RadialWeight, eval_v, eval_vq, masked_v
+from .weights import (PowerLaw, RadialWeight, eval_slope, eval_v, eval_vq,
+                      masked_v, masked_vq, wide_v)
 
 __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
            "integrate_phi", "trace_extremal", "first_integral_deviation"]
 
 _G_HANDOFF = 0.5          # g value at which integration switches to z-space
-_TABLE_SIZE = 64          # samples in the cached w -> z inversion table
 _MOST_SAMPLES = 10 ** 8   # far past what fits in memory, about 1.6 kB each
 _TURN_GTOL = 4.0 * np.finfo(float).eps   # |g| at z*: rounding level
 # far pieces with z_b/z_a above this are integrated in log z: one z-panel
 # over them can miss the mass next to z_a, its error estimate included
 _LONG_FAR = 100.0
-# least scale-free slope z*g' at the w table's last row: next to a peak of
-# g, g' -> 0 makes the near integrand 2/(g'*z*sqrt(w^2+2)) nearly singular
-# just past the table, and its error estimate misses that
-_SLOPE_FLOOR = 0.1
-# n-free factors of _near_setup: the handoff ladder's steps (70 rungs reach
-# 1e7*max(1, z*) from 1e-6*z* for every z* >= 1e-6) and the w table's radii,
-# z* to z_hi
+# n-free steps of the handoff ladder: 70 rungs reach 1e7*max(1, z*) from
+# 1e-6*z* for every z* >= 1e-6
 _LADDER = 2.0 ** np.arange(70)
-_TABLE_FRAC = np.linspace(0.0, 1.0, _TABLE_SIZE + 1) ** 2
 
 
 def _profile(w: RadialWeight, n: float, z):
@@ -148,7 +148,9 @@ class ExtremalSpec:
     positive n).  The turning radius is resolved at construction by
     turning_radius, which raises DomainError unless |n| is finite and
     nonzero, and then the near-region handoff, so a weight error there
-    also surfaces at construction.
+    also surfaces at construction, and the shift eps from the float z* to
+    the root of g (0 where it would exceed 1e-12*z*: not a rounding
+    correction).
     """
 
     weight: RadialWeight
@@ -162,95 +164,60 @@ class ExtremalSpec:
         self.orientation = 1 if self.n > 0.0 else -1
         self.n = abs(self.n)
         self.z_turn = turning_radius(self.weight, self.n)
-        self._near = self._near_setup()   # (z_split, w_split, w_tab, z_tab)
+        zt, n = self.z_turn, self.n
+        z_split = self._handoff()
+        v0, q0 = eval_vq(self.weight, zt)
+        # (v, g') at z*, and eps with z* + eps the root of g
+        slope = n * (q0 * zt + v0)
+        eps = -float(np.longdouble(n) * wide_v(self.weight, zt)
+                     * np.longdouble(zt) - 1) / slope
+        self._turn = v0, slope, eps if abs(eps) <= 1e-12 * zt else 0.0
+        self._near = z_split, float(_t_of(self, z_split))   # z and t
 
-    # -- near-region machinery (w = sqrt(g) as integration variable) -----
-
-    def _near_setup(self):
+    def _handoff(self) -> float:
+        """The radius where near pieces (in t) hand off to far ones (in z):
+        on the ladder z* + 1e-6*z* * 2^k, up to the first step past
+        1e7*max(1, z*) or its last rung, the first rung where g reaches
+        _G_HANDOFF, or the rung before the first where g stops rising or
+        the weight turns invalid (a domain edge); then the rung before,
+        for as long as g' <= 0 there, so the handoff lies below a peak."""
         zt = self.z_turn
-        # handoff ladder z* + 1e-6*z* * 2^k, up to the first step past
-        # 1e7*max(1, z*) or its last rung; the handoff is the first rung
-        # where g reaches _G_HANDOFF
         steps = 1e-6 * zt * _LADDER
         cut = steps > 1e7 * max(1.0, zt)
         cut[-1] = True
         z = zt + steps[:int(np.argmax(cut)) + 1]
-        v, valid = masked_v(self.weight, z)
+        v, q, valid = masked_vq(self.weight, z)
         with np.errstate(all="ignore"):
-            g = self.n * v * z - 1.0
-        if not valid[0]:
-            _profile(self.weight, self.n, z[0])   # the weight's own error
+            g, rises = self.n * v * z - 1.0, q * z + v > 0.0
+        if not valid[0]:   # the weight's own error
+            _profile_and_slope(self.weight, self.n, z[0])
         reach = valid & (g >= _G_HANDOFF)
-        # g stops rising, or the weight turns invalid (a domain edge)
         stop = np.concatenate(([False], ~valid[1:] | (g[1:] <= g[:-1])))
         ends = reach | stop
         ends[-1] = True   # the last rung: the profile plateaus
         k = int(np.argmax(ends))
         if stop[k] and not reach[k]:
-            # past the peak of g: hand off where g still rises, so the w
-            # table below stays monotone and dense
             k -= 1
-            if k > 0 and _profile_and_slope(self.weight, self.n,
-                                            z[k])[1] <= 0.0:
-                k -= 1
-        z_hi = float(z[k])
-        z_tab = zt + (z_hi - zt) * _TABLE_FRAC
-        g_tab, gp_tab = _profile_and_slope(self.weight, self.n, z_tab)
-        if gp_tab[-1] <= 0.0:
-            # the handoff lies past a peak of g that the rungs and rows
-            # missed: hand off halfway to the peak, where g still rises
-            # (the far region integrates past the peak)
-            z_peak, _ = find_root(
-                lambda x: _profile_and_slope(self.weight, self.n, x)[1],
-                zt, z_hi, gp_tab[0], gp_tab[-1], 0.0)
-            z_hi = zt + 0.5 * (z_peak - zt)
-            z_tab = zt + (z_hi - zt) * _TABLE_FRAC
-            g_tab, gp_tab = _profile_and_slope(self.weight, self.n, z_tab)
-        w_tab = np.sqrt(np.maximum(g_tab, 0.0))
-        w_tab[0] = 0.0
-        # end at the last rising row, then at the last row past z* whose
-        # scale-free slope clears _SLOPE_FLOOR, if one does
-        end = int(np.argmin(np.append(np.diff(w_tab) > 0.0, False)))
-        steep = np.flatnonzero(z_tab[1:end + 1] * gp_tab[1:end + 1]
-                               >= _SLOPE_FLOOR)
-        if steep.size:
-            end = int(steep[-1]) + 1
-        if end < z_tab.size - 1:
-            z_tab, w_tab = z_tab[:end + 1], w_tab[:end + 1]
-            z_hi = float(z_tab[-1])
-        return z_hi, float(w_tab[-1]), w_tab, z_tab
-
-    def _invert_profile(self, w_nodes: np.ndarray):
-        """(z, g'(z)) with g(z) = w^2: the fifth Newton iterate x_5 from a
-        table lookup x_0, one weight pass per step.  A node's iterates
-        depend on that node alone, so once step k leaves every node fixed
-        (x_k == x_{k-1}) or in a 2-cycle (x_k == x_{k-2}), x_5 and g' there
-        are already known: x_{k-1}, or x_{k-2} for a cycling node when 5 - k
-        is even, with the g' of the pass that evaluated it."""
-        z_hi, _, w_tab, z_tab = self._near
-        zeta = np.interp(w_nodes, w_tab, z_tab)
-        target = w_nodes * w_nodes
-        lo, hi = self.z_turn, z_hi + (z_hi - self.z_turn)
-        back = None    # (x_{k-2}, g' there)
-        for k in range(1, 6):
-            g, gp = _profile_and_slope(self.weight, self.n, zeta)
-            new = np.minimum(np.maximum(zeta - (g - target) / gp, lo), hi)
-            fixed = new == zeta
-            settled = fixed if back is None else fixed | (new == back[0])
-            if np.count_nonzero(settled) == settled.size:
-                if back is None or k % 2 == 0:
-                    return zeta, gp
-                return (np.where(fixed, zeta, back[0]),
-                        np.where(fixed, gp, back[1]))
-            back, zeta = (zeta, gp), new
-        return zeta, _profile_and_slope(self.weight, self.n, zeta)[1]
+        up = np.flatnonzero(rises[1:k + 1])
+        return float(z[up[-1] + 1 if up.size else 0])
 
 
 def _near_integrand(spec: ExtremalSpec):
-    def F(w):
-        w = np.asarray(w, dtype=float)
-        zeta, gp = spec._invert_profile(w)
-        return 2.0 / (gp * zeta * np.sqrt(w * w + 2.0))
+    """dphi/dt = 2/(z*sqrt(D*(D*t^2 + 2))) at z = z* + eps + t^2, with
+    D = g(z)/t^2 the slope of g from its root z* + eps: from the slope
+    from z*, D* = n*([v](z, z*)*z + v(z*)) by one checked slope pass, as
+    D = D* + eps*(D* - g'(z*))/t^2, exact given g(z*) = -eps*g'(z*)."""
+    zt, n, (v0, slope, eps) = spec.z_turn, spec.n, spec._turn
+
+    def F(t):
+        tt = t * t
+        dz = tt + eps
+        z = zt + dz
+        d = n * (eval_slope(spec.weight, z, zt, dz)[1] * z + v0)
+        if eps:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(tt > 0.0, d + eps * (d - slope) / tt, d)
+        return 2.0 / (z * np.sqrt(d * (d * tt + 2.0)))
     return F
 
 
@@ -297,16 +264,13 @@ def _log_far_integrand(spec: ExtremalSpec):
     return h
 
 
-def _w_of(spec: ExtremalSpec, z) -> np.ndarray:
-    """Integration limits w = sqrt(g(z)), anchored at 0 for z at or inside
-    the turn; g rounding below 0 just outside it is clipped to 0."""
+def _t_of(spec: ExtremalSpec, z) -> np.ndarray:
+    """Integration limits t = sqrt(z - z* - eps): 0 for z at or inside the
+    float z*, which is the turn, as for a radius within eps past it; a NaN
+    radius gives a NaN limit, which reaches the weight."""
     z = np.asarray(z, dtype=float)
-    w = np.zeros(z.shape)
-    out = ~(z <= spec.z_turn)   # a NaN reaches the weight
-    if np.count_nonzero(out):
-        w[out] = np.sqrt(np.maximum(_profile(spec.weight, spec.n, z[out]),
-                                    0.0))
-    return w
+    tt = np.maximum((z - spec.z_turn) - spec._turn[2], 0.0)
+    return np.sqrt(np.where(z <= spec.z_turn, 0.0, tt))
 
 
 def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
@@ -315,34 +279,34 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     either order (negated where z_to < z_from), to absolute error tol each.
 
     Over [z_a, z_b], lower radius first, near-region pieces are integrated
-    in w and those beyond it in z (in log z where z_b/z_a > _LONG_FAR), in
+    in t and those beyond it in z (in log z where z_b/z_a > _LONG_FAR), in
     one quadrature call whose near pieces come first, then the far pieces
     in z, so the result and every failure are those of one call per kind in
     that order; an interval across the handoff radius z_split adds pieces
-    [w(z_a), w_split] and [z_split, z_b], each to tol/2.
+    [t(z_a), t_split] and [z_split, z_b], each to tol/2.
     Returns (increments, exactly rounded sum of the pieces' error estimates,
     panels in the final partitions).
     """
     flip = z_to < z_from
     z_a, z_b = np.where(flip, z_to, z_from), np.where(flip, z_from, z_to)
-    z_split, w_split, _, _ = spec._near
+    z_split, t_split = spec._near
     # written so that a NaN radius enters a region and reaches the weight;
     # an equal pair is a zero-width piece, which integrates to +0.0
     near = ~(z_a >= z_split)
     far = ~(z_b <= z_split)
     piece_tol = np.where(near & far, 0.5 * tol, tol)
-    w_b = np.full(len(z_b), w_split)
-    w_b[near & ~far] = _w_of(spec, z_b[near & ~far])
+    t_b = np.full(len(z_b), t_split)
+    t_b[near & ~far] = _t_of(spec, z_b[near & ~far])
     far_lo = np.where(near, z_split, z_a)
     long = far & (z_b > _LONG_FAR * far_lo)
     short = far & ~long
-    lo = np.concatenate((_w_of(spec, z_a[near]), far_lo[short],
+    lo = np.concatenate((_t_of(spec, z_a[near]), far_lo[short],
                          np.log(far_lo[long])))
     n_near, n_short = int(np.count_nonzero(near)), int(np.count_nonzero(short))
     val, err, panels = quadrature.integrate(
         [(_near_integrand(spec), n_near), (_far_integrand(spec), n_short),
          (_log_far_integrand(spec), len(lo) - n_near - n_short)],
-        lo, np.concatenate((w_b[near], z_b[short], np.log(z_b[long]))),
+        lo, np.concatenate((t_b[near], z_b[short], np.log(z_b[long]))),
         np.concatenate((piece_tol[near], piece_tol[short], piece_tol[long])))
     inc = np.zeros(len(z_a))
     inc[near] = val[:n_near]
@@ -357,14 +321,13 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     z, else one angle per entry of a 1-d z, each with the bits of its own
     scalar call.  Radii must lie at or outside z* (one within 1e-12
     relative inside it gives +0.0); the angle to z* is exact, as the
-    w-substitution integrates from the root of n*v*z - 1 itself.  Next to
-    z* the angle is as ill-conditioned as sqrt(g): g = n*v*z - 1 rounds by
-    a few eps, which moves the angle by about that over z*g'(z*)*sqrt(g),
-    some 1e-9 rad within 1e-12 relative of z* where z*g'(z*) is near 1.
+    t-substitution integrates from the root of n*v*z - 1, which the float
+    z* misses by eps (see the module notes).  So next to z* the angle keeps
+    its relative accuracy: z - z* - eps takes one rounding.
 
-    The near region [0, w_split] is one piece at tol/2 however many radii
+    The near region [0, t_split] is one piece at tol/2 however many radii
     lie beyond the handoff, taken at the slot of the first of them; a
-    radius inside the handoff has its own piece [0, w(z)] at tol.  The
+    radius inside the handoff has its own piece [0, t(z)] at tol.  The
     pieces go through one split quadrature.integrate call, near pieces
     first, then the far pieces in z, then those in log z, as in
     _increments, and each angle is its near piece plus its far piece: the
@@ -385,28 +348,28 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
         if x < z_min:
             raise ForbiddenRegion(f"z = {x} lies inside the turning radius "
                                   f"z* = {spec.z_turn} at n = {spec.n}")
-    z_split, w_split, _, _ = spec._near
+    z_split, t_split = spec._near
     inner = [z for z in radii if not z > z_split]
-    w_hi = _w_of(spec, inner).tolist()
+    t_hi = _t_of(spec, inner).tolist()
     z_long = _LONG_FAR * z_split
     short = [z for z in radii if z_split < z <= z_long]
     long = [z for z in radii if z > z_long]
     # with no near region (z_split at z*) a far piece takes all of tol
     half = 0.5 * tol if spec.z_turn < z_split else tol
-    tols = [tol] * len(w_hi)
+    tols = [tol] * len(t_hi)
     if short or long:
         slot = next(i for i, z in enumerate(radii) if z > z_split)
-        w_hi.insert(slot, w_split)
+        t_hi.insert(slot, t_split)
         tols.insert(slot, half)
     log_z = np.log([z_split, *long]).tolist()
     val = quadrature.integrate(
-        [(_near_integrand(spec), len(w_hi)),
+        [(_near_integrand(spec), len(t_hi)),
          (_far_integrand(spec), len(short)),
          (_log_far_integrand(spec), len(long))],
-        [0.0] * len(w_hi) + [z_split] * len(short) + log_z[:1] * len(long),
-        w_hi + short + log_z[1:], tols + [half] * (len(short) + len(long)),
+        [0.0] * len(t_hi) + [z_split] * len(short) + log_z[:1] * len(long),
+        t_hi + short + log_z[1:], tols + [half] * (len(short) + len(long)),
         split=True)[0].tolist()
-    near, far = val[:len(w_hi)], val[len(w_hi):]
+    near, far = val[:len(t_hi)], val[len(t_hi):]
     shared = near.pop(slot) if short or long else None
     angle = dict(zip(inner, near))
     angle.update((z, shared + x) for z, x in zip(short + long, far))

@@ -1,9 +1,12 @@
-"""Radial weight functions v(z) and their exact derivatives q(z) = dv/dz.
+"""Radial weight functions v(z), their exact derivatives q(z) = dv/dz and
+their slopes [v](z, z0) = (v(z) - v(z0))/(z - z0).
 
 The weight multiplies arc length in the functional ``integral of v(z) ds``,
 where z is the distance from the fixed pole.  Two variants exist: an exact
 power law z**lam, and a parsed expression whose tree walk carries the
-derivative beside the value.  Both evaluate on scalars or numpy arrays.
+derivative, or the slope, beside the value.  Both evaluate on scalars or
+numpy arrays.  A slope is computed without cancellation, from the step
+z - z0 itself, so it keeps its relative accuracy as z approaches z0.
 
 A checked pass (eval_v, eval_vq) tests z and its raw result once: by Python
 comparisons for a scalar z, else by np.count_nonzero on ufunc masks (a user's
@@ -19,7 +22,13 @@ from . import expressions
 from .errors import DomainError, EvalError, NonPositiveWeight
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
-           "eval_v", "eval_q", "eval_vq", "masked_v", "parse_weight"]
+           "eval_v", "eval_q", "eval_vq", "eval_slope", "masked_v",
+           "masked_vq", "wide_v", "parse_weight"]
+
+# the 20-point Gauss-Legendre rule on [0, 1]: the default slope is the mean
+# of q over [z0, z], exact for q of degree below 40
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
 
 class RadialWeight:
@@ -38,6 +47,16 @@ class RadialWeight:
 
     def _raw_vq(self, z):   # override where one pass yields both
         return self._raw_v(z), self._raw_q(z)
+
+    def _raw_slope(self, z, z0, dz):
+        """(v(z), [v](z, z0)) for z = z0 + dz: by default the mean of q over
+        [z0, z] by a fixed Gauss-Legendre rule, from one _raw_vq pass over
+        z and the rule's nodes.  Override it with a closed form."""
+        pts = np.concatenate((np.asarray(z)[..., None],
+                              z0 + np.multiply.outer(dz, _GL_X)), axis=-1)
+        v, q = self._raw_vq(pts)
+        return (np.broadcast_to(v, pts.shape)[..., 0],
+                np.broadcast_to(q, pts.shape)[..., 1:] @ _GL_W)
 
     def text(self) -> str:
         raise NotImplementedError
@@ -62,6 +81,12 @@ class PowerLaw(RadialWeight):
             return np.zeros_like(z)
         return self.lam * z ** (self.lam - 1.0)
 
+    def _raw_slope(self, z, z0, dz):
+        # z^lam - z0^lam = z0^lam*expm1(lam*log1p(u)), u = dz/z0
+        v0 = z0 ** self.lam
+        step = v0 * np.expm1(self.lam * np.log1p(dz / z0))
+        return v0 + step, np.where(dz == 0.0, self.lam * v0 / z0, step / dz)
+
     def text(self) -> str:
         return f"z^{self.lam!r}"
 
@@ -81,6 +106,10 @@ class ExpressionWeight(RadialWeight):
     def _raw_vq(self, z):   # v: _raw_v's float operations, same bits
         v, q = expressions.evaluate(self.ast, z, np.ones_like(z))
         return _shaped(v, z), _shaped(0.0 if q is None else q, z)
+
+    def _raw_slope(self, z, z0, dz):
+        v, _, s = expressions.evaluate_slope(self.ast, z, z0, dz)
+        return _shaped(v, z), _shaped(0.0 if s is None else s, z)
 
     def text(self) -> str:
         return self.source
@@ -132,6 +161,15 @@ def masked_v(w: RadialWeight, z):
     return v, np.isfinite(v) & (v > 0.0) & (z > 0.0)
 
 
+def masked_vq(w: RadialWeight, z):
+    """(raw v(z), raw q(z), mask where eval_vq would succeed), raising
+    nothing, from one raw pass."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):
+        v, q = w._raw_vq(z)
+    return v, q, np.isfinite(v) & (v > 0.0) & (z > 0.0) & np.isfinite(q)
+
+
 def eval_v(w: RadialWeight, z):
     """Weight value v(z); z may be a scalar or an array.
 
@@ -149,18 +187,42 @@ def eval_v(w: RadialWeight, z):
 def eval_vq(w: RadialWeight, z):
     """(eval_v(w, z), eval_q(w, z)) bit for bit, from one raw pass and its
     fused test, raising what eval_q would, in _finish's order."""
-    z, (v, q) = _raw(w, z, w._raw_vq)
-    if z.ndim == 0 and 0.0 < float(v) < np.inf and abs(float(q)) < np.inf:
-        return float(v), float(q)
+    return _checked_pair(w, *_raw(w, z, w._raw_vq))
+
+
+def eval_slope(w: RadialWeight, z, z0: float, dz):
+    """(v(z), [v](z, z0)) for z = z0 + dz, z0 > 0 a float, from one raw
+    pass, with eval_vq's checks on z, v and the slope."""
+    return _checked_pair(w, *_raw(w, z, lambda x: w._raw_slope(x, z0, dz)))
+
+
+def _checked_pair(w, z, pair):
+    """pair = (v, d) from a raw pass at z, as floats for a scalar z, once v
+    is finite and positive and d finite; else _finish's error."""
+    v, d = pair
+    if z.ndim == 0 and 0.0 < float(v) < np.inf and abs(float(d)) < np.inf:
+        return float(v), float(d)
     if z.ndim and _every(np.greater(v, 0.0) & np.less(v, np.inf)) \
-            and _every(np.isfinite(q)):   # an empty q would hide a scalar v
-        return v, q
+            and _every(np.isfinite(d)):   # an empty d would hide a scalar v
+        return v, d
     _finish(w, z, v)
 
 
 def eval_q(w: RadialWeight, z):
     """Exact derivative q(z) = dv/dz; eval_v's checks, then q finite."""
     return eval_vq(w, z)[1]
+
+
+def wide_v(w: RadialWeight, z: float) -> np.longdouble:
+    """v(z) at a float z > 0 in numpy's long double, unchecked: a power law
+    and an expression evaluate in it (wider than float on x86-64 Linux, no
+    wider on some platforms), another weight gives what its raw pass gives
+    at a long double z."""
+    x = np.longdouble(z)
+    with np.errstate(all="ignore"):
+        if isinstance(w, ExpressionWeight):
+            return np.longdouble(expressions.evaluate(w.ast, x)[0])
+        return np.longdouble(w._raw_v(x))
 
 
 def parse_weight(text: str) -> RadialWeight:

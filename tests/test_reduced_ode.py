@@ -152,8 +152,8 @@ class TestExtremalSpec:
             ExtremalSpec(PowerLaw(-0.5), 1e-300)
 
     def test_turning_slope_evaluated_once(self, monkeypatch):
-        # the one scalar pass is the slope at z*; the near setup that
-        # follows it passes the w table's radii as one array
+        # the one scalar pass is the slope at z*; the handoff that follows
+        # it passes its ladder's radii as one array
         calls = []
         slope = reduced_ode._profile_and_slope
 
@@ -238,38 +238,30 @@ class TestAutoBracket:
         assert parse_weight("1/(1+z^2)")._bracket_scan is None
 
 
-def _doubling_near_setup(spec):
-    """The handoff as a point-by-point doubling scan, for reference."""
+def _doubling_handoff(spec):
+    """The handoff radius as a point-by-point doubling scan, for reference."""
     w, n, zt = spec.weight, spec.n, spec.z_turn
     profile = reduced_ode._profile
-    z_hi = z_prev = z_before = zt
+    rungs = []
     g_prev = 0.0
     step = 1e-6 * zt
     for _ in range(200):
-        z_hi = zt + step
-        g = profile(w, n, z_hi)
+        z = zt + step
+        g = profile(w, n, z)
         if g >= reduced_ode._G_HANDOFF:
+            rungs.append(z)
             break
-        if g <= g_prev and z_prev > zt:
-            if reduced_ode._profile_and_slope(w, n, z_prev)[1] <= 0.0 \
-                    and z_before > zt:
-                z_prev = z_before
-            z_hi = z_prev
+        if g <= g_prev and rungs:
             break
+        rungs.append(z)
         if step > 1e7 * max(1.0, zt):
             break
-        z_before, z_prev, g_prev = z_prev, z_hi, g
+        g_prev = g
         step *= 2.0
-    frac = np.linspace(0.0, 1.0, reduced_ode._TABLE_SIZE + 1) ** 2
-    z_tab = zt + (z_hi - zt) * frac
-    w_tab = np.sqrt(np.maximum(profile(w, n, z_tab), 0.0))
-    w_tab[0] = 0.0
-    rising = np.diff(w_tab) > 0.0
-    if not rising.all():
-        cut = int(np.argmin(rising)) + 1
-        z_tab, w_tab = z_tab[:cut + 1], w_tab[:cut + 1]
-        z_hi = float(z_tab[-1])
-    return z_hi, float(w_tab[-1]), w_tab.tolist(), z_tab.tolist()
+    while len(rungs) > 1 and \
+            reduced_ode._profile_and_slope(w, n, rungs[-1])[1] <= 0.0:
+        rungs.pop()
+    return rungs[-1]
 
 
 class _GapWeight(RadialWeight):
@@ -302,32 +294,29 @@ class TestHandoffLadder:
         (PowerLaw(1.0), 1e40)])               # z* = 1e-20
     def test_matches_doubling_scan(self, weight, n):
         spec = ExtremalSpec(weight, n)
-        z_hi, w_hi, w_tab, z_tab = spec._near
-        assert (z_hi, w_hi, w_tab.tolist(), z_tab.tolist()) == \
-            _doubling_near_setup(spec)
+        z_split, t_split = spec._near
+        assert z_split == _doubling_handoff(spec)
+        eps = spec._turn[2]    # z* + eps is the root of g
+        assert abs(eps) <= 1e-14 * spec.z_turn
+        assert t_split == math.sqrt((z_split - spec.z_turn) - eps)
 
     def test_domain_edge_ends_the_ladder(self):
         # the scan steps past sqrt(2), where the weight is undefined; the
         # handoff is the last rung on which g still rises
         spec = ExtremalSpec(parse_weight("sqrt(2-z^2)"), 1.5)
         with pytest.raises(EvalError):
-            _doubling_near_setup(spec)
-        z_hi, w_hi, w_tab, z_tab = spec._near
-        assert spec.z_turn < z_hi < 1.0     # g peaks at z = 1
-        assert len(w_tab) == len(z_tab) == reduced_ode._TABLE_SIZE + 1
-        assert (np.diff(w_tab) > 0.0).all() and w_hi == w_tab[-1]
+            _doubling_handoff(spec)
+        z_split = spec._near[0]
+        assert spec.z_turn < z_split < 1.0     # g peaks at z = 1
+        assert reduced_ode._profile_and_slope(spec.weight, spec.n,
+                                              z_split)[1] > 0.0
 
-    def test_cut_table_ends_at_the_last_rising_row(self):
-        # w stops rising inside this weight's table (g peaks before the
-        # handoff value), so the table is cut: an angle past the cut may
+    def test_angles_next_to_a_peak_match_mpmath_or_raise(self):
+        # g peaks before the handoff value: an angle past the peak may
         # fail, but never comes out wrong
         mpmath = pytest.importorskip("mpmath")
         n = 8.634916453297178
         spec = ExtremalSpec(parse_weight("1 + 0.3*sin(20*z)"), n)
-        z_hi, w_hi, w_tab, z_tab = spec._near
-        assert len(w_tab) < reduced_ode._TABLE_SIZE + 1
-        assert (np.diff(w_tab) > 0.0).all()
-        assert (z_hi, w_hi) == (z_tab[-1], w_tab[-1])
         got = {}
         for z in (0.128, 0.15, 0.16, 0.1645, 0.1666906108583988):
             try:
@@ -614,52 +603,49 @@ class TestPeakedProfiles:
             assert abs(got - ref) <= 1e-10
 
 
-def _five_step_inversion(spec, w_nodes):
-    """The near-region inversion as five full Newton steps, g and g' from
-    separate eval_v and eval_q calls, then g' once more at the final z."""
-    w, n = spec.weight, spec.n
-    z_hi, _, w_tab, z_tab = spec._near
-    zeta = np.interp(w_nodes, w_tab, z_tab)
-    target = w_nodes * w_nodes
-    lo, hi = spec.z_turn, z_hi + (z_hi - spec.z_turn)
-    for _ in range(5):
-        g = n * eval_v(w, zeta) * zeta - 1.0
-        gp = n * (eval_q(w, zeta) * zeta + eval_v(w, zeta))
-        zeta = np.clip(zeta - (g - target) / gp, lo, hi)
-    return zeta, n * (eval_q(w, zeta) * zeta + eval_v(w, zeta))
-
-
-class TestInvertProfile:
-    @pytest.mark.parametrize("weight,n,panels,passes", [
-        (PowerLaw(1.3), 1.1, 8, 5),     # 26 nodes in 2-cycles at step 5
-        (PowerLaw(2.0817992419720928), 1.66, 1, 4),   # fixed at step 4
-        (PowerLaw(0.0), 2.0, 2, 2),
-        (parse_weight("1.0*z^2.0817992419720928"), 1.66, 2, 4),
-        (parse_weight("1/(1+z^2)"), 3.0, 2, 6),   # all five steps, then g'
-        (parse_weight("sqrt(2-z^2)"), 1.5, 8, 6),
-        (PowerLaw(1.0), 1e12, 1, 4),
-        (PowerLaw(1.0), 1e-12, 2, 4),
-        (PowerLaw(0.0), 1.1, 2, 3),     # 6 nodes in 2-cycles, 24 fixed
-        (PowerLaw(1.0), 5.0, 4, 5)])    # 14 nodes in 2-cycles, 46 fixed
-    def test_equals_five_newton_steps(self, monkeypatch, weight, n, panels,
-                                      passes):
+class TestNearIntegrand:
+    @pytest.mark.parametrize("weight, n", [
+        (PowerLaw(1.3), 1.1), (parse_weight("2.5*z^1.3"), 1.1),
+        (parse_weight("1/(1+z^2)"), 3.0), (_GapWeight(5.0, 6.0), 1.0)])
+    def test_one_slope_pass_per_node_set(self, monkeypatch, weight, n):
+        # the near integrand inverts nothing: one checked slope pass over
+        # all nodes of a call, where the w-substitution took a table lookup
+        # and up to five Newton passes
         spec = ExtremalSpec(weight, n)
-        w_split = spec._near[1]
-        edges = np.linspace(0.0, w_split, panels + 1)
+        t_split = spec._near[1]
+        edges = np.linspace(0.0, t_split, 5)
         nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] \
             + (0.5 * np.diff(edges))[:, None] * _NODES
-        want = _five_step_inversion(spec, nodes)
         calls = []
-        pass_ = reduced_ode._profile_and_slope
+        slope = reduced_ode.eval_slope
 
-        def counted(*args):
-            calls.append(args[2])
-            return pass_(*args)
-        monkeypatch.setattr(reduced_ode, "_profile_and_slope", counted)
-        zeta, gp = spec._invert_profile(nodes)
-        assert zeta.tobytes() == want[0].tobytes()
-        assert gp.tobytes() == want[1].tobytes()
-        assert len(calls) == passes
+        def counted(w, z, z0, dz):
+            calls.append(np.shape(z))
+            return slope(w, z, z0, dz)
+        monkeypatch.setattr(reduced_ode, "eval_slope", counted)
+        F = reduced_ode._near_integrand(spec)
+        assert np.isfinite(F(nodes)).all()
+        assert calls == [nodes.shape]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than float here")
+    @pytest.mark.parametrize("lam", [0.0, 1.3, 3.0])
+    def test_angles_from_the_root_next_to_the_turn(self, lam):
+        # the float z* misses the root by eps, known to long double's 1e-19
+        # relative; measured from the root, an angle at r = (z - z*)/z* from
+        # 1e-14 to 1e-6 is good to 1e-14 + 1e-19/r relative, where the
+        # rounding of g in float allowed eps/r (2e-2 at r = 1e-14)
+        mpmath = pytest.importorskip("mpmath")
+        spec = ExtremalSpec(PowerLaw(lam), 1.7)
+        r = np.geomspace(1e-14, 1e-6, 9)
+        z = spec.z_turn * (1.0 + r)
+        got = integrate_phi(spec, z, 1e-13)
+        with mpmath.workdps(40):
+            k = mpmath.mpf(lam) + 1
+            ref = [mpmath.acos(1 / (mpmath.mpf(1.7) * mpmath.mpf(x) ** k)) / k
+                   for x in z.tolist()]
+        for a, b, rel in zip(got.tolist(), ref, r.tolist()):
+            assert abs(a - b) / b <= 1e-14 + 1e-19 / rel
 
 
 class TestDphiDz:
@@ -1072,17 +1058,17 @@ class TestLeanPassEquivalence:
 
 
 def _region_pieces(spec, z_a, z_b, tol):
-    """The near pieces (in w) and far pieces (in z) of _increments, each as
+    """The near pieces (in t) and far pieces (in z) of _increments, each as
     (integrand, lo, hi, tol), with the near and far masks."""
-    z_split, w_split, _, _ = spec._near
+    z_split, t_split = spec._near
     moving = z_a != z_b
     near = moving & ~(z_a >= z_split)
     far = moving & ~(z_b <= z_split)
     piece_tol = np.where(near & far, 0.5 * tol, tol)
-    w_b = np.full(len(z_b), w_split)
-    w_b[near & ~far] = reduced_ode._w_of(spec, z_b[near & ~far])
+    t_b = np.full(len(z_b), t_split)
+    t_b[near & ~far] = reduced_ode._t_of(spec, z_b[near & ~far])
     return ((reduced_ode._near_integrand(spec),
-             reduced_ode._w_of(spec, z_a[near]), w_b[near], piece_tol[near]),
+             reduced_ode._t_of(spec, z_a[near]), t_b[near], piece_tol[near]),
             (reduced_ode._far_integrand(spec),
              np.where(near, z_split, z_a)[far], z_b[far], piece_tol[far]),
             near, far)
@@ -1558,7 +1544,7 @@ class TestBatchedTracing:
         assert len(fallbacks) >= 1
 
     @pytest.mark.parametrize("case,integral_panels", [
-        ("five samples, wide", 18), ("five samples", 14)])
+        ("five samples, wide", 18), ("five samples", 6)])
     def test_no_panel_evaluated_twice(self, case, integral_panels,
                                       panel_log):
         # these grids have batched first panels that miss tol; refinement

@@ -12,6 +12,7 @@ from radial_extremals import (DomainError, EvalError, ExpressionWeight,
                               parse_weight)
 from radial_extremals import expressions
 from radial_extremals.expressions import FUNCTIONS, parse_expression
+from radial_extremals.weights import eval_slope
 
 import dual_reference
 
@@ -694,3 +695,106 @@ class TestOneWalk:
         for _ in range(2999):
             scalar += 1.3
         assert eval_v(w, 1.3) == scalar
+
+
+def _mp_value(node, z, mpmath):
+    """The value of an expression tree at the mpmath number z."""
+    if isinstance(node, expressions.Num):
+        return mpmath.mpf(node.value)
+    if isinstance(node, expressions.Var):
+        return z
+    if isinstance(node, expressions.Neg):
+        return -_mp_value(node.operand, z, mpmath)
+    if isinstance(node, expressions.Fun):
+        return getattr(mpmath, node.name)(_mp_value(node.arg, z, mpmath))
+    a, b = (_mp_value(x, z, mpmath) for x in (node.lhs, node.rhs))
+    if node.op == "^":
+        return mpmath.power(a, b)
+    return expressions._OPS[node.op](a, b)
+
+
+class _ExpOverWeight(RadialWeight):
+    """A user weight exp(z)/(1 + z) with only _raw_v and _raw_q: its slope
+    is the default, q averaged by Gauss-Legendre."""
+
+    def _raw_v(self, z):
+        return np.exp(z) / (1.0 + z)
+
+    def _raw_q(self, z):
+        return np.exp(z) * z / (1.0 + z) ** 2
+
+    def text(self):
+        return "exp(z)/(1+z), by hand"
+
+
+# one weight per slope rule: +, - and Neg; * and ^ with a constant
+# exponent; / ; exp and log; sqrt; sin; cos; ^ with a constant base and
+# with both sides in z; then the two spellings of c*z^p that the benchmark
+# times and two user weights that take the default
+_SLOPE_WEIGHTS = ["z-0.5+1", "-z+7", "2.5*z^1.3", "z^0.5*3", "1/(1+z^2)",
+                  "exp(0.3*log(z))", "exp(-z)+0.2", "(2+log(z))/z",
+                  "z*sqrt(z)", "2+sin(z)", "2+cos(z)", "2^z", "z^z"]
+
+
+class TestSlope:
+    """D = n*([v](z, z0)*z + v(z0)), the near integrand's slope of
+    g = n*v*z - 1, against (g(z) - g(z0))/(z - z0) at 50 digits, within 8
+    ulps of its terms' scale n*(|[v]*z| + v(z0)), for z - z0 from 1e-14*z0
+    to z0."""
+
+    @staticmethod
+    def _check(w, z0, e, value):
+        mpmath = pytest.importorskip("mpmath")
+        z = z0 + z0 * 10.0 ** e
+        dz = z - z0      # exact: z <= 2*z0
+        v, s = eval_slope(w, np.array([z]), z0, np.array([dz]))
+        assert v[0] == pytest.approx(eval_v(w, z), rel=1e-15)
+        v0 = eval_v(w, z0)
+        n = 1.0 / (v0 * z0)
+        d = n * (s[0] * z + v0)
+        with mpmath.workdps(50):
+            Z, Z0 = mpmath.mpf(z), mpmath.mpf(z0)
+            slope = (value(Z) - value(Z0)) / (Z - Z0)
+            ref = n * (slope * Z + value(Z0))
+            scale = n * (abs(slope * Z) + abs(value(Z0)))
+            assert abs(d - ref) <= 8 * 2.0 ** -52 * scale, (d, float(ref))
+
+    @pytest.mark.parametrize("text", _SLOPE_WEIGHTS)
+    @settings(max_examples=40, deadline=None)
+    @given(z0=st.floats(0.3, 3.0), e=st.floats(-14.0, 0.0))
+    def test_expression_rules(self, text, z0, e):
+        mpmath = pytest.importorskip("mpmath")
+        w = parse_weight(text)
+        assert isinstance(w, ExpressionWeight)
+        self._check(w, z0, e, lambda x: _mp_value(w.ast, x, mpmath))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.floats(-0.9, 3.5), z0=st.floats(1e-3, 1e3),
+           e=st.floats(-14.0, 0.0))
+    def test_power_law(self, lam, z0, e):
+        mpmath = pytest.importorskip("mpmath")
+        self._check(PowerLaw(lam), z0, e,
+                    lambda x: mpmath.power(x, mpmath.mpf(lam)))
+
+    @pytest.mark.parametrize("w, value", [
+        (_TwoMethodWeight(), lambda x, mpmath: 1 + x * x),
+        (_ExpOverWeight(), lambda x, mpmath: mpmath.exp(x) / (1 + x))])
+    @settings(max_examples=60, deadline=None)
+    @given(z0=st.floats(0.3, 3.0), e=st.floats(-14.0, 0.0))
+    def test_default_gauss_legendre(self, w, value, z0, e):
+        mpmath = pytest.importorskip("mpmath")
+        self._check(w, z0, e, lambda x: value(x, mpmath))
+
+    def test_zero_step_is_the_derivative(self):
+        # a zero-width quadrature piece evaluates the integrand at t = 0
+        for w in (PowerLaw(1.3), parse_weight("2+sin(3*z)"),
+                  parse_weight("z^z"), _ExpOverWeight()):
+            v, s = eval_slope(w, np.array([1.2]), 1.2, np.array([0.0]))
+            assert s[0] == pytest.approx(eval_q(w, 1.2), rel=1e-14)
+
+    def test_checks_follow_eval_vq(self):
+        w = parse_weight("sqrt(2-z^2)")
+        with pytest.raises(EvalError, match="value is not finite"):
+            eval_slope(w, np.array([1.0, 1.5]), 1.0, np.array([0.0, 0.5]))
+        with pytest.raises(DomainError, match="domain minimum"):
+            eval_slope(w, np.array([np.nan]), 1.0, np.array([np.nan]))
