@@ -16,6 +16,8 @@ checks, in order, to pick the error.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import expressions
@@ -24,11 +26,6 @@ from .errors import DomainError, EvalError, NonPositiveWeight
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
            "eval_v", "eval_q", "eval_vq", "eval_slope", "masked_v",
            "masked_vq", "wide_v", "parse_weight"]
-
-# the 20-point Gauss-Legendre rule on [0, 1]: the default slope is the mean
-# of q over [z0, z], exact for q of degree below 40
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
 
 class RadialWeight:
@@ -52,17 +49,26 @@ class RadialWeight:
         """(v(z), [v](z, z0)) for z = z0 + dz: by default the mean of q over
         [z0, z] by a fixed Gauss-Legendre rule, from one _raw_vq pass over
         z and the rule's nodes.  Override it with a closed form."""
+        x, weights = _gauss_legendre()
         pts = np.concatenate((np.asarray(z)[..., None],
-                              z0 + np.multiply.outer(dz, _GL_X)), axis=-1)
+                              z0 + np.multiply.outer(dz, x)), axis=-1)
         v, q = self._raw_vq(pts)
         return (np.broadcast_to(v, pts.shape)[..., 0],
-                np.broadcast_to(q, pts.shape)[..., 1:] @ _GL_W)
+                np.broadcast_to(q, pts.shape)[..., 1:] @ weights)
 
     def text(self) -> str:
         raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()!r})"
+
+
+@functools.cache
+def _gauss_legendre():
+    """The 20-point Gauss-Legendre rule on [0, 1], exact for q of degree
+    below 40; built on first use, as numpy.polynomial costs start-up."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 class PowerLaw(RadialWeight):

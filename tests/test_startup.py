@@ -88,6 +88,20 @@ def test_subcommand_adds_only_its_layers(argv, added):
     assert set(modules) == CLI_MODULES | added
 
 
+def test_runs_leave_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rule of the default slope is built on first use:
+    # importing numpy.polynomial at start-up cost a bvp or trace run about
+    # 6 ms and 1 MB of peak memory
+    assert fresh(
+        "import contextlib, io\n"
+        "from radial_extremals import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['bvp', '--weight', '1+z',\n"
+        "                    '--endpoints=-1,1,1,2', '--n-bracket', '0.6:3'])\n"
+        "print(json.dumps([code, 'numpy.polynomial' in sys.modules]))") \
+        == [0, False]
+
+
 def test_public_names_unchanged():
     assert fresh("import radial_extremals\n"
                  "print(json.dumps(radial_extremals.__all__))") == ALL

@@ -792,6 +792,14 @@ class TestSlope:
             v, s = eval_slope(w, np.array([1.2]), 1.2, np.array([0.0]))
             assert s[0] == pytest.approx(eval_q(w, 1.2), rel=1e-14)
 
+    def test_base_through_zero_takes_the_difference_quotient(self):
+        # (z - 1)^2 from z0 = 0.9 to 1.2: the base changes sign, where the
+        # log1p form of a power has no value
+        w = parse_weight("(z-1)^2+1")
+        z0, dz = 0.9, np.array([0.3])
+        v, s = eval_slope(w, z0 + dz, z0, dz)
+        assert s[0] == pytest.approx((0.2 ** 2 - 0.1 ** 2) / 0.3, rel=1e-14)
+
     def test_checks_follow_eval_vq(self):
         w = parse_weight("sqrt(2-z^2)")
         with pytest.raises(EvalError, match="value is not finite"):
