@@ -41,21 +41,22 @@ def _weight_arg(text: str):
 
 
 def _lambda_arg(text: str) -> PowerLaw:
+    # a decimal goes to float, which rounds it as float(Fraction(text))
+    # would, without Fraction's 10^8-digit integer for 1e-100000000; only
+    # a/b, whose digits Python's int limit caps, takes the exact parse
     try:
-        finite = math.isfinite(float(text))
-    except ValueError:   # a/b
-        finite = True
-    if not finite:   # refused before the exact parse: 1e100000000 would
-        # build a 10^8-digit integer
+        value = float(text)
+    except ValueError:
+        try:
+            value = float(Fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a rational number: {text!r}") from exc
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    try:
-        return PowerLaw(float(Fraction(text)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a rational number: {text!r}") from exc
-    except OverflowError as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a finite number: {text!r}") from exc
+    return PowerLaw(value)
 
 
 def _float_arg(text: str) -> float:

@@ -364,6 +364,20 @@ def test_overflowing_exponent_exits_2(capsys, subcommand, lam):
         f"error: argument --lambda: not a finite number: {lam!r}\n")
 
 
+# both are 0.0 as floats, but Fraction would build 10^100000000 for either
+@pytest.mark.parametrize("lam", ["1e-100000000", "0e100000000"])
+def test_decimal_exponent_never_takes_the_exact_parse(capsys, monkeypatch,
+                                                      lam):
+    argv = ["trace", "--n", "1", "--zmax", "3", "--samples", "3"]
+    expected = run(capsys, *argv, "--lambda", "0")
+
+    def refuse(text):
+        raise AssertionError(f"exact parse of {text!r}")
+    monkeypatch.setattr(cli, "Fraction", refuse)
+    assert run(capsys, *argv, "--lambda", lam) == expected
+    assert expected[0] == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["trace", "--lambda", "1/0", "--n", "1", "--zmax", "3"],
      "argument --lambda: not a rational number: '1/0'"),
