@@ -12,7 +12,8 @@ inverse-square-root singularity at z*,
     D = (g(z) - g(z*))/t^2 = n*([v](z, z*)*z + v(z*)),
 
 where [v] is the weight's slope (divided difference), computed from the
-step t^2 without cancellation.  The integrand is regular at t = 0.  The
+step t^2 without cancellation; past 2*z*, where [v]*z and v(z*) can
+cancel, D is the plain quotient g(z)/t^2.  The integrand is regular at t = 0.  The
 float z* misses the root of g by a fraction of an ulp, so t is measured
 from z* + eps, eps = -g(z*)/g'(z*) with g(z*) in long double, and D is
 moved to that root by the same first-order term; an angle from the turn
@@ -57,9 +58,10 @@ def _profile(w: RadialWeight, n: float, z):
 
 
 def _profile_and_slope(w: RadialWeight, n: float, z):
-    """(g(z), g'(z) = n*(q(z)*z + v(z))) from one checked weight pass."""
+    """(g(z), g'(z) = n*(q(z)*z + v(z)), v(z)) from one checked weight
+    pass."""
     v, q = eval_vq(w, z)
-    return n * v * z - 1.0, n * (q * z + v)
+    return n * v * z - 1.0, n * (q * z + v), v
 
 
 def turning_radius(w: RadialWeight, n: float) -> float:
@@ -74,6 +76,12 @@ def turning_radius(w: RadialWeight, n: float) -> float:
     crossing (g' < 0) is rejected because z < z* would then be the allowed
     side.
     """
+    return _turning_point(w, n)[0]
+
+
+def _turning_point(w: RadialWeight, n: float):
+    """(z*, v(z*), g'(z*)) with turning_radius's z* and checks, from the
+    one weight pass that checks the slope."""
     if not 0.0 < n < math.inf:   # ExtremalSpec passes |n|
         raise DomainError(f"the turning radius needs a finite n > 0, got {n}")
     if isinstance(w, PowerLaw):
@@ -96,7 +104,7 @@ def turning_radius(w: RadialWeight, n: float) -> float:
         best, _ = find_root(lambda z: _profile(w, n, z), z_lo, z_hi,
                             _profile(w, n, z_lo), _profile(w, n, z_hi),
                             _TURN_GTOL)
-    slope = _profile_and_slope(w, n, best)[1]
+    _, slope, v = _profile_and_slope(w, n, best)
     if abs(slope) * max(1.0, best) < 1e-8:
         raise TangentialTurningPoint(
             f"n*v(z)*z has near-zero slope {slope:.3e} at z = {best}")
@@ -104,7 +112,7 @@ def turning_radius(w: RadialWeight, n: float) -> float:
         raise DomainError(
             "n*v(z)*z crosses 1 from above; only increasing crossings "
             "bound a traceable outer region")
-    return best
+    return best, v, slope
 
 
 def _auto_bracket(w: RadialWeight, n: float):
@@ -163,12 +171,10 @@ class ExtremalSpec:
         self.n = float(self.n)
         self.orientation = 1 if self.n > 0.0 else -1
         self.n = abs(self.n)
-        self.z_turn = turning_radius(self.weight, self.n)
+        self.z_turn, v0, slope = _turning_point(self.weight, self.n)
         zt, n = self.z_turn, self.n
         z_split = self._handoff()
-        v0, q0 = eval_vq(self.weight, zt)
-        # (v, g') at z*, and eps with z* + eps the root of g
-        slope = n * (q0 * zt + v0)
+        # eps with z* + eps the root of g
         eps = -float(np.longdouble(n) * wide_v(self.weight, zt)
                      * np.longdouble(zt) - 1) / slope
         self._turn = v0, slope, eps if abs(eps) <= 1e-12 * zt else 0.0
@@ -204,19 +210,28 @@ class ExtremalSpec:
 
 def _near_integrand(spec: ExtremalSpec):
     """dphi/dt = 2/(z*sqrt(D*(D*t^2 + 2))) at z = z* + eps + t^2, with
-    D = g(z)/t^2 the slope of g from its root z* + eps: from the slope
-    from z*, D* = n*([v](z, z*)*z + v(z*)) by one checked slope pass, as
-    D = D* + eps*(D* - g'(z*))/t^2, exact given g(z*) = -eps*g'(z*)."""
+    D = g(z)/t^2 the slope of g from its root z* + eps, from one checked
+    slope pass.  Up to 2*z*, D comes from the slope from z*,
+    D* = n*([v](z, z*)*z + v(z*)), as D = D* + eps*(D* - g'(z*))/t^2,
+    exact given g(z*) = -eps*g'(z*).  Past 2*z*, D = (n*v(z)*z - 1)/t^2:
+    there the terms of D* can cancel by up to 2*(z/z*)/g(z) (a slowly
+    rising n*v*z, as v = z^lam with lam near -1, hands off tens of z*
+    out or further), while g(z) itself loses at most (1 + g)/g ulps."""
     zt, n, (v0, slope, eps) = spec.z_turn, spec.n, spec._turn
 
     def F(t):
         tt = t * t
         dz = tt + eps
         z = zt + dz
-        d = n * (eval_slope(spec.weight, z, zt, dz)[1] * z + v0)
+        v, s = eval_slope(spec.weight, z, zt, dz)
+        d = n * (s * z + v0)
         if eps:
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = np.where(tt > 0.0, d + eps * (d - slope) / tt, d)
+        far = dz > zt
+        if np.count_nonzero(far):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(far, (n * v * z - 1.0) / tt, d)
         return 2.0 / (z * np.sqrt(d * (d * tt + 2.0)))
     return F
 

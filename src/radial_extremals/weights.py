@@ -88,10 +88,12 @@ class PowerLaw(RadialWeight):
         return self.lam * z ** (self.lam - 1.0)
 
     def _raw_slope(self, z, z0, dz):
-        # z^lam - z0^lam = z0^lam*expm1(lam*log1p(u)), u = dz/z0
+        # z^lam - z0^lam = z0^lam*expm1(lam*log1p(u)), u = dz/z0; v is
+        # _raw_v's, as v0 + step cancels where z^lam is far below z0^lam
         v0 = z0 ** self.lam
         step = v0 * np.expm1(self.lam * np.log1p(dz / z0))
-        return v0 + step, np.where(dz == 0.0, self.lam * v0 / z0, step / dz)
+        return self._raw_v(z), np.where(dz == 0.0, self.lam * v0 / z0,
+                                        step / dz)
 
     def text(self) -> str:
         return f"z^{self.lam!r}"

@@ -61,6 +61,8 @@ KEPT = {
     "eval_q": "acceptance criterion 08 reads q through it",
     "gradient": "acceptance criterion 08 reads the discrete gradient through "
                 "it",
+    "turning_radius": "the public way to z* alone; ExtremalSpec shares its "
+                      "code and keeps v(z*) and g'(z*) from its weight pass",
 }
 
 

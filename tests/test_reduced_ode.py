@@ -647,6 +647,41 @@ class TestNearIntegrand:
         for a, b, rel in zip(got.tolist(), ref, r.tolist()):
             assert abs(a - b) / b <= 1e-14 + 1e-19 / rel
 
+    @pytest.mark.parametrize("lam", [-0.9, -0.98])
+    def test_far_handoff_matches_the_closed_form(self, lam):
+        # g = z^(lam+1) - 1 reaches 0.5 at 68*z* for lam = -0.9 and not
+        # below the ladder's top, 1.8e7*z*, for lam = -0.98.  Out there
+        # the slope's terms [v]*z and v(z*) cancel by up to 2*(z/z*)/g:
+        # a 20-point mean of q put the hand-written weight's angle 1.5e-3
+        # off at 68*z*, and v(z*) plus the power law's step turned its
+        # v(z) to noise at 1.8e7*z*, where the quadrature gave up
+        mpmath = pytest.importorskip("mpmath")
+        for w in (PowerLaw(lam), _HandPower(lam)):
+            spec = ExtremalSpec(w, 1.0)
+            z_split = spec._near[0]
+            assert z_split > 60.0
+            z = np.array([1.5, 3.0, 0.5 * z_split, z_split, 2.0 * z_split])
+            got = integrate_phi(spec, z, 1e-12)
+            for phi, zb in zip(got.tolist(), z.tolist()):
+                want = _closed_form_angle(mpmath, lam, 1.0, zb)
+                assert abs(phi - want) <= 1e-12, (w, zb)
+
+
+class _HandPower(RadialWeight):
+    """z^lam written out by hand, so it takes the default slope."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def _raw_v(self, z):
+        return z ** self.lam
+
+    def _raw_q(self, z):
+        return self.lam * z ** (self.lam - 1.0)
+
+    def text(self):
+        return f"z^{self.lam}, by hand"
+
 
 class TestDphiDz:
     def test_constant_weight_value(self):

@@ -785,6 +785,16 @@ class TestSlope:
         mpmath = pytest.importorskip("mpmath")
         self._check(w, z0, e, lambda x: value(x, mpmath))
 
+    @pytest.mark.parametrize("lam", [-0.98, -0.5, 1.3])
+    def test_power_law_value_far_out(self, lam):
+        # past 2*z*, where the near integrand takes D from v(z), v(z0) plus
+        # the step cancelled: 1e-9 relative at z = 1e7*z0 for lam = -0.98;
+        # v is eval_v's, bit for bit
+        z0 = 0.7
+        z = z0 + z0 * np.geomspace(1.0, 1e7, 8)
+        v, _ = eval_slope(PowerLaw(lam), z, z0, z - z0)
+        assert v.tobytes() == eval_v(PowerLaw(lam), z).tobytes()
+
     def test_zero_step_is_the_derivative(self):
         # a zero-width quadrature piece evaluates the integrand at t = 0
         for w in (PowerLaw(1.3), parse_weight("2+sin(3*z)"),
