@@ -12,15 +12,14 @@ inverse-square-root singularity at z*,
     D = (g(z) - g(z*))/t^2 = n*([v](z, z*)*z + v(z*)),
 
 where [v] is the weight's slope (divided difference), computed from the
-step t^2 without cancellation; past 2*z*, where [v]*z and v(z*) can
-cancel, D is the plain quotient g(z)/t^2.  The integrand is regular at t = 0.  The
+step t^2 without cancellation.  The integrand is regular at t = 0.  The
 float z* misses the root of g by a fraction of an ulp, so t is measured
 from z* + eps, eps = -g(z*)/g'(z*) with g(z*) in long double, and D is
 moved to that root by the same first-order term; an angle from the turn
 then keeps its relative accuracy however close to z* its radius lies.
-Past a fixed handoff value of g, found on a geometric ladder of radii, the
-angle is integrated in z (in log z over long pieces).  Each batch of angles
-is one quadrature.integrate call.
+Past a handoff radius, a rung of a geometric ladder that ends at
+1.524*z*, the angle is integrated in z (in log z over long pieces).  Each
+batch of angles is one quadrature.integrate call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (DomainError, ForbiddenRegion, NoBracket,
 from .extremal_core import clairaut_constant
 from .roots import find_root
 from .weights import (PowerLaw, RadialWeight, eval_slope, eval_v, eval_vq,
-                      masked_v, masked_vq, wide_v)
+                      masked_v, wide_v)
 
 __all__ = ["ExtremalSpec", "TraceResult", "turning_radius", "dphi_dz",
            "integrate_phi", "trace_extremal", "first_integral_deviation"]
@@ -47,9 +46,9 @@ _TURN_GTOL = 4.0 * np.finfo(float).eps   # |g| at z*: rounding level
 # far pieces with z_b/z_a above this are integrated in log z: one z-panel
 # over them can miss the mass next to z_a, its error estimate included
 _LONG_FAR = 100.0
-# n-free steps of the handoff ladder: 70 rungs reach 1e7*max(1, z*) from
-# 1e-6*z* for every z* >= 1e-6
-_LADDER = 2.0 ** np.arange(70)
+# n-free steps of the handoff ladder, in units of 1e-6*z*: the top rung is
+# 1.524*z*, so near pieces stay inside 2*z*
+_LADDER = 2.0 ** np.arange(20)
 
 
 def _profile(w: RadialWeight, n: float, z):
@@ -182,56 +181,44 @@ class ExtremalSpec:
 
     def _handoff(self) -> float:
         """The radius where near pieces (in t) hand off to far ones (in z):
-        on the ladder z* + 1e-6*z* * 2^k, up to the first step past
-        1e7*max(1, z*) or its last rung, the first rung where g reaches
-        _G_HANDOFF, or the rung before the first where g stops rising or
-        the weight turns invalid (a domain edge); then the rung before,
-        for as long as g' <= 0 there, so the handoff lies below a peak."""
+        on the ladder z* + 1e-6*z* * 2^k, k < 20, the first rung where g
+        reaches _G_HANDOFF, else the rung before the first where g stops
+        rising or the weight turns invalid (a domain edge), else the top
+        rung.  The near integrand is regular past a peak of g while g > 0,
+        so the handoff may lie past one."""
         zt = self.z_turn
-        steps = 1e-6 * zt * _LADDER
-        cut = steps > 1e7 * max(1.0, zt)
-        cut[-1] = True
-        z = zt + steps[:int(np.argmax(cut)) + 1]
-        v, q, valid = masked_vq(self.weight, z)
-        with np.errstate(all="ignore"):
-            g, rises = self.n * v * z - 1.0, q * z + v > 0.0
+        z = zt + 1e-6 * zt * _LADDER
+        v, valid = masked_v(self.weight, z)
         if not valid[0]:   # the weight's own error
-            _profile_and_slope(self.weight, self.n, z[0])
+            _profile(self.weight, self.n, z[0])
+        with np.errstate(all="ignore"):
+            g = self.n * v * z - 1.0
         reach = valid & (g >= _G_HANDOFF)
         stop = np.concatenate(([False], ~valid[1:] | (g[1:] <= g[:-1])))
         ends = reach | stop
-        ends[-1] = True   # the last rung: the profile plateaus
+        ends[-1] = True   # the top rung: g rises slowly
         k = int(np.argmax(ends))
-        if stop[k] and not reach[k]:
-            k -= 1
-        up = np.flatnonzero(rises[1:k + 1])
-        return float(z[up[-1] + 1 if up.size else 0])
+        return float(z[k - 1 if stop[k] and not reach[k] else k])
 
 
 def _near_integrand(spec: ExtremalSpec):
     """dphi/dt = 2/(z*sqrt(D*(D*t^2 + 2))) at z = z* + eps + t^2, with
     D = g(z)/t^2 the slope of g from its root z* + eps, from one checked
-    slope pass.  Up to 2*z*, D comes from the slope from z*,
-    D* = n*([v](z, z*)*z + v(z*)), as D = D* + eps*(D* - g'(z*))/t^2,
-    exact given g(z*) = -eps*g'(z*).  Past 2*z*, D = (n*v(z)*z - 1)/t^2:
-    there the terms of D* can cancel by up to 2*(z/z*)/g(z) (a slowly
-    rising n*v*z, as v = z^lam with lam near -1, hands off tens of z*
-    out or further), while g(z) itself loses at most (1 + g)/g ulps."""
+    slope pass: the slope from z*, D* = n*([v](z, z*)*z + v(z*)), moved as
+    D = D* + eps*(D* - g'(z*))/t^2, exact given g(z*) = -eps*g'(z*).  Near
+    nodes lie below the ladder's top rung, z < 1.524*z*, where the terms
+    of D* cancel by at most (2*z/z* - 1)/g(z), within a factor 2.05 of the
+    (1 + g)/g ulps that the quotient g(z)/t^2 itself would lose."""
     zt, n, (v0, slope, eps) = spec.z_turn, spec.n, spec._turn
 
     def F(t):
         tt = t * t
         dz = tt + eps
         z = zt + dz
-        v, s = eval_slope(spec.weight, z, zt, dz)
-        d = n * (s * z + v0)
+        d = n * (eval_slope(spec.weight, z, zt, dz)[1] * z + v0)
         if eps:
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = np.where(tt > 0.0, d + eps * (d - slope) / tt, d)
-        far = dz > zt
-        if np.count_nonzero(far):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(far, (n * v * z - 1.0) / tt, d)
         return 2.0 / (z * np.sqrt(d * (d * tt + 2.0)))
     return F
 

@@ -25,7 +25,7 @@ from .errors import DomainError, EvalError, NonPositiveWeight
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
            "eval_v", "eval_q", "eval_vq", "eval_slope", "masked_v",
-           "masked_vq", "wide_v", "parse_weight"]
+           "wide_v", "parse_weight"]
 
 
 class RadialWeight:
@@ -167,15 +167,6 @@ def masked_v(w: RadialWeight, z):
     with np.errstate(all="ignore"):
         v = w._raw_v(z)
     return v, np.isfinite(v) & (v > 0.0) & (z > 0.0)
-
-
-def masked_vq(w: RadialWeight, z):
-    """(raw v(z), raw q(z), mask where eval_vq would succeed), raising
-    nothing, from one raw pass."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(all="ignore"):
-        v, q = w._raw_vq(z)
-    return v, q, np.isfinite(v) & (v > 0.0) & (z > 0.0) & np.isfinite(q)
 
 
 def eval_v(w: RadialWeight, z):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from radial_extremals import (DomainError, EvalError, ExtremalError,
@@ -245,7 +245,7 @@ def _doubling_handoff(spec):
     rungs = []
     g_prev = 0.0
     step = 1e-6 * zt
-    for _ in range(200):
+    for _ in range(20):   # the top rung is 1.524*z*
         z = zt + step
         g = profile(w, n, z)
         if g >= reduced_ode._G_HANDOFF:
@@ -254,13 +254,8 @@ def _doubling_handoff(spec):
         if g <= g_prev and rungs:
             break
         rungs.append(z)
-        if step > 1e7 * max(1.0, zt):
-            break
         g_prev = g
         step *= 2.0
-    while len(rungs) > 1 and \
-            reduced_ode._profile_and_slope(w, n, rungs[-1])[1] <= 0.0:
-        rungs.pop()
     return rungs[-1]
 
 
@@ -301,15 +296,14 @@ class TestHandoffLadder:
         assert t_split == math.sqrt((z_split - spec.z_turn) - eps)
 
     def test_domain_edge_ends_the_ladder(self):
-        # the scan steps past sqrt(2), where the weight is undefined; the
-        # handoff is the last rung on which g still rises
-        spec = ExtremalSpec(parse_weight("sqrt(2-z^2)"), 1.5)
+        # z* = 1.5: the top rung steps past 2, where the weight is
+        # undefined, while g is still below 0.3; the handoff is the last
+        # rung on which g still rises
+        spec = ExtremalSpec(parse_weight("(2-z)^-0.01"), 0.5 ** 0.01 / 1.5)
         with pytest.raises(EvalError):
             _doubling_handoff(spec)
-        z_split = spec._near[0]
-        assert spec.z_turn < z_split < 1.0     # g peaks at z = 1
-        assert reduced_ode._profile_and_slope(spec.weight, spec.n,
-                                              z_split)[1] > 0.0
+        zt, z_split = spec.z_turn, spec._near[0]
+        assert z_split == zt + 1e-6 * zt * 2.0 ** 18 < 2.0
 
     def test_angles_next_to_a_peak_match_mpmath_or_raise(self):
         # g peaks before the handoff value: an angle past the peak may
@@ -547,18 +541,17 @@ class TestPowerMap:
 
 
 class TestPeakedProfiles:
-    """The near/far handoff never lies past a peak of g: the near region
-    inverts w = sqrt(g) on the rising side only."""
+    """Profiles g that peak below the handoff value: the near integrand in
+    t stays regular past a peak while g > 0, so an angle across a peak
+    matches mpmath, or the quadrature raises."""
 
-    def test_handoff_below_a_peak_between_table_rows(self):
-        # g peaks at z ~ 0.8985, between the rows 0.8893 and 0.9037 of the
-        # table the ladder's handoff would give; that handoff's slope is
-        # -0.035, and the angle came out as 1.12747 with no error
+    def test_angle_across_a_peak_of_g(self):
+        # g peaks at z ~ 0.8985, past the ladder's top rung; an inversion
+        # of w = sqrt(g) once handed off past the peak, and the angle came
+        # out as 1.12747 with no error
         spec = ExtremalSpec(parse_weight("2+sin(3*z)"), 0.75)
         z_split = spec._near[0]
         assert spec.z_turn < z_split < 0.8985
-        assert reduced_ode._profile_and_slope(spec.weight, spec.n,
-                                              z_split)[1] > 0.0
         got = integrate_phi(spec, 1.0, 1e-13)
         assert abs(got - 1.1393311408606654) <= 1e-10
 
@@ -585,15 +578,14 @@ class TestPeakedProfiles:
 
     def test_handoffs_next_to_the_peak_of_g(self):
         # g = n*z/(1+z^2) - 1 peaks at z = 1, below _G_HANDOFF for n < 3,
-        # and the angle to 1.5 exists for n > 13/6.  Where the ladder's
-        # last rung below the peak lies next to it, z*g' is near 0 there
-        # and the near integrand 2/(g'*z*sqrt(w^2+2)) is nearly singular
-        # just past the table: n = 2.53708 gave an angle off by 7.4e-10
-        # with no error, and n = 2.18042 raised QuadratureFailure.
+        # and the angle to 1.5 exists for n > 13/6.  The ten n whose last
+        # rung z* + 1e-6*z* * 2^k below the peak has the smallest slope of
+        # g put a rung next to it, where g'*z is near 0 (an inversion of
+        # w = sqrt(g) there gave n = 2.53708 an angle off by 7.4e-10 with
+        # no error, and raised QuadratureFailure for n = 2.18042).
         ns = 13 / 6 + (3 - 13 / 6) * np.arange(2000) / 2000
         zt = (ns - np.sqrt(ns * ns - 4.0)) / 2.0
-        rungs = zt[:, None] \
-            + np.maximum(1e-6 * zt, 1e-12)[:, None] * reduced_ode._LADDER
+        rungs = zt[:, None] + (1e-6 * zt)[:, None] * 2.0 ** np.arange(20)
         below = np.where(rungs < 1.0, rungs, 0.0).max(axis=1)
         slopes = ns * below * (1.0 - below ** 2) / (1.0 + below ** 2) ** 2
         for n in ns[np.argsort(slopes)[:10]].tolist():
@@ -649,22 +641,46 @@ class TestNearIntegrand:
 
     @pytest.mark.parametrize("lam", [-0.9, -0.98])
     def test_far_handoff_matches_the_closed_form(self, lam):
-        # g = z^(lam+1) - 1 reaches 0.5 at 68*z* for lam = -0.9 and not
-        # below the ladder's top, 1.8e7*z*, for lam = -0.98.  Out there
-        # the slope's terms [v]*z and v(z*) cancel by up to 2*(z/z*)/g:
-        # a 20-point mean of q put the hand-written weight's angle 1.5e-3
-        # off at 68*z*, and v(z*) plus the power law's step turned its
-        # v(z) to noise at 1.8e7*z*, where the quadrature gave up
+        # g = z^(lam+1) - 1 reaches 0.5 only at 58*z* for lam = -0.9 and
+        # 6.4e8*z* for lam = -0.98, so the handoff is the ladder's top
+        # rung.  A ladder that climbed to those radii handed off at 68*z*
+        # and 1.8e7*z*, where a 20-point mean of q put the hand-written
+        # weight's angle 1.5e-3 off, and v(z*) plus the power law's step
+        # turned its v(z) to noise, where the quadrature gave up
         mpmath = pytest.importorskip("mpmath")
+        far = {-0.9: 68.0, -0.98: 1.8e7}[lam]
         for w in (PowerLaw(lam), _HandPower(lam)):
             spec = ExtremalSpec(w, 1.0)
-            z_split = spec._near[0]
-            assert z_split > 60.0
-            z = np.array([1.5, 3.0, 0.5 * z_split, z_split, 2.0 * z_split])
+            z = np.array([1.5, 3.0, 0.5 * far, far, 2.0 * far])
             got = integrate_phi(spec, z, 1e-12)
             for phi, zb in zip(got.tolist(), z.tolist()):
                 want = _closed_form_angle(mpmath, lam, 1.0, zb)
                 assert abs(phi - want) <= 1e-12, (w, zb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.floats(-0.99, -0.05, exclude_min=True, exclude_max=True),
+           n=st.floats(0.5, 5.0), hand=st.booleans(),
+           logs=st.lists(st.floats(-6.0, 7.0), min_size=1, max_size=4))
+    def test_slow_power_laws_match_the_closed_form(self, lam, n, hand, logs):
+        # g = n*z^(lam+1) - 1 rises slowly, so most of these hand off at
+        # the ladder's top rung with g well below 0.5, and the far pieces
+        # compute g by subtraction out to 1e7*z*.  Radii start at 1e-6
+        # past z*: closer in, the root's long double position, good to
+        # about 1e-19/(lam+1) relative, limits the angle before tol does.
+        mpmath = pytest.importorskip("mpmath")
+        # the hand-written weight's z* is a root on the scan from 1e-8 to 1e8
+        assume(not hand or 1e-8 < n ** (-1.0 / (lam + 1.0)) < 1e8)
+        spec = ExtremalSpec((_HandPower if hand else PowerLaw)(lam), n)
+        z = spec.z_turn * (1.0 + 10.0 ** np.array(logs))
+        want = [_closed_form_angle(mpmath, lam, n, zb) for zb in z.tolist()]
+        try:
+            got = integrate_phi(spec, z, 1e-12)
+        except QuadratureFailure:
+            # a far piece at tol/2 is below its round-off floor 50*eps*phi
+            assert 50.0 * np.finfo(float).eps * max(want) > 0.5e-12
+            return
+        for phi, ref in zip(got.tolist(), want):
+            assert abs(phi - ref) <= 1e-12
 
 
 class _HandPower(RadialWeight):
