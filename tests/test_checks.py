@@ -34,7 +34,7 @@ def _perturb(monkeypatch, amplitude):
     (PowerLaw(1.3), 1.1, 3.0, 5),
     (parse_weight("2.5*z^1.3"), 1.1, 2.0, 3),
     (PowerLaw(0.0), 1.0, 3.0, 5),        # straight line: machine-level gate
-    (PowerLaw(-1.0), 1.5, 3.0, 2),       # logarithmic spiral, no trace
+    (PowerLaw(-1.0), 1.5, 3.0, 1),       # logarithmic spiral, no trace
 ])
 def test_clean_trace_passes_every_gate(weight, n, z_max, names):
     rows = checks.gates(weight, n, z_max, 200, 1e-12)
@@ -63,7 +63,7 @@ def test_spiral_gates_below_n_one_raise_domain_error():
 def test_spiral_gates_at_n_one_take_the_perpendicular_marker():
     # t = 0: the circle z = 1, every tangent perpendicular to the radius
     rows = checks.gates(PowerLaw(-1.0), 1.0, 2.0, 200, 1e-12)
-    assert [row[1] for row in rows] == [0.0, 0.0]
+    assert [row[1] for row in rows] == [0.0]
 
 
 def test_perturbed_phi_fails_slope_and_stationarity(monkeypatch):
