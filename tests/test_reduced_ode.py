@@ -662,8 +662,8 @@ class TestNearIntegrand:
            n=st.floats(0.5, 5.0), hand=st.booleans(),
            logs=st.lists(st.floats(-6.0, 7.0), min_size=1, max_size=4))
     def test_slow_power_laws_match_the_closed_form(self, lam, n, hand, logs):
-        # g = n*z^(lam+1) - 1 rises slowly, so most of these hand off at
-        # the ladder's top rung with g well below 0.5, and the far pieces
+        # g = n*z^(lam+1) - 1 rises slowly, so each of these hands off at
+        # the ladder's top rung with g below 0.5, and the far pieces
         # compute g by subtraction out to 1e7*z*.  Radii start at 1e-6
         # past z*: closer in, the root's long double position, good to
         # about 1e-19/(lam+1) relative, limits the angle before tol does.
