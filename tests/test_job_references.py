@@ -233,8 +233,9 @@ def oracle_errors(where=None):
 
 
 def reference_errors():
-    """{workload: {kind: largest error}} over the jobs in scope, and the
-    jobs' tols; raises AssertionError naming a job that fails to run."""
+    """{workload: {kind: largest error}} over the jobs in scope, the jobs'
+    tols, and _noter's places and errors; raises AssertionError naming a
+    job that fails to run."""
     joblist = job_manifest._joblist()
     largest, where = {}, {}
     note = _noter(largest, where)
@@ -443,8 +444,8 @@ def _case_bvp_errors(argv, out):
 
 def collocation_errors():
     """{workload: {kind: largest error}} over the jobs of CASES, their
-    tols and the places of the largest errors; raises AssertionError
-    naming a job that fails to run."""
+    tol, and _noter's places and errors; raises AssertionError naming a
+    job that fails to run."""
     largest, where = {}, {}
     note = _noter(largest, where)
     for name, kind, argv in case_jobs():
