@@ -19,7 +19,11 @@ moved to that root by the same first-order term; an angle from the turn
 then keeps its relative accuracy however close to z* its radius lies.
 Past a handoff radius, a rung of a geometric ladder that ends at
 1.524*z*, the angle is integrated in z (in log z over long pieces).  Each
-batch of angles is one quadrature.integrate call.
+batch of angles is one quadrature.integrate call.  An angle across the
+handoff gives each piece half of its tol, or, past a slow handoff (the top
+rung, g still below the handoff value), where the far piece can hold most
+of the angle, a share that follows the piece's one-panel angle, so both
+meet their round-off floors, 50*eps*|piece|, where the whole angle's fits.
 """
 
 from __future__ import annotations
@@ -172,20 +176,20 @@ class ExtremalSpec:
         self.n = abs(self.n)
         self.z_turn, v0, slope = _turning_point(self.weight, self.n)
         zt, n = self.z_turn, self.n
-        z_split = self._handoff()
+        z_split, self._slow = self._handoff()
         # eps with z* + eps the root of g
         eps = -float(np.longdouble(n) * wide_v(self.weight, zt)
                      * np.longdouble(zt) - 1) / slope
         self._turn = v0, slope, eps if abs(eps) <= 1e-12 * zt else 0.0
         self._near = z_split, float(_t_of(self, z_split))   # z and t
 
-    def _handoff(self) -> float:
-        """The radius where near pieces (in t) hand off to far ones (in z):
-        on the ladder z* + 1e-6*z* * 2^k, k < 20, the first rung where g
-        reaches _G_HANDOFF, else the rung before the first where g stops
-        rising or the weight turns invalid (a domain edge), else the top
-        rung.  The near integrand is regular past a peak of g while g > 0,
-        so the handoff may lie past one."""
+    def _handoff(self):
+        """(z_split, slow): the radius where near pieces (in t) hand off to
+        far ones (in z), on the ladder z* + 1e-6*z* * 2^k, k < 20: the
+        first rung where g reaches _G_HANDOFF, else the rung before the
+        first where g stops rising or the weight turns invalid (a domain
+        edge), else the top rung, a slow handoff.  The near integrand is
+        regular past a peak of g while g > 0, so z_split may lie past one."""
         zt = self.z_turn
         z = zt + 1e-6 * zt * _LADDER
         v, valid = masked_v(self.weight, z)
@@ -196,9 +200,10 @@ class ExtremalSpec:
         reach = valid & (g >= _G_HANDOFF)
         stop = np.concatenate(([False], ~valid[1:] | (g[1:] <= g[:-1])))
         ends = reach | stop
-        ends[-1] = True   # the top rung: g rises slowly
+        if not ends.any():
+            return float(z[-1]), True
         k = int(np.argmax(ends))
-        return float(z[k - 1 if stop[k] and not reach[k] else k])
+        return float(z[k - 1 if stop[k] and not reach[k] else k]), False
 
 
 def _near_integrand(spec: ExtremalSpec):
@@ -285,7 +290,8 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     one quadrature call whose near pieces come first, then the far pieces
     in z, so the result and every failure are those of one call per kind in
     that order; an interval across the handoff radius z_split adds pieces
-    [t(z_a), t_split] and [z_split, z_b], each to tol/2.
+    [t(z_a), t_split] and [z_split, z_b], which share tol (past a slow
+    handoff, by one-panel estimates of both, made before that call).
     Returns (increments, exactly rounded sum of the pieces' error estimates,
     panels in the final partitions).
     """
@@ -296,7 +302,19 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
     # an equal pair is a zero-width piece, which integrates to +0.0
     near = ~(z_a >= z_split)
     far = ~(z_b <= z_split)
-    piece_tol = np.where(near & far, 0.5 * tol, tol)
+    cross = near & far
+    # the near piece's share of tol (see the module notes)
+    share = 0.5
+    if spec._slow and np.count_nonzero(cross):
+        t_lo = _t_of(spec, z_a[cross])
+        share = quadrature.kronrod_panels(_near_integrand(spec), t_lo,
+                                          np.full_like(t_lo, t_split))[0]
+        share /= share + quadrature.kronrod_panels(
+            _log_far_integrand(spec), np.full_like(t_lo, math.log(z_split)),
+            np.log(z_b[cross]))[0]
+    near_tol = np.full(len(z_a), tol)
+    near_tol[cross] *= share
+    far_tol = np.where(cross, tol - near_tol, tol)
     t_b = np.full(len(z_b), t_split)
     t_b[near & ~far] = _t_of(spec, z_b[near & ~far])
     far_lo = np.where(near, z_split, z_a)
@@ -309,7 +327,7 @@ def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
         [(_near_integrand(spec), n_near), (_far_integrand(spec), n_short),
          (_log_far_integrand(spec), len(lo) - n_near - n_short)],
         lo, np.concatenate((t_b[near], z_b[short], np.log(z_b[long]))),
-        np.concatenate((piece_tol[near], piece_tol[short], piece_tol[long])))
+        np.concatenate((near_tol[near], far_tol[short], far_tol[long])))
     inc = np.zeros(len(z_a))
     inc[near] = val[:n_near]
     inc[short] += val[n_near:n_near + n_short]
@@ -333,7 +351,9 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     pieces go through one split quadrature.integrate call, near pieces
     first, then the far pieces in z, then those in log z, as in
     _increments, and each angle is its near piece plus its far piece: the
-    bits of _increments(spec, z*, z, tol)[0] from fewer pieces.
+    bits of _increments(spec, z*, z, tol)[0] from fewer pieces.  Past a
+    slow handoff, where each angle's near piece takes its own share of tol,
+    every angle is that _increments call.
     """
     if not 1e-14 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
@@ -350,6 +370,10 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
         if x < z_min:
             raise ForbiddenRegion(f"z = {x} lies inside the turning radius "
                                   f"z* = {spec.z_turn} at n = {spec.n}")
+    if spec._slow:
+        got = _increments(spec, np.full(len(radii), spec.z_turn),
+                          np.maximum(radii, spec.z_turn), tol)[0]
+        return got if za.ndim else float(got[0])
     z_split, t_split = spec._near
     inner = [z for z in radii if not z > z_split]
     t_hi = _t_of(spec, inner).tolist()

@@ -147,6 +147,16 @@ class TestSolveN:
         assert sol.n == pytest.approx(n_true, rel=1e-8)
         assert sol.phi0 == pytest.approx(-0.4, abs=1e-8)
 
+    def test_slow_power_law_round_trip(self):
+        # g = z^0.1 - 1 rises so slowly that the far piece from the top
+        # rung, 1.524*z*, out to 30*z* holds 4.9 of the 7.79 radians: at
+        # qtol 1e-13, half of tol is below that piece's round-off floor
+        psi = math.acos(30.0 ** -0.1)
+        a, b = endpoints_from_curve(-0.9, 1.0, -psi, psi, phi0=0.3)
+        sol = solve_n(BvpProblem(a, b, PowerLaw(-0.9)), (0.95, 1.05), 1e-12)
+        assert sol.n == pytest.approx(1.0, rel=1e-8)
+        assert sol.phi0 == pytest.approx(0.3, abs=1e-8)
+
     def test_no_bracket(self):
         prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))

@@ -35,6 +35,10 @@ def _perturb(monkeypatch, amplitude):
     (parse_weight("2.5*z^1.3"), 1.1, 2.0, 3),
     (PowerLaw(0.0), 1.0, 3.0, 5),        # straight line: machine-level gate
     (PowerLaw(-1.0), 1.5, 3.0, 1),       # logarithmic spiral, no trace
+    # the closed-form gate's angles reach 70 rad, 63.5 of them past the
+    # handoff at 1.524*z*: more than the 45 rad whose round-off floor
+    # fits in half of its tol 1e-12
+    (PowerLaw(-0.98), 1.0, 3.0, 5),
 ])
 def test_clean_trace_passes_every_gate(weight, n, z_max, names):
     rows = checks.gates(weight, n, z_max, 200, 1e-12)
