@@ -195,15 +195,15 @@ def _polyline_gradient(verts):
     return worst
 
 
-def oracle_errors(where=None):
+def oracle_errors():
     """{kind: largest value} over the oracle jobs of ORACLE_SEED: N^2 times
     each vertex's distance to the curve, and the largest gradient
-    component, noted in where as _noter does under the workload "oracle";
+    component, and _noter's places and values under the workload "oracle";
     raises AssertionError naming a job that fails to run or exceeds C/N^2
     or its --grad-tol."""
     joblist = job_manifest._joblist()
-    largest = {}
-    note = _noter(largest, {} if where is None else where)
+    largest, where = {}, {}
+    note = _noter(largest, where)
     with mpmath.workdps(40):
         for job in joblist.make_jobs("oracle", ORACLE_SEED,
                                      job_manifest.COUNTS["oracle"]):
@@ -229,7 +229,7 @@ def oracle_errors(where=None):
             name = f"seed {ORACLE_SEED} job {job.id}"
             note("oracle", "N^2*distance", float(segments ** 2 * dist), name)
             note("oracle", "gradient", float(grad), name)
-    return largest["oracle"]
+    return largest["oracle"], where
 
 
 def reference_errors():
@@ -486,7 +486,7 @@ def test_non_power_law_jobs_match_the_collocation():
 
 
 def test_oracle_polylines_lie_near_the_extremal():
-    largest = oracle_errors()
+    largest, _ = oracle_errors()
     print("largest oracle values:", json.dumps(largest, indent=1))
     assert 0.0 < largest["N^2*distance"] and 0.0 < largest["gradient"]
 
@@ -496,7 +496,8 @@ if __name__ == "__main__":
     more, _, more_places = collocation_errors()
     got.update(more)
     places.update(more_places)
-    got["oracle"] = oracle_errors(places)
+    got["oracle"], oracle_places = oracle_errors()
+    places.update(oracle_places)
     print(f"{'workload':31s} {'kind':18s} {'largest':8s} {'mean':8s} "
           f"{'p90':8s}  place of the largest")
     for workload, table in got.items():
