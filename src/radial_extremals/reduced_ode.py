@@ -53,6 +53,7 @@ _LONG_FAR = 100.0
 # n-free steps of the handoff ladder, in units of 1e-6*z*: the top rung is
 # 1.524*z*, so near pieces stay inside 2*z*
 _LADDER = 2.0 ** np.arange(20)
+_SCAN = np.geomspace(1e-8, 1e8, 321)   # the bracket scan's grid
 
 
 def _profile(w: RadialWeight, n: float, z):
@@ -122,17 +123,13 @@ def _auto_bracket(w: RadialWeight, n: float):
     """First sign change of n*v(z)*z - 1 on a geometric grid, as a bracket.
 
     The grid runs from 1e-8 to 1e8; points where v is not finite or
-    positive cannot end a bracket.  The grid, v and the mask do not depend
-    on n, so they are kept on the weight after its first scan.  Failing
-    that, each gap between an invalid point and a valid one (a domain
-    edge) where g rises toward the valid side's sign, g > 0 past a left
-    edge or g < 0 before a right one, is bisected for a valid point of
-    the other sign.
+    positive cannot end a bracket.  Failing that, each gap between an
+    invalid point and a valid one (a domain edge) where g rises toward the
+    valid side's sign, g > 0 past a left edge or g < 0 before a right one,
+    is bisected for a valid point of the other sign.
     """
-    if w._bracket_scan is None:
-        z = np.geomspace(1e-8, 1e8, 321)
-        w._bracket_scan = (z, *masked_v(w, z))
-    z, v, valid = w._bracket_scan
+    z = _SCAN
+    v, valid = masked_v(w, z)
     with np.errstate(all="ignore"):
         g = n * v * z - 1.0
         change = valid[:-1] & valid[1:] & (g[:-1] * g[1:] <= 0.0)
@@ -380,8 +377,7 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     z_long = _LONG_FAR * z_split
     short = [z for z in radii if z_split < z <= z_long]
     long = [z for z in radii if z > z_long]
-    # with no near region (z_split at z*) a far piece takes all of tol
-    half = 0.5 * tol if spec.z_turn < z_split else tol
+    half = 0.5 * tol
     tols = [tol] * len(t_hi)
     if short or long:
         slot = next(i for i, z in enumerate(radii) if z > z_split)

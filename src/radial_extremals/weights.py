@@ -32,10 +32,6 @@ class RadialWeight:
     """Base class; subclasses implement raw value/derivative evaluation.
     The domain is z > 0."""
 
-    # (z grid, raw v, validity mask) of reduced_ode's bracket scan, set on
-    # the instance by its first scan: none of them depends on n
-    _bracket_scan = None
-
     def _raw_v(self, z):
         raise NotImplementedError
 
