@@ -7,7 +7,9 @@ returns values of the same shape.  A first panel whose estimate misses its
 tolerance is refined by bisecting whichever panel carries the largest
 estimate, under a hard budget on panels.  An estimate is never below its
 round-off floor 50*eps*integral(|f|), so refinement gives up once the
-summed floor of its partition exceeds the tolerance.
+summed floor of its partition exceeds the tolerance.  A panel at its floor
+is kept whole, as its halves' floors sum to the same; once only such
+panels are left, their exactly rounded sum meets the tolerance or fails.
 
 A row's sums and estimate do not depend on its batch: np.vecdot takes one
 dot product per row (a matrix product accumulates in another order), and
@@ -25,6 +27,7 @@ warning, the driver makes those plain calls itself.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -192,19 +195,28 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
     """(integral, summed error estimate, panels) on [a, b], a < b, from its
     already evaluated first panel (val, err), by bisection; each bisection
     evaluates both halves in one kronrod_panels call, except a first
-    bisection whose halves ((v1, v2), (e1, e2)) are given."""
+    bisection whose halves ((v1, v2), (e1, e2)) are given.  A popped panel
+    whose estimate is its floor 50*eps*|value| (the clamp, for a one-signed
+    integrand) is kept whole, as its halves' floors sum to the same."""
     total_val, total_err = val, err
     # 50*eps*|integral| summed over the panels: at most the summed floor of
     # their estimates, so once it exceeds tol no refinement can succeed
     floor = _FLOOR * abs(val)
     heap = [(-err, 0, a, b, val)]
+    whole = []
     seq = 1
     while total_err > tol:
         if floor > tol:
             raise QuadratureFailure(
                 f"tol {tol:.3e} is below the round-off floor {floor:.3e} "
                 "of the integral")
+        if not heap:   # sum the floors exactly: the running sums drift
+            floor = total_err = math.fsum(whole)
+            continue
         neg_err, _, lo, hi, old_val = heapq.heappop(heap)
+        if -neg_err == _FLOOR * abs(old_val):
+            whole.append(-neg_err)
+            continue
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-15 * (b - a) or not lo < mid < hi:
             raise QuadratureFailure(
@@ -221,7 +233,7 @@ def _refine(f, a: float, b: float, tol: float, val: float, err: float,
         heapq.heappush(heap, (-e1, seq, lo, mid, v1))
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2))
         seq += 2
-        if len(heap) > _MAX_PANELS:
+        if len(heap) + len(whole) > _MAX_PANELS:
             raise QuadratureFailure(
                 f"needed more than {_MAX_PANELS} panels for tol {tol:.3e}")
-    return total_val, total_err, len(heap)
+    return total_val, total_err, len(heap) + len(whole)

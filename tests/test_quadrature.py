@@ -268,6 +268,21 @@ class TestIntegrate:
         assert integrate_one(counted, a, b, 1e-13) == \
             pytest.approx(integrate_one(f, a, b, 1e-10), abs=1e-13)
 
+    def test_panels_at_their_floor_are_kept_whole(self):
+        # the far piece of an angle of v = z^-0.93 (n 1) from the handoff
+        # ladder's top rung to 21*z*: the first panel's estimate, 4.6,
+        # leaves about 8e-17 of rounding in the running total, more than
+        # tol's margin over the panels' summed floors, 6.1571e-14, so
+        # bisecting panels at their floors once ran past 10,000 panels
+        def f(z):
+            g = z ** -0.93 * z - 1.0
+            return 1.0 / (z * np.sqrt(g * (g + 2.0)))
+        a, b, tol = 1.5242879999999999, 21.0, 6.162584576078901e-14
+        (val,), (err,), (panels,) = quadrature.integrate(f, [a], [b], tol)
+        assert err <= tol and panels < 1000
+        want = (math.acos(b ** -0.07) - math.acos(a ** -0.07)) / 0.07
+        assert abs(val - want) <= 1e-13
+
     def test_array_call_equals_scalar_driver(self):
         # forward, reversed and equal limits; entries that need refinement
         # and entries met by their first panel; a tol per interval

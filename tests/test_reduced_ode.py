@@ -643,6 +643,18 @@ class TestNearIntegrand:
                 want = _closed_form_angle(mpmath, lam, 1.0, zb)
                 assert abs(phi - want) <= 1e-12, (w, zb)
 
+    def test_round_off_floor_just_under_the_share_of_tol(self):
+        # the far piece from the top rung to 21*z* has a round-off floor of
+        # 99.91 % of its share of tol, and refinement once bisected panels
+        # at their floors until it ran past 10,000 panels
+        mpmath = pytest.importorskip("mpmath")
+        spec = ExtremalSpec(PowerLaw(-0.93), 1.0)
+        (inc,), _, panels = reduced_ode._increments(
+            spec, np.array([spec.z_turn]), np.array([21.0]), 1e-13)
+        assert integrate_phi(spec, 21.0, 1e-13) == inc
+        assert abs(inc - _closed_form_angle(mpmath, -0.93, 1.0, 21.0)) <= 1e-13
+        assert panels < 1000
+
     @settings(max_examples=40, deadline=None)
     @given(lam=st.floats(-0.99, -0.05, exclude_min=True, exclude_max=True),
            n=st.floats(0.5, 5.0), hand=st.booleans(),
