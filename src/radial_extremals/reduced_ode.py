@@ -35,7 +35,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
-                     TangentialTurningPoint)
+                     QuadratureFailure, TangentialTurningPoint)
 from .extremal_core import clairaut_constant
 from .roots import find_root
 from .weights import (PowerLaw, RadialWeight, eval_slope, eval_v, eval_vq,
@@ -479,7 +479,7 @@ def _cumulative_phi(spec, z_grid, tol):
 
 def _uniform_phi_grid(spec, z_max, count, tol):
     """Radii whose swept angles are equally spaced, plus the quadrature
-    totals of the dense pass and of both Newton passes."""
+    totals of the dense pass and of every Newton pass."""
     dense_z = _cosine_z_grid(spec, z_max, max(8 * count, 512) + 1)
     dense_phi, err, panels = _cumulative_phi(spec, dense_z, tol)
     dense_s = np.sqrt(dense_z - spec.z_turn)
@@ -487,16 +487,24 @@ def _uniform_phi_grid(spec, z_max, count, tol):
     # interpolate in s = sqrt(z - z*), where phi(s) is smooth through 0
     s_out = np.interp(targets, dense_phi, dense_s)
     zs = spec.z_turn + s_out * s_out
-    # two Newton steps on every interior radius, from the nearest dense
-    # sample below its target angle
+    # Newton steps on every interior radius, from the nearest dense sample
+    # below its target angle: two, then more while an angle correction
+    # exceeds 1e-8 rad, up to eight
     z = zs[1:-1]
     i0 = np.maximum(np.searchsorted(dense_phi, targets[1:-1]) - 1, 0)
     base_z, base_phi = dense_z[i0], dense_phi[i0]
-    for _ in range(2):
+    for step in range(8):
         local, e, p = _increments(spec, base_z, z, 1e-15)
-        z = z - (base_phi + local - targets[1:-1]) / dphi_dz(z, spec)
+        miss = base_phi + local - targets[1:-1]
+        z = z - miss / dphi_dz(z, spec)
         z = np.maximum(z, spec.z_turn * (1.0 + 1e-15))
         err, panels = err + e, panels + p
+        if step and np.abs(miss).max() <= 1e-8:
+            break
+    else:
+        raise QuadratureFailure(
+            f"the uniform-phi radii did not settle: an angle correction of "
+            f"{np.abs(miss).max():.3e} rad in the eighth Newton step")
     zs[1:-1] = z
     zs[[0, -1]] = spec.z_turn, z_max
     return zs, targets, err, panels

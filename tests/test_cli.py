@@ -72,6 +72,24 @@ class TestTraceCsv:
         gaps = [b - a for a, b in zip(phis, phis[1:])]
         assert max(gaps) - min(gaps) <= 1e-9
 
+    @pytest.mark.parametrize("samples", ["3", "200"])
+    def test_uniform_phi_radii_settle_far_out(self, capsys, samples):
+        # z_max = 1e4*z*: two Newton steps left the samples 7.75e-8 (3
+        # samples) and 5.07e-11 (200) off the closed form
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, "trace", "--lambda", "3", "--n", "1.3",
+                           "--zmax", "9365", "--samples", samples,
+                           "--grid", "uniform-phi")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert len(rows) == 2 * int(samples) - 1
+        with mpmath.workdps(40):
+            for phi, z in (map(float, row[:2]) for row in rows):
+                if phi != 0.0:   # the turn, where the closed form is flat
+                    want = mpmath.acos(1 / (mpmath.mpf(1.3)
+                                            * mpmath.mpf(z) ** 4)) / 4
+                    assert abs(abs(phi) - float(want)) <= 1e-12, z
+
 
 class TestTraceJsonSvg:
     def test_json_schema(self, capsys):

@@ -1380,6 +1380,16 @@ class TestTrace:
         assert tr.z[0] == pytest.approx(3.0) and tr.z[-1] == \
             pytest.approx(3.0)
 
+    def test_uniform_phi_radii_that_do_not_settle_fail(self, monkeypatch):
+        # with a tenth of each Newton step the angle corrections shrink by
+        # 0.9 a step, so the eighth is still above 1e-8 rad
+        slope = reduced_ode.dphi_dz
+        monkeypatch.setattr(reduced_ode, "dphi_dz",
+                            lambda z, spec: 10.0 * slope(z, spec))
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        with pytest.raises(QuadratureFailure, match="did not settle"):
+            trace_extremal(spec, 3.0, 20, grid="uniform-phi")
+
     def test_domain_validation(self):
         spec = ExtremalSpec(PowerLaw(0.0), 1.0)
         with pytest.raises(DomainError):
@@ -1481,22 +1491,30 @@ def _scalar_cumulative_phi(spec, z_grid, tol):
 
 
 def _scalar_uniform_radii(spec, z_max, count, tol):
-    """Sample-by-sample Newton passes of the uniform-phi grid."""
+    """Sample-by-sample Newton passes of the uniform-phi grid: two, then
+    more while some sample's angle correction exceeds 1e-8 rad, up to
+    eight."""
     dense_z = reduced_ode._cosine_z_grid(spec, z_max, max(8 * count, 512) + 1)
     dense_phi = _scalar_cumulative_phi(spec, dense_z, tol)
     targets = np.linspace(0.0, dense_phi[-1], count)
     s_out = np.interp(targets, dense_phi, np.sqrt(dense_z - spec.z_turn))
     zs = spec.z_turn + s_out * s_out
+    bases = []
     for j in range(1, count - 1):
-        z = float(zs[j])
         i0 = max(int(np.searchsorted(dense_phi, targets[j])) - 1, 0)
-        base_z, base_phi = float(dense_z[i0]), float(dense_phi[i0])
-        for _ in range(2):
+        bases.append((float(dense_z[i0]), float(dense_phi[i0])))
+    for step in range(8):
+        worst = 0.0
+        for j, (base_z, base_phi) in enumerate(bases, 1):
+            z = float(zs[j])
             local = (_one_increment(spec, base_z, z, 1e-15) if z >= base_z
                      else -_one_increment(spec, z, base_z, 1e-15))
-            z -= (base_phi + local - targets[j]) / dphi_dz(z, spec)
-            z = max(z, spec.z_turn * (1.0 + 1e-15))
-        zs[j] = z
+            miss = base_phi + local - targets[j]
+            worst = max(worst, abs(miss))
+            z -= miss / dphi_dz(z, spec)
+            zs[j] = max(z, spec.z_turn * (1.0 + 1e-15))
+        if step and worst <= 1e-8:
+            break
     zs[0] = spec.z_turn
     zs[-1] = z_max
     return zs
