@@ -340,7 +340,10 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     relative inside it gives +0.0); the angle to z* is exact, as the
     t-substitution integrates from the root of n*v*z - 1, which the float
     z* misses by eps (see the module notes).  So next to z* the angle keeps
-    its relative accuracy: z - z* - eps takes one rounding.
+    its relative accuracy: z - z* - eps takes one rounding, and the root,
+    placed to long double's 1e-19 relative, adds up to about
+    1e-19*z*/((z - z*)*min(1, z*g'(z*))), where z*g'(z*) = lam + 1 for a
+    power law: a slowly rising profile places its root less sharply.
 
     The near region [0, t_split] is one piece at tol/2 however many radii
     lie beyond the handoff, taken at the slot of the first of them; a
