@@ -506,7 +506,7 @@ def _uniform_phi_grid(spec, z_max, count, tol):
             break
     else:
         raise QuadratureFailure(
-            f"the uniform-phi radii did not settle: an angle correction of "
+            "the uniform-phi radii did not settle: an angle correction of "
             f"{np.abs(miss).max():.3e} rad in the eighth Newton step")
     zs[1:-1] = z
     zs[[0, -1]] = spec.z_turn, z_max
