@@ -1595,6 +1595,13 @@ class TestBatchedTracing:
         assert zs.tolist() == \
             _scalar_uniform_radii(spec, z_max, count, tol).tolist()
 
+    def test_uniform_phi_radii_past_two_steps_equal_scalar_loop(self):
+        # at z_max = 1e4*z* the angle corrections settle after two steps
+        spec = ExtremalSpec(PowerLaw(3.0), 1.3)
+        zs = reduced_ode._uniform_phi_grid(spec, 9365.0, 3, 1e-12)[0]
+        assert zs.tolist() == \
+            _scalar_uniform_radii(spec, 9365.0, 3, 1e-12).tolist()
+
     @pytest.mark.parametrize("case", _BATCH_CASES)
     def test_deviations_equal_scalar_formula(self, case):
         spec, z_max, count, tol = self._setup(case)
