@@ -9,9 +9,9 @@ extremals.
 The functional is ill-conditioned (roughly like N^2 in the segment count),
 so minimize takes damped Newton (Levenberg-Marquardt) steps on the exact
 Hessian rather than gradient steps.  Each segment couples only its two end
-vertices, so the Hessian is block-tridiagonal with 2x2 blocks, added into
-diagonal block views of a matrix over the interior vertices; at the sizes
-used here (a few hundred vertices) a dense Cholesky solve is fast enough.
+vertices, so the Hessian is block-tridiagonal with 2x2 blocks, and each
+damped system is solved by a block Cholesky factorization of those blocks
+(Golub and Van Loan, Matrix Computations, section 4.5) in O(N) work.
 
 minimize evaluates each vertex set once: its value, gradient and next
 Hessian share one set of segment data and one (v, q) pass at the midpoints,
@@ -110,16 +110,18 @@ def _gradient(seg, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
 
 
-def _hessian(seg, v: np.ndarray, q: np.ndarray,
-             w: RadialWeight) -> np.ndarray:
-    """Exact Hessian over the interior vertices, a dense (2(k-2))^2 matrix,
-    from segment data and (v, q) at the midpoints.
+def _hessian(seg, v: np.ndarray, q: np.ndarray, w: RadialWeight):
+    """Exact Hessian over the m interior vertices as its (m, 2, 2) diagonal
+    blocks and its (m-1, 2, 2) couplings H[i, i+1], from segment data and
+    (v, q) at the midpoints.
 
     Segment j depends on m = (a+b)/2 and e = b-a only, with
     d2/dm2 = v''*L*mm' + q*L*(I - mm')/z, d2/dm de = q*m e' and
     d2/de2 = v*(I - ee')/L (m, e unit vectors), so the matrix is
     block-tridiagonal in the vertices.  v'' is a central difference of the
-    exact q in z.
+    exact q in z.  A segment whose blocks are not finite (an offset that
+    underflows to 0 at a tiny radius gives 0/0) raises EvalError naming its
+    midpoint radius.
     """
     delta, length, mid, z_mid = seg
     h = 1e-5 * z_mid
@@ -127,46 +129,94 @@ def _hessian(seg, v: np.ndarray, q: np.ndarray,
     # one pass over z_mid and both offsets would
     q_up, q_down = eval_vq(w, np.concatenate([z_mid + h, z_mid - h]))[1] \
         .reshape(2, -1)
-    v2 = (q_up - q_down) / (2.0 * h)
     m_hat = mid / z_mid[:, None]
     e_hat = delta / length[:, None]
     eye = np.eye(2)
     mm = m_hat[:, :, None] * m_hat[:, None, :]
-    h_mm = (v2 * length)[:, None, None] * mm \
-        + (q * length / z_mid)[:, None, None] * (eye - mm)
-    h_me = q[:, None, None] * m_hat[:, :, None] * e_hat[:, None, :]
-    h_ee = (v / length)[:, None, None] \
-        * (eye - e_hat[:, :, None] * e_hat[:, None, :])
-    # chain rule through m = (a+b)/2, e = b-a
-    quarter = 0.25 * h_mm
-    sym = 0.5 * (h_me + h_me.transpose(0, 2, 1))
-    h_aa = quarter - sym + h_ee
-    h_bb = quarter + sym + h_ee
-    h_ab = quarter + 0.5 * (h_me - h_me.transpose(0, 2, 1)) - h_ee
-    # interior vertex i+1 is row i; adding into zeros turns a coupling
-    # entry of -0.0 into +0.0, as a scatter over all vertices did
-    m = len(z_mid) - 1
-    hess = np.zeros((m, 2, m, 2))
-    diag, upper, lower = (_blocks(hess), _blocks(hess[:-1, :, 1:]),
-                          _blocks(hess[1:, :, :-1]))
-    diag += h_aa[1:]
-    diag += h_bb[:-1]
-    upper += h_ab[1:-1]
-    lower += h_ab[1:-1].transpose(0, 2, 1)
-    return hess.reshape(2 * m, 2 * m)
+    with np.errstate(all="ignore"):   # a block that is not finite raises below
+        v2 = (q_up - q_down) / (2.0 * h)
+        h_mm = (v2 * length)[:, None, None] * mm \
+            + (q * length / z_mid)[:, None, None] * (eye - mm)
+        h_me = q[:, None, None] * m_hat[:, :, None] * e_hat[:, None, :]
+        h_ee = (v / length)[:, None, None] \
+            * (eye - e_hat[:, :, None] * e_hat[:, None, :])
+        # chain rule through m = (a+b)/2, e = b-a
+        quarter = 0.25 * h_mm
+        sym = 0.5 * (h_me + h_me.transpose(0, 2, 1))
+        h_aa = quarter - sym + h_ee
+        h_bb = quarter + sym + h_ee
+        h_ab = quarter + 0.5 * (h_me - h_me.transpose(0, 2, 1)) - h_ee
+    finite = np.isfinite(np.concatenate([h_aa, h_bb, h_ab], axis=1))
+    if not finite.all():
+        z = float(z_mid[np.argmin(finite.all(axis=(1, 2)))])
+        raise EvalError(f"the Hessian is not finite at the midpoint radius "
+                        f"z = {z!r}")
+    # interior vertex i+1 is row i
+    return h_aa[1:] + h_bb[:-1], h_ab[1:-1]
 
 
-def _blocks(a: np.ndarray) -> np.ndarray:
-    """Writeable view of the diagonal 2x2 blocks a[i, :, i, :]."""
-    return np.einsum("iaib->iab", a)
+class _NotPositiveDefinite(ArithmeticError):
+    """A pivot of the block Cholesky factorization is not > 0."""
+
+
+def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
+                 rhs: np.ndarray) -> np.ndarray:
+    """x with (H + shift*I) x = rhs, for the symmetric block-tridiagonal H
+    of diagonal blocks diag (m, 2, 2) and couplings upper (m-1, 2, 2),
+    upper[i] = H[i, i+1], and rhs of shape (m, 2).
+
+    Block Cholesky H + shift*I = L L': each diagonal block of L is the 2x2
+    Cholesky factor of a Schur complement S, and the block below it is
+    C = B' inv(L)' for the coupling B above it, so the next S is
+    D + shift*I - C C'.  The forward sweep runs with the factorization and
+    the backward sweep after it.  A pivot that is not > 0 (NaN included)
+    raises _NotPositiveDefinite.  The recurrence is sequential, so it runs
+    on Python floats: numpy calls per 2x2 block would cost more than their
+    arithmetic.
+    """
+    sqrt = math.sqrt
+    factors = []
+    c00 = c01 = c10 = c11 = y0 = y1 = 0.0   # C and y of the block above
+    couplings = upper.reshape(-1, 4).tolist() + [(0.0,) * 4]
+    for (d00, d01, _, d11), (r0, r1), (b00, b01, b10, b11) in zip(
+            diag.reshape(-1, 4).tolist(), rhs.tolist(), couplings):
+        s00 = d00 + shift - (c00 * c00 + c01 * c01)
+        if not s00 > 0.0:
+            raise _NotPositiveDefinite
+        l00 = sqrt(s00)
+        l10 = (d01 - (c00 * c10 + c01 * c11)) / l00
+        s11 = d11 + shift - (c10 * c10 + c11 * c11) - l10 * l10
+        if not s11 > 0.0:
+            raise _NotPositiveDefinite
+        l11 = sqrt(s11)
+        # forward sweep: L y = rhs
+        t1 = r1 - (c10 * y0 + c11 * y1)
+        y0 = (r0 - (c00 * y0 + c01 * y1)) / l00
+        y1 = (t1 - l10 * y0) / l11
+        # the block below: L C' = B, one column of B at a time
+        c00 = b00 / l00
+        c01 = (b10 - l10 * c00) / l11
+        c10 = b01 / l00
+        c11 = (b11 - l10 * c10) / l11
+        factors.append((l00, l10, l11, c00, c01, c10, c11, y0, y1))
+    # backward sweep: L' x = y, from the last block up
+    x0 = x1 = 0.0
+    out = []
+    for l00, l10, l11, c00, c01, c10, c11, y0, y1 in reversed(factors):
+        t0 = y0 - (c00 * x0 + c10 * x1)
+        x1 = (y1 - (c01 * x0 + c11 * x1)) / l11
+        x0 = (t0 - l10 * x1) / l00
+        out.append((x0, x1))
+    out.reverse()
+    return np.array(out, dtype=float).reshape(-1, 2)
 
 
 def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
              grad_tol: float) -> OracleResult:
     """Levenberg-Marquardt Newton iteration on the interior vertices.
 
-    Each iteration solves (H + mu*(tr H/dim)*I) p = -g by Cholesky, with g
-    and H the exact gradient and Hessian.  A trial is accepted if it
+    Each iteration solves (H + mu*(tr H/dim)*I) p = -g by block Cholesky,
+    with g and H the exact gradient and Hessian.  A trial is accepted if it
     strictly lowers the functional, or ties it with a strictly smaller
     largest gradient component, and then mu shrinks tenfold; a rejected
     trial or a failed factorization grows mu tenfold.  The value is summed
@@ -196,20 +246,19 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
         if gmax <= grad_tol:
             break
         iterations += 1
-        hess = _checked("current polyline", _hessian, seg, v, q, w)
-        # damping in units of tr(H)/dim keeps the step rotation invariant
-        damping = (np.trace(hess) / len(hess)) * np.eye(len(hess))
+        diag, upper = _checked("current polyline", _hessian, seg, v, q, w)
+        # damping in units of tr(H)/dim keeps the step rotation invariant;
+        # the diagonal is summed in its row order
+        damping = diag.reshape(-1, 4)[:, ::3].ravel().sum() / (2 * len(diag))
         rejections = 0
         while True:
             try:
-                chol = np.linalg.cholesky(hess + mu * damping)
-            except np.linalg.LinAlgError:
+                step = _block_solve(diag, upper, float(mu * damping), -grad)
+            except _NotPositiveDefinite:
                 pass
             else:
-                step = np.linalg.solve(
-                    chol.T, np.linalg.solve(chol, -grad.ravel()))
                 trial = verts.copy()
-                trial[1:-1] += step.reshape(-1, 2)
+                trial[1:-1] += step
                 t_seg = _segment_data(trial)
                 t_value = _checked("trial step", _functional, t_seg, w)
                 # a trial with a zero-length segment has no gradient

@@ -774,9 +774,15 @@ _SWEEP = {
         ["check", "--lambda", "1", "--n", "-1", "--zmax", "3"], 0, None),
     "oracle-vanishing-segment": (
         ["oracle", "--lambda", "2", "--endpoints=-0.65,1.19,0.65,1.19",
-         "--segments", "8"],
+         "--segments", "6"],
         1, "StalledDescent: no decrease after 50 rejected steps (value "
-           "1.6490131408051933, max gradient 1.498e+00)\n"),
+           "1.5076426597320896, max gradient 4.829e-01)\n"),
+    # the Hessian's offsets 1e-5*z underflow to 0 and give 0/0
+    "oracle-non-finite-hessian": (
+        ["oracle", "--lambda", "1", "--endpoints=-1e-320,1e-320,1e-320,1e-320",
+         "--segments", "4", "--grad-tol", "0", "--iters", "5"],
+        1, "DomainViolation: current polyline left the weight's domain: the "
+           "Hessian is not finite at the midpoint radius z = 1.25e-320\n"),
     "closed-form-overflow": (
         ["trace", "--lambda=-1/2", "--n", "1e-200", "--psi-range=-1:1",
          "--samples", "3"],
