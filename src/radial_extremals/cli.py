@@ -362,6 +362,8 @@ def _cmd_oracle(args) -> int:
             "diagnostics": {"initial_functional": f0,
                             "functional": result.value,
                             "max_grad_component": result.max_gradient,
+                            "iterations": result.iterations,
+                            "rejected": result.rejected,
                             "converged": result.converged},
         }
         return _emit(args, _json_with_rows(doc, "vertices", _VERTEX_RECORD,

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from radial_extremals import cli
+from radial_extremals import cli, discrete_oracle
 from radial_extremals.cli import main
 from radial_extremals.errors import ExtremalError
 from radial_extremals.reduced_ode import ExtremalSpec, trace_extremal
@@ -312,6 +312,15 @@ class TestOracle:
         assert doc["diagnostics"]["max_grad_component"] <= 1e-7
         assert doc["diagnostics"]["converged"] is True
         assert len(doc["vertices"]) == 25
+        # the Newton work, as OracleResult counts it
+        ts = np.linspace(0.0, 1.0, 25)[:, None]
+        pl = discrete_oracle.Polyline(np.array([[-0.4, 1.1]]) * (1.0 - ts)
+                                      + np.array([[0.4, 1.1]]) * ts)
+        result = discrete_oracle.minimize(pl, PowerLaw(1.0), 20000, 1e-7)
+        assert (doc["diagnostics"]["iterations"],
+                doc["diagnostics"]["rejected"]) == (result.iterations,
+                                                    result.rejected)
+        assert result.iterations > 1
         # a run cut short by --iters still exits 0 but says so
         code, out, _ = run(capsys, "oracle", "--lambda", "1",
                            "--endpoints=-0.4,1.1,0.4,1.1",
@@ -320,6 +329,7 @@ class TestOracle:
         assert code == 0
         diag = json.loads(out)["diagnostics"]
         assert diag["max_grad_component"] > 1e-7
+        assert diag["iterations"] == 1
         assert diag["converged"] is False
 
     def test_one_segment_returns_the_chord(self, capsys):
@@ -335,7 +345,8 @@ class TestOracle:
         assert doc["vertices"] == [[-0.5, 1.0], [0.5, 1.0]]
         assert doc["diagnostics"] == {
             "initial_functional": 1.0, "functional": 1.0,
-            "max_grad_component": 0.0, "converged": True}
+            "max_grad_component": 0.0, "iterations": 0, "rejected": 0,
+            "converged": True}
 
 
 _FLOAT_OPTION_CASES = {   # option: (value template, rest of the command)
