@@ -118,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--samples", type=int, default=200,
                        help="samples per branch (default 200)")
     trace.add_argument("--tol", type=_float_arg, default=1e-12,
-                       help="quadrature tolerance of --zmax traces (default "
-                            "1e-12; ignored with --psi-range)")
+                       help="quadrature tolerance of --zmax traces, > 0 "
+                            "(default 1e-12; unused with --psi-range)")
     trace.add_argument("--grid", choices=("cosine", "uniform-phi"),
                        default="cosine",
                        help="radial sample placement of --zmax traces "
@@ -423,11 +423,12 @@ def run(argv=None) -> int:
         for name, most in _MOST.items():
             if getattr(args, name, 0) > most:
                 raise _UsageError(f"--{name} must be at most {most}")
-        # --tol where it is used: bvp searches to bracket collapse at 0,
-        # while a traced curve (trace --zmax, check) needs tol > 0
+        # bvp searches to bracket collapse at tol 0, while a traced curve
+        # needs tol > 0; trace --psi-range runs no quadrature but refuses
+        # such a tol as well
         if args.subcommand == "bvp" and args.tol < 0:
             raise _UsageError("--tol must be at least 0")
-        if getattr(args, "zmax", None) is not None and not args.tol > 0:
+        if args.subcommand in ("trace", "check") and not args.tol > 0:
             raise _UsageError("--tol must be positive")
         return args.handler(args)
     except _UsageError as exc:

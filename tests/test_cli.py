@@ -523,10 +523,18 @@ class TestBadTolerances:
                              f"--tol={tol}")
         assert (code, out) == (2, "")
         assert err == "usage error: --tol must be positive\n"
-        # closed-form sampling runs no quadrature and ignores --tol
-        code, out, _ = run(capsys, *self.TRACE, "--psi-range=-1:1",
-                           f"--tol={tol}")
-        assert code == 0 and len(out.splitlines()) == 2 + 5
+        # closed-form sampling runs no quadrature and ignores a positive
+        # --tol, but no tol <= 0 is valid in any mode
+        for grid in ("cosine", "uniform-phi"):
+            code, out, err = run(capsys, *self.TRACE, "--psi-range=-1:1",
+                                 f"--tol={tol}", "--grid", grid)
+            assert (code, out) == (2, "")
+            assert err == "usage error: --tol must be positive\n"
+        outs = {run(capsys, *self.TRACE, "--psi-range=-1:1", *tol)
+                for tol in ((), ("--tol", "1e-3"), ("--tol", "1e-30"))}
+        code, out, err = outs.pop()
+        assert not outs and (code, err) == (0, "")
+        assert len(out.splitlines()) == 2 + 5
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_check_nonpositive_tol_exits_2(self, capsys, tol):
