@@ -15,7 +15,9 @@ from radial_extremals.quadrature import kronrod_panels
 
 def _scalar_driver(f, a, b, tol):
     """The one-interval adaptive driver, every panel from kronrod_panel and
-    each half of a bisection in its own integrand call, for reference."""
+    each half of a bisection in its own integrand call, for reference.  A
+    panel whose estimate is its floor is kept whole, and once only such
+    panels are left their estimates are summed exactly."""
     if a == b:
         return 0.0, 0.0, 0
     if b < a:
@@ -25,11 +27,18 @@ def _scalar_driver(f, a, b, tol):
     total_val, total_err = val, err
     floor = quadrature._FLOOR * abs(val)
     heap = [(-err, 0, a, b, val)]
+    whole = []
     seq = 1
     while total_err > tol:
         if floor > tol:
             raise QuadratureFailure("round-off")
+        if not heap:
+            floor = total_err = math.fsum(whole)
+            continue
         neg_err, _, lo, hi, old_val = heapq.heappop(heap)
+        if -neg_err == quadrature._FLOOR * abs(old_val):
+            whole.append(-neg_err)
+            continue
         if hi - lo < 1e-15 * (1.0 + abs(lo) + abs(hi)):
             raise QuadratureFailure("cannot be refined")
         mid = 0.5 * (lo + hi)
@@ -41,9 +50,9 @@ def _scalar_driver(f, a, b, tol):
         heapq.heappush(heap, (-e1, seq, lo, mid, v1))
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2))
         seq += 2
-        if len(heap) > quadrature._MAX_PANELS:
+        if len(heap) + len(whole) > quadrature._MAX_PANELS:
             raise QuadratureFailure("budget")
-    return total_val, total_err, len(heap)
+    return total_val, total_err, len(heap) + len(whole)
 
 
 def _row_sums(fv, half, width, power=pow):
@@ -285,14 +294,23 @@ class TestIntegrate:
 
     def test_array_call_equals_scalar_driver(self):
         # forward, reversed and equal limits; entries that need refinement
-        # and entries met by their first panel; a tol per interval
+        # and entries met by their first panel; a tol per interval; last,
+        # the far piece of test_panels_at_their_floor_are_kept_whole, which
+        # keeps panels at their floor whole
         f = lambda x: np.exp(-1e3 * (x - 0.3) ** 2) + np.sin(x)  # noqa: E731
-        a = [0.0, 1.0, 0.5, 0.3, 0.31, -1.0, 2.0, 0.25]
-        b = [1.0, 0.0, 0.5, 0.31, 0.3, 2.0, 0.0, 0.35]
-        tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8]
-        vals, errs, panels = quadrature.integrate(f, a, b, tol)
+
+        def far(z):
+            g = z ** -0.93 * z - 1.0
+            return 1.0 / (z * np.sqrt(g * (g + 2.0)))
+        a = [0.0, 1.0, 0.5, 0.3, 0.31, -1.0, 2.0, 0.25, 1.5242879999999999]
+        b = [1.0, 0.0, 0.5, 0.31, 0.3, 2.0, 0.0, 0.35, 21.0]
+        tol = [1e-12, 1e-12, 1e-12, 1e-9, 1e-13, 1e-6, 1e-10, 1e-8,
+               6.162584576078901e-14]
+        runs = [(f, 8), (far, 1)]
+        vals, errs, panels = quadrature.integrate(runs, a, b, tol)
         got = list(zip(vals.tolist(), errs.tolist(), panels.tolist()))
-        assert got == [_scalar_driver(f, *args) for args in zip(a, b, tol)]
+        assert got == [_scalar_driver(g, *args) for g, args in
+                       zip([f] * 8 + [far], zip(a, b, tol))]
         assert panels[2] == 0 and 1 in panels and panels.max() > 4
         assert vals[1] == -vals[0]
 
