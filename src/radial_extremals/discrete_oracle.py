@@ -177,6 +177,7 @@ def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
     sqrt = math.sqrt
     factors = []
     c00 = c01 = c10 = c11 = y0 = y1 = 0.0   # C and y of the block above
+    # the last block has no coupling below it
     couplings = upper.reshape(-1, 4).tolist() + [(0.0,) * 4]
     for (d00, d01, _, d11), (r0, r1), (b00, b01, b10, b11) in zip(
             diag.reshape(-1, 4).tolist(), rhs.tolist(), couplings):
