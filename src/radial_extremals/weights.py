@@ -9,14 +9,12 @@ numpy arrays.  A slope is computed without cancellation, from the step
 z - z0 itself, so it keeps its relative accuracy as z approaches z0.
 
 A checked pass (eval_v, eval_vq) tests z and its raw result once: by Python
-comparisons for a scalar z, else by np.count_nonzero on ufunc masks (a user's
-weight may return Python floats).  Only a failing test runs the separate
-checks, in order, to pick the error.
+comparisons for a scalar z, else by np.count_nonzero on ufunc masks, which
+take a raw result of any type, Python floats included.  Only a failing test
+runs the separate checks, in order, to pick the error.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -29,42 +27,12 @@ __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
 
 
 class RadialWeight:
-    """Base class; subclasses implement raw value/derivative evaluation.
-    The domain is z > 0."""
-
-    def _raw_v(self, z):
-        raise NotImplementedError
-
-    def _raw_q(self, z):
-        raise NotImplementedError
-
-    def _raw_vq(self, z):   # override where one pass yields both
-        return self._raw_v(z), self._raw_q(z)
-
-    def _raw_slope(self, z, z0, dz):
-        """(v(z), [v](z, z0)) for z = z0 + dz: by default the mean of q over
-        [z0, z] by a fixed Gauss-Legendre rule, from one _raw_vq pass over
-        z and the rule's nodes.  Override it with a closed form."""
-        x, weights = _gauss_legendre()
-        pts = np.concatenate((np.asarray(z)[..., None],
-                              z0 + np.multiply.outer(dz, x)), axis=-1)
-        v, q = self._raw_vq(pts)
-        return (np.broadcast_to(v, pts.shape)[..., 0],
-                np.broadcast_to(q, pts.shape)[..., 1:] @ weights)
-
-    def text(self) -> str:
-        raise NotImplementedError
+    """The type of PowerLaw and ExpressionWeight, each of which supplies
+    its raw passes _raw_v, _raw_vq and _raw_slope and its text().  The
+    domain is z > 0."""
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()!r})"
-
-
-@functools.cache
-def _gauss_legendre():
-    """The 20-point Gauss-Legendre rule on [0, 1], exact for q of degree
-    below 40; built on first use, as numpy.polynomial costs start-up."""
-    x, w = np.polynomial.legendre.leggauss(20)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 class PowerLaw(RadialWeight):
@@ -78,10 +46,10 @@ class PowerLaw(RadialWeight):
             return np.ones_like(z)
         return z ** self.lam
 
-    def _raw_q(self, z):
+    def _raw_vq(self, z):
         if self.lam == 0.0:
-            return np.zeros_like(z)
-        return self.lam * z ** (self.lam - 1.0)
+            return np.ones_like(z), np.zeros_like(z)
+        return z ** self.lam, self.lam * z ** (self.lam - 1.0)
 
     def _raw_slope(self, z, z0, dz):
         # z^lam - z0^lam = z0^lam*expm1(lam*log1p(u)), u = dz/z0; v is
@@ -120,10 +88,10 @@ class ExpressionWeight(RadialWeight):
 
 
 def _shaped(x, z: np.ndarray) -> np.ndarray:
-    """An expression's value x as a float array of z's shape.  Only a
+    """An expression's value x as an array of z's shape and dtype.  Only a
     constant (a scalar) is broadcast; the weight z returns z itself, which
     comes back as a read-only view, so no result aliases z."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=z.dtype)
     if x.shape != z.shape or x is z:
         return np.broadcast_to(x, z.shape)
     return x
@@ -209,15 +177,11 @@ def eval_q(w: RadialWeight, z):
 
 
 def wide_v(w: RadialWeight, z: float) -> np.longdouble:
-    """v(z) at a float z > 0 in numpy's long double, unchecked: a power law
-    and an expression evaluate in it (wider than float on x86-64 Linux, no
-    wider on some platforms), another weight gives what its raw pass gives
-    at a long double z."""
-    x = np.longdouble(z)
+    """v(z) at a float z > 0 in numpy's long double, unchecked: the raw
+    value pass evaluates in it (wider than float on x86-64 Linux, no wider
+    on some platforms)."""
     with np.errstate(all="ignore"):
-        if isinstance(w, ExpressionWeight):
-            return np.longdouble(expressions.evaluate(w.ast, x)[0])
-        return np.longdouble(w._raw_v(x))
+        return np.longdouble(w._raw_v(np.longdouble(z)))
 
 
 def parse_weight(text: str) -> RadialWeight:

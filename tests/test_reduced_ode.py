@@ -258,8 +258,11 @@ class _GapWeight(RadialWeight):
     def _raw_v(self, z):
         return np.where((z > self.lo) & (z < self.hi), np.nan, z)
 
-    def _raw_q(self, z):
-        return np.ones_like(z)
+    def _raw_vq(self, z):
+        return self._raw_v(z), np.ones_like(z)
+
+    def _raw_slope(self, z, z0, dz):
+        return self._raw_v(z), np.ones_like(z)
 
     def text(self):
         return f"z, undefined on ({self.lo}, {self.hi})"
@@ -680,8 +683,16 @@ class TestNearIntegrand:
             assert abs(phi - ref) <= 1e-12
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# the 20-point Gauss-Legendre rule on [0, 1]
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+
 class _HandPower(RadialWeight):
-    """z^lam written out by hand, so it takes the default slope."""
+    """z^lam written out by hand, not a PowerLaw: its z* comes from the
+    root finder, and its slope is the mean of q over [z0, z] by a
+    Gauss-Legendre rule, from one _raw_vq pass over z and the rule's
+    nodes."""
 
     def __init__(self, lam):
         self.lam = lam
@@ -689,8 +700,14 @@ class _HandPower(RadialWeight):
     def _raw_v(self, z):
         return z ** self.lam
 
-    def _raw_q(self, z):
-        return self.lam * z ** (self.lam - 1.0)
+    def _raw_vq(self, z):
+        return z ** self.lam, self.lam * z ** (self.lam - 1.0)
+
+    def _raw_slope(self, z, z0, dz):
+        pts = np.concatenate((np.asarray(z)[..., None],
+                              z0 + np.multiply.outer(dz, _GL_NODES)), axis=-1)
+        v, q = self._raw_vq(pts)
+        return v[..., 0], q[..., 1:] @ _GL_WEIGHTS
 
     def text(self):
         return f"z^{self.lam}, by hand"

@@ -78,20 +78,22 @@ def test_cli_import_loads_what_parsing_needs():
      {"checks", "closed_form"} | TRACE_MODULES),
 ], ids=["oracle", "bvp", "trace", "trace-psi-range", "trace-json", "check"])
 def test_subcommand_adds_only_its_layers(argv, added):
-    code, modules = fresh(
+    # nor numpy.polynomial, whose import costs 3 to 5 ms after numpy's
+    code, modules, polynomial = fresh(
         "import contextlib, io\n"
         "from radial_extremals import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.run({argv!r})\n"
-        "print(json.dumps([code, loaded()]))")
+        "print(json.dumps([code, loaded(),\n"
+        "                  'numpy.polynomial' in sys.modules]))")
     assert code == 0
     assert set(modules) == CLI_MODULES | added
+    assert not polynomial
 
 
 def test_runs_leave_numpy_polynomial_unloaded():
-    # the Gauss-Legendre rule of the default slope is built on first use:
-    # importing numpy.polynomial at start-up cost a bvp or trace run about
-    # 6 ms and 1 MB of peak memory
+    # no layer imports numpy.polynomial: loading it cost a bvp or trace run
+    # about 6 ms and 1 MB of peak memory
     assert fresh(
         "import contextlib, io\n"
         "from radial_extremals import cli\n"

@@ -12,7 +12,7 @@ from radial_extremals import (DomainError, EvalError, ExpressionWeight,
                               parse_weight)
 from radial_extremals import expressions
 from radial_extremals.expressions import FUNCTIONS, parse_expression
-from radial_extremals.weights import eval_slope
+from radial_extremals.weights import eval_slope, wide_v
 
 import dual_reference
 
@@ -116,14 +116,18 @@ class TestEvalQ:
         assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
-class _TwoMethodWeight(RadialWeight):
-    """A user weight that defines only _raw_v and _raw_q."""
+class _HandWeight(RadialWeight):
+    """A fake weight 1 + z*z written out by hand, with all three raw
+    passes."""
 
     def _raw_v(self, z):
         return 1.0 + z * z
 
-    def _raw_q(self, z):
-        return 2.0 * z
+    def _raw_vq(self, z):
+        return 1.0 + z * z, 2.0 * z
+
+    def _raw_slope(self, z, z0, dz):
+        return 1.0 + z * z, 2.0 * z0 + dz
 
     def text(self):
         return "1 + z*z, by hand"
@@ -141,8 +145,10 @@ def _separate_q(w, z):
         if isinstance(w, ExpressionWeight):
             der = np.broadcast_to(np.asarray(
                 dual_reference.raw_vq(w.ast, za)[1], dtype=float), za.shape)
+        elif isinstance(w, PowerLaw):
+            der = w.lam * za ** (w.lam - 1.0) if w.lam else np.zeros_like(za)
         else:
-            der = w._raw_q(za)
+            der = w._raw_vq(za)[1]
     if not np.all(np.isfinite(val)):
         raise EvalError(f"weight value is not finite for {w!r}")
     if np.any(val <= 0.0):
@@ -170,8 +176,8 @@ _VQ_POINTS = [0.3, 1.0, 1.7, np.linspace(0.1, 3.0, 7),
 
 
 class _FloatWeight(RadialWeight):
-    """A user weight whose raw passes return preset values, whatever z:
-    Python floats (q is 0.0 unless given), or arrays."""
+    """A fake weight whose raw passes return preset values, whatever z:
+    Python floats (q, also the slope, is 0.0 unless given), or arrays."""
 
     def __init__(self, v, q=0.0):
         self.v, self.q = v, q
@@ -179,8 +185,11 @@ class _FloatWeight(RadialWeight):
     def _raw_v(self, z):
         return self.v
 
-    def _raw_q(self, z):
-        return self.q
+    def _raw_vq(self, z):
+        return self.v, self.q
+
+    def _raw_slope(self, z, z0, dz):
+        return self.v, self.q
 
     def text(self):
         return f"{self.v}, by hand"
@@ -244,7 +253,7 @@ class TestEvalVQ:
         parse_weight("z - 1"),           # non-positive at and below 1
         parse_weight("1+sqrt(z-1)"),     # infinite derivative at 1
         parse_weight("1/(z-1)"),         # infinite value at 1
-        _TwoMethodWeight()], ids=repr)
+        _HandWeight()], ids=repr)
     def test_equals_eval_v_and_eval_q(self, weight):
         def reference():   # eval_q's checks first, then eval_v's value
             q = _separate_q(weight, z)
@@ -713,24 +722,9 @@ def _mp_value(node, z, mpmath):
     return expressions._OPS[node.op](a, b)
 
 
-class _ExpOverWeight(RadialWeight):
-    """A user weight exp(z)/(1 + z) with only _raw_v and _raw_q: its slope
-    is the default, q averaged by Gauss-Legendre."""
-
-    def _raw_v(self, z):
-        return np.exp(z) / (1.0 + z)
-
-    def _raw_q(self, z):
-        return np.exp(z) * z / (1.0 + z) ** 2
-
-    def text(self):
-        return "exp(z)/(1+z), by hand"
-
-
 # one weight per slope rule: +, - and Neg; * and ^ with a constant
-# exponent; / ; exp and log; sqrt; sin; cos; ^ with a constant base and
-# with both sides in z; then the two spellings of c*z^p that the benchmark
-# times and two user weights that take the default
+# exponent (the two spellings of c*z^p that the benchmark times); / ; exp
+# and log; sqrt; sin; cos; ^ with a constant base and with both sides in z
 _SLOPE_WEIGHTS = ["z-0.5+1", "-z+7", "2.5*z^1.3", "z^0.5*3", "1/(1+z^2)",
                   "exp(0.3*log(z))", "exp(-z)+0.2", "(2+log(z))/z",
                   "z*sqrt(z)", "2+sin(z)", "2+cos(z)", "2^z", "z^z"]
@@ -776,15 +770,6 @@ class TestSlope:
         self._check(PowerLaw(lam), z0, e,
                     lambda x: mpmath.power(x, mpmath.mpf(lam)))
 
-    @pytest.mark.parametrize("w, value", [
-        (_TwoMethodWeight(), lambda x, mpmath: 1 + x * x),
-        (_ExpOverWeight(), lambda x, mpmath: mpmath.exp(x) / (1 + x))])
-    @settings(max_examples=60, deadline=None)
-    @given(z0=st.floats(0.3, 3.0), e=st.floats(-14.0, 0.0))
-    def test_default_gauss_legendre(self, w, value, z0, e):
-        mpmath = pytest.importorskip("mpmath")
-        self._check(w, z0, e, lambda x: value(x, mpmath))
-
     @pytest.mark.parametrize("lam", [-0.98, -0.5, 1.3])
     def test_power_law_value_far_out(self, lam):
         # past 2*z*, where the near integrand takes D from v(z), v(z0) plus
@@ -798,7 +783,7 @@ class TestSlope:
     def test_zero_step_is_the_derivative(self):
         # a zero-width quadrature piece evaluates the integrand at t = 0
         for w in (PowerLaw(1.3), parse_weight("2+sin(3*z)"),
-                  parse_weight("z^z"), _ExpOverWeight()):
+                  parse_weight("z^z")):
             v, s = eval_slope(w, np.array([1.2]), 1.2, np.array([0.0]))
             assert s[0] == pytest.approx(eval_q(w, 1.2), rel=1e-14)
 
@@ -816,3 +801,36 @@ class TestSlope:
             eval_slope(w, np.array([1.0, 1.5]), 1.0, np.array([0.0, 0.5]))
         with pytest.raises(DomainError, match="domain minimum"):
             eval_slope(w, np.array([np.nan]), 1.0, np.array([np.nan]))
+
+
+_WIDE_WEIGHTS = [PowerLaw(0.0), PowerLaw(-0.9), PowerLaw(1.3),
+                 parse_weight("exp(-z)+0.2"), parse_weight("2.5*z^1.3"),
+                 parse_weight("z"), parse_weight("0.7")]
+_WIDE_POINTS = [1e-3, 0.37, 1.0, 2.9, 41.0]
+
+
+class TestWideV:
+    """wide_v, v at a float z in long double, from each kind's raw value
+    pass: the root of g next to z* is placed with it."""
+
+    @pytest.mark.parametrize("w", _WIDE_WEIGHTS, ids=repr)
+    def test_long_double_within_an_ulp_of_eval_v(self, w):
+        for z in _WIDE_POINTS:
+            got = wide_v(w, z)
+            assert type(got) is np.longdouble
+            want = eval_v(w, z)
+            assert abs(float(got) - want) <= math.ulp(want), z
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than float here")
+    @pytest.mark.parametrize("w", _WIDE_WEIGHTS, ids=repr)
+    def test_matches_mpmath_to_long_double(self, w):
+        mpmath = pytest.importorskip("mpmath")
+        for z in _WIDE_POINTS:
+            with mpmath.workdps(30):
+                x = mpmath.mpf(z)
+                ref = (mpmath.power(x, mpmath.mpf(w.lam))
+                       if isinstance(w, PowerLaw) else
+                       _mp_value(w.ast, x, mpmath))
+                ref = np.longdouble(mpmath.nstr(ref, 30))
+            assert abs(wide_v(w, z) - ref) <= 1e-18 * ref, z
