@@ -228,13 +228,16 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     exceeds the initial one.  A polyline without interior vertices comes
     back unchanged and converged.  A trial whose midpoints leave the
     weight's domain raises DomainViolation rather than being clamped; 50
-    consecutive rejected trials raise StalledDescent.
+    consecutive rejected trials raise StalledDescent.  A grad_tol that is
+    not >= 0, NaN included, raises DomainError before any work.
 
     Each vertex set is evaluated once.  Its value comes first, and only a
     value that may be accepted is followed by v and q at the midpoints,
     which give the gradient and then the next Hessian.  Returns an
     OracleResult.
     """
+    if not grad_tol >= 0.0:
+        raise DomainError(f"grad_tol must be >= 0, got {grad_tol}")
     verts = pl.vertices.copy()
     seg = _segment_data(verts)
     value = _checked("initial polyline", _functional, seg, w)

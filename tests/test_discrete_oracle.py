@@ -502,6 +502,19 @@ class TestOnePassEvaluation:
         assert (out.value, out.max_gradient) == (1.0, 0.0)
         assert (out.iterations, out.rejected, out.converged) == (0, 0, True)
 
+    @pytest.mark.parametrize("grad_tol", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("segments", [1, 8])
+    def test_grad_tol_below_zero_or_nan_raises(self, monkeypatch, segments,
+                                               grad_tol):
+        # -1 once gave 0/0 damping, a RuntimeWarning and StalledDescent after
+        # 50 trials; NaN ran every iteration; now neither evaluates anything
+        def no_work(*args):
+            raise AssertionError("minimize evaluated the polyline")
+        monkeypatch.setattr(discrete_oracle, "_segment_data", no_work)
+        pl = chord((0.0, 1.0), (1.0, 1.0), segments)
+        with pytest.raises(DomainError, match="^grad_tol must be >= 0, got "):
+            minimize(pl, PowerLaw(1.0), 10, grad_tol)
+
     def test_work_on_golden_problem(self, monkeypatch, capsys):
         # the oracle-lam1 golden run; the Newton path (Hessians,
         # factorizations, steps) is the dense evaluation's, measured on it
