@@ -51,9 +51,11 @@ def gates(w: RadialWeight, n: float, z_max: float, samples: int,
     """
     lam = w.lam if isinstance(w, PowerLaw) else None
     if lam == -1.0:
-        # logarithmic-spiral family: constant first integral
-        # log_spiral_point first: it rejects n < 1, and a radius at phi = 2,
-        # the last of the 41 below, that overflows
+        # logarithmic-spiral family: constant first integral; a negative n
+        # only flips the orientation, as below
+        n = abs(n)
+        # log_spiral_point first: it rejects |n| < 1, and a radius at
+        # phi = 2, the last of the 41 below, that overflows
         closed_form.log_spiral_point(n, 1.0, 2.0)
         t = math.sqrt(n * n - 1.0)
         z = np.exp(t * np.linspace(0.0, 2.0, 41))

@@ -48,10 +48,11 @@ def test_clean_trace_passes_every_gate(weight, n, z_max, names):
 
 @pytest.mark.parametrize("weight, n, z_max", [
     (PowerLaw(1.0), 1.0, 3.0), (parse_weight("2.5*z^1.3"), 1.1, 2.0),
-    (parse_weight("1/(1+z^2)"), 3.0, 0.9)])
+    (parse_weight("1/(1+z^2)"), 3.0, 0.9), (PowerLaw(-1.0), 1.5, 3.0)])
 def test_negative_n_gives_the_mirrored_curve_s_rows(weight, n, z_max):
     # the gates used the signed n: the closed-form gate raised TypeError
-    # on a complex radius, and the slope identity read -2 and passed
+    # on a complex radius, and the slope identity read -2 and passed; the
+    # spiral gate refused any negative n as below 1
     rows = checks.gates(weight, n, z_max, 200, 1e-12)
     assert checks.gates(weight, -n, z_max, 200, 1e-12) == rows
     assert _failed(rows) == set()

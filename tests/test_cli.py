@@ -257,6 +257,18 @@ class TestCheck:
         assert code == 0
         assert "spiral" in out
 
+    def test_log_spiral_check_with_negative_n(self, capsys):
+        # a negative n flips the orientation, as for every other weight;
+        # the spiral check exited 1 with "require n >= 1"
+        code, out, _ = run(capsys, "check", "--lambda", "-1", "--n=-1.5",
+                           "--zmax", "3")
+        assert code == 0
+        assert out == run(capsys, "check", "--lambda", "-1", "--n", "1.5",
+                          "--zmax", "3")[1]
+        assert out.splitlines() == [
+            "PASS first-integral deviation (spiral): 2.220e-16 (<= 1.0e-10)",
+            "all checks passed"]
+
     @pytest.mark.parametrize("weight, n, z_max, failed", [
         (["--lambda", "1"], "1", "3", [
             "FAIL slope identity vs finite differences: 1.786e-03 "
