@@ -12,12 +12,16 @@ from radial_extremals.errors import (DomainError, ExtremalError,
 from radial_extremals import quadrature
 from radial_extremals.quadrature import kronrod_panels
 
+_ULP = 2.0 ** -52   # the spacing of floats in [1, 2)
+
 
 def _scalar_driver(f, a, b, tol):
     """The one-interval adaptive driver, every panel from kronrod_panel and
     each half of a bisection in its own integrand call, for reference.  A
     panel whose estimate is its floor is kept whole, and once only such
-    panels are left their estimates are summed exactly."""
+    panels are left their estimates are summed exactly.  A panel narrower
+    than 1e-15 of the interval, or whose midpoint rounds to an end, cannot
+    be refined."""
     if a == b:
         return 0.0, 0.0, 0
     if b < a:
@@ -39,9 +43,11 @@ def _scalar_driver(f, a, b, tol):
         if -neg_err == quadrature._FLOOR * abs(old_val):
             whole.append(-neg_err)
             continue
-        if hi - lo < 1e-15 * (1.0 + abs(lo) + abs(hi)):
-            raise QuadratureFailure("cannot be refined")
         mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-15 * (b - a) or not lo < mid < hi:
+            raise QuadratureFailure(
+                f"panel [{lo}, {hi}] cannot be refined further "
+                f"(remaining error {total_err:.3e} > tol {tol:.3e})")
         v1, e1 = kronrod_panel(f, lo, mid)
         v2, e2 = kronrod_panel(f, mid, hi)
         total_val += (v1 + v2) - old_val
@@ -313,6 +319,29 @@ class TestIntegrate:
                        zip([f] * 8 + [far], zip(a, b, tol))]
         assert panels[2] == 0 and 1 in panels and panels.max() > 4
         assert vals[1] == -vals[0]
+
+    @pytest.mark.parametrize("f, a, b, tol, stops", [
+        # 1/|x - c| refined to a panel narrower than 1e-15*(b - a)
+        (lambda x: 1.0 / (np.abs(x - 3.037e-11) + 1e-30), 0.0, 1e-10, 1e-3,
+         True),
+        # ... to a panel of one ulp, whose midpoint rounds to an end
+        (lambda x: 1.0 / (np.abs(x - (1.0 + 21 * _ULP)) + 1e-20), 1.0,
+         1.0 + 64 * _ULP, 1e-6, True),
+        # a jump met by panels of an ulp or two, which a stop at
+        # 1e-15*(1 + |lo| + |hi|) refused
+        (lambda x: np.where(x < 1.0 + 21 * _ULP, 1.0, 2.0), 1.0,
+         1.0 + 64 * _ULP, 1e-24, False)])
+    def test_refinement_stop_equals_scalar_driver(self, f, a, b, tol, stops):
+        def outcome(fn):
+            try:
+                return fn()
+            except QuadratureFailure as exc:
+                return str(exc)
+        got = outcome(lambda: tuple(
+            x.item() for x in quadrature.integrate(f, [a], [b], tol)))
+        assert got == outcome(lambda: _scalar_driver(f, a, b, tol))
+        assert (isinstance(got, str)
+                and "cannot be refined further" in got) is stops
 
     def test_refine_one_integrand_call_per_bisection(self):
         shapes = []
