@@ -683,9 +683,7 @@ class TestNearIntegrand:
             assert abs(phi - ref) <= 1e-12
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-# the 20-point Gauss-Legendre rule on [0, 1]
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)   # on [-1, 1]
 
 
 class _HandPower(RadialWeight):
@@ -704,10 +702,11 @@ class _HandPower(RadialWeight):
         return z ** self.lam, self.lam * z ** (self.lam - 1.0)
 
     def _raw_slope(self, z, z0, dz):
+        x = 0.5 * (_GL_X + 1.0)   # the rule's nodes on [0, 1]
         pts = np.concatenate((np.asarray(z)[..., None],
-                              z0 + np.multiply.outer(dz, _GL_NODES)), axis=-1)
+                              z0 + np.multiply.outer(dz, x)), axis=-1)
         v, q = self._raw_vq(pts)
-        return v[..., 0], q[..., 1:] @ _GL_WEIGHTS
+        return v[..., 0], q[..., 1:] @ (0.5 * _GL_W)
 
     def text(self):
         return f"z^{self.lam}, by hand"
