@@ -343,12 +343,8 @@ def _cmd_oracle(args) -> int:
     (x1, y1, x2, y2) = args.endpoints
     ts = np.linspace(0.0, 1.0, args.segments + 1)[:, None]
     chord = np.array([[x1, y1]]) * (1.0 - ts) + np.array([[x2, y2]]) * ts
-    initial = discrete_oracle.Polyline(chord)
-    # before minimize, whose checks would wrap a chord through the pole's
-    # DomainError in a DomainViolation
-    f0 = discrete_oracle.functional_value(initial, args.weight)
-    result = discrete_oracle.minimize(initial, args.weight, args.iters,
-                                      args.grad_tol)
+    result = discrete_oracle.minimize(discrete_oracle.Polyline(chord),
+                                      args.weight, args.iters, args.grad_tol)
     final = result.polyline
 
     if args.format == "csv":
@@ -359,7 +355,7 @@ def _cmd_oracle(args) -> int:
             "endpoints": [[x1, y1], [x2, y2]],
             "segments": args.segments,
             "vertices": [],
-            "diagnostics": {"initial_functional": f0,
+            "diagnostics": {"initial_functional": result.initial_value,
                             "functional": result.value,
                             "max_grad_component": result.max_gradient,
                             "iterations": result.iterations,

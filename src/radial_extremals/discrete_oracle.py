@@ -15,8 +15,8 @@ damped system is solved by a block Cholesky factorization of those blocks
 
 minimize evaluates each vertex set once: its value, gradient and next
 Hessian share one set of segment data and one (v, q) pass at the midpoints,
-bit for bit what separate passes give, and its OracleResult carries the
-final value and gradient so that no caller evaluates them again.
+bit for bit what separate passes give.  Its OracleResult carries the first
+and last values and the last gradient, so no caller evaluates them again.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class OracleResult:
     """What minimize returns: the final polyline, its functional value and
     largest gradient component (bit for bit what functional_value and
     gradient give for it), the accepted Newton steps, the rejected trials
-    plus failed factorizations, and whether the gradient met grad_tol."""
+    plus failed factorizations, whether the gradient met grad_tol, and the
+    functional value of the polyline minimize was given."""
 
     polyline: Polyline
     value: float
@@ -66,6 +67,7 @@ class OracleResult:
     iterations: int
     rejected: int
     converged: bool
+    initial_value: float
 
 
 def _segment_data(verts: np.ndarray):
@@ -225,11 +227,12 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     by an ulp, and the gradient can still see progress there.  Stops when
     every gradient component is <= grad_tol in magnitude or after max_iters
     iterations, whichever comes first; the returned functional value never
-    exceeds the initial one.  A polyline without interior vertices comes
-    back unchanged and converged.  A trial whose midpoints leave the
-    weight's domain raises DomainViolation rather than being clamped; 50
-    consecutive rejected trials raise StalledDescent.  A grad_tol that is
-    not >= 0, NaN included, raises DomainError before any work.
+    exceeds the initial one.  A polyline without interior vertices comes back
+    unchanged and converged.  The given polyline raises the weight's or
+    functional_value's own error; a trial or Hessian offset whose midpoints
+    leave the weight's domain raises DomainViolation, never clamped; 50
+    consecutive rejected trials raise StalledDescent.  A grad_tol that is not
+    >= 0, NaN included, raises DomainError before any work.
 
     Each vertex set is evaluated once.  Its value comes first, and only a
     value that may be accepted is followed by v and q at the midpoints,
@@ -240,8 +243,8 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
         raise DomainError(f"grad_tol must be >= 0, got {grad_tol}")
     verts = pl.vertices.copy()
     seg = _segment_data(verts)
-    value = _checked("initial polyline", _functional, seg, w)
-    v, q = _checked("initial polyline", eval_vq, w, seg[3])
+    value = initial_value = _functional(seg, w)
+    v, q = eval_vq(w, seg[3])
     grad = _gradient(seg, v, q)
     gmax = np.abs(grad).max(initial=0.0)   # 0.0 without interior vertices
     mu = _MU_START
@@ -285,7 +288,7 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                     f"(value {value}, max gradient {gmax:.3e})")
         rejected += rejections
     return OracleResult(Polyline(verts), value, float(gmax), iterations,
-                        rejected, bool(gmax <= grad_tol))
+                        rejected, bool(gmax <= grad_tol), initial_value)
 
 
 def _checked(where, fn, *args):

@@ -814,6 +814,13 @@ _SWEEP = {
          "--segments", "4", "--grad-tol", "0", "--iters", "5"],
         1, "DomainViolation: current polyline left the weight's domain: the "
            "Hessian is not finite at the midpoint radius z = 1.25e-320\n"),
+    # the chord's own fault, as the weight raises it: v = z^-1/2 is finite
+    # at the midpoints 5e-211, q is not
+    "oracle-derivative-eval-error": (
+        ["oracle", "--lambda=-1/2", "--endpoints=-1e-210,0,1e-210,0",
+         "--segments", "2"],
+        1, "EvalError: weight derivative is not finite for "
+           "PowerLaw('z^-0.5')\n"),
     "closed-form-overflow": (
         ["trace", "--lambda=-1/2", "--n", "1e-200", "--psi-range=-1:1",
          "--samples", "3"],

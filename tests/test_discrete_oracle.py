@@ -270,9 +270,22 @@ class TestMinimize:
         assert np.abs(gradient(out, w)).max() <= 3e-7
 
     def test_initial_polyline_outside_domain(self):
+        # the caller's own polyline raises the weight's error, as
+        # functional_value does, not the DomainViolation of a step
         w = parse_weight("1+sqrt(z-1)")   # undefined below z = 1
-        with pytest.raises(DomainViolation):
-            minimize(chord((-0.5, 0.8), (0.5, 0.8), 8), w, 100, 1e-8)
+        pl = chord((-0.5, 0.8), (0.5, 0.8), 8)
+        match = r"^weight value is not finite for ExpressionWeight\('1\+"
+        with pytest.raises(EvalError, match=match):
+            functional_value(pl, w)
+        with pytest.raises(EvalError, match=match):
+            minimize(pl, w, 100, 1e-8)
+
+    def test_initial_derivative_fault_is_the_weights(self):
+        # v = z^-1/2 is finite at the midpoints 5e-211 but q overflows
+        pl = chord((-1e-210, 0.0), (1e-210, 0.0), 2)
+        with pytest.raises(EvalError, match=r"^weight derivative is not "
+                           r"finite for PowerLaw\('z\^-0.5'\)$"):
+            minimize(pl, PowerLaw(-0.5), 100, 1e-8)
 
     def test_descent_leaving_domain_is_reported(self):
         # v = 1 + sqrt(z - 1) on z > 1: the extremal through these
@@ -314,7 +327,8 @@ class TestMinimize:
         pl = chord((x, 1.0), (-x, 1.0), segments)
         with pytest.raises(EvalError, match="weighted length inf is not"):
             functional_value(pl, PowerLaw(1.0))
-        with pytest.raises(DomainViolation, match="weighted length inf"):
+        with pytest.raises(EvalError, match="^the weighted length inf is "
+                                            "not finite$"):
             minimize(pl, PowerLaw(1.0), 10, 1e-7)
 
     def test_discrete_conservation_along_minimizer(self):
@@ -473,8 +487,10 @@ class TestOnePassEvaluation:
         *((w, 20000) for w in BIT_WEIGHTS[2:3] + BIT_WEIGHTS[4:7])],
         ids=repr)
     def test_result_matches_its_polyline(self, w, iters):
-        out = minimize(chord((-0.65, 1.19), (0.65, 1.19), 8), w, iters, 1e-8)
+        pl = chord((-0.65, 1.19), (0.65, 1.19), 8)
+        out = minimize(pl, w, iters, 1e-8)
         assert isinstance(out, OracleResult)
+        assert bits(out.initial_value) == bits(functional_value(pl, w))
         assert bits(out.value) == bits(functional_value(out.polyline, w))
         gmax = np.abs(gradient(out.polyline, w)).max()
         assert bits(out.max_gradient) == bits(gmax)
@@ -499,7 +515,8 @@ class TestOnePassEvaluation:
         out = minimize(pl, PowerLaw(1.0), 100, 0.0)
         assert np.array_equal(out.polyline.vertices, pl.vertices)
         assert out.polyline is not pl
-        assert (out.value, out.max_gradient) == (1.0, 0.0)
+        assert (out.initial_value, out.value, out.max_gradient) == (1.0, 1.0,
+                                                                    0.0)
         assert (out.iterations, out.rejected, out.converged) == (0, 0, True)
 
     @pytest.mark.parametrize("grad_tol", [-1.0, -1e-300, math.nan])
@@ -507,7 +524,7 @@ class TestOnePassEvaluation:
     def test_grad_tol_below_zero_or_nan_raises(self, segments, grad_tol):
         # -1 once gave 0/0 damping, a RuntimeWarning and StalledDescent after
         # 50 trials; NaN ran every iteration.  The weight is undefined on
-        # the polyline, so any evaluation would raise DomainViolation first
+        # the polyline, so any evaluation would raise EvalError first
         pl = chord((0.0, 1.0), (1.0, 1.0), segments)
         with pytest.raises(DomainError, match="^grad_tol must be >= 0, got "):
             minimize(pl, parse_weight("1+sqrt(z-2)"), 10, grad_tol)
@@ -543,10 +560,10 @@ class TestOnePassEvaluation:
         hessians, chols, trials = (log.count(e)
                                    for e in ("hess", "chol", "step"))
         assert (hessians, chols, trials) == (7, 9, 7)
-        # one segment-data pass for the CLI's initial value, then one per
-        # vertex set minimize evaluates: the initial one and each trial
-        assert log.count("seg") == 2 + trials
-        assert log.count(("v", segments)) == 2 + trials
+        # one segment-data pass per vertex set minimize evaluates: the
+        # initial one, whose value the CLI prints, and each trial
+        assert log.count("seg") == 1 + trials
+        assert log.count(("v", segments)) == 1 + trials
         # each Hessian's weight pass covers the offsets only
         after = [log[i + 1] for i, e in enumerate(log) if e == "hess"]
         assert after == [("vq", 2 * segments)] * hessians

@@ -59,6 +59,8 @@ KEPT = {
     "lagrangian_partials_cartesian": "acceptance criterion 08 reads V, M, "
                                      "N and P through it",
     "eval_q": "acceptance criterion 08 reads q through it",
+    "functional_value": "the README tour and acceptance criterion 06 read a "
+                        "polyline's value through it",
     "gradient": "acceptance criterion 08 reads the discrete gradient through "
                 "it",
     "turning_radius": "the public way to z* alone; ExtremalSpec shares its "
