@@ -22,6 +22,7 @@ and last values and the last gradient, so no caller evaluates them again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,18 @@ _MAX_REJECTIONS = 50
 class Polyline:
     """Ordered vertices with fixed endpoints; the oracle's decision variable.
 
-    Takes a (k, 2) array (or anything np.array turns into one), copied.
+    Takes a (k, 2) array of finite coordinates (or anything np.array turns
+    into one), copied; consecutive vertices must be distinct.
     """
 
     def __init__(self, vertices):
         pts = np.array(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise DomainError("a polyline needs at least two 2-d vertices")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"vertex {i} is not finite: {pts[i].tolist()}")
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise DomainError("consecutive vertices must be distinct")
         self.vertices = pts
@@ -231,14 +237,18 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     unchanged and converged.  The given polyline raises the weight's or
     functional_value's own error; a trial or Hessian offset whose midpoints
     leave the weight's domain raises DomainViolation, never clamped; 50
-    consecutive rejected trials raise StalledDescent.  A grad_tol that is not
-    >= 0, NaN included, raises DomainError before any work.
+    consecutive rejected trials raise StalledDescent.  A max_iters that is
+    not an integer >= 0, or a grad_tol that is not >= 0 (NaN included),
+    raises DomainError before any work.
 
     Each vertex set is evaluated once.  Its value comes first, and only a
     value that may be accepted is followed by v and q at the midpoints,
     which give the gradient and then the next Hessian.  Returns an
     OracleResult.
     """
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
+        raise DomainError(f"max_iters must be an integer >= 0, got "
+                          f"{max_iters!r}")
     if not grad_tol >= 0.0:
         raise DomainError(f"grad_tol must be >= 0, got {grad_tol}")
     verts = pl.vertices.copy()

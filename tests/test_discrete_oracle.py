@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,28 @@ def random_polyline(rng, count=9):
     base = np.array([rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0)])
     steps = rng.uniform(-0.15, 0.15, size=(count - 1, 2)) + [0.12, 0.0]
     return Polyline(np.vstack([base, base + np.cumsum(steps, axis=0)]))
+
+
+class TestPolyline:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_vertex_raises(self, bad, column):
+        # minimize once took such a chord and raised the DomainViolation of
+        # a trial or the weight's error at the midpoints next to it
+        verts = np.array([(-1.0, 1.0), (0.0, 1.5), (1.0, 1.0)])
+        verts[1, column] = bad
+        want = [0.0, 1.5]
+        want[column] = bad
+        with pytest.raises(DomainError, match=re.escape(
+                f"vertex 1 is not finite: {want}")):
+            Polyline(verts)
+
+    def test_the_first_non_finite_vertex_is_named(self):
+        # before the distinctness check, which two equal infs would fail
+        with pytest.raises(DomainError, match=r"^vertex 2 is not finite: "
+                                              r"\[inf, 1.0\]$"):
+            Polyline([(0.0, 1.0), (1.0, 1.0), (math.inf, 1.0),
+                      (math.inf, 1.0), (math.nan, 2.0)])
 
 
 class TestFunctional:
@@ -528,6 +551,18 @@ class TestOnePassEvaluation:
         pl = chord((0.0, 1.0), (1.0, 1.0), segments)
         with pytest.raises(DomainError, match="^grad_tol must be >= 0, got "):
             minimize(pl, parse_weight("1+sqrt(z-2)"), 10, grad_tol)
+
+    @pytest.mark.parametrize("max_iters", [-1, 2.5])
+    @pytest.mark.parametrize("segments", [1, 8])
+    def test_max_iters_not_an_integer_at_least_zero_raises(self, segments,
+                                                            max_iters):
+        # -1 once ran no iteration and returned converged=False; 2.5 raised
+        # TypeError from range.  The weight is undefined on the polyline,
+        # so any evaluation would raise EvalError first
+        pl = chord((0.0, 1.0), (1.0, 1.0), segments)
+        with pytest.raises(DomainError, match=re.escape(
+                f"max_iters must be an integer >= 0, got {max_iters}")):
+            minimize(pl, parse_weight("1+sqrt(z-2)"), max_iters, 1e-8)
 
     def test_work_on_golden_problem(self, monkeypatch, capsys):
         # the oracle-lam1 golden run; the Newton path (Hessians,
