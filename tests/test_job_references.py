@@ -11,7 +11,12 @@ JSON, v = z) prints lies within C/N^2 of the extremal n*z^2*cos 2(phi - phi0)
 = 1 through the job's endpoints, N its segment count and C the benchmark's
 constant, and the polyline's largest gradient component is at most the
 job's --grad-tol; n, phi0, the distances and the gradient are computed here
-at 40 digits from the job's argv and the printed vertices.  The job lists
+at 40 digits from the job's argv and the printed vertices.  For v = z,
+|m|*|b - a| = |b^2 - a^2|/2 in complex numbers, so the value F of any
+polyline is at least the action S = |b^2 - a^2|/2 of its endpoints a and b,
+with equality on the extremal: F - S is the minimizer's error alone, and
+(F - S)/S must be at most ORACLE_EXCESS_C times the gradient squared.  A
+JSON job's printed functional must lie within 2 ulps of F.  The job lists
 come from ``perfbench/jobs.py``, loaded by file path and only read, as
 job_manifest.py does.  Check and SVG jobs are out of scope: a check prints
 its own gates, and an SVG path carries 8 digits.
@@ -47,6 +52,9 @@ mpmath = pytest.importorskip("mpmath")
 TRACE_SEED = 1
 BVP_SEEDS = (1, 5)
 ORACLE_SEED = 1
+# (F - S)/(S*g^2) of the oracle jobs, g their largest gradient component:
+# at most 86 over seeds 1, 5 and 9 (80.5 on seed 1)
+ORACLE_EXCESS_C = 200
 
 # the five expression spellings of c*z^lam in perfbench/jobs.py
 _WEIGHTS = (
@@ -195,12 +203,27 @@ def _polyline_gradient(verts):
     return worst
 
 
+def _polyline_value(verts):
+    """F = sum |m_j|*|e_j|, the midpoint-rule length of v = z."""
+    return mpmath.fsum(mpmath.hypot((xa + xb) / 2, (ya + yb) / 2)
+                       * mpmath.hypot(xb - xa, yb - ya)
+                       for (xa, ya), (xb, yb) in zip(verts, verts[1:]))
+
+
+def _action(ends):
+    """S = |b^2 - a^2|/2 of the endpoints a and b as complex numbers: the
+    least F between them, reached on the extremal."""
+    a, b = (mpmath.mpc(x, y) for x, y in ends)
+    return abs(b ** 2 - a ** 2) / 2
+
+
 def oracle_errors():
     """{kind: largest value} over the oracle jobs of ORACLE_SEED: N^2 times
-    each vertex's distance to the curve, and the largest gradient
-    component, and _noter's places and values under the workload "oracle";
-    raises AssertionError naming a job that fails to run or exceeds C/N^2
-    or its --grad-tol."""
+    each vertex's distance to the curve, the largest gradient component
+    g, (F - S)/(S*g^2), and the printed functional's distance from F in
+    ulps (JSON jobs), and _noter's places and values under the workload
+    "oracle"; raises AssertionError naming a job that fails to run or
+    exceeds C/N^2, its --grad-tol, ORACLE_EXCESS_C or 2 ulps."""
     joblist = job_manifest._joblist()
     largest, where = {}, {}
     note = _noter(largest, where)
@@ -210,10 +233,13 @@ def oracle_errors():
             argv = job.argv
             code, out, err = job_manifest.run_job(argv)
             assert code == 0, (argv, err)
+            printed = None
             if _arg(argv, "--format") == "csv":
                 verts = [line.split(",") for line in out.splitlines()[2:]]
             else:
-                verts = json.loads(out)["vertices"]
+                doc = json.loads(out)
+                verts = doc["vertices"]
+                printed = doc["diagnostics"]["functional"]
             verts = [(mpmath.mpf(float(x)), mpmath.mpf(float(y)))
                      for x, y in verts]
             segments = int(_arg(argv, "--segments"))
@@ -226,9 +252,18 @@ def oracle_errors():
             grad = _polyline_gradient(verts)
             assert dist <= joblist.ORACLE_DIST_C / segments ** 2, (argv, dist)
             assert grad <= float(_arg(argv, "--grad-tol")), (argv, grad)
+            value = _polyline_value(verts)
+            action = _action([ends[:2], ends[2:]])
+            excess = (value - action) / (action * grad ** 2)
+            assert excess <= ORACLE_EXCESS_C, (argv, excess)
             name = f"seed {ORACLE_SEED} job {job.id}"
             note("oracle", "N^2*distance", float(segments ** 2 * dist), name)
             note("oracle", "gradient", float(grad), name)
+            note("oracle", "(F-S)/(S*g^2)", float(excess), name)
+            if printed is not None:
+                ulps = abs(printed - value) / math.ulp(float(value))
+                assert ulps <= 2, (argv, ulps)
+                note("oracle", "functional ulps", float(ulps), name)
     return largest["oracle"], where
 
 
@@ -488,6 +523,8 @@ def test_non_power_law_jobs_match_the_collocation():
 def test_oracle_polylines_lie_near_the_extremal():
     largest, _ = oracle_errors()
     print("largest oracle values:", json.dumps(largest, indent=1))
+    assert set(largest) == {"N^2*distance", "gradient", "(F-S)/(S*g^2)",
+                            "functional ulps"}
     assert 0.0 < largest["N^2*distance"] and 0.0 < largest["gradient"]
 
 
