@@ -63,6 +63,20 @@ class TestTraceCsv:
         mid = lines[2 + 20].split(",")
         assert float(mid[1]) == pytest.approx(1.0, rel=1e-12)  # z* at psi=0
 
+    # a function of a constant and an operator on two constants take their
+    # own branches of the slope walk
+    @pytest.mark.parametrize("text, literal, n, z_max", [
+        ("sqrt(2)*z", "1.4142135623730951*z", "1.1", "3"),
+        ("z*(1+2)", "z*3", "0.5", "2"),
+        ("exp(0)+z", "1+z", "0.8", "3"),
+        ("(2-1)*z^2", "1*z^2", "1.3", "3")])
+    def test_constant_subexpression_matches_its_literal(self, capsys, text,
+                                                        literal, n, z_max):
+        got, want = (run(capsys, "trace", "--weight", w, "--n", n,
+                         "--zmax", z_max, "--samples", "50")
+                     for w in (text, literal))
+        assert want[0] == 0 and got == want
+
     def test_uniform_phi_grid(self, capsys):
         code, out, _ = run(capsys, "trace", "--lambda", "1", "--n", "1",
                            "--zmax", "2", "--samples", "20",
