@@ -55,8 +55,6 @@ class TestPolyline:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 1])
     def test_non_finite_vertex_raises(self, bad, column):
-        # minimize once took such a chord and raised the DomainViolation of
-        # a trial or the weight's error at the midpoints next to it
         verts = np.array([(-1.0, 1.0), (0.0, 1.5), (1.0, 1.0)])
         verts[1, column] = bad
         want = [0.0, 1.5]
@@ -556,9 +554,8 @@ class TestOnePassEvaluation:
     @pytest.mark.parametrize("segments", [1, 8])
     def test_max_iters_not_an_integer_at_least_zero_raises(self, segments,
                                                             max_iters):
-        # -1 once ran no iteration and returned converged=False; 2.5 raised
-        # TypeError from range.  The weight is undefined on the polyline,
-        # so any evaluation would raise EvalError first
+        # the weight is undefined on the polyline, so any evaluation would
+        # raise EvalError first
         pl = chord((0.0, 1.0), (1.0, 1.0), segments)
         with pytest.raises(DomainError, match=re.escape(
                 f"max_iters must be an integer >= 0, got {max_iters}")):
