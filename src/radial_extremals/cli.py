@@ -359,6 +359,7 @@ def _cmd_oracle(args) -> int:
                             "functional": result.value,
                             "max_grad_component": result.max_gradient,
                             "iterations": result.iterations,
+                            "ray_iterations": result.ray_iterations,
                             "rejected": result.rejected,
                             "converged": result.converged},
         }

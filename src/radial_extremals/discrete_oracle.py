@@ -11,7 +11,12 @@ so minimize takes damped Newton (Levenberg-Marquardt) steps on the exact
 Hessian rather than gradient steps.  Each segment couples only its two end
 vertices, so the Hessian is block-tridiagonal with 2x2 blocks, and each
 damped system is solved by a block Cholesky factorization of those blocks
-(Golub and Van Loan, Matrix Computations, section 4.5) in O(N) work.
+(Golub and Van Loan, Matrix Computations, section 4.5) in O(N) work.  A
+first stage moves each interior vertex along its ray from the pole, never
+through the pole: a tridiagonal matrix projected from the blocks, solved by
+the scalar recurrence.  Fixed rays remove the tangential modes that leave
+the free Hessian singular at lam = 1, where a ray minimizer is a free one.
+Then the vertices go free, at once if an interior vertex lies at the pole.
 
 minimize evaluates each vertex set once: its value, gradient and next
 Hessian share one set of segment data and one (v, q) pass at the midpoints,
@@ -63,14 +68,15 @@ class Polyline:
 class OracleResult:
     """What minimize returns: the final polyline, its functional value and
     largest gradient component (bit for bit what functional_value and
-    gradient give for it), the accepted Newton steps, the rejected trials
-    plus failed factorizations, whether the gradient met grad_tol, and the
-    functional value of the polyline minimize was given."""
+    gradient give for it), the accepted Newton steps and those of them on
+    rays, the rejected trials plus failed factorizations, whether the
+    gradient met grad_tol, and the value of the polyline it was given."""
 
     polyline: Polyline
     value: float
     max_gradient: float
     iterations: int
+    ray_iterations: int
     rejected: int
     converged: bool
     initial_value: float
@@ -220,26 +226,67 @@ def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
+def _tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
+                       rhs: np.ndarray) -> np.ndarray:
+    """x with (T + shift*I) x = rhs, for the symmetric tridiagonal T of
+    diagonal diag (m,) and off-diagonal upper (m-1,), and rhs (m,): the 1x1
+    case of _block_solve's recurrence, pivot test and sweeps included."""
+    factors = []
+    c = y = 0.0   # L's entry below the pivot above, and y there
+    for d, r, b in zip(diag.tolist(), rhs.tolist(), upper.tolist() + [0.0]):
+        s = d + shift - c * c
+        if not s > 0.0:
+            raise _NotPositiveDefinite
+        pivot = math.sqrt(s)
+        y, c = (r - c * y) / pivot, b / pivot
+        factors.append((pivot, c, y))
+    x, out = 0.0, []
+    for pivot, c, y in reversed(factors):
+        x = (y - c * x) / pivot
+        out.append(x)
+    return np.array(out[::-1], dtype=float)
+
+
+def _along(grad: np.ndarray, rays):
+    """A stage's gradient, along each vertex's ray or, with rays None, the
+    free one, and its largest component in magnitude."""
+    g = grad if rays is None else (grad * rays).sum(axis=1)
+    return g, np.abs(g).max(initial=0.0)
+
+
+def _moved(verts: np.ndarray, step: np.ndarray, rays):
+    """verts with the interior vertices moved by step, along their rays or,
+    with rays None, in the plane; None if a radius along a ray is not > 0."""
+    trial = verts.copy()
+    trial[1:-1] += step if rays is None else step[:, None] * rays
+    if rays is None or np.all((trial[1:-1] * rays).sum(axis=1) > 0.0):
+        return trial
+    return None
+
+
 def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
              grad_tol: float) -> OracleResult:
-    """Levenberg-Marquardt Newton iteration on the interior vertices.
+    """Levenberg-Marquardt Newton iteration along rays, then on free vertices.
 
-    Each iteration solves (H + mu*(tr H/dim)*I) p = -g by block Cholesky,
-    with g and H the exact gradient and Hessian.  A trial is accepted if it
-    strictly lowers the functional, or ties it with a strictly smaller
-    largest gradient component, and then mu shrinks tenfold; a rejected
+    The ray stage ends once the gradient along the rays is <= grad_tol.
+    Each iteration solves (H + mu*(tr H/dim)*I) p = -g of its stage, with g
+    and H the exact gradient and Hessian, projected onto the rays in the ray
+    stage; mu starts at 1e-12 there and at 1 in the free stage.  A trial is
+    accepted if it strictly lowers the functional, or ties it with a
+    strictly smaller largest gradient component of its stage, and then mu
+    shrinks tenfold; a ray trial that takes a radius to <= 0, a rejected
     trial or a failed factorization grows mu tenfold.  The value is summed
     with math.fsum, so at the rounding floor trials tie rather than scatter
     by an ulp, and the gradient can still see progress there.  Stops when
-    every gradient component is <= grad_tol in magnitude or after max_iters
-    iterations, whichever comes first; the returned functional value never
-    exceeds the initial one.  A polyline without interior vertices comes back
-    unchanged and converged.  The given polyline raises the weight's or
-    functional_value's own error; a trial or Hessian offset whose midpoints
-    leave the weight's domain raises DomainViolation, never clamped; 50
-    consecutive rejected trials raise StalledDescent.  A max_iters that is
-    not an integer >= 0, or a grad_tol that is not >= 0 (NaN included),
-    raises DomainError before any work.
+    every free gradient component is <= grad_tol in magnitude or after
+    max_iters accepted steps of both stages, whichever comes first; the
+    returned functional value never exceeds the initial one.  A polyline
+    without interior vertices comes back unchanged and converged.  The
+    given polyline raises the weight's or functional_value's own error; a
+    trial or Hessian offset whose midpoints leave the weight's domain raises
+    DomainViolation, never clamped; 50 consecutive rejected trials raise
+    StalledDescent.  A max_iters that is not an integer >= 0, or a grad_tol
+    that is not >= 0 (NaN included), raises DomainError before any work.
 
     Each vertex set is evaluated once.  Its value comes first, and only a
     value that may be accepted is followed by v and q at the midpoints,
@@ -256,49 +303,61 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     value = initial_value = _functional(seg, w)
     v, q = eval_vq(w, seg[3])
     grad = _gradient(seg, v, q)
-    gmax = np.abs(grad).max(initial=0.0)   # 0.0 without interior vertices
-    mu = _MU_START
-    iterations = rejected = 0
-    for _ in range(max_iters):
-        if gmax <= grad_tol:
+    radii = np.hypot(verts[1:-1, 0], verts[1:-1, 1])
+    rays = verts[1:-1] / radii[:, None] if np.all(radii > 0.0) else None
+    mu = _MU_MIN if rays is not None else _MU_START
+    iterations = ray_iterations = rejected = 0
+    while True:
+        slope, smax = _along(grad, rays)   # 0.0 without interior vertices
+        if rays is not None and smax <= grad_tol:
+            rays, mu = None, _MU_START
+            continue
+        if smax <= grad_tol or iterations == max_iters:
             break
         iterations += 1
         diag, upper = _checked("current polyline", _hessian, seg, v, q, w)
+        solve, pivots = _block_solve, diag.reshape(-1, 4)[:, ::3]
+        if rays is not None:
+            ray_iterations += 1
+            diag = (rays[:, :, None] * diag * rays[:, None, :]).sum((1, 2))
+            upper = (rays[:-1, :, None] * upper
+                     * rays[1:, None, :]).sum((1, 2))
+            solve, pivots = _tridiagonal_solve, diag
         # damping in units of tr(H)/dim keeps the step rotation invariant;
         # the diagonal is summed in its row order
-        damping = diag.reshape(-1, 4)[:, ::3].ravel().sum() / (2 * len(diag))
+        damping = pivots.ravel().sum() / pivots.size
         rejections = 0
         while True:
             try:
-                step = _block_solve(diag, upper, float(mu * damping), -grad)
+                trial = _moved(verts, solve(diag, upper, float(mu * damping),
+                                            -slope), rays)
             except _NotPositiveDefinite:
-                pass
-            else:
-                trial = verts.copy()
-                trial[1:-1] += step
+                trial = None
+            if trial is not None:
                 t_seg = _segment_data(trial)
                 t_value = _checked("trial step", _functional, t_seg, w)
                 # a trial with a zero-length segment has no gradient
                 if t_value <= value and np.all(t_seg[1] > 0.0):
                     t_v, t_q = _checked("trial step", eval_vq, w, t_seg[3])
                     t_grad = _gradient(t_seg, t_v, t_q)
-                    t_gmax = np.abs(t_grad).max(initial=0.0)
                     # at the floor of both value and gradient every trial
                     # fails, so the stall counter sees the plateau
-                    if (t_value, t_gmax) < (value, gmax):
+                    if (t_value, _along(t_grad, rays)[1]) < (value, smax):
                         verts, seg, value = trial, t_seg, t_value
-                        v, q, grad, gmax = t_v, t_q, t_grad, t_gmax
+                        v, q, grad = t_v, t_q, t_grad
                         mu = max(mu / 10.0, _MU_MIN)
                         break
             mu *= 10.0
             rejections += 1
             if rejections >= _MAX_REJECTIONS:
                 raise StalledDescent(
-                    f"no decrease after {rejections} rejected steps "
-                    f"(value {value}, max gradient {gmax:.3e})")
+                    f"no decrease after {rejections} rejected steps (value "
+                    f"{value}, max gradient {np.abs(grad).max():.3e})")
         rejected += rejections
-    return OracleResult(Polyline(verts), value, float(gmax), iterations,
-                        rejected, bool(gmax <= grad_tol), initial_value)
+    gmax = float(np.abs(grad).max(initial=0.0))
+    return OracleResult(Polyline(verts), value, gmax, iterations,
+                        ray_iterations, rejected, bool(gmax <= grad_tol),
+                        initial_value)
 
 
 def _checked(where, fn, *args):

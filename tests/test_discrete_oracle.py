@@ -245,6 +245,62 @@ class TestBlockSolve:
         assert np.array_equal(got, rhs)
 
 
+@st.composite
+def tridiagonal_systems(draw):
+    """Diagonal (m,) and off-diagonal (m-1,) of L L' for a random lower
+    bidiagonal L, its diagonal in [0.1, 2], and a right-hand side (m,)."""
+    m = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = np.diag(rng.uniform(0.1, 2.0, m)) \
+        + np.diag(rng.uniform(-1.0, 1.0, m - 1), -1)
+    full = low @ low.T
+    return np.diag(full).copy(), np.diag(full, 1).copy(), \
+        rng.uniform(-1.0, 1.0, m)
+
+
+def tridiagonal(diag, upper):
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(upper, -1)
+
+
+class TestTridiagonalSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(system=tridiagonal_systems(),
+           shift=st.sampled_from([0.0, 1e-8, 1e-3, 1.0, 1e3]))
+    def test_matches_dense_solve(self, system, shift):
+        diag, upper, rhs = system
+        mat = tridiagonal(diag, upper) + shift * np.eye(len(diag))
+        got = discrete_oracle._tridiagonal_solve(diag, upper, shift, rhs)
+        want = np.linalg.solve(mat, rhs)
+        cond = np.linalg.cond(mat)
+        assert got.shape == rhs.shape
+        assert np.linalg.norm(mat @ got - rhs) \
+            <= 1e-13 * cond * np.linalg.norm(rhs)
+        assert np.linalg.norm(got - want) \
+            <= 1e-13 * cond * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan])
+    def test_a_pivot_that_is_not_positive_raises(self, index, value):
+        # a unit diagonal and small couplings, one diagonal entry replaced:
+        # T is not positive definite, as numpy's Cholesky finds
+        diag = np.ones(7)
+        diag[index] = value
+        upper = np.full(6, 0.1)
+        if not math.isnan(value):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(tridiagonal(diag, upper))
+        with pytest.raises(discrete_oracle._NotPositiveDefinite):
+            discrete_oracle._tridiagonal_solve(diag, upper, 0.0, np.ones(7))
+
+    def test_shift_is_added_to_the_diagonal(self):
+        # T = -I is indefinite; T + 2I = I solves to the right-hand side
+        diag, upper, rhs = -np.ones(3), np.zeros(2), np.arange(3.0)
+        with pytest.raises(discrete_oracle._NotPositiveDefinite):
+            discrete_oracle._tridiagonal_solve(diag, upper, 0.0, rhs)
+        got = discrete_oracle._tridiagonal_solve(diag, upper, 2.0, rhs)
+        assert np.array_equal(got, rhs)
+
+
 class TestMinimize:
     def test_zigzag_converges_to_chord(self):
         xs = np.linspace(0.0, 1.0, 66)
@@ -325,9 +381,9 @@ class TestMinimize:
             minimize(out, w, 100000, 0.0)
 
     def test_trial_with_a_vanishing_segment_is_rejected(self, monkeypatch):
-        # the end segments shrink until a trial makes one exactly 0: its
-        # value ties and its 0/0 gradient must not be computed (6 segments
-        # reach one; which counts do depends on the last bits of the steps)
+        # at lam 0.5 the free stage slides the one interior vertex into an
+        # end until a trial lands on it exactly: its value ties and its 0/0
+        # gradient must not be computed
         lengths = []
         seg_data = discrete_oracle._segment_data
 
@@ -337,9 +393,24 @@ class TestMinimize:
             return seg
         monkeypatch.setattr(discrete_oracle, "_segment_data", recorded)
         with pytest.raises(StalledDescent, match="no decrease after 50"):
-            minimize(chord((-0.65, 1.19), (0.65, 1.19), 6), PowerLaw(2.0),
+            minimize(chord((-0.3, 1.0), (0.9, 0.4), 2), PowerLaw(0.5),
                      200_000, 3e-7)
         assert 0.0 in lengths
+
+    def test_ray_trial_through_the_pole_is_rejected(self):
+        # no z^3 extremal joins ends 1.0 rad apart (its span is below pi/4);
+        # radii taken below 0 put midpoints at the pole, where v = 0, and
+        # "converged" to 0.0187 from 2.52
+        with pytest.raises(StalledDescent, match="no decrease after 50"):
+            minimize(chord((-0.65, 1.19), (0.65, 1.19), 6), PowerLaw(3.0),
+                     20000, 1e-8)
+
+    def test_vertex_at_the_pole_takes_free_steps_only(self):
+        # a vertex at the pole has no ray: the free stage starts at once
+        out = minimize(Polyline([(-1.0, 0.2), (0.0, 0.0), (1.0, 0.2)]),
+                       PowerLaw(2.0), 20000, 1e-8)
+        assert (out.ray_iterations, out.converged) == (0, True)
+        assert out.iterations > 0 and out.polyline.vertices[1, 1] < 0.0
 
     @pytest.mark.parametrize("x, segments", [(1e200, 4), (1e155, 4),
                                              (2e154, 1_000)])
@@ -562,10 +633,11 @@ class TestOnePassEvaluation:
         assert np.array_equal(out.polyline.vertices, pl.vertices)
         for iters in (1, 2, 3):
             assert minimize(pl, w, iters, 1e-8).iterations == iters
-        # 7 Hessians and 9 factorizations, as test_work_on_golden_problem
-        # counts: two factorizations failed and no trial was rejected
+        # 5 Hessians and 5 factorizations, as test_work_on_golden_problem
+        # counts: every step is on the rays, and none is rejected
         full = minimize(pl, w, 20000, 1e-8)
-        assert (full.iterations, full.rejected, full.converged) == (7, 2, True)
+        assert (full.iterations, full.ray_iterations, full.rejected,
+                full.converged) == (5, 5, 0, True)
 
     def test_no_interior_vertices(self):
         pl = chord((-0.5, 1.0), (0.5, 1.0), 1)
@@ -598,8 +670,8 @@ class TestOnePassEvaluation:
             minimize(pl, parse_weight("1+sqrt(z-2)"), max_iters, 1e-8)
 
     def test_work_on_golden_problem(self, monkeypatch, capsys):
-        # the oracle-lam1 golden run; the Newton path (Hessians,
-        # factorizations, steps) is the dense evaluation's, measured on it
+        # the oracle-lam1 golden run: five ray steps, each factorization
+        # and each trial accepted, and no free step
         log = []
 
         def counted(owner, name, entry):
@@ -612,14 +684,13 @@ class TestOnePassEvaluation:
         counted(discrete_oracle, "_hessian", lambda a: "hess")
         counted(discrete_oracle, "eval_v", lambda a: ("v", a[1].size))
         counted(discrete_oracle, "eval_vq", lambda a: ("vq", a[1].size))
-        solve = discrete_oracle._block_solve
-
-        def solved(*args):
-            log.append("chol")
-            step = solve(*args)
-            log.append("step")
-            return step
-        monkeypatch.setattr(discrete_oracle, "_block_solve", solved)
+        for name in ("_block_solve", "_tridiagonal_solve"):
+            def solved(*args, _solve=getattr(discrete_oracle, name)):
+                log.append("chol")
+                step = _solve(*args)
+                log.append("step")
+                return step
+            monkeypatch.setattr(discrete_oracle, name, solved)
         segments = 8
         assert cli.main(["oracle", "--lambda", "1",
                          "--endpoints=-0.65,1.19,0.65,1.19",
@@ -627,7 +698,7 @@ class TestOnePassEvaluation:
         capsys.readouterr()
         hessians, chols, trials = (log.count(e)
                                    for e in ("hess", "chol", "step"))
-        assert (hessians, chols, trials) == (7, 9, 7)
+        assert (hessians, chols, trials) == (5, 5, 5)
         # one segment-data pass per vertex set minimize evaluates: the
         # initial one, whose value the CLI prints, and each trial
         assert log.count("seg") == 1 + trials
