@@ -247,14 +247,14 @@ def _tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
     return np.array(out[::-1], dtype=float)
 
 
-def _along(grad: np.ndarray, rays):
+def _along(grad: np.ndarray, rays: np.ndarray | None):
     """A stage's gradient, along each vertex's ray or, with rays None, the
     free one, and its largest component in magnitude."""
     g = grad if rays is None else (grad * rays).sum(axis=1)
     return g, np.abs(g).max(initial=0.0)
 
 
-def _moved(verts: np.ndarray, step: np.ndarray, rays):
+def _moved(verts: np.ndarray, step: np.ndarray, rays: np.ndarray | None):
     """verts with the interior vertices moved by step, along their rays or,
     with rays None, in the plane; None if a radius along a ray is not > 0."""
     trial = verts.copy()
