@@ -39,8 +39,8 @@ from .weights import RadialWeight, eval_v, eval_vq
 __all__ = ["OracleResult", "Polyline", "functional_value", "gradient",
            "minimize"]
 
-_MU_START = 1.0        # initial damping, in units of tr(H)/dim
-_MU_MIN = 1e-12
+_MU_START = 1.0        # free stage's initial damping, in units of tr(H)/dim
+_MU_MIN = 1e-12        # the ray stage's, and the floor of both
 _MAX_REJECTIONS = 50
 
 
