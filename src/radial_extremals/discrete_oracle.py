@@ -15,8 +15,8 @@ damped system is solved by a block Cholesky factorization of those blocks
 first stage moves each interior vertex along its ray from the pole, never
 through the pole: a tridiagonal matrix projected from the blocks, solved by
 the scalar recurrence.  Fixed rays remove the tangential modes that leave
-the free Hessian singular at lam = 1, where a ray minimizer is a free one.
-Then the vertices go free, at once if an interior vertex lies at the pole.
+the free Hessian singular at lam = 1.  Then the vertices go free, at once
+if one lies at the pole; one damping starts at its floor and carries over.
 
 minimize evaluates each vertex set once: its value, gradient and next
 Hessian share one set of segment data and one (v, q) pass at the midpoints,
@@ -39,8 +39,7 @@ from .weights import RadialWeight, eval_v, eval_vq
 __all__ = ["OracleResult", "Polyline", "functional_value", "gradient",
            "minimize"]
 
-_MU_START = 1.0        # free stage's initial damping, in units of tr(H)/dim
-_MU_MIN = 1e-12        # the ray stage's, and the floor of both
+_MU_MIN = 1e-12        # initial damping and its floor, in units of tr(H)/dim
 _MAX_REJECTIONS = 50
 
 
@@ -271,7 +270,7 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     The ray stage ends once the gradient along the rays is <= grad_tol.
     Each iteration solves (H + mu*(tr H/dim)*I) p = -g of its stage, with g
     and H the exact gradient and Hessian, projected onto the rays in the ray
-    stage; mu starts at 1e-12 there and at 1 in the free stage.  A trial is
+    stage; mu starts at 1e-12, its floor, and carries over.  A trial is
     accepted if it strictly lowers the functional, or ties it with a
     strictly smaller largest gradient component of its stage, and then mu
     shrinks tenfold; a ray trial that takes a radius to <= 0, a rejected
@@ -305,12 +304,12 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     grad = _gradient(seg, v, q)
     radii = np.hypot(verts[1:-1, 0], verts[1:-1, 1])
     rays = verts[1:-1] / radii[:, None] if np.all(radii > 0.0) else None
-    mu = _MU_MIN if rays is not None else _MU_START
+    mu = _MU_MIN
     iterations = ray_iterations = rejected = 0
     while True:
         slope, smax = _along(grad, rays)   # 0.0 without interior vertices
         if rays is not None and smax <= grad_tol:
-            rays, mu = None, _MU_START
+            rays = None
             continue
         if smax <= grad_tol or iterations == max_iters:
             break
