@@ -29,6 +29,7 @@ meet their round-off floors, 50*eps*|piece|, where the whole angle's fits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -525,6 +526,9 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
+    if not isinstance(num_samples, numbers.Integral):
+        raise DomainError(f"num_samples must be an integer, got "
+                          f"{num_samples!r}")
     if num_samples < 3:
         raise DomainError("need at least 3 samples per branch")
     if num_samples > _MOST_SAMPLES:

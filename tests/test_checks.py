@@ -65,6 +65,12 @@ def test_spiral_gates_below_n_one_raise_domain_error():
         checks.gates(PowerLaw(-1.0), 0.5, 2.0, 200, 1e-12)
 
 
+def test_sample_count_not_an_integer_raises_domain_error():
+    # it used to reach np.linspace and raise TypeError
+    with pytest.raises(DomainError, match="^num_samples must be an integer"):
+        checks.gates(PowerLaw(1.0), 1.0, 3.0, 5.5, 1e-12)
+
+
 def test_spiral_gates_at_n_one_take_the_perpendicular_marker():
     # t = 0: the circle z = 1, every tangent perpendicular to the radius
     rows = checks.gates(PowerLaw(-1.0), 1.0, 2.0, 200, 1e-12)

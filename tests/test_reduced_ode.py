@@ -1433,6 +1433,22 @@ class TestTrace:
         with pytest.raises(DomainError, match="tol"):
             trace_extremal(spec, 3.0, 50, tol=tol)
 
+    @pytest.mark.parametrize("num_samples", [5.5, 5.0, "5"])
+    def test_sample_count_not_an_integer_raises_before_quadrature(
+            self, num_samples, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+        for name in ("integrate", "kronrod_panels"):
+            monkeypatch.setattr(reduced_ode.quadrature, name, no_quadrature)
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        with pytest.raises(DomainError, match=re.escape(
+                f"num_samples must be an integer, got {num_samples!r}")):
+            trace_extremal(spec, 3.0, num_samples)
+
+    def test_numpy_integer_sample_count_traces(self):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        assert trace_extremal(spec, 3.0, np.int64(5)).z.size == 9
+
     def test_round_off_limited_tolerance_fails_fast(self, monkeypatch):
         # the long intervals of a 3-sample grid cannot meet tol 1e-14 / 2
         calls = []
