@@ -92,7 +92,15 @@ def log_spiral_point(n: float, z0: float, phi: float) -> PolarPoint:
 
 
 def algebraic_relation_residual(c: PowerLawCurve, pt: PolarPoint) -> float:
-    """n * z^(lam+1) * cos((lam+1)*(phi-phi0)) - 1; zero on the curve."""
+    """n * z^(lam+1) * cos((lam+1)*(phi-phi0)) - 1; zero on the curve.
+
+    A phi that is not finite, or a z that is not finite and > 0, raises
+    DomainError naming it.
+    """
+    if not math.isfinite(pt.phi):
+        raise DomainError(f"phi must be finite, got {pt.phi}")
+    if not (math.isfinite(pt.z) and pt.z > 0.0):
+        raise DomainError(f"z must be finite and positive, got {pt.z}")
     k = c.lam + 1.0
     return (c.n * _power(pt.z, k, "z^(lam+1)")
             * math.cos(k * (pt.phi - c.phi0)) - 1.0)

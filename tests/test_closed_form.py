@@ -159,6 +159,20 @@ def test_non_finite_input_fails_fast(make, args):
         make(*args)
 
 
+@pytest.mark.parametrize("pt, message", [
+    (PolarPoint(math.inf, 1.0), "phi must be finite, got inf"),
+    (PolarPoint(math.nan, 1.0), "phi must be finite, got nan"),
+    (PolarPoint(0.5, math.inf), "z must be finite and positive, got inf"),
+    (PolarPoint(0.5, math.nan), "z must be finite and positive, got nan"),
+    (PolarPoint(0.5, -1.0), "z must be finite and positive, got -1.0"),
+    (PolarPoint(0.5, 0.0), "z must be finite and positive, got 0.0")])
+def test_residual_refuses_a_point_off_the_plane(pt, message):
+    # an infinite phi raised ValueError from cos, a NaN gave nan, an
+    # infinite z inf, and z <= 0 a finite number
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        algebraic_relation_residual(PowerLawCurve(1.0, 2.0), pt)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: power_law_point(PowerLawCurve(-0.5, 1e-200), -1.0),
      "z at psi -1.0 = 5.4030230586813976e-201**-2.0 overflows a float"),
