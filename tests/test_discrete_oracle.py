@@ -300,6 +300,30 @@ class TestTridiagonalSolve:
         got = discrete_oracle._tridiagonal_solve(diag, upper, 2.0, rhs)
         assert np.array_equal(got, rhs)
 
+    def test_is_the_one_by_one_case_of_the_block_solve(self):
+        # padded to blocks [[t_k, 0], [0, 1]] and couplings [[u_k, 0], [0,
+        # 0]], the block recurrence does the scalar one's arithmetic in the
+        # same order, so the solutions agree bit for bit
+        rng = np.random.default_rng(39)
+        for _ in range(500):
+            m = int(rng.integers(1, 81))
+            low = np.diag(rng.uniform(0.5, 2.0, m)) \
+                + np.diag(rng.uniform(-1.0, 1.0, m - 1), -1)
+            mat = low @ low.T
+            diag, upper, rhs = np.diag(mat), np.diag(mat, 1), \
+                rng.standard_normal(m)
+            blocks = np.zeros((m, 2, 2))
+            blocks[:, 0, 0], blocks[:, 1, 1] = diag, 1.0
+            couplings = np.zeros((m - 1, 2, 2))
+            couplings[:, 0, 0] = upper
+            padded = np.column_stack([rhs, np.zeros(m)])
+            for shift in (0.0, 1e-12, 1e-3, 1.0):
+                got = discrete_oracle._tridiagonal_solve(diag, upper, shift,
+                                                         rhs)
+                want = discrete_oracle._block_solve(blocks, couplings, shift,
+                                                    padded)
+                assert np.array_equal(got, want[:, 0]), (m, shift)
+
 
 class TestMinimize:
     def test_zigzag_converges_to_chord(self):
@@ -463,6 +487,9 @@ class TestNegativeExponents:
         for segments in (16, 32, 64):
             out = minimize(chord(a, b, segments), PowerLaw(lam), 20000, 1e-12)
             assert out.converged
+            # the free stage goes on with the ray stage's small damping, so
+            # it needs 4-5 steps here
+            assert out.iterations - out.ray_iterations <= 6
             verts = out.polyline.vertices
             # each vertex's W-plane distance to the segment, over |dW/dz|
             along = np.clip(((w_plane(verts) - w_a) * np.conj(w_b - w_a)).real
