@@ -91,13 +91,14 @@ def _segment_data(verts: np.ndarray):
 
 def functional_value(pl: Polyline, w: RadialWeight) -> float:
     """Sum of v(|segment midpoint|) * |segment| over the polyline."""
-    return _functional(_segment_data(pl.vertices), w)
+    seg = _segment_data(pl.vertices)
+    return _functional(seg, eval_v(w, seg[3]))
 
 
-def _functional(seg, w: RadialWeight) -> float:
-    _, length, _, z_mid = seg
+def _functional(seg, v: np.ndarray) -> float:
+    """The weighted length from segment data and v at the midpoints."""
     with np.errstate(over="ignore"):   # an overflow raises below
-        terms = eval_v(w, z_mid) * length
+        terms = v * seg[1]
     try:
         value = math.fsum(terms)
     except OverflowError:    # finite terms whose sum overflows
@@ -168,12 +169,8 @@ def _hessian(seg, v: np.ndarray, q: np.ndarray, w: RadialWeight):
     return h_aa[1:] + h_bb[:-1], h_ab[1:-1]
 
 
-class _NotPositiveDefinite(ArithmeticError):
-    """A pivot of the block Cholesky factorization is not > 0."""
-
-
 def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
-                 rhs: np.ndarray) -> np.ndarray:
+                 rhs: np.ndarray) -> np.ndarray | None:
     """x with (H + shift*I) x = rhs, for the symmetric block-tridiagonal H
     of diagonal blocks diag (m, 2, 2) and couplings upper (m-1, 2, 2),
     upper[i] = H[i, i+1], and rhs of shape (m, 2).
@@ -182,8 +179,8 @@ def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
     Cholesky factor of a Schur complement S, and the block below it is
     C = B' inv(L)' for the coupling B above it, so the next S is
     D + shift*I - C C'.  The forward sweep runs with the factorization and
-    the backward sweep after it.  A pivot that is not > 0 (NaN included)
-    raises _NotPositiveDefinite.  The recurrence is sequential, so it runs
+    the backward sweep after it.  None if a pivot is not > 0 (NaN
+    included): H + shift*I is not positive definite.  The recurrence is sequential, so it runs
     on Python floats: numpy calls per 2x2 block would cost more than their
     arithmetic.
     """
@@ -196,12 +193,12 @@ def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
             diag.reshape(-1, 4).tolist(), rhs.tolist(), couplings):
         s00 = d00 + shift - (c00 * c00 + c01 * c01)
         if not s00 > 0.0:
-            raise _NotPositiveDefinite
+            return None
         l00 = sqrt(s00)
         l10 = (d01 - (c00 * c10 + c01 * c11)) / l00
         s11 = d11 + shift - (c10 * c10 + c11 * c11) - l10 * l10
         if not s11 > 0.0:
-            raise _NotPositiveDefinite
+            return None
         l11 = sqrt(s11)
         # forward sweep: L y = rhs
         t1 = r1 - (c10 * y0 + c11 * y1)
@@ -226,16 +223,17 @@ def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
 
 
 def _tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
-                       rhs: np.ndarray) -> np.ndarray:
+                       rhs: np.ndarray) -> np.ndarray | None:
     """x with (T + shift*I) x = rhs, for the symmetric tridiagonal T of
     diagonal diag (m,) and off-diagonal upper (m-1,), and rhs (m,): the 1x1
-    case of _block_solve's recurrence, pivot test and sweeps included."""
+    case of _block_solve's recurrence and sweeps, None at a pivot that is
+    not > 0."""
     factors = []
     c = y = 0.0   # L's entry below the pivot above, and y there
     for d, r, b in zip(diag.tolist(), rhs.tolist(), upper.tolist() + [0.0]):
         s = d + shift - c * c
         if not s > 0.0:
-            raise _NotPositiveDefinite
+            return None
         pivot = math.sqrt(s)
         y, c = (r - c * y) / pivot, b / pivot
         factors.append((pivot, c, y))
@@ -287,10 +285,9 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     StalledDescent.  A max_iters that is not an integer >= 0, or a grad_tol
     that is not >= 0 (NaN included), raises DomainError before any work.
 
-    Each vertex set is evaluated once.  Its value comes first, and only a
-    value that may be accepted is followed by v and q at the midpoints,
-    which give the gradient and then the next Hessian.  Returns an
-    OracleResult.
+    Each vertex set is evaluated once: one checked (v, q) pass at its
+    midpoints gives its value, and for a trial that may be accepted its
+    gradient, and then the next Hessian.  Returns an OracleResult.
     """
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
         raise DomainError(f"max_iters must be an integer >= 0, got "
@@ -299,8 +296,8 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
         raise DomainError(f"grad_tol must be >= 0, got {grad_tol}")
     verts = pl.vertices.copy()
     seg = _segment_data(verts)
-    value = initial_value = _functional(seg, w)
     v, q = eval_vq(w, seg[3])
+    value = initial_value = _functional(seg, v)
     grad = _gradient(seg, v, q)
     radii = np.hypot(verts[1:-1, 0], verts[1:-1, 1])
     rays = verts[1:-1] / radii[:, None] if np.all(radii > 0.0) else None
@@ -327,17 +324,14 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
         damping = pivots.ravel().sum() / pivots.size
         rejections = 0
         while True:
-            try:
-                trial = _moved(verts, solve(diag, upper, float(mu * damping),
-                                            -slope), rays)
-            except _NotPositiveDefinite:
-                trial = None
+            step = solve(diag, upper, float(mu * damping), -slope)
+            trial = None if step is None else _moved(verts, step, rays)
             if trial is not None:
                 t_seg = _segment_data(trial)
-                t_value = _checked("trial step", _functional, t_seg, w)
+                t_v, t_q = _checked("trial step", eval_vq, w, t_seg[3])
+                t_value = _checked("trial step", _functional, t_seg, t_v)
                 # a trial with a zero-length segment has no gradient
                 if t_value <= value and np.all(t_seg[1] > 0.0):
-                    t_v, t_q = _checked("trial step", eval_vq, w, t_seg[3])
                     t_grad = _gradient(t_seg, t_v, t_q)
                     # at the floor of both value and gradient every trial
                     # fails, so the stall counter sees the plateau
