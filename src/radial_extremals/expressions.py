@@ -162,7 +162,8 @@ def _slope_pow(a, a0, sa, b, b0, sb, dz):
     a0^p*expm1(p*log1p(r))/r * [a]/a0, r = [a]*dz/a0; otherwise a^b is
     exp(w), w = b*log(a), with [exp w] = a0^b0*expm1(dw)/dw * [w].  Where
     that is not finite (a base that starts at 0 or changes sign) the slope
-    is the plain difference quotient."""
+    is the plain difference quotient, or at dz = 0 with a constant exponent
+    its limit p*a0^(p-1)*[a]."""
     v, v0 = a ** b, a0 ** b0
     if sb is None:
         r = sa * dz / a0
@@ -174,7 +175,11 @@ def _slope_pow(a, a0, sa, b, b0, sb, dz):
         s = v0 * _ratio(np.expm1(sw * dz), sw * dz, 1.0) * sw
     bad = ~np.isfinite(s)
     if np.count_nonzero(bad):
-        s = np.where(bad, (v - v0) / dz, s)
+        quotient = (v - v0) / dz
+        if sb is None:
+            quotient = np.where(dz == 0.0, b0 * a0 ** (b0 - 1.0) * sa,
+                                quotient)
+        s = np.where(bad, quotient, s)
     return v, v0, s
 
 

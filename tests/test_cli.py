@@ -475,6 +475,15 @@ class TestBvp:
             doc["solution"]["span"] - 2.0 * 1.0471975511965976
         assert abs(diagnostics["residual"]) <= 1e-10
 
+    def test_bracket_end_at_a_vanishing_base(self, capsys):
+        # at n = 1 the turning radius of (z-1)^2 + 1 is endpoint a's radius,
+        # where the base of the power is 0
+        code, out, _ = run(capsys, "bvp", "--weight", "(z-1)^2+1",
+                           "--endpoints=0,1,0.5,1.5", "--n-bracket", "1:3",
+                           "--same-branch", "--format", "json")
+        assert code == 0
+        assert abs(json.loads(out)["diagnostics"]["residual"]) <= 1e-10
+
     def test_csv_single_row(self, capsys):
         code, out, _ = run(capsys, "bvp", "--lambda", "1",
                            "--endpoints=-0.45,1.3,0.45,1.3",

@@ -813,6 +813,15 @@ class TestIntegratePhi:
         assert type(integrate_phi(spec, np.float64(z_top), 1e-13)) is float
         assert type(integrate_phi(spec, np.array(z_top), 1e-13)) is float
 
+    def test_turn_at_a_vanishing_base(self):
+        # (z-1)^2 + 1 at n = 1 turns at z* = 1, where the base of the power
+        # is 0 and the near integrand's slope is the derivative, 0
+        spec = ExtremalSpec(parse_weight("(z-1)^2+1"), 1.0)
+        assert spec.z_turn == 1.0
+        assert integrate_phi(spec, 1.0, 1e-12) == 0.0
+        got = integrate_phi(spec, [1.0, 1.5], 1e-12)
+        assert got.tolist() == [0.0, integrate_phi(spec, 1.5, 1e-12)]
+
     def test_pairs_equal_single_intervals(self):
         # _increments, the builder of traced grids and Newton steps, takes
         # intervals in either order and equal radii, batched

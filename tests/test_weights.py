@@ -795,6 +795,23 @@ class TestSlope:
         v, s = eval_slope(w, z0 + dz, z0, dz)
         assert s[0] == pytest.approx((0.2 ** 2 - 0.1 ** 2) / 0.3, rel=1e-14)
 
+    @pytest.mark.parametrize("text", ["(z-1)^2+1", "(z-1)^3+1"])
+    def test_zero_step_at_a_vanishing_base_is_the_derivative(self, text):
+        # at z0 = 1 the base is 0: the log1p form and the difference
+        # quotient are both 0/0, and the power's limit p*a0^(p-1)*[a] is 0
+        w = parse_weight(text)
+        assert eval_slope(w, 1.0, 1.0, 0.0) == (1.0, eval_q(w, 1.0))
+        v, s = eval_slope(w, np.array([1.0, 1.5]), 1.0, np.array([0.0, 0.5]))
+        assert s.tolist() == [eval_q(w, 1.0), eval_slope(w, 1.5, 1.0, 0.5)[1]]
+
+    def test_zero_step_at_a_vanishing_base_with_no_derivative_raises(self):
+        # (z-1)^0.5 has an infinite derivative at z = 1, on both paths
+        w = parse_weight("(z-1)^0.5+1")
+        for call in (lambda: eval_q(w, 1.0),
+                     lambda: eval_slope(w, 1.0, 1.0, 0.0)):
+            with pytest.raises(EvalError, match="derivative is not finite"):
+                call()
+
     def test_checks_follow_eval_vq(self):
         w = parse_weight("sqrt(2-z^2)")
         with pytest.raises(EvalError, match="value is not finite"):
