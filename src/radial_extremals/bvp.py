@@ -9,6 +9,7 @@ endpoint angles.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, ForbiddenRegion, NoBracket, QuadratureFailure
@@ -79,7 +80,8 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     beyond that sign change is assumed.  A bracket end that puts the turning
     radius outside an endpoint radius raises NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
-    raises QuadratureFailure.  A negative or NaN tol raises DomainError.
+    raises QuadratureFailure.  A tol that is not a real number >= 0 (NaN
+    included) raises DomainError.
     The spans are integrated to qtol = min(1e-13, max(tol/10, 1e-14)), so a
     tol below 1e-14, 0 included, searches until the bracket collapses and
     takes a residual within 1e-14 there as the root; a larger one, such as
@@ -88,8 +90,8 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     Returns the constant and the pose phi0 implied by the endpoint angles,
     with the span evaluations made and the final span residual.
     """
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be non-negative, got {tol}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0.0):
+        raise DomainError(f"tol must be non-negative, got {tol!r}")
     n_lo, n_hi = float(n_bracket[0]), float(n_bracket[1])
     if not 0.0 < n_lo < n_hi:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")

@@ -283,7 +283,8 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     trial or Hessian offset whose midpoints leave the weight's domain raises
     DomainViolation, never clamped; 50 consecutive rejected trials raise
     StalledDescent.  A max_iters that is not an integer >= 0, or a grad_tol
-    that is not >= 0 (NaN included), raises DomainError before any work.
+    that is not a real number >= 0 (NaN included), raises DomainError
+    before any work.
 
     Each vertex set is evaluated once: one checked (v, q) pass at its
     midpoints gives its value, and for a trial that may be accepted its
@@ -292,8 +293,8 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
         raise DomainError(f"max_iters must be an integer >= 0, got "
                           f"{max_iters!r}")
-    if not grad_tol >= 0.0:
-        raise DomainError(f"grad_tol must be >= 0, got {grad_tol}")
+    if not (isinstance(grad_tol, numbers.Real) and grad_tol >= 0.0):
+        raise DomainError(f"grad_tol must be >= 0, got {grad_tol!r}")
     verts = pl.vertices.copy()
     seg = _segment_data(verts)
     v, q = eval_vq(w, seg[3])

@@ -154,7 +154,8 @@ class ExtremalSpec:
 
     The sign of n is a branch choice: a negative n is normalized to n > 0
     with orientation -1, the direction in which phi advances (+1 for a
-    positive n).  The turning radius is resolved at construction by
+    positive n).  A phi0 that is not a finite real number raises
+    DomainError before any weight pass.  The turning radius is resolved at construction by
     turning_radius, which raises DomainError unless |n| is finite and
     nonzero, and then the near-region handoff, so a weight error there
     also surfaces at construction, and the shift eps from the float z* to
@@ -169,6 +170,10 @@ class ExtremalSpec:
     z_turn: float = field(init=False)
 
     def __post_init__(self):
+        if not (isinstance(self.phi0, numbers.Real)
+                and math.isfinite(self.phi0)):
+            raise DomainError(f"phi0 must be a finite real number, got "
+                              f"{self.phi0!r}")
         self.n = float(self.n)
         self.orientation = 1 if self.n > 0.0 else -1
         self.n = abs(self.n)
@@ -356,8 +361,8 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     slow handoff, where each angle's near piece takes its own share of tol,
     every angle is that _increments call.
     """
-    if not 1e-14 <= tol <= 1e-3:
-        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol}")
+    if not (isinstance(tol, numbers.Real) and 1e-14 <= tol <= 1e-3):
+        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol!r}")
     za = np.asarray(z, dtype=float)
     if za.ndim > 1:
         raise DomainError("z must be a scalar or a 1-d array, got shape "
@@ -524,8 +529,9 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
     the ray phi = phi0.  grid "cosine" clusters radii near z*; grid
     "uniform-phi" spaces samples equally in swept angle.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol)
+            and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if not isinstance(num_samples, numbers.Integral):
         raise DomainError(f"num_samples must be an integer, got "
                           f"{num_samples!r}")
@@ -533,8 +539,8 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
         raise DomainError("need at least 3 samples per branch")
     if num_samples > _MOST_SAMPLES:
         raise DomainError(f"need at most {_MOST_SAMPLES} samples per branch")
-    if not math.isfinite(z_max):
-        raise DomainError(f"z_max must be finite, got {z_max}")
+    if not (isinstance(z_max, numbers.Real) and math.isfinite(z_max)):
+        raise DomainError(f"z_max must be finite, got {z_max!r}")
     if not z_max > spec.z_turn:
         raise DomainError(
             f"z_max = {z_max} must exceed the turning radius {spec.z_turn}")

@@ -286,6 +286,23 @@ class TestSolveN:
             solve_n(prob, (1.2, 3.5), tol)
         assert spans == []
 
+    @pytest.mark.parametrize("tol", ["1e-10", None])
+    def test_tol_not_a_real_number_fails_before_any_span(self, monkeypatch,
+                                                         tol):
+        spans = count_spans(monkeypatch)
+        prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
+                          PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
+        with pytest.raises(DomainError, match=re.escape(
+                f"tol must be non-negative, got {tol!r}")):
+            solve_n(prob, (1.2, 3.5), tol)
+        assert spans == []
+
+    def test_numpy_scalar_tol_solves(self):
+        prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
+                          PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
+        want = solve_n(prob, (1.2, 3.5), 1e-10)
+        assert solve_n(prob, (1.2, 3.5), np.float64(1e-10)) == want
+
     def test_zero_tol_runs_to_bracket_collapse(self):
         # on the curve n z^2 cos(2 phi) = 1 of v = z
         prob = BvpProblem(PolarPoint(-0.45, 1.3), PolarPoint(0.45, 1.3),

@@ -685,6 +685,21 @@ class TestOnePassEvaluation:
         with pytest.raises(DomainError, match="^grad_tol must be >= 0, got "):
             minimize(pl, parse_weight("1+sqrt(z-2)"), 10, grad_tol)
 
+    @pytest.mark.parametrize("grad_tol", ["1e-7", None])
+    def test_grad_tol_not_a_real_number_raises(self, grad_tol):
+        pl = chord((0.0, 1.0), (1.0, 1.0), 8)
+        with pytest.raises(DomainError, match=re.escape(
+                f"grad_tol must be >= 0, got {grad_tol!r}")):
+            minimize(pl, parse_weight("1+sqrt(z-2)"), 10, grad_tol)
+
+    def test_numpy_scalar_grad_tol_minimizes(self):
+        pl = chord((-0.65, 1.19), (0.65, 1.19), 8)
+        want = minimize(pl, PowerLaw(1.0), 20, 1e-8)
+        for grad_tol in (np.float64(1e-8), np.float32(1e-8)):
+            got = minimize(pl, PowerLaw(1.0), 20, grad_tol)
+            assert got.value == want.value and got.converged
+        assert minimize(pl, PowerLaw(1.0), 20, np.int64(1)).converged
+
     @pytest.mark.parametrize("max_iters", [-1, 2.5])
     @pytest.mark.parametrize("segments", [1, 8])
     def test_max_iters_not_an_integer_at_least_zero_raises(self, segments,

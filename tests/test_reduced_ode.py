@@ -126,6 +126,15 @@ class TestExtremalSpec:
                            "finite n > 0, got (0.0|nan|inf)$"):
             ExtremalSpec(weight, n)
 
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf, "0.5"])
+    def test_phi0_not_a_finite_real_number_rejected(self, phi0, monkeypatch):
+        def no_weight_pass(*args):
+            raise AssertionError("the weight was evaluated")
+        monkeypatch.setattr(reduced_ode, "_turning_point", no_weight_pass)
+        with pytest.raises(DomainError, match=re.escape(
+                f"phi0 must be a finite real number, got {phi0!r}")):
+            ExtremalSpec(PowerLaw(1.0), 1.0, phi0=phi0)
+
     def test_log_spiral_exponent_rejected(self):
         with pytest.raises(TangentialTurningPoint):
             ExtremalSpec(PowerLaw(-1.0), 1.5)
@@ -822,6 +831,18 @@ class TestIntegratePhi:
         got = integrate_phi(spec, [1.0, 1.5], 1e-12)
         assert got.tolist() == [0.0, integrate_phi(spec, 1.5, 1e-12)]
 
+    @pytest.mark.parametrize("tol", ["1e-12", None])
+    def test_tol_not_a_real_number_raises(self, tol):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        with pytest.raises(DomainError, match=re.escape(
+                f"tol must lie in [1e-14, 1e-3], got {tol!r}")):
+            integrate_phi(spec, 2.0, tol)
+
+    def test_numpy_scalar_tol_integrates(self):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        assert integrate_phi(spec, 2.0, np.float64(1e-12)) \
+            == integrate_phi(spec, 2.0, 1e-12)
+
     def test_pairs_equal_single_intervals(self):
         # _increments, the builder of traced grids and Newton steps, takes
         # intervals in either order and equal radii, batched
@@ -1457,6 +1478,31 @@ class TestTrace:
     def test_numpy_integer_sample_count_traces(self):
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         assert trace_extremal(spec, 3.0, np.int64(5)).z.size == 9
+
+    @pytest.mark.parametrize("value", ["1e-7", None])
+    @pytest.mark.parametrize("name, message", [
+        ("tol", "tol must be finite and positive"),
+        ("z_max", "z_max must be finite")])
+    def test_tol_or_z_max_not_a_real_number_raises(self, name, message,
+                                                   value, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+        for fn in ("integrate", "kronrod_panels"):
+            monkeypatch.setattr(reduced_ode.quadrature, fn, no_quadrature)
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        kwargs = {"z_max": 3.0, "num_samples": 5, name: value}
+        with pytest.raises(DomainError, match=re.escape(
+                f"{message}, got {value!r}")):
+            trace_extremal(spec, **kwargs)
+
+    def test_numpy_scalar_tol_and_z_max_trace(self):
+        spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+        want = trace_extremal(spec, 3.0, 5, tol=1e-12)
+        for z_max, tol in ((np.float64(3.0), np.float64(1e-12)),
+                           (np.int64(3), 1e-12)):
+            got = trace_extremal(spec, z_max, 5, tol=tol)
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert got.z.tobytes() == want.z.tobytes()
 
     def test_round_off_limited_tolerance_fails_fast(self, monkeypatch):
         # the long intervals of a 3-sample grid cannot meet tol 1e-14 / 2
