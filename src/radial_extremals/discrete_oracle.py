@@ -179,9 +179,9 @@ def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
     Cholesky factor of a Schur complement S, and the block below it is
     C = B' inv(L)' for the coupling B above it, so the next S is
     D + shift*I - C C'.  The forward sweep runs with the factorization and
-    the backward sweep after it.  None if a pivot is not > 0 (NaN
-    included): H + shift*I is not positive definite.  The recurrence is sequential, so it runs
-    on Python floats: numpy calls per 2x2 block would cost more than their
+    the backward sweep after it.  A pivot that is not > 0 (NaN included)
+    returns None.  The recurrence is sequential, so it runs on Python
+    floats: numpy calls per 2x2 block would cost more than their
     arithmetic.
     """
     sqrt = math.sqrt

@@ -155,11 +155,11 @@ class ExtremalSpec:
     The sign of n is a branch choice: a negative n is normalized to n > 0
     with orientation -1, the direction in which phi advances (+1 for a
     positive n).  A phi0 that is not a finite real number raises
-    DomainError before any weight pass.  The turning radius is resolved at construction by
-    turning_radius, which raises DomainError unless |n| is finite and
-    nonzero, and then the near-region handoff, so a weight error there
-    also surfaces at construction, and the shift eps from the float z* to
-    the root of g (0 where it would exceed 1e-12*z*: not a rounding
+    DomainError before any weight pass.  The turning radius is resolved at
+    construction by turning_radius, which raises DomainError unless |n| is
+    finite and nonzero, and then the near-region handoff, so a weight error
+    there also surfaces at construction, and the shift eps from the float
+    z* to the root of g (0 where it would exceed 1e-12*z*: not a rounding
     correction).
     """
 
@@ -529,8 +529,7 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
     the ray phi = phi0.  grid "cosine" clusters radii near z*; grid
     "uniform-phi" spaces samples equally in swept angle.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol)
-            and tol > 0.0):
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if not isinstance(num_samples, numbers.Integral):
         raise DomainError(f"num_samples must be an integer, got "

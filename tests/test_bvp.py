@@ -276,24 +276,14 @@ class TestSolveN:
             solve_n(prob, n_bracket, 1e-12)
         assert spans == []
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf,
+                                     "1e-10", None])
     def test_bad_tol_fails_before_any_span(self, monkeypatch, tol):
         spans = count_spans(monkeypatch)
         prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
-        with pytest.raises(DomainError,
-                           match=f"^tol must be non-negative, got {tol}$"):
-            solve_n(prob, (1.2, 3.5), tol)
-        assert spans == []
-
-    @pytest.mark.parametrize("tol", ["1e-10", None])
-    def test_tol_not_a_real_number_fails_before_any_span(self, monkeypatch,
-                                                         tol):
-        spans = count_spans(monkeypatch)
-        prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
-                          PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
-        with pytest.raises(DomainError, match=re.escape(
-                f"tol must be non-negative, got {tol!r}")):
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"tol must be non-negative, got {tol!r}") + "$"):
             solve_n(prob, (1.2, 3.5), tol)
         assert spans == []
 
