@@ -801,7 +801,7 @@ class TestSlope:
         # quotient are both 0/0, and the power's limit p*a0^(p-1)*[a] is 0
         w = parse_weight(text)
         assert eval_slope(w, 1.0, 1.0, 0.0) == (1.0, eval_q(w, 1.0))
-        v, s = eval_slope(w, np.array([1.0, 1.5]), 1.0, np.array([0.0, 0.5]))
+        _, s = eval_slope(w, np.array([1.0, 1.5]), 1.0, np.array([0.0, 0.5]))
         assert s.tolist() == [eval_q(w, 1.0), eval_slope(w, 1.5, 1.0, 0.5)[1]]
 
     def test_zero_step_at_a_vanishing_base_with_no_derivative_raises(self):
