@@ -358,8 +358,8 @@ def _cmd_oracle(args) -> int:
             "diagnostics": {"initial_functional": result.initial_value,
                             "functional": result.value,
                             "max_grad_component": result.max_gradient,
+                            "max_ray_grad_component": result.max_ray_gradient,
                             "iterations": result.iterations,
-                            "ray_iterations": result.ray_iterations,
                             "rejected": result.rejected,
                             "converged": result.converged},
         }

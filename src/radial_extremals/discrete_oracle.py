@@ -6,17 +6,13 @@ gradient).  Minimizing it over the interior vertices with fixed endpoints
 gives an independent check that the analytically traced curves really are
 extremals.
 
-The functional is ill-conditioned (roughly like N^2 in the segment count),
-so minimize takes damped Newton (Levenberg-Marquardt) steps on the exact
-Hessian rather than gradient steps.  Each segment couples only its two end
-vertices, so the Hessian is block-tridiagonal with 2x2 blocks, and each
-damped system is solved by a block Cholesky factorization of those blocks
-(Golub and Van Loan, Matrix Computations, section 4.5) in O(N) work.  A
-first stage moves each interior vertex along its ray from the pole, never
-through the pole: a tridiagonal matrix projected from the blocks, solved by
-the scalar recurrence.  Fixed rays remove the tangential modes that leave
-the free Hessian singular at lam = 1.  Then the vertices go free, at once
-if one lies at the pole; one damping starts at its floor and carries over.
+Along an extremal v*z*sin(alpha) = 1/n, so sin(alpha) never vanishes: the
+curve is a polar graph z(phi), and a polyline with one vertex on each of a
+fixed set of rays from the pole can carry it.  minimize moves the vertices
+along their rays by damped Newton (Levenberg-Marquardt) steps on the exact
+Hessian, since the functional is ill-conditioned (about N^2 in the segment
+count).  On the rays the Hessian is tridiagonal, and each damped system is
+solved by its Cholesky recurrence (Golub and Van Loan, section 4.3) in O(N).
 
 minimize evaluates each vertex set once: its value, gradient and next
 Hessian share one set of segment data and one (v, q) pass at the midpoints,
@@ -39,7 +35,7 @@ from .weights import RadialWeight, eval_v, eval_vq
 __all__ = ["OracleResult", "Polyline", "functional_value", "gradient",
            "minimize"]
 
-_MU_MIN = 1e-12        # initial damping and its floor, in units of tr(H)/dim
+_MU_MIN = 1e-12        # initial damping and its floor, in units of tr(T)/dim
 _MAX_REJECTIONS = 50
 
 
@@ -67,15 +63,16 @@ class Polyline:
 class OracleResult:
     """What minimize returns: the final polyline, its functional value and
     largest gradient component (bit for bit what functional_value and
-    gradient give for it), the accepted Newton steps and those of them on
-    rays, the rejected trials plus failed factorizations, whether the
-    gradient met grad_tol, and the value of the polyline it was given."""
+    gradient give for it), that gradient's largest component along the rays
+    (max_gradient if no step was needed or allowed, so no ray was built),
+    the accepted Newton steps, the rejected trials plus failed
+    factorizations, whether either gradient met grad_tol, and pl's value."""
 
     polyline: Polyline
     value: float
     max_gradient: float
+    max_ray_gradient: float
     iterations: int
-    ray_iterations: int
     rejected: int
     converged: bool
     initial_value: float
@@ -169,65 +166,13 @@ def _hessian(seg, v: np.ndarray, q: np.ndarray, w: RadialWeight):
     return h_aa[1:] + h_bb[:-1], h_ab[1:-1]
 
 
-def _block_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
-                 rhs: np.ndarray) -> np.ndarray | None:
-    """x with (H + shift*I) x = rhs, for the symmetric block-tridiagonal H
-    of diagonal blocks diag (m, 2, 2) and couplings upper (m-1, 2, 2),
-    upper[i] = H[i, i+1], and rhs of shape (m, 2).
-
-    Block Cholesky H + shift*I = L L': each diagonal block of L is the 2x2
-    Cholesky factor of a Schur complement S, and the block below it is
-    C = B' inv(L)' for the coupling B above it, so the next S is
-    D + shift*I - C C'.  The forward sweep runs with the factorization and
-    the backward sweep after it.  A pivot that is not > 0 (NaN included)
-    returns None.  The recurrence is sequential, so it runs on Python
-    floats: numpy calls per 2x2 block would cost more than their
-    arithmetic.
-    """
-    sqrt = math.sqrt
-    factors = []
-    c00 = c01 = c10 = c11 = y0 = y1 = 0.0   # C and y of the block above
-    # the last block has no coupling below it
-    couplings = upper.reshape(-1, 4).tolist() + [(0.0,) * 4]
-    for (d00, d01, _, d11), (r0, r1), (b00, b01, b10, b11) in zip(
-            diag.reshape(-1, 4).tolist(), rhs.tolist(), couplings):
-        s00 = d00 + shift - (c00 * c00 + c01 * c01)
-        if not s00 > 0.0:
-            return None
-        l00 = sqrt(s00)
-        l10 = (d01 - (c00 * c10 + c01 * c11)) / l00
-        s11 = d11 + shift - (c10 * c10 + c11 * c11) - l10 * l10
-        if not s11 > 0.0:
-            return None
-        l11 = sqrt(s11)
-        # forward sweep: L y = rhs
-        t1 = r1 - (c10 * y0 + c11 * y1)
-        y0 = (r0 - (c00 * y0 + c01 * y1)) / l00
-        y1 = (t1 - l10 * y0) / l11
-        # the block below: L C' = B, one column of B at a time
-        c00 = b00 / l00
-        c01 = (b10 - l10 * c00) / l11
-        c10 = b01 / l00
-        c11 = (b11 - l10 * c10) / l11
-        factors.append((l00, l10, l11, c00, c01, c10, c11, y0, y1))
-    # backward sweep: L' x = y, from the last block up
-    x0 = x1 = 0.0
-    out = []
-    for l00, l10, l11, c00, c01, c10, c11, y0, y1 in reversed(factors):
-        t0 = y0 - (c00 * x0 + c10 * x1)
-        x1 = (y1 - (c01 * x0 + c11 * x1)) / l11
-        x0 = (t0 - l10 * x1) / l00
-        out.append((x0, x1))
-    out.reverse()
-    return np.array(out, dtype=float).reshape(-1, 2)
-
-
 def _tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
                        rhs: np.ndarray) -> np.ndarray | None:
     """x with (T + shift*I) x = rhs, for the symmetric tridiagonal T of
-    diagonal diag (m,) and off-diagonal upper (m-1,), and rhs (m,): the 1x1
-    case of _block_solve's recurrence and sweeps, None at a pivot that is
-    not > 0."""
+    diagonal diag (m,) and off-diagonal upper (m-1,), and rhs (m,), by the
+    Cholesky recurrence and its two sweeps on Python floats (numpy calls per
+    row would cost more than their arithmetic); None at a pivot that is not
+    > 0, NaN included."""
     factors = []
     c = y = 0.0   # L's entry below the pivot above, and y there
     for d, r, b in zip(diag.tolist(), rhs.tolist(), upper.tolist() + [0.0]):
@@ -244,51 +189,63 @@ def _tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
     return np.array(out[::-1], dtype=float)
 
 
-def _along(grad: np.ndarray, rays: np.ndarray | None):
-    """A stage's gradient, along each vertex's ray or, with rays None, the
-    free one, and its largest component in magnitude."""
-    g = grad if rays is None else (grad * rays).sum(axis=1)
+def _rays(verts: np.ndarray) -> np.ndarray:
+    """Unit vectors from the pole through the interior vertices, which must
+    lie off it and turn about it one way; turns within 4 ulps of 0 are
+    rounding (a radial chord's rays turn by up to 1.5 ulps either way)."""
+    radii = np.hypot(verts[1:-1, 0], verts[1:-1, 1])
+    if not np.all(radii > 0.0):
+        raise DomainError(f"interior vertex {np.argmin(radii > 0.0) + 1} "
+                          f"lies at the pole, which has no ray")
+    rays = verts[1:-1] / radii[:, None]
+    # between unit vectors: those of the vertices underflow near 1e-320
+    turns = rays[:-1, 0] * rays[1:, 1] - rays[:-1, 1] * rays[1:, 0]
+    floor = 4.0 * np.finfo(float).eps
+    if turns.min(initial=0.0) < -floor and turns.max(initial=0.0) > floor:
+        raise DomainError("the rays through the interior vertices turn both "
+                          "ways about the pole")
+    return rays
+
+
+def _along(grad: np.ndarray, rays: np.ndarray):
+    """The gradient along the rays, and its largest magnitude."""
+    g = (grad * rays).sum(axis=1)
     return g, np.abs(g).max(initial=0.0)
 
 
-def _moved(verts: np.ndarray, step: np.ndarray, rays: np.ndarray | None):
-    """verts with the interior vertices moved by step, along their rays or,
-    with rays None, in the plane; None if a radius along a ray is not > 0."""
+def _moved(verts: np.ndarray, step: np.ndarray, rays: np.ndarray):
+    """verts moved by step along the rays; None if a radius is not > 0."""
     trial = verts.copy()
-    trial[1:-1] += step if rays is None else step[:, None] * rays
-    if rays is None or np.all((trial[1:-1] * rays).sum(axis=1) > 0.0):
-        return trial
-    return None
+    trial[1:-1] += step[:, None] * rays
+    return trial if np.all((trial[1:-1] * rays).sum(axis=1) > 0.0) else None
 
 
 def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
              grad_tol: float) -> OracleResult:
-    """Levenberg-Marquardt Newton iteration along rays, then on free vertices.
+    """Levenberg-Marquardt Newton iteration on the radii along the rays
+    from the pole through the given interior vertices.
 
-    The ray stage ends once the gradient along the rays is <= grad_tol.
-    Each iteration solves (H + mu*(tr H/dim)*I) p = -g of its stage, with g
-    and H the exact gradient and Hessian, projected onto the rays in the ray
-    stage; mu starts at 1e-12, its floor, and carries over.  A trial is
-    accepted if it strictly lowers the functional, or ties it with a
-    strictly smaller largest gradient component of its stage, and then mu
-    shrinks tenfold; a ray trial that takes a radius to <= 0, a rejected
-    trial or a failed factorization grows mu tenfold.  The value is summed
-    with math.fsum, so at the rounding floor trials tie rather than scatter
-    by an ulp, and the gradient can still see progress there.  Stops when
-    every free gradient component is <= grad_tol in magnitude or after
-    max_iters accepted steps of both stages, whichever comes first; the
-    returned functional value never exceeds the initial one.  A polyline
-    without interior vertices comes back unchanged and converged.  The
-    given polyline raises the weight's or functional_value's own error; a
-    trial or Hessian offset whose midpoints leave the weight's domain raises
-    DomainViolation, never clamped; 50 consecutive rejected trials raise
-    StalledDescent.  A max_iters that is not an integer >= 0, or a grad_tol
-    that is not a real number >= 0 (NaN included), raises DomainError
-    before any work.
+    Each iteration solves (T + mu*(tr T/dim)*I) p = -g for g and T the exact
+    gradient and Hessian projected onto the rays; mu starts at 1e-12, its
+    floor.  A trial is accepted if it strictly lowers the functional (summed
+    with math.fsum, so trials at the rounding floor tie rather than scatter
+    by an ulp), or ties it with a strictly smaller largest gradient
+    component along the rays; then mu shrinks tenfold, and a trial that
+    takes a radius to <= 0, a rejected trial or a failed factorization grows
+    it tenfold.  Stops, converged, once every free gradient component is <=
+    grad_tol in magnitude, or at a rejected trial once every component along
+    the rays is (the minimizer on the rays, to rounding; off lam = 0 and 1
+    the free gradient does not vanish there); else after max_iters accepted
+    steps.  The value returned never exceeds the initial one, and a polyline
+    without interior vertices comes back unchanged and converged.
 
-    Each vertex set is evaluated once: one checked (v, q) pass at its
-    midpoints gives its value, and for a trial that may be accepted its
-    gradient, and then the next Hessian.  Returns an OracleResult.
+    The given polyline raises the weight's or functional_value's own error.
+    Then, if a step is needed, an interior vertex at the pole or rays that
+    turn both ways about it raise DomainError.  A trial or Hessian offset
+    whose midpoints leave the weight's domain raises DomainViolation, never
+    clamped; 50 consecutive rejected trials raise StalledDescent.  A
+    max_iters that is not an integer >= 0, or a grad_tol that is not a real
+    number >= 0 (NaN included), raises DomainError before any work.
     """
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
         raise DomainError(f"max_iters must be an integer >= 0, got "
@@ -300,32 +257,19 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     v, q = eval_vq(w, seg[3])
     value = initial_value = _functional(seg, v)
     grad = _gradient(seg, v, q)
-    radii = np.hypot(verts[1:-1, 0], verts[1:-1, 1])
-    rays = verts[1:-1] / radii[:, None] if np.all(radii > 0.0) else None
-    mu = _MU_MIN
-    iterations = ray_iterations = rejected = 0
-    while True:
-        slope, smax = _along(grad, rays)   # 0.0 without interior vertices
-        if rays is not None and smax <= grad_tol:
-            rays = None
-            continue
-        if smax <= grad_tol or iterations == max_iters:
-            break
-        iterations += 1
+    gmax = smax = float(np.abs(grad).max(initial=0.0))
+    rays, mu, iterations, rejected = None, _MU_MIN, 0, 0
+    while gmax > grad_tol and iterations < max_iters:
+        if rays is None:
+            rays = _rays(verts)
+            slope, smax = _along(grad, rays)
         diag, upper = _checked("current polyline", _hessian, seg, v, q, w)
-        solve, pivots = _block_solve, diag.reshape(-1, 4)[:, ::3]
-        if rays is not None:
-            ray_iterations += 1
-            diag = (rays[:, :, None] * diag * rays[:, None, :]).sum((1, 2))
-            upper = (rays[:-1, :, None] * upper
-                     * rays[1:, None, :]).sum((1, 2))
-            solve, pivots = _tridiagonal_solve, diag
-        # damping in units of tr(H)/dim keeps the step rotation invariant;
-        # the diagonal is summed in its row order
-        damping = pivots.ravel().sum() / pivots.size
-        rejections = 0
-        while True:
-            step = solve(diag, upper, float(mu * damping), -slope)
+        diag = (rays[:, :, None] * diag * rays[:, None, :]).sum((1, 2))
+        upper = (rays[:-1, :, None] * upper * rays[1:, None, :]).sum((1, 2))
+        # damping in units of tr(T)/dim keeps the step rotation invariant
+        damping = diag.sum() / diag.size
+        for _ in range(_MAX_REJECTIONS):
+            step = _tridiagonal_solve(diag, upper, float(mu * damping), -slope)
             trial = None if step is None else _moved(verts, step, rays)
             if trial is not None:
                 t_seg = _segment_data(trial)
@@ -334,23 +278,29 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                 # a trial with a zero-length segment has no gradient
                 if t_value <= value and np.all(t_seg[1] > 0.0):
                     t_grad = _gradient(t_seg, t_v, t_q)
+                    t_slope, t_smax = _along(t_grad, rays)
                     # at the floor of both value and gradient every trial
                     # fails, so the stall counter sees the plateau
-                    if (t_value, _along(t_grad, rays)[1]) < (value, smax):
-                        verts, seg, value = trial, t_seg, t_value
-                        v, q, grad = t_v, t_q, t_grad
-                        mu = max(mu / 10.0, _MU_MIN)
+                    if (t_value, t_smax) < (value, smax):
                         break
             mu *= 10.0
-            rejections += 1
-            if rejections >= _MAX_REJECTIONS:
-                raise StalledDescent(
-                    f"no decrease after {rejections} rejected steps (value "
-                    f"{value}, max gradient {np.abs(grad).max():.3e})")
-        rejected += rejections
-    gmax = float(np.abs(grad).max(initial=0.0))
-    return OracleResult(Polyline(verts), value, gmax, iterations,
-                        ray_iterations, rejected, bool(gmax <= grad_tol),
+            rejected += 1
+            trial = None
+            if smax <= grad_tol:   # at the minimizer on the rays
+                break
+        else:
+            raise StalledDescent(
+                f"no decrease after {_MAX_REJECTIONS} rejected steps (value "
+                f"{value}, max gradient {gmax:.3e})")
+        if trial is None:
+            break
+        verts, seg, value, v, q, grad = trial, t_seg, t_value, t_v, t_q, t_grad
+        slope, smax = t_slope, t_smax
+        gmax = float(np.abs(grad).max())
+        mu = max(mu / 10.0, _MU_MIN)
+        iterations += 1
+    return OracleResult(Polyline(verts), value, gmax, float(smax), iterations,
+                        rejected, bool(min(gmax, smax) <= grad_tol),
                         initial_value)
 
 
