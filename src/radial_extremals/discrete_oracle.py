@@ -42,12 +42,16 @@ _MAX_REJECTIONS = 50
 class Polyline:
     """Ordered vertices with fixed endpoints; the oracle's decision variable.
 
-    Takes a (k, 2) array of finite coordinates (or anything np.array turns
-    into one), copied; consecutive vertices must be distinct.
+    Takes a (k, 2) array of finite real coordinates (or anything np.array
+    turns into one), copied; consecutive vertices must be distinct.
     """
 
     def __init__(self, vertices):
-        pts = np.array(vertices, dtype=float)
+        pts = np.array(vertices)
+        if pts.dtype.kind not in "iuf" and not all(
+                isinstance(x, numbers.Real) for x in pts.flat):
+            raise DomainError("polyline vertices must be real numbers")
+        pts = pts.astype(float, copy=False)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise DomainError("a polyline needs at least two 2-d vertices")
         bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))

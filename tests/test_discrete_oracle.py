@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ class TestPolyline:
         with pytest.raises(DomainError, match=re.escape(
                 f"vertex 1 is not finite: {want}")):
             Polyline(verts)
+
+    @pytest.mark.parametrize("verts", [
+        [("0", "1"), ("1", "1")], [(0.0, 1.0), (1.0, 1j)],
+        [(0.0, 1.0), (1.0, None)], [(True, False), (False, True)]])
+    def test_vertex_that_is_not_a_real_number_raises(self, verts):
+        # np.array(..., dtype=float) parsed the strings, took True for 1.0
+        # and None for NaN, and raised TypeError for the complex number
+        with pytest.raises(DomainError, match="^polyline vertices must be "
+                                              "real numbers$"):
+            Polyline(verts)
+
+    def test_real_numbers_of_any_type_build(self):
+        # a Fraction and an int beyond int64 make an object array
+        pl = Polyline([(Fraction(1, 2), 1), (2**70, np.float32(0.5))])
+        assert pl.vertices.tolist() == [[0.5, 1.0], [2.0**70, 0.5]]
 
     def test_the_first_non_finite_vertex_is_named(self):
         # before the distinctness check, which two equal infs would fail
