@@ -52,6 +52,17 @@ def random_polyline(rng, count=9):
     return Polyline(np.vstack([base, base + np.cumsum(steps, axis=0)]))
 
 
+def zigzag_in_y():
+    """The chord (0, 0.5)-(1, 0.5) with its interior vertices 0.01 up and
+    down in turn: near x = 1 the rays through them are out of angular
+    order, and the minimizer on those rays folds (value 1.142 against the
+    chord's 1.0)."""
+    xs = np.linspace(0.0, 1.0, 66)
+    ys = np.full(66, 0.5)
+    ys[1:-1] += 0.01 * np.where(np.arange(1, 65) % 2 == 0, 1.0, -1.0)
+    return np.column_stack([xs, ys])
+
+
 class TestPolyline:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 1])
@@ -268,11 +279,7 @@ class TestMinimize:
         assert np.abs(out.vertices[:, 1] - 0.5).max() <= 1e-6
 
     @pytest.mark.parametrize("verts, message", [
-        # a zigzag in y: near x = 1 its rays are out of angular order, and
-        # the minimizer on them folds (value 1.142 against the chord's 1.0)
-        (np.column_stack([np.linspace(0.0, 1.0, 66), 0.5 + 0.01 * np.where(
-            np.arange(66) % 2, -1.0, 1.0) * (np.arange(66) % 65 > 0)]),
-         "turn both ways about the pole"),
+        (zigzag_in_y(), "turn both ways about the pole"),
         ([(-1.0, 0.2), (0.0, 0.0), (1.0, 0.2)],
          "interior vertex 1 lies at the pole"),
     ])
