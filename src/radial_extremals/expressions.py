@@ -9,9 +9,9 @@ Grammar (whitespace insignificant)::
     atom   := number | 'z' | func '(' expr ')' | '(' expr ')' ;
     func   := 'exp'|'log'|'sqrt'|'sin'|'cos' ;
 
-Trees evaluate over floats or numpy arrays, and one walk gives both values
-and exact first derivatives, or values at two points and the slope between
-them (the divided difference), by slope arithmetic (R. Krawczyk and
+Trees evaluate over floats or numpy arrays, and one walk gives values and
+exact first and second derivatives, or values at two points and the slope
+between them (the divided difference), by slope arithmetic (R. Krawczyk and
 A. Neumaier, SIAM J. Numer. Anal. 22, 1985): each rule takes the step of
 its operands from their slopes, never from a difference of their values,
 so a slope keeps its relative accuracy however close the two points are.
@@ -70,6 +70,13 @@ _CHAIN = {"exp": lambda x, v, dx: v * dx,
           "sin": lambda x, v, dx: np.cos(x) * dx,
           "cos": lambda x, v, dx: -np.sin(x) * dx}
 
+# the second derivative of f(x) from x, v = f(x) and x's two derivatives
+_CHAIN2 = {"exp": lambda x, v, dx, ddx: v * (dx * dx + ddx),
+           "log": lambda x, v, dx, ddx: (ddx - dx * dx / x) / x,
+           "sqrt": lambda x, v, dx, ddx: (0.5 * ddx - 0.25 * dx * dx / x) / v,
+           "sin": lambda x, v, dx, ddx: np.cos(x) * ddx - v * dx * dx,
+           "cos": lambda x, v, dx, ddx: -np.sin(x) * ddx - v * dx * dx}
+
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv, "^": operator.pow}
 
@@ -96,35 +103,69 @@ _RULES = {
 }
 
 
-def evaluate(node, z, seed=None):
-    """(value, derivative) of a tree at z, a float or an ndarray.  The
-    derivative is d(value)/dz times seed, None where it is zero: without z
-    in the subtree, or with no seed.  The left spine of a chain of binary
-    operators is a loop, so a long sum or product does not recurse."""
+def _second(op, a, da, dda, b, db, ddb, v, d):
+    """The second derivative of v = a op b, whose derivative is d, from each
+    operand's value and two derivatives (both None without z)."""
+    if op == "+":
+        return ddb if da is None else dda if db is None else dda + ddb
+    if op == "-":
+        return -ddb if da is None else dda if db is None else dda - ddb
+    if op == "*":
+        return ddb * a if da is None else dda * b if db is None \
+            else dda * b + 2.0 * da * db + a * ddb
+    if op == "/":   # (a'' - 2 v' b' - v b'')/b
+        return dda / b if db is None else -(2.0 * d * db + v * ddb) / b \
+            if da is None else (dda - 2.0 * d * db - v * ddb) / b
+    if db is None:   # a^p
+        return b * (b - 1.0) * a ** (b - 2.0) * da * da \
+            + b * a ** (b - 1.0) * dda
+    log_a = np.log(a)
+    if da is None:   # c^b
+        return v * log_a * (ddb + log_a * db * db)
+    w1 = db * log_a + b * da / a   # v = exp(w), w = b*log(a)
+    return v * (w1 * w1 + ddb * log_a
+                + (2.0 * da * db + b * (dda - da * da / a)) / a)
+
+
+def evaluate(node, z, seed=None, seed2=None):
+    """(value, derivative, second derivative) of a tree at z, a float or an
+    ndarray, for z = z(t) with dz/dt = seed and d2z/dt2 = seed2: the
+    derivative is v'*seed and the second v''*seed^2 + v'*seed2, so seeds 1
+    and 0 give v' and v''.  Each is None where it is zero: without z in the
+    subtree, with no seed, or (the second) with no seed2, which needs a
+    seed.  The second derivative's rules run beside the first's and change
+    no bit of the value or the derivative.  The left spine of a chain of
+    binary operators is a loop, so a long sum or product does not
+    recurse."""
     if isinstance(node, Num):
-        return node.value, None
+        return node.value, None, None
     if isinstance(node, Var):
-        return z, seed
+        return z, seed, seed2
     if isinstance(node, Neg):
-        v, d = evaluate(node.operand, z, seed)
-        return -v, None if d is None else -d
+        v, d, dd = evaluate(node.operand, z, seed, seed2)
+        return -v, None if d is None else -d, None if dd is None else -dd
     if isinstance(node, Fun):
-        x, dx = evaluate(node.arg, z, seed)
+        x, dx, ddx = evaluate(node.arg, z, seed, seed2)
         v = FUNCTIONS[node.name](x)
-        return v, None if dx is None else _CHAIN[node.name](x, v, dx)
+        d = None if dx is None else _CHAIN[node.name](x, v, dx)
+        dd = None if ddx is None else _CHAIN2[node.name](x, v, dx, ddx)
+        return v, d, dd
     spine = [node]
     while isinstance(node.lhs, Bin):
         node = node.lhs
         spine.append(node)
-    v, d = evaluate(node.lhs, z, seed)
+    v, d, dd = evaluate(node.lhs, z, seed, seed2)
     for node in reversed(spine):
-        b, db = evaluate(node.rhs, z, seed)
+        b, db, ddb = evaluate(node.rhs, z, seed, seed2)
         if d is None and db is None:
             v = _OPS[node.op](v, b)
         else:
-            rule = _RULES[node.op][2 * (d is None) + (db is None)]
-            v, d = rule(v, d, b, db)
-    return v, d
+            a, da = v, d
+            rule = _RULES[node.op][2 * (da is None) + (db is None)]
+            v, d = rule(a, da, b, db)
+            if seed2 is not None:
+                dd = _second(node.op, a, da, dd, b, db, ddb, v, d)
+    return v, d, dd
 
 
 def _ratio(num, h, at_zero):

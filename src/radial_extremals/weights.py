@@ -1,17 +1,17 @@
 """Radial weight functions v(z), their exact derivatives q(z) = dv/dz and
-their slopes [v](z, z0) = (v(z) - v(z0))/(z - z0).
+v''(z), and their slopes [v](z, z0) = (v(z) - v(z0))/(z - z0).
 
 The weight multiplies arc length in the functional ``integral of v(z) ds``,
 where z is the distance from the fixed pole.  Two variants exist: an exact
 power law z**lam, and a parsed expression whose tree walk carries the
-derivative, or the slope, beside the value.  Both evaluate on scalars or
+derivatives, or the slope, beside the value.  Both evaluate on scalars or
 numpy arrays.  A slope is computed without cancellation, from the step
 z - z0 itself, so it keeps its relative accuracy as z approaches z0.
 
-A checked pass (eval_v, eval_vq) tests z and its raw result once: by Python
-comparisons for a scalar z, else by np.count_nonzero on ufunc masks, which
-take a raw result of any type, Python floats included.  Only a failing test
-runs the separate checks, in order, to pick the error.
+A checked pass (eval_v, eval_vq, eval_vq2) tests z and its raw result
+once: by Python comparisons for a scalar z, else by np.count_nonzero on
+ufunc masks, which take a raw result of any type, Python floats included.
+Only a failing test runs the separate checks, in order, to pick the error.
 """
 
 from __future__ import annotations
@@ -22,21 +22,22 @@ from . import expressions
 from .errors import DomainError, EvalError, NonPositiveWeight
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
-           "eval_v", "eval_q", "eval_vq", "eval_slope", "masked_v",
-           "wide_v", "parse_weight"]
+           "eval_v", "eval_q", "eval_vq", "eval_vq2", "eval_slope",
+           "masked_v", "wide_v", "parse_weight"]
 
 
 class RadialWeight:
     """The type of PowerLaw and ExpressionWeight, each of which supplies
-    its raw passes _raw_v, _raw_vq and _raw_slope and its text().  The
-    domain is z > 0."""
+    its raw passes _raw_v, _raw_vq, _raw_vq2 and _raw_slope and its
+    text().  The domain is z > 0."""
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()!r})"
 
 
 class PowerLaw(RadialWeight):
-    """v(z) = z**lam with exact derivative lam * z**(lam-1)."""
+    """v(z) = z**lam with exact derivatives lam * z**(lam-1) and
+    lam*(lam-1) * z**(lam-2)."""
 
     def __init__(self, lam: float):
         self.lam = float(lam)
@@ -50,6 +51,12 @@ class PowerLaw(RadialWeight):
         if self.lam == 0.0:
             return np.ones_like(z), np.zeros_like(z)
         return z ** self.lam, self.lam * z ** (self.lam - 1.0)
+
+    def _raw_vq2(self, z):   # v'' exactly 0 at lam 0 and 1, not 0*inf
+        lam = self.lam
+        v2 = np.zeros_like(z) if lam in (0.0, 1.0) \
+            else lam * (lam - 1.0) * z ** (lam - 2.0)
+        return (*self._raw_vq(z), v2)
 
     def _raw_slope(self, z, z0, dz):
         # z^lam - z0^lam = z0^lam*expm1(lam*log1p(u)), u = dz/z0; v is
@@ -76,8 +83,14 @@ class ExpressionWeight(RadialWeight):
         return _shaped(expressions.evaluate(self.ast, z)[0], z)
 
     def _raw_vq(self, z):   # v: _raw_v's float operations, same bits
-        v, q = expressions.evaluate(self.ast, z, np.ones_like(z))
+        v, q, _ = expressions.evaluate(self.ast, z, np.ones_like(z))
         return _shaped(v, z), _shaped(0.0 if q is None else q, z)
+
+    def _raw_vq2(self, z):   # v, q: _raw_vq's float operations, same bits
+        v, q, v2 = expressions.evaluate(self.ast, z, np.ones_like(z),
+                                        np.zeros_like(z))
+        return _shaped(v, z), _shaped(0.0 if q is None else q, z), \
+            _shaped(0.0 if v2 is None else v2, z)
 
     def _raw_slope(self, z, z0, dz):
         v, _, s = expressions.evaluate_slope(self.ast, z, z0, dz)
@@ -151,6 +164,14 @@ def eval_vq(w: RadialWeight, z):
     """(eval_v(w, z), eval_q(w, z)) bit for bit, from one raw pass and its
     fused test, raising what eval_q would, in _finish's order."""
     return _checked_pair(w, *_raw(w, z, w._raw_vq))
+
+
+def eval_vq2(w: RadialWeight, z):
+    """(v, q, v'') from one raw pass: v and q are eval_vq's bit for bit,
+    with its checks, and v'' = d2v/dz2 is left unchecked, for a caller
+    that tests what it builds from it."""
+    z, (v, q, v2) = _raw(w, z, w._raw_vq2)
+    return (*_checked_pair(w, z, (v, q)), float(v2) if z.ndim == 0 else v2)
 
 
 def eval_slope(w: RadialWeight, z, z0: float, dz):

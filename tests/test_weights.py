@@ -12,7 +12,7 @@ from radial_extremals import (DomainError, EvalError, ExpressionWeight,
                               parse_weight)
 from radial_extremals import expressions
 from radial_extremals.expressions import FUNCTIONS, parse_expression
-from radial_extremals.weights import eval_slope, wide_v
+from radial_extremals.weights import eval_slope, eval_vq2, wide_v
 
 import dual_reference
 
@@ -368,6 +368,9 @@ class TestFusedCheck:
                         assert not x.flags.writeable
         assert _outcome(lambda: eval_q(w, z)) == \
             _outcome(lambda: _checked_separately(w, z, True)[1])
+        if kind != "preset":   # v and q of the second-order pass, same bits
+            assert _outcome(lambda: eval_vq2(w, z)[:2]) == \
+                _outcome(lambda: eval_vq(w, z))
         assert np.array_equal(np.asarray(z), before, equal_nan=True)
 
     @pytest.mark.parametrize("v,q,z,cls,match", [
@@ -498,7 +501,7 @@ class TestParse:
         # 2999 constant terms, each sum recorded as it is read, then z
         tree = parse_expression("1+" * 2999 + "z")
         assert tree.rhs == expressions.Var()
-        assert expressions.evaluate(tree.lhs, 0.0) == (2999.0, None)
+        assert expressions.evaluate(tree.lhs, 0.0) == (2999.0, None, None)
         w = parse_weight("1+" * 2999 + "z")
         assert eval_vq(w, 1.3) == (1.3 + 2999.0, 1.0)
 
@@ -646,16 +649,20 @@ _WALK_POINTS = [np.linspace(0.1, 3.0, 7), np.asarray(1.3),
 
 class TestOneWalk:
     """expressions.evaluate gives the value-only walk's v and a Dual pass's
-    (v, q) bit for bit, and a parsed weight never crashes a checked pass."""
+    (v, q) bit for bit, with or without the second seed, and a parsed
+    weight never crashes a checked pass."""
 
     @staticmethod
     def assert_walk_matches_reference(tree):
         for z in _WALK_POINTS:
-            def new():
-                v, q = expressions.evaluate(tree, z, np.ones_like(z))
+            def new(*seed2):
+                v, q, _ = expressions.evaluate(tree, z, np.ones_like(z),
+                                               *seed2)
                 return v, 0.0 if q is None else q
             assert _raw_outcome(new) == _raw_outcome(
                 lambda: dual_reference.raw_vq(tree, z)), z
+            assert _raw_outcome(lambda: new(np.zeros_like(z))) == \
+                _raw_outcome(new), z
             assert _raw_outcome(lambda: expressions.evaluate(tree, z)[:1]) \
                 == _raw_outcome(lambda: (dual_reference.walk(tree, z),)), z
 
@@ -683,7 +690,7 @@ class TestOneWalk:
             except ParseError:
                 return
             for z in (np.linspace(0.1, 3.0, 7), 1.3):
-                for fn in (eval_v, eval_vq):
+                for fn in (eval_v, eval_vq, eval_vq2):
                     try:
                         fn(w, z)
                     except ExtremalError:
@@ -818,6 +825,86 @@ class TestSlope:
             eval_slope(w, np.array([1.0, 1.5]), 1.0, np.array([0.0, 0.5]))
         with pytest.raises(DomainError, match="domain minimum"):
             eval_slope(w, np.array([np.nan]), 1.0, np.array([np.nan]))
+
+
+# every expression weight the tests parse or build that has points in its
+# domain, the benchmark's five spellings of c*z^p first
+_V2_WEIGHTS = [
+    "2.5*z^1.3", "z^1.3*2.5", "exp(0.7*log(z))", "z*sqrt(z)", "1.5*z*z",
+    "z", "3", "1", "0.7", "2.5", "2-1", "z^2", "z^-2", " z ^ 0.5 ", "z^2^3",
+    "z^(1/exp(1000))", "z^z", "2^z", "1+z", "z - 1", "z - 2", "-z + 4",
+    "-z+7", "z-0.5+1", "1e-2 + z", "3000+z", "2 + 3 * z", "z^2+1", "1/z",
+    "z^-1 + 1", "1/(z-1)", "-1/(z-1)", "1/(2-z)", "1/(1+z^2)",
+    "1.4/z-1/(z*(1+z))", "(1+(z-1)^3)/z", "(2+log(z))/z", "log(z)/z",
+    "(z-1)^2+1", "(z-1)^0.5+1", "(2-z)^-0.01", "sqrt(z)", "sqrt(z-0.5)",
+    "sqrt(2-z^2)", "sqrt(1+z^3)", "1+sqrt(z-1)", "1+sqrt(z-2)",
+    "sqrt(z-2)-1", "z^0.5*3", "2.5*z*z", "1.0*z^1.3",
+    "1.0*z^2.0817992419720928", "exp(z)", "exp(-z)", "exp(-z) + 1",
+    "exp(-z)+0.2", "exp(1.3*log(z))", "exp(0.3*log(z))", "sin(z)",
+    "2+sin(z)", "2+sin(3*z)", "1 + 0.3*sin(20*z)", "cos(z) + 2", "2+cos(z)",
+    "2-z", "2/z", "exp(1)*z + sin(2)/z - cos(z)^2", "(3*z+1)^1.3",
+    "(z/7)^2.5*3", "2^(z/3)", "(z+1)^(z/3)"]
+_V2_POINTS = np.concatenate([np.linspace(0.05, 3.0, 60),
+                             [1e-3, 0.5, 1.0, 2.0, 7.0, 40.0]])
+
+
+class TestSecondDerivative:
+    """eval_vq2's v'' against mpmath at 40 digits, and its v and q against
+    eval_vq bit for bit."""
+
+    @staticmethod
+    def assert_vq_bits(w, z):
+        v, q, v2 = eval_vq2(w, z)
+        assert _outcome(lambda: (v, q)) == _outcome(lambda: eval_vq(w, z))
+        assert np.shape(v2) == np.shape(z) and type(v2) is type(v)
+        return v, q, v2
+
+    @pytest.mark.parametrize("lam", [-0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0,
+                                     3.0])
+    def test_power_law(self, lam):
+        mpmath = pytest.importorskip("mpmath")
+        w = PowerLaw(lam)
+        z = np.array([1e-3, 0.1, 0.7, 1.0, 1.3, 2.0, 10.0, 1e3])
+        _, _, v2 = self.assert_vq_bits(w, z)
+        with mpmath.workdps(40):
+            for zi, got in zip(z.tolist(), v2.tolist()):
+                want = mpmath.diff(lambda x: x ** mpmath.mpf(lam),
+                                   mpmath.mpf(zi), 2)
+                for got in (got, self.assert_vq_bits(w, zi)[2]):
+                    assert abs(got - want) <= 4 * 2.0 ** -52 * abs(want), zi
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_power_law_at_a_subnormal_radius_is_zero(self, lam):
+        # lam*(lam-1)*z**(lam-2) would be 0*inf = NaN there
+        z = np.array([5e-324, 1e-320, 2.2e-308, 1.0])
+        assert self.assert_vq_bits(PowerLaw(lam), z)[2].tolist() == [0.0] * 4
+        assert self.assert_vq_bits(PowerLaw(lam), 5e-324)[2] == 0.0
+
+    @pytest.mark.parametrize("text", _V2_WEIGHTS)
+    def test_expression(self, text):
+        # at every point where eval_vq passes, within 16 ulps of the scale
+        # |v''| + |q|/z + |v|/z^2 of the terms the rules add, plus |v'''|*z
+        # for an inner argument rounded by an ulp (sin(20*z) at z = 1.1)
+        mpmath = pytest.importorskip("mpmath")
+        w = ExpressionWeight(text)
+        good = [z for z in _V2_POINTS.tolist()
+                if isinstance(_outcome(lambda: eval_vq(w, z)), list)]
+        assert good
+        v, q, v2 = self.assert_vq_bits(w, np.array(good))
+        with mpmath.workdps(40):
+            for i, z in enumerate(good):
+                _, _, want, third = (mpmath.re(d) for d in mpmath.diffs(
+                    lambda x: _mp_value(w.ast, x, mpmath), mpmath.mpf(z), 3))
+                scale = abs(want) + abs(q[i]) / z + v[i] / z ** 2 \
+                    + abs(third) * z
+                for got in (v2[i], self.assert_vq_bits(w, z)[2]):
+                    assert abs(got - want) <= 16 * 2.0 ** -52 * scale, z
+
+    def test_tree_without_z(self):
+        # a constant's v'' is 0, of z's shape
+        w = ExpressionWeight("2-1")
+        assert self.assert_vq_bits(w, np.ones((2, 3)))[2].tolist() == \
+            [[0.0] * 3] * 2
 
 
 _WIDE_WEIGHTS = [PowerLaw(0.0), PowerLaw(-0.9), PowerLaw(1.3),
