@@ -15,8 +15,9 @@ count).  On the rays the Hessian is tridiagonal, and each damped system is
 solved by its Cholesky recurrence (Golub and Van Loan, section 4.3) in O(N).
 
 minimize evaluates each vertex set once: its value, gradient and next
-Hessian share one set of segment data and one (v, q) pass at the midpoints,
-bit for bit what separate passes give.  Its OracleResult carries the first
+Hessian share one set of segment data and one (v, q, v'') pass at the
+midpoints, v and q bit for bit what separate passes give, so a Newton step
+makes no weight pass of its own.  Its OracleResult carries the first
 and last values and the last gradient, so no caller evaluates them again.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import (DomainError, DomainViolation, EvalError,
                      NonPositiveWeight, StalledDescent)
-from .weights import RadialWeight, eval_v, eval_vq
+from .weights import RadialWeight, eval_v, eval_vq, eval_vq2
 
 __all__ = ["OracleResult", "Polyline", "functional_value", "gradient",
            "minimize"]
@@ -125,31 +126,24 @@ def _gradient(seg, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
 
 
-def _hessian(seg, v: np.ndarray, q: np.ndarray, w: RadialWeight):
+def _hessian(seg, v: np.ndarray, q: np.ndarray, v2: np.ndarray):
     """Exact Hessian over the m interior vertices as its (m, 2, 2) diagonal
     blocks and its (m-1, 2, 2) couplings H[i, i+1], from segment data and
-    (v, q) at the midpoints.
+    (v, q, v'') at the midpoints; it makes no weight pass.
 
     Segment j depends on m = (a+b)/2 and e = b-a only, with
     d2/dm2 = v''*L*mm' + q*L*(I - mm')/z, d2/dm de = q*m e' and
     d2/de2 = v*(I - ee')/L (m, e unit vectors), so the matrix is
-    block-tridiagonal in the vertices.  v'' is a central difference of the
-    exact q in z.  A segment whose blocks are not finite (an offset that
-    underflows to 0 at a tiny radius gives 0/0) raises EvalError naming its
-    midpoint radius.
+    block-tridiagonal in the vertices.  A segment whose blocks are not
+    finite (v'' can overflow where v and q do not) raises EvalError naming
+    its midpoint radius.
     """
     delta, length, mid, z_mid = seg
-    h = 1e-5 * z_mid
-    # v and q at z_mid have passed their checks, so this pass raises what
-    # one pass over z_mid and both offsets would
-    q_up, q_down = eval_vq(w, np.concatenate([z_mid + h, z_mid - h]))[1] \
-        .reshape(2, -1)
     m_hat = mid / z_mid[:, None]
     e_hat = delta / length[:, None]
     eye = np.eye(2)
     mm = m_hat[:, :, None] * m_hat[:, None, :]
     with np.errstate(all="ignore"):   # a block that is not finite raises below
-        v2 = (q_up - q_down) / (2.0 * h)
         h_mm = (v2 * length)[:, None, None] * mm \
             + (q * length / z_mid)[:, None, None] * (eye - mm)
         h_me = q[:, None, None] * m_hat[:, :, None] * e_hat[:, None, :]
@@ -162,7 +156,7 @@ def _hessian(seg, v: np.ndarray, q: np.ndarray, w: RadialWeight):
         h_bb = quarter + sym + h_ee
         h_ab = quarter + 0.5 * (h_me - h_me.transpose(0, 2, 1)) - h_ee
     finite = np.isfinite(np.concatenate([h_aa, h_bb, h_ab], axis=1))
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         z = float(z_mid[np.argmin(finite.all(axis=(1, 2)))])
         raise EvalError(f"the Hessian is not finite at the midpoint radius "
                         f"z = {z!r}")
@@ -193,12 +187,18 @@ def _tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
     return np.array(out[::-1], dtype=float)
 
 
+def _positive(x: np.ndarray) -> bool:
+    """Every entry of x > 0, counted in C; ndarray.all runs Python code in
+    numpy 2."""
+    return np.count_nonzero(x > 0.0) == x.size
+
+
 def _rays(verts: np.ndarray) -> np.ndarray:
     """Unit vectors from the pole through the interior vertices, which must
     lie off it and turn about it one way; turns within 4 ulps of 0 are
     rounding (a radial chord's rays turn by up to 1.5 ulps either way)."""
     radii = np.hypot(verts[1:-1, 0], verts[1:-1, 1])
-    if not np.all(radii > 0.0):
+    if not _positive(radii):
         raise DomainError(f"interior vertex {np.argmin(radii > 0.0) + 1} "
                           f"lies at the pole, which has no ray")
     rays = verts[1:-1] / radii[:, None]
@@ -221,7 +221,7 @@ def _moved(verts: np.ndarray, step: np.ndarray, rays: np.ndarray):
     """verts moved by step along the rays; None if a radius is not > 0."""
     trial = verts.copy()
     trial[1:-1] += step[:, None] * rays
-    return trial if np.all((trial[1:-1] * rays).sum(axis=1) > 0.0) else None
+    return trial if _positive((trial[1:-1] * rays).sum(axis=1)) else None
 
 
 def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
@@ -245,11 +245,13 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
 
     The given polyline raises the weight's or functional_value's own error.
     Then, if a step is needed, an interior vertex at the pole or rays that
-    turn both ways about it raise DomainError.  A trial or Hessian offset
-    whose midpoints leave the weight's domain raises DomainViolation, never
-    clamped; 50 consecutive rejected trials raise StalledDescent.  A
-    max_iters that is not an integer >= 0, or a grad_tol that is not a real
-    number >= 0 (NaN included), raises DomainError before any work.
+    turn both ways about it raise DomainError.  A trial whose midpoints
+    leave the weight's domain raises DomainViolation, never clamped, and so
+    does a Hessian that is not finite (its v'' comes from the vertex set's
+    one weight pass, unchecked); 50 consecutive rejected trials raise
+    StalledDescent.  A max_iters that is not an integer >= 0, or a grad_tol
+    that is not a real number >= 0 (NaN included), raises DomainError
+    before any work.
     """
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
         raise DomainError(f"max_iters must be an integer >= 0, got "
@@ -258,7 +260,7 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
         raise DomainError(f"grad_tol must be >= 0, got {grad_tol!r}")
     verts = pl.vertices.copy()
     seg = _segment_data(verts)
-    v, q = eval_vq(w, seg[3])
+    v, q, v2 = eval_vq2(w, seg[3])
     value = initial_value = _functional(seg, v)
     grad = _gradient(seg, v, q)
     gmax = smax = float(np.abs(grad).max(initial=0.0))
@@ -267,7 +269,7 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
         if rays is None:
             rays = _rays(verts)
             slope, smax = _along(grad, rays)
-        diag, upper = _checked("current polyline", _hessian, seg, v, q, w)
+        diag, upper = _checked("current polyline", _hessian, seg, v, q, v2)
         diag = (rays[:, :, None] * diag * rays[:, None, :]).sum((1, 2))
         upper = (rays[:-1, :, None] * upper * rays[1:, None, :]).sum((1, 2))
         # damping in units of tr(T)/dim keeps the step rotation invariant
@@ -277,10 +279,11 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
             trial = None if step is None else _moved(verts, step, rays)
             if trial is not None:
                 t_seg = _segment_data(trial)
-                t_v, t_q = _checked("trial step", eval_vq, w, t_seg[3])
+                t_v, t_q, t_v2 = _checked("trial step", eval_vq2, w,
+                                          t_seg[3])
                 t_value = _checked("trial step", _functional, t_seg, t_v)
                 # a trial with a zero-length segment has no gradient
-                if t_value <= value and np.all(t_seg[1] > 0.0):
+                if t_value <= value and _positive(t_seg[1]):
                     t_grad = _gradient(t_seg, t_v, t_q)
                     t_slope, t_smax = _along(t_grad, rays)
                     # at the floor of both value and gradient every trial
@@ -298,7 +301,8 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                 f"{value}, max gradient {gmax:.3e})")
         if trial is None:
             break
-        verts, seg, value, v, q, grad = trial, t_seg, t_value, t_v, t_q, t_grad
+        verts, seg, value, grad = trial, t_seg, t_value, t_grad
+        v, q, v2 = t_v, t_q, t_v2
         slope, smax = t_slope, t_smax
         gmax = float(np.abs(grad).max())
         mu = max(mu / 10.0, _MU_MIN)

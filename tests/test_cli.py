@@ -833,12 +833,28 @@ _SWEEP = {
     "oracle-vanishing-segment": (
         ["oracle", "--lambda", "0.5", "--endpoints=-0.3,1.0,0.9,0.4",
          "--segments", "2"], 0, None),
-    # the Hessian's offsets 1e-5*z underflow to 0 and give 0/0
-    "oracle-non-finite-hessian": (
+    # the central difference for v'' took offsets 1e-5*z that underflow to
+    # 0 and gave 0/0; v'' = 0 exactly at lam 1
+    "oracle-subnormal-chord": (
         ["oracle", "--lambda", "1", "--endpoints=-1e-320,1e-320,1e-320,1e-320",
-         "--segments", "4", "--grad-tol", "0", "--iters", "5"],
+         "--segments", "4", "--grad-tol", "0", "--iters", "5"], 0, None),
+    # v'' = 0.75*z^-2.5 overflows where v and q are finite
+    "oracle-non-finite-hessian": (
+        ["oracle", "--lambda=-1/2",
+         "--endpoints=-1e-130,1e-130,1e-130,1e-130", "--segments", "4",
+         "--grad-tol", "0", "--iters", "5"],
         1, "DomainViolation: current polyline left the weight's domain: the "
-           "Hessian is not finite at the midpoint radius z = 1.25e-320\n"),
+           "Hessian is not finite at the midpoint radius z = "
+           "1.2500000000000001e-130\n"),
+    # grad-tol 0 runs to the rounding floor: with the exact v'' the fifth
+    # step still lowers the ray gradient (8.0e-16 to 3.6e-16, in units of
+    # the chord at 1); the central difference reached that floor in four
+    # and the fifth budgeted step raised StalledDescent.  A sixth stalls
+    # on both, as the same chord at scale 1 does
+    "oracle-rounding-floor-in-five-steps": (
+        ["oracle", "--lambda=-1/2",
+         "--endpoints=-1e-120,1e-120,1e-120,1e-120", "--segments", "4",
+         "--grad-tol", "0", "--iters", "5"], 0, None),
     # the chord's own fault, as the weight raises it: v = z^-1/2 is finite
     # at the midpoints 5e-211, q is not
     "oracle-derivative-eval-error": (
