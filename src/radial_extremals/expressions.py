@@ -116,8 +116,9 @@ def _second(op, a, da, dda, b, db, ddb, v, d):
     if op == "/":   # (a'' - 2 v' b' - v b'')/b
         return dda / b if db is None else -(2.0 * d * db + v * ddb) / b \
             if da is None else (dda - 2.0 * d * db - v * ddb) / b
-    if db is None:   # a^p
-        return b * (b - 1.0) * a ** (b - 2.0) * da * da \
+    if db is None:   # a^p; at p 0 or 1 its first term is 0, not 0*inf
+        c = b * (b - 1.0)
+        return (c * a ** (b - 2.0) * da * da if c else 0.0) \
             + b * a ** (b - 1.0) * dda
     log_a = np.log(a)
     if da is None:   # c^b

@@ -828,7 +828,8 @@ class TestSlope:
 
 
 # every expression weight the tests parse or build that has points in its
-# domain, the benchmark's five spellings of c*z^p first
+# domain, the benchmark's five spellings of c*z^p first, and z^sqrt(z), a
+# power whose exponent has a second derivative
 _V2_WEIGHTS = [
     "2.5*z^1.3", "z^1.3*2.5", "exp(0.7*log(z))", "z*sqrt(z)", "1.5*z*z",
     "z", "3", "1", "0.7", "2.5", "2-1", "z^2", "z^-2", " z ^ 0.5 ", "z^2^3",
@@ -843,7 +844,14 @@ _V2_WEIGHTS = [
     "exp(-z)+0.2", "exp(1.3*log(z))", "exp(0.3*log(z))", "sin(z)",
     "2+sin(z)", "2+sin(3*z)", "1 + 0.3*sin(20*z)", "cos(z) + 2", "2+cos(z)",
     "2-z", "2/z", "exp(1)*z + sin(2)/z - cos(z)^2", "(3*z+1)^1.3",
-    "(z/7)^2.5*3", "2^(z/3)", "(z+1)^(z/3)"]
+    "(z/7)^2.5*3", "2^(z/3)", "(z+1)^(z/3)", "(2^z)^z", "2^z^z",
+    "z^sqrt(z)", "z^1.0", "z^1.3", "1*z^2", "(2-1)*z^2", "z*3", "z*(1+2)",
+    "2*z^1", "sqrt(2)*z", "1.4142135623730951*z", "exp(0)+z", "z-1",
+    "1/(z-2)", "2 - z^2", "(z-1)^3+1", "-(z - 3) + z*z", "z^-2 + 1",
+    "z^2/(1+z)", "z + sqrt(z)", "sqrt(z) * (1 + z)", "sqrt(z-1)", "log(z)",
+    "log(1+z)+1", "2 + sin(z)/4", "2 + sin(z)/4 - cos(z)/8",
+    "1+0.5*sin(5*z)", "exp(-z^2/8)*(1+z)", "2.0*z^(1.0)*(1/(1+(z^2.0)^2))",
+    "0.5*z^(-0.5)*(2+sin(3*(z^0.5)))", "3.0*z^(2.0)*(exp(-(z^3.0))+0.2)"]
 _V2_POINTS = np.concatenate([np.linspace(0.05, 3.0, 60),
                              [1e-3, 0.5, 1.0, 2.0, 7.0, 40.0]])
 
@@ -873,12 +881,13 @@ class TestSecondDerivative:
                 for got in (got, self.assert_vq_bits(w, zi)[2]):
                     assert abs(got - want) <= 4 * 2.0 ** -52 * abs(want), zi
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0])
-    def test_power_law_at_a_subnormal_radius_is_zero(self, lam):
-        # lam*(lam-1)*z**(lam-2) would be 0*inf = NaN there
+    @pytest.mark.parametrize("w", [PowerLaw(0.0), PowerLaw(1.0),
+                                   ExpressionWeight("2*z^1")], ids=repr)
+    def test_power_at_a_subnormal_radius_is_zero(self, w):
+        # p*(p-1)*z**(p-2) would be 0*inf = NaN there
         z = np.array([5e-324, 1e-320, 2.2e-308, 1.0])
-        assert self.assert_vq_bits(PowerLaw(lam), z)[2].tolist() == [0.0] * 4
-        assert self.assert_vq_bits(PowerLaw(lam), 5e-324)[2] == 0.0
+        assert self.assert_vq_bits(w, z)[2].tolist() == [0.0] * 4
+        assert self.assert_vq_bits(w, 5e-324)[2] == 0.0
 
     @pytest.mark.parametrize("text", _V2_WEIGHTS)
     def test_expression(self, text):
