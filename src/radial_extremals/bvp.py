@@ -9,10 +9,10 @@ endpoint angles.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import DomainError, ForbiddenRegion, NoBracket, QuadratureFailure
+from .errors import (DomainError, ForbiddenRegion, NoBracket,
+                     QuadratureFailure, real)
 from .extremal_core import PolarPoint
 from .reduced_ode import ExtremalSpec, integrate_phi
 from .roots import find_root
@@ -35,14 +35,10 @@ class BvpProblem:
     same_branch: bool = False
 
     def __post_init__(self):
-        for name, point in (("a", self.a), ("b", self.b)):
-            for what, value in (("angle", point.phi), ("radius", point.z)):
-                if not math.isfinite(value):
-                    raise DomainError(f"endpoint {name} {what} must be "
-                                      f"finite, got {value}")
-            if not point.z > 0.0:
-                raise DomainError(
-                    f"endpoint {name} radius must be positive, got {point.z}")
+        self.a, self.b = (
+            PolarPoint(real(f"endpoint {k} angle", p.phi),
+                       real(f"endpoint {k} radius", p.z, positive=True))
+            for k, p in (("a", self.a), ("b", self.b)))
         if (self.a.phi, self.a.z) == (self.b.phi, self.b.z):
             raise NoBracket("endpoints must differ")
 
@@ -80,8 +76,7 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     beyond that sign change is assumed.  A bracket end that puts the turning
     radius outside an endpoint radius raises NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
-    raises QuadratureFailure.  A tol that is not a real number >= 0 (NaN
-    included) raises DomainError.
+    raises QuadratureFailure, and a bracket without 0 < n_lo < n_hi NoBracket.
     The spans are integrated to qtol = min(1e-13, max(tol/10, 1e-14)), so a
     tol below 1e-14, 0 included, searches until the bracket collapses and
     takes a residual within 1e-14 there as the root; a larger one, such as
@@ -90,9 +85,11 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     Returns the constant and the pose phi0 implied by the endpoint angles,
     with the span evaluations made and the final span residual.
     """
-    if not (isinstance(tol, numbers.Real) and tol >= 0.0):
-        raise DomainError(f"tol must be non-negative, got {tol!r}")
-    n_lo, n_hi = float(n_bracket[0]), float(n_bracket[1])
+    tol = real("tol", tol, 0.0)
+    try:
+        n_lo, n_hi = [real("n bracket end", n) for n in n_bracket]
+    except (DomainError, TypeError, ValueError) as exc:   # not two reals
+        raise NoBracket(f"invalid n bracket {n_bracket!r}: {exc}") from None
     if not 0.0 < n_lo < n_hi:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")
     target_span = abs(prob.b.phi - prob.a.phi)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, real
 from .extremal_core import PolarPoint
 
 __all__ = ["PowerLawCurve", "power_law_point", "log_spiral_point",
@@ -32,15 +32,13 @@ class PowerLawCurve:
     phi0: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lam, self.n, self.phi0))):
-            raise DomainError(f"lam, n and phi0 must be finite, got "
-                              f"{self.lam}, {self.n}, {self.phi0}")
+        for name in ("lam", "n", "phi0"):
+            object.__setattr__(self, name, real(name, getattr(self, name),
+                                                positive=name == "n"))
         if self.lam == -1.0:
             raise DomainError(
                 "lam = -1 is the logarithmic-spiral family; "
                 "use log_spiral_point")
-        if not self.n > 0.0:
-            raise DomainError("n must be positive")
 
     @property
     def z_turn(self) -> float:
@@ -61,6 +59,7 @@ def power_law_point(c: PowerLawCurve, psi: float) -> PolarPoint:
 
     Satisfies n*v(z)*z = 1/cos(psi); psi = 0 is the turning point.
     """
+    psi = real("psi", psi)
     if not abs(psi) < 0.5 * math.pi:
         raise DomainError("psi must lie strictly inside (-pi/2, pi/2)")
     k = c.lam + 1.0
@@ -74,13 +73,10 @@ def log_spiral_point(n: float, z0: float, phi: float) -> PolarPoint:
     For n = 1 the curve is the circle z = z0; n < 1 admits no real curve
     (the first integral would need n*v*z = n < 1 everywhere).
     """
-    if not all(map(math.isfinite, (n, z0, phi))):
-        raise DomainError(
-            f"n, z0 and phi must be finite, got {n}, {z0}, {phi}")
+    n, phi = real("n", n), real("phi", phi)
     if n < 1.0:
         raise DomainError("log-spiral extremals require n >= 1")
-    if not z0 > 0.0:
-        raise DomainError("z0 must be positive")
+    z0 = real("z0", z0, positive=True)
     try:
         z = z0 * math.exp(math.sqrt(n * n - 1.0) * phi)
     except OverflowError:
@@ -92,15 +88,8 @@ def log_spiral_point(n: float, z0: float, phi: float) -> PolarPoint:
 
 
 def algebraic_relation_residual(c: PowerLawCurve, pt: PolarPoint) -> float:
-    """n * z^(lam+1) * cos((lam+1)*(phi-phi0)) - 1; zero on the curve.
-
-    A phi that is not finite, or a z that is not finite and > 0, raises
-    DomainError naming it.
-    """
-    if not math.isfinite(pt.phi):
-        raise DomainError(f"phi must be finite, got {pt.phi}")
-    if not (math.isfinite(pt.z) and pt.z > 0.0):
-        raise DomainError(f"z must be finite and positive, got {pt.z}")
+    """n * z^(lam+1) * cos((lam+1)*(phi-phi0)) - 1; zero on the curve, for
+    a point with z > 0."""
+    phi, z = real("phi", pt.phi), real("z", pt.z, positive=True)
     k = c.lam + 1.0
-    return (c.n * _power(pt.z, k, "z^(lam+1)")
-            * math.cos(k * (pt.phi - c.phi0)) - 1.0)
+    return c.n * _power(z, k, "z^(lam+1)") * math.cos(k * (phi - c.phi0)) - 1.0

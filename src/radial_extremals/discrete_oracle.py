@@ -24,13 +24,12 @@ and last values and the last gradient, so no caller evaluates them again.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainError, DomainViolation, EvalError,
-                     NonPositiveWeight, StalledDescent)
+                     NonPositiveWeight, StalledDescent, real, real_array)
 from .weights import RadialWeight, eval_v, eval_vq, eval_vq2
 
 __all__ = ["OracleResult", "Polyline", "functional_value", "gradient",
@@ -43,22 +42,14 @@ _MAX_REJECTIONS = 50
 class Polyline:
     """Ordered vertices with fixed endpoints; the oracle's decision variable.
 
-    Takes a (k, 2) array of finite real coordinates (or anything np.array
-    turns into one), copied; consecutive vertices must be distinct.
+    Takes a (k, 2) array of coordinates (or anything np.array turns into
+    one), copied; consecutive vertices must be distinct.
     """
 
     def __init__(self, vertices):
-        pts = np.array(vertices)
-        if pts.dtype.kind not in "iuf" and not all(
-                isinstance(x, numbers.Real) for x in pts.flat):
-            raise DomainError("polyline vertices must be real numbers")
-        pts = pts.astype(float, copy=False)
+        pts = real_array("vertices", vertices)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise DomainError("a polyline needs at least two 2-d vertices")
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        if bad.size:
-            i = bad[0]
-            raise DomainError(f"vertex {i} is not finite: {pts[i].tolist()}")
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise DomainError("consecutive vertices must be distinct")
         self.vertices = pts
@@ -249,15 +240,10 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     leave the weight's domain raises DomainViolation, never clamped, and so
     does a Hessian that is not finite (its v'' comes from the vertex set's
     one weight pass, unchecked); 50 consecutive rejected trials raise
-    StalledDescent.  A max_iters that is not an integer >= 0, or a grad_tol
-    that is not a real number >= 0 (NaN included), raises DomainError
-    before any work.
+    StalledDescent.
     """
-    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
-        raise DomainError(f"max_iters must be an integer >= 0, got "
-                          f"{max_iters!r}")
-    if not (isinstance(grad_tol, numbers.Real) and grad_tol >= 0.0):
-        raise DomainError(f"grad_tol must be >= 0, got {grad_tol!r}")
+    max_iters = real("max_iters", max_iters, 0, integer=True)
+    grad_tol = real("grad_tol", grad_tol, 0.0)
     verts = pl.vertices.copy()
     seg = _segment_data(verts)
     v, q, v2 = eval_vq2(w, seg[3])

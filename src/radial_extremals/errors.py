@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
 Everything numerical raises a subclass of ExtremalError so callers (and the
-CLI) can separate usage mistakes from genuine numerical failures.
+CLI) can separate usage mistakes from genuine numerical failures; every
+public entry checks its numbers with real or real_array.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ExtremalError(Exception):
@@ -61,3 +67,38 @@ class StalledDescent(ExtremalError):
 
 class DomainViolation(ExtremalError):
     """The minimizer drove the polyline out of the weight's domain."""
+
+
+def real(name, value, least=-math.inf, most=math.inf, *, integer=False,
+         positive=False):
+    """value as a float (an int if integer) once it is a finite real number
+    (an integer if integer) in [least, most], and > 0 if positive, else
+    DomainError naming name and value: a bool, text, None or a complex
+    number is refused, never parsed; numpy scalars and Fractions pass."""
+    ok = type(value) is (int if integer else float) or isinstance(
+        value, numbers.Integral if integer else numbers.Real) \
+        and not isinstance(value, bool)   # exact types skip the slow ABC
+    try:
+        x = (int if integer else float)(value) if ok else math.nan
+    except OverflowError:   # an int or a Fraction past the float range
+        x = math.nan
+    if not (integer and ok or math.isfinite(x)):
+        rule = "an integer" if integer else "a finite real number"
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    if not (least <= x <= most and (x > 0 or not positive)):
+        rule = "positive" if positive else f"in [{least}, {most}]"
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return x
+
+
+def real_array(name, values):
+    """values as a new float array once every entry is a finite real number
+    as real takes it; every entry of anything but an array of integers or
+    floats, a list say, is checked as it is before the float conversion.
+    The error names the first bad entry by its index, as name[i, j]."""
+    a = values if isinstance(values, np.ndarray) \
+        else np.array(values, dtype=object)
+    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        for index, x in zip(np.ndindex(a.shape), a.ravel().tolist()):
+            real(f"{name}{list(index) if index else ''}", x)
+    return a.astype(float)

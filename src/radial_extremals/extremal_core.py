@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonMonotoneAbscissa
+from .errors import DomainError, NonMonotoneAbscissa, real_array
 from .weights import RadialWeight, eval_v, eval_vq
 
 __all__ = ["CartesianPoint", "PolarPoint", "ELPartials",
@@ -94,7 +94,7 @@ def _graph_partials(samples, w: RadialWeight):
     """Abscissae, slopes and (V, M, N, P) of a sampled graph, the slopes
     from second-order differences (central in the interior, one-sided at
     the two ends)."""
-    pts = np.asarray(samples, dtype=float)
+    pts = real_array("samples", samples)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"samples must be (x, y) rows, got shape "
                           f"{pts.shape}")

@@ -29,14 +29,14 @@ meet their round-off floors, 50*eps*|piece|, where the whole angle's fits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quadrature
 from .errors import (DomainError, ForbiddenRegion, NoBracket,
-                     QuadratureFailure, TangentialTurningPoint)
+                     QuadratureFailure, TangentialTurningPoint, real,
+                     real_array)
 from .extremal_core import clairaut_constant
 from .roots import find_root
 from .weights import (PowerLaw, RadialWeight, eval_slope, eval_v, eval_vq,
@@ -72,7 +72,7 @@ def _profile_and_slope(w: RadialWeight, n: float, z):
 def turning_radius(w: RadialWeight, n: float) -> float:
     """Root z* of n*v(z)*z = 1: for a power law the closed form
     n**(-1/(lam+1)), for any other weight the root inside the first sign
-    change of a geometric scan.  n must be finite and positive.
+    change of a geometric scan.
 
     roots.find_root drives |n*v*z - 1| to 4 eps (well inside 1e-13) or the
     bracket to a few ulps.  The crossing must be transversal and increasing:
@@ -87,8 +87,7 @@ def turning_radius(w: RadialWeight, n: float) -> float:
 def _turning_point(w: RadialWeight, n: float):
     """(z*, v(z*), g'(z*)) with turning_radius's z* and checks, from the
     one weight pass that checks the slope."""
-    if not 0.0 < n < math.inf:   # ExtremalSpec passes |n|
-        raise DomainError(f"the turning radius needs a finite n > 0, got {n}")
+    n = real("n", n, positive=True)   # ExtremalSpec passes |n|
     if isinstance(w, PowerLaw):
         if w.lam == -1.0:
             raise TangentialTurningPoint(
@@ -154,10 +153,8 @@ class ExtremalSpec:
 
     The sign of n is a branch choice: a negative n is normalized to n > 0
     with orientation -1, the direction in which phi advances (+1 for a
-    positive n).  A phi0 that is not a finite real number raises
-    DomainError before any weight pass.  The turning radius is resolved at
-    construction by turning_radius, which raises DomainError unless |n| is
-    finite and nonzero, and then the near-region handoff, so a weight error
+    positive n).  The turning radius is resolved at construction by
+    turning_radius, and then the near-region handoff, so a weight error
     there also surfaces at construction, and the shift eps from the float
     z* to the root of g (0 where it would exceed 1e-12*z*: not a rounding
     correction).
@@ -170,11 +167,8 @@ class ExtremalSpec:
     z_turn: float = field(init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.phi0, numbers.Real)
-                and math.isfinite(self.phi0)):
-            raise DomainError(f"phi0 must be a finite real number, got "
-                              f"{self.phi0!r}")
-        self.n = float(self.n)
+        self.phi0 = real("phi0", self.phi0)
+        self.n = real("n", self.n)
         self.orientation = 1 if self.n > 0.0 else -1
         self.n = abs(self.n)
         self.z_turn, v0, slope = _turning_point(self.weight, self.n)
@@ -361,16 +355,12 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     slow handoff, where each angle's near piece takes its own share of tol,
     every angle is that _increments call.
     """
-    if not (isinstance(tol, numbers.Real) and 1e-14 <= tol <= 1e-3):
-        raise DomainError(f"tol must lie in [1e-14, 1e-3], got {tol!r}")
-    za = np.asarray(z, dtype=float)
+    tol = real("tol", tol, 1e-14, 1e-3)
+    za = np.asarray(z, dtype=object)   # entries as given: real sees text
     if za.ndim > 1:
         raise DomainError("z must be a scalar or a 1-d array, got shape "
                           f"{za.shape}")
-    radii = np.atleast_1d(za).tolist()
-    for x in radii:
-        if not math.isfinite(x):
-            raise DomainError(f"z must be finite, got {x}")
+    radii = [real("z", x) for x in np.atleast_1d(za).tolist()]
     z_min = spec.z_turn * (1.0 - 1e-12)
     for x in radii:
         if x < z_min:
@@ -434,7 +424,7 @@ def first_integral_deviation(w: RadialWeight, n: float, z):
     radius), so it cross-checks two independent formula chains.  z may be a
     scalar or an array; a deviation that is not finite raises DomainError.
     """
-    za = np.asarray(z, dtype=float)
+    n, za = real("n", n), real_array("z", z)
     rad = _radicand(w, n, za)[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = np.where(rad <= 0.0, np.inf, 1.0 / (za * np.sqrt(rad)))
@@ -529,17 +519,10 @@ def trace_extremal(spec: ExtremalSpec, z_max: float, num_samples: int,
     the ray phi = phi0.  grid "cosine" clusters radii near z*; grid
     "uniform-phi" spaces samples equally in swept angle.
     """
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if not isinstance(num_samples, numbers.Integral):
-        raise DomainError(f"num_samples must be an integer, got "
-                          f"{num_samples!r}")
-    if num_samples < 3:
-        raise DomainError("need at least 3 samples per branch")
-    if num_samples > _MOST_SAMPLES:
-        raise DomainError(f"need at most {_MOST_SAMPLES} samples per branch")
-    if not (isinstance(z_max, numbers.Real) and math.isfinite(z_max)):
-        raise DomainError(f"z_max must be finite, got {z_max!r}")
+    tol = real("tol", tol, positive=True)
+    num_samples = real("num_samples", num_samples, 3, _MOST_SAMPLES,
+                       integer=True)
+    z_max = real("z_max", z_max)
     if not z_max > spec.z_turn:
         raise DomainError(
             f"z_max = {z_max} must exceed the turning radius {spec.z_turn}")

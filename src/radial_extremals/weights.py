@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expressions
-from .errors import DomainError, EvalError, NonPositiveWeight
+from .errors import DomainError, EvalError, NonPositiveWeight, real
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
            "eval_v", "eval_q", "eval_vq", "eval_vq2", "eval_slope",
@@ -40,7 +40,7 @@ class PowerLaw(RadialWeight):
     lam*(lam-1) * z**(lam-2)."""
 
     def __init__(self, lam: float):
-        self.lam = float(lam)
+        self.lam = real("lam", lam)
 
     def _raw_v(self, z):
         if self.lam == 0.0:
@@ -76,6 +76,8 @@ class ExpressionWeight(RadialWeight):
     ParseError."""
 
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise DomainError(f"weight expression must be a str, got {text!r}")
         self.ast = expressions.parse_expression(text)
         self.source = text
 
@@ -211,7 +213,7 @@ def parse_weight(text: str) -> RadialWeight:
     A bare power ``z^<number>`` reduces to the exact PowerLaw variant;
     anything else becomes an ExpressionWeight.
     """
-    if not text or not text.strip():
+    if isinstance(text, str) and not text.strip():
         raise DomainError("weight expression must be nonempty")
     w = ExpressionWeight(text)
     if isinstance(w.ast, expressions.Bin) and w.ast.op == "^" \

@@ -1,0 +1,243 @@
+"""One argument contract at the public entries: every number a public entry
+takes is a finite real number (an integer for a count) within its bounds,
+or the entry raises DomainError naming it (NoBracket for the n bracket)
+before any weight pass.  Numpy scalars, Fractions and ints pass and give
+the bits of the Python float of the same value."""
+
+import math
+import re
+from dataclasses import astuple
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
+                              NoBracket, PolarPoint, Polyline, PowerLaw,
+                              PowerLawCurve, algebraic_relation_residual,
+                              beltrami_residual, el_residual,
+                              first_integral_deviation, integrate_phi,
+                              log_spiral_point, minimize, power_law_point,
+                              solve_n, trace_extremal, turning_radius)
+from radial_extremals.errors import real, real_array
+
+BAD = ["1.0", None, True, math.nan, math.inf, -math.inf]
+
+
+class NoPass(PowerLaw):
+    """v = z: every raw weight pass fails the test."""
+
+    def _raw_v(self, z):
+        raise AssertionError("a weight pass ran")
+
+    _raw_vq = _raw_vq2 = _raw_slope = _raw_v
+
+
+def spec_without_passes():
+    spec = ExtremalSpec(PowerLaw(1.0), 1.0)
+    spec.weight = NoPass(1.0)
+    return spec
+
+
+def problem(a=(-1.047, 1.0), b=(1.047, 1.0)):
+    return BvpProblem(PolarPoint(*a), PolarPoint(*b), NoPass(0.0))
+
+
+ROWS = [(x, 1.0 + 0.1 * x * x) for x in np.linspace(0.5, 1.5, 9).tolist()]
+VERTS = [(-0.65, 1.19), (0.0, 1.3), (0.65, 1.19)]
+
+
+def with_row(x):
+    return [ROWS[0], (ROWS[1][0], x), *ROWS[2:]]
+
+
+# entry and argument: a call of one bad value, and the class it raises
+ENTRIES = {
+    "PowerLaw lam": (lambda x: PowerLaw(x), DomainError),
+    "ExtremalSpec n": (lambda x: ExtremalSpec(NoPass(1.0), x), DomainError),
+    "ExtremalSpec phi0": (lambda x: ExtremalSpec(NoPass(1.0), 1.0, x),
+                          DomainError),
+    "turning_radius n": (lambda x: turning_radius(NoPass(1.0), x),
+                         DomainError),
+    "integrate_phi z": (lambda x: integrate_phi(spec_without_passes(), x,
+                                                1e-12), DomainError),
+    "integrate_phi z entry": (lambda x: integrate_phi(
+        spec_without_passes(), [2.0, x], 1e-12), DomainError),
+    "integrate_phi tol": (lambda x: integrate_phi(spec_without_passes(), 2.0,
+                                                  x), DomainError),
+    "trace_extremal z_max": (lambda x: trace_extremal(
+        spec_without_passes(), x, 5), DomainError),
+    "trace_extremal num_samples": (lambda x: trace_extremal(
+        spec_without_passes(), 3.0, x), DomainError),
+    "trace_extremal tol": (lambda x: trace_extremal(
+        spec_without_passes(), 3.0, 5, x), DomainError),
+    "first_integral_deviation n": (lambda x: first_integral_deviation(
+        NoPass(1.0), x, [2.0, 3.0]), DomainError),
+    "first_integral_deviation z": (lambda x: first_integral_deviation(
+        NoPass(1.0), 1.0, x), DomainError),
+    "first_integral_deviation z entry": (lambda x: first_integral_deviation(
+        NoPass(1.0), 1.0, [2.0, x]), DomainError),
+    "BvpProblem a angle": (lambda x: problem(a=(x, 1.0)), DomainError),
+    "BvpProblem a radius": (lambda x: problem(a=(-1.0, x)), DomainError),
+    "BvpProblem b angle": (lambda x: problem(b=(x, 1.0)), DomainError),
+    "BvpProblem b radius": (lambda x: problem(b=(1.0, x)), DomainError),
+    "solve_n n bracket low": (lambda x: solve_n(problem(), (x, 3.5), 1e-10),
+                              NoBracket),
+    "solve_n n bracket high": (lambda x: solve_n(problem(), (1.2, x), 1e-10),
+                               NoBracket),
+    "solve_n tol": (lambda x: solve_n(problem(), (1.2, 3.5), x), DomainError),
+    "PowerLawCurve lam": (lambda x: PowerLawCurve(x, 1.0), DomainError),
+    "PowerLawCurve n": (lambda x: PowerLawCurve(1.0, x), DomainError),
+    "PowerLawCurve phi0": (lambda x: PowerLawCurve(1.0, 1.0, x), DomainError),
+    "power_law_point psi": (lambda x: power_law_point(
+        PowerLawCurve(1.0, 1.0), x), DomainError),
+    "log_spiral_point n": (lambda x: log_spiral_point(x, 1.0, 0.5),
+                           DomainError),
+    "log_spiral_point z0": (lambda x: log_spiral_point(2.0, x, 0.5),
+                            DomainError),
+    "log_spiral_point phi": (lambda x: log_spiral_point(2.0, 1.0, x),
+                             DomainError),
+    "algebraic_relation_residual phi": (lambda x: algebraic_relation_residual(
+        PowerLawCurve(1.0, 2.0), PolarPoint(x, 1.0)), DomainError),
+    "algebraic_relation_residual z": (lambda x: algebraic_relation_residual(
+        PowerLawCurve(1.0, 2.0), PolarPoint(0.0, x)), DomainError),
+    "Polyline vertex": (lambda x: Polyline([VERTS[0], (0.0, x), VERTS[2]]),
+                        DomainError),
+    "minimize max_iters": (lambda x: minimize(Polyline(VERTS), NoPass(1.0), x,
+                                              1e-8), DomainError),
+    "minimize grad_tol": (lambda x: minimize(Polyline(VERTS), NoPass(1.0), 20,
+                                             x), DomainError),
+    "el_residual sample": (lambda x: el_residual(with_row(x), NoPass(1.0)),
+                           DomainError),
+    "beltrami_residual sample": (lambda x: beltrami_residual(
+        with_row(x), NoPass(1.0)), DomainError),
+}
+
+
+@pytest.mark.parametrize("value", BAD, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entry_refuses_a_value_that_is_not_a_finite_real_number(entry,
+                                                                value):
+    call, error = ENTRIES[entry]
+    with pytest.raises(error):
+        call(value)
+
+
+# entry and argument: the result of a call of one good value, as a float,
+# or an array, that must not depend on the value's type
+GOOD = {
+    "PowerLaw lam": (2, lambda x: PowerLaw(x).lam),
+    "ExtremalSpec n": (2, lambda x: ExtremalSpec(PowerLaw(0.5), x).z_turn),
+    "ExtremalSpec phi0": (1, lambda x: trace_extremal(
+        ExtremalSpec(PowerLaw(1.0), 1.0, x), 3.0, 5).phi),
+    "turning_radius n": (2, lambda x: turning_radius(PowerLaw(0.5), x)),
+    "integrate_phi z": (2, lambda x: integrate_phi(
+        ExtremalSpec(PowerLaw(1.3), 0.9), x, 1e-12)),
+    "integrate_phi z entry": (3, lambda x: integrate_phi(
+        ExtremalSpec(PowerLaw(1.3), 0.9), [2.0, x], 1e-12)),
+    "trace_extremal z_max": (3, lambda x: trace_extremal(
+        ExtremalSpec(PowerLaw(1.3), 0.9), x, 5).phi),
+    "first_integral_deviation": (2, lambda x: first_integral_deviation(
+        PowerLaw(1.3), x / 2, [x, 3.0])),
+    "BvpProblem endpoints": (1, lambda x: solve_n(BvpProblem(
+        PolarPoint(-x, x), PolarPoint(x, x), PowerLaw(0.0)), (1.2, 3.5),
+        1e-10).n),
+    "solve_n n bracket": (4, lambda x: solve_n(BvpProblem(
+        PolarPoint(-1.047, 1.0), PolarPoint(1.047, 1.0), PowerLaw(0.0)),
+        (1.2, x), 1e-10).n),
+    "PowerLawCurve": (2, lambda x: PowerLawCurve(x, x, x).z_turn),
+    "power_law_point": (1, lambda x: power_law_point(
+        PowerLawCurve(x, x + 1, x), x / 4)),
+    "log_spiral_point": (2, lambda x: log_spiral_point(x, x / 2, x / 2)),
+    "algebraic_relation_residual": (2, lambda x: algebraic_relation_residual(
+        PowerLawCurve(x, x + 1, x / 2), PolarPoint(x / 8, x / 2))),
+    "Polyline": (1, lambda x: minimize(Polyline(
+        [(-x, x), (0.0, x + 1), (x, x)]), PowerLaw(1.0), 20, 1e-8).value),
+    "el_residual": (1, lambda x: el_residual(
+        [(k * x, 2 * x + k * k * x / 8) for k in range(6)], PowerLaw(1.0))),
+}
+TYPES = [np.float64, np.float32, np.int64, Fraction, int]
+
+
+def bits(result):
+    if isinstance(result, PolarPoint):
+        result = astuple(result)
+    return np.asarray(result, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)
+@pytest.mark.parametrize("entry", sorted(GOOD))
+def test_numbers_of_every_real_type_give_the_float_bits(entry, kind):
+    value, call = GOOD[entry]
+    assert bits(call(kind(value))) == bits(call(float(value)))
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)
+def test_counts_of_every_integer_type_give_the_int_bits(kind):
+    if kind in (np.float64, np.float32, Fraction):
+        with pytest.raises(DomainError, match="^num_samples must be an "
+                                              "integer, got "):
+            trace_extremal(ExtremalSpec(PowerLaw(1.3), 0.9), 3.0, kind(5))
+        return
+    spec = ExtremalSpec(PowerLaw(1.3), 0.9)
+    assert bits(trace_extremal(spec, 3.0, kind(5)).phi) == \
+        bits(trace_extremal(spec, 3.0, 5).phi)
+    pl = Polyline(VERTS)
+    assert minimize(pl, PowerLaw(1.0), kind(20), 1e-8).value == \
+        minimize(pl, PowerLaw(1.0), 20, 1e-8).value
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1.0", "x must be a finite real number, got '1.0'"),
+    (True, "x must be a finite real number, got True"),
+    (np.bool_(True), "x must be a finite real number, got np.True_"),
+    (1j, "x must be a finite real number, got 1j"),
+    (math.nan, "x must be a finite real number, got nan"),
+    (10 ** 400, "x must be a finite real number, got 1" + "0" * 400),
+    (Fraction(-10 ** 400), "x must be a finite real number, got "
+                           f"Fraction(-1{'0' * 400}, 1)"),
+    (-1.5, "x must be in [-1.0, 2.0], got -1.5"),
+    (2.5, "x must be in [-1.0, 2.0], got 2.5")])
+def test_real_names_the_argument_and_the_value(value, message):
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        real("x", value, -1.0, 2.0)
+
+
+def test_real_bounds_are_inclusive_and_positive_excludes_zero():
+    assert real("x", -1.0, -1.0, 2.0) == -1.0
+    assert real("x", 2, -1.0, 2.0) == 2.0
+    assert real("x", 5e-324, positive=True) == 5e-324
+    for zero in (0.0, -0.0, 0):
+        with pytest.raises(DomainError, match="^x must be positive, got "):
+            real("x", zero, positive=True)
+    assert real("k", np.int64(3), 3, 4, integer=True) == 3
+    assert type(real("k", np.int64(3), integer=True)) is int
+    assert type(real("x", np.float32(0.5))) is float
+    with pytest.raises(DomainError, match=r"^k must be in \[3, 4\], got 5$"):
+        real("k", 5, 3, 4, integer=True)
+    with pytest.raises(DomainError, match="^k must be an integer, got 3.0$"):
+        real("k", 3.0, integer=True)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, "2.0"], "v[1] must be a finite real number, got '2.0'"),
+    ([[1.0, 2.0], [True, 3.0]], "v[1, 0] must be a finite real number, got "
+                                "True"),
+    (np.array([[1.0, 2.0], [3.0, np.inf]]), "v[1, 1] must be a finite real "
+                                            "number, got inf"),
+    (np.array([True, False]), "v[0] must be a finite real number, got True"),
+    ([[1.0, 2.0], [3.0]], "v[0] must be a finite real number, got [1.0, "
+                          "2.0]"),
+    (None, "v must be a finite real number, got None")])
+def test_real_array_names_the_first_bad_entry(values, message):
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        real_array("v", values)
+
+
+def test_real_array_converts_a_new_array():
+    a = np.array([1.0, 2.0])
+    got = real_array("v", a)
+    assert got is not a and got.tolist() == [1.0, 2.0]
+    got = real_array("v", [Fraction(1, 2), np.int64(2), np.float32(0.25)])
+    assert got.dtype == float and got.tolist() == [0.5, 2.0, 0.25]
+    assert real_array("v", np.arange(3)).dtype == float

@@ -113,10 +113,11 @@ class TestAngularSpan:
     def test_tol_outside_integrate_phi_range(self):
         prob = BvpProblem(PolarPoint(-1.0, 1.0), PolarPoint(1.0, 1.0),
                           PowerLaw(0.0))
-        with pytest.raises(DomainError, match="tol must lie"):
+        message = r"^tol must be in \[1e-14, 0.001\], got 0.01$"
+        with pytest.raises(DomainError, match=message):
             span(2.0, prob, 1e-2)
         # tol is checked before the radii, as in integrate_phi
-        with pytest.raises(DomainError, match="tol must lie"):
+        with pytest.raises(DomainError, match=message):
             span(0.5, prob, 1e-2)
 
 
@@ -231,7 +232,8 @@ class TestSolveN:
         points = {"a": PolarPoint(-0.5, 1.0), "b": PolarPoint(0.5, 2.0)}
         points[which] = PolarPoint(points[which].phi, bad)
         with pytest.raises(DomainError,
-                           match=f"endpoint {which} radius must be finite"):
+                           match=f"^endpoint {which} radius must be a finite "
+                                 f"real number, got {bad}$"):
             solve_n(BvpProblem(points["a"], points["b"], PowerLaw(1.0)),
                     (0.5, 3.0), 1e-12)
 
@@ -243,8 +245,8 @@ class TestSolveN:
         points = {"a": PolarPoint(-0.5, 1.3), "b": PolarPoint(0.5, 1.3)}
         points[which] = PolarPoint(bad, points[which].z)
         with pytest.raises(DomainError,
-                           match=f"^endpoint {which} angle must be "
-                                 f"finite, got {bad}$"):
+                           match=f"^endpoint {which} angle must be a "
+                                 f"finite real number, got {bad}$"):
             BvpProblem(points["a"], points["b"], PowerLaw(1.0))
 
     @pytest.mark.parametrize("which", ["a", "b"])
@@ -262,29 +264,59 @@ class TestSolveN:
             BvpProblem(PolarPoint(0.3, 1.3), PolarPoint(0.3, 1.3),
                        PowerLaw(1.0))
 
-    @pytest.mark.parametrize("n_bracket", [(2.0, 1.0), (0.0, 1.0),
-                                           (-1.0, 2.0), (math.nan, 2.0),
-                                           (1.2, 1.2)])
+    @pytest.mark.parametrize("n_bracket, message", [
+        ((2.0, 1.0), "[2.0, 1.0]"), ((0.0, 1.0), "[0.0, 1.0]"),
+        ((-1.0, 2.0), "[-1.0, 2.0]"), ((1.2, 1.2), "[1.2, 1.2]"),
+        ((math.nan, 2.0), "(nan, 2.0): n bracket end must be a finite real "
+                          "number, got nan"),
+        ((1.2, math.inf), "(1.2, inf): n bracket end must be a finite real "
+                          "number, got inf"),
+        (("1.2", "3.5"), "('1.2', '3.5'): n bracket end must be a finite "
+                         "real number, got '1.2'"),
+        ((1.2, 3.5, 99.0), "(1.2, 3.5, 99.0): too many values to unpack "
+                           "(expected 2)"),
+        ((1.2,), "(1.2,): not enough values to unpack (expected 2, got 1)"),
+        (2.0, "2.0: 'float' object is not iterable")])
     def test_invalid_n_bracket_fails_before_any_span(self, monkeypatch,
-                                                     n_bracket):
+                                                     n_bracket, message):
+        # a third entry was dropped, text was parsed, and an infinite end
+        # reached the turning radius as DomainError
         spans = count_spans(monkeypatch)
         prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
-        lo, hi = map(float, n_bracket)
-        with pytest.raises(NoBracket, match=re.escape(
-                f"invalid n bracket [{lo}, {hi}]")):
+        with pytest.raises(NoBracket, match="^" + re.escape(
+                f"invalid n bracket {message}") + "$"):
             solve_n(prob, n_bracket, 1e-12)
         assert spans == []
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf,
-                                     "1e-10", None])
-    def test_bad_tol_fails_before_any_span(self, monkeypatch, tol):
+    @pytest.mark.parametrize("tol, rule", [
+        (-1.0, "in [0.0, inf]"), (-1e-300, "in [0.0, inf]"),
+        *[(tol, "a finite real number")
+          for tol in (math.nan, -math.inf, math.inf, "1e-10", None, True)]])
+    def test_bad_tol_fails_before_any_span(self, monkeypatch, tol, rule):
+        # an infinite tol took the bracket end n = 3.5 as the root
         spans = count_spans(monkeypatch)
         prob = BvpProblem(PolarPoint(-math.pi / 3, 1.0),
                           PolarPoint(math.pi / 3, 1.0), PowerLaw(0.0))
         with pytest.raises(DomainError, match="^" + re.escape(
-                f"tol must be non-negative, got {tol!r}") + "$"):
+                f"tol must be {rule}, got {tol!r}") + "$"):
             solve_n(prob, (1.2, 3.5), tol)
+        assert spans == []
+
+    @pytest.mark.parametrize("n_bracket, tol, error", [
+        ((1.2, 3.5), math.inf, DomainError),
+        ((1.2, 3.5, 99), 1e-10, NoBracket),
+        (("1.2", "3.5"), 1e-10, NoBracket)])
+    def test_golden_problem_refuses_what_it_answered_silently(
+            self, monkeypatch, n_bracket, tol, error):
+        # bvp.csv's problem: tol inf returned the bracket end n = 3.5, the
+        # third entry was dropped and the text ends parsed, both giving
+        # n = 1.9993159356636825
+        spans = count_spans(monkeypatch)
+        prob = BvpProblem(PolarPoint(-1.047, 1.0), PolarPoint(1.047, 1.0),
+                          PowerLaw(0.0))
+        with pytest.raises(error):
+            solve_n(prob, n_bracket, tol)
         assert spans == []
 
     def test_numpy_scalar_tol_solves(self):

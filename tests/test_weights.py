@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -402,6 +403,20 @@ class TestParse:
         assert w.lam == 2.0
         w2 = parse_weight(" z ^ 0.5 ")
         assert isinstance(w2, PowerLaw) and w2.lam == 0.5
+
+    @pytest.mark.parametrize("make", [parse_weight, ExpressionWeight])
+    @pytest.mark.parametrize("text", [5, b"z", b"", None, ["z"]])
+    def test_text_that_is_not_a_str_raises(self, make, text):
+        # parse_weight(5) raised AttributeError and b"z" TypeError
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"weight expression must be a str, got {text!r}") + "$"):
+            make(text)
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_text_raises(self, text):
+        with pytest.raises(DomainError,
+                           match="^weight expression must be nonempty$"):
+            parse_weight(text)
 
     def test_expression_tree(self):
         w = parse_weight("1/(1+z^2)")
