@@ -14,6 +14,7 @@ from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
                               solve_n)
 
 import closed_form_reference
+import span_costs
 
 
 def span(n, prob, tol=1e-12):
@@ -428,6 +429,17 @@ class TestSolveN:
         pieces = [2, 3, 3, 2, 2, 2, 2, 2]
         assert calls["integrate"] == [(True, k) for k in pieces]
         assert calls["first panels"] == [3 * k for k in pieces]
+
+    def test_spans_over_the_benchmark_jobs(self):
+        # the benchmark's 105 bvp jobs of seed 1: the spans, their
+        # kronrod_panels calls and reduced_ode's weight passes by kind,
+        # (calls, points); the np.errstate entries are not pinned
+        counts = span_costs.span_counts()
+        assert (counts["spans"], counts["kronrod_panels"]) == (871, 952)
+        assert {name: counts[name] for name in span_costs.PASSES} == {
+            "eval_v": (2762, 48436), "eval_vq": (871, 871),
+            "eval_slope": (871, 67185), "masked_v": (1158, 109547),
+            "wide_v": (871, 871)}
 
     def test_root_pieces_reused(self, monkeypatch):
         # first draw of criterion 07: the returned n* is one of the span
