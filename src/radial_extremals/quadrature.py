@@ -100,10 +100,11 @@ def kronrod_panels(f, a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
+    width = b - a
+    half = 0.5 * width
     center = 0.5 * (a + b)
     fv = np.asarray(f(center[:, None] + half[:, None] * _NODES), dtype=float)
-    return _panel_sums(fv, half, b - a)
+    return _panel_sums(fv, half, width)
 
 
 def integrate(runs, lo, hi, tol, split=False):
@@ -125,7 +126,8 @@ def integrate(runs, lo, hi, tol, split=False):
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
     # order reversed limits in place and negate their results on return
     flip = b < a
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    if np.count_nonzero(flip):
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
     cuts = [0, *accumulate(n for _, n in runs)]   # run r: cuts[r]..cuts[r+1]
     step = 3 if split else 1
     if split or len(runs) > 1:

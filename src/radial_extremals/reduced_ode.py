@@ -174,11 +174,10 @@ class ExtremalSpec:
         self.z_turn, v0, slope = _turning_point(self.weight, self.n)
         zt, n = self.z_turn, self.n
         z_split, self._slow = self._handoff()
-        # eps with z* + eps the root of g
-        eps = -float(np.longdouble(n) * wide_v(self.weight, zt)
-                     * np.longdouble(zt) - 1) / slope
+        # eps with z* + eps the root of g, the product in long double
+        eps = -float(n * wide_v(self.weight, zt) * zt - 1) / slope
         self._turn = v0, slope, eps if abs(eps) <= 1e-12 * zt else 0.0
-        self._near = z_split, float(_t_of(self, z_split))   # z and t
+        self._near = z_split, _t_at(self, z_split)   # z and t
 
     def _handoff(self):
         """(z_split, slow): the radius where near pieces (in t) hand off to
@@ -187,20 +186,20 @@ class ExtremalSpec:
         first where g stops rising or the weight turns invalid (a domain
         edge), else the top rung, a slow handoff.  The near integrand is
         regular past a peak of g while g > 0, so z_split may lie past one."""
-        zt = self.z_turn
+        zt, n = self.z_turn, self.n
         z = zt + 1e-6 * zt * _LADDER
         v, valid = masked_v(self.weight, z)
         if not valid[0]:   # the weight's own error
-            _profile(self.weight, self.n, z[0])
-        with np.errstate(all="ignore"):
-            g = self.n * v * z - 1.0
-        reach = valid & (g >= _G_HANDOFF)
-        stop = np.concatenate(([False], ~valid[1:] | (g[1:] <= g[:-1])))
-        ends = reach | stop
-        if not ends.any():
-            return float(z[-1]), True
-        k = int(np.argmax(ends))
-        return float(z[k - 1 if stop[k] and not reach[k] else k]), False
+            _profile(self.weight, n, z[0])
+        last = None   # (z, g) of the rung before
+        for zk, vk, ok in zip(z.tolist(), v.tolist(), valid.tolist()):
+            g = n * vk * zk - 1.0   # numpy's bits, in floats, without warnings
+            if ok and g >= _G_HANDOFF:
+                return zk, False
+            if last and (not ok or g <= last[1]):
+                return last[0], False
+            last = zk, g
+        return zk, True
 
 
 def _near_integrand(spec: ExtremalSpec):
@@ -227,15 +226,13 @@ def _near_integrand(spec: ExtremalSpec):
 
 def _far_integrand(spec: ExtremalSpec):
     def f(z):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):   # past 1e308 the limit 0 is right
             g = _profile(spec.weight, spec.n, z)
             rad = g * (g + 2.0)
-        if np.count_nonzero(g <= 0.0):
-            raise ForbiddenRegion(
-                "n*v(z)*z dips to 1 inside the integration range")
-        _check_overflow(z, rad)
-        with np.errstate(over="ignore"):   # past 1e308 the limit 0 is right
+            if np.count_nonzero(g <= 0.0):
+                raise ForbiddenRegion(
+                    "n*v(z)*z dips to 1 inside the integration range")
+            _check_overflow(z, rad)
             return 1.0 / (z * np.sqrt(rad))
     return f
 
@@ -275,6 +272,12 @@ def _t_of(spec: ExtremalSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     tt = np.maximum((z - spec.z_turn) - spec._turn[2], 0.0)
     return np.sqrt(np.where(z <= spec.z_turn, 0.0, tt))
+
+
+def _t_at(spec: ExtremalSpec, z: float) -> float:
+    """_t_of at one finite radius, in Python floats, with its bits."""
+    tt = max((z - spec.z_turn) - spec._turn[2], 0.0)
+    return math.sqrt(tt) if z > spec.z_turn else 0.0
 
 
 def _increments(spec: ExtremalSpec, z_from: np.ndarray, z_to: np.ndarray,
@@ -360,7 +363,7 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
     if za.ndim > 1:
         raise DomainError("z must be a scalar or a 1-d array, got shape "
                           f"{za.shape}")
-    radii = [real("z", x) for x in np.atleast_1d(za).tolist()]
+    radii = [real("z", x) for x in za.ravel().tolist()]
     z_min = spec.z_turn * (1.0 - 1e-12)
     for x in radii:
         if x < z_min:
@@ -372,7 +375,7 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
         return got if za.ndim else float(got[0])
     z_split, t_split = spec._near
     inner = [z for z in radii if not z > z_split]
-    t_hi = _t_of(spec, inner).tolist()
+    t_hi = [_t_at(spec, z) for z in inner]
     z_long = _LONG_FAR * z_split
     short = [z for z in radii if z_split < z <= z_long]
     long = [z for z in radii if z > z_long]
@@ -382,7 +385,7 @@ def integrate_phi(spec: ExtremalSpec, z, tol: float):
         slot = next(i for i, z in enumerate(radii) if z > z_split)
         t_hi.insert(slot, t_split)
         tols.insert(slot, half)
-    log_z = np.log([z_split, *long]).tolist()
+    log_z = np.log([z_split, *long]).tolist() if long else []
     val = quadrature.integrate(
         [(_near_integrand(spec), len(t_hi)),
          (_far_integrand(spec), len(short)),
