@@ -70,11 +70,12 @@ class DomainViolation(ExtremalError):
 
 
 def real(name, value, least=-math.inf, most=math.inf, *, integer=False,
-         positive=False):
+         positive=False, infinite=False):
     """value as a float (an int if integer) once it is a finite real number
-    (an integer if integer) in [least, most], and > 0 if positive, else
-    DomainError naming name and value: a bool, text, None or a complex
-    number is refused, never parsed; numpy scalars and Fractions pass."""
+    (an integer if integer; or +-inf if infinite, for a marker) in [least,
+    most], and > 0 if positive, else DomainError naming name and value: a
+    bool, text, None or a complex number is refused, never parsed; numpy
+    scalars and Fractions pass."""
     ok = type(value) is (int if integer else float) or isinstance(
         value, numbers.Integral if integer else numbers.Real) \
         and not isinstance(value, bool)   # exact types skip the slow ABC
@@ -82,8 +83,10 @@ def real(name, value, least=-math.inf, most=math.inf, *, integer=False,
         x = (int if integer else float)(value) if ok else math.nan
     except OverflowError:   # an int or a Fraction past the float range
         x = math.nan
-    if not (integer and ok or math.isfinite(x)):
-        rule = "an integer" if integer else "a finite real number"
+    if not (integer and ok or math.isfinite(x) or infinite and ok
+            and math.isinf(x)):
+        rule = "an integer" if integer else "a real number or +-inf" \
+            if infinite else "a finite real number"
         raise DomainError(f"{name} must be {rule}, got {value!r}")
     if not (least <= x <= most and (x > 0 or not positive)):
         rule = "positive" if positive else f"in [{least}, {most}]"
@@ -91,14 +94,17 @@ def real(name, value, least=-math.inf, most=math.inf, *, integer=False,
     return x
 
 
-def real_array(name, values):
+def real_array(name, values, *, infinite=False):
     """values as a new float array once every entry is a finite real number
-    as real takes it; every entry of anything but an array of integers or
-    floats, a list say, is checked as it is before the float conversion.
-    The error names the first bad entry by its index, as name[i, j]."""
+    (or +-inf if infinite) as real takes it; every entry of anything but an
+    array of integers or floats, a list say, is checked as it is before the
+    float conversion.  The error names the first bad entry by its index, as
+    name[i, j]."""
     a = values if isinstance(values, np.ndarray) \
         else np.array(values, dtype=object)
-    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+    if a.dtype.kind not in "iuf" or not (
+            ~np.isnan(a) if infinite else np.isfinite(a)).all():
         for index, x in zip(np.ndindex(a.shape), a.ravel().tolist()):
-            real(f"{name}{list(index) if index else ''}", x)
+            real(f"{name}{list(index) if index else ''}", x,
+                 infinite=infinite)
     return a.astype(float)

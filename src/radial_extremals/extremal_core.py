@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonMonotoneAbscissa, real_array
+from .errors import DomainError, NonMonotoneAbscissa, real, real_array
 from .weights import RadialWeight, eval_v, eval_vq
 
 __all__ = ["CartesianPoint", "PolarPoint", "ELPartials",
@@ -59,7 +59,8 @@ def _partials(x, y, p, w: RadialWeight):
 def lagrangian_partials_cartesian(pt: CartesianPoint, p: float,
                                   w: RadialWeight) -> ELPartials:
     """Partials of V = v(z)*sqrt(1+p^2) at a point with slope p = dy/dx."""
-    return ELPartials(*map(float, _partials(pt.x, pt.y, p, w)))
+    x, y, p = (real(k, a) for k, a in (("x", pt.x), ("y", pt.y), ("p", p)))
+    return ELPartials(*map(float, _partials(x, y, p, w)))
 
 
 def clairaut_constant(r, dtheta_dr, w: RadialWeight):
@@ -71,9 +72,10 @@ def clairaut_constant(r, dtheta_dr, w: RadialWeight):
     may be scalars or arrays; each entry has its scalar call's bits
     (math.hypot is applied per entry, because np.hypot rounds differently).
     """
+    r = real_array("r", r)
+    p = real_array("dtheta_dr", dtheta_dr, infinite=True)   # the marker too
     v = eval_v(w, r)
-    r, p = np.broadcast_arrays(np.asarray(r, dtype=float),
-                               np.asarray(dtheta_dr, dtype=float))
+    r, p = np.broadcast_arrays(r, p)
     rp = p * r
     hyp = np.reshape([math.hypot(1.0, x) for x in rp.ravel().tolist()],
                      rp.shape)

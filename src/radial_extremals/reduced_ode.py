@@ -407,7 +407,11 @@ def dphi_dz(z, spec: ExtremalSpec):
     n*v(z)*z <= 1 at some z (at or inside the turning circle the radicand
     is not positive); the message names the first such z.
     """
-    za = np.asarray(z, dtype=float)
+    return _dphi_dz(real_array("z", z), spec)
+
+
+def _dphi_dz(za: np.ndarray, spec: ExtremalSpec):
+    """dphi_dz at a float array za, unchecked."""
     wz, rad = _radicand(spec.weight, spec.n, za)
     inside = np.flatnonzero(rad <= 0.0)
     if inside.size:
@@ -498,7 +502,7 @@ def _uniform_phi_grid(spec, z_max, count, tol):
     for step in range(8):
         local, e, p = _increments(spec, base_z, z, 1e-15)
         miss = base_phi + local - targets[1:-1]
-        z = z - miss / dphi_dz(z, spec)
+        z = z - miss / _dphi_dz(z, spec)
         z = np.maximum(z, spec.z_turn * (1.0 + 1e-15))
         err, panels = err + e, panels + p
         if step and np.abs(miss).max() <= 1e-8:

@@ -12,13 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
-                              NoBracket, PolarPoint, Polyline, PowerLaw,
-                              PowerLawCurve, algebraic_relation_residual,
-                              beltrami_residual, el_residual,
+from radial_extremals import (BvpProblem, CartesianPoint, DomainError,
+                              ExtremalSpec, NoBracket, PolarPoint, Polyline,
+                              PowerLaw, PowerLawCurve,
+                              algebraic_relation_residual, beltrami_residual,
+                              clairaut_constant, dphi_dz, el_residual,
                               first_integral_deviation, integrate_phi,
-                              log_spiral_point, minimize, power_law_point,
-                              solve_n, trace_extremal, turning_radius)
+                              lagrangian_partials_cartesian, log_spiral_point,
+                              minimize, power_law_point, solve_n,
+                              trace_extremal, turning_radius)
 from radial_extremals.errors import real, real_array
 
 BAD = ["1.0", None, True, math.nan, math.inf, -math.inf]
@@ -71,6 +73,22 @@ ENTRIES = {
         spec_without_passes(), 3.0, x), DomainError),
     "trace_extremal tol": (lambda x: trace_extremal(
         spec_without_passes(), 3.0, 5, x), DomainError),
+    "dphi_dz z": (lambda x: dphi_dz(x, spec_without_passes()), DomainError),
+    "dphi_dz z entry": (lambda x: dphi_dz([2.0, x], spec_without_passes()),
+                        DomainError),
+    "clairaut_constant r": (lambda x: clairaut_constant(x, 0.5, NoPass(1.0)),
+                            DomainError),
+    "clairaut_constant r entry": (lambda x: clairaut_constant(
+        [2.0, x], 0.5, NoPass(1.0)), DomainError),
+    "lagrangian_partials_cartesian x": (
+        lambda x: lagrangian_partials_cartesian(CartesianPoint(x, 1.0), 0.5,
+                                                NoPass(1.0)), DomainError),
+    "lagrangian_partials_cartesian y": (
+        lambda x: lagrangian_partials_cartesian(CartesianPoint(1.0, x), 0.5,
+                                                NoPass(1.0)), DomainError),
+    "lagrangian_partials_cartesian p": (
+        lambda x: lagrangian_partials_cartesian(CartesianPoint(1.0, 1.0), x,
+                                                NoPass(1.0)), DomainError),
     "first_integral_deviation n": (lambda x: first_integral_deviation(
         NoPass(1.0), x, [2.0, 3.0]), DomainError),
     "first_integral_deviation z": (lambda x: first_integral_deviation(
@@ -123,6 +141,41 @@ def test_entry_refuses_a_value_that_is_not_a_finite_real_number(entry,
         call(value)
 
 
+@pytest.mark.parametrize("value", BAD, ids=repr)
+@pytest.mark.parametrize("shape", ["scalar", "entry"])
+def test_clairaut_slope_takes_the_infinite_marker_only(value, shape):
+    # dtheta_dr = +-inf marks a tangent perpendicular to the radius: v*r
+    # with the marker's sign; anything else that is not a finite real
+    # number is refused before the weight pass
+    def call(w):
+        got = clairaut_constant(2.0, value if shape == "scalar"
+                                else [0.5, value], w)
+        return got if shape == "scalar" else got[1]
+    if value in (math.inf, -math.inf):
+        assert call(PowerLaw(1.0)) == math.copysign(4.0, value)
+        return
+    with pytest.raises(DomainError, match="^dtheta_dr.* must be a real "
+                                          r"number or \+-inf, got "):
+        call(NoPass(1.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dphi_dz("2", ExtremalSpec(PowerLaw(1.0), 1.0)),
+     "z must be a finite real number, got '2'"),
+    (lambda: dphi_dz(True, ExtremalSpec(PowerLaw(1.0), 1.0)),
+     "z must be a finite real number, got True"),
+    (lambda: clairaut_constant(2.0, "0.5", PowerLaw(1.0)),
+     "dtheta_dr must be a real number or +-inf, got '0.5'"),
+    (lambda: lagrangian_partials_cartesian(CartesianPoint("1", 1.0), 0.5,
+                                           PowerLaw(1.0)),
+     "x must be a finite real number, got '1'")])
+def test_text_and_bools_are_refused_where_they_were_taken(call, message):
+    # dphi_dz and clairaut_constant parsed text and took True as 1.0, and
+    # lagrangian_partials_cartesian raised a bare TypeError from math.hypot
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 # entry and argument: the result of a call of one good value, as a float,
 # or an array, that must not depend on the value's type
 GOOD = {
@@ -137,6 +190,13 @@ GOOD = {
         ExtremalSpec(PowerLaw(1.3), 0.9), [2.0, x], 1e-12)),
     "trace_extremal z_max": (3, lambda x: trace_extremal(
         ExtremalSpec(PowerLaw(1.3), 0.9), x, 5).phi),
+    "dphi_dz": (2, lambda x: dphi_dz([x, 3.0], ExtremalSpec(PowerLaw(1.3),
+                                                            0.9))),
+    "clairaut_constant": (2, lambda x: clairaut_constant(x, [x / 4, math.inf],
+                                                         PowerLaw(1.3))),
+    "lagrangian_partials_cartesian": (2, lambda x: astuple(
+        lagrangian_partials_cartesian(CartesianPoint(x, x + 1), x / 4,
+                                      PowerLaw(1.3)))),
     "first_integral_deviation": (2, lambda x: first_integral_deviation(
         PowerLaw(1.3), x / 2, [x, 3.0])),
     "BvpProblem endpoints": (1, lambda x: solve_n(BvpProblem(

@@ -58,6 +58,8 @@ KEPT = {
     "beltrami_residual": "the paper's own equation, M dx = d(V - P*p)",
     "lagrangian_partials_cartesian": "acceptance criterion 08 reads V, M, "
                                      "N and P through it",
+    "dphi_dz": "the checked dphi/dz of the reduced equation; the uniform-phi "
+               "grid's Newton steps take its unchecked core",
     "eval_q": "acceptance criterion 08 reads q through it",
     "functional_value": "the README tour and acceptance criterion 06 read a "
                         "polyline's value through it",

@@ -1436,8 +1436,8 @@ class TestTrace:
     def test_uniform_phi_radii_that_do_not_settle_fail(self, monkeypatch):
         # with a tenth of each Newton step the angle corrections shrink by
         # 0.9 a step, so the eighth is still above 1e-8 rad
-        slope = reduced_ode.dphi_dz
-        monkeypatch.setattr(reduced_ode, "dphi_dz",
+        slope = reduced_ode._dphi_dz
+        monkeypatch.setattr(reduced_ode, "_dphi_dz",
                             lambda z, spec: 10.0 * slope(z, spec))
         spec = ExtremalSpec(PowerLaw(1.0), 1.0)
         with pytest.raises(QuadratureFailure, match="did not settle"):
