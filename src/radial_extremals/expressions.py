@@ -49,9 +49,28 @@ class Neg:
 
 @dataclass(frozen=True)
 class Bin:
+    """A binary operation.  == and hash loop down the left spine of a
+    chain of them, as evaluate does, so a long sum does not recurse."""
     op: str
     lhs: object
     rhs: object
+
+    def __eq__(self, other):
+        if type(other) is not Bin:
+            return NotImplemented
+        a, b = self, other
+        while type(a) is Bin and type(b) is Bin and a is not b:
+            if a.op != b.op or a.rhs != b.rhs:
+                return False
+            a, b = a.lhs, b.lhs
+        return a is b or a == b
+
+    def __hash__(self):
+        node, ops = self, []
+        while type(node) is Bin:
+            ops.append((node.op, node.rhs))
+            node = node.lhs
+        return hash((node, *ops))
 
 
 @dataclass(frozen=True)

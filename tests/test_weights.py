@@ -520,6 +520,21 @@ class TestParse:
         w = parse_weight("1+" * 2999 + "z")
         assert eval_vq(w, 1.3) == (1.3 + 2999.0, 1.0)
 
+    @pytest.mark.parametrize("terms", [3000, 20000])
+    def test_long_sums_compare_and_hash_without_recursion(self, terms):
+        # == and hash loop down a chain's left spine, as the walk does;
+        # the generated ones recursed once per term
+        text = "+".join(["z"] * terms)
+        a, b = parse_expression(text), parse_expression(text)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        leaves = ["z"] * terms
+        leaves[terms // 2] = "2"
+        other = parse_expression("+".join(leaves))
+        assert a != other and not a == other and b != other
+        assert parse_expression(text + "*z") != a != parse_expression(
+            text.replace("+", "-", 1))
+
     @pytest.mark.parametrize("text", ["-" * 5000 + "z",
                                       "(" * 2000 + "z" + ")" * 2000,
                                       "z^" * 3000 + "z"])
