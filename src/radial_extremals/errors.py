@@ -83,8 +83,7 @@ def real(name, value, least=-math.inf, most=math.inf, *, integer=False,
         x = (int if integer else float)(value) if ok else math.nan
     except OverflowError:   # an int or a Fraction past the float range
         x = math.nan
-    if not (integer and ok or math.isfinite(x) or infinite and ok
-            and math.isinf(x)):
+    if not (integer and ok or math.isfinite(x) or infinite and math.isinf(x)):
         rule = "an integer" if integer else "a real number or +-inf" \
             if infinite else "a finite real number"
         raise DomainError(f"{name} must be {rule}, got {value!r}")
