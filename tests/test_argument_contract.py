@@ -301,3 +301,16 @@ def test_real_array_converts_a_new_array():
     got = real_array("v", [Fraction(1, 2), np.int64(2), np.float32(0.25)])
     assert got.dtype == float and got.tolist() == [0.5, 2.0, 0.25]
     assert real_array("v", np.arange(3)).dtype == float
+
+
+def test_infinite_takes_the_markers_and_refuses_nan():
+    assert real("x", -math.inf, infinite=True) == -math.inf
+    assert real_array("v", [1.0, math.inf], infinite=True).tolist() == \
+        [1.0, math.inf]
+    for bad in (math.nan, "inf", True, None):
+        with pytest.raises(DomainError, match=r"^x must be a real number or "
+                                              r"\+-inf, got "):
+            real("x", bad, infinite=True)
+    with pytest.raises(DomainError, match=r"^v\[1\] must be a real number or "
+                                          r"\+-inf, got nan$"):
+        real_array("v", np.array([1.0, math.nan]), infinite=True)
