@@ -9,6 +9,10 @@ Grammar (whitespace insignificant)::
     atom   := number | 'z' | func '(' expr ')' | '(' expr ')' ;
     func   := 'exp'|'log'|'sqrt'|'sin'|'cos' ;
 
+An expr's, a term's or a power's run of operators is one Chain node, so a
+tree nests only as deep as the text's parentheses, functions, unary minuses
+and powers.
+
 Trees evaluate over floats or numpy arrays, and one walk gives values and
 exact first and second derivatives, or values at two points and the slope
 between them (the divided difference), by slope arithmetic (R. Krawczyk and
@@ -28,8 +32,8 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["Num", "Var", "Neg", "Bin", "Fun", "FUNCTIONS", "parse_expression",
-           "evaluate", "evaluate_slope"]
+__all__ = ["Num", "Var", "Neg", "Chain", "Fun", "FUNCTIONS",
+           "parse_expression", "evaluate", "evaluate_slope"]
 
 
 @dataclass(frozen=True)
@@ -48,29 +52,12 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Bin:
-    """A binary operation.  == and hash loop down the left spine of a
-    chain of them, as evaluate does, so a long sum does not recurse."""
-    op: str
-    lhs: object
-    rhs: object
-
-    def __eq__(self, other):
-        if type(other) is not Bin:
-            return NotImplemented
-        a, b = self, other
-        while type(a) is Bin and type(b) is Bin and a is not b:
-            if a.op != b.op or a.rhs != b.rhs:
-                return False
-            a, b = a.lhs, b.lhs
-        return a is b or a == b
-
-    def __hash__(self):
-        node, ops = self, []
-        while type(node) is Bin:
-            ops.append((node.op, node.rhs))
-            node = node.lhs
-        return hash((node, *ops))
+class Chain:
+    """An operator run as the grammar reads it: the operand first, then
+    ops, the (operator, operand) pairs that follow it, left to right; a
+    '^' is a chain of one pair."""
+    first: object
+    ops: tuple
 
 
 @dataclass(frozen=True)
@@ -154,9 +141,7 @@ def evaluate(node, z, seed=None, seed2=None):
     and 0 give v' and v''.  Each is None where it is zero: without z in the
     subtree, with no seed, or (the second) with no seed2, which needs a
     seed.  The second derivative's rules run beside the first's and change
-    no bit of the value or the derivative.  The left spine of a chain of
-    binary operators is a loop, so a long sum or product does not
-    recurse."""
+    no bit of the value or the derivative."""
     if isinstance(node, Num):
         return node.value, None, None
     if isinstance(node, Var):
@@ -170,21 +155,16 @@ def evaluate(node, z, seed=None, seed2=None):
         d = None if dx is None else _CHAIN[node.name](x, v, dx)
         dd = None if ddx is None else _CHAIN2[node.name](x, v, dx, ddx)
         return v, d, dd
-    spine = [node]
-    while isinstance(node.lhs, Bin):
-        node = node.lhs
-        spine.append(node)
-    v, d, dd = evaluate(node.lhs, z, seed, seed2)
-    for node in reversed(spine):
-        b, db, ddb = evaluate(node.rhs, z, seed, seed2)
+    v, d, dd = evaluate(node.first, z, seed, seed2)
+    for op, operand in node.ops:
+        b, db, ddb = evaluate(operand, z, seed, seed2)
         if d is None and db is None:
-            v = _OPS[node.op](v, b)
+            v = _OPS[op](v, b)
         else:
             a, da = v, d
-            rule = _RULES[node.op][2 * (da is None) + (db is None)]
-            v, d = rule(a, da, b, db)
+            v, d = _RULES[op][2 * (da is None) + (db is None)](a, da, b, db)
             if seed2 is not None:
-                dd = _second(node.op, a, da, dd, b, db, ddb, v, d)
+                dd = _second(op, a, da, dd, b, db, ddb, v, d)
     return v, d, dd
 
 
@@ -247,9 +227,7 @@ def _slope_pow(a, a0, sa, b, b0, sb, dz):
 def evaluate_slope(node, z, z0, dz):
     """(value at z, value at z0, slope (value(z) - value(z0))/dz) of a tree,
     z = z0 + dz a float or an ndarray and z0 a float; the slope is None
-    without z in the subtree, and its limit, the derivative, where dz is 0.
-    The left spine of a chain of binary operators is a loop, as in
-    evaluate."""
+    without z in the subtree, and its limit, the derivative, where dz is 0."""
     if isinstance(node, Num):
         return node.value, node.value, None
     if isinstance(node, Var):   # numpy's float: 1/0 is inf, not an error
@@ -264,14 +242,9 @@ def evaluate_slope(node, z, z0, dz):
         if sx is None:
             return v, v0, None
         return v, v0, _SLOPE_CHAIN[node.name](x, x0, v, v0, sx, sx * dz)
-    spine = [node]
-    while isinstance(node.lhs, Bin):
-        node = node.lhs
-        spine.append(node)
-    a, a0, sa = evaluate_slope(node.lhs, z, z0, dz)
-    for node in reversed(spine):
-        b, b0, sb = evaluate_slope(node.rhs, z, z0, dz)
-        op = node.op
+    a, a0, sa = evaluate_slope(node.first, z, z0, dz)
+    for op, operand in node.ops:
+        b, b0, sb = evaluate_slope(operand, z, z0, dz)
         if sa is None and sb is None:
             a, a0 = _OPS[op](a, b), _OPS[op](a0, b0)
             continue
@@ -328,7 +301,6 @@ class _Parser:
             self.tokens.append((kind, tok, m.start()))
         self.tokens.append(("end", "", len(text)))
         self.i = 0
-        self.values = {}   # id of each node without z -> its value
 
     def peek(self):
         return self.tokens[self.i]
@@ -349,42 +321,38 @@ class _Parser:
         self.advance()
 
     def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            node = self.bin(self.advance(), node, self.term())
-        return node
+        return self.chain(self.term, self.term, ("+", "-"))
 
     def term(self):
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            node = self.bin(self.advance(), node, self.factor())
-        return node
+        return self.chain(self.factor, self.factor, ("*", "/"))
 
     def factor(self):
         if self.peek()[1] == "-":
             self.advance()
-            node = self.factor()
-            return self.fold(Neg(node), operator.neg, node)
-        return self.power()
+            node, value = self.factor()
+            return Neg(node), self.fold(operator.neg, None, value)
+        # power: the factor after a '^' reads every '^' that follows it
+        return self.chain(self.atom, self.factor, ("^",))
 
-    def power(self):
-        base = self.atom()
-        if self.peek()[1] == "^":
-            return self.bin(self.advance(), base, self.factor())
-        return base
+    def chain(self, first, operand, ops):
+        """(node, value): first's, or a Chain of it and the (operator,
+        operand) pairs that follow it while the operator is in ops, each
+        operator folded into the value as it is read."""
+        node, value = first()
+        pairs = []
+        while self.peek()[1] in ops:
+            _, op, off = self.advance()
+            rhs, rhs_value = operand()
+            pairs.append((op, rhs))
+            value = self.fold(_OPS[op], off, value, rhs_value)
+        return (Chain(node, tuple(pairs)) if pairs else node), value
 
-    def bin(self, tok, lhs, rhs):
-        return self.fold(Bin(tok[1], lhs, rhs), _OPS[tok[1]], lhs, rhs,
-                         off=tok[2])
-
-    def fold(self, node, fn, *operands, off=None):
-        """node, its value fn(*values) in Python floats recorded where every
-        operand has one; an operation that raises or goes complex is a
+    def fold(self, fn, off, *values):
+        """fn(*values) in Python floats, or None where a value is None (its
+        node has z); an operation that raises or goes complex is a
         ParseError at off, its operator's offset."""
-        try:
-            values = [self.values[id(x)] for x in operands]
-        except KeyError:    # an operand has z
-            return node
+        if None in values:
+            return None
         try:
             value = fn(*values)
         except ZeroDivisionError:
@@ -394,8 +362,7 @@ class _Parser:
             raise ParseError("constant subexpression overflows", off) from None
         if isinstance(value, complex):
             raise ParseError("constant subexpression has no real value", off)
-        self.values[id(node)] = value
-        return node
+        return value
 
     def atom(self):
         kind, tok, off = self.peek()
@@ -404,21 +371,19 @@ class _Parser:
             value = float(tok)
             if value == math.inf:
                 raise ParseError(f"number {tok!r} overflows to inf", off)
-            node = Num(value)
-            self.values[id(node)] = value
-            return node
+            return Num(value), value
         if kind == "var":
             self.advance()
-            return Var()
+            return Var(), None
         if kind == "func" or tok == "(":
             self.advance()
             if kind == "func":
                 self.expect("(")
-            node = self.expr()
+            node, value = self.expr()
             self.expect(")")
             if kind == "func":
-                return self.fold(Fun(tok, node), FUNCTIONS[tok], node)
-            return node
+                return Fun(tok, node), self.fold(FUNCTIONS[tok], None, value)
+            return node, value
         self.fail(_ATOM_EXPECTED)
 
 
@@ -430,7 +395,7 @@ def parse_expression(text: str):
     parser = _Parser(text)
     try:
         with np.errstate(all="ignore"):
-            node = parser.expr()
+            node = parser.expr()[0]
             if parser.peek()[0] != "end":
                 parser.fail(("operator", "end of input"))
     except RecursionError:   # where depends on the caller's stack: offset 0

@@ -216,9 +216,9 @@ def parse_weight(text: str) -> RadialWeight:
     if isinstance(text, str) and not text.strip():
         raise DomainError("weight expression must be nonempty")
     w = ExpressionWeight(text)
-    if isinstance(w.ast, expressions.Bin) and w.ast.op == "^" \
-            and isinstance(w.ast.lhs, expressions.Var) \
-            and isinstance(w.ast.rhs, expressions.Num):
-        return PowerLaw(w.ast.rhs.value)
+    match w.ast:
+        case expressions.Chain(expressions.Var(),
+                               (("^", expressions.Num(p)),)):
+            return PowerLaw(p)
     return w
 

@@ -101,6 +101,11 @@ FUNCTIONS = {"exp": _exp, "log": _log, "sqrt": _sqrt, "sin": _sin,
              "cos": _cos}
 
 
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+        "^": lambda a, b: a ** b}
+
+
 def walk(node, z):
     """A tree's value at z, a float, an ndarray or a Dual, recursively."""
     if isinstance(node, expressions.Num):
@@ -111,9 +116,10 @@ def walk(node, z):
         return -walk(node.operand, z)
     if isinstance(node, expressions.Fun):
         return FUNCTIONS[node.name](walk(node.arg, z))
-    a, b = walk(node.lhs, z), walk(node.rhs, z)
-    return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-            "/": lambda: a / b, "^": lambda: a ** b}[node.op]()
+    a = walk(node.first, z)
+    for op, operand in node.ops:
+        a = _OPS[op](a, walk(operand, z))
+    return a
 
 
 def raw_vq(ast, z):

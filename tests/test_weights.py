@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radial_extremals import (DomainError, EvalError, ExpressionWeight,
@@ -474,7 +476,8 @@ class TestParse:
         ("(-4)^0.5+z", 4, "has no real value"),
         ("z+(-8)^(1/3)", 6, "has no real value"),
         ("z*(-1)^0.5", 6, "has no real value"),
-        ("sqrt(2-1/(3-3))*z", 8, "divides by zero")])
+        ("sqrt(2-1/(3-3))*z", 8, "divides by zero"),
+        ("z+1/0*(2/0)", 3, "divides by zero")])
     def test_constant_that_faults_in_python_floats(self, text, offset, match):
         # a ParseError at its operator, not a crash or a real part
         with pytest.raises(ParseError, match="constant subexpression " + match
@@ -513,17 +516,19 @@ class TestParse:
         assert err.value.offset == 1
 
     def test_long_constant_chain(self):
-        # 2999 constant terms, each sum recorded as it is read, then z
+        # 2999 constant terms, each sum folded as it is read, then z
         tree = parse_expression("1+" * 2999 + "z")
-        assert tree.rhs == expressions.Var()
-        assert expressions.evaluate(tree.lhs, 0.0) == (2999.0, None, None)
+        assert tree.ops[-1] == ("+", expressions.Var())
+        assert expressions.evaluate(expressions.Chain(tree.first,
+                                                      tree.ops[:-1]),
+                                    0.0) == (2999.0, None, None)
         w = parse_weight("1+" * 2999 + "z")
         assert eval_vq(w, 1.3) == (1.3 + 2999.0, 1.0)
 
     @pytest.mark.parametrize("terms", [3000, 20000])
     def test_long_sums_compare_and_hash_without_recursion(self, terms):
-        # == and hash loop down a chain's left spine, as the walk does;
-        # the generated ones recursed once per term
+        # a sum is one Chain, so == and hash recurse once, not once per
+        # term as a binary tree's generated ones did
         text = "+".join(["z"] * terms)
         a, b = parse_expression(text), parse_expression(text)
         assert a is not b and a == b and not a != b
@@ -535,6 +540,28 @@ class TestParse:
         assert parse_expression(text + "*z") != a != parse_expression(
             text.replace("+", "-", 1))
 
+    @pytest.mark.parametrize("op", ["+", "*"])
+    @pytest.mark.parametrize("terms", [3000, 20000])
+    def test_long_runs_print_copy_and_pickle_without_recursion(self, op,
+                                                               terms):
+        # repr, pickle and deepcopy of a binary tree recursed once per term
+        text = op.join(["z"] * terms)
+        tree, w = parse_expression(text), parse_weight(text)
+        z0 = 1.0 + 1e-5    # a product's terms keep z^terms finite near 1
+        z = z0 + np.array([-1e-5, 0.0, 3e-5])
+        for copy_of in (copy.deepcopy,
+                        lambda x: pickle.loads(pickle.dumps(x))):
+            tree2, w2 = copy_of(tree), copy_of(w)
+            assert tree2 is not tree and tree2 == tree == w2.ast
+            assert hash(tree2) == hash(tree) == hash(w2.ast)
+            assert repr(tree2) == repr(tree) and repr(w2) == repr(w)
+            for call in (lambda x: (eval_v(x, z), eval_v(x, z0)),
+                         lambda x: eval_vq2(x, z),
+                         lambda x: eval_slope(x, z, z0, z - z0)):
+                want = _raw_outcome(lambda: call(w))
+                assert isinstance(want, list)
+                assert _raw_outcome(lambda: call(w2)) == want
+
     @pytest.mark.parametrize("text", ["-" * 5000 + "z",
                                       "(" * 2000 + "z" + ")" * 2000,
                                       "z^" * 3000 + "z"])
@@ -544,23 +571,33 @@ class TestParse:
         assert err.value.offset == 0
 
 
+def _chains(sub):
+    """Chains as the parser builds them: a run of one to three '+'/'-'
+    pairs or '*'/'/' pairs, or one '^' pair."""
+    def run(ops, most):
+        pairs = st.lists(st.tuples(st.sampled_from(ops), sub), min_size=1,
+                         max_size=most)
+        return st.builds(expressions.Chain, sub, pairs.map(tuple))
+    return run("+-", 3) | run("*/", 3) | run("^", 1)
+
+
 # expression trees as parse_expression builds them: literals are finite and
 # not negative (a leading minus is a Neg node)
 _TREES = st.recursive(
     st.builds(expressions.Num, st.floats(min_value=0.0, allow_nan=False,
                                          allow_infinity=False))
     | st.just(expressions.Var()),
-    lambda sub: st.builds(expressions.Neg, sub)
-    | st.builds(expressions.Bin, st.sampled_from("+-*/^"), sub, sub)
+    lambda sub: st.builds(expressions.Neg, sub) | _chains(sub)
     | st.builds(expressions.Fun, st.sampled_from(sorted(FUNCTIONS)), sub),
     max_leaves=12)
 
 
 def _text(node, start=0):
     """(text, operators): a tree as fully parenthesized text that parses
-    back to it, and (Bin, offset of its operator in the text) for each Bin,
-    operands before operators, as the parser reads them.  start is the
-    offset of the tree's own text."""
+    back to it, and for each operator of a Chain (the chain up to that
+    operator's pair, the operator's offset in the text), operands before
+    operators, as the parser reads them.  start is the offset of the tree's
+    own text."""
     if isinstance(node, expressions.Num):
         return repr(node.value), []
     if isinstance(node, expressions.Var):
@@ -571,10 +608,15 @@ def _text(node, start=0):
     if isinstance(node, expressions.Fun):
         inner, ops = _text(node.arg, start + len(node.name) + 1)
         return f"{node.name}({inner})", ops
-    lhs, lhs_ops = _text(node.lhs, start + 1)
-    off = start + len(lhs) + 2
-    rhs, rhs_ops = _text(node.rhs, off + 2)
-    return f"({lhs}){node.op}({rhs})", lhs_ops + rhs_ops + [(node, off)]
+    text, ops = _text(node.first, start + 1)
+    text = f"({text})"
+    for k, (op, operand) in enumerate(node.ops):
+        off = start + len(text)
+        inner, inner_ops = _text(operand, off + 2)
+        text += f"{op}({inner})"
+        ops += inner_ops + [(expressions.Chain(node.first, node.ops[:k + 1]),
+                             off)]
+    return text, ops
 
 
 def _first_fault(tree):
@@ -631,6 +673,10 @@ class TestTextRoundTrip:
 
     @settings(max_examples=300, deadline=None)
     @given(_TREES)
+    @example(expressions.Chain(expressions.Num(1.0), (   # 1/0*(2/0)
+        ("/", expressions.Num(0.0)),
+        ("*", expressions.Chain(expressions.Num(2.0),
+                                (("/", expressions.Num(0.0)),))))))
     def test_constant_fault_is_reported_at_its_first_operator(self, tree):
         # the parser checks each operator as it reads it, operands first
         text = _text(tree)[0]
@@ -727,7 +773,7 @@ class TestOneWalk:
                         pass
 
     def test_long_flat_sum(self):
-        # 3000 terms: the walk loops down a chain's left spine
+        # 3000 terms: one Chain, whose pairs the walk loops over
         z = np.linspace(0.1, 3.0, 7)
         w = parse_weight("+".join(["z"] * 3000))
         want = z
@@ -753,10 +799,11 @@ def _mp_value(node, z, mpmath):
         return -_mp_value(node.operand, z, mpmath)
     if isinstance(node, expressions.Fun):
         return getattr(mpmath, node.name)(_mp_value(node.arg, z, mpmath))
-    a, b = (_mp_value(x, z, mpmath) for x in (node.lhs, node.rhs))
-    if node.op == "^":
-        return mpmath.power(a, b)
-    return expressions._OPS[node.op](a, b)
+    a = _mp_value(node.first, z, mpmath)
+    for op, operand in node.ops:
+        b = _mp_value(operand, z, mpmath)
+        a = mpmath.power(a, b) if op == "^" else expressions._OPS[op](a, b)
+    return a
 
 
 # one weight per slope rule: +, - and Neg; * and ^ with a constant
