@@ -12,6 +12,8 @@ A checked pass (eval_v, eval_vq, eval_vq2) tests z and its raw result
 once: by Python comparisons for a scalar z, else by np.count_nonzero on
 ufunc masks, which take a raw result of any type, Python floats included.
 Only a failing test runs the separate checks, in order, to pick the error.
+A z that is neither a float nor an int or float array goes through
+errors.real_array first, so text, None and bools raise DomainError.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import expressions
-from .errors import DomainError, EvalError, NonPositiveWeight, real
+from .errors import (DomainError, EvalError, NonPositiveWeight, real,
+                     real_array)
 
 __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
            "eval_v", "eval_q", "eval_vq", "eval_vq2", "eval_slope",
@@ -112,9 +115,19 @@ def _shaped(x, z: np.ndarray) -> np.ndarray:
     return x
 
 
+def _floats(z) -> np.ndarray:
+    """z as a float array: a float or an int or float array as numpy takes
+    it, anything else through real_array's checks (+-inf pass, for the
+    domain and value checks to refuse as they refuse a float)."""
+    if isinstance(z, float) or isinstance(z, np.ndarray) \
+            and z.dtype.kind in "iuf":
+        return np.asarray(z, dtype=float)
+    return real_array("z", z, infinite=True)
+
+
 def _raw(w: RadialWeight, z, method):
     """z as a float array and method(z), warnings off, for z in the domain."""
-    z = np.asarray(z, dtype=float)
+    z = _floats(z)
     if not (float(z) > 0.0 if z.ndim == 0 else _every(z > 0.0)):
         _finish(w, z)
     with np.errstate(all="ignore"):
@@ -141,8 +154,9 @@ def _finish(w, z, v=None):
 
 def masked_v(w: RadialWeight, z):
     """(raw v(z), mask where eval_v would succeed: z > 0 and v finite and
-    positive), raising nothing, for scans of where v turns bad."""
-    z = np.asarray(z, dtype=float)
+    positive), raising nothing past _floats' checks, for scans of where v
+    turns bad."""
+    z = _floats(z)
     with np.errstate(all="ignore"):
         v = w._raw_v(z)
     return v, np.isfinite(v) & (v > 0.0) & (z > 0.0)

@@ -21,7 +21,9 @@ from radial_extremals import (BvpProblem, CartesianPoint, DomainError,
                               lagrangian_partials_cartesian, log_spiral_point,
                               minimize, power_law_point, solve_n,
                               trace_extremal, turning_radius)
-from radial_extremals.errors import real, real_array
+from radial_extremals.errors import EvalError, real, real_array
+from radial_extremals.weights import (eval_q, eval_slope, eval_v, eval_vq,
+                                      eval_vq2, masked_v)
 
 BAD = ["1.0", None, True, math.nan, math.inf, -math.inf]
 
@@ -174,6 +176,49 @@ def test_text_and_bools_are_refused_where_they_were_taken(call, message):
     # lagrangian_partials_cartesian raised a bare TypeError from math.hypot
     with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
         call()
+
+
+# the weight passes at z, z0 = 1.5 for the slope
+PASSES = {"eval_v": eval_v, "eval_q": eval_q, "eval_vq": eval_vq,
+          "eval_vq2": eval_vq2,
+          "eval_slope": lambda w, z: eval_slope(w, z, 1.5, 0.5),
+          "masked_v": masked_v}
+
+
+@pytest.mark.parametrize("z", ["2", None, True, np.True_, 2j, ["2.0"],
+                               [1.0, None], np.array([True, False])],
+                         ids=repr)
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_weight_passes_refuse_z_that_is_not_a_real_number(name, z):
+    # np.asarray(z, dtype=float) parsed text and took True as 1.0
+    with pytest.raises(DomainError, match=r"^z(\[\d+\])? must be a real "
+                                          r"number or \+-inf, got "):
+        PASSES[name](NoPass(1.0), z)
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_weight_passes_keep_their_errors_at_infinite_z(name):
+    for z in (math.inf, -math.inf, np.float64(math.inf), [2.0, math.inf],
+              np.array([-math.inf, 2.0])):
+        if name == "masked_v":
+            assert not PASSES[name](PowerLaw(1.0), z)[1].all()
+            continue
+        error = EvalError if np.all(np.asarray(z) > 0.0) else DomainError
+        with pytest.raises(error, match="^weight value is not finite"
+                           if error is EvalError else "^z must exceed"):
+            PASSES[name](PowerLaw(1.0), z)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64, Fraction, int],
+                         ids=lambda t: t.__name__)
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_weight_passes_take_every_real_type(name, kind):
+    def parts(z):
+        out = PASSES[name](PowerLaw(1.3), z)
+        return [bits(x) for x in (out if isinstance(out, tuple) else [out])]
+    for z, want in ((kind(2), 2.0), ([kind(2), 3.0], [2.0, 3.0]),
+                    (np.array([2, 3]), [2.0, 3.0])):
+        assert parts(z) == parts(np.asarray(want))
 
 
 # entry and argument: the result of a call of one good value, as a float,
