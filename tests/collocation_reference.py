@@ -32,6 +32,7 @@ CASES = {
     "2.5*z^1.3": (1.3, 0.9, 1.2, 64),
     "exp(-z)+0.2": (5.0, 0.3, 0.5, 32),
     "2+sin(3*z)": (0.8, 0.6, 0.7, 48),
+    "log(z)/z": (1.3, 2.3, 2.6, 48),
 }
 
 

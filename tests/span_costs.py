@@ -3,7 +3,9 @@ solve (bvp._branch_angles: one ExtremalSpec and one integrate_phi each).
 
 Over the 105 bvp jobs of the benchmark's seed-1 list it counts the spans,
 the kronrod_panels calls, the weight passes that reduced_ode makes (calls
-and points, by kind) and the np.errstate entries.  On one reference span,
+and points, by kind), the np.errstate entries and the calls of the
+expression walks expressions.evaluate and evaluate_slope (one per node
+visited: each walk calls itself through the module).  On one reference span,
 PowerLaw(0.7) at n 1.3 to radii 1.2 and 1.6 at the benchmark's span
 tolerance 1e-13, it prints the best of 7 timings, in microseconds, of
 ExtremalSpec, its _handoff, integrate_phi and the near and far integrand
@@ -28,10 +30,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import job_manifest  # noqa: E402
 
-from radial_extremals import bvp, quadrature, reduced_ode  # noqa: E402
+from radial_extremals import (bvp, expressions, quadrature,  # noqa: E402
+                              reduced_ode)
 from radial_extremals.weights import PowerLaw  # noqa: E402
 
 PASSES = ("eval_v", "eval_vq", "eval_slope", "masked_v", "wide_v")
+WALKS = ("evaluate", "evaluate_slope")
 REFERENCE = (PowerLaw(0.7), 1.3, [1.2, 1.6], 1e-13)
 REPEATS, LOOPS = 7, 200
 
@@ -58,10 +62,11 @@ def _wrapped(owner, name, before):
 
 
 def span_counts(seed=1):
-    """{"spans", "kronrod_panels" and "errstate" entries: counts; each name
-    of PASSES: (calls, points)} over the bvp jobs of a seed's list, each of
-    which must exit with code 0."""
-    counts = dict.fromkeys(("spans", "kronrod_panels", "errstate"), 0)
+    """{"spans", "kronrod_panels", "errstate" entries and each name of
+    WALKS: counts; each name of PASSES: (calls, points)} over the bvp jobs
+    of a seed's list, each of which must exit with code 0."""
+    counts = dict.fromkeys(("spans", "kronrod_panels", "errstate", *WALKS),
+                           0)
     counts.update((name, (0, 0)) for name in PASSES)
 
     def count(key):
@@ -83,6 +88,8 @@ def span_counts(seed=1):
                                      count("errstate")))
         for name in PASSES:
             stack.enter_context(_wrapped(reduced_ode, name, weigh(name)))
+        for name in WALKS:
+            stack.enter_context(_wrapped(expressions, name, count(name)))
         for workload, index, argv in job_manifest.jobs(seed):
             if workload == "bvp":
                 code = job_manifest.run_job(argv)[0]
