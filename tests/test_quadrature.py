@@ -61,10 +61,9 @@ def _scalar_driver(f, a, b, tol):
     return total_val, total_err, len(heap) + len(whole)
 
 
-def _row_sums(fv, half, width, power=pow):
-    """One panel's (integral, estimate) from four 1-D dot products and
-    scalar arithmetic: the one-row reference for _panel_sums.  power is
-    the sharpening's **, replaceable to show what the tests catch."""
+def _row_parts(fv, half, width):
+    """One panel's (integral, |K15 - G7|, resasc, round-off floor) from
+    four 1-D dot products and scalar arithmetic."""
     wk, wg = quadrature._WK, quadrature._WG
     with np.errstate(all="ignore"):   # inf and overflowing rows
         resk = half * float(wk @ fv)
@@ -72,10 +71,22 @@ def _row_sums(fv, half, width, power=pow):
         mean = resk / width if width != 0.0 else 0.0
         resasc = abs(half) * float(wk @ np.abs(fv - mean))
         resabs = abs(half) * float(wk @ np.abs(fv))
-    err = abs(resk - resg)
+    return resk, abs(resk - resg), resasc, quadrature._FLOOR * resabs
+
+
+def _sharpened(err, resasc, power=pow):
+    """The estimate err sharpened against resasc, before its floor."""
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, power(200.0 * err / resasc, 1.5))
-    err = max(err, quadrature._FLOOR * resabs)
+    return err
+
+
+def _row_sums(fv, half, width, power=pow):
+    """One panel's (integral, estimate): the one-row reference for
+    _panel_sums.  power is the sharpening's **, replaceable to show what
+    the tests catch."""
+    resk, err, resasc, floor = _row_parts(fv, half, width)
+    err = max(_sharpened(err, resasc, power), floor)
     if not (math.isfinite(resk) and math.isfinite(err)):
         raise QuadratureFailure(f"panel value {resk} or estimate {err} "
                                 "is not finite")
@@ -98,6 +109,13 @@ def integrate_one(f, a, b, tol):
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def numpy_dispatch():
+    """numpy's version and the SIMD targets it dispatches to here."""
+    from numpy._core import _multiarray_umath as umath
+    on = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__} dispatching {' '.join(on) or 'none'}"
 
 
 def gaussian_reference(a, c, lo, hi):
@@ -180,7 +198,51 @@ class TestBatchedSums:
         # constant rows (f - mean vanishes, so resasc is 0) and zero widths
         fv[::7] = fv[::7, :1]
         b[::11] = a[::11]
-        return fv, 0.5 * (b - a), b - a
+        edges = TestBatchedSums.edge_rows()
+        return (np.concatenate([fv, edges[0]]),
+                np.concatenate([0.5 * (b - a), edges[1]]),
+                np.concatenate([b - a, edges[2]]))
+
+    @staticmethod
+    def edge_rows():
+        """Rows at the edges of the estimate's branches: a spike, whose
+        ratio 200|K15 - G7|/resasc is above 1; a constant, whose resasc is
+        0 while |K15 - G7| is not; zeros, whose estimate and floor are 0;
+        and exp(a*x) at widths around the one where its sharpened estimate
+        crosses its floor.  The width moves only the mean, so from one
+        width to the next the estimate moves by an ulp or so while the
+        floor stays."""
+        nodes = quadrature._NODES.tolist()
+        rows = [([0.0] * 7 + [1.0] + [0.0] * 7, 0.5, 1.0),
+                ([1.0] * 15, 0.5, 1.0), ([0.0] * 15, 0.5, 1.0)]
+        for a in (1.79, 1.8):
+            fv = [math.exp(a * x) for x in nodes]
+
+            def above(width):
+                _, err, resasc, floor = _row_parts(np.array(fv), 1.0, width)
+                return _sharpened(err, resasc) > floor
+            lo, hi = 1.0, 3.0
+            assert not above(lo) and above(hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (lo, mid) if above(mid) else (mid, hi)
+            rows += [(fv, 1.0, hi + j * math.ulp(hi)) for j in range(-6, 7)]
+        fv, half, width = zip(*rows)
+        return np.array(fv), np.array(half), np.array(width)
+
+    def test_rows_reach_every_branch(self):
+        fv, half, width = self.rows()
+        parts = [_row_parts(*args) for args
+                 in zip(fv, half.tolist(), width.tolist())]
+        _, err, resasc, floor = np.array(parts).T
+        with np.errstate(all="ignore"):
+            ratio = 200.0 * err / resasc
+        sharp = np.array([_sharpened(*x) for x in zip(err, resasc)])
+        ulps = (sharp - floor) / np.spacing(floor)
+        near = np.abs(ulps) <= 4.0
+        assert (near & (ulps < 0)).any() and (near & (ulps > 0)).any()
+        assert (ratio >= 1.0).any()
+        assert ((resasc == 0.0) & (err != 0.0)).any()
+        assert ((err == 0.0) & (floor == 0.0) & (width != 0.0)).any()
 
     @staticmethod
     def reference(fv, half, width, power=pow):
@@ -201,12 +263,16 @@ class TestBatchedSums:
             assert not g[width == 0.0].any()
 
     def test_sharpening_uses_python_power(self):
-        # rows whose estimate moves if the ratio is raised by np.power
+        # rows whose estimate moves if the ratio is raised by np.power: the
+        # rows where np.power and Python's ** differ under the running
+        # dispatch, unless the floor hides them
         fv, half, width = self.rows(seed=1)
         want = self.reference(fv, half, width)
         moved = _bits(self.reference(fv, half, width, np.power)[1]) \
             != _bits(want[1])
-        assert moved.sum() >= 5
+        if not moved.any():
+            pytest.skip("np.power rounds as Python's ** on every ratio of "
+                        f"these rows under {numpy_dispatch()}")
         vals, errs = quadrature._panel_sums(fv[moved], half[moved],
                                            width[moved])
         assert (_bits(vals) == _bits(want[0][moved])).all()
