@@ -27,6 +27,10 @@ _LEAST = {"samples": 3, "segments": 1, "iters": 0, "grad_tol": 0}
 # largest counts, as in trace_extremal: far past what fits in memory (a
 # trace sample takes about 1.6 kB), and below the sizes numpy refuses
 _MOST = {"samples": 10 ** 8, "segments": 10 ** 8}
+# values from which _spell sorts magnitudes rather than hashing them: the
+# two cost the same near 64 values, and the benchmark's oracle tables hold
+# at most 98
+_SORTED = 128
 
 
 class _UsageError(Exception):
@@ -190,18 +194,35 @@ def _spell(values, spell) -> list:
     every spelling used here writes without a sign.  The mirrored branches
     of a trace share their radii and repeat phi and x with the opposite
     sign, so a 400-sample trace has about 1,600 distinct magnitudes in
-    about 4,000 values.  The distinct magnitudes are found as a set of bit
-    patterns, not by np.unique, which costs more memory on its first call.
+    about 4,000 values.  From _SORTED values on, the distinct magnitudes'
+    bit patterns come from one argsort, and each value takes its word from
+    one table of the words and their negatives; a shorter table hashes its
+    bit patterns in a set, which costs less there and leaves numpy's sort
+    unloaded in runs that write only short tables.
     """
     x = np.ravel(np.asarray(values, dtype=float))
-    keys = np.abs(x).view(np.int64).tolist()
-    distinct = list(set(keys))
-    words = dict(zip(distinct, spell(
-        np.array(distinct, dtype=np.int64).view(float).tolist())))
-    out = list(map(words.__getitem__, keys))
-    for i in np.flatnonzero(np.signbit(x) & ~np.isnan(x)).tolist():
-        out[i] = "-" + out[i]
-    return out
+    keys = np.abs(x).view(np.int64)
+    signed = np.signbit(x) & ~np.isnan(x)
+    if x.size < _SORTED:
+        keys = keys.tolist()
+        distinct = list(set(keys))
+        words = dict(zip(distinct, spell(
+            np.array(distinct, dtype=np.int64).view(float).tolist())))
+        out = list(map(words.__getitem__, keys))
+        for i in np.flatnonzero(signed).tolist():
+            out[i] = "-" + out[i]
+        return out
+    order = keys.argsort()
+    ranked = keys[order]
+    first = np.empty(x.size, dtype=bool)   # each distinct magnitude's first
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    where = np.empty(x.size, dtype=np.intp)   # each value's distinct index
+    where[order] = first.cumsum() - 1
+    words = spell(ranked[first].view(float).tolist())
+    where += len(words) * signed
+    table = words + ["-" + w for w in words]
+    return np.fromiter(table, dtype=object, count=len(table))[where].tolist()
 
 
 def _g17_spelling(values: list) -> list:

@@ -781,6 +781,26 @@ class TestSpell:
         assert set(bits.tolist()) == \
             set(np.abs(values).view(np.int64).tolist())
 
+    # around the table size from which the magnitudes are sorted, not
+    # hashed; each table repeats its magnitudes with both signs
+    @pytest.mark.parametrize("size", [1, 2, cli._SORTED - 1, cli._SORTED,
+                                      cli._SORTED + 1])
+    @pytest.mark.parametrize("name", sorted(_SPELLINGS))
+    def test_short_and_long_tables(self, name, size):
+        spell, one = _SPELLINGS[name]
+        head = self.values()[:(size + 1) // 2]
+        values = np.concatenate((head, -head[::-1]))[:size]
+        seen = []
+
+        def counted(mags):
+            seen.append(list(mags))
+            return spell(mags)
+        assert cli._spell(values, counted) == [one(v) for v in
+                                               values.tolist()]
+        assert len(seen) == 1
+        assert sorted(np.array(seen[0]).view(np.int64).tolist()) == \
+            sorted(set(np.abs(values).view(np.int64).tolist()))
+
     @pytest.mark.parametrize("name", sorted(_SPELLINGS))
     def test_empty(self, name):
         # json.dumps([]) splits into one empty word
