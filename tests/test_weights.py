@@ -896,6 +896,18 @@ class TestSlope:
             with pytest.raises(EvalError, match="derivative is not finite"):
                 call()
 
+    @pytest.mark.parametrize("text", ["z/(1-1)+2", "2*z/(1-1)+2",
+                                      "-z/(2-2)+2", "1+(z-1)/(3-3)"])
+    def test_division_by_a_constant_zero_follows_eval_vq(self, text):
+        # z's slope divided by the constant 0 was a bare ZeroDivisionError
+        w = parse_weight(text)
+        for call in (lambda: eval_vq(w, np.array([1.3])),
+                     lambda: eval_slope(w, np.array([1.3]), 1.1,
+                                        np.array([0.2])),
+                     lambda: eval_slope(w, 1.3, 1.1, 0.2)):
+            with pytest.raises(EvalError, match="value is not finite"):
+                call()
+
     def test_checks_follow_eval_vq(self):
         w = parse_weight("sqrt(2-z^2)")
         with pytest.raises(EvalError, match="value is not finite"):
