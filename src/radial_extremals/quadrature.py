@@ -15,10 +15,11 @@ A row's sums and estimate do not depend on its batch: np.vecdot takes one
 dot product per row (a matrix product accumulates in another order), and
 each estimate is sharpened with Python's float ** 1.5, which np.power does
 not always match (a bound from np.power leaves only the rows whose
-estimate may exceed its floor to take it one by one).  So where each node's value depends on that node alone
-(as in reduced_ode), all first panels share one call, each integrand
-called once on its own block of rows; with split=True that call also
-evaluates both halves of each first bisection, which refinement takes.
+estimate may exceed its floor to take it one by one).  So where each
+node's value depends on that node alone (as in reduced_ode), all first
+panels share one call, each integrand called once on its own block of
+rows; with split=True that call also evaluates both halves of each first
+bisection, which refinement takes.
 One rule defines every outcome: results, estimates, panel counts, errors
 and warnings are those of plain calls, one per run, in order.  Where the
 shared call raises an ExtremalError or would give a numpy floating-point
@@ -89,8 +90,8 @@ def _panel_sums(fv: np.ndarray, half: np.ndarray, width: np.ndarray):
                                                   _WK)
         raw = np.abs(resk - resg)
         err = _FLOOR * resabs
-        # at least each row's estimate; NaN where resasc is 0 or a sum is
-        # not finite, so those rows take the exact formula too
+        # at least each row's sharpened estimate; NaN or inf where resasc
+        # is 0 or a sum is not finite, so those rows take the exact formula
         bound = resasc * (_RATIO_UP * raw / resasc) ** 1.5
         for k in (~(err > bound)).nonzero()[0].tolist():
             e, a = raw.item(k), resasc.item(k)

@@ -204,18 +204,18 @@ class TestBatchedSums:
                 np.concatenate([b - a, edges[2]]))
 
     @staticmethod
-    def edge_rows():
+    def edge_rows(shapes=(1.79, 1.8), span=6):
         """Rows at the edges of the estimate's branches: a spike, whose
         ratio 200|K15 - G7|/resasc is above 1; a constant, whose resasc is
         0 while |K15 - G7| is not; zeros, whose estimate and floor are 0;
-        and exp(a*x) at widths around the one where its sharpened estimate
-        crosses its floor.  The width moves only the mean, so from one
-        width to the next the estimate moves by an ulp or so while the
-        floor stays."""
+        and exp(a*x) for each a of shapes (1.786 to 1.804) at the widths
+        within span ulps of the one where its sharpened estimate crosses
+        its floor.  The width moves only the mean, so from one width to the
+        next the estimate moves by an ulp or less while the floor stays."""
         nodes = quadrature._NODES.tolist()
         rows = [([0.0] * 7 + [1.0] + [0.0] * 7, 0.5, 1.0),
                 ([1.0] * 15, 0.5, 1.0), ([0.0] * 15, 0.5, 1.0)]
-        for a in (1.79, 1.8):
+        for a in shapes:
             fv = [math.exp(a * x) for x in nodes]
 
             def above(width):
@@ -225,7 +225,8 @@ class TestBatchedSums:
             assert not above(lo) and above(hi)
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 lo, hi = (lo, mid) if above(mid) else (mid, hi)
-            rows += [(fv, 1.0, hi + j * math.ulp(hi)) for j in range(-6, 7)]
+            rows += [(fv, 1.0, hi + j * math.ulp(hi))
+                     for j in range(-span, span + 1)]
         fv, half, width = zip(*rows)
         return np.array(fv), np.array(half), np.array(width)
 
@@ -265,8 +266,12 @@ class TestBatchedSums:
     def test_sharpening_uses_python_power(self):
         # rows whose estimate moves if the ratio is raised by np.power: the
         # rows where np.power and Python's ** differ under the running
-        # dispatch, unless the floor hides them
-        fv, half, width = self.rows(seed=1)
+        # dispatch, unless the floor hides them; at the floor's crossings,
+        # some where np.power's estimate stays at the floor and Python's
+        # rises above it, which the bound's margin must send to **
+        fv, half, width = (np.concatenate(x) for x in zip(
+            self.rows(seed=1),
+            self.edge_rows(np.linspace(1.786, 1.804, 400), span=1)))
         want = self.reference(fv, half, width)
         moved = _bits(self.reference(fv, half, width, np.power)[1]) \
             != _bits(want[1])
