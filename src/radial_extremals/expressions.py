@@ -224,17 +224,14 @@ def _slope_pow(a, a0, sa, b, b0, sb, dz):
     return v, v0, s
 
 
-_ONE = np.float64(1.0)   # z's slope
-
-
 def evaluate_slope(node, z, z0, dz):
     """(value at z, value at z0, slope (value(z) - value(z0))/dz) of a tree,
     z = z0 + dz a float or an ndarray and z0 a float; the slope is None
     without z in the subtree, and its limit, the derivative, where dz is 0."""
     if isinstance(node, Num):
         return node.value, node.value, None
-    if isinstance(node, Var):   # numpy's floats: 1/0 is inf, not an error
-        return z, np.float64(z0), _ONE
+    if isinstance(node, Var):   # numpy's float: 1/0 is inf, not an error
+        return z, np.float64(z0), 1.0
     if isinstance(node, Neg):
         v, v0, s = evaluate_slope(node.operand, z, z0, dz)
         return -v, -v0, None if s is None else -s
@@ -261,9 +258,11 @@ def evaluate_slope(node, z, z0, dz):
         elif op == "*":   # [a*b] = [a]*b(z) + a(z0)*[b]
             s = a0 * sb if sa is None else sa * b if sb is None \
                 else sa * b + a0 * sb
+        elif sb is None:  # [a/b] = [a]/b; numpy's / gives [a]/0 as inf
+            s = sa / b if b else np.divide(sa, b)
         else:             # [a/b] = ([a] - (a0/b0)*[b])/b(z)
-            s = sa / b if sb is None else -(a0 / b0) * sb / b \
-                if sa is None else (sa - (a0 / b0) * sb) / b
+            s = -(a0 / b0) * sb / b if sa is None \
+                else (sa - (a0 / b0) * sb) / b
         a, a0, sa = _OPS[op](a, b), _OPS[op](a0, b0), s
     return a, a0, sa
 
