@@ -6,14 +6,17 @@ _panel_sums calls, their rows and the rows whose estimate took Python's
 float ** (each sharpening's min(1.0, ratio ** 1.5) is one call of min in
 the quadrature module), and the _spell calls, their values and the
 distinct magnitudes they spelt.  It then prints the best of 7 timings, in
-microseconds, of _panel_sums on a 400-row call of the first cosine trace
-job and a 9-row call of the first bvp job, and of cli._csv and
-cli._json_with_rows on three tables: the first CSV trace job's 400-sample
-table (799 rows, the branches share their turning point), the first bvp
-CSV job's one row and the 49 rows of the first oracle job that writes a
-table, run with 48 segments.
+microseconds, of _panel_sums on a 400-row call of the first CSV trace job
+and a 9-row call of the first CSV bvp job, and of cli._spell (with either
+spelling), cli._csv and cli._json_with_rows on three tables: that trace
+job's 400-sample table (799 rows, the branches share their turning
+point), that bvp job's one row and the 49 rows of the first oracle job
+that writes a table, run with 48 segments.
 
     PYTHONPATH=src python tests/trace_costs.py
+
+Timings drift with the machine's speed, so compare two trees by running
+the script in each in turn, more than once.
 
 The job list comes from ``perfbench/jobs.py``, loaded by file path through
 job_manifest.py and only read.  pytest does not collect this file.
@@ -148,11 +151,16 @@ def kernel_times():
                 lambda: quadrature._panel_sums(*args), 20_000 // rows)
         for name, (rows, header, record) in tables.items():
             loops = 20_000 // rows.size + 1
-            times[f"_csv {name} {rows.shape}"] = _best_us(
-                lambda: cli._csv(header, rows), loops)
-            times[f"_json_with_rows {name} {rows.shape}"] = _best_us(
-                lambda: cli._json_with_rows({"rows": []}, "rows", record,
-                                            rows), loops)
+            for part, call in (
+                    ("_spell %.17g",
+                     lambda: cli._spell(rows, cli._g17_spelling)),
+                    ("_spell json",
+                     lambda: cli._spell(rows, cli._json_spelling)),
+                    ("_csv", lambda: cli._csv(header, rows)),
+                    ("_json_with_rows",
+                     lambda: cli._json_with_rows({"rows": []}, "rows",
+                                                 record, rows))):
+                times[f"{part} {name} {rows.shape}"] = _best_us(call, loops)
     finally:
         gc.enable()
     return times
