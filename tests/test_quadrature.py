@@ -267,8 +267,8 @@ class TestBatchedSums:
         # rows whose estimate moves if the ratio is raised by np.power: the
         # rows where np.power and Python's ** differ under the running
         # dispatch, unless the floor hides them; at the floor's crossings,
-        # some where np.power's estimate stays at the floor and Python's
-        # rises above it, which the bound's margin must send to **
+        # some where np.power's estimate equals the floor and Python's
+        # rises above it, which the bound's guard must send to **
         fv, half, width = (np.concatenate(x) for x in zip(
             self.rows(seed=1),
             self.edge_rows(np.linspace(1.786, 1.804, 400), span=1)))
