@@ -27,9 +27,10 @@ _LEAST = {"samples": 3, "segments": 1, "iters": 0, "grad_tol": 0}
 # largest counts, as in trace_extremal: far past what fits in memory (a
 # trace sample takes about 1.6 kB), and below the sizes numpy refuses
 _MOST = {"samples": 10 ** 8, "segments": 10 ** 8}
-# values from which _spell sorts magnitudes rather than hashing them: the
-# two cost the same near 64 values, and the benchmark's oracle tables hold
-# at most 98
+# values from which _spell sorts out the distinct magnitudes rather than
+# spelling each value: the benchmark's bvp rows (4 values) and oracle
+# tables (34-98) repeat none and stay below, its trace tables (1,995 and
+# 3,995) repeat most and sort
 _SORTED = 128
 
 
@@ -187,31 +188,23 @@ def _emit(args, text: str) -> int:
 
 def _spell(values, spell) -> list:
     """Words for the flattened float values, as spell would give them one
-    by one, with spell called once on each distinct magnitude.
+    by one.
 
-    spell maps a list of non-negative floats to their words.  A value with
-    its sign bit set gets '-' and its magnitude's word, except a NaN, which
-    every spelling used here writes without a sign.  The mirrored branches
-    of a trace share their radii and repeat phi and x with the opposite
-    sign, so a 400-sample trace has about 1,600 distinct magnitudes in
-    about 4,000 values.  From _SORTED values on, the distinct magnitudes'
-    bit patterns come from one argsort, and each value takes its word from
-    one table of the words and their negatives; a shorter table hashes its
-    bit patterns in a set, which costs less there and leaves numpy's sort
-    unloaded in runs that write only short tables.
+    spell maps a list of floats to their words.  Each spelling used here
+    writes a value with its sign bit set as '-' and its magnitude's word,
+    except a NaN, which it writes without a sign.  A table shorter than
+    _SORTED goes to spell as it is, in one call.  The mirrored branches of
+    a trace share their radii and repeat phi and x with the opposite sign,
+    so a 400-sample trace has about 1,600 distinct magnitudes in about
+    4,000 values: from _SORTED values on, spell gets each distinct
+    magnitude once, their bit patterns come from one argsort, and each
+    value takes its word from one table of the words and their negatives.
     """
     x = np.ravel(np.asarray(values, dtype=float))
+    if x.size < _SORTED:
+        return spell(x.tolist())
     keys = np.abs(x).view(np.int64)
     signed = np.signbit(x) & ~np.isnan(x)
-    if x.size < _SORTED:
-        keys = keys.tolist()
-        distinct = list(set(keys))
-        words = dict(zip(distinct, spell(
-            np.array(distinct, dtype=np.int64).view(float).tolist())))
-        out = list(map(words.__getitem__, keys))
-        for i in np.flatnonzero(signed).tolist():
-            out[i] = "-" + out[i]
-        return out
     order = keys.argsort()
     ranked = keys[order]
     first = np.empty(x.size, dtype=bool)   # each distinct magnitude's first
@@ -232,7 +225,7 @@ def _g17_spelling(values: list) -> list:
 
 def _json_spelling(values: list) -> list:
     """A spell for _spell: each value as the C json encoder writes it."""
-    return json.dumps(values)[1:-1].split(", ")
+    return json.dumps(values)[1:-1].split(", ") if values else []
 
 
 def _csv(header: str, rows) -> str:

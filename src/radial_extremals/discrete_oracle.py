@@ -258,10 +258,12 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
         diag, upper = _checked("current polyline", _hessian, seg, v, q, v2)
         diag = (rays[:, :, None] * diag * rays[:, None, :]).sum((1, 2))
         upper = (rays[:-1, :, None] * upper * rays[1:, None, :]).sum((1, 2))
-        # damping in units of tr(T)/dim keeps the step rotation invariant
-        damping = diag.sum() / diag.size
+        # damping in units of tr(T)/dim keeps the step rotation invariant;
+        # near the float range's edge it, or mu times it, is inf
+        with np.errstate(over="ignore"):
+            damping = float(diag.sum()) / diag.size
         for _ in range(_MAX_REJECTIONS):
-            step = _tridiagonal_solve(diag, upper, float(mu * damping), -slope)
+            step = _tridiagonal_solve(diag, upper, mu * damping, -slope)
             trial = None if step is None else _moved(verts, step, rays)
             if trial is not None:
                 t_seg = _segment_data(trial)

@@ -759,10 +759,11 @@ class TestSpell:
     @pytest.mark.parametrize("name", sorted(_SPELLINGS))
     def test_matches_per_value_spelling(self, name):
         spell, one = _SPELLINGS[name]
-        values = self.values()
-        want = [one(v) for v in values.tolist()]
-        assert cli._spell(values, spell) == want
-        assert cli._spell(values.reshape(3, -1), spell) == want
+        # a long table, then the special values alone as a short one
+        for values in (self.values(), np.array(_SPECIAL * 3)):
+            want = [one(v) for v in values.tolist()]
+            assert cli._spell(values, spell) == want
+            assert cli._spell(values.reshape(3, -1), spell) == want
 
     @pytest.mark.parametrize("name", sorted(_SPELLINGS))
     def test_each_distinct_magnitude_spelt_once(self, name):
@@ -781,8 +782,9 @@ class TestSpell:
         assert set(bits.tolist()) == \
             set(np.abs(values).view(np.int64).tolist())
 
-    # around the table size from which the magnitudes are sorted, not
-    # hashed; each table repeats its magnitudes with both signs
+    # around the table size from which the magnitudes are sorted out, not
+    # spelt value by value; each table repeats its magnitudes with both
+    # signs
     @pytest.mark.parametrize("size", [1, 2, cli._SORTED - 1, cli._SORTED,
                                       cli._SORTED + 1])
     @pytest.mark.parametrize("name", sorted(_SPELLINGS))
@@ -798,8 +800,12 @@ class TestSpell:
         assert cli._spell(values, counted) == [one(v) for v in
                                                values.tolist()]
         assert len(seen) == 1
-        assert sorted(np.array(seen[0]).view(np.int64).tolist()) == \
-            sorted(set(np.abs(values).view(np.int64).tolist()))
+        spelt = np.array(seen[0]).view(np.int64).tolist()
+        if size < cli._SORTED:   # the values as given, signs included
+            assert spelt == values.view(np.int64).tolist()
+        else:   # each distinct magnitude once
+            assert sorted(spelt) == \
+                sorted(set(np.abs(values).view(np.int64).tolist()))
 
     @pytest.mark.parametrize("name", sorted(_SPELLINGS))
     def test_empty(self, name):
@@ -909,6 +915,19 @@ _SWEEP = {
         ["oracle", "--lambda", "1", "--endpoints=1e200,1,-1e200,1",
          "--segments", "4", "--format", "json"],
         1, "EvalError: the weighted length inf is not finite\n"),
+    # the damping shift mu*tr(T)/dim overflowed with a warning, and on the
+    # second the sum of tr(T) did first; both still stall, as grad-tol 1e-8
+    # lies below the gradient's rounding floor at this scale
+    "oracle-overflowing-damping": (
+        ["oracle", "--weight", "1e300*z", "--endpoints=-1,1,1,1",
+         "--segments", "8"],
+        1, "StalledDescent: no decrease after 50 rejected steps (value "
+           "1.9999999999999998e+300, max gradient 5.760e+284)\n"),
+    "oracle-overflowing-damping-trace": (
+        ["oracle", "--weight", "1e300*exp(z)", "--endpoints=-1,0.5,0.8,1.5",
+         "--segments", "8"],
+        1, "StalledDescent: no decrease after 50 rejected steps (value "
+           "5.932787922365431e+300, max gradient 8.344e+299)\n"),
 }
 
 

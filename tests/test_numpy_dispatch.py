@@ -2,9 +2,10 @@
 
 numpy picks its SIMD loops by CPU when it is imported, and on a CPU with
 AVX-512 its array ** and the sort that cli._spell uses run loops that a CPU
-without it does not.  TestBatchedSums and TestSpell run once more in a
-subprocess with those loops switched off (NPY_DISABLE_CPU_FEATURES), so on
-such a CPU both kernels are checked against their references under both
+without it does not.  TestBatchedSums, TestSpell and TestWriters run once
+more in a subprocess with those loops switched off
+(NPY_DISABLE_CPU_FEATURES), so on such a CPU both kernels, and the CSV and
+JSON writers end to end, are checked against their references under both
 dispatch paths.
 """
 
@@ -38,5 +39,6 @@ def test_row_kernels_match_their_references_without_avx512():
     assert not set(probe.stdout.split()) & set(AVX512), probe.stdout
     done = _run("-m", "pytest", "-q", "-p", "no:cacheprovider",
                 f"{TESTS / 'test_quadrature.py'}::TestBatchedSums",
-                f"{TESTS / 'test_cli.py'}::TestSpell")
+                f"{TESTS / 'test_cli.py'}::TestSpell",
+                f"{TESTS / 'test_cli.py'}::TestWriters")
     assert done.returncode == 0, done.stdout + done.stderr

@@ -8,10 +8,14 @@ the quadrature module), and the _spell calls, their values and the
 distinct magnitudes they spelt.  It then prints the best of 7 timings, in
 microseconds, of _panel_sums on a 400-row call of the first CSV trace job
 and a 9-row call of the first CSV bvp job, and of cli._spell (with either
-spelling), cli._csv and cli._json_with_rows on three tables: that trace
+spelling), cli._csv and cli._json_with_rows on four tables: that trace
 job's 400-sample table (799 rows, the branches share their turning
-point), that bvp job's one row and the 49 rows of the first oracle job
-that writes a table, run with 48 segments.
+point), that bvp job's one row, the 49 rows of the first oracle job that
+writes a table, run with 48 segments, and the 19 rows of the trace job
+run with 10 samples.  On the last two, an oracle's and a trace's table of
+about 100 values, it times cli._spell once more both ways, value by value
+and through its sorted path, with cli._SORTED set to either side of the
+table's size, and prints the ratio of the two.
 
     PYTHONPATH=src python tests/trace_costs.py
 
@@ -96,6 +100,10 @@ _TIMED = {"trace": lambda argv: argv[-1] == "csv",
           "bvp": lambda argv: argv[-1] == "csv",
           "oracle": lambda argv: argv[-1] != "svg"}
 _TABLES = {"trace": "400-sample", "bvp": "1-row", "oracle": "49-row"}
+# the trace job again with 10 samples, and the tables of about 100 values
+# on which _spell is timed both ways
+_SHORT_TRACE = "10-sample"
+_BOTH_WAYS = ("49-row", _SHORT_TRACE)
 
 
 def _captured(seed=1):
@@ -109,6 +117,8 @@ def _captured(seed=1):
             timed[workload] = list(argv)
     segments = timed["oracle"].index("--segments") + 1
     timed["oracle"][segments] = "48"
+    timed[_SHORT_TRACE] = list(timed["trace"])
+    timed[_SHORT_TRACE][timed["trace"].index("--samples") + 1] = "10"
     for workload, argv in timed.items():
         def keep_call(fv, half, width):
             if len(fv) == ROWS.get(workload):
@@ -121,7 +131,8 @@ def _captured(seed=1):
             record = {5: cli._SAMPLE_RECORD, 2: cli._VERTEX_RECORD}.get(
                 cols, "    [" + ", ".join(["%s"] * cols) + "]")
             header = args[0] if len(args) == 2 else ",".join(["v"] * cols)
-            tables.setdefault(_TABLES[workload], (rows, header, record))
+            tables.setdefault(_TABLES.get(workload, workload),
+                              (rows, header, record))
 
         with ExitStack() as stack:
             stack.enter_context(_wrapped(quadrature, "_panel_sums",
@@ -140,9 +151,8 @@ def _best_us(call, loops):
                                    repeat=REPEATS)) / loops
 
 
-def kernel_times():
-    """{part: µs} of the timed _panel_sums calls and writer tables."""
-    calls, tables = _captured()
+def kernel_times(calls, tables):
+    """{part: µs} of the _captured _panel_sums calls and writer tables."""
     times = {}
     gc.disable()
     try:
@@ -166,6 +176,29 @@ def kernel_times():
     return times
 
 
+def spell_paths(tables):
+    """{part: (µs value by value, µs sorted)} of cli._spell with either
+    spelling on the _captured tables of _BOTH_WAYS."""
+    times = {}
+    gc.disable()
+    try:
+        for name in _BOTH_WAYS:
+            rows = tables[name][0]
+            loops = 20_000 // rows.size + 1
+            for spelling, spell in (("%.17g", cli._g17_spelling),
+                                    ("json", cli._json_spelling)):
+                both = []
+                for switch in (rows.size + 1, 0):
+                    with _patched(cli, "_SORTED", lambda _: switch):
+                        both.append(_best_us(
+                            lambda: cli._spell(rows, spell), loops))
+                times[f"_spell {spelling} {name} {rows.shape}"] = \
+                    tuple(both)
+    finally:
+        gc.enable()
+    return times
+
+
 def main() -> int:
     counts = trace_counts()
     calls, rows, powered = counts["panel_sums"]
@@ -175,9 +208,14 @@ def main() -> int:
     calls, values, distinct = counts["spell"]
     print(f"  _spell: {calls:,} calls, {values:,} values, {distinct:,} "
           "distinct magnitudes")
+    calls, tables = _captured()
     print(f"best of {REPEATS}, µs per call:")
-    for part, us in kernel_times().items():
+    for part, us in kernel_times(calls, tables).items():
         print(f"  {part}: {us:.1f}")
+    print(f"best of {REPEATS}, µs per call, value by value and sorted:")
+    for part, (direct, ranked) in spell_paths(tables).items():
+        print(f"  {part}: {direct:.1f} and {ranked:.1f} "
+              f"({direct / ranked:.2f}x)")
     return 0
 
 
