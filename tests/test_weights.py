@@ -725,20 +725,19 @@ _WALK_POINTS = [np.linspace(0.1, 3.0, 7), np.asarray(1.3),
 
 class TestOneWalk:
     """expressions.evaluate gives the value-only walk's v and a Dual pass's
-    (v, q) bit for bit, with or without the second seed, and a parsed
+    (v, q, v'') bit for bit, with or without the second seed, and a parsed
     weight never crashes a checked pass."""
 
     @staticmethod
     def assert_walk_matches_reference(tree):
         for z in _WALK_POINTS:
             def new(*seed2):
-                v, q, _ = expressions.evaluate(tree, z, np.ones_like(z),
-                                               *seed2)
-                return v, 0.0 if q is None else q
-            assert _raw_outcome(new) == _raw_outcome(
-                lambda: dual_reference.raw_vq(tree, z)), z
+                out = expressions.evaluate(tree, z, np.ones_like(z), *seed2)
+                return tuple(0.0 if x is None else x for x in out)
             assert _raw_outcome(lambda: new(np.zeros_like(z))) == \
-                _raw_outcome(new), z
+                _raw_outcome(lambda: dual_reference.raw_vq2(tree, z)), z
+            assert _raw_outcome(lambda: new()[:2]) == \
+                _raw_outcome(lambda: new(np.zeros_like(z))[:2]), z
             assert _raw_outcome(lambda: expressions.evaluate(tree, z)[:1]) \
                 == _raw_outcome(lambda: (dual_reference.walk(tree, z),)), z
 
@@ -746,7 +745,8 @@ class TestOneWalk:
         "2.5*z^1.3", "z^1.3*2.5", "exp(0.7*log(z))", "z*sqrt(z)", "1.5*z*z",
         "2-z", "2/z", "2^z", "z^z", "z-z", "-(-z)^2^-z / -(z*z)",
         "exp(1)*z + sin(2)/z - cos(z)^2", "(3*z+1)^1.3", "(z/7)^2.5*3",
-        "2^(z/3)", "(z+1)^(z/3)"])
+        "2^(z/3)", "(z+1)^(z/3)",
+        "sin(z)/(1+z^2)"])   # a quotient whose operands both curve
     def test_spellings_match_the_dual_reference(self, text):
         self.assert_walk_matches_reference(parse_expression(text))
 
