@@ -69,102 +69,80 @@ class Fun:
 FUNCTIONS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
              "cos": np.cos}
 
-# the derivative of f(x) from x, v = f(x) and the derivative dx of x
-_CHAIN = {"exp": lambda x, v, dx: v * dx,
-          "log": lambda x, v, dx: dx / x,
-          "sqrt": lambda x, v, dx: 0.5 * dx / v,
-          "sin": lambda x, v, dx: np.cos(x) * dx,
-          "cos": lambda x, v, dx: -np.sin(x) * dx}
-
-# the second derivative of f(x) from x, v = f(x) and x's two derivatives
-_CHAIN2 = {"exp": lambda x, v, dx, ddx: v * (dx * dx + ddx),
-           "log": lambda x, v, dx, ddx: (ddx - dx * dx / x) / x,
-           "sqrt": lambda x, v, dx, ddx: (0.5 * ddx - 0.25 * dx * dx / x) / v,
-           "sin": lambda x, v, dx, ddx: np.cos(x) * ddx - v * dx * dx,
-           "cos": lambda x, v, dx, ddx: -np.sin(x) * ddx - v * dx * dx}
+# f(x)'s two derivatives from x, v = f(x) and x's two derivatives
+_CHAIN = {"exp": lambda x, v, dx, ddx: (v * dx, v * (dx * dx + ddx)),
+          "log": lambda x, v, dx, ddx: (dx / x, (ddx - dx * dx / x) / x),
+          "sqrt": lambda x, v, dx, ddx: (0.5 * dx / v, (0.5 * ddx - 0.25 * dx
+                                                        * dx / x) / v),
+          "sin": lambda x, v, dx, ddx: ((c := np.cos(x)) * dx,
+                                        c * ddx - v * dx * dx),
+          "cos": lambda x, v, dx, ddx: ((s := -np.sin(x)) * dx,
+                                        s * ddx - v * dx * dx)}
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv, "^": operator.pow}
 
-# (a op b, its derivative) with z in both operands, in a only, in b only:
-# first-order dual-number rules in their order of operations, so with z in
-# b alone the reflected rule runs and c + z's value is z + c
-_RULES = {
-    "+": (lambda a, da, b, db: (a + b, da + db),
-          lambda a, da, b, db: (a + b, da),
-          lambda a, da, b, db: (b + a, db)),
-    "-": (lambda a, da, b, db: (a - b, da - db),
-          lambda a, da, b, db: (a - b, da),
-          lambda a, da, b, db: (a - b, -db)),
-    "*": (lambda a, da, b, db: (a * b, da * b + a * db),
-          lambda a, da, b, db: (a * b, da * b),
-          lambda a, da, b, db: (b * a, db * a)),
-    "/": (lambda a, da, b, db: (a / b, (da * b - a * db) / (b * b)),
-          lambda a, da, b, db: (a / b, da / b),
-          lambda a, da, b, db: (a / b, -a * db / (b * b))),
-    "^": (lambda a, da, b, db: ((v := a ** b),
-                                v * (db * np.log(a) + b * da / a)),
-          lambda a, da, b, db: (a ** b, b * a ** (b - 1) * da),
-          lambda a, da, b, db: ((v := a ** b), v * np.log(a) * db)),
-}
 
-
-def _second(op, a, da, dda, b, db, ddb, v, d):
-    """The second derivative of v = a op b, whose derivative is d, from each
-    operand's value and two derivatives (both None without z)."""
+def _step(op, a, da, dda, b, db, ddb):
+    """(a op b, its derivative, its second derivative) from each operand's
+    value and two derivatives (both None without z, not both operands):
+    second-order dual-number rules in their order of operations, so with z
+    in b alone the reflected rule runs and c + z's value is z + c."""
     if op == "+":
-        return ddb if da is None else dda if db is None else dda + ddb
+        return (b + a, db, ddb) if da is None else (a + b, da, dda) \
+            if db is None else (a + b, da + db, dda + ddb)
     if op == "-":
-        return -ddb if da is None else dda if db is None else dda - ddb
+        return (a - b, -db, -ddb) if da is None else (a - b, da, dda) \
+            if db is None else (a - b, da - db, dda - ddb)
     if op == "*":
-        return ddb * a if da is None else dda * b if db is None \
-            else dda * b + 2.0 * da * db + a * ddb
-    if op == "/":   # (a'' - 2 v' b' - v b'')/b
-        return dda / b if db is None else -(2.0 * d * db + v * ddb) / b \
-            if da is None else (dda - 2.0 * d * db - v * ddb) / b
-    if db is None:   # a^p; at p 0 or 1 its first term is 0, not 0*inf
-        c = b * (b - 1.0)
-        return (c * a ** (b - 2.0) * da * da if c else 0.0) \
-            + b * a ** (b - 1.0) * dda
+        return (b * a, db * a, ddb * a) if da is None else \
+            (a * b, da * b, dda * b) if db is None else \
+            (a * b, da * b + a * db, dda * b + 2.0 * da * db + a * ddb)
+    v = a / b if op == "/" else a ** b
+    if op == "/":   # v'' = (a'' - 2 v' b' - v b'')/b
+        if db is None:
+            return v, da / b, dda / b
+        d = -a * db / (b * b) if da is None else (da * b - a * db) / (b * b)
+        return v, d, -(2.0 * d * db + v * ddb) / b if da is None \
+            else (dda - 2.0 * d * db - v * ddb) / b
+    if db is None:   # a^p; at p 0 or 1 v'' has no a^(p-2) term, not 0*inf
+        c, d1 = b * (b - 1.0), b * a ** (b - 1.0)
+        return v, d1 * da, (c * a ** (b - 2.0) * da * da if c else 0.0) \
+            + d1 * dda
     log_a = np.log(a)
     if da is None:   # c^b
-        return v * log_a * (ddb + log_a * db * db)
-    w1 = db * log_a + b * da / a   # v = exp(w), w = b*log(a)
-    return v * (w1 * w1 + ddb * log_a
-                + (2.0 * da * db + b * (dda - da * da / a)) / a)
+        return v, v * log_a * db, v * log_a * (ddb + log_a * db * db)
+    w = db * log_a + b * da / a   # v = exp(w), w = b*log(a)
+    return v, v * w, v * (w * w + ddb * log_a
+                          + (2.0 * da * db + b * (dda - da * da / a)) / a)
 
 
 def evaluate(node, z, seed=None, seed2=None):
     """(value, derivative, second derivative) of a tree at z, a float or an
-    ndarray, for z = z(t) with dz/dt = seed and d2z/dt2 = seed2: the
-    derivative is v'*seed and the second v''*seed^2 + v'*seed2, so seeds 1
-    and 0 give v' and v''.  Each is None where it is zero: without z in the
-    subtree, with no seed, or (the second) with no seed2, which needs a
-    seed.  The second derivative's rules run beside the first's and change
-    no bit of the value or the derivative."""
+    ndarray, for z = z(t) with dz/dt = seed and d2z/dt2 = seed2, both given
+    or neither: the derivative is v'*seed and the second v''*seed^2 +
+    v'*seed2, so seeds 1 and 0 give v' and v''.  The derivatives are None
+    without z in the subtree or without seeds, and their rules change no
+    bit of the value."""
     if isinstance(node, Num):
         return node.value, None, None
     if isinstance(node, Var):
         return z, seed, seed2
     if isinstance(node, Neg):
         v, d, dd = evaluate(node.operand, z, seed, seed2)
-        return -v, None if d is None else -d, None if dd is None else -dd
+        return (-v, None, None) if d is None else (-v, -d, -dd)
     if isinstance(node, Fun):
         x, dx, ddx = evaluate(node.arg, z, seed, seed2)
         v = FUNCTIONS[node.name](x)
-        d = None if dx is None else _CHAIN[node.name](x, v, dx)
-        dd = None if ddx is None else _CHAIN2[node.name](x, v, dx, ddx)
-        return v, d, dd
+        return (v, None, None) if dx is None \
+            else (v, *_CHAIN[node.name](x, v, dx, ddx))
     v, d, dd = evaluate(node.first, z, seed, seed2)
     for op, operand in node.ops:
         b, db, ddb = evaluate(operand, z, seed, seed2)
         if d is None and db is None:
             v = _OPS[op](v, b)
         else:
-            a, da = v, d
-            v, d = _RULES[op][2 * (da is None) + (db is None)](a, da, b, db)
-            if seed2 is not None:
-                dd = _second(op, a, da, dd, b, db, ddb, v, d)
+            v, d, dd = _step(op, v, d, dd, b, db, ddb)
     return v, d, dd
 
 

@@ -31,8 +31,8 @@ __all__ = ["RadialWeight", "PowerLaw", "ExpressionWeight",
 
 class RadialWeight:
     """The type of PowerLaw and ExpressionWeight, each of which supplies
-    its raw passes _raw_v, _raw_vq, _raw_vq2 and _raw_slope and its
-    text().  The domain is z > 0."""
+    its raw passes _raw_v, _raw_vq2 and _raw_slope and its text().  The
+    domain is z > 0."""
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()!r})"
@@ -50,16 +50,13 @@ class PowerLaw(RadialWeight):
             return np.ones_like(z)
         return z ** self.lam
 
-    def _raw_vq(self, z):
-        if self.lam == 0.0:
-            return np.ones_like(z), np.zeros_like(z)
-        return z ** self.lam, self.lam * z ** (self.lam - 1.0)
-
     def _raw_vq2(self, z):   # v'' exactly 0 at lam 0 and 1, not 0*inf
         lam = self.lam
-        v2 = np.zeros_like(z) if lam in (0.0, 1.0) \
+        if lam == 0.0:
+            return np.ones_like(z), np.zeros_like(z), np.zeros_like(z)
+        v2 = np.zeros_like(z) if lam == 1.0 \
             else lam * (lam - 1.0) * z ** (lam - 2.0)
-        return (*self._raw_vq(z), v2)
+        return z ** lam, lam * z ** (lam - 1.0), v2
 
     def _raw_slope(self, z, z0, dz):
         # z^lam - z0^lam = z0^lam*expm1(lam*log1p(u)), u = dz/z0; v is
@@ -87,15 +84,10 @@ class ExpressionWeight(RadialWeight):
     def _raw_v(self, z):
         return _shaped(expressions.evaluate(self.ast, z)[0], z)
 
-    def _raw_vq(self, z):   # v: _raw_v's float operations, same bits
-        v, q, _ = expressions.evaluate(self.ast, z, np.ones_like(z))
-        return _shaped(v, z), _shaped(0.0 if q is None else q, z)
-
-    def _raw_vq2(self, z):   # v, q: _raw_vq's float operations, same bits
-        v, q, v2 = expressions.evaluate(self.ast, z, np.ones_like(z),
-                                        np.zeros_like(z))
-        return _shaped(v, z), _shaped(0.0 if q is None else q, z), \
-            _shaped(0.0 if v2 is None else v2, z)
+    def _raw_vq2(self, z):   # v: _raw_v's float operations, same bits
+        return tuple(_shaped(0.0 if x is None else x, z) for x in
+                     expressions.evaluate(self.ast, z, np.ones_like(z),
+                                          np.zeros_like(z)))
 
     def _raw_slope(self, z, z0, dz):
         v, _, s = expressions.evaluate_slope(self.ast, z, z0, dz)
@@ -179,13 +171,13 @@ def eval_v(w: RadialWeight, z):
 def eval_vq(w: RadialWeight, z):
     """(eval_v(w, z), eval_q(w, z)) bit for bit, from one raw pass and its
     fused test, raising what eval_q would, in _finish's order."""
-    return _checked_pair(w, *_raw(w, z, w._raw_vq))
+    return eval_vq2(w, z)[:2]
 
 
 def eval_vq2(w: RadialWeight, z):
-    """(v, q, v'') from one raw pass: v and q are eval_vq's bit for bit,
-    with its checks, and v'' = d2v/dz2 is left unchecked, for a caller
-    that tests what it builds from it."""
+    """(v, q, v'') from one raw pass: v and q with eval_vq's checks, and
+    v'' = d2v/dz2 left unchecked, for a caller that tests what it builds
+    from it."""
     z, (v, q, v2) = _raw(w, z, w._raw_vq2)
     return (*_checked_pair(w, z, (v, q)), float(v2) if z.ndim == 0 else v2)
 

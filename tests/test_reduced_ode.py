@@ -269,8 +269,8 @@ class _GapWeight(RadialWeight):
     def _raw_v(self, z):
         return np.where((z > self.lo) & (z < self.hi), np.nan, z)
 
-    def _raw_vq(self, z):
-        return self._raw_v(z), np.ones_like(z)
+    def _raw_vq2(self, z):
+        return self._raw_v(z), np.ones_like(z), np.zeros_like(z)
 
     def _raw_slope(self, z, z0, dz):
         return self._raw_v(z), np.ones_like(z)
@@ -700,7 +700,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)   # on [-1, 1]
 class _HandPower(RadialWeight):
     """z^lam written out by hand, not a PowerLaw: its z* comes from the
     root finder, and its slope is the mean of q over [z0, z] by a
-    Gauss-Legendre rule, from one _raw_vq pass over z and the rule's
+    Gauss-Legendre rule, from one _raw_vq2 pass over z and the rule's
     nodes."""
 
     def __init__(self, lam):
@@ -709,14 +709,15 @@ class _HandPower(RadialWeight):
     def _raw_v(self, z):
         return z ** self.lam
 
-    def _raw_vq(self, z):
-        return z ** self.lam, self.lam * z ** (self.lam - 1.0)
+    def _raw_vq2(self, z):
+        return z ** self.lam, self.lam * z ** (self.lam - 1.0), \
+            self.lam * (self.lam - 1.0) * z ** (self.lam - 2.0)
 
     def _raw_slope(self, z, z0, dz):
         x = 0.5 * (_GL_X + 1.0)   # the rule's nodes on [0, 1]
         pts = np.concatenate((np.asarray(z)[..., None],
                               z0 + np.multiply.outer(dz, x)), axis=-1)
-        v, q = self._raw_vq(pts)
+        v, q, _ = self._raw_vq2(pts)
         return v[..., 0], q[..., 1:] @ (0.5 * _GL_W)
 
     def text(self):

@@ -126,8 +126,8 @@ class _HandWeight(RadialWeight):
     def _raw_v(self, z):
         return 1.0 + z * z
 
-    def _raw_vq(self, z):
-        return 1.0 + z * z, 2.0 * z
+    def _raw_vq2(self, z):
+        return 1.0 + z * z, 2.0 * z, np.full_like(z, 2.0)
 
     def _raw_slope(self, z, z0, dz):
         return 1.0 + z * z, 2.0 * z0 + dz
@@ -151,7 +151,7 @@ def _separate_q(w, z):
         elif isinstance(w, PowerLaw):
             der = w.lam * za ** (w.lam - 1.0) if w.lam else np.zeros_like(za)
         else:
-            der = w._raw_vq(za)[1]
+            der = w._raw_vq2(za)[1]
     if not np.all(np.isfinite(val)):
         raise EvalError(f"weight value is not finite for {w!r}")
     if np.any(val <= 0.0):
@@ -180,7 +180,8 @@ _VQ_POINTS = [0.3, 1.0, 1.7, np.linspace(0.1, 3.0, 7),
 
 class _FloatWeight(RadialWeight):
     """A fake weight whose raw passes return preset values, whatever z:
-    Python floats (q, also the slope, is 0.0 unless given), or arrays."""
+    Python floats (q, also the slope, is 0.0 unless given, v'' is 0.0), or
+    arrays."""
 
     def __init__(self, v, q=0.0):
         self.v, self.q = v, q
@@ -188,8 +189,8 @@ class _FloatWeight(RadialWeight):
     def _raw_v(self, z):
         return self.v
 
-    def _raw_vq(self, z):
-        return self.v, self.q
+    def _raw_vq2(self, z):
+        return self.v, self.q, 0.0
 
     def _raw_slope(self, z, z0, dz):
         return self.v, self.q
@@ -206,7 +207,7 @@ def _checked_separately(w, z, derivative):
     if not np.all(za > 0.0):
         raise DomainError("z must exceed the weight's domain minimum 0.0")
     with np.errstate(all="ignore"):
-        out = w._raw_vq(za) if derivative else (w._raw_v(za),)
+        out = w._raw_vq2(za)[:2] if derivative else (w._raw_v(za),)
     if not np.all(np.isfinite(out[0])):
         raise EvalError(f"weight value is not finite for {w!r}")
     if np.any(np.asarray(out[0]) <= 0.0):
@@ -306,7 +307,7 @@ class TestEvalVQ:
         w = parse_weight("z")
         z = np.array([0.5, 2.0, 3.0])
         results = [eval_v(w, z), eval_vq(w, z)[0], w._raw_v(z),
-                   w._raw_vq(z)[0]]
+                   w._raw_vq2(z)[0]]
         for v in results:
             assert v.tolist() == [0.5, 2.0, 3.0]
             try:
@@ -725,19 +726,18 @@ _WALK_POINTS = [np.linspace(0.1, 3.0, 7), np.asarray(1.3),
 
 class TestOneWalk:
     """expressions.evaluate gives the value-only walk's v and a Dual pass's
-    (v, q, v'') bit for bit, with or without the second seed, and a parsed
-    weight never crashes a checked pass."""
+    (v, q, v'') bit for bit, and a parsed weight never crashes a checked
+    pass."""
 
     @staticmethod
     def assert_walk_matches_reference(tree):
         for z in _WALK_POINTS:
-            def new(*seed2):
-                out = expressions.evaluate(tree, z, np.ones_like(z), *seed2)
+            def new():
+                out = expressions.evaluate(tree, z, np.ones_like(z),
+                                           np.zeros_like(z))
                 return tuple(0.0 if x is None else x for x in out)
-            assert _raw_outcome(lambda: new(np.zeros_like(z))) == \
+            assert _raw_outcome(new) == \
                 _raw_outcome(lambda: dual_reference.raw_vq2(tree, z)), z
-            assert _raw_outcome(lambda: new()[:2]) == \
-                _raw_outcome(lambda: new(np.zeros_like(z))[:2]), z
             assert _raw_outcome(lambda: expressions.evaluate(tree, z)[:1]) \
                 == _raw_outcome(lambda: (dual_reference.walk(tree, z),)), z
 
@@ -946,13 +946,24 @@ _V2_POINTS = np.concatenate([np.linspace(0.05, 3.0, 60),
 
 
 class TestSecondDerivative:
-    """eval_vq2's v'' against mpmath at 40 digits, and its v and q against
-    eval_vq bit for bit."""
+    """eval_vq2's v'' against mpmath at 40 digits, and its v and q bit for
+    bit against references: z**lam and lam*z**(lam-1) (ones and zeros at
+    lam 0) for a PowerLaw, the dual reference for an expression."""
 
     @staticmethod
     def assert_vq_bits(w, z):
         v, q, v2 = eval_vq2(w, z)
-        assert _outcome(lambda: (v, q)) == _outcome(lambda: eval_vq(w, z))
+        za = np.asarray(z, dtype=float)
+        with np.errstate(all="ignore"):
+            if isinstance(w, ExpressionWeight):
+                ref = dual_reference.raw_vq(w.ast, za)
+            elif w.lam == 0.0:
+                ref = np.ones_like(za), np.zeros_like(za)
+            else:
+                ref = za ** w.lam, w.lam * za ** (w.lam - 1.0)
+        ref = tuple(float(x) if za.ndim == 0 else np.broadcast_to(x, za.shape)
+                    for x in ref)
+        assert _outcome(lambda: (v, q)) == _outcome(lambda: ref)
         assert np.shape(v2) == np.shape(z) and type(v2) is type(v)
         return v, q, v2
 
