@@ -217,10 +217,10 @@ def _near_integrand(spec: ExtremalSpec):
         dz = tt + eps
         z = zt + dz
         d = n * (eval_slope(spec.weight, z, zt, dz)[1] * z + v0)
-        if eps:
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):   # g < 0: nan
+            if eps:
                 d = np.where(tt > 0.0, d + eps * (d - slope) / tt, d)
-        return 2.0 / (z * np.sqrt(d * (d * tt + 2.0)))
+            return 2.0 / (z * np.sqrt(d * (d * tt + 2.0)))
     return F
 
 

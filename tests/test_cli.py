@@ -928,6 +928,18 @@ _SWEEP = {
          "--segments", "8"],
         1, "StalledDescent: no decrease after 50 rejected steps (value "
            "5.932787922365431e+300, max gradient 8.344e+299)\n"),
+    # g dips below 0 next to the turn, and the near integrand's square root
+    # warned "invalid value" before the quadrature refused its nan
+    "near-integrand-negative-radicand": (
+        ["trace", "--weight", "2+sin(1e16*z)", "--n", "0.3", "--zmax", "3",
+         "--samples", "5"],
+        1, "QuadratureFailure: panel value nan or estimate nan is not "
+           "finite\n"),
+    "near-integrand-negative-radicand-bvp": (
+        ["bvp", "--weight", "2+sin(1e16*z)", "--endpoints=-1,1,1,1.5",
+         "--n-bracket", "0.6:3"],
+        1, "QuadratureFailure: panel value nan or estimate nan is not "
+           "finite\n"),
 }
 
 

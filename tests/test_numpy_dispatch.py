@@ -1,12 +1,13 @@
-"""The row kernels under numpy's other SIMD dispatch.
+"""The row kernels and the derivative walk under numpy's other SIMD
+dispatch.
 
 numpy picks its SIMD loops by CPU when it is imported, and on a CPU with
-AVX-512 its array ** and the sort that cli._spell uses run loops that a CPU
-without it does not.  TestBatchedSums, TestSpell and TestWriters run once
-more in a subprocess with those loops switched off
-(NPY_DISABLE_CPU_FEATURES), so on such a CPU both kernels, and the CSV and
-JSON writers end to end, are checked against their references under both
-dispatch paths.
+AVX-512 its array **, exp and log and the sort that cli._spell uses run
+loops that a CPU without it does not.  TestBatchedSums, TestSpell,
+TestWriters and TestOneWalk run once more in a subprocess with those loops
+switched off (NPY_DISABLE_CPU_FEATURES), so on such a CPU both kernels, the
+CSV and JSON writers end to end and the expression walk's (v, q, v'') are
+checked against their references under both dispatch paths.
 """
 
 import os
@@ -40,5 +41,6 @@ def test_row_kernels_match_their_references_without_avx512():
     done = _run("-m", "pytest", "-q", "-p", "no:cacheprovider",
                 f"{TESTS / 'test_quadrature.py'}::TestBatchedSums",
                 f"{TESTS / 'test_cli.py'}::TestSpell",
-                f"{TESTS / 'test_cli.py'}::TestWriters")
+                f"{TESTS / 'test_cli.py'}::TestWriters",
+                f"{TESTS / 'test_weights.py'}::TestOneWalk")
     assert done.returncode == 0, done.stdout + done.stderr
