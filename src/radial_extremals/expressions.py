@@ -72,8 +72,8 @@ FUNCTIONS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
 # f(x)'s two derivatives from x, v = f(x) and x's two derivatives
 _CHAIN = {"exp": lambda x, v, dx, ddx: (v * dx, v * (dx * dx + ddx)),
           "log": lambda x, v, dx, ddx: (dx / x, (ddx - dx * dx / x) / x),
-          "sqrt": lambda x, v, dx, ddx: (0.5 * dx / v, (0.5 * ddx - 0.25 * dx
-                                                        * dx / x) / v),
+          "sqrt": lambda x, v, dx, ddx: (0.5 * dx / v,
+                                         (0.5 * ddx - 0.25 * dx * dx / x) / v),
           "sin": lambda x, v, dx, ddx: ((c := np.cos(x)) * dx,
                                         c * ddx - v * dx * dx),
           "cos": lambda x, v, dx, ddx: ((s := -np.sin(x)) * dx,
@@ -85,9 +85,10 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 def _step(op, a, da, dda, b, db, ddb):
     """(a op b, its derivative, its second derivative) from each operand's
-    value and two derivatives (both None without z, not both operands):
-    second-order dual-number rules in their order of operations, so with z
-    in b alone the reflected rule runs and c + z's value is z + c."""
+    value and two derivatives, both None for an operand without z (one
+    operand has z): second-order dual-number rules in their order of
+    operations, so with z in b alone the reflected rule runs and c + z's
+    value is z + c."""
     if op == "+":
         return (b + a, db, ddb) if da is None else (a + b, da, dda) \
             if db is None else (a + b, da + db, dda + ddb)
@@ -98,13 +99,14 @@ def _step(op, a, da, dda, b, db, ddb):
         return (b * a, db * a, ddb * a) if da is None else \
             (a * b, da * b, dda * b) if db is None else \
             (a * b, da * b + a * db, dda * b + 2.0 * da * db + a * ddb)
-    v = a / b if op == "/" else a ** b
     if op == "/":   # v'' = (a'' - 2 v' b' - v b'')/b
+        v = a / b
         if db is None:
             return v, da / b, dda / b
         d = -a * db / (b * b) if da is None else (da * b - a * db) / (b * b)
         return v, d, -(2.0 * d * db + v * ddb) / b if da is None \
             else (dda - 2.0 * d * db - v * ddb) / b
+    v = a ** b
     if db is None:   # a^p; at p 0 or 1 v'' has no a^(p-2) term, not 0*inf
         c, d1 = b * (b - 1.0), b * a ** (b - 1.0)
         return v, d1 * da, (c * a ** (b - 2.0) * da * da if c else 0.0) \

@@ -217,7 +217,8 @@ def _near_integrand(spec: ExtremalSpec):
         dz = tt + eps
         z = zt + dz
         d = n * (eval_slope(spec.weight, z, zt, dz)[1] * z + v0)
-        with np.errstate(divide="ignore", invalid="ignore"):   # g < 0: nan
+        # where g dips below 0, D < 0 and the nan goes to the quadrature
+        with np.errstate(divide="ignore", invalid="ignore"):
             if eps:
                 d = np.where(tt > 0.0, d + eps * (d - slope) / tt, d)
             return 2.0 / (z * np.sqrt(d * (d * tt + 2.0)))

@@ -85,9 +85,11 @@ class ExpressionWeight(RadialWeight):
         return _shaped(expressions.evaluate(self.ast, z)[0], z)
 
     def _raw_vq2(self, z):   # v: _raw_v's float operations, same bits
-        return tuple(_shaped(0.0 if x is None else x, z) for x in
-                     expressions.evaluate(self.ast, z, np.ones_like(z),
-                                          np.zeros_like(z)))
+        v, q, v2 = expressions.evaluate(self.ast, z, np.ones_like(z),
+                                        np.zeros_like(z))
+        if q is None:   # a constant
+            q = v2 = 0.0
+        return _shaped(v, z), _shaped(q, z), _shaped(v2, z)
 
     def _raw_slope(self, z, z0, dz):
         v, _, s = expressions.evaluate_slope(self.ast, z, z0, dz)
