@@ -16,7 +16,7 @@ from .errors import (DomainError, ForbiddenRegion, NoBracket,
 from .extremal_core import PolarPoint
 from .reduced_ode import ExtremalSpec, integrate_phi
 from .roots import find_root
-from .weights import RadialWeight
+from .weights import RadialWeight, masked_v
 
 __all__ = ["BvpProblem", "BvpSolution", "solve_n"]
 
@@ -73,7 +73,15 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     """Find n whose angular span matches |phi_b - phi_a| within tol.
 
     The bracket must produce spans straddling that target; no monotonicity
-    beyond that sign change is assumed.  A bracket end that puts the turning
+    beyond that sign change is assumed.  Both bracket ends are evaluated in
+    n; find_root then searches in u = sqrt(n - n_edge), each u at
+    n = n_edge + u^2.  At n_edge = 1/(v(z)*z), z the nearer endpoint
+    radius, the turning radius reaches z, and the span has a square-root
+    edge there, as dphi/dz has at z*: in u it is smooth, so the
+    interpolation steps take hold from the first one (the substitution
+    t = sqrt(z - z*) makes the same trade for the angles).  Where v(z) is
+    not valid or the turning radius at n_lo does not lie inside z
+    (n_lo*v(z)*z <= 1), n_edge is 0.  A bracket end that puts the turning
     radius outside an endpoint radius raises NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
     raises QuadratureFailure, and a bracket without 0 < n_lo < n_hi NoBracket.
@@ -94,19 +102,39 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
         raise NoBracket(f"invalid n bracket [{n_lo}, {n_hi}]")
     target_span = abs(prob.b.phi - prob.a.phi)
     qtol = min(1e-13, max(tol / 10.0, 1e-14))
-    # (spec, da, db) per n, so the root's are not rebuilt; one entry per
-    # span evaluation, since find_root evaluates each n at most once
+    # (spec, da, db) per n, so the root's are not rebuilt and no n, even
+    # one that two search points round to, is evaluated twice
     pieces = {}
 
     def residual(n):
-        pieces[n] = _branch_angles(prob, n, qtol)
+        if n not in pieces:
+            pieces[n] = _branch_angles(prob, n, qtol)
         return _span(prob, *pieces[n][1:]) - target_span
 
     try:
         f_lo, f_hi = residual(n_lo), residual(n_hi)
     except ForbiddenRegion as exc:
         raise NoBracket(f"invalid bracket end: {exc}") from exc
-    n_star, f_star = find_root(residual, n_lo, n_hi, f_lo, f_hi, tol)
+    if not f_lo * f_hi <= 0.0:
+        raise NoBracket(f"no sign change on [{n_lo}, {n_hi}] "
+                        f"(end values {f_lo:.3e}, {f_hi:.3e})")
+    # the search variable u = sqrt(n - n_edge) (see above); u_hi stays
+    # above u_lo for a bracket an ulp wide, and an n that rounding puts
+    # past a bracket end is that end
+    z_near = min(prob.a.z, prob.b.z)
+    v, ok = masked_v(prob.weight, z_near)
+    vz = float(v) * z_near if ok else 0.0
+    n_edge = 1.0 / vz if vz * n_lo > 1.0 else 0.0   # then n_edge <= n_lo
+    u_lo = math.sqrt(n_lo - n_edge)
+    u_hi = max(math.sqrt(n_hi - n_edge), math.nextafter(u_lo, math.inf))
+    n_of = {u_lo: n_lo, u_hi: n_hi}
+
+    def residual_u(u):
+        n_of[u] = min(max(n_edge + u * u, n_lo), n_hi)
+        return residual(n_of[u])
+
+    u_star, f_star = find_root(residual_u, u_lo, u_hi, f_lo, f_hi, tol)
+    n_star = n_of[u_star]
     if abs(f_star) > max(tol, qtol):
         raise QuadratureFailure(
             f"bracket collapsed with span residual {f_star:.3e} "

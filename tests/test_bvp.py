@@ -179,7 +179,7 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, PowerLaw(lam)),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert sol.evaluations == len(calls) == 8
+        assert sol.evaluations == len(calls) == 7
         assert sol.residual == sol.span - abs(b.phi - a.phi)
         assert abs(sol.residual) <= 1e-12
 
@@ -225,7 +225,7 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, w),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert len(spans) == 8 and finished == []
+        assert len(spans) == 7 and finished == []
 
     @pytest.mark.parametrize("which", ["a", "b"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -393,8 +393,8 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, w),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert len(spans) == 8
-        assert near_calls == [(6, 15), (3, 15)] + [(6, 15)] * 6
+        assert len(spans) == 7
+        assert near_calls == [(6, 15), (3, 15)] + [(6, 15)] * 5
 
     @pytest.mark.parametrize("weight", [None, "1.0*z^{lam!r}"])
     def test_one_quadrature_call_per_span(self, monkeypatch, weight):
@@ -423,10 +423,10 @@ class TestSolveN:
         sol = solve_n(BvpProblem(a, b, w),
                       (0.85 * n_true, 1.6 * n_true), 1e-12)
         assert sol.n == pytest.approx(n_true, rel=1e-7)
-        assert len(spans) == 8
+        assert len(spans) == 7
         # pieces per span: near ones (one shared by the endpoints beyond
         # the handoff), then far ones; three rows each
-        pieces = [2, 3, 3, 2, 2, 2, 2, 2]
+        pieces = [2, 3, 3, 2, 2, 2, 2]
         assert calls["integrate"] == [(True, k) for k in pieces]
         assert calls["first panels"] == [3 * k for k in pieces]
 
@@ -435,11 +435,11 @@ class TestSolveN:
         # kronrod_panels calls and reduced_ode's weight passes by kind,
         # (calls, points); the np.errstate entries are not pinned
         counts = span_costs.span_counts()
-        assert (counts["spans"], counts["kronrod_panels"]) == (871, 952)
+        assert (counts["spans"], counts["kronrod_panels"]) == (767, 842)
         assert {name: counts[name] for name in span_costs.PASSES} == {
-            "eval_v": (2762, 48436), "eval_vq": (871, 871),
-            "eval_slope": (871, 67185), "masked_v": (1158, 109547),
-            "wide_v": (871, 871)}
+            "eval_v": (2455, 43001), "eval_vq": (767, 767),
+            "eval_slope": (767, 58995), "masked_v": (1022, 97195),
+            "wide_v": (767, 767)}
 
     def test_root_pieces_reused(self, monkeypatch):
         # first draw of criterion 07: the returned n* is one of the span
