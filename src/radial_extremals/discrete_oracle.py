@@ -111,10 +111,13 @@ def _gradient(seg, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The gradient from segment data and (v, q) at the midpoints."""
     delta, length, mid, z_mid = seg
     unit = delta / length[:, None]
-    # each segment j contributes q*(mid/z)*L/2 to both ends and +-v*unit
-    w_part = (0.5 * q * length / z_mid)[:, None] * mid
-    v_unit = v[:, None] * unit
-    return (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
+    # each segment j contributes q*(mid/z)*L/2 to both ends and +-v*unit;
+    # near the float range's edge a component is inf, as the sum it
+    # stands for is
+    with np.errstate(over="ignore"):
+        w_part = (0.5 * q * length / z_mid)[:, None] * mid
+        v_unit = v[:, None] * unit
+        return (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
 
 
 def _hessian(seg, v: np.ndarray, q: np.ndarray, v2: np.ndarray):
@@ -134,7 +137,9 @@ def _hessian(seg, v: np.ndarray, q: np.ndarray, v2: np.ndarray):
     e_hat = delta / length[:, None]
     eye = np.eye(2)
     mm = m_hat[:, :, None] * m_hat[:, None, :]
-    with np.errstate(all="ignore"):   # a block that is not finite raises below
+    # a block that is not finite raises below; the blocks' sums, over
+    # vertices, may still overflow to inf
+    with np.errstate(all="ignore"):
         h_mm = (v2 * length)[:, None, None] * mm \
             + (q * length / z_mid)[:, None, None] * (eye - mm)
         h_me = q[:, None, None] * m_hat[:, :, None] * e_hat[:, None, :]
@@ -146,13 +151,13 @@ def _hessian(seg, v: np.ndarray, q: np.ndarray, v2: np.ndarray):
         h_aa = quarter - sym + h_ee
         h_bb = quarter + sym + h_ee
         h_ab = quarter + 0.5 * (h_me - h_me.transpose(0, 2, 1)) - h_ee
+        diag = h_aa[1:] + h_bb[:-1]   # interior vertex i+1 is row i
     finite = np.isfinite(np.concatenate([h_aa, h_bb, h_ab], axis=1))
     if np.count_nonzero(finite) < finite.size:
         z = float(z_mid[np.argmin(finite.all(axis=(1, 2)))])
         raise EvalError(f"the Hessian is not finite at the midpoint radius "
                         f"z = {z!r}")
-    # interior vertex i+1 is row i
-    return h_aa[1:] + h_bb[:-1], h_ab[1:-1]
+    return diag, h_ab[1:-1]
 
 
 def _tridiagonal_solve(diag: np.ndarray, upper: np.ndarray, shift: float,
@@ -256,11 +261,12 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
             rays = _rays(verts)
             slope, smax = _along(grad, rays)
         diag, upper = _checked("current polyline", _hessian, seg, v, q, v2)
-        diag = (rays[:, :, None] * diag * rays[:, None, :]).sum((1, 2))
-        upper = (rays[:-1, :, None] * upper * rays[1:, None, :]).sum((1, 2))
         # damping in units of tr(T)/dim keeps the step rotation invariant;
-        # near the float range's edge it, or mu times it, is inf
+        # near the float range's edge T, its trace or mu times that is inf
         with np.errstate(over="ignore"):
+            diag = (rays[:, :, None] * diag * rays[:, None, :]).sum((1, 2))
+            upper = (rays[:-1, :, None] * upper
+                     * rays[1:, None, :]).sum((1, 2))
             damping = float(diag.sum()) / diag.size
         for _ in range(_MAX_REJECTIONS):
             step = _tridiagonal_solve(diag, upper, mu * damping, -slope)

@@ -928,6 +928,29 @@ _SWEEP = {
          "--segments", "8"],
         1, "StalledDescent: no decrease after 50 rejected steps (value "
            "5.932787922365431e+300, max gradient 8.344e+299)\n"),
+    # at the float range's edge these warned "overflow encountered" before
+    # failing as they still fail: in the Hessian's block sums over the
+    # vertices, in the projection of the Hessian onto the rays and in the
+    # gradient's q*L/z term
+    "oracle-overflowing-hessian-sum": (
+        ["oracle", "--weight", "7.593085118242373e+307-z",
+         "--endpoints=-0.084,0.409,0.255,-0.684", "--segments", "2",
+         "--iters", "30"],
+        1, "StalledDescent: no decrease after 50 rejected steps (value "
+           "8.689256693640206e+307, max gradient 4.990e+291)\n"),
+    "oracle-overflowing-ray-projection": (
+        ["oracle", "--weight", "z*6.229536575681991e+307",
+         "--endpoints=-1.159,-0.115,0.359,-1.697", "--segments", "4",
+         "--iters", "30"],
+        1, "StalledDescent: no decrease after 50 rejected steps (value "
+           "1.561298075345912e+308, max gradient 2.300e+307)\n"),
+    "oracle-overflowing-gradient": (
+        ["oracle", "--weight", "z*1.6317927286446503e+308",
+         "--endpoints=-1.179,0.315,0.375,-0.502", "--segments", "2",
+         "--iters", "30"],
+        1, "DomainViolation: current polyline left the weight's domain: the "
+           "Hessian is not finite at the midpoint radius z = "
+           "0.7982204034600969\n"),
     # g dips below 0 next to the turn, and the near integrand's square root
     # warned "invalid value" before the quadrature refused its nan
     "near-integrand-negative-radicand": (
