@@ -34,7 +34,7 @@ class NoPass(PowerLaw):
     def _raw_v(self, z):
         raise AssertionError("a weight pass ran")
 
-    _raw_vq = _raw_vq2 = _raw_slope = _raw_v
+    _raw_vq2 = _raw_slope = _raw_v
 
 
 def spec_without_passes():

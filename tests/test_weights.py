@@ -372,9 +372,10 @@ class TestFusedCheck:
                         assert not x.flags.writeable
         assert _outcome(lambda: eval_q(w, z)) == \
             _outcome(lambda: _checked_separately(w, z, True)[1])
-        if kind != "preset":   # v and q of the second-order pass, same bits
+        if kind != "preset":   # v of a separate eval_v pass, q of the
+            # dual reference or of lam*z**(lam-1), same bits and errors
             assert _outcome(lambda: eval_vq2(w, z)[:2]) == \
-                _outcome(lambda: eval_vq(w, z))
+                _outcome(lambda: (eval_v(w, z), _separate_q(w, z)))
         assert np.array_equal(np.asarray(z), before, equal_nan=True)
 
     @pytest.mark.parametrize("v,q,z,cls,match", [
