@@ -255,6 +255,12 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 _ATOM_EXPECTED = ("number", "'z'", "function", "'('")
+# The deepest nesting of a factor the parser accepts, in unary minuses,
+# '^'s, function calls and parentheses: copy.deepcopy, the costliest of a
+# tree's hash, repr, pickle and deepcopy, takes 10 frames per level of a
+# '^' or of a parenthesised operator run (the parser 7 per parenthesis), so
+# the deepest tree takes 640 of Python's default limit of 1000 frames.
+_MAX_DEPTH = 64
 
 
 class _Parser:
@@ -283,6 +289,7 @@ class _Parser:
             self.tokens.append((kind, tok, m.start()))
         self.tokens.append(("end", "", len(text)))
         self.i = 0
+        self.depth = -1   # the nesting of the factor being read
 
     def peek(self):
         return self.tokens[self.i]
@@ -309,12 +316,17 @@ class _Parser:
         return self.chain(self.factor, self.factor, ("*", "/"))
 
     def factor(self):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError("expression nests too deeply", 0)
         if self.peek()[1] == "-":
             self.advance()
             node, value = self.factor()
-            return Neg(node), self.fold(operator.neg, None, value)
-        # power: the factor after a '^' reads every '^' that follows it
-        return self.chain(self.atom, self.factor, ("^",))
+            out = Neg(node), self.fold(operator.neg, None, value)
+        else:   # power: the factor after a '^' reads every '^' after it
+            out = self.chain(self.atom, self.factor, ("^",))
+        self.depth -= 1
+        return out
 
     def chain(self, first, operand, ops):
         """(node, value): first's, or a Chain of it and the (operator,
@@ -371,15 +383,15 @@ class _Parser:
 
 def parse_expression(text: str):
     """Parse text into an expression tree; raises ParseError on bad input,
-    among it a subexpression without z that divides by zero, overflows or
-    has no real value in Python floats (numpy's inf and nan are left to the
-    weight's checks)."""
+    among it nesting deeper than 64 levels (_MAX_DEPTH) and a subexpression
+    without z that divides by zero, overflows or has no real value in
+    Python floats (numpy's inf and nan are left to the weight's checks)."""
     parser = _Parser(text)
     try:
         with np.errstate(all="ignore"):
             node = parser.expr()[0]
             if parser.peek()[0] != "end":
                 parser.fail(("operator", "end of input"))
-    except RecursionError:   # where depends on the caller's stack: offset 0
+    except RecursionError:   # a caller deep in its stack: offset 0 too
         raise ParseError("expression nests too deeply", 0) from None
     return node

@@ -564,6 +564,26 @@ class TestParse:
                 assert isinstance(want, list)
                 assert _raw_outcome(lambda: call(w2)) == want
 
+    @pytest.mark.parametrize("nest", [
+        lambda k: "-" * k + "z", lambda k: "z^" * k + "z",
+        lambda k: "(" * k + "z" + ")" * k,
+        lambda k: "(z+" * k + "z" + ")" * k,
+        lambda k: "exp(" * k + "z" + ")" * k],
+        ids=["minus", "power", "parentheses", "parenthesised-sums",
+             "functions"])
+    def test_deepest_accepted_nesting_hashes_prints_and_copies(self, nest):
+        # 64 levels parse, and hash, repr, pickle and deepcopy take the
+        # tree; "-" * 989 + "z" parsed, and all four raised RecursionError
+        tree = parse_expression(nest(64))
+        for copy_of in (copy.deepcopy,
+                        lambda x: pickle.loads(pickle.dumps(x))):
+            tree2 = copy_of(tree)
+            assert tree2 == tree and hash(tree2) == hash(tree)
+            assert repr(tree2) == repr(tree)
+        with pytest.raises(ParseError, match="nests too deeply") as err:
+            parse_expression(nest(65))
+        assert err.value.offset == 0
+
     @pytest.mark.parametrize("text", ["-" * 5000 + "z",
                                       "(" * 2000 + "z" + ")" * 2000,
                                       "z^" * 3000 + "z"])
