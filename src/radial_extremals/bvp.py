@@ -119,8 +119,7 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
         raise NoBracket(f"no sign change on [{n_lo}, {n_hi}] "
                         f"(end values {f_lo:.3e}, {f_hi:.3e})")
     # the search variable u = sqrt(n - n_edge) (see above); u_hi stays
-    # above u_lo for a bracket an ulp wide, and an n that rounding puts
-    # past a bracket end is that end
+    # above u_lo for a bracket an ulp wide
     z_near = min(prob.a.z, prob.b.z)
     v, ok = masked_v(prob.weight, z_near)
     vz = float(v) * z_near if ok else 0.0
@@ -130,7 +129,7 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     n_of = {u_lo: n_lo, u_hi: n_hi}
 
     def residual_u(u):
-        n_of[u] = min(max(n_edge + u * u, n_lo), n_hi)
+        n_of[u] = n_edge + u * u
         return residual(n_of[u])
 
     u_star, f_star = find_root(residual_u, u_lo, u_hi, f_lo, f_hi, tol)

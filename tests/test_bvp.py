@@ -4,12 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from radial_extremals import bvp, reduced_ode, weights
 from radial_extremals import (BvpProblem, DomainError, ExtremalSpec,
                               ForbiddenRegion, NoBracket, PolarPoint,
                               PowerLaw, PowerLawCurve, Polyline,
-                              QuadratureFailure, functional_value,
+                              QuadratureFailure, eval_v, functional_value,
                               integrate_phi, parse_weight, power_law_point,
                               solve_n)
 
@@ -494,3 +496,85 @@ class TestSolveN:
             chord = np.linspace(xy[0], xy[-1], 2001)
             chord_value = functional_value(Polyline(chord), PowerLaw(lam))
             assert curve_value <= chord_value
+
+
+class TestEdgeVariable:
+    """solve_n on brackets that start at the span's square-root edge
+    n_edge, where the turning radius reaches the nearer endpoint radius, or
+    within 1 % above it: the search in u = sqrt(n - n_edge) near its own
+    edge u = 0."""
+
+    @staticmethod
+    def closed_form(mpmath, lam, n, prob):
+        """The span of v = z^lam at n and its slope dS/dn, at 40 digits,
+        from each angle acos(1/(n*z^k))/k and its slope
+        1/(k*n*sqrt((n*z^k)^2 - 1))."""
+        with mpmath.workdps(40):
+            k, n = mpmath.mpf(lam) + 1, mpmath.mpf(n)
+            c = [n * mpmath.mpf(p.z) ** k for p in (prob.a, prob.b)]
+            da, db = (mpmath.acos(1 / x) / k for x in c)
+            sa, sb = (1 / (k * n * mpmath.sqrt(x * x - 1)) for x in c)
+            if prob.same_branch:
+                return float(abs(da - db)), float(abs(sa - sb))
+            return float(da + db), float(sa + sb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(-1.0, 3.0, exclude_min=True),
+           z_turn=st.floats(0.5, 2.0), s_near=st.floats(0.1, 0.85),
+           s_far=st.floats(0.1, 0.85), same_branch=st.booleans(),
+           gap=st.one_of(st.just(0.0), st.floats(0.0, 0.01)),
+           s_hi=st.floats(0.0, 0.85),
+           tol=st.sampled_from([0.0, 1e-12, 1e-10]))
+    # at tol 0 two search points round to one n
+    @example(lam=0.0, z_turn=1.0, s_near=0.25, s_far=0.125,
+             same_branch=False, gap=0.0078125, s_hi=0.0, tol=0.0)
+    def test_power_law_brackets_from_the_edge(self, lam, z_turn, s_near,
+                                              s_far, same_branch, gap,
+                                              s_hi, tol):
+        mpmath = pytest.importorskip("mpmath")
+        # points at auxiliary angles psi (n*z^k*cos(psi) = 1, k = lam + 1)
+        # up to 2k, so each lies at most 2 rad from the turn as lam nears
+        # -1, with n = z_turn^-k near 1 there
+        k = lam + 1.0
+        top = min(0.5 * math.pi, 2.0 * k)
+        psi_near = s_near * top
+        psi_far = psi_near + s_far * (top - psi_near)
+        curve = PowerLawCurve(lam, z_turn ** -k)
+        a = power_law_point(curve, psi_near if same_branch else -psi_near)
+        b = power_law_point(curve, psi_far)
+        w = PowerLaw(lam)
+        z_near = min(a.z, b.z)
+        n_edge = 1.0 / (eval_v(w, z_near) * z_near)
+        # next to lam = -1, n_edge and n round together
+        assume(n_edge < curve.n * (1.0 - 1e-8) and a != b)
+        n_lo = min(n_edge * (1.0 + gap), 0.5 * (n_edge + curve.n))
+        # at n_hi the nearer point's psi is psi_far or more, up to top
+        n_hi = n_edge / math.cos(psi_far + s_hi * (top - psi_far))
+        prob = BvpProblem(a, b, w, same_branch)
+        qtol = min(1e-13, max(tol / 10.0, 1e-14))
+        calls, failure = [], None
+
+        def counted(prob, n, qtol, _f=bvp._branch_angles):
+            calls.append(n)
+            return _f(prob, n, qtol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bvp, "_branch_angles", counted)
+            try:
+                sol = solve_n(prob, (n_lo, n_hi), tol)
+            except QuadratureFailure as exc:
+                failure = str(exc)
+        # no n evaluated twice, though two u can round to one n
+        assert len(set(calls)) == len(calls)
+        if failure:
+            # tol 0 meets the spans' round-off floor, and where four ulps
+            # of n move the span by more than tol no float n meets it
+            slope = self.closed_form(mpmath, lam, curve.n, prob)[1]
+            assert (tol == 0.0 and "below the round-off floor" in failure
+                    or failure.startswith("bracket collapsed")
+                    and 4.0 * math.ulp(curve.n) * slope > max(tol, qtol))
+            return
+        assert sol.evaluations == len(calls)
+        # the closed-form span at the solved n meets the target within the
+        # stop's tol and the spans' quadrature tol, once for each angle
+        span = self.closed_form(mpmath, lam, sol.n, prob)[0]
+        assert abs(span - abs(b.phi - a.phi)) <= max(tol, qtol) + 2.0 * qtol
