@@ -5,7 +5,11 @@ Over the 105 bvp jobs of the benchmark's seed-1 list it counts the spans,
 the kronrod_panels calls, the weight passes that reduced_ode makes (calls
 and points, by kind), the np.errstate entries and the calls of the
 expression walks expressions.evaluate and evaluate_slope (one per node
-visited: each walk calls itself through the module).  On one reference span,
+visited: each walk calls itself through the module).  Per solve_n call
+it records the layout, the spans, the find_root steps (one residual call
+each; a step whose n an earlier one took costs no span) and the stop
+residual |span - target|, and prints spans per solve by layout, the steps
+and the largest and mean stop residual.  On one reference span,
 PowerLaw(0.7) at n 1.3 to radii 1.2 and 1.6 at the benchmark's span
 tolerance 1e-13, it prints the best of 7 timings, in microseconds, of
 ExtremalSpec, its _handoff, integrate_phi and the near and far integrand
@@ -61,13 +65,38 @@ def _wrapped(owner, name, before):
     return _patched(owner, name, make)
 
 
+def _solve_records(solves):
+    """_patched's make for bvp.solve_n and bvp.find_root: each solve
+    appends {"same_branch", "spans", "steps", "residual"} to solves."""
+    def solve_n(original):
+        def recorded(prob, n_bracket, tol):
+            solves.append({"same_branch": prob.same_branch, "steps": 0})
+            sol = original(prob, n_bracket, tol)
+            solves[-1].update(spans=sol.evaluations,
+                              residual=abs(sol.residual))
+            return sol
+        return recorded
+
+    def find_root(original):
+        def stepped(f, *args):
+            def step(x):
+                solves[-1]["steps"] += 1
+                return f(x)
+            return original(step, *args)
+        return stepped
+    return solve_n, find_root
+
+
 def span_counts(seed=1):
     """{"spans", "kronrod_panels", "errstate" entries and each name of
-    WALKS: counts; each name of PASSES: (calls, points)} over the bvp jobs
-    of a seed's list, each of which must exit with code 0."""
+    WALKS: counts; each name of PASSES: (calls, points); "solves": a list
+    of _solve_records' records} over the bvp jobs of a seed's list, each
+    of which must exit with code 0."""
     counts = dict.fromkeys(("spans", "kronrod_panels", "errstate", *WALKS),
                            0)
     counts.update((name, (0, 0)) for name in PASSES)
+    counts["solves"] = []
+    record_solve, record_steps = _solve_records(counts["solves"])
 
     def count(key):
         def before(*args):
@@ -90,6 +119,8 @@ def span_counts(seed=1):
             stack.enter_context(_wrapped(reduced_ode, name, weigh(name)))
         for name in WALKS:
             stack.enter_context(_wrapped(expressions, name, count(name)))
+        stack.enter_context(_patched(bvp, "solve_n", record_solve))
+        stack.enter_context(_patched(bvp, "find_root", record_steps))
         for workload, index, argv in job_manifest.jobs(seed):
             if workload == "bvp":
                 code = job_manifest.run_job(argv)[0]
@@ -136,12 +167,30 @@ def span_times():
     return times
 
 
+def print_solves(solves):
+    """Spans per solve by layout, the find_root steps and the stop
+    residuals of span_counts' solve records."""
+    for layout, same in (("opposite branches", False), ("same branch", True)):
+        spans = [r["spans"] for r in solves if r["same_branch"] is same]
+        if spans:
+            print(f"  {layout}: {len(spans)} solves, {sum(spans):,} spans, "
+                  f"{sum(spans) / len(spans):.2f} per solve")
+    steps = sum(r["steps"] for r in solves)
+    print(f"  find_root steps: {steps:,}, {steps / len(solves):.2f} per "
+          f"solve")
+    residuals = [r["residual"] for r in solves]
+    print(f"  stop residual |span - target|: largest "
+          f"{max(residuals):.3g}, mean {sum(residuals) / len(residuals):.3g}")
+
+
 def main() -> int:
     counts = span_counts()
     print("seed-1 bvp jobs:")
     for key, value in counts.items():
         if key in PASSES:
             print(f"  {key}: {value[0]:,} calls, {value[1]:,} points")
+        elif key == "solves":
+            print_solves(value)
         else:
             print(f"  {key}: {value:,}")
     w, n, radii, tol = REFERENCE
