@@ -80,9 +80,12 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     edge there, as dphi/dz has at z*: in u it is smooth, so the
     interpolation steps take hold from the first one (the substitution
     t = sqrt(z - z*) makes the same trade for the angles).  Where v(z) is
-    not valid or the turning radius at n_lo does not lie inside z
-    (n_lo*v(z)*z <= 1), n_edge is 0.  A bracket end that puts the turning
-    radius outside an endpoint radius raises NoBracket naming that end's n;
+    not valid or the turning radius at n_lo lies outside z
+    (n_lo*v(z)*z < 1 - 1e-12), n_edge is 0; a bracket that starts within
+    that slack below 1/(v(z)*z), as rounding and integrate_phi's slack of
+    1e-12 inside z* allow, starts at the edge: n_edge = n_lo.  A bracket
+    end that puts the turning radius outside an endpoint radius raises
+    NoBracket naming that end's n;
     a bracket that collapses to a few ulps with the residual still above tol
     raises QuadratureFailure, and a bracket without 0 < n_lo < n_hi NoBracket.
     The spans are integrated to qtol = min(1e-13, max(tol/10, 1e-14)), so a
@@ -123,7 +126,7 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     z_near = min(prob.a.z, prob.b.z)
     v, ok = masked_v(prob.weight, z_near)
     vz = float(v) * z_near if ok else 0.0
-    n_edge = 1.0 / vz if vz * n_lo > 1.0 else 0.0   # then n_edge <= n_lo
+    n_edge = min(1.0 / vz, n_lo) if vz * n_lo >= 1.0 - 1e-12 else 0.0
     u_lo = math.sqrt(n_lo - n_edge)
     u_hi = max(math.sqrt(n_hi - n_edge), math.nextafter(u_lo, math.inf))
     n_of = {u_lo: n_lo, u_hi: n_hi}
