@@ -75,19 +75,17 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     The bracket must produce spans straddling that target; no monotonicity
     beyond that sign change is assumed.  Both bracket ends are evaluated in
     n; find_root then searches in u = sqrt(n - n_edge), each u at
-    n = n_edge + u^2.  At n_edge = 1/(v(z)*z), z the nearer endpoint
-    radius, the turning radius reaches z, and the span has a square-root
-    edge there, as dphi/dz has at z*: in u it is smooth, so the
-    interpolation steps take hold from the first one (the substitution
-    t = sqrt(z - z*) makes the same trade for the angles).  Where v(z) is
-    not valid or the turning radius at n_lo lies outside z
-    (n_lo*v(z)*z < 1 - 1e-12), n_edge is 0; a bracket that starts within
-    that slack below 1/(v(z)*z), as rounding and integrate_phi's slack of
-    1e-12 inside z* allow, starts at the edge: n_edge = n_lo.  A bracket
-    end that puts the turning radius outside an endpoint radius raises
-    NoBracket naming that end's n;
-    a bracket that collapses to a few ulps with the residual still above tol
-    raises QuadratureFailure, and a bracket without 0 < n_lo < n_hi NoBracket.
+    n = n_edge + u^2.  At 1/(v(z)*z), z the nearer endpoint radius, the
+    turning radius reaches z, and the span has a square-root edge there, as
+    dphi/dz has at z*: in u it is smooth, so the interpolation steps take
+    hold from the first one (the substitution t = sqrt(z - z*) makes the
+    same trade for the angles).  The one edge rule: n_edge =
+    min(1/(v(z)*z), n_lo) where v(z)*z is a positive number, else 0, as any
+    n_edge <= n_lo is a valid search variable.  A bracket end that puts
+    the turning radius outside an endpoint radius raises NoBracket naming
+    that end's n; a bracket that collapses to a few ulps with the residual
+    still above tol raises QuadratureFailure, and a bracket without
+    0 < n_lo < n_hi NoBracket.
     The spans are integrated to qtol = min(1e-13, max(tol/10, 1e-14)), so a
     tol below 1e-14, 0 included, searches until the bracket collapses and
     takes a residual within 1e-14 there as the root; a larger one, such as
@@ -124,19 +122,13 @@ def solve_n(prob: BvpProblem, n_bracket, tol: float) -> BvpSolution:
     # the search variable u = sqrt(n - n_edge) (see above); u_hi stays
     # above u_lo for a bracket an ulp wide
     z_near = min(prob.a.z, prob.b.z)
-    v, ok = masked_v(prob.weight, z_near)
-    vz = float(v) * z_near if ok else 0.0
-    n_edge = min(1.0 / vz, n_lo) if vz * n_lo >= 1.0 - 1e-12 else 0.0
+    vz = float(masked_v(prob.weight, z_near)[0]) * z_near
+    n_edge = min(1.0 / vz, n_lo) if vz > 0.0 else 0.0
     u_lo = math.sqrt(n_lo - n_edge)
     u_hi = max(math.sqrt(n_hi - n_edge), math.nextafter(u_lo, math.inf))
-    n_of = {u_lo: n_lo, u_hi: n_hi}
-
-    def residual_u(u):
-        n_of[u] = n_edge + u * u
-        return residual(n_of[u])
-
-    u_star, f_star = find_root(residual_u, u_lo, u_hi, f_lo, f_hi, tol)
-    n_star = n_of[u_star]
+    u_star, f_star = find_root(lambda u: residual(n_edge + u * u),
+                               u_lo, u_hi, f_lo, f_hi, tol)
+    n_star = {u_lo: n_lo, u_hi: n_hi}.get(u_star, n_edge + u_star * u_star)
     if abs(f_star) > max(tol, qtol):
         raise QuadratureFailure(
             f"bracket collapsed with span residual {f_star:.3e} "
