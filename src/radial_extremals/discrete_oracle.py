@@ -102,22 +102,32 @@ def _functional(seg, v: np.ndarray) -> float:
 
 
 def gradient(pl: Polyline, w: RadialWeight) -> np.ndarray:
-    """Exact gradient with respect to the interior vertices, shape (k-2, 2)."""
+    """Exact gradient with respect to the interior vertices, shape (k-2, 2);
+    EvalError where it is not finite."""
     seg = _segment_data(pl.vertices)
     return _gradient(seg, *eval_vq(w, seg[3]))
 
 
 def _gradient(seg, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The gradient from segment data and (v, q) at the midpoints."""
+    """The gradient from segment data and (v, q) at the midpoints.  A
+    component that is not finite raises EvalError naming the midpoint
+    radius of its larger segment term."""
     delta, length, mid, z_mid = seg
     unit = delta / length[:, None]
     # each segment j contributes q*(mid/z)*L/2 to both ends and +-v*unit;
-    # near the float range's edge a component is inf, as the sum it
-    # stands for is
-    with np.errstate(over="ignore"):
+    # near the float range's edge a term or a sum overflows, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
         w_part = (0.5 * q * length / z_mid)[:, None] * mid
         v_unit = v[:, None] * unit
-        return (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
+        grad = (w_part[:-1] + v_unit[:-1]) + (w_part[1:] - v_unit[1:])
+    finite = np.isfinite(grad)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(np.argmin(finite.all(axis=1)))   # segments i and i+1
+        size = np.abs(np.concatenate([w_part, v_unit], axis=1)).max(axis=1)
+        z = float(z_mid[i + int(size[i + 1] > size[i])])
+        raise EvalError(f"the gradient is not finite at the midpoint radius "
+                        f"z = {z!r}")
+    return grad
 
 
 def _hessian(seg, v: np.ndarray, q: np.ndarray, v2: np.ndarray):
@@ -243,9 +253,9 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
     Then, if a step is needed, an interior vertex at the pole or rays that
     turn both ways about it raise DomainError.  A trial whose midpoints
     leave the weight's domain raises DomainViolation, never clamped, and so
-    does a Hessian that is not finite (its v'' comes from the vertex set's
-    one weight pass, unchecked); 50 consecutive rejected trials raise
-    StalledDescent.
+    do a trial's gradient that is not finite and a Hessian that is not
+    finite (its v'' comes from the vertex set's one weight pass,
+    unchecked); 50 consecutive rejected trials raise StalledDescent.
     """
     max_iters = real("max_iters", max_iters, 0, integer=True)
     grad_tol = real("grad_tol", grad_tol, 0.0)
@@ -278,7 +288,8 @@ def minimize(pl: Polyline, w: RadialWeight, max_iters: int,
                 t_value = _checked("trial step", _functional, t_seg, t_v)
                 # a trial with a zero-length segment has no gradient
                 if t_value <= value and _positive(t_seg[1]):
-                    t_grad = _gradient(t_seg, t_v, t_q)
+                    t_grad = _checked("trial step", _gradient, t_seg, t_v,
+                                      t_q)
                     t_slope, t_smax = _along(t_grad, rays)
                     # at the floor of both value and gradient every trial
                     # fails, so the stall counter sees the plateau

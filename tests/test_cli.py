@@ -944,13 +944,22 @@ _SWEEP = {
          "--iters", "30"],
         1, "StalledDescent: no decrease after 50 rejected steps (value "
            "1.561298075345912e+308, max gradient 2.300e+307)\n"),
+    # the q*L/z term of the segment at z 0.298 overflows: the run fails at
+    # the chord's gradient, before the Hessian, which also overflows
     "oracle-overflowing-gradient": (
         ["oracle", "--weight", "z*1.6317927286446503e+308",
          "--endpoints=-1.179,0.315,0.375,-0.502", "--segments", "2",
          "--iters", "30"],
-        1, "DomainViolation: current polyline left the weight's domain: the "
-           "Hessian is not finite at the midpoint radius z = "
-           "0.7982204034600969\n"),
+        1, "EvalError: the gradient is not finite at the midpoint radius "
+           "z = 0.2980558882156164\n"),
+    # with no step allowed this printed the gradient inf, as Infinity in
+    # JSON, and exited 0
+    "oracle-overflowing-gradient-no-steps": (
+        ["oracle", "--weight", "z*1.6317927286446503e+308",
+         "--endpoints=-1.179,0.315,0.375,-0.502", "--segments", "2",
+         "--iters", "0", "--format", "json"],
+        1, "EvalError: the gradient is not finite at the midpoint radius "
+           "z = 0.2980558882156164\n"),
     # g dips below 0 next to the turn, and the near integrand's square root
     # warned "invalid value" before the quadrature refused its nan
     "near-integrand-negative-radicand": (

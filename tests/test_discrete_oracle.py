@@ -186,6 +186,35 @@ class TestGradient:
         assert abs(grad[0, 0]) <= 1e-14
         assert abs(grad[0, 1]) > 1e-3
 
+    @pytest.mark.parametrize("text, verts, z", [
+        # the q*L/z term of the second segment overflows
+        ("z*1.6317927286446503e+308",
+         [(-1.179, 0.315), (-0.402, -0.0935), (0.375, -0.502)],
+         "0.2980558882156164"),
+        # finite terms +-v*unit whose sum overflows
+        ("1.7e308", [(0.0, 1.0), (1.0, 1.0), (0.0, 1.0)],
+         "1.118033988749895")])
+    def test_non_finite_gradient_raises(self, text, verts, z):
+        with pytest.raises(EvalError, match="^the gradient is not finite at "
+                           f"the midpoint radius z = {re.escape(z)}$"):
+            gradient(Polyline(verts), parse_weight(text))
+
+    def test_a_trial_gradient_that_is_not_finite_leaves_the_domain(
+            self, monkeypatch):
+        # the chord's gradient is finite, the first trial's is made not
+        calls = []
+
+        def failing(*args, _f=discrete_oracle._gradient):
+            calls.append(len(calls))
+            if len(calls) > 1:
+                raise EvalError("the gradient is not finite")
+            return _f(*args)
+        monkeypatch.setattr(discrete_oracle, "_gradient", failing)
+        with pytest.raises(DomainViolation, match="^trial step left the "
+                           "weight's domain: the gradient is not finite$"):
+            minimize(chord((-0.4, 1.1), (0.4, 1.1), 8), PowerLaw(1.0), 10,
+                     1e-8)
+
 
 class TestHessian:
     def test_matches_finite_differences_of_gradient(self):
