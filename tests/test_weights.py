@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -591,6 +592,34 @@ class TestParse:
         with pytest.raises(ParseError, match="nests too deeply") as err:
             parse_weight(text)
         assert err.value.offset == 0
+
+    @pytest.mark.parametrize("frames, parses", [(100, True), (600, False)])
+    def test_accepted_nesting_from_deep_in_the_callers_stack(self, frames,
+                                                             parses):
+        # 64 parentheses, within the depth bound, take the parser about 450
+        # frames: from 600 frames deep it runs out of Python's default 1000
+        # and raises the bound's error, at offset 0, in place of
+        # RecursionError
+        text = "(" * 64 + "z" + ")" * 64
+
+        def parse_below(k):   # k frames below the caller
+            return parse_expression(text) if k <= 0 else parse_below(k - 1)
+
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            if parses:
+                assert parse_below(frames - depth) == parse_expression(text)
+            else:
+                with pytest.raises(ParseError, match="^expression nests too "
+                                   "deeply") as err:
+                    parse_below(frames - depth)
+                assert err.value.offset == 0
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def _chains(sub):
