@@ -550,7 +550,16 @@ class TestEdgeVariable:
         n_lo = min(n_edge * (1.0 + gap), 0.5 * (n_edge + curve.n))
         # at n_hi the nearer point's psi is psi_far or more, up to top
         n_hi = n_edge / math.cos(psi_far + s_hi * (top - psi_far))
-        prob = BvpProblem(a, b, w, same_branch)
+        self.solve_and_check(mpmath, curve, BvpProblem(a, b, w, same_branch),
+                             (n_lo, n_hi), tol)
+
+    def solve_and_check(self, mpmath, curve, prob, n_bracket, tol):
+        """solve_n on a bracket around the n of a power-law curve through
+        prob's endpoints: no n is evaluated twice, and the closed-form span
+        at the solved n meets the target, or a QuadratureFailure is one
+        that tol 0's round-off floor or a collapse of the bracket
+        explains."""
+        lam = curve.lam
         qtol = min(1e-13, max(tol / 10.0, 1e-14))
         calls, failure = [], None
 
@@ -560,7 +569,7 @@ class TestEdgeVariable:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bvp, "_branch_angles", counted)
             try:
-                sol = solve_n(prob, (n_lo, n_hi), tol)
+                sol = solve_n(prob, n_bracket, tol)
             except QuadratureFailure as exc:
                 failure = str(exc)
         # no n evaluated twice, though two u can round to one n
@@ -577,4 +586,37 @@ class TestEdgeVariable:
         # the closed-form span at the solved n meets the target within the
         # stop's tol and the spans' quadrature tol, once for each angle
         span = self.closed_form(mpmath, lam, sol.n, prob)[0]
-        assert abs(span - abs(b.phi - a.phi)) <= max(tol, qtol) + 2.0 * qtol
+        target = abs(prob.b.phi - prob.a.phi)
+        assert abs(span - target) <= max(tol, qtol) + 2.0 * qtol
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(0.0, 3.0), z_turn=st.floats(0.5, 2.0),
+           s_near=st.floats(0.1, 0.85), s_far=st.floats(0.1, 0.85),
+           same_branch=st.booleans(), f=st.floats(0.0, 0.95),
+           s_hi=st.floats(0.0, 0.85),
+           tol=st.sampled_from([0.0, 1e-12, 1e-10]))
+    # f*(lam + 1) > 1: the bracket starts further inside the turning circle
+    # than 1e-12 of n, where the search once fell back to u = sqrt(n)
+    @example(lam=2.0, z_turn=1.0, s_near=0.25, s_far=0.5, same_branch=True,
+             f=0.9, s_hi=0.5, tol=1e-12)
+    def test_power_law_brackets_inside_the_slack(self, lam, z_turn, s_near,
+                                                 s_far, same_branch, f,
+                                                 s_hi, tol):
+        # the low end lies inside the turning circle of the nearer point
+        # by up to 0.95e-12 of its radius, which integrate_phi's slack of
+        # 1e-12 inside z* takes: n_lo = n_edge*(1 - f*(lam + 1)*1e-12)
+        mpmath = pytest.importorskip("mpmath")
+        k = lam + 1.0
+        top = 0.5 * math.pi
+        psi_near = s_near * top
+        psi_far = psi_near + s_far * (top - psi_near)
+        curve = PowerLawCurve(lam, z_turn ** -k)
+        a = power_law_point(curve, psi_near if same_branch else -psi_near)
+        b = power_law_point(curve, psi_far)
+        w = PowerLaw(lam)
+        z_near = min(a.z, b.z)
+        n_edge = 1.0 / (eval_v(w, z_near) * z_near)
+        n_lo = n_edge * (1.0 - f * k * 1e-12)
+        n_hi = n_edge / math.cos(psi_far + s_hi * (top - psi_far))
+        self.solve_and_check(mpmath, curve, BvpProblem(a, b, w, same_branch),
+                             (n_lo, n_hi), tol)
