@@ -6,16 +6,19 @@ the kronrod_panels calls, the weight passes that reduced_ode makes (calls
 and points, by kind), the np.errstate entries and the calls of the
 expression walks expressions.evaluate and evaluate_slope (one per node
 visited: each walk calls itself through the module).  Per solve_n call
-it records the layout, the spans, the find_root steps (one residual call
-each; a step whose n an earlier one took costs no span) and the stop
-residual |span - target|, and prints spans per solve by layout, the steps
-and the largest and mean stop residual.  On one reference span,
+it records the layout, the edge of its search variable u = sqrt(n -
+n_edge), the spans, the find_root steps (one residual call each; a step
+whose n an earlier one took costs no span) and the stop residual
+|span - target|, and prints spans per solve and the edges taken by layout,
+the steps and the largest and mean stop residual.  On one reference span,
 PowerLaw(0.7) at n 1.3 to radii 1.2 and 1.6 at the benchmark's span
 tolerance 1e-13, it prints the best of 7 timings, in microseconds, of
 ExtremalSpec, its _handoff, integrate_phi and the near and far integrand
 passes of the span's first quadrature call.
 
-    PYTHONPATH=src python tests/span_costs.py
+    PYTHONPATH=src python tests/span_costs.py [SEED ...]
+
+counts the jobs of each seed given, seed 1 by default.
 
 The job list comes from ``perfbench/jobs.py``, loaded by file path through
 job_manifest.py and only read.  pytest does not collect this file;
@@ -24,6 +27,7 @@ test_bvp.py pins its counts.
 
 from __future__ import annotations
 
+import math
 import sys
 import timeit
 from contextlib import ExitStack, contextmanager
@@ -67,10 +71,14 @@ def _wrapped(owner, name, before):
 
 def _solve_records(solves):
     """_patched's make for bvp.solve_n and bvp.find_root: each solve
-    appends {"same_branch", "spans", "steps", "residual"} to solves."""
+    appends {"same_branch", "edge", "spans", "steps", "residual"} to
+    solves.  The edge n_edge comes from find_root's lower end u_lo =
+    sqrt(n_lo - n_edge): 0 means n_edge = n_lo, sqrt(n_lo) means 0, and
+    any other u_lo the edge 1/(v*z) of the nearer endpoint radius z."""
     def solve_n(original):
         def recorded(prob, n_bracket, tol):
-            solves.append({"same_branch": prob.same_branch, "steps": 0})
+            solves.append({"same_branch": prob.same_branch, "steps": 0,
+                           "n_lo": n_bracket[0]})
             sol = original(prob, n_bracket, tol)
             solves[-1].update(spans=sol.evaluations,
                               residual=abs(sol.residual))
@@ -78,11 +86,16 @@ def _solve_records(solves):
         return recorded
 
     def find_root(original):
-        def stepped(f, *args):
+        def stepped(f, u_lo, *args):
+            record = solves[-1]
+            record["edge"] = ("n_lo" if u_lo == 0.0 else "0"
+                              if u_lo == math.sqrt(record.pop("n_lo"))
+                              else "1/(v*z)")
+
             def step(x):
-                solves[-1]["steps"] += 1
+                record["steps"] += 1
                 return f(x)
-            return original(step, *args)
+            return original(step, u_lo, *args)
         return stepped
     return solve_n, find_root
 
@@ -168,13 +181,17 @@ def span_times():
 
 
 def print_solves(solves):
-    """Spans per solve by layout, the find_root steps and the stop
-    residuals of span_counts' solve records."""
+    """Spans per solve and the edges taken by layout, the find_root steps
+    and the stop residuals of span_counts' solve records."""
     for layout, same in (("opposite branches", False), ("same branch", True)):
-        spans = [r["spans"] for r in solves if r["same_branch"] is same]
-        if spans:
-            print(f"  {layout}: {len(spans)} solves, {sum(spans):,} spans, "
-                  f"{sum(spans) / len(spans):.2f} per solve")
+        records = [r for r in solves if r["same_branch"] is same]
+        if records:
+            spans = sum(r["spans"] for r in records)
+            edges = ", ".join(
+                f"{edge} in {sum(r['edge'] == edge for r in records)}"
+                for edge in ("1/(v*z)", "n_lo", "0"))
+            print(f"  {layout}: {len(records)} solves, {spans:,} spans, "
+                  f"{spans / len(records):.2f} per solve; n_edge = {edges}")
     steps = sum(r["steps"] for r in solves)
     print(f"  find_root steps: {steps:,}, {steps / len(solves):.2f} per "
           f"solve")
@@ -183,16 +200,16 @@ def print_solves(solves):
           f"{max(residuals):.3g}, mean {sum(residuals) / len(residuals):.3g}")
 
 
-def main() -> int:
-    counts = span_counts()
-    print("seed-1 bvp jobs:")
-    for key, value in counts.items():
-        if key in PASSES:
-            print(f"  {key}: {value[0]:,} calls, {value[1]:,} points")
-        elif key == "solves":
-            print_solves(value)
-        else:
-            print(f"  {key}: {value:,}")
+def main(argv=None) -> int:
+    for seed in [int(s) for s in (argv or sys.argv[1:])] or [1]:
+        print(f"seed-{seed} bvp jobs:")
+        for key, value in span_counts(seed).items():
+            if key in PASSES:
+                print(f"  {key}: {value[0]:,} calls, {value[1]:,} points")
+            elif key == "solves":
+                print_solves(value)
+            else:
+                print(f"  {key}: {value:,}")
     w, n, radii, tol = REFERENCE
     print(f"reference span {w!r}, n {n}, radii {radii}, tol {tol} "
           f"(best of {REPEATS}, µs per call):")
