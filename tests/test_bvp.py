@@ -532,62 +532,14 @@ class TestEdgeVariable:
                                               s_far, same_branch, gap,
                                               s_hi, tol):
         mpmath = pytest.importorskip("mpmath")
-        # points at auxiliary angles psi (n*z^k*cos(psi) = 1, k = lam + 1)
-        # up to 2k, so each lies at most 2 rad from the turn as lam nears
-        # -1, with n = z_turn^-k near 1 there
-        k = lam + 1.0
-        top = min(0.5 * math.pi, 2.0 * k)
-        psi_near = s_near * top
-        psi_far = psi_near + s_far * (top - psi_near)
-        curve = PowerLawCurve(lam, z_turn ** -k)
-        a = power_law_point(curve, psi_near if same_branch else -psi_near)
-        b = power_law_point(curve, psi_far)
-        w = PowerLaw(lam)
-        z_near = min(a.z, b.z)
-        n_edge = 1.0 / (eval_v(w, z_near) * z_near)
+        curve, a, b, n_edge, n_hi = self.points(lam, z_turn, s_near, s_far,
+                                                same_branch, s_hi)
         # next to lam = -1, n_edge and n round together
         assume(n_edge < curve.n * (1.0 - 1e-8) and a != b)
         n_lo = min(n_edge * (1.0 + gap), 0.5 * (n_edge + curve.n))
-        # at n_hi the nearer point's psi is psi_far or more, up to top
-        n_hi = n_edge / math.cos(psi_far + s_hi * (top - psi_far))
-        self.solve_and_check(mpmath, curve, BvpProblem(a, b, w, same_branch),
+        self.solve_and_check(mpmath, curve,
+                             BvpProblem(a, b, PowerLaw(lam), same_branch),
                              (n_lo, n_hi), tol)
-
-    def solve_and_check(self, mpmath, curve, prob, n_bracket, tol):
-        """solve_n on a bracket around the n of a power-law curve through
-        prob's endpoints: no n is evaluated twice, and the closed-form span
-        at the solved n meets the target, or a QuadratureFailure is one
-        that tol 0's round-off floor or a collapse of the bracket
-        explains."""
-        lam = curve.lam
-        qtol = min(1e-13, max(tol / 10.0, 1e-14))
-        calls, failure = [], None
-
-        def counted(prob, n, qtol, _f=bvp._branch_angles):
-            calls.append(n)
-            return _f(prob, n, qtol)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bvp, "_branch_angles", counted)
-            try:
-                sol = solve_n(prob, n_bracket, tol)
-            except QuadratureFailure as exc:
-                failure = str(exc)
-        # no n evaluated twice, though two u can round to one n
-        assert len(set(calls)) == len(calls)
-        if failure:
-            # tol 0 meets the spans' round-off floor, and where four ulps
-            # of n move the span by more than tol no float n meets it
-            slope = self.closed_form(mpmath, lam, curve.n, prob)[1]
-            assert (tol == 0.0 and "below the round-off floor" in failure
-                    or failure.startswith("bracket collapsed")
-                    and 4.0 * math.ulp(curve.n) * slope > max(tol, qtol))
-            return
-        assert sol.evaluations == len(calls)
-        # the closed-form span at the solved n meets the target within the
-        # stop's tol and the spans' quadrature tol, once for each angle
-        span = self.closed_form(mpmath, lam, sol.n, prob)[0]
-        target = abs(prob.b.phi - prob.a.phi)
-        assert abs(span - target) <= max(tol, qtol) + 2.0 * qtol
 
     @settings(max_examples=60, deadline=None)
     @given(lam=st.floats(0.0, 3.0), z_turn=st.floats(0.5, 2.0),
@@ -606,17 +558,64 @@ class TestEdgeVariable:
         # by up to 0.95e-12 of its radius, which integrate_phi's slack of
         # 1e-12 inside z* takes: n_lo = n_edge*(1 - f*(lam + 1)*1e-12)
         mpmath = pytest.importorskip("mpmath")
+        curve, a, b, n_edge, n_hi = self.points(lam, z_turn, s_near, s_far,
+                                                same_branch, s_hi)
+        n_lo = n_edge * (1.0 - f * (lam + 1.0) * 1e-12)
+        self.solve_and_check(mpmath, curve,
+                             BvpProblem(a, b, PowerLaw(lam), same_branch),
+                             (n_lo, n_hi), tol)
+
+    @staticmethod
+    def points(lam, z_turn, s_near, s_far, same_branch, s_hi):
+        """(curve, a, b, n_edge, n_hi) for v = z^lam: a and b at auxiliary
+        angles psi (n*z^k*cos(psi) = 1, k = lam + 1) up to top =
+        min(pi/2, 2k), so each lies at most 2 rad from the turn as lam
+        nears -1, with n = z_turn^-k near 1 there; n_edge = 1/(v*z) at the
+        nearer radius z, and at n_hi the nearer point's psi is psi_far or
+        more, up to top."""
         k = lam + 1.0
-        top = 0.5 * math.pi
+        top = min(0.5 * math.pi, 2.0 * k)
         psi_near = s_near * top
         psi_far = psi_near + s_far * (top - psi_near)
         curve = PowerLawCurve(lam, z_turn ** -k)
         a = power_law_point(curve, psi_near if same_branch else -psi_near)
         b = power_law_point(curve, psi_far)
-        w = PowerLaw(lam)
         z_near = min(a.z, b.z)
-        n_edge = 1.0 / (eval_v(w, z_near) * z_near)
-        n_lo = n_edge * (1.0 - f * k * 1e-12)
+        n_edge = 1.0 / (eval_v(PowerLaw(lam), z_near) * z_near)
         n_hi = n_edge / math.cos(psi_far + s_hi * (top - psi_far))
-        self.solve_and_check(mpmath, curve, BvpProblem(a, b, w, same_branch),
-                             (n_lo, n_hi), tol)
+        return curve, a, b, n_edge, n_hi
+
+    def solve_and_check(self, mpmath, curve, prob, n_bracket, tol):
+        """solve_n on a bracket around the n of a power-law curve through
+        prob's endpoints: no n is evaluated twice, and the closed-form span
+        at the solved n meets the target, or a QuadratureFailure is one
+        that tol 0's round-off floor or a collapse of the bracket
+        explains."""
+        qtol = min(1e-13, max(tol / 10.0, 1e-14))
+        calls, failure = [], None
+
+        def counted(prob, n, qtol, _f=bvp._branch_angles):
+            calls.append(n)
+            return _f(prob, n, qtol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bvp, "_branch_angles", counted)
+            try:
+                sol = solve_n(prob, n_bracket, tol)
+            except QuadratureFailure as exc:
+                failure = str(exc)
+        # no n evaluated twice, though two u can round to one n
+        assert len(set(calls)) == len(calls)
+        if failure:
+            # tol 0 meets the spans' round-off floor, and where four ulps
+            # of n move the span by more than tol no float n meets it
+            slope = self.closed_form(mpmath, curve.lam, curve.n, prob)[1]
+            assert (tol == 0.0 and "below the round-off floor" in failure
+                    or failure.startswith("bracket collapsed")
+                    and 4.0 * math.ulp(curve.n) * slope > max(tol, qtol))
+            return
+        assert sol.evaluations == len(calls)
+        # the closed-form span at the solved n meets the target within the
+        # stop's tol and the spans' quadrature tol, once for each angle
+        span = self.closed_form(mpmath, curve.lam, sol.n, prob)[0]
+        target = abs(prob.b.phi - prob.a.phi)
+        assert abs(span - target) <= max(tol, qtol) + 2.0 * qtol
